@@ -1,0 +1,192 @@
+"""Byte-exact golden outputs of the ``elastonet`` command.
+
+Every case writes its input files from seeded ``random_network`` calls or
+small hand-built networks, runs ``cli.main`` and compares the exit code,
+the bytes of the output file and the text on stderr with the files in
+``tests/golden``: ``<case>.out`` holds the output file (absent when the
+command writes none), ``<case>.err`` holds stderr (absent when empty).
+
+Regenerate the files after an intended output change with::
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from elastonet import (
+    ElastodynamicNetwork,
+    Node,
+    RayleighParams,
+    Spring,
+    assemble,
+    canonical_to_dict,
+    extract_canonical,
+    network_to_dict,
+    random_network,
+)
+from elastonet.cli import main
+from elastonet.jsonio import write_json
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _random(seed, d, mass_fraction=0.5):
+    return random_network(seed, d, 2, 3, mass_fraction)
+
+
+def _terminal_plus_mass():
+    # undamped, sigma = 1: lambda = i is exactly resonant
+    nodes = (Node((0.0, 0.0), 0.0, True), Node((1.0, 0.0), 1.0, False))
+    return ElastodynamicNetwork(2, nodes, (Spring(0, 1, 1.0),))
+
+
+def _collinear_chain():
+    # a mechanism: the massless middle node floats transversally
+    nodes = (
+        Node((0.0, 0.0), 0.0, True),
+        Node((1.0, 0.0), 0.0, False),
+        Node((2.0, 0.0), 0.0, True),
+    )
+    return ElastodynamicNetwork(
+        2, nodes, (Spring(0, 1, 1.0), Spring(1, 2, 1.0)), RayleighParams(0.5, 0.2)
+    )
+
+
+def _network(net):
+    return lambda: network_to_dict(net)
+
+
+def _canonical(net, edit=None):
+    def build():
+        obj = canonical_to_dict(extract_canonical(assemble(net)))
+        if edit is not None:
+            edit(obj)
+        return obj
+
+    return build
+
+
+def _negative_sigma(obj):
+    obj["modes"][0]["sigma"] = -1.0
+
+
+def _negated_residue(obj):
+    obj["modes"][0]["R"] = [[-v for v in row] for row in obj["modes"][0]["R"]]
+
+
+def _unknown_field(obj):
+    obj["nodes"][0]["color"] = "red"
+    return obj
+
+
+# name -> (input builder or None, argv after the input file, expected exit)
+CASES = {
+    "respond_d2_linear": (
+        _network(_random(11, 2)), ["respond", "--omega", "0.5", "5", "4"], 0,
+    ),
+    "respond_d3_log": (
+        _network(_random(12, 3)),
+        ["respond", "--omega", "0.1", "10", "3", "--scale", "log"], 0,
+    ),
+    "respond_lam_resonant": (
+        _network(_terminal_plus_mass()),
+        ["respond", "--lam", "0,1", "--lam", "0.5,0.5"], 0,
+    ),
+    "extract": (_network(_random(13, 2)), ["extract", "--seed", "3"], 0),
+    "characterize_network": (_network(_random(14, 3)), ["characterize"], 0),
+    "characterize_negative_sigma": (
+        _canonical(_random(15, 2), _negative_sigma), ["characterize"], 1,
+    ),
+    "synthesize_pass": (
+        _canonical(_random(16, 2)), ["synthesize", "--seed", "5", "--samples", "20"], 0,
+    ),
+    "synthesize_inadmissible": (
+        _canonical(_random(15, 2), _negated_residue), ["synthesize"], 5,
+    ),
+    "roundtrip_d2": (_network(_random(17, 2)), ["roundtrip", "--seed", "9"], 0),
+    "roundtrip_d3": (
+        _network(_random(18, 3)), ["roundtrip", "--seed", "2", "--samples", "20"], 0,
+    ),
+    "roundtrip_mechanism": (_network(_collinear_chain()), ["roundtrip"], 0),
+    "roundtrip_all_massive": (
+        _network(_random(19, 2, mass_fraction=1.0)), ["roundtrip", "--seed", "4"], 0,
+    ),
+    "loci_undamped": (None, ["loci", "--alpha", "0", "--beta", "0", "--points", "9"], 0),
+    "loci_node_damping_only": (
+        None, ["loci", "--alpha", "0", "--beta", "1.5", "--points", "9"], 0,
+    ),
+    "loci_dashpot_only": (
+        None, ["loci", "--alpha", "0.7", "--beta", "0", "--points", "9"], 0,
+    ),
+    "loci_underdamped_mixed": (
+        None, ["loci", "--alpha", "0.5", "--beta", "0.8", "--points", "9"], 0,
+    ),
+    "loci_overdamped_mixed": (
+        None, ["loci", "--alpha", "1.5", "--beta", "2", "--points", "9"], 0,
+    ),
+    "schema_error": (
+        lambda: _unknown_field(network_to_dict(_random(11, 2))),
+        ["respond", "--lam", "0,1"], 2,
+    ),
+}
+
+
+def run_case(name, workdir):
+    """Run one case in ``workdir``; returns (exit, output bytes or None, stderr)."""
+    build, args, _ = CASES[name]
+    argv = [args[0]]
+    if build is not None:
+        path = Path(workdir) / f"{name}.in.json"
+        write_json(path, build())
+        argv.append(str(path))
+    out = Path(workdir) / f"{name}.out"
+    argv += args[1:] + ["-o", str(out)]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, (out.read_bytes() if out.exists() else None), err.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_output(name, tmp_path, monkeypatch):
+    monkeypatch.delenv("ELASTONET_SEED", raising=False)
+    code, out, err = run_case(name, tmp_path)
+    assert code == CASES[name][2]
+    out_file, err_file = GOLDEN / f"{name}.out", GOLDEN / f"{name}.err"
+    assert out == (out_file.read_bytes() if out_file.exists() else None)
+    assert err == (err_file.read_text(encoding="utf-8") if err_file.exists() else "")
+
+
+def test_golden_directory_has_no_stale_files():
+    expected = {f"{name}.{ext}" for name in CASES for ext in ("out", "err")}
+    assert {p.name for p in GOLDEN.iterdir()} <= expected
+
+
+def regenerate():
+    os.environ.pop("ELASTONET_SEED", None)
+    GOLDEN.mkdir(exist_ok=True)
+    for stale in GOLDEN.iterdir():
+        stale.unlink()
+    with tempfile.TemporaryDirectory() as workdir:
+        for name in sorted(CASES):
+            code, out, err = run_case(name, workdir)
+            if code != CASES[name][2]:
+                raise SystemExit(f"{name}: exit {code}, expected {CASES[name][2]}")
+            if out is not None:
+                (GOLDEN / f"{name}.out").write_bytes(out)
+            if err:
+                (GOLDEN / f"{name}.err").write_text(err, encoding="utf-8")
+    sizes = sum(p.stat().st_size for p in GOLDEN.iterdir())
+    print(json.dumps({"files": len(list(GOLDEN.iterdir())), "bytes": sizes}))
+
+
+if __name__ == "__main__":
+    sys.exit(regenerate())
