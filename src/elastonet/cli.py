@@ -71,13 +71,16 @@ def _seed(args):
     return args.seed
 
 
-def _write(args, payload):
-    text = jsonio.dumps_canonical(payload)
+def _write_text(args, text):
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _write(args, payload):
+    _write_text(args, jsonio.dumps_canonical(payload))
 
 
 def _load_network(path):
@@ -172,9 +175,16 @@ def _load_forbidden(path, d):
     return points
 
 
-def cmd_synthesize(args):
-    cr = canonical_from_dict(jsonio.load_json(args.input))
-    seed = _seed(args)
+def _check_synthesis_args(args):
+    # --samples 0 would verify nothing and still report a pass
+    if args.samples < 1:
+        raise SchemaError(f"{args.command}: --samples must be >= 1")
+    if not 0.0 < args.epsilon < np.inf:
+        raise SchemaError(f"{args.command}: --epsilon must be finite and > 0")
+
+
+def _synthesize_verified(args, cr, seed):
+    """Realize ``cr``; returns (network, verification block, passed)."""
     gn = synthesize(
         cr,
         epsilon_hull=args.epsilon,
@@ -183,13 +193,18 @@ def cmd_synthesize(args):
         check=False,
     )
     worst = verify_synthesis(gn, cr, n_samples=args.samples, seed=seed + 1)
+    verification = {"n_lambda_samples": args.samples, "max_rel_error": float(worst)}
+    return gn, verification, bool(worst <= SYNTH_ROUNDTRIP_TOL)
+
+
+def cmd_synthesize(args):
+    _check_synthesis_args(args)
+    cr = canonical_from_dict(jsonio.load_json(args.input))
+    gn, verification, passed = _synthesize_verified(args, cr, _seed(args))
     payload = generalized_to_dict(gn)
-    payload["verification"] = {
-        "n_lambda_samples": args.samples,
-        "max_rel_error": float(worst),
-    }
+    payload["verification"] = verification
     _write(args, payload)
-    return 0 if worst <= SYNTH_ROUNDTRIP_TOL else EXIT_CHECK_FAILED
+    return 0 if passed else EXIT_CHECK_FAILED
 
 
 def cmd_loci(args):
@@ -203,16 +218,12 @@ def cmd_loci(args):
         lines.append(
             f"{row['re']!r},{row['im']!r},{row['sigma']!r},{row['piece_label']}"
         )
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_text(args, "\n".join(lines) + "\n")
     return 0
 
 
 def cmd_roundtrip(args):
+    _check_synthesis_args(args)
     net = _load_network(args.input)
     seed = _seed(args)
     cr = extract_canonical(assemble(net), seed=seed)
@@ -221,23 +232,10 @@ def cmd_roundtrip(args):
         "canonical": canonical_to_dict(cr),
         "characterization": report.to_dict(),
     }
+    passed = False
     if report.passed:
-        gn = synthesize(
-            cr,
-            epsilon_hull=args.epsilon,
-            forbidden=_load_forbidden(args.forbidden, cr.dimension),
-            seed=seed,
-            check=False,
-        )
-        worst = verify_synthesis(gn, cr, n_samples=args.samples, seed=seed + 1)
+        gn, payload["verification"], passed = _synthesize_verified(args, cr, seed)
         payload["network"] = generalized_to_dict(gn)
-        payload["verification"] = {
-            "n_lambda_samples": args.samples,
-            "max_rel_error": float(worst),
-        }
-        passed = bool(worst <= SYNTH_ROUNDTRIP_TOL)
-    else:
-        passed = False
     payload["pass"] = passed
     _write(args, payload)
     return 0 if passed else EXIT_CHECK_FAILED
@@ -360,26 +358,24 @@ def build_parser():
     return parser
 
 
+# first match wins: every error type is an ElastonetError
+ERROR_EXITS = (
+    (SchemaError, EXIT_PARSE),
+    (FloppyModeInconsistent, EXIT_FLOPPY),
+    (NotCharacterizable, EXIT_NOT_CHARACTERIZABLE),
+    (PlacementFailed, EXIT_PLACEMENT),
+    (ElastonetError, EXIT_CHECK_FAILED),
+)
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except FloppyModeInconsistent as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FLOPPY
-    except NotCharacterizable as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_CHARACTERIZABLE
-    except PlacementFailed as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PLACEMENT
     except ElastonetError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+        return next(code for kind, code in ERROR_EXITS if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -35,9 +35,9 @@ class SymMatrix:
         else:
             a = a.astype(np.float64, copy=False)
         if a.size:
-            if not np.all(np.isfinite(a)):
+            scale = np.abs(a).max()  # NaN or inf here iff some entry is
+            if not np.isfinite(scale):
                 raise DimensionMismatch("matrix entries must be finite")
-            scale = np.abs(a).max()
             gap = np.abs(a - a.T).max()
             if gap > tol * scale:
                 raise AsymmetricMatrix(
@@ -67,8 +67,8 @@ class BlockPartition:
     __slots__ = ("boundary", "interior")
 
     def __init__(self, boundary, interior):
-        b = tuple(int(i) for i in boundary)
-        i = tuple(int(j) for j in interior)
+        b = tuple(map(int, boundary))
+        i = tuple(map(int, interior))
         if set(b) & set(i):
             raise DimensionMismatch("boundary and interior index sets overlap")
         if len(set(b)) != len(b) or len(set(i)) != len(i):

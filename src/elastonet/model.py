@@ -60,6 +60,35 @@ class Spring:
 
 
 @dataclass(frozen=True)
+class IdealElasticElement:
+    """Rank-one elastic element: stiffness contribution ``f f^T``.
+
+    ``support`` lists the node indices the force vector acts on, d
+    consecutive entries of ``force_vector`` per support node. The force
+    system must be balanced at the support positions, which the owning
+    component verifies.
+    """
+
+    support: tuple
+    force_vector: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "support", tuple(int(i) for i in self.support))
+        object.__setattr__(
+            self, "force_vector", np.asarray(self.force_vector, dtype=float)
+        )
+        if not self.support:
+            raise ValueError("ideal element needs at least one support node")
+        if len(set(self.support)) != len(self.support):
+            raise ValueError("ideal element support repeats a node")
+        if self.force_vector.ndim != 1 or self.force_vector.size % len(self.support):
+            raise ValueError(
+                f"force vector of length {self.force_vector.size} does not split "
+                f"over {len(self.support)} support nodes"
+            )
+
+
+@dataclass(frozen=True)
 class RayleighParams:
     """Proportional-damping constants: C = alpha*K + beta*M."""
 
@@ -153,10 +182,6 @@ class SystemMatrices:
         return np.diag(self.M.a).copy()
 
 
-def _coords(node_index, d):
-    return range(node_index * d, (node_index + 1) * d)
-
-
 def spring_direction(positions, i, j):
     """Unit vector along ``x_i - x_j``; raises for coincident endpoints."""
     dx = positions[i] - positions[j]
@@ -169,48 +194,50 @@ def spring_direction(positions, i, j):
     return dx / length
 
 
-def assemble(net):
-    """Assemble the system matrices of a network.
+def assemble_elements(nodes, elements, dimension, rayleigh):
+    """Assemble the system matrices of nodes joined by stiffness elements.
 
-    The stiffness matrix is the sum over springs of the rank-one axial block
-    pattern: with ``n`` the unit vector along the spring and nodes ``i, j``,
-    the spring adds ``k * n n^T`` on the (i,i) and (j,j) diagonal blocks and
-    ``-k * n n^T`` on the off-diagonal ones. The mass matrix repeats each
-    nodal mass d times on the diagonal, and ``C = alpha*K + beta*M`` exactly.
+    Each element adds a symmetric stamp to ``K``. A spring between nodes
+    ``i, j`` with unit vector ``n`` along it adds ``k * n n^T`` on the (i,i)
+    and (j,j) diagonal blocks and ``-k * n n^T`` on the off-diagonal ones;
+    an ideal elastic element adds ``f f^T`` on the coordinates of its
+    support. The mass matrix repeats each nodal mass d times on the
+    diagonal, and ``C = alpha*K + beta*M`` exactly. The partition puts the
+    coordinates of terminal nodes in the boundary, all others in the
+    interior, each in node order.
     """
-    d = net.dimension
-    positions = net.positions()
-    # reject degenerate springs before any matrix is formed
-    directions = {
-        (s.i, s.j): spring_direction(positions, s.i, s.j) for s in net.springs
-    }
-    n = net.n_nodes * d
-    K = np.zeros((n, n))
-    for s in net.springs:
-        nvec = directions[(s.i, s.j)]
-        block = s.stiffness * np.outer(nvec, nvec)
-        ii = np.ix_(_coords(s.i, d), _coords(s.i, d))
-        jj = np.ix_(_coords(s.j, d), _coords(s.j, d))
-        ij = np.ix_(_coords(s.i, d), _coords(s.j, d))
-        ji = np.ix_(_coords(s.j, d), _coords(s.i, d))
-        K[ii] += block
-        K[jj] += block
-        K[ij] -= block
-        K[ji] -= block
-    masses = np.repeat([node.mass for node in net.nodes], d)
-    M = np.diag(masses)
-    C = net.rayleigh.alpha * K + net.rayleigh.beta * M
-    boundary = [c for k in net.terminal_indices for c in _coords(k, d)]
-    interior = [c for k in net.interior_indices for c in _coords(k, d)]
+    d = dimension
+    positions = np.array([node.position for node in nodes], dtype=float)
+    coords = np.arange(len(nodes) * d).reshape(-1, d)  # row k: node k's coordinates
+    K = np.zeros((coords.size, coords.size))
+    for el in elements:
+        if isinstance(el, Spring):
+            nvec = spring_direction(positions, el.i, el.j)
+            axis = np.concatenate([nvec, -nvec])
+            support, stamp = (el.i, el.j), el.stiffness * np.outer(axis, axis)
+        else:
+            support, stamp = el.support, np.outer(el.force_vector, el.force_vector)
+        c = coords[list(support)].ravel()
+        K[np.ix_(c, c)] += stamp
+    M = np.diag(np.repeat([node.mass for node in nodes], d))
+    C = rayleigh.alpha * K + rayleigh.beta * M
+    terminal = np.array([node.is_terminal for node in nodes])
     return SystemMatrices(
         K=SymMatrix(K),
         C=SymMatrix(C),
         M=SymMatrix(M),
-        partition=BlockPartition(boundary, interior),
+        partition=BlockPartition(
+            coords[terminal].ravel().tolist(), coords[~terminal].ravel().tolist()
+        ),
         dimension=d,
-        rayleigh=net.rayleigh,
-        terminal_positions=positions[list(net.terminal_indices)],
+        rayleigh=rayleigh,
+        terminal_positions=positions[terminal],
     )
+
+
+def assemble(net):
+    """Assemble the system matrices of a network (see :func:`assemble_elements`)."""
+    return assemble_elements(net.nodes, net.springs, net.dimension, net.rayleigh)
 
 
 def random_network(
@@ -302,22 +329,86 @@ def random_network(
 # ---------------------------------------------------------------------------
 # JSON form: {dimension, nodes[{position, mass, terminal}],
 #             springs[{i, j, k}], rayleigh{alpha, beta}}
+# The node, element and rayleigh codecs are shared with the generalized
+# network form in :mod:`synthesize`.
 # ---------------------------------------------------------------------------
+
+
+def node_to_dict(node):
+    return {
+        "position": list(node.position),
+        "mass": node.mass,
+        "terminal": node.is_terminal,
+    }
+
+
+def node_from_dict(raw, path, d):
+    jsonio.check_fields(raw, path, ("position", "mass", "terminal"))
+    try:
+        return Node(
+            tuple(jsonio.as_vector(raw["position"], f"{path}.position", d)),
+            jsonio.as_number(raw["mass"], f"{path}.mass"),
+            jsonio.as_bool(raw["terminal"], f"{path}.terminal"),
+        )
+    except ValueError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
+
+
+def element_to_dict(el):
+    """A spring as ``{i, j, k}``, an ideal element as ``{support, f}``."""
+    if isinstance(el, Spring):
+        return {"i": el.i, "j": el.j, "k": el.stiffness}
+    return {"support": list(el.support), "f": list(el.force_vector)}
+
+
+def spring_from_dict(raw, path):
+    jsonio.check_fields(raw, path, ("i", "j", "k"))
+    try:
+        return Spring(
+            jsonio.as_int(raw["i"], f"{path}.i"),
+            jsonio.as_int(raw["j"], f"{path}.j"),
+            jsonio.as_number(raw["k"], f"{path}.k"),
+        )
+    except ValueError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
+
+
+def element_from_dict(raw, path):
+    if not (isinstance(raw, dict) and "support" in raw):
+        return spring_from_dict(raw, path)
+    jsonio.check_fields(raw, path, ("support", "f"))
+    support = [
+        jsonio.as_int(i, f"{path}.support[{q}]")
+        for q, i in enumerate(jsonio.as_list(raw["support"], f"{path}.support"))
+    ]
+    force = jsonio.as_vector(raw["f"], f"{path}.f")
+    try:
+        return IdealElasticElement(tuple(support), force)
+    except ValueError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
+
+
+def rayleigh_to_dict(rayleigh):
+    return {"alpha": rayleigh.alpha, "beta": rayleigh.beta}
+
+
+def rayleigh_from_dict(raw, path):
+    jsonio.check_fields(raw, path, ("alpha", "beta"))
+    try:
+        return RayleighParams(
+            jsonio.as_number(raw["alpha"], f"{path}.alpha"),
+            jsonio.as_number(raw["beta"], f"{path}.beta"),
+        )
+    except ValueError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
 
 
 def network_to_dict(net):
     return {
         "dimension": net.dimension,
-        "nodes": [
-            {
-                "position": list(n.position),
-                "mass": n.mass,
-                "terminal": n.is_terminal,
-            }
-            for n in net.nodes
-        ],
-        "springs": [{"i": s.i, "j": s.j, "k": s.stiffness} for s in net.springs],
-        "rayleigh": {"alpha": net.rayleigh.alpha, "beta": net.rayleigh.beta},
+        "nodes": [node_to_dict(n) for n in net.nodes],
+        "springs": [element_to_dict(s) for s in net.springs],
+        "rayleigh": rayleigh_to_dict(net.rayleigh),
     }
 
 
@@ -326,43 +417,15 @@ def network_from_dict(obj, path="network"):
     d = jsonio.as_int(obj["dimension"], f"{path}.dimension")
     if d not in (2, 3):
         raise SchemaError(f"{path}.dimension: must be 2 or 3")
-    nodes = []
-    for k, raw in enumerate(jsonio.as_list(obj["nodes"], f"{path}.nodes")):
-        p = f"{path}.nodes[{k}]"
-        jsonio.check_fields(raw, p, ("position", "mass", "terminal"))
-        try:
-            nodes.append(
-                Node(
-                    tuple(jsonio.as_vector(raw["position"], f"{p}.position", d)),
-                    jsonio.as_number(raw["mass"], f"{p}.mass"),
-                    jsonio.as_bool(raw["terminal"], f"{p}.terminal"),
-                )
-            )
-        except ValueError as exc:
-            raise SchemaError(f"{p}: {exc}") from exc
-    springs = []
-    for k, raw in enumerate(jsonio.as_list(obj["springs"], f"{path}.springs")):
-        p = f"{path}.springs[{k}]"
-        jsonio.check_fields(raw, p, ("i", "j", "k"))
-        try:
-            springs.append(
-                Spring(
-                    jsonio.as_int(raw["i"], f"{p}.i"),
-                    jsonio.as_int(raw["j"], f"{p}.j"),
-                    jsonio.as_number(raw["k"], f"{p}.k"),
-                )
-            )
-        except ValueError as exc:
-            raise SchemaError(f"{p}: {exc}") from exc
-    rp = f"{path}.rayleigh"
-    jsonio.check_fields(obj["rayleigh"], rp, ("alpha", "beta"))
-    try:
-        ray = RayleighParams(
-            jsonio.as_number(obj["rayleigh"]["alpha"], f"{rp}.alpha"),
-            jsonio.as_number(obj["rayleigh"]["beta"], f"{rp}.beta"),
-        )
-    except ValueError as exc:
-        raise SchemaError(f"{rp}: {exc}") from exc
+    nodes = [
+        node_from_dict(raw, f"{path}.nodes[{k}]", d)
+        for k, raw in enumerate(jsonio.as_list(obj["nodes"], f"{path}.nodes"))
+    ]
+    springs = [
+        spring_from_dict(raw, f"{path}.springs[{k}]")
+        for k, raw in enumerate(jsonio.as_list(obj["springs"], f"{path}.springs"))
+    ]
+    ray = rayleigh_from_dict(obj["rayleigh"], f"{path}.rayleigh")
     try:
         return ElastodynamicNetwork(d, tuple(nodes), tuple(springs), ray)
     except (ValueError, DimensionMismatch) as exc:

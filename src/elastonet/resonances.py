@@ -151,33 +151,30 @@ def _piece_label(rayleigh, lam, tol=1e-12):
     return "ray" if on_axis else "circle"
 
 
-def sample_locus(rayleigh, n_points, sigma_range=(1e-2, 1e2)):
-    """Resonances for a log-spaced sigma sweep, ``n_points`` in total."""
+def _sigma_sweep(rayleigh, n_points, sigma_range):
+    """(sigma, resonance) pairs of a log-spaced sigma sweep, ``n_points`` in total."""
     if n_points < 2:
         raise ValueError("n_points must be >= 2")
     n_sigma = (n_points + 1) // 2
     sigmas = np.logspace(np.log10(sigma_range[0]), np.log10(sigma_range[1]), n_sigma)
-    points = []
-    for s in sigmas:
-        points.extend(resonances_of(s, rayleigh))
-    return np.array(points[:n_points], dtype=complex)
+    pairs = [(float(s), lam) for s in sigmas for lam in resonances_of(s, rayleigh)]
+    return pairs[:n_points]
+
+
+def sample_locus(rayleigh, n_points, sigma_range=(1e-2, 1e2)):
+    """Resonances for a log-spaced sigma sweep, ``n_points`` in total."""
+    pairs = _sigma_sweep(rayleigh, n_points, sigma_range)
+    return np.array([lam for _, lam in pairs], dtype=complex)
 
 
 def locus_table(rayleigh, n_points, sigma_range=(1e-2, 1e2)):
     """Rows (re, im, sigma, piece_label) for CSV emission."""
-    if n_points < 2:
-        raise ValueError("n_points must be >= 2")
-    n_sigma = (n_points + 1) // 2
-    sigmas = np.logspace(np.log10(sigma_range[0]), np.log10(sigma_range[1]), n_sigma)
-    rows = []
-    for s in sigmas:
-        for lam in resonances_of(s, rayleigh):
-            rows.append(
-                {
-                    "re": lam.real,
-                    "im": lam.imag,
-                    "sigma": float(s),
-                    "piece_label": _piece_label(rayleigh, lam),
-                }
-            )
-    return rows[:n_points]
+    return [
+        {
+            "re": lam.real,
+            "im": lam.imag,
+            "sigma": sigma,
+            "piece_label": _piece_label(rayleigh, lam),
+        }
+        for sigma, lam in _sigma_sweep(rayleigh, n_points, sigma_range)
+    ]

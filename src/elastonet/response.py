@@ -113,17 +113,6 @@ class CanonicalResponse:
             w0 = w0 - mode.R.a / mode.sigma
         return SymMatrix(w0)
 
-    def resonances(self):
-        """All poles (roots of the q_j), duplicates removed."""
-        roots = []
-        for mode in self.modes:
-            roots.extend(resonances_of(mode.sigma, self.rayleigh))
-        distinct = []
-        for r in roots:
-            if all(abs(r - s) > 1e-12 * (1.0 + abs(r)) for s in distinct):
-                distinct.append(r)
-        return distinct
-
 
 @dataclass(frozen=True)
 class ReducedSystem:
@@ -146,10 +135,22 @@ class ReducedSystem:
         return len(self.Mjj)
 
 
-def _pencil(sys, lam):
+def _schur_response(K, C, M, partition, lam, mode, tol, where=""):
+    """Schur complement of ``K + lambda*C + lambda^2*M`` over ``partition``.
+
+    A numerically singular interior block means ``lambda`` sits on a
+    resonance: :class:`AtResonance`.
+    """
     lam = complex(lam)
-    p = sys.K.a + lam * sys.C.a + lam * lam * sys.M.a
-    return SymMatrix(p)
+    pencil = SymMatrix(K + lam * C + lam * lam * M)
+    try:
+        w = schur_complement(pencil, partition, mode=mode, tol=tol)
+    except SingularBlock as exc:
+        raise AtResonance(
+            f"lambda = {lam} is numerically a resonance{where}: {exc}",
+            singular_values=exc.smallest_singular_value,
+        ) from exc
+    return ResponseSample(lam, w)
 
 
 def evaluate_response(sys, lam, mode="inverse", tol=1e-10):
@@ -161,14 +162,7 @@ def evaluate_response(sys, lam, mode="inverse", tol=1e-10):
     nodes with floppy directions); the truncated directions carry no
     coupling to the terminals, so the response is unchanged.
     """
-    try:
-        w = schur_complement(_pencil(sys, lam), sys.partition, mode=mode, tol=tol)
-    except SingularBlock as exc:
-        raise AtResonance(
-            f"lambda = {lam} is numerically a resonance: {exc}",
-            singular_values=exc.smallest_singular_value,
-        ) from exc
-    return ResponseSample(complex(lam), w)
+    return _schur_response(sys.K.a, sys.C.a, sys.M.a, sys.partition, lam, mode, tol)
 
 
 def _node_block_masses(mass_coords, d, label):
@@ -247,19 +241,12 @@ def eliminate_massless(sys, tol=1e-10):
 
 def evaluate_reduced(red, lam, mode="inverse", tol=1e-10):
     """Response of a reduced system: Schur complement of its interior block."""
-    lam = complex(lam)
     nb, nj = red.n_b, red.n_j
     m = np.diag(np.concatenate([red.Mbb, red.Mjj]))
-    p = SymMatrix(red.Ktilde.a + lam * red.Ctilde.a + lam * lam * m)
     part = BlockPartition(range(nb), range(nb, nb + nj))
-    try:
-        w = schur_complement(p, part, mode=mode, tol=tol)
-    except SingularBlock as exc:
-        raise AtResonance(
-            f"lambda = {lam} is numerically a resonance of the reduced system: {exc}",
-            singular_values=exc.smallest_singular_value,
-        ) from exc
-    return ResponseSample(lam, w)
+    return _schur_response(
+        red.Ktilde.a, red.Ctilde.a, m, part, lam, mode, tol, " of the reduced system"
+    )
 
 
 def system_resonances(rayleigh, sigmas, include_damper_pole=True):
@@ -321,6 +308,13 @@ def _cluster_ascending(sigmas, tol):
     return groups
 
 
+def _mass_normalized_stiffness(red):
+    """``Mjj^-1/2 Kjj Mjj^-1/2`` over the massive interior, and ``Mjj^-1/2``."""
+    inv_sqrt = 1.0 / np.sqrt(red.Mjj)
+    kjj = red.Ktilde.a[red.n_b:, red.n_b:]
+    return SymMatrix(np.outer(inv_sqrt, inv_sqrt) * kjj), inv_sqrt
+
+
 def reduced_modal_stiffnesses(red):
     """Eigenvalues of the mass-normalized interior stiffness of a reduced system.
 
@@ -330,9 +324,7 @@ def reduced_modal_stiffnesses(red):
     """
     if not red.n_j:
         return np.zeros(0)
-    inv_sqrt = 1.0 / np.sqrt(red.Mjj)
-    kjj = red.Ktilde.a[red.n_b:, red.n_b:]
-    return np.linalg.eigvalsh(SymMatrix(np.outer(inv_sqrt, inv_sqrt) * kjj).a)
+    return np.linalg.eigvalsh(_mass_normalized_stiffness(red)[0].a)
 
 
 def extract_canonical(
@@ -369,9 +361,7 @@ def extract_canonical(
     modes = []
     all_sigmas = []
     if nj:
-        inv_sqrt = 1.0 / np.sqrt(red.Mjj)
-        kjj = red.Ktilde.a[nb:, nb:]
-        normalized = SymMatrix(np.outer(inv_sqrt, inv_sqrt) * kjj)
+        normalized, inv_sqrt = _mass_normalized_stiffness(red)
         sigmas, u = np.linalg.eigh(normalized.a)
         all_sigmas = list(sigmas)
         x = inv_sqrt[:, None] * u

@@ -44,13 +44,27 @@ from .geometry import (
     hull_distance,
     project_balanced,
 )
-from .linalg import BlockPartition, SymMatrix
-from .model import Node, RayleighParams, Spring, SystemMatrices, spring_direction
+from .linalg import SymMatrix
+from .model import (
+    IdealElasticElement,
+    Node,
+    RayleighParams,
+    Spring,
+    assemble_elements,
+    element_from_dict,
+    element_to_dict,
+    node_from_dict,
+    node_to_dict,
+    rayleigh_from_dict,
+    rayleigh_to_dict,
+    spring_direction,
+)
 from .response import (
     ResponseSample,
     evaluate_canonical,
     evaluate_response,
     sample_nonresonant,
+    system_resonances,
 )
 
 COMPONENT_KINDS = ("springs", "ideal_elements", "terminal_masses", "rank_one_gadget")
@@ -65,31 +79,17 @@ def default_min_clearance(terminals):
     return 1e-6 * max(hull_diameter(terminals), 1.0)
 
 
-@dataclass(frozen=True)
-class IdealElasticElement:
-    """Rank-one elastic element: stiffness contribution ``f f^T``.
-
-    ``support`` lists the node indices the force vector acts on, d
-    consecutive entries of ``force_vector`` per support node. The force
-    system must be balanced at the support positions, which the owning
-    component verifies.
-    """
-
-    support: tuple
-    force_vector: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "support", tuple(int(i) for i in self.support))
-        object.__setattr__(
-            self, "force_vector", np.asarray(self.force_vector, dtype=float)
-        )
-        if len(set(self.support)) != len(self.support):
-            raise ValueError("ideal element support repeats a node")
-        if self.force_vector.ndim != 1 or self.force_vector.size % len(self.support):
-            raise ValueError(
-                f"force vector of length {self.force_vector.size} does not split "
-                f"over {len(self.support)} support nodes"
-            )
+def _placement_constraints(terminals, forbidden, min_clearance):
+    """Forbidden points as a (k, d) array, and the clearance or its default."""
+    d = terminals.shape[1]
+    forb = (
+        np.asarray(forbidden, dtype=float).reshape(-1, d)
+        if np.size(forbidden)
+        else np.zeros((0, d))
+    )
+    if min_clearance is None:
+        return forb, default_min_clearance(terminals)
+    return forb, float(min_clearance)
 
 
 @dataclass(frozen=True)
@@ -121,11 +121,12 @@ class NetworkComponent:
         d = self.dimension
         positions = np.array([n.position for n in self.nodes])
         for el in self.elements:
+            refs = (el.i, el.j) if isinstance(el, Spring) else el.support
+            if min(refs) < 0 or max(refs) >= len(self.nodes):
+                raise ValueError("element references a missing node")
             if isinstance(el, Spring):
                 spring_direction(positions, el.i, el.j)
                 continue
-            if max(el.support) >= len(self.nodes):
-                raise ValueError("ideal element references a missing node")
             if el.force_vector.size != len(el.support) * d:
                 raise ValueError("ideal element force vector has the wrong length")
             residual = balance_residual(
@@ -146,36 +147,7 @@ class NetworkComponent:
 
 def assemble_component(comp):
     """System matrices of one component (terminal coordinates first)."""
-    d = comp.dimension
-    n = len(comp.nodes) * d
-    positions = np.array([node.position for node in comp.nodes])
-    K = np.zeros((n, n))
-    for el in comp.elements:
-        if isinstance(el, Spring):
-            nvec = spring_direction(positions, el.i, el.j)
-            block = el.stiffness * np.outer(nvec, nvec)
-            ci = range(el.i * d, (el.i + 1) * d)
-            cj = range(el.j * d, (el.j + 1) * d)
-            K[np.ix_(ci, ci)] += block
-            K[np.ix_(cj, cj)] += block
-            K[np.ix_(ci, cj)] -= block
-            K[np.ix_(cj, ci)] -= block
-        else:
-            coords = [c for i in el.support for c in range(i * d, (i + 1) * d)]
-            K[np.ix_(coords, coords)] += np.outer(el.force_vector, el.force_vector)
-    masses = np.repeat([node.mass for node in comp.nodes], d)
-    M = np.diag(masses)
-    C = comp.rayleigh.alpha * K + comp.rayleigh.beta * M
-    nb = comp.n_terminals * d
-    return SystemMatrices(
-        K=SymMatrix(K),
-        C=SymMatrix(C),
-        M=SymMatrix(M),
-        partition=BlockPartition(range(nb), range(nb, n)),
-        dimension=d,
-        rayleigh=comp.rayleigh,
-        terminal_positions=positions[: comp.n_terminals],
-    )
+    return assemble_elements(comp.nodes, comp.elements, comp.dimension, comp.rayleigh)
 
 
 @dataclass(frozen=True)
@@ -202,15 +174,10 @@ class GeneralizedNetwork:
         if self.epsilon_hull <= 0:
             raise ValueError("epsilon_hull must be > 0")
         d = terminals.shape[1]
-        forb = np.asarray(self.forbidden, dtype=float).reshape(-1, d) if np.size(
-            self.forbidden
-        ) else np.zeros((0, d))
-        object.__setattr__(self, "forbidden", forb)
-        clearance = (
-            default_min_clearance(terminals)
-            if self.min_clearance is None
-            else float(self.min_clearance)
+        forb, clearance = _placement_constraints(
+            terminals, self.forbidden, self.min_clearance
         )
+        object.__setattr__(self, "forbidden", forb)
         object.__setattr__(self, "min_clearance", clearance)
         internal = []
         for k, comp in enumerate(self.components):
@@ -265,65 +232,24 @@ def assemble_union(gn):
     summing per-component responses must agree: that is the superposition
     principle, exercised directly by the test suite.
     """
-    d = gn.dimension
     nt = len(gn.terminals)
-    terminal_mass = np.zeros(nt)
+    terminal_mass = [0.0] * nt
     internals = []
-    mappings = []  # per component: global node index of each component node
+    elements = []
     for comp in gn.components:
-        mapping = list(range(nt))
-        for k, node in enumerate(comp.nodes):
-            if k < nt:
-                terminal_mass[k] += node.mass
-            else:
-                mapping.append(nt + len(internals))
-                internals.append(node)
-        mappings.append(mapping)
-    n_nodes = nt + len(internals)
-    n = n_nodes * d
-    K = np.zeros((n, n))
-    masses = np.zeros(n_nodes)
-    masses[:nt] = terminal_mass
-    for k, node in enumerate(internals):
-        masses[nt + k] = node.mass
-    if internals:
-        positions = np.vstack([gn.terminals, [node.position for node in internals]])
-    else:
-        positions = gn.terminals.copy()
-    for comp, mapping in zip(gn.components, mappings):
+        shift = len(internals)  # component node k >= nt is union node k + shift
+        for k, node in enumerate(comp.nodes[:nt]):
+            terminal_mass[k] += node.mass
+        internals.extend(comp.nodes[nt:])
         for el in comp.elements:
             if isinstance(el, Spring):
-                gi, gj = mapping[el.i], mapping[el.j]
-                nvec = spring_direction(positions, gi, gj)
-                block = el.stiffness * np.outer(nvec, nvec)
-                ci = range(gi * d, (gi + 1) * d)
-                cj = range(gj * d, (gj + 1) * d)
-                K[np.ix_(ci, ci)] += block
-                K[np.ix_(cj, cj)] += block
-                K[np.ix_(ci, cj)] -= block
-                K[np.ix_(cj, ci)] -= block
+                i, j = (k if k < nt else k + shift for k in (el.i, el.j))
+                elements.append(Spring(i, j, el.stiffness))
             else:
-                coords = [
-                    c
-                    for i in el.support
-                    for c in range(mapping[i] * d, (mapping[i] + 1) * d)
-                ]
-                K[np.ix_(coords, coords)] += np.outer(
-                    el.force_vector, el.force_vector
-                )
-    ray = gn.rayleigh
-    M = np.diag(np.repeat(masses, d))
-    C = ray.alpha * K + ray.beta * M
-    nb = nt * d
-    return SystemMatrices(
-        K=SymMatrix(K),
-        C=SymMatrix(C),
-        M=SymMatrix(M),
-        partition=BlockPartition(range(nb), range(nb, n)),
-        dimension=d,
-        rayleigh=ray,
-        terminal_positions=gn.terminals.copy(),
-    )
+                support = tuple(k if k < nt else k + shift for k in el.support)
+                elements.append(IdealElasticElement(support, el.force_vector))
+    terminals = [Node(tuple(p), m, True) for p, m in zip(gn.terminals, terminal_mass)]
+    return assemble_elements(terminals + internals, elements, gn.dimension, gn.rayleigh)
 
 
 # ---------------------------------------------------------------------------
@@ -408,14 +334,7 @@ def balance_forces(
     terminals = np.atleast_2d(np.asarray(terminals, dtype=float))
     nt, d = terminals.shape
     fmat = np.asarray(f, dtype=float).reshape(nt, d)
-    forb = (
-        np.asarray(forbidden, dtype=float).reshape(-1, d)
-        if len(forbidden)
-        else np.zeros((0, d))
-    )
-    clearance = (
-        default_min_clearance(terminals) if min_clearance is None else float(min_clearance)
-    )
+    forb, clearance = _placement_constraints(terminals, forbidden, min_clearance)
     f_rem = -fmat.sum(axis=0)
     tau_terminals = _total_torque(terminals, fmat)
     scale = 1.0 + np.abs(fmat).max()
@@ -671,15 +590,10 @@ def synthesize(
             "terminal mass diagonal varies within a node's coordinate block; "
             "nodal masses act isotropically"
         )
-    clearance = (
-        default_min_clearance(terminals) if min_clearance is None else float(min_clearance)
+    user_forbidden, clearance = _placement_constraints(
+        terminals, forbidden, min_clearance
     )
     rng = np.random.default_rng(seed)
-    user_forbidden = (
-        np.asarray(forbidden, dtype=float).reshape(-1, d)
-        if len(forbidden)
-        else np.zeros((0, d))
-    )
     components = []
 
     w0 = cr.static_response()
@@ -691,36 +605,26 @@ def synthesize(
     static_factors = _rank_one_factors(
         w0.a, terminals, what="static slice", floor=1e-12 * static_scale
     )
+    def on_terminals(kind, masses, elements):
+        nodes = tuple(Node(tuple(p), float(m), True) for p, m in zip(terminals, masses))
+        return NetworkComponent(
+            kind=kind,
+            nodes=nodes,
+            n_terminals=nt,
+            elements=elements,
+            rayleigh=cr.rayleigh,
+            dimension=d,
+        )
+
     if static_factors:
         elements = tuple(
             IdealElasticElement(tuple(range(nt)), w) for w in static_factors
         )
-        components.append(
-            NetworkComponent(
-                kind="ideal_elements",
-                nodes=tuple(Node(tuple(p), 0.0, True) for p in terminals),
-                n_terminals=nt,
-                elements=elements,
-                rayleigh=cr.rayleigh,
-                dimension=d,
-            )
-        )
+        components.append(on_terminals("ideal_elements", np.zeros(nt), elements))
 
     node_masses = blocks[:, 0] if blocks.size else np.zeros(nt)
     if node_masses.max(initial=0.0) > 0.0:
-        components.append(
-            NetworkComponent(
-                kind="terminal_masses",
-                nodes=tuple(
-                    Node(tuple(p), float(m), True)
-                    for p, m in zip(terminals, node_masses)
-                ),
-                n_terminals=nt,
-                elements=(),
-                rayleigh=cr.rayleigh,
-                dimension=d,
-            )
-        )
+        components.append(on_terminals("terminal_masses", node_masses, ()))
 
     placed = user_forbidden.copy()
     for mode in cr.modes:
@@ -758,9 +662,7 @@ def synthesize(
 def verify_synthesis(gn, cr, n_samples=50, seed=0):
     """Max relative deviation between the network and the closed form."""
     rng = np.random.default_rng(seed)
-    avoid = cr.resonances() + [0.0 + 0.0j, complex(-cr.rayleigh.beta)]
-    if cr.rayleigh.alpha > 0.0:
-        avoid.append(complex(-1.0 / cr.rayleigh.alpha))
+    avoid = system_resonances(cr.rayleigh, [m.sigma for m in cr.modes] + [0.0])
     worst = 0.0
     for lam in sample_nonresonant(rng, avoid, n_samples):
         reference = evaluate_canonical(cr, lam).W.a
@@ -776,31 +678,15 @@ def verify_synthesis(gn, cr, n_samples=50, seed=0):
 # ---------------------------------------------------------------------------
 
 
-def _element_to_dict(el):
-    if isinstance(el, Spring):
-        return {"i": el.i, "j": el.j, "k": el.stiffness}
-    return {"support": list(el.support), "f": list(el.force_vector)}
-
-
 def generalized_to_dict(gn):
     return {
         "terminals": [list(p) for p in gn.terminals],
         "components": [
             {
                 "kind": comp.kind,
-                "nodes": [
-                    {
-                        "position": list(n.position),
-                        "mass": n.mass,
-                        "terminal": n.is_terminal,
-                    }
-                    for n in comp.nodes
-                ],
-                "elements": [_element_to_dict(el) for el in comp.elements],
-                "rayleigh": {
-                    "alpha": comp.rayleigh.alpha,
-                    "beta": comp.rayleigh.beta,
-                },
+                "nodes": [node_to_dict(n) for n in comp.nodes],
+                "elements": [element_to_dict(el) for el in comp.elements],
+                "rayleigh": rayleigh_to_dict(comp.rayleigh),
             }
             for comp in gn.components
         ],
@@ -822,53 +708,21 @@ def generalized_from_dict(obj, path="generalized"):
             kind = raw["kind"]
             if kind not in COMPONENT_KINDS:
                 raise SchemaError(f"{p}.kind: unknown component kind {kind!r}")
-            nodes = []
-            for k, nraw in enumerate(jsonio.as_list(raw["nodes"], f"{p}.nodes")):
-                np_ = f"{p}.nodes[{k}]"
-                jsonio.check_fields(nraw, np_, ("position", "mass", "terminal"))
-                nodes.append(
-                    Node(
-                        tuple(jsonio.as_vector(nraw["position"], f"{np_}.position", d)),
-                        jsonio.as_number(nraw["mass"], f"{np_}.mass"),
-                        jsonio.as_bool(nraw["terminal"], f"{np_}.terminal"),
-                    )
-                )
-            elements = []
-            for k, eraw in enumerate(jsonio.as_list(raw["elements"], f"{p}.elements")):
-                ep = f"{p}.elements[{k}]"
-                if "support" in eraw:
-                    jsonio.check_fields(eraw, ep, ("support", "f"))
-                    support = [
-                        jsonio.as_int(i, f"{ep}.support[{q}]")
-                        for q, i in enumerate(jsonio.as_list(eraw["support"], f"{ep}.support"))
-                    ]
-                    elements.append(
-                        IdealElasticElement(
-                            tuple(support), jsonio.as_vector(eraw["f"], f"{ep}.f")
-                        )
-                    )
-                else:
-                    jsonio.check_fields(eraw, ep, ("i", "j", "k"))
-                    elements.append(
-                        Spring(
-                            jsonio.as_int(eraw["i"], f"{ep}.i"),
-                            jsonio.as_int(eraw["j"], f"{ep}.j"),
-                            jsonio.as_number(eraw["k"], f"{ep}.k"),
-                        )
-                    )
-            rp = f"{p}.rayleigh"
-            jsonio.check_fields(raw["rayleigh"], rp, ("alpha", "beta"))
-            ray = RayleighParams(
-                jsonio.as_number(raw["rayleigh"]["alpha"], f"{rp}.alpha"),
-                jsonio.as_number(raw["rayleigh"]["beta"], f"{rp}.beta"),
-            )
+            nodes = [
+                node_from_dict(nraw, f"{p}.nodes[{k}]", d)
+                for k, nraw in enumerate(jsonio.as_list(raw["nodes"], f"{p}.nodes"))
+            ]
+            elements = [
+                element_from_dict(eraw, f"{p}.elements[{k}]")
+                for k, eraw in enumerate(jsonio.as_list(raw["elements"], f"{p}.elements"))
+            ]
             components.append(
                 NetworkComponent(
                     kind=kind,
                     nodes=tuple(nodes),
                     n_terminals=len(terminals),
                     elements=tuple(elements),
-                    rayleigh=ray,
+                    rayleigh=rayleigh_from_dict(raw["rayleigh"], f"{p}.rayleigh"),
                     dimension=d,
                 )
             )

@@ -183,6 +183,27 @@ class TestSynthesize:
         assert code == 0
 
 
+    @pytest.mark.parametrize("command", ["synthesize", "roundtrip"])
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_samples_below_one_exits_2(self, tmp_path, command, samples,
+                                       canonical_file, net_file):
+        # zero samples used to verify nothing and still report a pass
+        src = canonical_file if command == "synthesize" else net_file
+        out = tmp_path / "o.json"
+        assert main([command, src, "--samples", samples, "-o", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["synthesize", "roundtrip"])
+    @pytest.mark.parametrize("epsilon", ["0", "-0.1", "nan"])
+    def test_nonpositive_epsilon_exits_2(self, tmp_path, command, epsilon,
+                                         canonical_file, net_file, capsys):
+        src = canonical_file if command == "synthesize" else net_file
+        out = tmp_path / "o.json"
+        assert main([command, src, "--epsilon", epsilon, "-o", str(out)]) == 2
+        assert "--epsilon" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestLoci:
     def test_csv_rows(self, tmp_path):
         out = tmp_path / "loci.csv"

@@ -217,9 +217,8 @@ class TestExtractCanonical:
         assert len(set(sigmas)) == len(sigmas)
         for m in cr.modes:
             assert is_psd(m.R, tol=1e-9)
-        # at most two distinct poles per mode
-        assert len(cr.resonances()) <= 2 * len(cr.modes)
-        assert all(r.real <= 1e-12 for r in cr.resonances())
+        poles = system_resonances(cr.rayleigh, sigmas, include_damper_pole=False)
+        assert all(r.real <= 1e-12 for r in poles)
         # static slice is PSD with balanced columns
         w0 = cr.static_response()
         assert is_psd(w0, tol=1e-9)

@@ -275,6 +275,31 @@ class TestSynthesize:
                 np.abs(total).max(), 1.0
             )
 
+    @pytest.mark.parametrize("kind", ["ideal_elements", "rank_one_gadget", "springs"])
+    def test_union_of_one_component_equals_component_bitwise(self, kind):
+        from elastonet import NetworkComponent, Node, Spring
+
+        cr = extracted(5, ni=4)
+        gn = synthesize(cr, seed=5)
+        if kind == "springs":
+            terminals = [Node(tuple(p), 0.3, True) for p in gn.terminals]
+            inner = Node(tuple(gn.terminals.mean(axis=0)), 1.1, False)
+            springs = tuple(Spring(k, len(terminals), 0.7 + k) for k in range(len(terminals)))
+            comp = NetworkComponent(
+                "springs", (*terminals, inner), len(terminals), springs, gn.rayleigh,
+                gn.dimension,
+            )
+        else:
+            comp = next(c for c in gn.components if c.kind == kind)
+        alone = GeneralizedNetwork(gn.terminals, (comp,), epsilon_hull=gn.epsilon_hull)
+        union, single = assemble_union(alone), assemble_component(comp)
+        for name in ("K", "C", "M"):
+            assert np.array_equal(getattr(union, name).a, getattr(single, name).a)
+        assert union.partition.boundary == single.partition.boundary
+        assert union.partition.interior == single.partition.interior
+        assert np.array_equal(union.terminal_positions, single.terminal_positions)
+        assert (union.dimension, union.rayleigh) == (single.dimension, single.rayleigh)
+
     def test_gadget_static_sum_vanishes(self):
         cr = extracted(6, ni=4, mf=1.0)
         gn = synthesize(cr, seed=6)
@@ -358,6 +383,19 @@ class TestGeneralizedJson:
         from elastonet import SchemaError
 
         with pytest.raises(SchemaError, match="kind"):
+            generalized_from_dict(obj)
+
+
+    @pytest.mark.parametrize(
+        "element", [{"i": -1, "j": 0, "k": 1.0}, {"support": [], "f": []}]
+    )
+    def test_bad_element_is_a_schema_error(self, element):
+        from elastonet import SchemaError
+
+        gn = synthesize(extracted(12, ni=2, mf=1.0), seed=12)
+        obj = generalized_to_dict(gn)
+        obj["components"][0]["elements"] = [element]
+        with pytest.raises(SchemaError):
             generalized_from_dict(obj)
 
 
