@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import AtResonance, DimensionMismatch
 from .geometry import balance_residual
-from .linalg import is_psd, min_eig
+from .linalg import min_eig, psd_check
 from .response import evaluate_canonical
 
 PASSIVITY_GRID_POINTS = 41  # per sign, spanning omega in [1e-2, 1e2]
@@ -126,9 +126,8 @@ def check_canonical(cr, tol=DEFAULT_TOL, n_omega=PASSIVITY_GRID_POINTS):
     witness = "no modes" if not cr.modes else ""
     ok = True
     for k, mode in enumerate(cr.modes):
-        low = min_eig(mode.R.a)
-        if not is_psd(mode.R, tol=tol):
-            ok = False
+        low, psd = psd_check(mode.R, tol=tol)
+        ok = ok and psd
         if low < -worst:
             worst = -low
             witness = f"mode {k} residue min eigenvalue {low:.3e}"
@@ -146,9 +145,9 @@ def check_canonical(cr, tol=DEFAULT_TOL, n_omega=PASSIVITY_GRID_POINTS):
         low >= -tol, max(0.0, -low), f"min terminal mass entry {low:.6g}"
     )
 
-    low = min_eig(cr.A.a)
+    low, psd = psd_check(cr.A, tol=tol)
     conditions["A_psd"] = ConditionResult(
-        is_psd(cr.A, tol=tol), max(0.0, -low), f"A min eigenvalue {low:.3e}"
+        psd, max(0.0, -low), f"A min eigenvalue {low:.3e}"
     )
 
     worst_re = 0.0
@@ -163,9 +162,9 @@ def check_canonical(cr, tol=DEFAULT_TOL, n_omega=PASSIVITY_GRID_POINTS):
     )
 
     w0 = cr.static_response()
-    low = min_eig(w0.a)
+    low, psd = psd_check(w0, tol=tol)
     conditions["static_psd"] = ConditionResult(
-        is_psd(w0, tol=tol), max(0.0, -low), f"W(0) min eigenvalue {low:.3e}"
+        psd, max(0.0, -low), f"W(0) min eigenvalue {low:.3e}"
     )
 
     ok, residual = check_balanced(w0.a, cr.terminal_positions, tol=tol)

@@ -10,11 +10,15 @@ class AsymmetricMatrix(ElastonetError):
 
 
 class SingularBlock(ElastonetError):
-    """Interior block is numerically singular where an inverse was requested."""
+    """Interior block is numerically singular where an inverse was requested.
 
-    def __init__(self, message, smallest_singular_value=None):
+    ``index`` is the position of the singular block in a stack of them.
+    """
+
+    def __init__(self, message, smallest_singular_value=None, index=None):
         super().__init__(message)
         self.smallest_singular_value = smallest_singular_value
+        self.index = index
 
 
 class DegenerateSpring(ElastonetError):
@@ -26,11 +30,15 @@ class GenerationFailed(ElastonetError):
 
 
 class AtResonance(ElastonetError):
-    """Response requested at (or too close to) a resonance."""
+    """Response requested at (or too close to) a resonance.
 
-    def __init__(self, message, singular_values=None):
+    ``index`` is the position of the resonant system in a stack of them.
+    """
+
+    def __init__(self, message, singular_values=None, index=None):
         super().__init__(message)
         self.singular_values = singular_values
+        self.index = index
 
 
 class RayleighStructureBroken(ElastonetError):

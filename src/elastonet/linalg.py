@@ -34,16 +34,7 @@ class SymMatrix:
             a = a.astype(np.complex128, copy=False)
         else:
             a = a.astype(np.float64, copy=False)
-        if a.size:
-            scale = np.abs(a).max()  # NaN or inf here iff some entry is
-            if not np.isfinite(scale):
-                raise DimensionMismatch("matrix entries must be finite")
-            gap = np.abs(a - a.T).max()
-            if gap > tol * scale:
-                raise AsymmetricMatrix(
-                    f"asymmetry {gap:.3e} exceeds {tol:.1e} * max|entry| = {tol * scale:.3e}"
-                )
-        self.a = 0.5 * (a + a.T)
+        self.a = symmetrized(a, tol)
         self.a.flags.writeable = False
 
     @property
@@ -94,7 +85,77 @@ class BlockPartition:
 
 def _sym_part(a):
     # (a + a.T)/2 is bitwise symmetric; used to kill rounding asymmetry in products
-    return 0.5 * (a + a.T)
+    return 0.5 * (a + np.swapaxes(a, -1, -2))
+
+
+def symmetrized(a, tol=SYMMETRY_TOL):
+    """``(a + a^T) / 2`` of a matrix, or of each matrix in a stack.
+
+    The last two axes index the matrix. Every matrix must have finite
+    entries (:class:`DimensionMismatch`) and an asymmetry of at most ``tol``
+    times its own largest entry magnitude (:class:`AsymmetricMatrix`, with
+    the numbers of the first offending matrix).
+    """
+    if a.size:
+        scale = np.abs(a).max(axis=(-2, -1))  # NaN or inf here iff some entry is
+        if not np.isfinite(scale).all():
+            raise DimensionMismatch("matrix entries must be finite")
+        gap = np.abs(a - np.swapaxes(a, -1, -2)).max(axis=(-2, -1))
+        over = np.ravel(gap > tol * scale)
+        if over.any():
+            k = int(np.argmax(over))
+            gap, scale = np.ravel(gap)[k], np.ravel(scale)[k]
+            raise AsymmetricMatrix(
+                f"asymmetry {gap:.3e} exceeds {tol:.1e} * max|entry| = {tol * scale:.3e}"
+            )
+    return _sym_part(a)
+
+
+def schur_complements(a, boundary, interior, mode="inverse", tol=PINV_TOL):
+    """Schur complements of a stack of symmetric matrices over one partition.
+
+    ``a`` has shape ``(G, n, n)``, every matrix bitwise symmetric, and
+    ``boundary``/``interior`` split ``range(n)``. Returns the ``(G, nb, nb)``
+    stack of ``A_BB - A_BI inv(A_II) A_IB``, bitwise symmetric; see
+    :func:`schur_complement` for the two modes. Each interior block is
+    inverted through its own SVD, so a matrix's complement does not depend
+    on the rest of the stack. In inverse mode the first numerically
+    singular block raises :class:`SingularBlock`, whose ``index`` is its
+    position in the stack.
+    """
+    if mode not in ("inverse", "pseudoinverse"):
+        raise ValueError(f"unknown mode {mode!r}")
+    # gather with np.ix_ over all three axes: the blocks come out
+    # C-contiguous, so every product below is one BLAS call per matrix
+    stack = np.arange(len(a))
+    b = np.asarray(boundary, dtype=np.intp)
+    i = np.asarray(interior, dtype=np.intp)
+    a_bb = a[np.ix_(stack, b, b)]
+    if not (i.size and b.size):
+        return a_bb
+    a_bi = a[np.ix_(stack, b, i)]
+    u, s, vh = np.linalg.svd(a[np.ix_(stack, i, i)])
+    smax = s[:, 0]
+    keep = s > tol * smax[:, None]  # a prefix: singular values descend
+    if mode == "inverse" and not keep.all():
+        # the smallest singular value of block k is at or below tol * smax
+        k = int(np.argmin(keep[:, -1]))
+        smin = s[k, -1]
+        raise SingularBlock(
+            f"interior block numerically singular: smallest singular value "
+            f"{smin:.3e} vs threshold {tol * smax[k]:.3e}",
+            smallest_singular_value=smin,
+            index=k,
+        )
+    inv = np.empty_like(u)
+    rank = keep.sum(axis=1)
+    for r in np.unique(rank):
+        sel = rank == r
+        scaled = vh[sel, :r].conj().swapaxes(-1, -2) * (1.0 / s[sel, None, :r])
+        u_h = np.ascontiguousarray(u[sel, :, :r].conj().swapaxes(-1, -2))
+        inv[sel] = scaled @ u_h
+    cross = _sym_part(a_bi @ inv @ a_bi.swapaxes(-1, -2))
+    return a_bb - cross
 
 
 def schur_complement(a, partition, mode="inverse", tol=PINV_TOL):
@@ -104,7 +165,8 @@ def schur_complement(a, partition, mode="inverse", tol=PINV_TOL):
     either a true inverse (``mode="inverse"``, raising :class:`SingularBlock`
     when the block is numerically singular) or a Moore-Penrose pseudoinverse
     with singular values at or below ``tol`` times the largest truncated
-    (``mode="pseudoinverse"``).
+    (``mode="pseudoinverse"``). This is :func:`schur_complements` on a stack
+    of one.
 
     Parameters
     ----------
@@ -115,33 +177,9 @@ def schur_complement(a, partition, mode="inverse", tol=PINV_TOL):
     tol : float
         Relative singular-value threshold.
     """
-    if mode not in ("inverse", "pseudoinverse"):
-        raise ValueError(f"unknown mode {mode!r}")
     partition.check_covers(a.order)
-    bb = np.ix_(partition.boundary, partition.boundary)
-    if not partition.interior:
-        return SymMatrix(a.a[bb])
-    if not partition.boundary:
-        return SymMatrix(np.zeros((0, 0), dtype=a.a.dtype))
-    bi = np.ix_(partition.boundary, partition.interior)
-    ii = np.ix_(partition.interior, partition.interior)
-    a_ii = a.a[ii]
-    u, s, vh = np.linalg.svd(a_ii)
-    smax = s[0] if s.size else 0.0
-    if mode == "inverse":
-        smin = s[-1] if s.size else 0.0
-        if smax == 0.0 or smin <= tol * smax:
-            raise SingularBlock(
-                f"interior block numerically singular: smallest singular value "
-                f"{smin:.3e} vs threshold {tol * smax:.3e}",
-                smallest_singular_value=smin,
-            )
-        keep = np.ones(s.size, dtype=bool)
-    else:
-        keep = s > tol * smax
-    inv = (vh[keep].conj().T * (1.0 / s[keep])) @ u[:, keep].conj().T
-    cross = _sym_part(a.a[bi] @ inv @ a.a[bi].T)
-    return SymMatrix(a.a[bb] - cross)
+    s = schur_complements(a.a[None], partition.boundary, partition.interior, mode, tol)
+    return SymMatrix(s[0])
 
 
 def sym_eig(a):
@@ -155,17 +193,26 @@ def sym_eig(a):
     return np.linalg.eigh(a.a)
 
 
-def is_psd(a, tol=PINV_TOL):
-    """True iff the real symmetric matrix is PSD up to a relative slack.
+def psd_check(a, tol=PINV_TOL):
+    """Smallest eigenvalue of a real symmetric matrix and its PSD verdict.
 
-    The test is ``min eig >= -tol * max(1, max eig)`` so that the zero matrix
-    and tiny negative rounding both pass.
+    Both come from one eigensolve. The verdict is ``min eig >= -tol *
+    max(1, max eig)``, so that the zero matrix and tiny negative rounding
+    both pass; an empty matrix gives ``(0.0, True)``.
     """
     arr = a.a if isinstance(a, SymMatrix) else _sym_part(np.asarray(a, dtype=float))
     if arr.size == 0:
-        return True
+        return 0.0, True
     w = np.linalg.eigvalsh(arr)
-    return bool(w[0] >= -tol * max(1.0, w[-1]))
+    return float(w[0]), bool(w[0] >= -tol * max(1.0, w[-1]))
+
+
+def is_psd(a, tol=PINV_TOL):
+    """True iff the real symmetric matrix is PSD up to a relative slack.
+
+    See :func:`psd_check` for the test.
+    """
+    return psd_check(a, tol)[1]
 
 
 def min_eig(arr):

@@ -29,7 +29,14 @@ from .errors import (
     SchemaError,
     SingularBlock,
 )
-from .linalg import BlockPartition, SymMatrix, is_psd, schur_complement
+from .linalg import (
+    BlockPartition,
+    SymMatrix,
+    is_psd,
+    schur_complement,
+    schur_complements,
+    symmetrized,
+)
 from .model import RayleighParams
 from .resonances import resonances_of
 
@@ -135,22 +142,28 @@ class ReducedSystem:
         return len(self.Mjj)
 
 
-def _schur_response(K, C, M, partition, lam, mode, tol, where=""):
-    """Schur complement of ``K + lambda*C + lambda^2*M`` over ``partition``.
+def schur_responses(K, C, M, partition, lam, mode, tol, where=""):
+    """Schur complements of the pencils ``K + lambda*C + lambda^2*M``.
 
-    A numerically singular interior block means ``lambda`` sits on a
-    resonance: :class:`AtResonance`.
+    ``K``, ``C`` and ``M`` stack systems of one order along their first
+    axis, all split by ``partition``; returns the ``(G, nb, nb)`` stack of
+    responses. Each pencil and each response gets the :class:`SymMatrix`
+    checks. A numerically singular interior block means ``lambda`` sits on a
+    resonance: :class:`AtResonance` for the first such system, with its
+    stack position as ``index``.
     """
     lam = complex(lam)
-    pencil = SymMatrix(K + lam * C + lam * lam * M)
+    partition.check_covers(K.shape[-1])
+    pencils = symmetrized(K + lam * C + lam * lam * M)
     try:
-        w = schur_complement(pencil, partition, mode=mode, tol=tol)
+        w = schur_complements(pencils, partition.boundary, partition.interior, mode, tol)
     except SingularBlock as exc:
         raise AtResonance(
             f"lambda = {lam} is numerically a resonance{where}: {exc}",
             singular_values=exc.smallest_singular_value,
+            index=exc.index,
         ) from exc
-    return ResponseSample(lam, w)
+    return symmetrized(w)
 
 
 def evaluate_response(sys, lam, mode="inverse", tol=1e-10):
@@ -162,7 +175,10 @@ def evaluate_response(sys, lam, mode="inverse", tol=1e-10):
     nodes with floppy directions); the truncated directions carry no
     coupling to the terminals, so the response is unchanged.
     """
-    return _schur_response(sys.K.a, sys.C.a, sys.M.a, sys.partition, lam, mode, tol)
+    w = schur_responses(
+        sys.K.a[None], sys.C.a[None], sys.M.a[None], sys.partition, lam, mode, tol
+    )
+    return ResponseSample(complex(lam), SymMatrix(w[0]))
 
 
 def _node_block_masses(mass_coords, d, label):
@@ -244,9 +260,11 @@ def evaluate_reduced(red, lam, mode="inverse", tol=1e-10):
     nb, nj = red.n_b, red.n_j
     m = np.diag(np.concatenate([red.Mbb, red.Mjj]))
     part = BlockPartition(range(nb), range(nb, nb + nj))
-    return _schur_response(
-        red.Ktilde.a, red.Ctilde.a, m, part, lam, mode, tol, " of the reduced system"
+    w = schur_responses(
+        red.Ktilde.a[None], red.Ctilde.a[None], m[None], part, lam, mode, tol,
+        " of the reduced system",
     )
+    return ResponseSample(complex(lam), SymMatrix(w[0]))
 
 
 def system_resonances(rayleigh, sigmas, include_damper_pole=True):
@@ -347,8 +365,11 @@ def extract_canonical(
 
     When ``check`` is set the result is validated against the direct Schur
     response at ``n_check`` random non-resonant points
-    (:class:`ReconstructionMismatch` beyond ``ROUNDTRIP_TOL`` relative).
+    (:class:`ReconstructionMismatch` beyond ``ROUNDTRIP_TOL`` relative);
+    ``n_check`` must then be at least one.
     """
+    if check and n_check < 1:
+        raise ValueError(f"n_check must be >= 1 when checking, got {n_check}")
     red = eliminate_massless(sys)
     nb, nj = red.n_b, red.n_j
     a_arr = red.Ktilde.a[:nb, :nb]

@@ -31,6 +31,7 @@ import numpy as np
 from . import jsonio
 from .characterize import check_balanced, check_canonical
 from .errors import (
+    AtResonance,
     NotCharacterizable,
     PlacementFailed,
     ReconstructionMismatch,
@@ -44,7 +45,7 @@ from .geometry import (
     hull_distance,
     project_balanced,
 )
-from .linalg import SymMatrix
+from .linalg import PINV_TOL, SymMatrix
 from .model import (
     IdealElasticElement,
     Node,
@@ -64,6 +65,7 @@ from .response import (
     evaluate_canonical,
     evaluate_response,
     sample_nonresonant,
+    schur_responses,
     system_resonances,
 )
 
@@ -215,13 +217,61 @@ class GeneralizedNetwork:
         return RayleighParams(0.0, 0.0)
 
 
+def _component_stacks(components):
+    """Assemble every component once and stack the systems of equal order.
+
+    Returns one ``(indices, K, C, M, partition)`` entry per matrix order,
+    where ``indices`` are the positions in ``components`` of the stacked
+    systems. Terminals come first in every component, so systems of one
+    order share one partition.
+    """
+    systems = [assemble_component(comp) for comp in components]
+    groups = {}
+    for k, sys in enumerate(systems):
+        groups.setdefault(sys.order, []).append(k)
+    stacks = []
+    for idx in groups.values():
+        members = [systems[k] for k in idx]
+        stacks.append(
+            (
+                idx,
+                np.stack([sys.K.a for sys in members]),
+                np.stack([sys.C.a for sys in members]),
+                np.stack([sys.M.a for sys in members]),
+                members[0].partition,
+            )
+        )
+    return stacks
+
+
+def _superposed(stacks, nb, lam, mode="inverse"):
+    """Sum of the component responses at one point.
+
+    One stacked Schur pass per entry of :func:`_component_stacks`. The
+    responses are added one at a time in component order, and a resonance
+    is reported for the first resonant component in that order, so the
+    result and the error equal those of evaluating each component alone.
+    """
+    responses = {}
+    failed = []
+    for idx, K, C, M, partition in stacks:
+        try:
+            w = schur_responses(K, C, M, partition, lam, mode, PINV_TOL)
+        except AtResonance as exc:
+            failed.append((idx[exc.index], exc))
+            continue
+        responses.update(zip(idx, w))
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
+    total = np.zeros((nb, nb), dtype=complex)
+    for k in sorted(responses):
+        total = total + responses[k]
+    return ResponseSample(complex(lam), SymMatrix(total))
+
+
 def evaluate_generalized(gn, lam, mode="inverse"):
     """Response of the superposition: the sum of the component responses."""
-    nb = gn.terminals.size
-    total = np.zeros((nb, nb), dtype=complex)
-    for comp in gn.components:
-        total = total + evaluate_response(assemble_component(comp), lam, mode=mode).W.a
-    return ResponseSample(complex(lam), SymMatrix(total))
+    return _superposed(_component_stacks(gn.components), gn.terminals.size, lam, mode)
 
 
 def assemble_union(gn):
@@ -572,8 +622,10 @@ def synthesize(
     node's coordinate block, which no isotropic nodal mass can realize) and
     :class:`PlacementFailed` when internal nodes cannot be placed. With
     ``check`` the construction is verified against the closed form at
-    ``n_check`` random non-resonant points.
+    ``n_check`` random non-resonant points (at least one).
     """
+    if check and n_check < 1:
+        raise ValueError(f"n_check must be >= 1 when checking, got {n_check}")
     report = check_canonical(cr, tol=tol)
     if not report.passed:
         raise NotCharacterizable(
@@ -660,13 +712,20 @@ def synthesize(
 
 
 def verify_synthesis(gn, cr, n_samples=50, seed=0):
-    """Max relative deviation between the network and the closed form."""
+    """Max relative deviation between the network and the closed form.
+
+    The network side assembles each component once; at every sample point
+    the components of equal order are solved as one stack.
+    """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     rng = np.random.default_rng(seed)
     avoid = system_resonances(cr.rayleigh, [m.sigma for m in cr.modes] + [0.0])
+    stacks = _component_stacks(gn.components)
     worst = 0.0
     for lam in sample_nonresonant(rng, avoid, n_samples):
         reference = evaluate_canonical(cr, lam).W.a
-        achieved = evaluate_generalized(gn, lam).W.a
+        achieved = _superposed(stacks, gn.terminals.size, lam).W.a
         scale = max(np.abs(reference).max(), 1e-300)
         worst = max(worst, np.abs(achieved - reference).max() / scale)
     return float(worst)

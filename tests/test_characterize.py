@@ -83,6 +83,24 @@ class TestCheckCanonical:
             report = check_canonical(cr)
             assert report.passed, (seed, report.failing())
 
+    def test_one_eigensolve_per_matrix(self, monkeypatch):
+        # one per residue, one for A, one for W(0), one per passivity point
+        net = random_network(3, 3, 3, 4, 0.5)
+        cr = extract_canonical(assemble(net))
+        expected = check_canonical(cr, n_omega=5).to_dict()
+        calls = []
+        real = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            calls.append(a.shape)
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        report = check_canonical(cr, n_omega=5)
+        assert report.to_dict() == expected
+        assert "skipped" not in report.conditions["passivity_sampled"].witness
+        assert len(calls) == len(cr.modes) + 2 + 2 * 5
+
     def test_negated_residue_fails_psd_and_passivity(self):
         net = random_network(1, 2, 2, 2, 1.0, alpha=0.2, beta=0.1)
         cr = extract_canonical(assemble(net))

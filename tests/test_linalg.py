@@ -14,6 +14,7 @@ from elastonet import (
     schur_complement,
     sym_eig,
 )
+from elastonet.linalg import schur_complements, symmetrized
 
 
 def random_spd(rng, n, shift=0.1):
@@ -116,6 +117,58 @@ class TestSchurComplement:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             schur_complement(SymMatrix(np.eye(2)), BlockPartition([0], [1]), mode="lu")
+
+
+class TestSchurComplements:
+    """The stacked kernel against its stack-of-one form, matrix by matrix."""
+
+    @staticmethod
+    def stack(rng, count, n, rank, complex_part=False):
+        out = []
+        for k in range(count):
+            g = rng.standard_normal((n, rank[k] if np.ndim(rank) else rank))
+            a = g @ g.T
+            if complex_part:
+                h = rng.standard_normal((n, 2))
+                a = a + 1j * (h @ h.T)
+            out.append(SymMatrix(a).a)
+        return np.stack(out)
+
+    @pytest.mark.parametrize("complex_part", [False, True])
+    def test_mixed_ranks_equal_one_at_a_time_bitwise(self, complex_part):
+        # pseudoinverse truncation at a different rank per matrix; full-rank
+        # matrices in the same stack take the inverse-mode formula
+        rng = np.random.default_rng(3)
+        a = self.stack(rng, 6, 7, [7, 3, 5, 3, 7, 1], complex_part)
+        part = BlockPartition([4, 0, 6], [1, 5, 2, 3])
+        stacked = schur_complements(a, part.boundary, part.interior, "pseudoinverse")
+        for k in range(len(a)):
+            one = schur_complement(SymMatrix(a[k]), part, mode="pseudoinverse").a
+            assert np.array_equal(stacked[k], one)
+
+    def test_first_singular_matrix_is_named(self):
+        rng = np.random.default_rng(4)
+        a = self.stack(rng, 5, 6, [6, 6, 2, 6, 1])
+        with pytest.raises(SingularBlock) as info:
+            schur_complements(a, range(2), range(2, 6))
+        assert info.value.index == 2
+        with pytest.raises(SingularBlock) as alone:
+            schur_complement(SymMatrix(a[2]), BlockPartition(range(2), range(2, 6)))
+        assert str(info.value) == str(alone.value)
+        assert info.value.smallest_singular_value == alone.value.smallest_singular_value
+
+    def test_empty_blocks(self):
+        a = np.stack([np.eye(3), 2.0 * np.eye(3)])
+        assert np.array_equal(schur_complements(a, range(3), []), a)
+        assert schur_complements(a, [], range(3)).shape == (2, 0, 0)
+
+    def test_symmetrized_checks_every_matrix(self):
+        a = np.stack([np.eye(2), np.array([[1.0, 2.0], [2.1, 3.0]])])
+        with pytest.raises(AsymmetricMatrix, match="asymmetry 1.000e-01"):
+            symmetrized(a)
+        a[1] = np.inf
+        with pytest.raises(DimensionMismatch):
+            symmetrized(a)
 
 
 class TestSymEig:

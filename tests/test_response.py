@@ -154,6 +154,12 @@ class TestExtractCanonical:
         assert np.array_equal(cr.A.a, sys.K.a)
         assert_allclose(cr.Mbb, [1.5, 1.5, 2.5, 2.5])
 
+    def test_fewer_than_one_check_sample_rejected(self, terminal_plus_mass):
+        sys = assemble(terminal_plus_mass)
+        with pytest.raises(ValueError, match="n_check"):
+            extract_canonical(sys, check=True, n_check=0)
+        assert extract_canonical(sys, check=False, n_check=0).modes
+
     def test_chain_extraction_matches_elimination(self, assembled_chain):
         cr = extract_canonical(assembled_chain)
         assert not cr.modes  # massless middle node leaves no resonant mode

@@ -1,10 +1,14 @@
 """Force balancing, rank-one gadgets, full synthesis, superposition."""
 
+from collections import Counter
+from importlib import import_module
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from elastonet import (
+    AtResonance,
     CanonicalResponse,
     GeneralizedNetwork,
     IdealElasticElement,
@@ -12,6 +16,7 @@ from elastonet import (
     NotCharacterizable,
     PlacementFailed,
     RayleighParams,
+    SingularBlock,
     SymMatrix,
     ZeroForce,
     assemble,
@@ -331,6 +336,116 @@ class TestSynthesize:
         for a in range(len(internals)):
             for b in range(a + 1, len(internals)):
                 assert np.linalg.norm(internals[a] - internals[b]) >= 1e-3 * (1 - 1e-9)
+
+
+def springs_component(gn, mass):
+    """Terminal springs to one interior node at the terminal centroid."""
+    from elastonet import NetworkComponent, Node, Spring
+
+    terminals = [Node(tuple(p), 0.0, True) for p in gn.terminals]
+    inner = Node(tuple(gn.terminals.mean(axis=0)), mass, False)
+    springs = tuple(Spring(k, len(terminals), 0.7 + k) for k in range(len(terminals)))
+    return NetworkComponent(
+        "springs", (*terminals, inner), len(terminals), springs, gn.rayleigh,
+        gn.dimension,
+    )
+
+
+def with_components(gn, components):
+    return GeneralizedNetwork(gn.terminals, components, epsilon_hull=gn.epsilon_hull)
+
+
+def per_component(gn, lam, mode="inverse"):
+    """Reference: each component assembled and evaluated alone, summed in order."""
+    total = np.zeros((gn.terminals.size, gn.terminals.size), dtype=complex)
+    for comp in gn.components:
+        total = total + evaluate_response(assemble_component(comp), lam, mode=mode).W.a
+    return total
+
+
+class TestStackedEvaluation:
+    """Stacked evaluation of a superposition against per-component evaluation."""
+
+    @pytest.mark.parametrize("seed,d", [(1, 2), (3, 3)])
+    @pytest.mark.parametrize("mode", ["inverse", "pseudoinverse"])
+    def test_equals_per_component_sum_bitwise(self, seed, d, mode):
+        cr = extracted(seed, d=d, nt=3)
+        gn = synthesize(cr, seed=seed)
+        # the springs component sits between two gadgets, so component order
+        # differs from the order of the groups of equal matrix order
+        comps = gn.components
+        gn = with_components(gn, (*comps[:3], springs_component(gn, 1.3), *comps[3:]))
+        assert comps[2].kind == comps[3].kind == "rank_one_gadget"
+        kinds = {c.kind for c in gn.components}
+        assert kinds == {"ideal_elements", "terminal_masses", "rank_one_gadget", "springs"}
+        assert len({assemble_component(c).order for c in gn.components}) == 3
+        for lam in (0.37 + 0.21j, -0.4 + 2.3j, 1.7, 3j):
+            assert np.array_equal(
+                evaluate_generalized(gn, lam, mode).W.a, per_component(gn, lam, mode)
+            )
+
+    @pytest.mark.parametrize("mode", ["inverse", "pseudoinverse"])
+    def test_empty_network_is_exactly_zero(self, mode):
+        gn = with_components(synthesize(extracted(1, nt=3), seed=1), ())
+        w = evaluate_generalized(gn, 0.5 + 1.5j, mode).W.a
+        assert np.array_equal(w, np.zeros((6, 6), dtype=complex))
+
+    def test_resonance_names_first_resonant_component(self):
+        # a non-resonant gadget, then a springs component and a gadget that
+        # both resonate at the root of one mode's q(lambda): the springs
+        # component comes first in component order but sits in the later
+        # order group, so taking groups in turn would name the gadget
+        cr = extracted(3, d=3, nt=3)
+        gn = synthesize(cr, seed=3)
+        sigma = cr.modes[-1].sigma
+        lam = resonances_of(sigma, cr.rayleigh)[0]
+
+        def message(comp):
+            try:
+                evaluate_response(assemble_component(comp), lam)
+            except AtResonance as exc:
+                return str(exc)
+            return None
+
+        gadgets = [c for c in gn.components if c.kind == "rank_one_gadget"]
+        quiet = next(c for c in gadgets if message(c) is None)
+        loud = next(c for c in gadgets if message(c) is not None)
+        nb = gn.terminals.size
+        probe = assemble_component(springs_component(gn, 1.0))
+        stiffest = np.linalg.eigvalsh(probe.K.a[nb:, nb:])[-1]
+        springs = springs_component(gn, stiffest / sigma)
+        assert None not in (message(springs), message(loud))
+        assert message(springs) != message(loud)
+
+        gn = with_components(gn, (quiet, springs, loud))
+        with pytest.raises(AtResonance) as info:
+            evaluate_generalized(gn, lam)
+        assert not isinstance(info.value, SingularBlock)
+        assert str(info.value) == message(springs)
+
+    def test_verify_assembles_each_component_once(self, monkeypatch):
+        module = import_module("elastonet.synthesize")
+        cr = extracted(3, d=3, nt=3)
+        gn = synthesize(cr, seed=3, check=False)
+        calls = Counter()
+        real = module.assemble_component
+
+        def counting(comp):
+            calls[id(comp)] += 1
+            return real(comp)
+
+        monkeypatch.setattr(module, "assemble_component", counting)
+        assert verify_synthesis(gn, cr, n_samples=10, seed=4) <= 1e-8
+        assert calls == Counter({id(c): 1 for c in gn.components})
+
+    def test_fewer_than_one_sample_rejected(self):
+        cr = extracted(1, nt=3)
+        gn = synthesize(cr, seed=1)
+        with pytest.raises(ValueError, match="n_samples"):
+            verify_synthesis(gn, cr, n_samples=0)
+        with pytest.raises(ValueError, match="n_check"):
+            synthesize(cr, seed=1, check=True, n_check=0)
+        assert synthesize(cr, seed=1, check=False, n_check=0).components
 
 
 class TestDecomposeTwoNode:
