@@ -30,7 +30,7 @@ from .errors import (
     SingularBlock,
     ZeroForce,
 )
-from .linalg import BlockPartition, SymMatrix, is_psd, schur_complement, sym_eig
+from .linalg import BlockPartition, SymMatrix, is_psd, schur_complement
 from .model import (
     ElastodynamicNetwork,
     Node,
@@ -74,7 +74,6 @@ from .synthesize import (
     assemble_union,
     balance_forces,
     build_rank_one_gadget,
-    decompose_two_node_element,
     evaluate_generalized,
     generalized_from_dict,
     generalized_to_dict,

@@ -16,22 +16,11 @@ import numpy as np
 
 from .errors import AtResonance, DimensionMismatch
 from .geometry import balance_residual
-from .linalg import min_eig, psd_check
+from .linalg import psd_check
 from .response import evaluate_canonical
 
 PASSIVITY_GRID_POINTS = 41  # per sign, spanning omega in [1e-2, 1e2]
 DEFAULT_TOL = 1e-9
-
-CONDITION_NAMES = (
-    "R_psd",
-    "sigma_positive",
-    "M_diag_psd",
-    "A_psd",
-    "poles_left_half",
-    "static_psd",
-    "static_balanced",
-    "passivity_sampled",
-)
 
 
 @dataclass(frozen=True)
@@ -110,7 +99,7 @@ def passivity_margin(cr, omega):
     only consume energy.
     """
     sample = evaluate_canonical(cr, 1j * float(omega))
-    return min_eig(float(omega) * sample.W.a.imag)
+    return psd_check(float(omega) * sample.W.a.imag)[0]
 
 
 def check_canonical(cr, tol=DEFAULT_TOL, n_omega=PASSIVITY_GRID_POINTS):
@@ -187,7 +176,7 @@ def check_canonical(cr, tol=DEFAULT_TOL, n_omega=PASSIVITY_GRID_POINTS):
             skipped += 1
             continue
         dissipation = float(omega) * sample.W.a.imag
-        margin = min_eig(dissipation)
+        margin = psd_check(dissipation)[0]
         ratio = margin / (1.0 + np.abs(dissipation).max())
         if ratio < worst_ratio:
             worst_ratio = ratio

@@ -40,18 +40,14 @@ from .resonances import locus_table
 from .response import (
     CLUSTER_TOL,
     FLOPPY_TOL,
+    ROUNDTRIP_TOL,
     canonical_from_dict,
     canonical_to_dict,
     eliminate_massless,
     evaluate_reduced,
     extract_canonical,
 )
-from .synthesize import (
-    SYNTH_ROUNDTRIP_TOL,
-    generalized_to_dict,
-    synthesize,
-    verify_synthesis,
-)
+from .synthesize import generalized_to_dict, synthesize, verify_synthesis
 
 EXIT_CHECK_FAILED = 1
 EXIT_PARSE = 2
@@ -97,10 +93,14 @@ def _sweep_points(args):
                 raise SchemaError(
                     f"--lam[{k}]: expected RE,IM, got {raw!r}"
                 ) from exc
+            if not np.isfinite([re, im]).all():
+                raise SchemaError(f"--lam[{k}]: RE and IM must be finite")
             points.append(complex(re, im))
         return points
     if args.omega is None:
         raise SchemaError("respond needs either --omega START STOP COUNT or --lam")
+    if not np.isfinite(args.omega).all():
+        raise SchemaError("--omega: START, STOP and COUNT must be finite")
     start, stop, count = args.omega
     count = int(count)
     if count < 1:
@@ -115,9 +115,12 @@ def _sweep_points(args):
 
 
 def cmd_respond(args):
+    _check_nonnegative(args, "--tol")
+    if args.jobs < 1:
+        raise SchemaError("respond: --jobs must be >= 1")
+    points = _sweep_points(args)
     net = _load_network(args.input)
     red = eliminate_massless(assemble(net))
-    points = _sweep_points(args)
 
     def sample(lam):
         try:
@@ -138,6 +141,7 @@ def cmd_respond(args):
 
 
 def cmd_extract(args):
+    _check_nonnegative(args, "--tol-floppy", "--tol-cluster")
     net = _load_network(args.input)
     cr = extract_canonical(
         assemble(net),
@@ -157,6 +161,7 @@ def _load_canonical_or_network(path):
 
 
 def cmd_characterize(args):
+    _check_nonnegative(args, "--tol")
     net, cr = _load_canonical_or_network(args.input)
     if cr is None:
         cr = extract_canonical(assemble(net), seed=_seed(args))
@@ -175,6 +180,13 @@ def _load_forbidden(path, d):
     return points
 
 
+def _check_nonnegative(args, *flags):
+    # NaN fails every comparison, so this also rejects nan
+    for flag in flags:
+        if not 0.0 <= getattr(args, flag.lstrip("-").replace("-", "_")) < np.inf:
+            raise SchemaError(f"{args.command}: {flag} must be finite and >= 0")
+
+
 def _check_synthesis_args(args):
     # --samples 0 would verify nothing and still report a pass
     if args.samples < 1:
@@ -183,24 +195,28 @@ def _check_synthesis_args(args):
         raise SchemaError(f"{args.command}: --epsilon must be finite and > 0")
 
 
-def _synthesize_verified(args, cr, seed):
-    """Realize ``cr``; returns (network, verification block, passed)."""
+def _synthesize_verified(args, cr, seed, report):
+    """Realize ``cr``; returns (network, verification block, passed).
+
+    ``report`` is the characterization of ``cr``, or None to make one.
+    """
     gn = synthesize(
         cr,
         epsilon_hull=args.epsilon,
         forbidden=_load_forbidden(args.forbidden, cr.dimension),
         seed=seed,
         check=False,
+        report=report,
     )
     worst = verify_synthesis(gn, cr, n_samples=args.samples, seed=seed + 1)
     verification = {"n_lambda_samples": args.samples, "max_rel_error": float(worst)}
-    return gn, verification, bool(worst <= SYNTH_ROUNDTRIP_TOL)
+    return gn, verification, bool(worst <= ROUNDTRIP_TOL)
 
 
 def cmd_synthesize(args):
     _check_synthesis_args(args)
     cr = canonical_from_dict(jsonio.load_json(args.input))
-    gn, verification, passed = _synthesize_verified(args, cr, _seed(args))
+    gn, verification, passed = _synthesize_verified(args, cr, _seed(args), None)
     payload = generalized_to_dict(gn)
     payload["verification"] = verification
     _write(args, payload)
@@ -208,8 +224,7 @@ def cmd_synthesize(args):
 
 
 def cmd_loci(args):
-    if args.alpha < 0 or args.beta < 0:
-        raise SchemaError("loci: alpha and beta must be >= 0")
+    _check_nonnegative(args, "--alpha", "--beta")
     if args.points < 2:
         raise SchemaError("loci: --points must be >= 2")
     rows = locus_table(RayleighParams(args.alpha, args.beta), args.points)
@@ -224,6 +239,7 @@ def cmd_loci(args):
 
 def cmd_roundtrip(args):
     _check_synthesis_args(args)
+    _check_nonnegative(args, "--tol")
     net = _load_network(args.input)
     seed = _seed(args)
     cr = extract_canonical(assemble(net), seed=seed)
@@ -234,7 +250,9 @@ def cmd_roundtrip(args):
     }
     passed = False
     if report.passed:
-        gn, payload["verification"], passed = _synthesize_verified(args, cr, seed)
+        gn, payload["verification"], passed = _synthesize_verified(
+            args, cr, seed, report
+        )
         payload["network"] = generalized_to_dict(gn)
     payload["pass"] = passed
     _write(args, payload)

@@ -182,17 +182,6 @@ def schur_complement(a, partition, mode="inverse", tol=PINV_TOL):
     return SymMatrix(s[0])
 
 
-def sym_eig(a):
-    """Eigendecomposition of a real symmetric matrix.
-
-    Returns ``(eigenvalues, eigenvectors)`` with eigenvalues ascending and
-    eigenvectors orthonormal in the columns, so ``A = V diag(w) V.T``.
-    """
-    if a.field != "real":
-        raise DimensionMismatch("sym_eig expects a real symmetric matrix")
-    return np.linalg.eigh(a.a)
-
-
 def psd_check(a, tol=PINV_TOL):
     """Smallest eigenvalue of a real symmetric matrix and its PSD verdict.
 
@@ -214,10 +203,3 @@ def is_psd(a, tol=PINV_TOL):
     """
     return psd_check(a, tol)[1]
 
-
-def min_eig(arr):
-    """Smallest eigenvalue of a (numerically) symmetric real matrix."""
-    arr = np.asarray(arr)
-    if arr.size == 0:
-        return 0.0
-    return float(np.linalg.eigvalsh(_sym_part(arr))[0])

@@ -143,14 +143,6 @@ class ElastodynamicNetwork:
     def n_nodes(self):
         return len(self.nodes)
 
-    @property
-    def terminal_indices(self):
-        return tuple(k for k, n in enumerate(self.nodes) if n.is_terminal)
-
-    @property
-    def interior_indices(self):
-        return tuple(k for k, n in enumerate(self.nodes) if not n.is_terminal)
-
     def positions(self):
         return np.array([n.position for n in self.nodes], dtype=float)
 

@@ -287,29 +287,23 @@ def system_resonances(rayleigh, sigmas, include_damper_pole=True):
     return points
 
 
-def sample_nonresonant(
-    rng,
-    avoid,
-    count,
-    modulus_range=(0.1, 10.0),
-    clearance=RESONANCE_CLEARANCE,
-    max_tries=10000,
-):
+def sample_nonresonant(rng, avoid, count):
     """Random complex Laplace points staying clear of the avoid set.
 
-    Moduli are log-uniform in ``modulus_range``; points within ``clearance``
-    of any avoided resonance are redrawn.
+    Moduli are log-uniform in [0.1, 10]; points within
+    ``RESONANCE_CLEARANCE`` of any avoided resonance are redrawn, up to
+    10000 draws in all.
     """
     avoid = np.asarray(list(avoid), dtype=complex)
-    lo, hi = np.log(modulus_range[0]), np.log(modulus_range[1])
+    lo, hi = np.log(0.1), np.log(10.0)
     out = []
     tries = 0
     while len(out) < count:
-        if tries > max_tries:
+        if tries > 10000:
             raise ElastonetError("could not sample non-resonant points")
         tries += 1
         lam = np.exp(rng.uniform(lo, hi)) * np.exp(2j * np.pi * rng.uniform())
-        if avoid.size and np.abs(avoid - lam).min() < clearance:
+        if avoid.size and np.abs(avoid - lam).min() < RESONANCE_CLEARANCE:
             continue
         out.append(lam)
     return np.array(out, dtype=complex)
@@ -442,12 +436,12 @@ def extract_canonical(
     return cr
 
 
-def evaluate_canonical(cr, lam, tol=1e-12):
+def evaluate_canonical(cr, lam):
     """Evaluate the pole-residue form at one Laplace point."""
     lam = complex(lam)
     damp = 1.0 + cr.rayleigh.alpha * lam
     w = damp * cr.A.a + (cr.rayleigh.beta * lam + lam * lam) * np.diag(cr.Mbb)
-    guard = tol * (1.0 + abs(lam) ** 2)
+    guard = 1e-12 * (1.0 + abs(lam) ** 2)
     for mode in cr.modes:
         q = (
             mode.sigma

@@ -20,8 +20,7 @@ nodes and only terminal nodes, so their responses add:
 
 Ideal elements stand in for static spring trusses: the element supported on
 nodes with force vector ``f`` contributes the rank-one stiffness ``f f^T``.
-Realizing one by literal springs is out of scope here except for the
-two-node collinear case handled by :func:`decompose_two_node_element`.
+Realizing one by literal springs is out of scope here.
 """
 
 from dataclasses import dataclass, field
@@ -61,6 +60,7 @@ from .model import (
     spring_direction,
 )
 from .response import (
+    ROUNDTRIP_TOL,
     ResponseSample,
     evaluate_canonical,
     evaluate_response,
@@ -74,7 +74,8 @@ COMPONENT_KINDS = ("springs", "ideal_elements", "terminal_masses", "rank_one_gad
 # Relative eigenvalue cutoff when factoring PSD blocks into rank-one terms.
 RANK_TOL = 1e-12
 
-SYNTH_ROUNDTRIP_TOL = 1e-8
+# Random draws of a balancing node pair before placement gives up.
+PLACEMENT_DRAWS = 200
 
 
 def default_min_clearance(terminals):
@@ -368,7 +369,6 @@ def balance_forces(
     min_clearance=None,
     min_force=0.0,
     candidates=None,
-    max_tries=200,
 ):
     """Complete an arbitrary terminal force system to a balanced one.
 
@@ -407,7 +407,7 @@ def balance_forces(
 
     rng = np.random.default_rng(seed)
     avoid = np.vstack([forb, terminals]) if forb.size else terminals
-    for _ in range(max_tries):
+    for _ in range(PLACEMENT_DRAWS):
         jitter1 = 0.45 if d == 3 else 0.9
         x1 = _draw_point(rng, terminals, epsilon_hull, avoid, clearance, jitter1)
         if x1 is None:
@@ -442,7 +442,7 @@ def balance_forces(
         _assert_balanced(terminals, fmat, x1, x2, g, scale)
         return x1, x2, g
     raise PlacementFailed(
-        f"no admissible balancing pair found in {max_tries} draws "
+        f"no admissible balancing pair found in {PLACEMENT_DRAWS} draws "
         f"(epsilon_hull={epsilon_hull}, clearance={clearance:.3e})"
     )
 
@@ -540,35 +540,6 @@ def build_rank_one_gadget(
     return comp
 
 
-def decompose_two_node_element(el, positions, tol=1e-9):
-    """Realize a two-node ideal element as a single spring when possible.
-
-    Requires equal and opposite forces collinear with the node axis; then
-    ``f f^T`` equals the axial block pattern of a spring with ``k = |f_1|^2``.
-    Returns the spring, or None when the element is not representable (the
-    zero element is dropped the same way).
-    """
-    if len(el.support) != 2:
-        raise ValueError("decompose_two_node_element expects a two-node element")
-    positions = np.asarray(positions, dtype=float)
-    d = positions.shape[1]
-    f1 = el.force_vector[:d]
-    f2 = el.force_vector[d:]
-    scale = 1.0 + np.abs(el.force_vector).max()
-    if np.abs(el.force_vector).max() == 0.0:
-        return None
-    if np.linalg.norm(f1 + f2) > tol * scale:
-        return None
-    axis = positions[0] - positions[1]
-    axis_norm = np.linalg.norm(axis)
-    if axis_norm == 0.0:
-        return None
-    n = axis / axis_norm
-    if np.linalg.norm(f1 - (f1 @ n) * n) > tol * scale:
-        return None
-    return Spring(el.support[0], el.support[1], float(f1 @ f1))
-
-
 # ---------------------------------------------------------------------------
 # Full synthesis
 # ---------------------------------------------------------------------------
@@ -613,20 +584,23 @@ def synthesize(
     min_clearance=None,
     check=True,
     n_check=50,
-    tol=1e-9,
+    report=None,
 ):
     """Construct a generalized network realizing an admissible response.
 
     Raises :class:`NotCharacterizable` when the admissibility check fails
     (including a terminal mass diagonal that is not constant within a
     node's coordinate block, which no isotropic nodal mass can realize) and
-    :class:`PlacementFailed` when internal nodes cannot be placed. With
-    ``check`` the construction is verified against the closed form at
-    ``n_check`` random non-resonant points (at least one).
+    :class:`PlacementFailed` when internal nodes cannot be placed. The
+    check is ``report``, the :class:`CharacterizationReport` of ``cr``
+    when the caller has one, else ``check_canonical(cr)``. With ``check``
+    the construction is verified against the closed form at ``n_check``
+    random non-resonant points (at least one).
     """
     if check and n_check < 1:
         raise ValueError(f"n_check must be >= 1 when checking, got {n_check}")
-    report = check_canonical(cr, tol=tol)
+    if report is None:
+        report = check_canonical(cr)
     if not report.passed:
         raise NotCharacterizable(
             "response violates the admissibility conditions: "
@@ -703,10 +677,10 @@ def synthesize(
     )
     if check:
         worst = verify_synthesis(gn, cr, n_samples=n_check, seed=rng)
-        if worst > SYNTH_ROUNDTRIP_TOL:
+        if worst > ROUNDTRIP_TOL:
             raise ReconstructionMismatch(
                 f"synthesized response deviates by {worst:.3e} relative "
-                f"(threshold {SYNTH_ROUNDTRIP_TOL:.1e})"
+                f"(threshold {ROUNDTRIP_TOL:.1e})"
             )
     return gn
 

@@ -1,12 +1,15 @@
 """Command-line interface: formats, exit codes, determinism."""
 
 import json
+from dataclasses import replace
+from importlib import import_module
 
 import numpy as np
 import pytest
 
 from elastonet import (
     CanonicalResponse,
+    ElastodynamicNetwork,
     RayleighParams,
     SymMatrix,
     assemble,
@@ -15,6 +18,7 @@ from elastonet import (
     network_to_dict,
     random_network,
 )
+import elastonet.cli as cli_module
 from elastonet.cli import main
 from elastonet.jsonio import write_json
 
@@ -234,8 +238,40 @@ class TestLoci:
                 np.testing.assert_allclose(re, -1.0)
 
     def test_negative_parameters_exit_2(self, tmp_path):
-        assert main(["loci", "--alpha", "-1", "--beta", "0",
-                     "-o", str(tmp_path / "x")]) == 2
+        # nan and inf used to escape main as a ValueError traceback
+        for alpha, beta in [("-1", "0"), ("nan", "0"), ("inf", "0"),
+                            ("0", "nan"), ("0", "inf"), ("0", "-inf")]:
+            out = tmp_path / "x"
+            assert main(["loci", f"--alpha={alpha}", f"--beta={beta}",
+                         "-o", str(out)]) == 2, (alpha, beta)
+            assert not out.exists()
+
+
+class TestNumericArguments:
+    @pytest.mark.parametrize("argv", [
+        ["respond", "--lam", "0,1", "--tol", "nan"],
+        ["respond", "--lam", "0,1", "--tol", "-1"],
+        ["respond", "--lam", "0,1", "--tol", "inf"],
+        ["respond", "--omega", "nan", "10", "5"],
+        ["respond", "--omega", "1", "inf", "5"],
+        ["respond", "--omega", "1", "10", "nan"],
+        ["respond", "--lam", "nan,1"],
+        ["respond", "--lam", "1,-inf"],
+        ["respond", "--lam", "0,1", "--jobs", "0"],
+        ["extract", "--tol-floppy", "nan"],
+        ["extract", "--tol-cluster", "-1"],
+        ["characterize", "--tol", "nan"],
+        ["roundtrip", "--tol", "nan"],
+        ["roundtrip", "--tol=-1e-9"],
+    ], ids=" ".join)
+    def test_bad_value_exits_2_before_any_work(self, tmp_path, net_file, argv,
+                                               capsys):
+        out = tmp_path / "o.json"
+        # main maps every ElastonetError to an exit code; any other
+        # exception escapes and fails the row
+        assert main([argv[0], net_file, *argv[1:], "-o", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestErrorMapping:
@@ -275,6 +311,39 @@ class TestRoundtrip:
         monkeypatch.setenv("ELASTONET_SEED", "9")
         assert main(["roundtrip", net_file, "--seed", "123", "-o", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_characterizes_once(self, tmp_path, net_file, monkeypatch):
+        # the roundtrip hands its report to synthesis instead of re-checking
+        synth_module = import_module("elastonet.synthesize")
+        calls = []
+        for module in (cli_module, synth_module):
+            real = module.check_canonical
+
+            def counting(*args, _real=real, **kwargs):
+                calls.append(args)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, "check_canonical", counting)
+        assert main(["roundtrip", net_file, "-o", str(tmp_path / "rt.json")]) == 0
+        assert len(calls) == 1
+
+    def test_synthesis_accepts_what_characterization_passed(self, tmp_path):
+        # in units of 3e5 the static slice passes static_balanced at
+        # --tol 1e-6 but not at 1e-9; a second check at 1e-9 inside
+        # synthesis used to reject it (exit 5, no output)
+        net = random_network(4, 2, 3, 4, 0.5)
+        nodes = tuple(
+            replace(n, position=tuple(3e5 * x for x in n.position)) for n in net.nodes
+        )
+        net = ElastodynamicNetwork(net.dimension, nodes, net.springs, net.rayleigh)
+        path, out = tmp_path / "big.json", tmp_path / "rt.json"
+        write_json(path, network_to_dict(net))
+        argv = ["roundtrip", str(path), "--tol", "1e-6", "--epsilon", "3e4"]
+        assert main(argv + ["-o", str(out)]) == 0
+        obj = json.loads(out.read_text())
+        assert obj["pass"] is True
+        assert obj["characterization"]["pass"] is True
+        assert obj["verification"]["max_rel_error"] <= 1e-8
 
     def test_report_contents(self, tmp_path, net_file):
         out = tmp_path / "rt.json"

@@ -1,4 +1,4 @@
-"""Schur complements, symmetric eigensolves, PSD tests."""
+"""Schur complements, PSD tests."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from elastonet import (
     SymMatrix,
     is_psd,
     schur_complement,
-    sym_eig,
 )
 from elastonet.linalg import schur_complements, symmetrized
 
@@ -169,32 +168,6 @@ class TestSchurComplements:
         a[1] = np.inf
         with pytest.raises(DimensionMismatch):
             symmetrized(a)
-
-
-class TestSymEig:
-    def test_diagonal(self):
-        w, v = sym_eig(SymMatrix(np.diag([3.0, 1.0])))
-        assert_allclose(w, [1.0, 3.0])
-        assert_allclose(np.abs(v), [[0.0, 1.0], [1.0, 0.0]], atol=1e-15)
-
-    def test_exchange_matrix(self):
-        w, v = sym_eig(SymMatrix(np.array([[0.0, 1.0], [1.0, 0.0]])))
-        assert_allclose(w, [-1.0, 1.0])
-        r = 1.0 / np.sqrt(2.0)
-        assert_allclose(np.abs(v), [[r, r], [r, r]], atol=1e-15)
-
-    def test_gram_matrix_psd_and_reconstruction(self):
-        rng = np.random.default_rng(3)
-        g = rng.standard_normal((6, 6))
-        a = SymMatrix(g.T @ g)
-        w, v = sym_eig(a)
-        assert w.min() >= -1e-12
-        assert np.abs(v.T @ v - np.eye(6)).max() <= 1e-12
-        assert np.abs(a.a - v @ np.diag(w) @ v.T).max() <= 1e-10 * np.abs(a.a).max()
-
-    def test_rejects_complex(self):
-        with pytest.raises(DimensionMismatch):
-            sym_eig(SymMatrix(1j * np.eye(2)))
 
 
 class TestIsPsd:

@@ -24,7 +24,6 @@ from elastonet import (
     assemble_union,
     balance_forces,
     build_rank_one_gadget,
-    decompose_two_node_element,
     evaluate_generalized,
     evaluate_response,
     extract_canonical,
@@ -446,34 +445,6 @@ class TestStackedEvaluation:
         with pytest.raises(ValueError, match="n_check"):
             synthesize(cr, seed=1, check=True, n_check=0)
         assert synthesize(cr, seed=1, check=False, n_check=0).components
-
-
-class TestDecomposeTwoNode:
-    def test_axial_pair_is_unit_spring(self):
-        el = IdealElasticElement((0, 1), np.array([1.0, 0.0, -1.0, 0.0]))
-        spring = decompose_two_node_element(el, np.array([[0.0, 0.0], [1.0, 0.0]]))
-        assert spring is not None
-        assert spring.stiffness == 1.0
-        # the spring's stiffness pattern reproduces f f^T
-        from conftest import axial_block
-
-        assert_allclose(
-            np.outer(el.force_vector, el.force_vector), axial_block(spring.stiffness)
-        )
-
-    def test_transverse_pair_unrepresentable(self):
-        el = IdealElasticElement((0, 1), np.array([0.0, 1.0, 0.0, -1.0]))
-        assert decompose_two_node_element(el, np.array([[0.0, 0.0], [1.0, 0.0]])) is None
-
-    def test_zero_force_dropped(self):
-        el = IdealElasticElement((0, 1), np.zeros(4))
-        assert decompose_two_node_element(el, np.array([[0.0, 0.0], [1.0, 0.0]])) is None
-
-    def test_scaled_spring(self):
-        el = IdealElasticElement((0, 1), np.array([0.0, -2.0, 0.0, 2.0]))
-        spring = decompose_two_node_element(el, np.array([[0.0, 1.0], [0.0, 3.0]]))
-        assert spring is not None
-        assert_allclose(spring.stiffness, 4.0)
 
 
 class TestGeneralizedJson:
