@@ -17,6 +17,7 @@ import numpy as np
 from .errors import AtResonance, DimensionMismatch
 from .geometry import balance_residual
 from .linalg import psd_check
+from .resonances import resonances_of
 from .response import evaluate_canonical
 
 PASSIVITY_GRID_POINTS = 41  # per sign, spanning omega in [1e-2, 1e2]
@@ -85,13 +86,6 @@ def check_balanced(F, positions, tol=1e-10):
     return bool(passed), float(worst)
 
 
-def _pole_roots(sigma, rayleigh):
-    # closed-form quadratic roots; sigma <= 0 (hand-edited candidates) included
-    b = rayleigh.alpha * sigma + rayleigh.beta
-    sq = np.sqrt(complex(b * b - 4.0 * sigma))
-    return ((-b + sq) / 2.0, (-b - sq) / 2.0)
-
-
 def passivity_margin(cr, omega):
     """Smallest eigenvalue of ``omega * Im W(i omega)``.
 
@@ -102,7 +96,7 @@ def passivity_margin(cr, omega):
     return psd_check(float(omega) * sample.W.a.imag)[0]
 
 
-def check_canonical(cr, tol=DEFAULT_TOL, n_omega=PASSIVITY_GRID_POINTS):
+def check_canonical(cr, tol=DEFAULT_TOL):
     """Evaluate every admissibility condition on a candidate response.
 
     Never raises on a bad candidate: all failures are carried in the
@@ -142,7 +136,7 @@ def check_canonical(cr, tol=DEFAULT_TOL, n_omega=PASSIVITY_GRID_POINTS):
     worst_re = 0.0
     witness = "no poles" if not cr.modes else ""
     for mode in cr.modes:
-        re = max(float(r.real) for r in _pole_roots(mode.sigma, cr.rayleigh))
+        re = max(float(r.real) for r in resonances_of(mode.sigma, cr.rayleigh))
         if re > worst_re:
             worst_re = re
             witness = f"pole with Re = {re:.3e} from sigma = {mode.sigma:.6g}"
@@ -164,7 +158,7 @@ def check_canonical(cr, tol=DEFAULT_TOL, n_omega=PASSIVITY_GRID_POINTS):
     # the pass test is relative to the sampled matrix magnitude: at large
     # omega the PSD quantity is rounding in W(0) amplified by alpha*omega^2,
     # which an absolute threshold cannot absorb
-    grid = np.logspace(-2.0, 2.0, n_omega)
+    grid = np.logspace(-2.0, 2.0, PASSIVITY_GRID_POINTS)
     worst_margin = np.inf
     worst_ratio = np.inf
     witness = ""

@@ -99,10 +99,15 @@ def _sweep_points(args):
         return points
     if args.omega is None:
         raise SchemaError("respond needs either --omega START STOP COUNT or --lam")
-    if not np.isfinite(args.omega).all():
-        raise SchemaError("--omega: START, STOP and COUNT must be finite")
     start, stop, count = args.omega
-    count = int(count)
+    try:
+        start, stop, count = float(start), float(stop), int(count)
+    except ValueError as exc:
+        raise SchemaError(
+            "--omega: START and STOP must be numbers, COUNT an integer"
+        ) from exc
+    if not np.isfinite([start, stop]).all():
+        raise SchemaError("--omega: START and STOP must be finite")
     if count < 1:
         raise SchemaError("--omega: COUNT must be >= 1")
     if args.scale == "log":
@@ -269,13 +274,13 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, seed_default=0):
+    def add_common(p):
         p.add_argument("-o", "--output", help="output file (default: stdout)")
         p.add_argument(
             "--seed",
             type=int,
-            default=seed_default,
-            help=f"random seed (default {seed_default}; ELASTONET_SEED overrides)",
+            default=0,
+            help="random seed (default 0; ELASTONET_SEED overrides)",
         )
 
     p = sub.add_parser("respond", help="evaluate the terminal response on a sweep")
@@ -283,7 +288,6 @@ def build_parser():
     p.add_argument(
         "--omega",
         nargs=3,
-        type=float,
         metavar=("START", "STOP", "COUNT"),
         help="frequency sweep; evaluates lambda = i*omega",
     )

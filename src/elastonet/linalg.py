@@ -26,7 +26,7 @@ class SymMatrix:
 
     __slots__ = ("a",)
 
-    def __init__(self, entries, tol=SYMMETRY_TOL):
+    def __init__(self, entries):
         a = np.asarray(entries)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
@@ -34,7 +34,7 @@ class SymMatrix:
             a = a.astype(np.complex128, copy=False)
         else:
             a = a.astype(np.float64, copy=False)
-        self.a = symmetrized(a, tol)
+        self.a = symmetrized(a)
         self.a.flags.writeable = False
 
     @property
@@ -88,25 +88,27 @@ def _sym_part(a):
     return 0.5 * (a + np.swapaxes(a, -1, -2))
 
 
-def symmetrized(a, tol=SYMMETRY_TOL):
+def symmetrized(a):
     """``(a + a^T) / 2`` of a matrix, or of each matrix in a stack.
 
     The last two axes index the matrix. Every matrix must have finite
-    entries (:class:`DimensionMismatch`) and an asymmetry of at most ``tol``
-    times its own largest entry magnitude (:class:`AsymmetricMatrix`, with
-    the numbers of the first offending matrix).
+    entries (:class:`DimensionMismatch`) and an asymmetry of at most
+    ``SYMMETRY_TOL`` times its own largest entry magnitude
+    (:class:`AsymmetricMatrix`, with the numbers of the first offending
+    matrix).
     """
     if a.size:
         scale = np.abs(a).max(axis=(-2, -1))  # NaN or inf here iff some entry is
         if not np.isfinite(scale).all():
             raise DimensionMismatch("matrix entries must be finite")
         gap = np.abs(a - np.swapaxes(a, -1, -2)).max(axis=(-2, -1))
-        over = np.ravel(gap > tol * scale)
+        over = np.ravel(gap > SYMMETRY_TOL * scale)
         if over.any():
             k = int(np.argmax(over))
             gap, scale = np.ravel(gap)[k], np.ravel(scale)[k]
             raise AsymmetricMatrix(
-                f"asymmetry {gap:.3e} exceeds {tol:.1e} * max|entry| = {tol * scale:.3e}"
+                f"asymmetry {gap:.3e} exceeds {SYMMETRY_TOL:.1e} * max|entry| = "
+                f"{SYMMETRY_TOL * scale:.3e}"
             )
     return _sym_part(a)
 
@@ -158,13 +160,13 @@ def schur_complements(a, boundary, interior, mode="inverse", tol=PINV_TOL):
     return a_bb - cross
 
 
-def schur_complement(a, partition, mode="inverse", tol=PINV_TOL):
+def schur_complement(a, partition, mode="inverse"):
     """Schur complement of the interior block of a symmetric matrix.
 
     Returns ``S = A_BB - A_BI inv(A_II) A_IB`` where the interior inverse is
     either a true inverse (``mode="inverse"``, raising :class:`SingularBlock`
     when the block is numerically singular) or a Moore-Penrose pseudoinverse
-    with singular values at or below ``tol`` times the largest truncated
+    with singular values at or below ``PINV_TOL`` times the largest truncated
     (``mode="pseudoinverse"``). This is :func:`schur_complements` on a stack
     of one.
 
@@ -174,11 +176,9 @@ def schur_complement(a, partition, mode="inverse", tol=PINV_TOL):
     partition : BlockPartition
         Must cover exactly the index range of ``a``.
     mode : {"inverse", "pseudoinverse"}
-    tol : float
-        Relative singular-value threshold.
     """
     partition.check_covers(a.order)
-    s = schur_complements(a.a[None], partition.boundary, partition.interior, mode, tol)
+    s = schur_complements(a.a[None], partition.boundary, partition.interior, mode)
     return SymMatrix(s[0])
 
 

@@ -241,16 +241,15 @@ def random_network(
     alpha=None,
     beta=None,
     allow_empty=False,
-    extra_edge_prob=0.3,
 ):
     """Deterministic random test network.
 
     Positions are drawn in the unit box with pairwise separation at least
     ``MIN_NODE_SEPARATION``; the spring graph is a random spanning tree plus
-    random extra edges, so it is always connected. Exactly
-    ``round(mass_fraction * n_interior)`` interior nodes receive a positive
-    mass; each terminal is massive with probability one half. When ``alpha``
-    or ``beta`` is None it is drawn uniformly from [0, 2].
+    each other node pair with probability 0.3, so it is always connected.
+    Exactly ``round(mass_fraction * n_interior)`` interior nodes receive a
+    positive mass; each terminal is massive with probability one half. When
+    ``alpha`` or ``beta`` is None it is drawn uniformly from [0, 2].
 
     A single-node request cannot carry any spring; it raises
     :class:`GenerationFailed` unless ``allow_empty`` is set.
@@ -291,7 +290,7 @@ def random_network(
         tree_pairs = {(min(s.i, s.j), max(s.i, s.j)) for s in springs}
         for a in range(n_total):
             for b in range(a + 1, n_total):
-                if (a, b) not in tree_pairs and rng.random() < extra_edge_prob:
+                if (a, b) not in tree_pairs and rng.random() < 0.3:
                     springs.append(Spring(a, b, rng.uniform(0.5, 2.0)))
     elif not allow_empty:
         raise GenerationFailed(

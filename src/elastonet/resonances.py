@@ -18,16 +18,18 @@ from .model import RayleighParams
 def resonances_of(sigma, rayleigh):
     """Both roots of ``lambda^2 + (alpha*sigma + beta)*lambda + sigma``.
 
-    Returns ``(lambda_plus, lambda_minus)`` using the numerically stable
-    quadratic formula: the larger-magnitude real root is computed first and
-    the other recovered from the product ``lambda_plus * lambda_minus =
-    sigma``, avoiding cancellation when ``(alpha*sigma + beta)^2 >> 4 sigma``.
+    Returns ``(lambda_plus, lambda_minus)``. For ``sigma > 0`` the stable
+    formula computes the larger-magnitude real root first and recovers the
+    other from the product ``lambda_plus * lambda_minus = sigma``, avoiding
+    cancellation when ``(alpha*sigma + beta)^2 >> 4 sigma``; ``sigma <= 0``
+    (floppy modes, hand-edited candidates) takes the closed form.
     """
     sigma = float(sigma)
-    if sigma <= 0:
-        raise ValueError(f"sigma must be > 0, got {sigma}")
     b = rayleigh.alpha * sigma + rayleigh.beta
     disc = b * b - 4.0 * sigma
+    if sigma <= 0:
+        sq = np.sqrt(complex(disc))
+        return complex((-b + sq) / 2.0), complex((-b - sq) / 2.0)
     if disc >= 0.0:
         # sigma > 0 forces b > 0 here, so lam_minus < 0 and the division is safe
         lam_minus = -(b + np.sqrt(disc)) / 2.0
@@ -139,11 +141,11 @@ def contains(rayleigh, lam, tol=1e-9):
     return False, None
 
 
-def _piece_label(rayleigh, lam, tol=1e-12):
+def _piece_label(rayleigh, lam):
     case = classify(rayleigh)
     if case == "undamped":
         return "imaginary_axis"
-    on_axis = abs(lam.imag) <= tol * (1.0 + abs(lam))
+    on_axis = abs(lam.imag) <= 1e-12 * (1.0 + abs(lam))
     if case == "node_damping_only":
         return "segment" if on_axis else "line"
     if case == "overdamped_mixed":
@@ -151,23 +153,23 @@ def _piece_label(rayleigh, lam, tol=1e-12):
     return "ray" if on_axis else "circle"
 
 
-def _sigma_sweep(rayleigh, n_points, sigma_range):
-    """(sigma, resonance) pairs of a log-spaced sigma sweep, ``n_points`` in total."""
+def _sigma_sweep(rayleigh, n_points):
+    """(sigma, resonance) pairs, sigma log-spaced over [1e-2, 1e2], ``n_points`` in all."""
     if n_points < 2:
         raise ValueError("n_points must be >= 2")
     n_sigma = (n_points + 1) // 2
-    sigmas = np.logspace(np.log10(sigma_range[0]), np.log10(sigma_range[1]), n_sigma)
+    sigmas = np.logspace(-2.0, 2.0, n_sigma)
     pairs = [(float(s), lam) for s in sigmas for lam in resonances_of(s, rayleigh)]
     return pairs[:n_points]
 
 
-def sample_locus(rayleigh, n_points, sigma_range=(1e-2, 1e2)):
+def sample_locus(rayleigh, n_points):
     """Resonances for a log-spaced sigma sweep, ``n_points`` in total."""
-    pairs = _sigma_sweep(rayleigh, n_points, sigma_range)
+    pairs = _sigma_sweep(rayleigh, n_points)
     return np.array([lam for _, lam in pairs], dtype=complex)
 
 
-def locus_table(rayleigh, n_points, sigma_range=(1e-2, 1e2)):
+def locus_table(rayleigh, n_points):
     """Rows (re, im, sigma, piece_label) for CSV emission."""
     return [
         {
@@ -176,5 +178,5 @@ def locus_table(rayleigh, n_points, sigma_range=(1e-2, 1e2)):
             "sigma": sigma,
             "piece_label": _piece_label(rayleigh, lam),
         }
-        for sigma, lam in _sigma_sweep(rayleigh, n_points, sigma_range)
+        for sigma, lam in _sigma_sweep(rayleigh, n_points)
     ]

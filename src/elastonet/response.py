@@ -30,6 +30,7 @@ from .errors import (
     SingularBlock,
 )
 from .linalg import (
+    PINV_TOL,
     BlockPartition,
     SymMatrix,
     is_psd,
@@ -166,7 +167,7 @@ def schur_responses(K, C, M, partition, lam, mode, tol, where=""):
     return symmetrized(w)
 
 
-def evaluate_response(sys, lam, mode="inverse", tol=1e-10):
+def evaluate_response(sys, lam, mode="inverse"):
     """Terminal response W(lambda) of an assembled system.
 
     Forms ``K + lambda*C + lambda^2*M`` and takes the Schur complement of
@@ -176,28 +177,19 @@ def evaluate_response(sys, lam, mode="inverse", tol=1e-10):
     coupling to the terminals, so the response is unchanged.
     """
     w = schur_responses(
-        sys.K.a[None], sys.C.a[None], sys.M.a[None], sys.partition, lam, mode, tol
+        sys.K.a[None], sys.C.a[None], sys.M.a[None], sys.partition, lam, mode, PINV_TOL
     )
     return ResponseSample(complex(lam), SymMatrix(w[0]))
 
 
-def _node_block_masses(mass_coords, d, label):
-    blocks = mass_coords.reshape(-1, d)
-    if blocks.size and not np.all(blocks == blocks[:, :1]):
-        raise ElastonetError(
-            f"{label} mass entries differ within a node's coordinate block"
-        )
-    return blocks
-
-
-def eliminate_massless(sys, tol=1e-10):
+def eliminate_massless(sys):
     """Statically eliminate massless interior nodes.
 
     Interior coordinates split by exact ``mass == 0`` test into massive (J)
     and massless (L). The massless block is removed by a pseudoinverse Schur
     complement of ``K`` and of ``C`` separately; the result provably keeps
     the proportional-damping identity ``Ctilde = alpha*Ktilde +
-    beta*diag(Mbb, Mjj)``, which is asserted to ``tol * max|Ktilde|``
+    beta*diag(Mbb, Mjj)``, which is asserted to ``PINV_TOL * max|Ktilde|``
     (:class:`RayleighStructureBroken` if the input damping was not
     proportional). The reduced interior blocks are asserted PSD.
     """
@@ -205,19 +197,17 @@ def eliminate_massless(sys, tol=1e-10):
     masses = sys.mass_vector()
     boundary = list(sys.partition.boundary)
     interior = list(sys.partition.interior)
-    _node_block_masses(masses[interior], d, "interior")
+    blocks = masses[interior].reshape(-1, d)
+    if blocks.size and not np.all(blocks == blocks[:, :1]):
+        raise ElastonetError(
+            "interior mass entries differ within a node's coordinate block"
+        )
     j_coords = [c for c in interior if masses[c] != 0.0]
     l_coords = [c for c in interior if masses[c] == 0.0]
 
-    keep = boundary + j_coords
-    if l_coords:
-        part = BlockPartition(keep, l_coords)
-        ktilde = schur_complement(sys.K, part, mode="pseudoinverse", tol=tol)
-        ctilde = schur_complement(sys.C, part, mode="pseudoinverse", tol=tol)
-    else:
-        ix = np.ix_(keep, keep)
-        ktilde = SymMatrix(sys.K.a[ix])
-        ctilde = SymMatrix(sys.C.a[ix])
+    part = BlockPartition(boundary + j_coords, l_coords)
+    ktilde = schur_complement(sys.K, part, mode="pseudoinverse")
+    ctilde = schur_complement(sys.C, part, mode="pseudoinverse")
 
     mbb = masses[boundary]
     mjj = masses[j_coords]
@@ -232,10 +222,10 @@ def eliminate_massless(sys, tol=1e-10):
     cnorm = np.abs(ctilde.a).max() if ctilde.order else 0.0
     rounding = 1e-3 * max(np.abs(sys.K.a).max(), np.abs(sys.C.a).max(), 0.0)
     scale = max(knorm, cnorm, beta * (masses.max() if masses.size else 0.0), rounding)
-    if gap > tol * max(scale, 1e-300):
+    if gap > PINV_TOL * max(scale, 1e-300):
         raise RayleighStructureBroken(
             f"reduced damping deviates from alpha*Ktilde + beta*M by {gap:.3e} "
-            f"(threshold {tol * scale:.3e}); input damping was not proportional"
+            f"(threshold {PINV_TOL * scale:.3e}); input damping was not proportional"
         )
     nb = len(mbb)
     for name, mat in (("stiffness", ktilde), ("damping", ctilde)):
@@ -255,19 +245,19 @@ def eliminate_massless(sys, tol=1e-10):
     )
 
 
-def evaluate_reduced(red, lam, mode="inverse", tol=1e-10):
+def evaluate_reduced(red, lam, tol=PINV_TOL):
     """Response of a reduced system: Schur complement of its interior block."""
     nb, nj = red.n_b, red.n_j
     m = np.diag(np.concatenate([red.Mbb, red.Mjj]))
     part = BlockPartition(range(nb), range(nb, nb + nj))
     w = schur_responses(
-        red.Ktilde.a[None], red.Ctilde.a[None], m[None], part, lam, mode, tol,
+        red.Ktilde.a[None], red.Ctilde.a[None], m[None], part, lam, "inverse", tol,
         " of the reduced system",
     )
     return ResponseSample(complex(lam), SymMatrix(w[0]))
 
 
-def system_resonances(rayleigh, sigmas, include_damper_pole=True):
+def system_resonances(rayleigh, sigmas):
     """Candidate resonances for modal stiffnesses ``sigmas``.
 
     Includes the roots of every ``q(lambda)`` (with sigma clipped at zero:
@@ -277,12 +267,8 @@ def system_resonances(rayleigh, sigmas, include_damper_pole=True):
     """
     points = []
     for sigma in sigmas:
-        s = max(float(sigma), 0.0)
-        if s > 0.0:
-            points.extend(resonances_of(s, rayleigh))
-        else:
-            points.extend([0.0 + 0.0j, complex(-rayleigh.beta)])
-    if include_damper_pole and rayleigh.alpha > 0.0:
+        points.extend(resonances_of(max(float(sigma), 0.0), rayleigh))
+    if rayleigh.alpha > 0.0:
         points.append(complex(-1.0 / rayleigh.alpha))
     return points
 
@@ -310,10 +296,11 @@ def sample_nonresonant(rng, avoid, count):
 
 
 def _cluster_ascending(sigmas, tol):
-    """Group indices of ascending ``sigmas`` whose relative gaps are <= tol."""
+    """Group indices of ascending ``sigmas``, each within a relative ``tol`` of
+    its group's first member, so no group spans more than ``tol``."""
     groups = []
     for idx, s in enumerate(sigmas):
-        if groups and (s - sigmas[groups[-1][-1]]) <= tol * s:
+        if groups and (s - sigmas[groups[-1][0]]) <= tol * s:
             groups[-1].append(idx)
         else:
             groups.append([idx])
@@ -345,7 +332,6 @@ def extract_canonical(
     tol_cluster=CLUSTER_TOL,
     seed=0,
     check=True,
-    n_check=20,
 ):
     """Extract the pole-residue form of an assembled system.
 
@@ -358,12 +344,9 @@ def extract_canonical(
     ``tol_cluster`` so repeated modal stiffnesses share one residue.
 
     When ``check`` is set the result is validated against the direct Schur
-    response at ``n_check`` random non-resonant points
-    (:class:`ReconstructionMismatch` beyond ``ROUNDTRIP_TOL`` relative);
-    ``n_check`` must then be at least one.
+    response at 20 random non-resonant points
+    (:class:`ReconstructionMismatch` beyond ``ROUNDTRIP_TOL`` relative).
     """
-    if check and n_check < 1:
-        raise ValueError(f"n_check must be >= 1 when checking, got {n_check}")
     red = eliminate_massless(sys)
     nb, nj = red.n_b, red.n_j
     a_arr = red.Ktilde.a[:nb, :nb]
@@ -416,7 +399,7 @@ def extract_canonical(
         rng = np.random.default_rng(seed)
         avoid = system_resonances(red.rayleigh, all_sigmas)
         worst = 0.0
-        for lam in sample_nonresonant(rng, avoid, n_check):
+        for lam in sample_nonresonant(rng, avoid, 20):
             direct = evaluate_response(sys, lam, mode="pseudoinverse").W.a
             closed = evaluate_canonical(cr, lam).W.a
             # numerically-zero responses (mechanisms) are compared against

@@ -78,11 +78,12 @@ RANK_TOL = 1e-12
 PLACEMENT_DRAWS = 200
 
 
-def default_min_clearance(terminals):
-    return 1e-6 * max(hull_diameter(terminals), 1.0)
+def default_min_clearance(terminals, epsilon_hull):
+    """A millionth of the width of the region internal nodes may occupy."""
+    return 1e-6 * (hull_diameter(terminals) + 2.0 * epsilon_hull)
 
 
-def _placement_constraints(terminals, forbidden, min_clearance):
+def _placement_constraints(terminals, forbidden, min_clearance, epsilon_hull):
     """Forbidden points as a (k, d) array, and the clearance or its default."""
     d = terminals.shape[1]
     forb = (
@@ -91,7 +92,7 @@ def _placement_constraints(terminals, forbidden, min_clearance):
         else np.zeros((0, d))
     )
     if min_clearance is None:
-        return forb, default_min_clearance(terminals)
+        return forb, default_min_clearance(terminals, epsilon_hull)
     return forb, float(min_clearance)
 
 
@@ -178,7 +179,7 @@ class GeneralizedNetwork:
             raise ValueError("epsilon_hull must be > 0")
         d = terminals.shape[1]
         forb, clearance = _placement_constraints(
-            terminals, self.forbidden, self.min_clearance
+            terminals, self.forbidden, self.min_clearance, self.epsilon_hull
         )
         object.__setattr__(self, "forbidden", forb)
         object.__setattr__(self, "min_clearance", clearance)
@@ -384,7 +385,9 @@ def balance_forces(
     terminals = np.atleast_2d(np.asarray(terminals, dtype=float))
     nt, d = terminals.shape
     fmat = np.asarray(f, dtype=float).reshape(nt, d)
-    forb, clearance = _placement_constraints(terminals, forbidden, min_clearance)
+    forb, clearance = _placement_constraints(
+        terminals, forbidden, min_clearance, epsilon_hull
+    )
     f_rem = -fmat.sum(axis=0)
     tau_terminals = _total_torque(terminals, fmat)
     scale = 1.0 + np.abs(fmat).max()
@@ -583,7 +586,6 @@ def synthesize(
     seed=0,
     min_clearance=None,
     check=True,
-    n_check=50,
     report=None,
 ):
     """Construct a generalized network realizing an admissible response.
@@ -594,11 +596,9 @@ def synthesize(
     :class:`PlacementFailed` when internal nodes cannot be placed. The
     check is ``report``, the :class:`CharacterizationReport` of ``cr``
     when the caller has one, else ``check_canonical(cr)``. With ``check``
-    the construction is verified against the closed form at ``n_check``
-    random non-resonant points (at least one).
+    the construction is verified against the closed form at 50 random
+    non-resonant points.
     """
-    if check and n_check < 1:
-        raise ValueError(f"n_check must be >= 1 when checking, got {n_check}")
     if report is None:
         report = check_canonical(cr)
     if not report.passed:
@@ -606,18 +606,16 @@ def synthesize(
             "response violates the admissibility conditions: "
             + ", ".join(report.failing())
         )
-    nt, d = cr.n_terminals, cr.dimension
-    terminals = cr.terminal_positions
-    blocks = cr.Mbb.reshape(nt, d)
-    if blocks.size and np.abs(blocks - blocks[:, :1]).max() > 1e-12 * (
-        1.0 + np.abs(cr.Mbb).max()
-    ):
+    # the terminal-mass isotropy warning is the only one check_canonical emits
+    if report.warnings:
         raise NotCharacterizable(
             "terminal mass diagonal varies within a node's coordinate block; "
             "nodal masses act isotropically"
         )
+    nt, d = cr.n_terminals, cr.dimension
+    terminals = cr.terminal_positions
     user_forbidden, clearance = _placement_constraints(
-        terminals, forbidden, min_clearance
+        terminals, forbidden, min_clearance, epsilon_hull
     )
     rng = np.random.default_rng(seed)
     components = []
@@ -648,7 +646,7 @@ def synthesize(
         )
         components.append(on_terminals("ideal_elements", np.zeros(nt), elements))
 
-    node_masses = blocks[:, 0] if blocks.size else np.zeros(nt)
+    node_masses = cr.Mbb[::d]
     if node_masses.max(initial=0.0) > 0.0:
         components.append(on_terminals("terminal_masses", node_masses, ()))
 
@@ -676,7 +674,7 @@ def synthesize(
         min_clearance=clearance,
     )
     if check:
-        worst = verify_synthesis(gn, cr, n_samples=n_check, seed=rng)
+        worst = verify_synthesis(gn, cr, n_samples=50, seed=rng)
         if worst > ROUNDTRIP_TOL:
             raise ReconstructionMismatch(
                 f"synthesized response deviates by {worst:.3e} relative "

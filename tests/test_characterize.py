@@ -17,6 +17,7 @@ from elastonet import (
     passivity_margin,
     random_network,
 )
+from elastonet.characterize import PASSIVITY_GRID_POINTS
 
 
 class TestCheckBalanced:
@@ -87,7 +88,7 @@ class TestCheckCanonical:
         # one per residue, one for A, one for W(0), one per passivity point
         net = random_network(3, 3, 3, 4, 0.5)
         cr = extract_canonical(assemble(net))
-        expected = check_canonical(cr, n_omega=5).to_dict()
+        expected = check_canonical(cr).to_dict()
         calls = []
         real = np.linalg.eigvalsh
 
@@ -96,10 +97,10 @@ class TestCheckCanonical:
             return real(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-        report = check_canonical(cr, n_omega=5)
+        report = check_canonical(cr)
         assert report.to_dict() == expected
         assert "skipped" not in report.conditions["passivity_sampled"].witness
-        assert len(calls) == len(cr.modes) + 2 + 2 * 5
+        assert len(calls) == len(cr.modes) + 2 + 2 * PASSIVITY_GRID_POINTS
 
     def test_negated_residue_fails_psd_and_passivity(self):
         net = random_network(1, 2, 2, 2, 1.0, alpha=0.2, beta=0.1)

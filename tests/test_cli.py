@@ -255,6 +255,8 @@ class TestNumericArguments:
         ["respond", "--omega", "nan", "10", "5"],
         ["respond", "--omega", "1", "inf", "5"],
         ["respond", "--omega", "1", "10", "nan"],
+        ["respond", "--omega", "1", "10", "2.7"],
+        ["respond", "--omega", "1", "10", "1e300"],
         ["respond", "--lam", "nan,1"],
         ["respond", "--lam", "1,-inf"],
         ["respond", "--lam", "0,1", "--jobs", "0"],

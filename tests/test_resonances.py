@@ -25,9 +25,16 @@ class TestResonancesOf:
         assert_allclose(abs(plus + 1.0), 1.0)
         assert_allclose(abs(minus + 1.0), 1.0)
 
-    def test_sigma_must_be_positive(self):
-        with pytest.raises(ValueError):
-            resonances_of(0.0, RayleighParams(1.0, 1.0))
+    def test_nonpositive_sigma_gives_closed_form_roots(self):
+        for ray in (RayleighParams(1.0, 1.0), RayleighParams(0.5, 0.0),
+                    RayleighParams(0.0, 2.0), RayleighParams(0.0, 0.0)):
+            for sigma in (0.0, -0.0, -1e-300, -0.5, -3.0):
+                b = ray.alpha * sigma + ray.beta
+                sq = np.sqrt(complex(b * b - 4.0 * sigma))
+                roots = resonances_of(sigma, ray)
+                assert roots == ((-b + sq) / 2.0, (-b - sq) / 2.0)
+                if sigma <= -0.5:
+                    assert roots[0].real > 0.0  # negative stiffness: unstable
 
     def test_root_identities_random(self):
         rng = np.random.default_rng(0)

@@ -31,6 +31,7 @@ from elastonet import (
     sample_nonresonant,
     system_resonances,
 )
+from elastonet.response import _cluster_ascending
 
 from conftest import axial_block
 
@@ -154,12 +155,6 @@ class TestExtractCanonical:
         assert np.array_equal(cr.A.a, sys.K.a)
         assert_allclose(cr.Mbb, [1.5, 1.5, 2.5, 2.5])
 
-    def test_fewer_than_one_check_sample_rejected(self, terminal_plus_mass):
-        sys = assemble(terminal_plus_mass)
-        with pytest.raises(ValueError, match="n_check"):
-            extract_canonical(sys, check=True, n_check=0)
-        assert extract_canonical(sys, check=False, n_check=0).modes
-
     def test_chain_extraction_matches_elimination(self, assembled_chain):
         cr = extract_canonical(assembled_chain)
         assert not cr.modes  # massless middle node leaves no resonant mode
@@ -183,6 +178,11 @@ class TestExtractCanonical:
         )
         with pytest.raises(FloppyModeInconsistent):
             extract_canonical(sys)
+
+    def test_clusters_do_not_chain(self):
+        # each gap is within tol, but a group may span no more than tol
+        sigmas = [1.0, 1.0 + 0.9e-8, 1.0 + 1.8e-8, 1.0 + 2.7e-8]
+        assert _cluster_ascending(sigmas, 1e-8) == [[0, 1], [2, 3]]
 
     def test_repeated_modal_stiffness_clusters_into_one_residue(self):
         # two identical springs orthogonal to each other at one massive node:
@@ -223,7 +223,7 @@ class TestExtractCanonical:
         assert len(set(sigmas)) == len(sigmas)
         for m in cr.modes:
             assert is_psd(m.R, tol=1e-9)
-        poles = system_resonances(cr.rayleigh, sigmas, include_damper_pole=False)
+        poles = system_resonances(cr.rayleigh, sigmas)
         assert all(r.real <= 1e-12 for r in poles)
         # static slice is PSD with balanced columns
         w0 = cr.static_response()
@@ -271,6 +271,17 @@ class TestNonResonantSampling:
         a = sample_nonresonant(np.random.default_rng(5), [1.0j], 10)
         b = sample_nonresonant(np.random.default_rng(5), [1.0j], 10)
         assert np.array_equal(a, b)
+
+
+class TestSystemResonances:
+    def test_floppy_mode_roots_are_zero_and_minus_beta(self):
+        # the points the former sigma <= 0 branch listed, compared with ==
+        for ray in (RayleighParams(0.0, 0.0), RayleighParams(0.7, 0.0),
+                    RayleighParams(0.0, 1.3), RayleighParams(0.7, 1.3)):
+            damper = [complex(-1.0 / ray.alpha)] if ray.alpha > 0.0 else []
+            for sigma in (0.0, -0.0, -1e-300, -2.5):
+                expected = [0.0 + 0.0j, complex(-ray.beta)] + damper
+                assert system_resonances(ray, [sigma]) == expected
 
 
 class TestCanonicalJson:
