@@ -144,16 +144,20 @@ def check_canonical(cr, tol=DEFAULT_TOL):
         worst_re <= tol, max(0.0, worst_re), witness or "all poles in Re <= 0"
     )
 
-    w0 = cr.static_response()
-    low, psd = psd_check(w0, tol=tol)
-    conditions["static_psd"] = ConditionResult(
-        psd, max(0.0, -low), f"W(0) min eigenvalue {low:.3e}"
-    )
-
-    ok, residual = check_balanced(w0.a, cr.terminal_positions, tol=tol)
-    conditions["static_balanced"] = ConditionResult(
-        ok, residual, f"worst force/torque residual {residual:.3e}"
-    )
+    try:
+        w0 = cr.static_response()
+    except AtResonance as exc:  # a pole at lambda = 0 fails both
+        conditions["static_psd"] = ConditionResult(False, 0.0, str(exc))
+        conditions["static_balanced"] = conditions["static_psd"]
+    else:
+        low, psd = psd_check(w0, tol=tol)
+        conditions["static_psd"] = ConditionResult(
+            psd, max(0.0, -low), f"W(0) min eigenvalue {low:.3e}"
+        )
+        ok, residual = check_balanced(w0.a, cr.terminal_positions, tol=tol)
+        conditions["static_balanced"] = ConditionResult(
+            ok, residual, f"worst force/torque residual {residual:.3e}"
+        )
 
     # the pass test is relative to the sampled matrix magnitude: at large
     # omega the PSD quantity is rounding in W(0) amplified by alpha*omega^2,

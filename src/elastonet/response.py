@@ -16,6 +16,7 @@ eigendecompose, and cluster the rank-one residues by eigenvalue.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -115,10 +116,15 @@ class CanonicalResponse:
         return self.terminal_positions.shape[0]
 
     def static_response(self):
-        """W(0) = A - sum_j R_j / sigma_j."""
+        """W(0) = A - sum_j R_j / sigma_j; AtResonance if a term is not finite."""
         w0 = self.A.a.copy()
-        for mode in self.modes:
-            w0 = w0 - mode.R.a / mode.sigma
+        for k, mode in enumerate(self.modes):
+            with np.errstate(all="ignore"):
+                term = mode.R.a / mode.sigma
+            if not np.isfinite(term).all():
+                raise AtResonance(f"W(0) is undefined: mode {k} has sigma = "
+                                  f"{mode.sigma:.6g}, a pole at lambda = 0")
+            w0 = w0 - term
         return SymMatrix(w0)
 
 
@@ -142,8 +148,18 @@ class ReducedSystem:
     def n_j(self):
         return len(self.Mjj)
 
+    @cached_property
+    def modal(self):
+        """``(sigmas, V)``, computed once: ``Mjj^-1/2 Kjj Mjj^-1/2 = U
+        diag(sigmas) U^T`` ascending, and ``V = Ktilde_bj Mjj^-1/2 U``."""
+        nb = self.n_b
+        inv_sqrt = 1.0 / np.sqrt(self.Mjj)
+        normalized = SymMatrix(np.outer(inv_sqrt, inv_sqrt) * self.Ktilde.a[nb:, nb:])
+        sigmas, u = np.linalg.eigh(normalized.a)
+        return sigmas, self.Ktilde.a[:nb, nb:] @ (inv_sqrt[:, None] * u)
 
-def schur_responses(K, C, M, partition, lam, mode, tol, where=""):
+
+def schur_responses(K, C, M, partition, lam, mode, tol):
     """Schur complements of the pencils ``K + lambda*C + lambda^2*M``.
 
     ``K``, ``C`` and ``M`` stack systems of one order along their first
@@ -160,7 +176,7 @@ def schur_responses(K, C, M, partition, lam, mode, tol, where=""):
         w = schur_complements(pencils, partition.boundary, partition.interior, mode, tol)
     except SingularBlock as exc:
         raise AtResonance(
-            f"lambda = {lam} is numerically a resonance{where}: {exc}",
+            f"lambda = {lam} is numerically a resonance: {exc}",
             singular_values=exc.smallest_singular_value,
             index=exc.index,
         ) from exc
@@ -246,15 +262,30 @@ def eliminate_massless(sys):
 
 
 def evaluate_reduced(red, lam, tol=PINV_TOL):
-    """Response of a reduced system: Schur complement of its interior block."""
-    nb, nj = red.n_b, red.n_j
-    m = np.diag(np.concatenate([red.Mbb, red.Mjj]))
-    part = BlockPartition(range(nb), range(nb, nb + nj))
-    w = schur_responses(
-        red.Ktilde.a[None], red.Ctilde.a[None], m[None], part, lam, "inverse", tol,
-        " of the reduced system",
-    )
-    return ResponseSample(complex(lam), SymMatrix(w[0]))
+    """Response of a reduced system from its modal decomposition :attr:`modal`.
+
+    ``W = damp*A + inertia*diag(Mbb) - sum_j damp^2/q_j v_j v_j^T`` with
+    ``damp = 1 + alpha*lambda``, ``inertia = beta*lambda + lambda^2`` and
+    ``q_j = damp*sigma_j + inertia``, the eigenvalues of the mass-normalized
+    interior pencil. ``lambda`` is a resonance (:class:`AtResonance`) when
+    ``min |q_j| <= tol * max |q_j|``, the ratio of that pencil's extreme
+    singular values; without a massive interior none is.
+    """
+    lam = complex(lam)
+    sigmas, v = red.modal
+    alpha, beta = red.rayleigh.alpha, red.rayleigh.beta
+    damp, inertia = 1.0 + alpha * lam, beta * lam + lam * lam
+    q = damp * sigmas + inertia
+    mag = np.abs(q)
+    if mag.size and mag.min() <= tol * mag.max():
+        raise AtResonance(
+            f"lambda = {lam} is numerically a resonance of the reduced system: "
+            f"min |q_j| = {mag.min():.3e} <= {tol:.1e} * max |q_j|",
+            singular_values=mag.min(),
+        )
+    nb = red.n_b
+    w = damp * red.Ktilde.a[:nb, :nb] + inertia * np.diag(red.Mbb)
+    return ResponseSample(lam, SymMatrix(w - (v * (damp * damp / q)) @ v.T))
 
 
 def system_resonances(rayleigh, sigmas):
@@ -307,23 +338,9 @@ def _cluster_ascending(sigmas, tol):
     return groups
 
 
-def _mass_normalized_stiffness(red):
-    """``Mjj^-1/2 Kjj Mjj^-1/2`` over the massive interior, and ``Mjj^-1/2``."""
-    inv_sqrt = 1.0 / np.sqrt(red.Mjj)
-    kjj = red.Ktilde.a[red.n_b:, red.n_b:]
-    return SymMatrix(np.outer(inv_sqrt, inv_sqrt) * kjj), inv_sqrt
-
-
 def reduced_modal_stiffnesses(red):
-    """Eigenvalues of the mass-normalized interior stiffness of a reduced system.
-
-    These are the modal stiffnesses whose characteristic polynomials carry
-    every resonance of the network; useful for building avoid sets when
-    sampling non-resonant points.
-    """
-    if not red.n_j:
-        return np.zeros(0)
-    return np.linalg.eigvalsh(_mass_normalized_stiffness(red)[0].a)
+    """The modal stiffnesses of a reduced system, which carry every resonance."""
+    return red.modal[0]
 
 
 def extract_canonical(
@@ -348,7 +365,7 @@ def extract_canonical(
     (:class:`ReconstructionMismatch` beyond ``ROUNDTRIP_TOL`` relative).
     """
     red = eliminate_massless(sys)
-    nb, nj = red.n_b, red.n_j
+    nb = red.n_b
     a_arr = red.Ktilde.a[:nb, :nb]
     # a boundary block below the rounding floor of the elimination is an
     # exact physical zero (mechanisms, single-terminal balance); snapping it
@@ -357,37 +374,27 @@ def extract_canonical(
         a_arr = np.zeros_like(a_arr)
     a_block = SymMatrix(a_arr)
     modes = []
-    all_sigmas = []
-    if nj:
-        normalized, inv_sqrt = _mass_normalized_stiffness(red)
-        sigmas, u = np.linalg.eigh(normalized.a)
-        all_sigmas = list(sigmas)
-        x = inv_sqrt[:, None] * u
-        v = red.Ktilde.a[:nb, nb:] @ x
-        sigma_max = max(float(sigmas[-1]), 0.0)
-        # mechanisms reduce Ktilde to pure rounding of an O(|K|) input, so
-        # the coupling threshold keeps a floor tied to the full stiffness
-        knorm = max(
-            np.linalg.norm(red.Ktilde.a), 1e-6 * np.linalg.norm(sys.K.a)
-        )
-        floppy = sigmas <= tol_floppy * sigma_max
-        for i in np.nonzero(floppy)[0]:
-            coupling = np.linalg.norm(v[:, i])
-            if coupling > tol_floppy * max(knorm, 1e-300):
-                raise FloppyModeInconsistent(
-                    f"interior mode with stiffness {sigmas[i]:.3e} couples to the "
-                    f"terminals with norm {coupling:.3e} "
-                    f"(threshold {tol_floppy * knorm:.3e})"
-                )
-        live = np.nonzero(~floppy)[0]
-        groups = _cluster_ascending([float(sigmas[i]) for i in live], tol_cluster)
-        for group in groups:
-            members = [live[g] for g in group]
-            sigma_j = float(np.mean([sigmas[i] for i in members]))
-            r = np.zeros((nb, nb))
-            for i in members:
-                r += np.outer(v[:, i], v[:, i])
-            modes.append(Mode(sigma_j, SymMatrix(r)))
+    sigmas, v = red.modal
+    # mechanisms reduce Ktilde to pure rounding of an O(|K|) input, so the
+    # coupling threshold keeps a floor tied to the full stiffness
+    knorm = max(np.linalg.norm(red.Ktilde.a), 1e-6 * np.linalg.norm(sys.K.a))
+    floppy = sigmas <= tol_floppy * sigmas.max(initial=0.0)
+    for i in np.nonzero(floppy)[0]:
+        coupling = np.linalg.norm(v[:, i])
+        if coupling > tol_floppy * max(knorm, 1e-300):
+            raise FloppyModeInconsistent(
+                f"interior mode with stiffness {sigmas[i]:.3e} couples to the "
+                f"terminals with norm {coupling:.3e} "
+                f"(threshold {tol_floppy * knorm:.3e})"
+            )
+    live = np.nonzero(~floppy)[0]
+    for group in _cluster_ascending([float(sigmas[i]) for i in live], tol_cluster):
+        members = [live[g] for g in group]
+        sigma_j = float(np.mean([sigmas[i] for i in members]))
+        r = np.zeros((nb, nb))
+        for i in members:
+            r += np.outer(v[:, i], v[:, i])
+        modes.append(Mode(sigma_j, SymMatrix(r)))
     cr = CanonicalResponse(
         rayleigh=red.rayleigh,
         A=a_block,
@@ -397,7 +404,7 @@ def extract_canonical(
     )
     if check and nb:
         rng = np.random.default_rng(seed)
-        avoid = system_resonances(red.rayleigh, all_sigmas)
+        avoid = system_resonances(red.rayleigh, sigmas)
         worst = 0.0
         for lam in sample_nonresonant(rng, avoid, 20):
             direct = evaluate_response(sys, lam, mode="pseudoinverse").W.a

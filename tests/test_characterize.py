@@ -1,5 +1,8 @@
 """Admissibility report, balance checks, passivity sampling."""
 
+import json
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -11,6 +14,7 @@ from elastonet import (
     RayleighParams,
     SymMatrix,
     assemble,
+    canonical_to_dict,
     check_balanced,
     check_canonical,
     extract_canonical,
@@ -18,6 +22,21 @@ from elastonet import (
     random_network,
 )
 from elastonet.characterize import PASSIVITY_GRID_POINTS
+from elastonet.cli import main
+from elastonet.jsonio import write_json
+
+
+def zero_sigma_response():
+    """An extracted form whose first modal stiffness is set to exactly 0."""
+    net = random_network(1, 2, 2, 2, 1.0, alpha=0.2, beta=0.1)
+    cr = extract_canonical(assemble(net))
+    return CanonicalResponse(
+        rayleigh=cr.rayleigh,
+        A=cr.A,
+        Mbb=cr.Mbb,
+        modes=(Mode(0.0, cr.modes[0].R),) + cr.modes[1:],
+        terminal_positions=cr.terminal_positions,
+    )
 
 
 class TestCheckBalanced:
@@ -134,6 +153,31 @@ class TestCheckCanonical:
         report = check_canonical(bad)
         assert not report.conditions["sigma_positive"].passed
         assert not report.conditions["poles_left_half"].passed
+
+    def test_zero_sigma_fails_static_conditions_without_raising(self):
+        # R_0 / 0 used to reach SymMatrix as inf and raise DimensionMismatch
+        bad = zero_sigma_response()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = check_canonical(bad)
+        for name in ("static_psd", "static_balanced"):
+            cond = report.conditions[name]
+            assert not cond.passed
+            assert "W(0) is undefined" in cond.witness
+            assert "pole at lambda = 0" in cond.witness
+        assert not report.conditions["sigma_positive"].passed
+        assert json.loads(json.dumps(report.to_dict(), allow_nan=False))
+
+    def test_zero_sigma_cli_writes_report_and_exits_1(self, tmp_path, capsys):
+        path, out = tmp_path / "canon.json", tmp_path / "report.json"
+        write_json(path, canonical_to_dict(zero_sigma_response()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["characterize", str(path), "-o", str(out)]) == 1
+        report = json.loads(out.read_text())
+        assert report["pass"] is False
+        assert not report["conditions"]["static_psd"]["pass"]
+        assert capsys.readouterr().err == ""
 
     def test_oversized_residue_breaks_static_psd(self):
         net = random_network(1, 2, 2, 2, 1.0)

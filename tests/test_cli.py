@@ -98,12 +98,36 @@ class TestRespond:
         assert entry["at_resonance"] is True
         assert "W" not in entry
 
-    def test_jobs_match_serial(self, tmp_path, net_file):
+    def test_jobs_match_serial(self, tmp_path, net_file, capsys):
+        # --jobs is deprecated: accepted, ignored, and warned about
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         argv = ["respond", net_file, "--omega", "0.5", "5", "8", "--scale", "log"]
         assert main(argv + ["-o", str(a)]) == 0
+        assert capsys.readouterr().err == ""
         assert main(argv + ["--jobs", "4", "-o", str(b)]) == 0
+        assert capsys.readouterr().err == "warning: --jobs is deprecated and ignored\n"
         assert a.read_bytes() == b.read_bytes()
+        assert main(argv + ["--jobs", "1", "-o", str(b)]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_one_eigensolve_per_sweep(self, tmp_path, net_file, monkeypatch):
+        # the modal decomposition is taken once, however many points
+        net = cli_module.network_from_dict(json.loads(open(net_file).read()))
+        n_j = cli_module.eliminate_massless(assemble(net)).n_j
+        assert n_j
+        calls = []
+        real = np.linalg.eigh
+
+        def counting(a, *args, **kwargs):
+            calls.append(a.shape)
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        for count in ("1", "3", "40"):
+            calls.clear()
+            argv = ["respond", net_file, "--omega", "0.5", "5", count]
+            assert main(argv + ["-o", str(tmp_path / "o.json")]) == 0
+            assert calls == [(n_j, n_j)], count
 
     def test_missing_sweep_exits_2(self, net_file, tmp_path):
         assert main(["respond", net_file, "-o", str(tmp_path / "o")]) == 2
@@ -274,6 +298,32 @@ class TestNumericArguments:
         assert main([argv[0], net_file, *argv[1:], "-o", str(out)]) == 2
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("count", [
+        "1" + "0" * 300, str(cli_module.MAX_SWEEP_POINTS + 1),
+    ], ids=["301 digits", "cap + 1"])
+    def test_count_above_cap_exits_2_without_allocating(
+        self, tmp_path, net_file, count, monkeypatch, capsys
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sweep was allocated")
+
+        monkeypatch.setattr(np, "linspace", refuse)
+        monkeypatch.setattr(np, "logspace", refuse)
+        for scale in ("linear", "log"):
+            out = tmp_path / "o.json"
+            argv = ["respond", net_file, "--omega", "1", "10", count, "--scale", scale]
+            assert main(argv + ["-o", str(out)]) == 2
+            assert "COUNT must lie in [1, 100000]" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_count_at_cap_is_accepted(self):
+        args = cli_module.build_parser().parse_args(
+            ["respond", "net.json", "--omega", "1", "10",
+             str(cli_module.MAX_SWEEP_POINTS)]
+        )
+        assert len(cli_module._sweep_points(args)) == cli_module.MAX_SWEEP_POINTS
 
 
 class TestErrorMapping:

@@ -28,10 +28,12 @@ from elastonet import (
     is_psd,
     random_network,
     reduced_modal_stiffnesses,
+    resonances_of,
     sample_nonresonant,
     system_resonances,
 )
-from elastonet.response import _cluster_ascending
+from elastonet.linalg import PINV_TOL
+from elastonet.response import RESONANCE_CLEARANCE, _cluster_ascending, schur_responses
 
 from conftest import axial_block
 
@@ -132,6 +134,105 @@ class TestEliminateMassless:
         )
         with pytest.raises(RayleighStructureBroken):
             eliminate_massless(bad)
+
+
+def reduced_pencil_response(red, lam):
+    """Direct Schur complement of a reduced system's interior pencil."""
+    nb, nj = red.n_b, red.n_j
+    m = np.diag(np.concatenate([red.Mbb, red.Mjj]))
+    part = BlockPartition(range(nb), range(nb, nb + nj))
+    k, c = red.Ktilde.a[None], red.Ctilde.a[None]
+    return schur_responses(k, c, m[None], part, lam, "inverse", PINV_TOL)[0]
+
+
+def collinear_chain(middle_mass):
+    # a mechanism: the middle node is free to move transversally
+    nodes = (
+        Node((0.0, 0.0), 0.0, True),
+        Node((1.0, 0.0), middle_mass, False),
+        Node((2.0, 0.0), 0.0, True),
+    )
+    springs = (Spring(0, 1, 1.0), Spring(1, 2, 1.0))
+    return ElastodynamicNetwork(2, nodes, springs, RayleighParams(0.5, 0.2))
+
+
+MODAL_CASES = {
+    "chain, massless middle": lambda: collinear_chain(0.0),
+    "chain, massive middle": lambda: collinear_chain(1.0),
+    "all-massive interior": lambda: random_network(21, 3, 3, 5, 1.0),
+    "all-massless interior": lambda: random_network(22, 2, 3, 5, 0.0),
+    "single terminal": lambda: random_network(23, 2, 1, 4, 0.5),
+    "undamped": lambda: random_network(24, 2, 3, 4, 0.5, alpha=0.0, beta=0.0),
+    "alpha*beta near 1": lambda: random_network(
+        25, 2, 3, 4, 0.5, alpha=1.25, beta=0.8 - 1e-9
+    ),
+}
+
+
+def is_resonant(evaluate, red, lam):
+    try:
+        evaluate(red, lam)
+    except AtResonance:
+        return True
+    return False
+
+
+class TestModalSweep:
+    """``evaluate_reduced`` (modal) against direct Schur complements."""
+
+    @pytest.mark.parametrize("name", MODAL_CASES)
+    def test_matches_direct_schur(self, name):
+        sys = assemble(MODAL_CASES[name]())
+        red = eliminate_massless(sys)
+        avoid = system_resonances(sys.rayleigh, red.modal[0])
+        points = list(sample_nonresonant(np.random.default_rng(0), avoid, 12))
+        if sys.rayleigh.alpha > 0.0:
+            # where 1 + alpha*lambda nearly vanishes; with alpha*beta near 1
+            # every q_j is small there too
+            pole = -1.0 / sys.rayleigh.alpha
+            points += [pole + 2e-3, pole + 2e-3j, pole + 0.05 - 0.05j]
+        for lam in points:
+            assert np.abs(np.asarray(avoid) - lam).min() >= RESONANCE_CLEARANCE
+            modal = evaluate_reduced(red, lam).W.a
+            direct = (
+                reduced_pencil_response(red, lam),
+                evaluate_response(sys, lam, mode="pseudoinverse").W.a,
+            )
+            for w in direct:
+                scale = max(np.abs(w).max(), 1e-300)
+                assert np.abs(modal - w).max() <= 1e-9 * scale, (name, lam)
+
+    @pytest.mark.parametrize(
+        "name", [n for n in MODAL_CASES if "massless" not in n]
+    )
+    def test_resonance_decision_matches_direct(self, name):
+        red = eliminate_massless(assemble(MODAL_CASES[name]()))
+        assert red.n_j
+        roots = [
+            r for s in red.modal[0] for r in resonances_of(max(s, 0.0), red.rayleigh)
+        ]
+        alpha = red.rayleigh.alpha
+        for root in roots:
+            # with alpha*beta near 1 every q_j has a root next to -1/alpha,
+            # where all |q_j| are about |1 - alpha*beta| at once: the ratio
+            # there is rounding in both paths, so only the offsets count
+            degenerate = alpha > 0.0 and abs(root + 1.0 / alpha) < 1e-6
+            if not degenerate:
+                assert is_resonant(evaluate_reduced, red, root)
+                assert is_resonant(reduced_pencil_response, red, root)
+            for lam in (root + 1e-3, root + 1e-3j):
+                assert not is_resonant(evaluate_reduced, red, lam)
+                assert not is_resonant(reduced_pencil_response, red, lam)
+
+    def test_no_massive_interior_is_never_resonant(self):
+        red = eliminate_massless(assemble(collinear_chain(0.0)))
+        assert red.n_j == 0
+        for lam in (0.0, -2.0, 1j, -0.1 + 0.3j):
+            evaluate_reduced(red, lam, tol=1.0)
+
+    def test_decomposition_is_cached(self):
+        red = eliminate_massless(assemble(random_network(21, 3, 3, 5, 1.0)))
+        assert red.modal is red.modal
 
 
 class TestExtractCanonical:
