@@ -150,13 +150,14 @@ class ReducedSystem:
 
     @cached_property
     def modal(self):
-        """``(sigmas, V)``, computed once: ``Mjj^-1/2 Kjj Mjj^-1/2 = U
-        diag(sigmas) U^T`` ascending, and ``V = Ktilde_bj Mjj^-1/2 U``."""
-        nb = self.n_b
-        inv_sqrt = 1.0 / np.sqrt(self.Mjj)
+        """``(sigmas, V)``, computed once and read-only: ``Mjj^-1/2 Kjj Mjj^-1/2
+        = U diag(sigmas) U^T`` ascending, and ``V = Ktilde_bj Mjj^-1/2 U``."""
+        nb, inv_sqrt = self.n_b, 1.0 / np.sqrt(self.Mjj)
         normalized = SymMatrix(np.outer(inv_sqrt, inv_sqrt) * self.Ktilde.a[nb:, nb:])
         sigmas, u = np.linalg.eigh(normalized.a)
-        return sigmas, self.Ktilde.a[:nb, nb:] @ (inv_sqrt[:, None] * u)
+        v = self.Ktilde.a[:nb, nb:] @ (inv_sqrt[:, None] * u)
+        sigmas.flags.writeable = v.flags.writeable = False
+        return sigmas, v
 
 
 def schur_responses(K, C, M, partition, lam, mode, tol):
@@ -264,12 +265,11 @@ def eliminate_massless(sys):
 def evaluate_reduced(red, lam, tol=PINV_TOL):
     """Response of a reduced system from its modal decomposition :attr:`modal`.
 
-    ``W = damp*A + inertia*diag(Mbb) - sum_j damp^2/q_j v_j v_j^T`` with
+    ``W = damp*A + inertia*diag(Mbb) - sum_j damp^2/q_j v_j v_j^T``, with
     ``damp = 1 + alpha*lambda``, ``inertia = beta*lambda + lambda^2`` and
-    ``q_j = damp*sigma_j + inertia``, the eigenvalues of the mass-normalized
-    interior pencil. ``lambda`` is a resonance (:class:`AtResonance`) when
-    ``min |q_j| <= tol * max |q_j|``, the ratio of that pencil's extreme
-    singular values; without a massive interior none is.
+    ``q_j = damp*sigma_j + inertia``, the eigenvalues (in modulus, singular
+    values) of the mass-normalized interior pencil. ``lambda`` is resonant
+    (:class:`AtResonance`) when ``min |q_j| <= tol * max |q_j|``.
     """
     lam = complex(lam)
     sigmas, v = red.modal

@@ -230,9 +230,10 @@ class TestModalSweep:
         for lam in (0.0, -2.0, 1j, -0.1 + 0.3j):
             evaluate_reduced(red, lam, tol=1.0)
 
-    def test_decomposition_is_cached(self):
+    def test_decomposition_is_cached_and_read_only(self):
         red = eliminate_massless(assemble(random_network(21, 3, 3, 5, 1.0)))
         assert red.modal is red.modal
+        assert not any(a.flags.writeable for a in red.modal)
 
 
 class TestExtractCanonical:
