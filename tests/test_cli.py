@@ -299,7 +299,6 @@ class TestNumericArguments:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
-
     @pytest.mark.parametrize("count", [
         "1" + "0" * 300, str(cli_module.MAX_SWEEP_POINTS + 1),
     ], ids=["301 digits", "cap + 1"])

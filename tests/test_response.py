@@ -145,7 +145,7 @@ def reduced_pencil_response(red, lam):
     return schur_responses(k, c, m[None], part, lam, "inverse", PINV_TOL)[0]
 
 
-def collinear_chain(middle_mass):
+def chain_network(middle_mass):
     # a mechanism: the middle node is free to move transversally
     nodes = (
         Node((0.0, 0.0), 0.0, True),
@@ -157,8 +157,8 @@ def collinear_chain(middle_mass):
 
 
 MODAL_CASES = {
-    "chain, massless middle": lambda: collinear_chain(0.0),
-    "chain, massive middle": lambda: collinear_chain(1.0),
+    "chain, massless middle": lambda: chain_network(0.0),
+    "chain, massive middle": lambda: chain_network(1.0),
     "all-massive interior": lambda: random_network(21, 3, 3, 5, 1.0),
     "all-massless interior": lambda: random_network(22, 2, 3, 5, 0.0),
     "single terminal": lambda: random_network(23, 2, 1, 4, 0.5),
@@ -225,7 +225,7 @@ class TestModalSweep:
                 assert not is_resonant(reduced_pencil_response, red, lam)
 
     def test_no_massive_interior_is_never_resonant(self):
-        red = eliminate_massless(assemble(collinear_chain(0.0)))
+        red = eliminate_massless(assemble(chain_network(0.0)))
         assert red.n_j == 0
         for lam in (0.0, -2.0, 1j, -0.1 + 0.3j):
             evaluate_reduced(red, lam, tol=1.0)
