@@ -24,7 +24,6 @@ from .errors import (
     GenerationFailed,
     NotCharacterizable,
     PlacementFailed,
-    RayleighStructureBroken,
     ReconstructionMismatch,
     SchemaError,
     SingularBlock,

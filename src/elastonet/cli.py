@@ -122,10 +122,6 @@ def _sweep_points(args):
 
 def cmd_respond(args):
     _check_nonnegative(args, "--tol")
-    if args.jobs < 1:
-        raise SchemaError("respond: --jobs must be >= 1")
-    if args.jobs != 1:
-        print("warning: --jobs is deprecated and ignored", file=sys.stderr)
     points = _sweep_points(args)
     net = _load_network(args.input)
     red = eliminate_massless(assemble(net))
@@ -297,7 +293,6 @@ def build_parser():
         metavar="RE,IM",
         help="explicit complex Laplace point (repeatable; overrides --omega)",
     )
-    p.add_argument("--jobs", type=int, default=1, help="deprecated and ignored")
     p.add_argument(
         "--tol",
         type=float,

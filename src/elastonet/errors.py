@@ -41,10 +41,6 @@ class AtResonance(ElastonetError):
         self.index = index
 
 
-class RayleighStructureBroken(ElastonetError):
-    """Eliminating massless nodes did not preserve C = alpha*K + beta*M."""
-
-
 class FloppyModeInconsistent(ElastonetError):
     """A zero-stiffness interior mode couples to the terminals."""
 

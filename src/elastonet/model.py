@@ -3,9 +3,10 @@
 A network lives in d = 2 or 3 dimensions. Every node carries a position, a
 nonnegative mass and a terminal flag; springs connect distinct nodes with a
 positive axial stiffness. Damping is proportional: the damping matrix is
-always ``C = alpha*K + beta*M`` with fixed nonnegative constants, which
-models a dashpot in parallel with every spring (constant ``alpha*k``) plus a
-viscous cavity around every mass (constant ``beta*m``).
+never stored but derived as ``C = alpha*K + beta*M`` from fixed nonnegative
+constants (:meth:`RayleighParams.damping`), which models a dashpot in
+parallel with every spring (constant ``alpha*k``) plus a viscous cavity
+around every mass (constant ``beta*m``).
 
 Degrees of freedom are ordered node-major, coordinate-minor: node 0 owns
 rows/columns 0..d-1, node 1 owns d..2d-1, and so on. Every Schur partition
@@ -101,6 +102,10 @@ class RayleighParams:
         if self.alpha < 0 or self.beta < 0 or not np.isfinite(self.alpha + self.beta):
             raise ValueError(f"alpha, beta must be finite and >= 0, got {self}")
 
+    def damping(self, K, M):
+        """``alpha*K + beta*M`` for one matrix pair or a stack of them."""
+        return self.alpha * K + self.beta * M
+
 
 @dataclass(frozen=True)
 class ElastodynamicNetwork:
@@ -149,8 +154,10 @@ class ElastodynamicNetwork:
 
 @dataclass(frozen=True)
 class SystemMatrices:
-    """Assembled stiffness/damping/mass matrices plus bookkeeping.
+    """Assembled stiffness and mass matrices plus bookkeeping.
 
+    The damping matrix is not stored: :attr:`C` derives it from ``K``,
+    ``M`` and the Rayleigh constants, so it is proportional by construction.
     ``partition`` splits the coordinate range into terminal (boundary) and
     interior coordinates, d consecutive entries per node. The Rayleigh
     constants, spatial dimension and terminal positions ride along because
@@ -159,7 +166,6 @@ class SystemMatrices:
     """
 
     K: SymMatrix
-    C: SymMatrix
     M: SymMatrix
     partition: BlockPartition
     dimension: int
@@ -169,6 +175,11 @@ class SystemMatrices:
     @property
     def order(self):
         return self.K.order
+
+    @property
+    def C(self):
+        """The damping matrix ``alpha*K + beta*M``."""
+        return SymMatrix(self.rayleigh.damping(self.K.a, self.M.a))
 
     def mass_vector(self):
         return np.diag(self.M.a).copy()
@@ -194,9 +205,9 @@ def assemble_elements(nodes, elements, dimension, rayleigh):
     and (j,j) diagonal blocks and ``-k * n n^T`` on the off-diagonal ones;
     an ideal elastic element adds ``f f^T`` on the coordinates of its
     support. The mass matrix repeats each nodal mass d times on the
-    diagonal, and ``C = alpha*K + beta*M`` exactly. The partition puts the
-    coordinates of terminal nodes in the boundary, all others in the
-    interior, each in node order.
+    diagonal; the damping matrix follows from both (:attr:`SystemMatrices.C`).
+    The partition puts the coordinates of terminal nodes in the boundary,
+    all others in the interior, each in node order.
     """
     d = dimension
     positions = np.array([node.position for node in nodes], dtype=float)
@@ -212,11 +223,9 @@ def assemble_elements(nodes, elements, dimension, rayleigh):
         c = coords[list(support)].ravel()
         K[np.ix_(c, c)] += stamp
     M = np.diag(np.repeat([node.mass for node in nodes], d))
-    C = rayleigh.alpha * K + rayleigh.beta * M
     terminal = np.array([node.is_terminal for node in nodes])
     return SystemMatrices(
         K=SymMatrix(K),
-        C=SymMatrix(C),
         M=SymMatrix(M),
         partition=BlockPartition(
             coords[terminal].ravel().tolist(), coords[~terminal].ravel().tolist()

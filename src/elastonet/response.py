@@ -10,9 +10,10 @@ damping this map always collapses to the closed pole-residue form
     q_j(lambda) = sigma_j + (alpha*sigma_j+beta)*lambda + lambda^2,
 
 which this module extracts constructively: eliminate massless interior
-nodes statically (the elimination preserves the proportional-damping
-structure), mass-normalize the remaining interior stiffness,
-eigendecompose, and cluster the rank-one residues by eigenvalue.
+nodes statically (one Schur complement of the stiffness; the damping of
+the reduced system is again ``alpha*K + beta*M``), mass-normalize the
+remaining interior stiffness, eigendecompose, and cluster the rank-one
+residues by eigenvalue.
 """
 
 from dataclasses import dataclass
@@ -25,7 +26,6 @@ from .errors import (
     AtResonance,
     ElastonetError,
     FloppyModeInconsistent,
-    RayleighStructureBroken,
     ReconstructionMismatch,
     SchemaError,
     SingularBlock,
@@ -130,10 +130,12 @@ class CanonicalResponse:
 
 @dataclass(frozen=True)
 class ReducedSystem:
-    """System over terminals plus massive interior, massless nodes removed."""
+    """System over terminals plus massive interior, massless nodes removed.
+
+    Its damping is ``alpha*Ktilde + beta*diag(Mbb, Mjj)`` and is not stored.
+    """
 
     Ktilde: SymMatrix
-    Ctilde: SymMatrix
     Mbb: np.ndarray
     Mjj: np.ndarray
     dimension: int
@@ -160,19 +162,19 @@ class ReducedSystem:
         return sigmas, v
 
 
-def schur_responses(K, C, M, partition, lam, mode, tol):
+def schur_responses(K, M, rayleigh, partition, lam, mode, tol):
     """Schur complements of the pencils ``K + lambda*C + lambda^2*M``.
 
-    ``K``, ``C`` and ``M`` stack systems of one order along their first
-    axis, all split by ``partition``; returns the ``(G, nb, nb)`` stack of
-    responses. Each pencil and each response gets the :class:`SymMatrix`
-    checks. A numerically singular interior block means ``lambda`` sits on a
-    resonance: :class:`AtResonance` for the first such system, with its
-    stack position as ``index``.
+    ``K`` and ``M`` stack systems of one order along their first axis, all
+    split by ``partition`` and damped by ``C = rayleigh.damping(K, M)``;
+    returns the ``(G, nb, nb)`` stack of responses. Each pencil and each
+    response gets the :class:`SymMatrix` checks. A numerically singular
+    interior block means ``lambda`` sits on a resonance: :class:`AtResonance`
+    for the first such system, with its stack position as ``index``.
     """
     lam = complex(lam)
     partition.check_covers(K.shape[-1])
-    pencils = symmetrized(K + lam * C + lam * lam * M)
+    pencils = symmetrized(K + lam * rayleigh.damping(K, M) + lam * lam * M)
     try:
         w = schur_complements(pencils, partition.boundary, partition.interior, mode, tol)
     except SingularBlock as exc:
@@ -194,7 +196,7 @@ def evaluate_response(sys, lam, mode="inverse"):
     coupling to the terminals, so the response is unchanged.
     """
     w = schur_responses(
-        sys.K.a[None], sys.C.a[None], sys.M.a[None], sys.partition, lam, mode, PINV_TOL
+        sys.K.a[None], sys.M.a[None], sys.rayleigh, sys.partition, lam, mode, PINV_TOL
     )
     return ResponseSample(complex(lam), SymMatrix(w[0]))
 
@@ -203,12 +205,13 @@ def eliminate_massless(sys):
     """Statically eliminate massless interior nodes.
 
     Interior coordinates split by exact ``mass == 0`` test into massive (J)
-    and massless (L). The massless block is removed by a pseudoinverse Schur
-    complement of ``K`` and of ``C`` separately; the result provably keeps
-    the proportional-damping identity ``Ctilde = alpha*Ktilde +
-    beta*diag(Mbb, Mjj)``, which is asserted to ``PINV_TOL * max|Ktilde|``
-    (:class:`RayleighStructureBroken` if the input damping was not
-    proportional). The reduced interior blocks are asserted PSD.
+    and massless (L). The massless block is removed by one pseudoinverse
+    Schur complement of ``K``. The massless rows of ``M`` are zero, so the
+    same elimination applied to ``C = alpha*K + beta*M`` gives ``alpha*Ktilde
+    + beta*diag(Mbb, Mjj)``: the reduced system stays proportionally damped
+    and its damping need not be computed. The reduced interior stiffness
+    block is asserted PSD; with positive masses that makes the reduced
+    interior damping block PSD as well.
     """
     d = sys.dimension
     masses = sys.mass_vector()
@@ -222,40 +225,16 @@ def eliminate_massless(sys):
     j_coords = [c for c in interior if masses[c] != 0.0]
     l_coords = [c for c in interior if masses[c] == 0.0]
 
-    part = BlockPartition(boundary + j_coords, l_coords)
-    ktilde = schur_complement(sys.K, part, mode="pseudoinverse")
-    ctilde = schur_complement(sys.C, part, mode="pseudoinverse")
-
-    mbb = masses[boundary]
-    mjj = masses[j_coords]
-    alpha, beta = sys.rayleigh.alpha, sys.rayleigh.beta
-    expected_c = alpha * ktilde.a + beta * np.diag(np.concatenate([mbb, mjj]))
-    gap = np.abs(ctilde.a - expected_c).max() if ctilde.order else 0.0
-    knorm = np.abs(ktilde.a).max() if ktilde.order else 0.0
-    # Mechanism networks reduce to Ktilde == 0 exactly, so the guard scale
-    # must also see the damping magnitude and the rounding floor of the two
-    # pseudoinverse eliminations (computed from O(|K|), O(|C|) inputs); a
-    # genuinely non-proportional C violates the identity at O(|C|).
-    cnorm = np.abs(ctilde.a).max() if ctilde.order else 0.0
-    rounding = 1e-3 * max(np.abs(sys.K.a).max(), np.abs(sys.C.a).max(), 0.0)
-    scale = max(knorm, cnorm, beta * (masses.max() if masses.size else 0.0), rounding)
-    if gap > PINV_TOL * max(scale, 1e-300):
-        raise RayleighStructureBroken(
-            f"reduced damping deviates from alpha*Ktilde + beta*M by {gap:.3e} "
-            f"(threshold {PINV_TOL * scale:.3e}); input damping was not proportional"
-        )
-    nb = len(mbb)
-    for name, mat in (("stiffness", ktilde), ("damping", ctilde)):
-        block = mat.a[nb:, nb:]
-        if block.size and not is_psd(SymMatrix(block), tol=1e-9):
-            raise ElastonetError(
-                f"reduced interior {name} block is not positive semidefinite"
-            )
+    ktilde = schur_complement(
+        sys.K, BlockPartition(boundary + j_coords, l_coords), mode="pseudoinverse"
+    )
+    block = ktilde.a[len(boundary):, len(boundary):]
+    if block.size and not is_psd(SymMatrix(block), tol=1e-9):
+        raise ElastonetError("reduced interior stiffness is not positive semidefinite")
     return ReducedSystem(
         Ktilde=ktilde,
-        Ctilde=ctilde,
-        Mbb=mbb,
-        Mjj=mjj,
+        Mbb=masses[boundary],
+        Mjj=masses[j_coords],
         dimension=d,
         rayleigh=sys.rayleigh,
         terminal_positions=sys.terminal_positions,
@@ -406,16 +385,13 @@ def extract_canonical(
         rng = np.random.default_rng(seed)
         avoid = system_resonances(red.rayleigh, sigmas)
         worst = 0.0
+        norms = [np.abs(x.a).max() for x in (sys.K, sys.C, sys.M)]
         for lam in sample_nonresonant(rng, avoid, 20):
             direct = evaluate_response(sys, lam, mode="pseudoinverse").W.a
             closed = evaluate_canonical(cr, lam).W.a
             # numerically-zero responses (mechanisms) are compared against
             # the pencil magnitude instead of their own rounding-level norm
-            pencil_scale = (
-                np.abs(sys.K.a).max()
-                + np.abs(sys.C.a).max() * abs(lam)
-                + np.abs(sys.M.a).max() * abs(lam) ** 2
-            )
+            pencil_scale = norms[0] + norms[1] * abs(lam) + norms[2] * abs(lam) ** 2
             scale = max(np.abs(direct).max(), 1e-4 * pencil_scale, 1e-300)
             worst = max(worst, np.abs(closed - direct).max() / scale)
         if worst > ROUNDTRIP_TOL:

@@ -222,10 +222,11 @@ class GeneralizedNetwork:
 def _component_stacks(components):
     """Assemble every component once and stack the systems of equal order.
 
-    Returns one ``(indices, K, C, M, partition)`` entry per matrix order,
+    Returns one ``(indices, K, M, partition)`` entry per matrix order,
     where ``indices`` are the positions in ``components`` of the stacked
     systems. Terminals come first in every component, so systems of one
-    order share one partition.
+    order share one partition; all components share the Rayleigh constants,
+    so the damping is derived from ``K`` and ``M`` when a pencil is formed.
     """
     systems = [assemble_component(comp) for comp in components]
     groups = {}
@@ -238,7 +239,6 @@ def _component_stacks(components):
             (
                 idx,
                 np.stack([sys.K.a for sys in members]),
-                np.stack([sys.C.a for sys in members]),
                 np.stack([sys.M.a for sys in members]),
                 members[0].partition,
             )
@@ -246,7 +246,7 @@ def _component_stacks(components):
     return stacks
 
 
-def _superposed(stacks, nb, lam, mode="inverse"):
+def _superposed(stacks, rayleigh, nb, lam, mode="inverse"):
     """Sum of the component responses at one point.
 
     One stacked Schur pass per entry of :func:`_component_stacks`. The
@@ -256,9 +256,9 @@ def _superposed(stacks, nb, lam, mode="inverse"):
     """
     responses = {}
     failed = []
-    for idx, K, C, M, partition in stacks:
+    for idx, K, M, partition in stacks:
         try:
-            w = schur_responses(K, C, M, partition, lam, mode, PINV_TOL)
+            w = schur_responses(K, M, rayleigh, partition, lam, mode, PINV_TOL)
         except AtResonance as exc:
             failed.append((idx[exc.index], exc))
             continue
@@ -273,7 +273,8 @@ def _superposed(stacks, nb, lam, mode="inverse"):
 
 def evaluate_generalized(gn, lam, mode="inverse"):
     """Response of the superposition: the sum of the component responses."""
-    return _superposed(_component_stacks(gn.components), gn.terminals.size, lam, mode)
+    stacks = _component_stacks(gn.components)
+    return _superposed(stacks, gn.rayleigh, gn.terminals.size, lam, mode)
 
 
 def assemble_union(gn):
@@ -697,7 +698,7 @@ def verify_synthesis(gn, cr, n_samples=50, seed=0):
     worst = 0.0
     for lam in sample_nonresonant(rng, avoid, n_samples):
         reference = evaluate_canonical(cr, lam).W.a
-        achieved = _superposed(stacks, gn.terminals.size, lam).W.a
+        achieved = _superposed(stacks, gn.rayleigh, gn.terminals.size, lam).W.a
         scale = max(np.abs(reference).max(), 1e-300)
         worst = max(worst, np.abs(achieved - reference).max() / scale)
     return float(worst)

@@ -98,16 +98,16 @@ class TestRespond:
         assert entry["at_resonance"] is True
         assert "W" not in entry
 
-    def test_jobs_match_serial(self, tmp_path, net_file, capsys):
-        # --jobs is deprecated: accepted, ignored, and warned about
+    def test_jobs_is_a_usage_error(self, tmp_path, net_file, capsys):
+        # --jobs was removed: argparse refuses it, and respond is silent
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         argv = ["respond", net_file, "--omega", "0.5", "5", "8", "--scale", "log"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--jobs", "2", "-o", str(b)])
+        assert exc.value.code == 2
+        assert not b.exists()
+        capsys.readouterr()
         assert main(argv + ["-o", str(a)]) == 0
-        assert capsys.readouterr().err == ""
-        assert main(argv + ["--jobs", "4", "-o", str(b)]) == 0
-        assert capsys.readouterr().err == "warning: --jobs is deprecated and ignored\n"
-        assert a.read_bytes() == b.read_bytes()
-        assert main(argv + ["--jobs", "1", "-o", str(b)]) == 0
         assert capsys.readouterr().err == ""
 
     def test_one_eigensolve_per_sweep(self, tmp_path, net_file, monkeypatch):
@@ -283,7 +283,6 @@ class TestNumericArguments:
         ["respond", "--omega", "1", "10", "1e300"],
         ["respond", "--lam", "nan,1"],
         ["respond", "--lam", "1,-inf"],
-        ["respond", "--lam", "0,1", "--jobs", "0"],
         ["extract", "--tol-floppy", "nan"],
         ["extract", "--tol-cluster", "-1"],
         ["characterize", "--tol", "nan"],

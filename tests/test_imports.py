@@ -1,4 +1,5 @@
-"""Every module of the package uses each name it imports."""
+"""Every module of the package uses each name it imports, and raises every
+error class it defines."""
 
 import ast
 from pathlib import Path
@@ -30,3 +31,31 @@ def test_guard_reports_an_unused_import():
 )
 def test_no_unused_import(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+def unraised_errors(errors_source, sources):
+    """Exception classes defined in ``errors_source`` that no ``raise`` in
+    ``sources`` names."""
+    defined = {
+        node.name for node in ast.parse(errors_source).body
+        if isinstance(node, ast.ClassDef)
+    }
+    raised = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                raised.update(
+                    n.id for n in ast.walk(node.exc) if isinstance(n, ast.Name)
+                )
+    return sorted(defined - raised)
+
+
+def test_guard_reports_a_dead_error_class():
+    errors = "class Used(Exception):\n    pass\n\n\nclass Dead(Used):\n    pass\n"
+    source = "from .errors import Dead, Used\n\nraise Used('x')\nprint(Dead)\n"
+    assert unraised_errors(errors, [source]) == ["Dead"]
+
+
+def test_every_error_class_is_raised():
+    sources = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]
+    assert unraised_errors((PACKAGE / "errors.py").read_text(), sources) == []
