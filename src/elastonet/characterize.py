@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AtResonance, DimensionMismatch
-from .geometry import balance_residual
+from .geometry import balance_check
 from .linalg import psd_check
 from .resonances import resonances_of
 from .response import evaluate_canonical
@@ -64,9 +64,9 @@ def check_balanced(F, positions, tol=1e-10):
     """Are all columns of ``F`` balanced force systems at ``positions``?
 
     ``F`` is a (n*d, m) matrix (or a single (n*d,) vector); each column is
-    read node-major. Returns ``(passed, worst_residual)`` where the pass
-    threshold is ``tol * (1 + max|F|)`` so the test is insensitive to force
-    units.
+    read node-major. Returns ``(passed, worst_residual)``: every column
+    passes :func:`balance_check` at ``tol * (1 + max|F|)``, so the test is
+    insensitive to force and length units.
     """
     positions = np.atleast_2d(np.asarray(positions, dtype=float))
     n, d = positions.shape
@@ -79,11 +79,9 @@ def check_balanced(F, positions, tol=1e-10):
         )
     if F.shape[1] == 0:
         raise DimensionMismatch("force matrix must have at least one column")
-    worst = 0.0
-    for col in F.T:
-        worst = max(worst, balance_residual(positions, col.reshape(n, d)))
-    passed = worst <= tol * (1.0 + np.abs(F).max())
-    return bool(passed), float(worst)
+    threshold = tol * (1.0 + np.abs(F).max())
+    checks = [balance_check(positions, col.reshape(n, d), threshold) for col in F.T]
+    return all(ok for ok, _ in checks), max(residual for _, residual in checks)
 
 
 def passivity_margin(cr, omega):

@@ -24,11 +24,16 @@ def cross(x, f):
     raise DimensionMismatch(f"cross product defined for d in (2, 3), got {d}")
 
 
-def balance_residual(positions, forces):
-    """Worst-case residual of the force/torque equilibrium equations.
+def balance_check(positions, forces, threshold):
+    """``(passed, residual)`` of the equilibrium of a force system.
 
-    ``positions`` is (n, d), ``forces`` is (n, d). Returns
-    ``max(|sum f|_inf, |sum x_i x f_i|_inf)``.
+    ``positions`` is (n, d), ``forces`` is (n, d). ``residual`` is
+    ``max(|sum f|_inf, |sum x_i x f_i|_inf)``. The force residual passes at
+    ``threshold``. A torque is a force times a length, and so is its
+    rounding: the torque residual passes at ``threshold * max(1, max|x|)``,
+    with ``max|x|`` the largest coordinate magnitude of ``positions``. The
+    verdict thus holds when the lengths grow, and up to unit lengths both
+    residuals pass at ``threshold``.
     """
     positions = np.asarray(positions, dtype=float)
     forces = np.asarray(forces, dtype=float)
@@ -38,7 +43,9 @@ def balance_residual(positions, forces):
         )
     fsum = forces.sum(axis=0)
     tsum = np.atleast_1d(cross(positions, forces)).reshape(len(positions), -1).sum(axis=0)
-    return float(max(np.abs(fsum).max(), np.abs(tsum).max()))
+    force, torque = float(np.abs(fsum).max()), float(np.abs(tsum).max())
+    length = max(1.0, float(np.abs(positions).max(initial=0.0)))
+    return bool(force <= threshold and torque <= threshold * length), max(force, torque)
 
 
 def balance_operator(positions):
@@ -87,8 +94,9 @@ def hull_distance(x, points):
     """Exact Euclidean distance from ``x`` to the convex hull of ``points``.
 
     Enumerates candidate supporting subsets of size at most d+1 (enough by
-    Caratheodory) and keeps the best feasible affine projection. Intended for
-    the desk-scale point sets of this package, not large hulls.
+    Caratheodory) and keeps the best feasible affine projection; the
+    subsets of one size are solved as one stack. Intended for the
+    desk-scale point sets of this package, not large hulls.
     """
     x = np.asarray(x, dtype=float)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -99,23 +107,20 @@ def hull_distance(x, points):
     if best == 0.0:
         return 0.0
     for size in range(2, min(n, d + 1) + 1):
-        for subset in itertools.combinations(range(n), size):
-            p = pts[list(subset)]
-            # projection onto the affine hull of the subset: KKT system in
-            # barycentric coordinates t with sum(t) = 1
-            g = p @ p.T
-            kkt = np.zeros((size + 1, size + 1))
-            kkt[:size, :size] = 2.0 * g
-            kkt[:size, size] = 1.0
-            kkt[size, :size] = 1.0
-            rhs = np.concatenate([2.0 * (p @ x), [1.0]])
-            try:
-                sol = np.linalg.solve(kkt, rhs)
-            except np.linalg.LinAlgError:
-                continue  # affinely dependent subset; covered by smaller ones
-            t = sol[:size]
-            if t.min() < -1e-12:
-                continue
-            cand = np.linalg.norm(p.T @ t - x)
-            best = min(best, cand)
+        p = pts[np.array(list(itertools.combinations(range(n), size)))]
+        # projection onto the affine hull of each subset: KKT system in
+        # barycentric coordinates t with sum(t) = 1
+        kkt = np.ones((len(p), size + 1, size + 1))
+        kkt[:, :size, :size] = 2.0 * (p @ p.swapaxes(1, 2))
+        kkt[:, size, size] = 0.0
+        rhs = np.ones((len(p), size + 1, 1))
+        rhs[:, :size, 0] = 2.0 * (p @ x)
+        # an exactly zero pivot marks an affinely dependent subset, which
+        # the smaller subsets cover; slogdet runs the LU solve would run
+        regular = np.linalg.slogdet(kkt)[0] != 0.0
+        p = p[regular]
+        t = np.linalg.solve(kkt[regular], rhs[regular])[:, :size]
+        feasible = t.min(axis=(1, 2)) >= -1e-12
+        cand = np.linalg.norm((p.swapaxes(1, 2) @ t)[feasible, :, 0] - x, axis=1)
+        best = np.fmin.reduce(cand, initial=best)  # fmin skips NaN candidates
     return float(best)

@@ -113,6 +113,19 @@ def symmetrized(a):
     return _sym_part(a)
 
 
+def _indices(boundary, interior):
+    return np.asarray(boundary, dtype=np.intp), np.asarray(interior, dtype=np.intp)
+
+
+def _block(a, rows, cols):
+    """The ``(rows, cols)`` block of every matrix in a stack.
+
+    Gathered with ``np.ix_`` over all three axes: the block comes out
+    C-contiguous, so every product of blocks is one BLAS call per matrix.
+    """
+    return a[np.ix_(np.arange(len(a)), rows, cols)]
+
+
 def schur_complements(a, boundary, interior, mode="inverse", tol=PINV_TOL):
     """Schur complements of a stack of symmetric matrices over one partition.
 
@@ -127,16 +140,12 @@ def schur_complements(a, boundary, interior, mode="inverse", tol=PINV_TOL):
     """
     if mode not in ("inverse", "pseudoinverse"):
         raise ValueError(f"unknown mode {mode!r}")
-    # gather with np.ix_ over all three axes: the blocks come out
-    # C-contiguous, so every product below is one BLAS call per matrix
-    stack = np.arange(len(a))
-    b = np.asarray(boundary, dtype=np.intp)
-    i = np.asarray(interior, dtype=np.intp)
-    a_bb = a[np.ix_(stack, b, b)]
+    b, i = _indices(boundary, interior)
+    a_bb = _block(a, b, b)
     if not (i.size and b.size):
         return a_bb
-    a_bi = a[np.ix_(stack, b, i)]
-    u, s, vh = np.linalg.svd(a[np.ix_(stack, i, i)])
+    a_bi = _block(a, b, i)
+    u, s, vh = np.linalg.svd(_block(a, i, i))
     smax = s[:, 0]
     keep = s > tol * smax[:, None]  # a prefix: singular values descend
     if mode == "inverse" and not keep.all():
@@ -158,6 +167,25 @@ def schur_complements(a, boundary, interior, mode="inverse", tol=PINV_TOL):
         inv[sel] = scaled @ u_h
     cross = _sym_part(a_bi @ inv @ a_bi.swapaxes(-1, -2))
     return a_bb - cross
+
+
+def schur_complements_lu(a, boundary, interior):
+    """Schur complements of a stack of symmetric matrices by LU solves.
+
+    Takes the arguments of :func:`schur_complements` and returns the same
+    bitwise symmetric ``(G, nb, nb)`` stack, ``A_BB - A_BI X``, where ``X``
+    solves ``A_II X = A_IB`` through one stacked ``np.linalg.solve`` (LU
+    with partial pivoting). An interior block with an exactly zero pivot
+    makes the whole call raise ``np.linalg.LinAlgError``. A nearly singular
+    block is not detected: its complement may be inaccurate or not finite,
+    so a caller compares the result with an independent value.
+    """
+    b, i = _indices(boundary, interior)
+    a_bb = _block(a, b, b)
+    if not (i.size and b.size):
+        return a_bb
+    x = np.linalg.solve(_block(a, i, i), _block(a, i, b))
+    return a_bb - _sym_part(_block(a, b, i) @ x)
 
 
 def schur_complement(a, partition, mode="inverse"):

@@ -38,7 +38,7 @@ from .errors import (
     ZeroForce,
 )
 from .geometry import (
-    balance_residual,
+    balance_check,
     cross,
     hull_diameter,
     hull_distance,
@@ -81,6 +81,11 @@ PLACEMENT_DRAWS = 200
 def default_min_clearance(terminals, epsilon_hull):
     """A millionth of the width of the region internal nodes may occupy."""
     return 1e-6 * (hull_diameter(terminals) + 2.0 * epsilon_hull)
+
+
+def _distances(points, others):
+    """(N, F) Euclidean distances between two point sets."""
+    return np.linalg.norm(points[:, None, :] - others[None, :, :], axis=-1)
 
 
 def _placement_constraints(terminals, forbidden, min_clearance, epsilon_hull):
@@ -133,10 +138,12 @@ class NetworkComponent:
                 continue
             if el.force_vector.size != len(el.support) * d:
                 raise ValueError("ideal element force vector has the wrong length")
-            residual = balance_residual(
-                positions[list(el.support)], el.force_vector.reshape(-1, d)
+            balanced, residual = balance_check(
+                positions[list(el.support)],
+                el.force_vector.reshape(-1, d),
+                1e-8 * (1.0 + np.abs(el.force_vector).max()),
             )
-            if residual > 1e-8 * (1.0 + np.abs(el.force_vector).max()):
+            if not balanced:
                 raise ValueError(
                     f"ideal element force system is unbalanced (residual "
                     f"{residual:.3e})"
@@ -193,20 +200,25 @@ class GeneralizedNetwork:
             if comp.rayleigh != self.components[0].rayleigh:
                 raise ValueError("components must share the damping constants")
             internal.extend(comp.internal_positions)
+        internal = np.reshape(internal, (-1, d))
         slack = 1e-9
-        for p in internal:
-            if hull_distance(p, terminals) > self.epsilon_hull + slack:
+        outside = np.array([hull_distance(p, terminals) for p in internal]) > (
+            self.epsilon_hull + slack
+        )
+        too_close = clearance * (1.0 - 1e-9)
+        forbidden_hit = (_distances(internal, forb) < too_close).any(axis=1)
+        # the first offending node in component order; the hull test first
+        bad = np.nonzero(outside | forbidden_hit)[0]
+        if bad.size:
+            p = internal[bad[0]]
+            if outside[bad[0]]:
                 raise ValueError(
                     f"internal node {p} lies outside the epsilon-neighborhood "
                     f"of the terminal hull"
                 )
-            for q in forb:
-                if np.linalg.norm(p - q) < clearance * (1.0 - 1e-9):
-                    raise ValueError(f"internal node {p} violates a forbidden point")
-        for a in range(len(internal)):
-            for b in range(a + 1, len(internal)):
-                if np.linalg.norm(internal[a] - internal[b]) < clearance * (1.0 - 1e-9):
-                    raise ValueError("internal nodes of components must be distinct")
+            raise ValueError(f"internal node {p} violates a forbidden point")
+        if np.triu(_distances(internal, internal) < too_close, k=1).any():
+            raise ValueError("internal nodes of components must be distinct")
 
     @property
     def dimension(self):
@@ -356,9 +368,8 @@ def _draw_point(rng, terminals, epsilon_hull, avoid, clearance, jitter_frac):
         return None
     radius = jitter_frac * epsilon_hull * rng.uniform(0.1, 1.0)
     point = base + (radius / norm) * direction
-    for q in avoid:
-        if np.linalg.norm(point - q) < clearance:
-            return None
+    if (np.linalg.norm(avoid - point, axis=1) < clearance).any():
+        return None
     return point
 
 
@@ -435,7 +446,7 @@ def balance_forces(
             u = u / np.linalg.norm(u)
             step = epsilon_hull * rng.uniform(0.1, 0.5)
             x2 = x1 - step * u
-            if any(np.linalg.norm(x2 - q) < clearance for q in avoid):
+            if (np.linalg.norm(avoid - x2, axis=1) < clearance).any():
                 continue
         separation = np.linalg.norm(x1 - x2)
         if separation < max(clearance, 0.02 * epsilon_hull):
@@ -455,8 +466,8 @@ def _assert_balanced(terminals, fmat, x1, x2, g, scale):
     d = terminals.shape[1]
     points = np.vstack([terminals, x1, x2])
     forces = np.vstack([fmat, g[:d], g[d:]])
-    residual = balance_residual(points, forces)
-    if residual > 1e-10 * scale:
+    balanced, residual = balance_check(points, forces, 1e-10 * scale)
+    if not balanced:
         raise PlacementFailed(
             f"balancing construction left residual {residual:.3e}"
         )

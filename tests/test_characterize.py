@@ -10,7 +10,9 @@ from numpy.testing import assert_allclose
 from elastonet import (
     CanonicalResponse,
     DimensionMismatch,
+    ElastodynamicNetwork,
     Mode,
+    Node,
     RayleighParams,
     SymMatrix,
     assemble,
@@ -68,6 +70,63 @@ class TestCheckBalanced:
         sys = assemble(net)
         ok, worst = check_balanced(sys.K.a, net.positions(), tol=1e-10)
         assert ok, worst
+
+    def test_torque_threshold_grows_with_length(self):
+        # a unit force couple on an arm of 1e-9 L: its torque is 1e-9 L, a
+        # relative imbalance that fails at every length L
+        for length in (1.0, 1e3, 1e6):
+            positions = [[0.0, 0.0], [length, 0.0], [length, 1e-9 * length]]
+            couple = np.array([0.0, 0.0, 1.0, 0.0, -1.0, 0.0])
+            ok, worst = check_balanced(couple, positions)
+            assert not ok
+            assert_allclose(worst, 1e-9 * length)
+
+    @pytest.mark.parametrize("factor", [1.0, 1e3, 1e6])
+    def test_stiffness_columns_balanced_at_every_length(self, factor):
+        # stiffness does not change with the length unit, torques do
+        net = scaled_network(random_network(4, 3, 2, 3, 0.5), factor)
+        ok, worst = check_balanced(assemble(net).K.a, net.positions(), tol=1e-10)
+        assert ok, worst
+
+    def test_residual_is_the_worst_force_or_torque_residual(self):
+        positions = np.random.default_rng(3).uniform(-2.0, 5.0, (4, 3))
+        F = np.random.default_rng(4).standard_normal((12, 5))
+        expected = max(
+            max(np.abs(f.sum(axis=0)).max(), np.abs(np.cross(positions, f).sum(axis=0)).max())
+            for f in (col.reshape(4, 3) for col in F.T)
+        )
+        assert check_balanced(F, positions)[1] == expected
+
+
+def scaled_network(net, factor):
+    """The same network with every position multiplied by ``factor``."""
+    nodes = tuple(
+        Node(tuple(np.asarray(n.position) * factor), n.mass, n.is_terminal)
+        for n in net.nodes
+    )
+    return ElastodynamicNetwork(net.dimension, nodes, net.springs, net.rayleigh)
+
+
+class TestLengthUnits:
+    """A network in other length units keeps its admissibility decision."""
+
+    @pytest.mark.parametrize("args", [(5, 2, 3, 6, 0.5), (4, 2, 3, 4, 0.5),
+                                      (7, 3, 3, 5, 0.5)])
+    @pytest.mark.parametrize("factor", [1.0, 1e3, 1e6])
+    def test_extracted_form_passes_at_every_length(self, args, factor):
+        cr = extract_canonical(assemble(scaled_network(random_network(*args), factor)))
+        report = check_canonical(cr)
+        assert report.passed, report.failing()
+
+    def test_static_balance_witness_is_unchanged(self):
+        # the residual reported is the worst one, whatever the threshold
+        cr = extract_canonical(assemble(scaled_network(random_network(5, 2, 3, 6, 0.5), 1e6)))
+        ok, residual = check_balanced(cr.static_response().a, cr.terminal_positions,
+                                      tol=1e-9)
+        condition = check_canonical(cr).conditions["static_balanced"]
+        assert ok and condition.passed
+        assert condition.worst_violation == residual
+        assert condition.witness == f"worst force/torque residual {residual:.3e}"
 
 
 def pure_mass_response(mass=1.3, beta=0.7):

@@ -13,7 +13,7 @@ from elastonet import (
     is_psd,
     schur_complement,
 )
-from elastonet.linalg import schur_complements, symmetrized
+from elastonet.linalg import schur_complements, schur_complements_lu, symmetrized
 
 
 def random_spd(rng, n, shift=0.1):
@@ -160,6 +160,26 @@ class TestSchurComplements:
         a = np.stack([np.eye(3), 2.0 * np.eye(3)])
         assert np.array_equal(schur_complements(a, range(3), []), a)
         assert schur_complements(a, [], range(3)).shape == (2, 0, 0)
+
+    @pytest.mark.parametrize("complex_part", [False, True])
+    def test_lu_kernel_agrees_with_the_svd_kernel(self, complex_part):
+        rng = np.random.default_rng(5)
+        a = self.stack(rng, 4, 7, 7, complex_part)
+        part = BlockPartition([4, 0, 6], [1, 5, 2, 3])
+        lu = schur_complements_lu(a, part.boundary, part.interior)
+        svd = schur_complements(a, part.boundary, part.interior)
+        assert np.array_equal(lu, np.swapaxes(lu, -1, -2))
+        assert_allclose(lu, svd, rtol=0, atol=1e-10 * np.abs(svd).max())
+
+    def test_lu_kernel_raises_on_a_zero_pivot(self):
+        a = np.stack([np.eye(3), np.diag([1.0, 1.0, 0.0])])
+        with pytest.raises(np.linalg.LinAlgError):
+            schur_complements_lu(a, [0], [1, 2])
+
+    def test_lu_kernel_empty_blocks(self):
+        a = np.stack([np.eye(3), 2.0 * np.eye(3)])
+        assert np.array_equal(schur_complements_lu(a, range(3), []), a)
+        assert schur_complements_lu(a, [], range(3)).shape == (2, 0, 0)
 
     def test_symmetrized_checks_every_matrix(self):
         a = np.stack([np.eye(2), np.array([[1.0, 2.0], [2.1, 3.0]])])

@@ -1,5 +1,7 @@
 """Response evaluation, massless elimination, pole-residue extraction."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -10,8 +12,10 @@ from elastonet import (
     CanonicalResponse,
     ElastodynamicNetwork,
     FloppyModeInconsistent,
+    Mode,
     Node,
     RayleighParams,
+    ReconstructionMismatch,
     SchemaError,
     Spring,
     SymMatrix,
@@ -32,7 +36,7 @@ from elastonet import (
     sample_nonresonant,
     system_resonances,
 )
-from elastonet import linalg
+from elastonet import linalg, response
 from elastonet.linalg import PINV_TOL
 from elastonet.response import RESONANCE_CLEARANCE, _cluster_ascending, schur_responses
 
@@ -329,6 +333,70 @@ class TestExtractCanonical:
         assert is_psd(w0, tol=1e-9)
         ok, residual = check_balanced(w0.a, cr.terminal_positions, tol=1e-10)
         assert ok, residual
+
+
+def count_fallbacks(monkeypatch):
+    """Count the pseudoinverse evaluations the extraction self-check makes."""
+    calls = []
+    original = response.evaluate_response
+
+    def counting(sys, lam, mode="inverse"):
+        calls.append(mode)
+        return original(sys, lam, mode)
+
+    monkeypatch.setattr(response, "evaluate_response", counting)
+    return calls
+
+
+class TestExtractionSelfCheck:
+    """Stacked LU solves, with the SVD pseudoinverse as the per-point fallback."""
+
+    def test_massive_network_takes_no_fallback(self, monkeypatch):
+        calls = count_fallbacks(monkeypatch)
+        sys = assemble(random_network(3, 3, 6, 60, 1.0))
+        assert sys.order == 198
+        extract_canonical(sys)
+        assert calls == []
+
+    def test_massless_floppy_node_passes_through_the_fallback(
+        self, monkeypatch, assembled_chain
+    ):
+        # the middle node moves freely across the chain: every pencil is
+        # singular, so every point is evaluated by the pseudoinverse
+        calls = count_fallbacks(monkeypatch)
+        cr = extract_canonical(assembled_chain)
+        assert calls == ["pseudoinverse"] * 20
+        assert_allclose(cr.A.a, axial_block(0.5), atol=1e-14)
+
+    def test_perturbed_residue_is_still_rejected(self, monkeypatch):
+        # every residue 1e-6 relative too large: LU and SVD both see it
+        original = response.evaluate_canonical
+
+        def perturbed(cr, lam):
+            modes = tuple(Mode(m.sigma, SymMatrix(m.R.a * (1 + 1e-6))) for m in cr.modes)
+            return original(replace(cr, modes=modes), lam)
+
+        calls = count_fallbacks(monkeypatch)
+        monkeypatch.setattr(response, "evaluate_canonical", perturbed)
+        with pytest.raises(ReconstructionMismatch, match="deviates from the direct"):
+            extract_canonical(assemble(random_network(3, 3, 4, 10, 1.0)))
+        assert calls == ["pseudoinverse"] * 20
+
+    def test_chunk_size_follows_the_matrix_order(self, monkeypatch):
+        stacks = []
+        original = response.schur_complements_lu
+
+        def recording(a, boundary, interior):
+            stacks.append(len(a))
+            return original(a, boundary, interior)
+
+        monkeypatch.setattr(response, "schur_complements_lu", recording)
+        for n_interior, per_stack in ((60, 2), (80, 1)):
+            stacks.clear()
+            sys = assemble(random_network(3, 3, 6, n_interior, 1.0))
+            extract_canonical(sys)
+            assert per_stack == response.SELFCHECK_CHUNK_BYTES // (16 * sys.order**2)
+            assert stacks == [per_stack] * (20 // per_stack)
 
 
 class TestEvaluateCanonical:

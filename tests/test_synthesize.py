@@ -184,6 +184,15 @@ class TestRankOneGadget:
             )
 
 
+def scaled_network(net, factor):
+    """The same network with every position multiplied by ``factor``."""
+    nodes = tuple(
+        Node(tuple(factor * np.array(n.position)), n.mass, n.is_terminal)
+        for n in net.nodes
+    )
+    return ElastodynamicNetwork(net.dimension, nodes, net.springs, net.rayleigh)
+
+
 def extracted(seed, **kwargs):
     net = random_network(seed, kwargs.pop("d", 2), kwargs.pop("nt", 2),
                          kwargs.pop("ni", 3), kwargs.pop("mf", 0.5), **kwargs)
@@ -258,14 +267,19 @@ class TestSynthesize:
     def test_micrometre_network_places_its_nodes(self, args):
         # the default clearance scales with the network; an absolute floor
         # of 1e-6 exceeded the whole placement region at this size
-        net = random_network(*args)
-        nodes = tuple(
-            Node(tuple(1e-6 * np.array(n.position)), n.mass, n.is_terminal)
-            for n in net.nodes
-        )
-        small = ElastodynamicNetwork(net.dimension, nodes, net.springs, net.rayleigh)
-        cr = extract_canonical(assemble(small))
+        cr = extract_canonical(assemble(scaled_network(random_network(*args), 1e-6)))
         gn = synthesize(cr, epsilon_hull=1e-7, seed=0)
+        assert verify_synthesis(gn, cr, n_samples=20, seed=1) <= 1e-8
+
+    @pytest.mark.parametrize("args", [
+        (5, 2, 3, 6, 0.5), (4, 2, 3, 4, 0.5), (7, 3, 3, 5, 0.5),
+    ])
+    @pytest.mark.parametrize("factor", [1e3, 1e6])
+    def test_large_network_is_realized(self, args, factor):
+        # torques grow with the lengths: the balance checks of placement and
+        # of every element judge them at a threshold that grows as well
+        cr = extract_canonical(assemble(scaled_network(random_network(*args), factor)))
+        gn = synthesize(cr, epsilon_hull=0.1 * factor, seed=0)
         assert verify_synthesis(gn, cr, n_samples=20, seed=1) <= 1e-8
 
     def test_terminal_mass_component(self):
