@@ -47,6 +47,15 @@ def axial_block(scale=1.0):
     )
 
 
+def scaled_network(net, factor):
+    """The same network with every position multiplied by ``factor``."""
+    nodes = tuple(
+        Node(tuple(factor * np.array(n.position)), n.mass, n.is_terminal)
+        for n in net.nodes
+    )
+    return ElastodynamicNetwork(net.dimension, nodes, net.springs, net.rayleigh)
+
+
 @pytest.fixture
 def assembled_chain(collinear_chain):
     return assemble(collinear_chain)

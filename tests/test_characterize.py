@@ -10,9 +10,7 @@ from numpy.testing import assert_allclose
 from elastonet import (
     CanonicalResponse,
     DimensionMismatch,
-    ElastodynamicNetwork,
     Mode,
-    Node,
     RayleighParams,
     SymMatrix,
     assemble,
@@ -26,6 +24,8 @@ from elastonet import (
 from elastonet.characterize import PASSIVITY_GRID_POINTS
 from elastonet.cli import main
 from elastonet.jsonio import write_json
+
+from conftest import scaled_network
 
 
 def zero_sigma_response():
@@ -96,15 +96,6 @@ class TestCheckBalanced:
             for f in (col.reshape(4, 3) for col in F.T)
         )
         assert check_balanced(F, positions)[1] == expected
-
-
-def scaled_network(net, factor):
-    """The same network with every position multiplied by ``factor``."""
-    nodes = tuple(
-        Node(tuple(np.asarray(n.position) * factor), n.mass, n.is_terminal)
-        for n in net.nodes
-    )
-    return ElastodynamicNetwork(net.dimension, nodes, net.springs, net.rayleigh)
 
 
 class TestLengthUnits:

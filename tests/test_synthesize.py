@@ -10,11 +10,9 @@ from numpy.testing import assert_allclose
 from elastonet import (
     AtResonance,
     CanonicalResponse,
-    ElastodynamicNetwork,
     GeneralizedNetwork,
     IdealElasticElement,
     Mode,
-    Node,
     NotCharacterizable,
     PlacementFailed,
     RayleighParams,
@@ -38,6 +36,8 @@ from elastonet import (
     verify_synthesis,
 )
 from elastonet.geometry import hull_distance
+
+from conftest import scaled_network
 
 
 def brute_force_balance_residual(points, forces):
@@ -182,15 +182,6 @@ class TestRankOneGadget:
             build_rank_one_gadget(
                 [[0.0, 0.0]], [1.0, 0.0], 0.0, RayleighParams(0.0, 0.0)
             )
-
-
-def scaled_network(net, factor):
-    """The same network with every position multiplied by ``factor``."""
-    nodes = tuple(
-        Node(tuple(factor * np.array(n.position)), n.mass, n.is_terminal)
-        for n in net.nodes
-    )
-    return ElastodynamicNetwork(net.dimension, nodes, net.springs, net.rayleigh)
 
 
 def extracted(seed, **kwargs):
