@@ -13,7 +13,9 @@ rows/columns 0..d-1, node 1 owns d..2d-1, and so on. Every Schur partition
 and residue reshaping in the package relies on this single convention.
 """
 
+import math
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -23,6 +25,10 @@ from .linalg import BlockPartition, SymMatrix
 
 # Minimum pairwise node separation produced by the random generator.
 MIN_NODE_SEPARATION = 1e-3
+
+# Springs stamped per ``np.add.at`` call in assembly: bounds the memory of the
+# stamp arrays (36 entries per spring in 3-d) without a call per spring.
+STAMP_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -38,9 +44,9 @@ class Node:
         object.__setattr__(self, "position", pos)
         object.__setattr__(self, "mass", float(self.mass))
         object.__setattr__(self, "is_terminal", bool(self.is_terminal))
-        if not all(np.isfinite(pos)):
+        if not all(map(math.isfinite, pos)):
             raise ValueError(f"non-finite node position {pos}")
-        if not np.isfinite(self.mass) or self.mass < 0:
+        if not math.isfinite(self.mass) or self.mass < 0:
             raise ValueError(f"node mass must be finite and >= 0, got {self.mass}")
 
 
@@ -56,7 +62,7 @@ class Spring:
         object.__setattr__(self, "stiffness", float(self.stiffness))
         if self.i == self.j:
             raise ValueError(f"spring endpoints coincide (node {self.i})")
-        if not np.isfinite(self.stiffness) or self.stiffness <= 0:
+        if not math.isfinite(self.stiffness) or self.stiffness <= 0:
             raise ValueError(f"spring stiffness must be > 0, got {self.stiffness}")
 
 
@@ -112,7 +118,9 @@ class ElastodynamicNetwork:
     """A damped mass-spring network with at least one terminal node.
 
     Duplicate springs on the same unordered node pair are merged at
-    construction by summing their stiffnesses (parallel springs add).
+    construction by summing their stiffnesses (parallel springs add). Every
+    spring is stored as ``(min, max)`` of its endpoints, in the order of the
+    first occurrence of its pair.
     """
 
     dimension: int
@@ -138,9 +146,13 @@ class ElastodynamicNetwork:
         for s in self.springs:
             if not (0 <= s.i < len(nodes)) or not (0 <= s.j < len(nodes)):
                 raise ValueError(f"spring ({s.i}, {s.j}) references a missing node")
-            key = (min(s.i, s.j), max(s.i, s.j))
-            merged[key] = merged.get(key, 0.0) + s.stiffness
-        springs = tuple(Spring(i, j, k) for (i, j), k in merged.items())
+            key = (s.i, s.j) if s.i < s.j else (s.j, s.i)
+            prev = merged.get(key)
+            merged[key] = s if prev is None else Spring(*key, prev.stiffness + s.stiffness)
+        springs = tuple(
+            s if (s.i, s.j) == key else Spring(*key, s.stiffness)
+            for key, s in merged.items()
+        )
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "springs", springs)
 
@@ -185,16 +197,39 @@ class SystemMatrices:
         return np.diag(self.M.a).copy()
 
 
-def spring_direction(positions, i, j):
-    """Unit vector along ``x_i - x_j``; raises for coincident endpoints."""
+def spring_directions(positions, i, j):
+    """Unit vectors along ``x_i - x_j`` for index arrays ``i`` and ``j``.
+
+    A pair at most ``1e-12 * max|x|`` apart is coincident, whatever the
+    length unit; the first such pair raises :class:`DegenerateSpring`.
+    """
     dx = positions[i] - positions[j]
-    scale = 1.0 + np.abs(positions).max()
-    length = np.linalg.norm(dx)
-    if length <= 1e-12 * scale:
+    # the same bits as np.linalg.norm of each row, which einsum and
+    # norm(axis=1) are not
+    length = np.sqrt(np.matmul(dx[:, None, :], dx[:, :, None])[:, 0, 0])
+    bad = np.flatnonzero(length <= 1e-12 * np.abs(positions).max())
+    if bad.size:
+        k = bad[0]
         raise DegenerateSpring(
-            f"spring ({i}, {j}) endpoints coincide (separation {length:.3e})"
+            f"spring ({i[k]}, {j[k]}) endpoints coincide (separation {length[k]:.3e})"
         )
-    return dx / length
+    return dx / length[:, None]
+
+
+def _stamp_springs(K, springs, positions, coords):
+    """Add the springs' stamps to the flat ``K``, spring by spring."""
+    i = np.array([s.i for s in springs])
+    j = np.array([s.j for s in springs])
+    stiffness = np.array([s.stiffness for s in springs])
+    nvec = spring_directions(positions, i, j)
+    axis = np.concatenate([nvec, -nvec], axis=1)
+    c = np.concatenate([coords[i], coords[j]], axis=1)
+    for start in range(0, len(springs), STAMP_CHUNK):
+        part = slice(start, start + STAMP_CHUNK)
+        index = c[part, :, None] * coords.size + c[part, None, :]
+        ax = axis[part]
+        stamp = stiffness[part, None, None] * (ax[:, :, None] * ax[:, None, :])
+        np.add.at(K, index.ravel(), stamp.ravel())
 
 
 def assemble_elements(nodes, elements, dimension, rayleigh):
@@ -208,20 +243,24 @@ def assemble_elements(nodes, elements, dimension, rayleigh):
     diagonal; the damping matrix follows from both (:attr:`SystemMatrices.C`).
     The partition puts the coordinates of terminal nodes in the boundary,
     all others in the interior, each in node order.
+
+    Runs of springs are stamped as arrays. ``np.add.at`` applies the
+    updates one at a time in element order, so every entry of ``K`` is the
+    same sum, in the same order, as stamping element by element.
     """
     d = dimension
     positions = np.array([node.position for node in nodes], dtype=float)
     coords = np.arange(len(nodes) * d).reshape(-1, d)  # row k: node k's coordinates
-    K = np.zeros((coords.size, coords.size))
-    for el in elements:
-        if isinstance(el, Spring):
-            nvec = spring_direction(positions, el.i, el.j)
-            axis = np.concatenate([nvec, -nvec])
-            support, stamp = (el.i, el.j), el.stiffness * np.outer(axis, axis)
-        else:
-            support, stamp = el.support, np.outer(el.force_vector, el.force_vector)
-        c = coords[list(support)].ravel()
-        K[np.ix_(c, c)] += stamp
+    K = np.zeros(coords.size * coords.size)
+    for kind, run in groupby(elements, type):
+        if kind is Spring:
+            _stamp_springs(K, tuple(run), positions, coords)
+            continue
+        for el in run:
+            c = coords[list(el.support)].ravel()
+            stamp = np.outer(el.force_vector, el.force_vector)
+            np.add.at(K, (c[:, None] * coords.size + c).ravel(), stamp.ravel())
+    K = K.reshape(coords.size, coords.size)
     M = np.diag(np.repeat([node.mass for node in nodes], d))
     terminal = np.array([node.is_terminal for node in nodes])
     return SystemMatrices(

@@ -57,7 +57,7 @@ from .model import (
     node_to_dict,
     rayleigh_from_dict,
     rayleigh_to_dict,
-    spring_direction,
+    spring_directions,
 )
 from .response import (
     ROUNDTRIP_TOL,
@@ -134,7 +134,7 @@ class NetworkComponent:
             if min(refs) < 0 or max(refs) >= len(self.nodes):
                 raise ValueError("element references a missing node")
             if isinstance(el, Spring):
-                spring_direction(positions, el.i, el.j)
+                spring_directions(positions, np.array([el.i]), np.array([el.j]))
                 continue
             if el.force_vector.size != len(el.support) * d:
                 raise ValueError("ideal element force vector has the wrong length")

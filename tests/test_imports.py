@@ -1,5 +1,5 @@
-"""Every module of the package uses each name it imports, and raises every
-error class it defines."""
+"""Every module of the package uses each name it imports, raises every
+error class it defines, and writes JSON only through the canonical writer."""
 
 import ast
 from pathlib import Path
@@ -59,3 +59,36 @@ def test_guard_reports_a_dead_error_class():
 def test_every_error_class_is_raised():
     sources = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]
     assert unraised_errors((PACKAGE / "errors.py").read_text(), sources) == []
+
+
+def json_writes(source):
+    """Lines of ``source`` that call ``json.dump``/``json.dumps`` or import
+    either from ``json``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "json":
+            if any(a.name in ("dump", "dumps") for a in node.names):
+                lines.append(node.lineno)
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("dump", "dumps")
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "json"
+        ):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_guard_reports_a_json_write():
+    source = (
+        "import json\nfrom json import dumps\njson.dumps({})\n"
+        "json.load(fh)\nother.dumps(1)\njson.dump({}, fh)\n"
+    )
+    assert json_writes(source) == [2, 3, 6]
+
+
+# jsonio.dumps_canonical is the one writer, so every output is canonical
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_no_json_write_outside_the_canonical_writer(module):
+    assert json_writes((PACKAGE / module).read_text()) == []

@@ -1,5 +1,7 @@
 """Network model, assembly, random generation, JSON round trips."""
 
+from importlib import import_module
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -7,20 +9,30 @@ from numpy.testing import assert_allclose
 from elastonet import (
     DegenerateSpring,
     ElastodynamicNetwork,
+    GeneralizedNetwork,
     GenerationFailed,
+    IdealElasticElement,
+    NetworkComponent,
     Node,
     RayleighParams,
     SchemaError,
     Spring,
     assemble,
+    assemble_component,
+    assemble_union,
+    extract_canonical,
     is_psd,
     network_from_dict,
     network_to_dict,
     random_network,
+    synthesize,
 )
 from elastonet.geometry import balance_check
+from elastonet.model import STAMP_CHUNK, assemble_elements
 
-from conftest import axial_block
+from conftest import axial_block, scaled_network
+
+synthesize_module = import_module("elastonet.synthesize")
 
 
 class TestTypes:
@@ -86,6 +98,18 @@ class TestAssemble:
         with pytest.raises(DegenerateSpring):
             assemble(net)
 
+    def test_tiny_length_unit_is_not_degenerate(self):
+        # spring (0, 6) is 4.1e-13 long at x1e-12, 40% of the network's extent
+        net = random_network(5, 2, 3, 6, 0.5)
+        tiny = scaled_network(net, 1e-12)
+        assert len(extract_canonical(assemble(tiny)).modes) == len(
+            extract_canonical(assemble(net)).modes
+        )
+        nodes = tiny.nodes + (Node(tiny.nodes[0].position, 0.0, False),)
+        coincident = ElastodynamicNetwork(2, nodes, tiny.springs + (Spring(0, 9, 1.0),))
+        with pytest.raises(DegenerateSpring, match=r"spring \(0, 9\)"):
+            assemble(coincident)
+
     def test_partition_is_node_major(self):
         nodes = (
             Node((0.0, 0.0), 0.0, False),
@@ -137,6 +161,97 @@ class TestAssemble:
         net = ElastodynamicNetwork(2, nodes, (Spring(0, 1, 1.0),))
         sys = assemble(net)
         assert_allclose(sys.mass_vector(), [2.0, 2.0, 0.5, 0.5])
+
+
+def loop_stiffness(nodes, elements, d):
+    """Element-by-element stamping: the oracle of one-pass assembly."""
+    positions = np.array([n.position for n in nodes], dtype=float)
+    coords = np.arange(len(nodes) * d).reshape(-1, d)
+    K = np.zeros((coords.size, coords.size))
+    for el in elements:
+        if isinstance(el, Spring):
+            dx = positions[el.i] - positions[el.j]
+            nvec = dx / np.linalg.norm(dx)
+            axis = np.concatenate([nvec, -nvec])
+            support, stamp = (el.i, el.j), el.stiffness * np.outer(axis, axis)
+        else:
+            support, stamp = el.support, np.outer(el.force_vector, el.force_vector)
+        c = coords[list(support)].ravel()
+        K[np.ix_(c, c)] += stamp
+    return K
+
+
+def assert_assembles_like_the_loop(nodes, elements, d):
+    sys = assemble_elements(nodes, elements, d, RayleighParams())
+    assert sys.K.a.tobytes() == loop_stiffness(nodes, elements, d).tobytes()
+    assert sys.M.a.tobytes() == np.diag(np.repeat([n.mass for n in nodes], d)).tobytes()
+
+
+class TestOnePassAssembly:
+    """``K`` and ``M`` are bitwise those of element-by-element stamping."""
+
+    @pytest.mark.parametrize("mass_fraction", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_seeded_networks(self, seed, d, mass_fraction):
+        net = random_network(seed, d, 3, 6, mass_fraction)
+        assert_assembles_like_the_loop(net.nodes, net.springs, d)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_synthesized_components_and_union(self, d, monkeypatch):
+        gn = synthesize(extract_canonical(assemble(random_network(d, d, 3, 4, 0.5))), seed=d)
+        # a springs component in the middle puts springs between ideal elements
+        nt = len(gn.terminals)
+        terminals = [Node(tuple(p), 0.3, True) for p in gn.terminals]
+        inner = Node(tuple(gn.terminals.mean(axis=0)), 1.1, False)
+        springs = NetworkComponent(
+            "springs", (*terminals, inner), nt,
+            tuple(Spring(k, nt, 0.7 + k) for k in range(nt)), gn.rayleigh, d,
+        )
+        half = len(gn.components) // 2
+        gn = GeneralizedNetwork(
+            gn.terminals, gn.components[:half] + (springs,) + gn.components[half:],
+            epsilon_hull=gn.epsilon_hull,
+        )
+        for comp in gn.components:
+            assert assemble_component(comp).K.a.tobytes() == loop_stiffness(
+                comp.nodes, comp.elements, d
+            ).tobytes()
+        seen = []
+        monkeypatch.setattr(synthesize_module, "assemble_elements",
+                            lambda *args: seen.append(args) or assemble_elements(*args))
+        union = assemble_union(gn)
+        nodes, elements = seen[0][0], seen[0][1]
+        kinds = [isinstance(el, Spring) for el in elements]
+        assert True in kinds and kinds[0] is kinds[-1] is False
+        assert union.K.a.tobytes() == loop_stiffness(nodes, elements, d).tobytes()
+
+    def test_empty_element_list(self):
+        nodes = (Node((0.0, 0.0, 1.0), 2.0, True), Node((1.0, 0.0, 0.0), 0.0, False))
+        assert_assembles_like_the_loop(nodes, (), 3)
+
+    def test_more_springs_than_one_chunk_with_ideal_elements_between(self):
+        net = random_network(4, 3, 4, 40, 0.5)
+        springs = list(net.springs)
+        assert len(springs) > STAMP_CHUNK + 2
+        rng = np.random.default_rng(4)
+        elements = list(springs)
+        for at in (len(springs), STAMP_CHUNK + 1, STAMP_CHUNK, 100, 0):
+            support = tuple(rng.choice(net.n_nodes, size=3, replace=False))
+            elements.insert(at, IdealElasticElement(support, rng.standard_normal(9)))
+        assert_assembles_like_the_loop(net.nodes, springs, 3)
+        assert_assembles_like_the_loop(net.nodes, elements, 3)
+
+    def test_first_degenerate_spring_is_named(self):
+        nodes = tuple(
+            Node(p, 0.0, k == 0)
+            for k, p in enumerate([(0.0, 0.0), (1.0, 0.0), (0.0, 0.0), (1.0, 0.0)])
+        )
+        elements = (Spring(0, 1, 1.0), Spring(1, 3, 1.0), Spring(0, 2, 1.0))
+        with pytest.raises(DegenerateSpring, match=r"^spring \(1, 3\) endpoints coincide"):
+            assemble_elements(nodes, elements, 2, RayleighParams())
+        with pytest.raises(DegenerateSpring, match=r"^spring \(0, 2\) endpoints coincide"):
+            assemble_elements(nodes, elements[::2] + elements[1:2], 2, RayleighParams())
 
 
 class TestRandomNetwork:
