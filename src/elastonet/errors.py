@@ -30,15 +30,11 @@ class GenerationFailed(ElastonetError):
 
 
 class AtResonance(ElastonetError):
-    """Response requested at (or too close to) a resonance.
+    """Response requested at (or too close to) a resonance."""
 
-    ``index`` is the position of the resonant system in a stack of them.
-    """
-
-    def __init__(self, message, singular_values=None, index=None):
+    def __init__(self, message, singular_values=None):
         super().__init__(message)
         self.singular_values = singular_values
-        self.index = index
 
 
 class FloppyModeInconsistent(ElastonetError):

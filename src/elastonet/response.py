@@ -36,9 +36,7 @@ from .linalg import (
     SymMatrix,
     is_psd,
     schur_complement,
-    schur_complements,
     schur_complements_lu,
-    symmetrized,
 )
 from .model import RayleighParams
 from .resonances import resonances_of
@@ -168,43 +166,27 @@ class ReducedSystem:
         return sigmas, v
 
 
-def schur_responses(K, M, rayleigh, partition, lam, mode, tol):
-    """Schur complements of the pencils ``K + lambda*C + lambda^2*M``.
-
-    ``K`` and ``M`` stack systems of one order along their first axis, all
-    split by ``partition`` and damped by ``C = rayleigh.damping(K, M)``;
-    returns the ``(G, nb, nb)`` stack of responses. Each pencil and each
-    response gets the :class:`SymMatrix` checks. A numerically singular
-    interior block means ``lambda`` sits on a resonance: :class:`AtResonance`
-    for the first such system, with its stack position as ``index``.
-    """
-    lam = complex(lam)
-    partition.check_covers(K.shape[-1])
-    pencils = symmetrized(K + lam * rayleigh.damping(K, M) + lam * lam * M)
-    try:
-        w = schur_complements(pencils, partition.boundary, partition.interior, mode, tol)
-    except SingularBlock as exc:
-        raise AtResonance(
-            f"lambda = {lam} is numerically a resonance: {exc}",
-            singular_values=exc.smallest_singular_value,
-            index=exc.index,
-        ) from exc
-    return symmetrized(w)
-
-
 def evaluate_response(sys, lam, mode="inverse"):
     """Terminal response W(lambda) of an assembled system.
 
     Forms ``K + lambda*C + lambda^2*M`` and takes the Schur complement of
-    the interior block. ``mode="pseudoinverse"`` handles systems whose
-    interior pencil is exactly singular at every lambda (massless interior
-    nodes with floppy directions); the truncated directions carry no
-    coupling to the terminals, so the response is unchanged.
+    the interior block; a numerically singular block means ``lambda`` sits
+    on a resonance (:class:`AtResonance`). ``mode="pseudoinverse"`` handles
+    systems whose interior pencil is exactly singular at every lambda
+    (massless interior nodes with floppy directions); the truncated
+    directions carry no coupling to the terminals, so the response is
+    unchanged.
     """
-    w = schur_responses(
-        sys.K.a[None], sys.M.a[None], sys.rayleigh, sys.partition, lam, mode, PINV_TOL
-    )
-    return ResponseSample(complex(lam), SymMatrix(w[0]))
+    lam = complex(lam)
+    K, M = sys.K.a, sys.M.a
+    pencil = SymMatrix(K + lam * sys.rayleigh.damping(K, M) + lam * lam * M)
+    try:
+        return ResponseSample(lam, schur_complement(pencil, sys.partition, mode))
+    except SingularBlock as exc:
+        raise AtResonance(
+            f"lambda = {lam} is numerically a resonance: {exc}",
+            singular_values=exc.smallest_singular_value,
+        ) from exc
 
 
 def eliminate_massless(sys):
@@ -247,21 +229,34 @@ def eliminate_massless(sys):
     )
 
 
-def evaluate_reduced(red, lam, tol=PINV_TOL):
-    """Response of a reduced system from its modal decomposition :attr:`modal`.
+def modal_response(rayleigh, A, Mbb, sigmas, V, lam):
+    """The response of a proportionally damped system from its modes.
 
     ``W = damp*A + inertia*diag(Mbb) - sum_j damp^2/q_j v_j v_j^T``, with
     ``damp = 1 + alpha*lambda``, ``inertia = beta*lambda + lambda^2`` and
-    ``q_j = damp*sigma_j + inertia``, the eigenvalues (in modulus, singular
-    values) of the mass-normalized interior pencil. ``lambda`` is resonant
-    (:class:`AtResonance`) when ``min |q_j| <= tol * max |q_j|``.
+    ``q_j = damp*sigma_j + inertia``; ``A`` is the static terminal block,
+    ``Mbb`` the terminal masses and ``v_j`` the columns of ``V``. Rayleigh
+    damping keeps the undamped modes, so this one formula is the response
+    of every network the package builds. Nothing here decides resonance:
+    at a root of some ``q_j`` the result is not finite.
+    """
+    damp, inertia = 1.0 + rayleigh.alpha * lam, rayleigh.beta * lam + lam * lam
+    q = damp * sigmas + inertia
+    return damp * A + inertia * np.diag(Mbb) - (V * (damp * damp / q)) @ V.T
+
+
+def evaluate_reduced(red, lam, tol=PINV_TOL):
+    """Response of a reduced system from its modal decomposition :attr:`modal`.
+
+    :func:`modal_response` of the reduced system; ``lambda`` is resonant
+    (:class:`AtResonance`) when ``min |q_j| <= tol * max |q_j|``, the
+    ``|q_j|`` being the singular values of the mass-normalized interior
+    pencil.
     """
     lam = complex(lam)
     sigmas, v = red.modal
-    alpha, beta = red.rayleigh.alpha, red.rayleigh.beta
-    damp, inertia = 1.0 + alpha * lam, beta * lam + lam * lam
-    q = damp * sigmas + inertia
-    mag = np.abs(q)
+    ray = red.rayleigh
+    mag = np.abs((1.0 + ray.alpha * lam) * sigmas + (ray.beta * lam + lam * lam))
     if mag.size and mag.min() <= tol * mag.max():
         raise AtResonance(
             f"lambda = {lam} is numerically a resonance of the reduced system: "
@@ -269,8 +264,8 @@ def evaluate_reduced(red, lam, tol=PINV_TOL):
             singular_values=mag.min(),
         )
     nb = red.n_b
-    w = damp * red.Ktilde.a[:nb, :nb] + inertia * np.diag(red.Mbb)
-    return ResponseSample(lam, SymMatrix(w - (v * (damp * damp / q)) @ v.T))
+    w = modal_response(ray, red.Ktilde.a[:nb, :nb], red.Mbb, sigmas, v, lam)
+    return ResponseSample(lam, SymMatrix(w))
 
 
 def system_resonances(rayleigh, sigmas):

@@ -30,7 +30,6 @@ import numpy as np
 from . import jsonio
 from .characterize import check_balanced, check_canonical
 from .errors import (
-    AtResonance,
     NotCharacterizable,
     PlacementFailed,
     ReconstructionMismatch,
@@ -44,7 +43,7 @@ from .geometry import (
     hull_distance,
     project_balanced,
 )
-from .linalg import PINV_TOL, SymMatrix
+from .linalg import SymMatrix
 from .model import (
     IdealElasticElement,
     Node,
@@ -62,10 +61,11 @@ from .model import (
 from .response import (
     ROUNDTRIP_TOL,
     ResponseSample,
+    eliminate_massless,
     evaluate_canonical,
     evaluate_response,
+    modal_response,
     sample_nonresonant,
-    schur_responses,
     system_resonances,
 )
 
@@ -231,62 +231,18 @@ class GeneralizedNetwork:
         return RayleighParams(0.0, 0.0)
 
 
-def _component_stacks(components):
-    """Assemble every component once and stack the systems of equal order.
-
-    Returns one ``(indices, K, M, partition)`` entry per matrix order,
-    where ``indices`` are the positions in ``components`` of the stacked
-    systems. Terminals come first in every component, so systems of one
-    order share one partition; all components share the Rayleigh constants,
-    so the damping is derived from ``K`` and ``M`` when a pencil is formed.
-    """
-    systems = [assemble_component(comp) for comp in components]
-    groups = {}
-    for k, sys in enumerate(systems):
-        groups.setdefault(sys.order, []).append(k)
-    stacks = []
-    for idx in groups.values():
-        members = [systems[k] for k in idx]
-        stacks.append(
-            (
-                idx,
-                np.stack([sys.K.a for sys in members]),
-                np.stack([sys.M.a for sys in members]),
-                members[0].partition,
-            )
-        )
-    return stacks
-
-
-def _superposed(stacks, rayleigh, nb, lam, mode="inverse"):
-    """Sum of the component responses at one point.
-
-    One stacked Schur pass per entry of :func:`_component_stacks`. The
-    responses are added one at a time in component order, and a resonance
-    is reported for the first resonant component in that order, so the
-    result and the error equal those of evaluating each component alone.
-    """
-    responses = {}
-    failed = []
-    for idx, K, M, partition in stacks:
-        try:
-            w = schur_responses(K, M, rayleigh, partition, lam, mode, PINV_TOL)
-        except AtResonance as exc:
-            failed.append((idx[exc.index], exc))
-            continue
-        responses.update(zip(idx, w))
-    if failed:
-        raise min(failed, key=lambda f: f[0])[1]
-    total = np.zeros((nb, nb), dtype=complex)
-    for k in sorted(responses):
-        total = total + responses[k]
-    return ResponseSample(complex(lam), SymMatrix(total))
-
-
 def evaluate_generalized(gn, lam, mode="inverse"):
-    """Response of the superposition: the sum of the component responses."""
-    stacks = _component_stacks(gn.components)
-    return _superposed(stacks, gn.rayleigh, gn.terminals.size, lam, mode)
+    """Response of the superposition, by direct Schur complements.
+
+    The component responses (:func:`evaluate_response`) are added in
+    component order; the first resonant component raises :class:`AtResonance`.
+    This is the oracle that the network's :func:`modal_form` is tested against.
+    """
+    nb = gn.terminals.size
+    total = np.zeros((nb, nb), dtype=complex)
+    for comp in gn.components:
+        total = total + evaluate_response(assemble_component(comp), lam, mode).W.a
+    return ResponseSample(complex(lam), SymMatrix(total))
 
 
 def assemble_union(gn):
@@ -499,7 +455,8 @@ def build_rank_one_gadget(
     :func:`balance_forces` and both receive the mass ``m = |g|^2 / sigma``,
     which pins the gadget's resonances at the roots of
     ``sigma + (alpha*sigma + beta)*lambda + lambda^2`` and makes the static
-    response vanish (verified numerically before returning).
+    response vanish. The gadget's own modes are checked against that
+    contract before returning (:class:`PlacementFailed` otherwise).
     """
     terminals = np.atleast_2d(np.asarray(terminals, dtype=float))
     nt, d = terminals.shape
@@ -536,21 +493,15 @@ def build_rank_one_gadget(
         rayleigh=rayleigh,
         dimension=d,
     )
-    sys = assemble_component(comp)
-    w0 = evaluate_response(sys, 0.0, mode="pseudoinverse").W.a
-    fscale = 1.0 + fnorm * fnorm
-    if np.abs(w0).max() > 1e-10 * fscale:
-        raise PlacementFailed(
-            f"gadget static response is nonzero ({np.abs(w0).max():.3e})"
-        )
-    probe = 0.37 + 0.21j  # arbitrary spot check; Re > 0 is never resonant
-    direct = evaluate_response(sys, probe).W.a
-    closed = rank_one_response(f, sigma, rayleigh, probe).a
-    # backward-error scale: a stiff mode (sigma >> |probe|^2) responds with a
-    # tiny residual of large cancelling terms, so the comparison is against
-    # the pre-cancellation working magnitude, not the residual itself
-    raw = abs(1.0 + rayleigh.alpha * probe) * fscale
-    if np.abs(direct - closed).max() > 1e-9 * max(np.abs(closed).max(), raw):
+    # the contract on the gadget's own modes: one coupled column, of modal
+    # stiffness sigma and equal to +-sqrt(sigma)*f, gives rank_one_response
+    sigmas, v = eliminate_massless(assemble_component(comp)).modal
+    column = np.sqrt(sigma) * f
+    size = np.linalg.norm(column)
+    coupled = np.nonzero(np.linalg.norm(v, axis=0) > 1e-9 * size)[0]
+    k = coupled[0] if coupled.size else 0
+    gap = min(np.linalg.norm(v[:, k] - column), np.linalg.norm(v[:, k] + column))
+    if coupled.size != 1 or abs(sigmas[k] - sigma) > 1e-9 * sigma or gap > 1e-9 * size:
         raise PlacementFailed("gadget response deviates from the closed form")
     return comp
 
@@ -695,23 +646,41 @@ def synthesize(
     return gn
 
 
+def modal_form(gn):
+    """``(A, Mbb, sigmas, V)`` of the network, for :func:`modal_response`.
+
+    Each component is assembled and reduced (:func:`eliminate_massless`)
+    once; the static blocks and terminal masses add and the modes join, in
+    component order. No components give zero blocks and a ``(nb, 0)`` ``V``.
+    """
+    nb = gn.terminals.size
+    reduced = [eliminate_massless(assemble_component(c)) for c in gn.components]
+    A = sum((red.Ktilde.a[:nb, :nb] for red in reduced), np.zeros((nb, nb)))
+    Mbb = sum((red.Mbb for red in reduced), np.zeros(nb))
+    sigmas = np.concatenate([np.zeros(0)] + [red.modal[0] for red in reduced])
+    V = np.hstack([np.zeros((nb, 0))] + [red.modal[1] for red in reduced])
+    return A, Mbb, sigmas, V
+
+
 def verify_synthesis(gn, cr, n_samples=50, seed=0):
     """Max relative deviation between the network and the closed form.
 
-    The network side assembles each component once; at every sample point
-    the components of equal order are solved as one stack.
+    The network side is :func:`modal_response` of the network's own
+    :func:`modal_form`, never of ``cr``. A deviation that is not finite
+    counts as infinite.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     rng = np.random.default_rng(seed)
     avoid = system_resonances(cr.rayleigh, [m.sigma for m in cr.modes] + [0.0])
-    stacks = _component_stacks(gn.components)
+    form = modal_form(gn)
     worst = 0.0
     for lam in sample_nonresonant(rng, avoid, n_samples):
         reference = evaluate_canonical(cr, lam).W.a
-        achieved = _superposed(stacks, gn.rayleigh, gn.terminals.size, lam).W.a
-        scale = max(np.abs(reference).max(), 1e-300)
-        worst = max(worst, np.abs(achieved - reference).max() / scale)
+        with np.errstate(all="ignore"):
+            gap = np.abs(modal_response(gn.rayleigh, *form, complex(lam)) - reference)
+        deviation = gap.max() / max(np.abs(reference).max(), 1e-300)
+        worst = max(worst, deviation if np.isfinite(deviation) else np.inf)
     return float(worst)
 
 

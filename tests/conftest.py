@@ -56,6 +56,14 @@ def scaled_network(net, factor):
     return ElastodynamicNetwork(net.dimension, nodes, net.springs, net.rayleigh)
 
 
+def stiffened_network(net, stiffness, mass):
+    """The same network with every spring stiffness multiplied by
+    ``stiffness`` and every nodal mass by ``mass``."""
+    nodes = tuple(Node(n.position, mass * n.mass, n.is_terminal) for n in net.nodes)
+    springs = tuple(Spring(s.i, s.j, stiffness * s.stiffness) for s in net.springs)
+    return ElastodynamicNetwork(net.dimension, nodes, springs, net.rayleigh)
+
+
 @pytest.fixture
 def assembled_chain(collinear_chain):
     return assemble(collinear_chain)

@@ -15,6 +15,7 @@ import contextlib
 import io
 import json
 import os
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -34,6 +35,8 @@ from elastonet import (
 )
 from elastonet.cli import main
 from elastonet.jsonio import write_json
+
+import golden_drift
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -168,6 +171,43 @@ def test_golden_output(name, tmp_path, monkeypatch):
 def test_golden_directory_has_no_stale_files():
     expected = {f"{name}.{ext}" for name in CASES for ext in ("out", "err")}
     assert {p.name for p in GOLDEN.iterdir()} <= expected
+
+
+def _set_error(payload, value):
+    payload["verification"]["max_rel_error"] = value
+
+
+def _nudge_sigma(payload):
+    payload["canonical"]["modes"][0]["sigma"] *= 1.0 + 2e-12
+
+
+def _flip_pass(payload):
+    payload["pass"] = False
+
+
+# a worst round-trip error is rounding and may move while it stays at most
+# BOUND; every other number and every flag is held as tightly as before
+@pytest.mark.parametrize(
+    "edit,ok",
+    [
+        (lambda p: _set_error(p, 4e-15), True),
+        (lambda p: _set_error(p, 1e-12), True),
+        (lambda p: _set_error(p, 2e-12), False),
+        (_nudge_sigma, False),
+        (_flip_pass, False),
+    ],
+    ids=["error 4e-15", "error 1e-12", "error 2e-12", "sigma moved", "pass flipped"],
+)
+def test_drift_bounds_max_rel_error_absolutely(tmp_path, edit, ok):
+    old, new = tmp_path / "old", tmp_path / "new"
+    for d in (old, new):
+        d.mkdir()
+        shutil.copy(GOLDEN / "roundtrip_d2.out", d)
+    payload = json.loads((new / "roundtrip_d2.out").read_text())
+    edit(payload)
+    write_json(new / "roundtrip_d2.out", payload)
+    lines, passed = golden_drift.compare(old, new)
+    assert passed is ok, lines
 
 
 def regenerate():

@@ -1,5 +1,6 @@
 """Every module of the package uses each name it imports, raises every
-error class it defines, and writes JSON only through the canonical writer."""
+error class it defines, and writes JSON only through the canonical writer;
+in synthesis only the direct oracle solves Schur complements."""
 
 import ast
 from pathlib import Path
@@ -92,3 +93,32 @@ def test_guard_reports_a_json_write():
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_no_json_write_outside_the_canonical_writer(module):
     assert json_writes((PACKAGE / module).read_text()) == []
+
+
+def callers(source, name):
+    """Top-level functions of ``source`` whose bodies call ``name``."""
+    found = set()
+    for fn in ast.parse(source).body:
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == name
+                ):
+                    found.add(fn.name)
+    return sorted(found)
+
+
+def test_guard_reports_every_caller():
+    source = (
+        "def a():\n    return f(1)\n\n\ndef b():\n    def inner():\n        f()\n"
+        "    return inner\n\n\ndef c():\n    return g.f(), f\n"
+    )
+    assert callers(source, "f") == ["a", "b"]
+
+
+# verification and the gadget check read modes; Schur solves stay in the oracle
+def test_only_the_oracle_solves_schur_complements_in_synthesis():
+    source = (PACKAGE / "synthesize.py").read_text()
+    assert callers(source, "evaluate_response") == ["evaluate_generalized"]

@@ -1,6 +1,8 @@
 """Force balancing, rank-one gadgets, full synthesis, superposition."""
 
+import json
 from collections import Counter
+from dataclasses import replace
 from importlib import import_module
 
 import numpy as np
@@ -24,20 +26,28 @@ from elastonet import (
     assemble_union,
     balance_forces,
     build_rank_one_gadget,
+    eliminate_massless,
     evaluate_generalized,
     evaluate_response,
     extract_canonical,
     generalized_from_dict,
     generalized_to_dict,
+    network_to_dict,
     random_network,
     rank_one_response,
     resonances_of,
+    sample_nonresonant,
     synthesize,
+    system_resonances,
     verify_synthesis,
 )
+from elastonet.cli import main
 from elastonet.geometry import hull_distance
+from elastonet.jsonio import write_json
+from elastonet.response import ROUNDTRIP_TOL, modal_response
+from elastonet.synthesize import modal_form
 
-from conftest import scaled_network
+from conftest import scaled_network, stiffened_network
 
 
 def brute_force_balance_residual(points, forces):
@@ -170,6 +180,33 @@ class TestRankOneGadget:
             assert root.real <= 0.0
             q = sigma + (ray.alpha * sigma + ray.beta) * root + root * root
             assert abs(q) <= 1e-9 * max(sigma, 1.0)
+
+    @pytest.mark.parametrize("fault", ["mass", "coupling"])
+    def test_broken_contract_raises(self, monkeypatch, fault):
+        # the gadget as assembled departs from its construction by 1e-6:
+        # heavier internal nodes, or an extra terminal-interior stiffness
+        module = import_module("elastonet.synthesize")
+        real = module.assemble_component
+
+        def broken(comp):
+            sys = real(comp)
+            K, M = sys.K.a.copy(), sys.M.a.copy()
+            nb = len(sys.partition.boundary)
+            if fault == "mass":
+                M *= 1.0 + 1e-6
+            else:
+                K[0, nb] = K[nb, 0] = K[0, nb] + 1e-6 * np.abs(K).max()
+            return replace(sys, K=SymMatrix(K), M=SymMatrix(M))
+
+        monkeypatch.setattr(module, "assemble_component", broken)
+        with pytest.raises(PlacementFailed, match="deviates from the closed form"):
+            build_rank_one_gadget(
+                [[0.0, 0.0], [1.0, 1.0]],
+                [0.4, -0.3, 0.2, 0.1],
+                sigma=2.5,
+                rayleigh=RayleighParams(0.7, 0.4),
+                seed=11,
+            )
 
     def test_zero_force_rejected(self):
         with pytest.raises(ZeroForce):
@@ -386,7 +423,7 @@ def per_component(gn, lam, mode="inverse"):
 
 
 class TestStackedEvaluation:
-    """Stacked evaluation of a superposition against per-component evaluation."""
+    """The direct oracle ``evaluate_generalized`` against per-component evaluation."""
 
     @pytest.mark.parametrize("seed,d", [(1, 2), (3, 3)])
     @pytest.mark.parametrize("mode", ["inverse", "pseudoinverse"])
@@ -415,8 +452,7 @@ class TestStackedEvaluation:
     def test_resonance_names_first_resonant_component(self):
         # a non-resonant gadget, then a springs component and a gadget that
         # both resonate at the root of one mode's q(lambda): the springs
-        # component comes first in component order but sits in the later
-        # order group, so taking groups in turn would name the gadget
+        # component comes first in component order, so it is the one named
         cr = extracted(3, d=3, nt=3)
         gn = synthesize(cr, seed=3)
         sigma = cr.modes[-1].sigma
@@ -465,6 +501,145 @@ class TestStackedEvaluation:
         gn = synthesize(cr, seed=1)
         with pytest.raises(ValueError, match="n_samples"):
             verify_synthesis(gn, cr, n_samples=0)
+
+
+def synthesized_3d():
+    """A canonical form and its network: static elements, terminal masses, gadgets."""
+    cr = extracted(3, d=3, nt=3)
+    return cr, synthesize(cr, seed=3)
+
+
+def first(gn, kind):
+    return next(k for k, c in enumerate(gn.components) if c.kind == kind)
+
+
+def replaced(gn, k, comp):
+    """``gn`` with component ``k`` replaced by ``comp``, or dropped for None."""
+    comps = list(gn.components)
+    comps[k:k + 1] = [] if comp is None else [comp]
+    return with_components(gn, tuple(comps))
+
+
+def heavier(comp, factor):
+    """The component with every internal mass multiplied by ``factor``."""
+    nodes = tuple(
+        n if n.is_terminal else replace(n, mass=factor * n.mass) for n in comp.nodes
+    )
+    return replace(comp, nodes=nodes)
+
+
+class TestVerificationDetects:
+    """Verification reads the network's own modes, so a faulty network fails."""
+
+    def test_gadget_mass_off_by_a_millionth(self):
+        cr, gn = synthesized_3d()
+        k = first(gn, "rank_one_gadget")
+        bad = replaced(gn, k, heavier(gn.components[k], 1.0 + 1e-6))
+        assert verify_synthesis(gn, cr) <= ROUNDTRIP_TOL
+        assert verify_synthesis(bad, cr) > ROUNDTRIP_TOL
+
+    def test_static_element_force_off_by_a_millionth(self):
+        cr, gn = synthesized_3d()
+        k = first(gn, "ideal_elements")
+        comp = gn.components[k]
+        el = comp.elements[0]
+        stronger = replace(el, force_vector=(1.0 + 1e-6) * el.force_vector)
+        bad = replaced(gn, k, replace(comp, elements=(stronger, *comp.elements[1:])))
+        assert verify_synthesis(bad, cr) > ROUNDTRIP_TOL
+
+    def test_dropped_gadget(self):
+        cr, gn = synthesized_3d()
+        bad = replaced(gn, first(gn, "rank_one_gadget"), None)
+        assert verify_synthesis(bad, cr) > ROUNDTRIP_TOL
+
+    def test_sample_at_a_gadget_pole_is_not_swallowed(self, monkeypatch):
+        # the gadget's own poles moved off the canonical ones, so the
+        # closed form is finite where the network's response is not
+        module = import_module("elastonet.synthesize")
+        cr, gn = synthesized_3d()
+        k = first(gn, "rank_one_gadget")
+        gadget = heavier(gn.components[k], 1.0 + 1e-6)
+        sigma = eliminate_massless(assemble_component(gadget)).modal[0].max()
+        root = resonances_of(sigma, cr.rayleigh)[0]
+        monkeypatch.setattr(
+            module, "sample_nonresonant", lambda rng, avoid, count: np.full(count, root)
+        )
+        assert verify_synthesis(replaced(gn, k, gadget), cr, n_samples=1) > 1e6
+
+    def test_non_finite_deviation_counts_as_infinite(self, monkeypatch):
+        module = import_module("elastonet.synthesize")
+        cr, gn = synthesized_3d()
+        nb = gn.terminals.size
+        monkeypatch.setattr(
+            module, "modal_response", lambda *args: np.full((nb, nb), np.nan)
+        )
+        assert verify_synthesis(gn, cr, n_samples=3) == np.inf
+
+
+def network_case(name):
+    if name == "empty":
+        return with_components(synthesized_3d()[1], ())
+    seed, d, nt = {"2d": (1, 2, 3), "3d": (3, 3, 3), "mechanism": (2, 2, 2),
+                   "massless interior": (1, 2, 3), "massless mechanism": (2, 2, 2)}[name]
+    gn = synthesize(extracted(seed, d=d, nt=nt), seed=seed)
+    if name in ("2d", "3d"):
+        return gn
+    # two terminals in the plane leave the centroid node free to move across
+    # their line: a floppy direction, massive or massless
+    mass = 1.3 if name == "mechanism" else 0.0
+    return with_components(gn, (*gn.components, springs_component(gn, mass)))
+
+
+@pytest.mark.parametrize(
+    "name", ["2d", "3d", "mechanism", "massless interior", "massless mechanism", "empty"]
+)
+def test_modal_form_matches_direct_oracle(name):
+    gn = network_case(name)
+    form = modal_form(gn)
+    assert form[3].shape == (gn.terminals.size, len(form[2]))
+    avoid = system_resonances(gn.rayleigh, list(form[2]) + [0.0])
+    for lam in sample_nonresonant(np.random.default_rng(0), avoid, 8):
+        modal = modal_response(gn.rayleigh, *form, lam)
+        direct = evaluate_generalized(gn, lam, "pseudoinverse").W.a
+        assert np.abs(modal - direct).max() <= 1e-12 * np.abs(direct).max(), lam
+
+
+STIFF_OR_LIGHT = pytest.mark.parametrize("stiffness,mass", [(1e8, 1.0), (1.0, 1e-8)])
+
+
+def kinds(components):
+    return Counter(c["kind"] if isinstance(c, dict) else c.kind for c in components)
+
+
+class TestStiffAndLightNetworks:
+    """Springs x1e8 or masses x1e-8: the gadget contract compares each
+    quantity with itself, so no absolute scale rejects the gadgets."""
+
+    ARGS = (5, 2, 3, 6, 0.5)
+
+    def network(self, stiffness, mass):
+        return stiffened_network(random_network(*self.ARGS), stiffness, mass)
+
+    def unit_kinds(self):
+        cr = extract_canonical(assemble(random_network(*self.ARGS)))
+        return kinds(synthesize(cr, seed=0).components)
+
+    @STIFF_OR_LIGHT
+    def test_synthesis_passes_its_check(self, stiffness, mass):
+        cr = extract_canonical(assemble(self.network(stiffness, mass)))
+        gn = synthesize(cr, seed=0)
+        assert verify_synthesis(gn, cr, seed=1) <= 1e-12
+        assert kinds(gn.components) == self.unit_kinds()
+
+    @STIFF_OR_LIGHT
+    def test_cli_roundtrip_passes(self, tmp_path, stiffness, mass):
+        path, out = tmp_path / "net.json", tmp_path / "out.json"
+        write_json(path, network_to_dict(self.network(stiffness, mass)))
+        assert main(["roundtrip", str(path), "-o", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["pass"] is True
+        assert payload["verification"]["max_rel_error"] <= 1e-12
+        assert kinds(payload["network"]["components"]) == self.unit_kinds()
 
 
 class TestGeneralizedJson:
