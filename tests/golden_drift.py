@@ -97,9 +97,10 @@ def compare(old_dir, new_dir):
         worst, where, _ = max(drifts)
         changed = sum(moved for _, _, moved in drifts)
         verdict = "ok" if worst <= BOUND else "FAIL"
+        kind = "absolute" if where.endswith(".max_rel_error") else "relative"
         lines.append(
             f"{name}: {verdict} {changed} of {len(drifts)} numbers changed, worst "
-            f"{worst:.2e} relative at {where}; keys and flags unchanged"
+            f"{worst:.2e} {kind} at {where}; keys and flags unchanged"
         )
         ok = ok and worst <= BOUND
     return lines, ok

@@ -181,10 +181,13 @@ class TestRankOneGadget:
             q = sigma + (ray.alpha * sigma + ray.beta) * root + root * root
             assert abs(q) <= 1e-9 * max(sigma, 1.0)
 
-    @pytest.mark.parametrize("fault", ["mass", "coupling"])
+    @pytest.mark.parametrize(
+        "fault", ["mass", "coupling column", "uncoupled mode", "interior stiffness"]
+    )
     def test_broken_contract_raises(self, monkeypatch, fault):
-        # the gadget as assembled departs from its construction by 1e-6:
-        # heavier internal nodes, or an extra terminal-interior stiffness
+        # the gadget as assembled departs from its construction by 1e-6;
+        # the last three faults each break one clause of the contract alone:
+        # the coupled column, the coupling of a zero mode, or sigma
         module = import_module("elastonet.synthesize")
         real = module.assemble_component
 
@@ -192,10 +195,18 @@ class TestRankOneGadget:
             sys = real(comp)
             K, M = sys.K.a.copy(), sys.M.a.copy()
             nb = len(sys.partition.boundary)
+            g = comp.elements[0].force_vector[nb:]
             if fault == "mass":
                 M *= 1.0 + 1e-6
+            elif fault == "coupling column":
+                K[:nb, nb:] *= 1.0 + 1e-6
+                K[nb:, :nb] *= 1.0 + 1e-6
+            elif fault == "uncoupled mode":
+                across = np.eye(len(g))[0] - g[0] * g / (g @ g)  # orthogonal to g
+                K[0, nb:] += 1e-6 * np.abs(K).max() * across
+                K[nb:, 0] = K[0, nb:]
             else:
-                K[0, nb] = K[nb, 0] = K[0, nb] + 1e-6 * np.abs(K).max()
+                K[nb:, nb:] *= 1.0 + 1e-6
             return replace(sys, K=SymMatrix(K), M=SymMatrix(M))
 
         monkeypatch.setattr(module, "assemble_component", broken)
