@@ -1,6 +1,7 @@
 """Geometric helpers: torque cross products, force-balance residuals, hulls."""
 
 import itertools
+from functools import lru_cache
 
 import numpy as np
 
@@ -10,7 +11,9 @@ from .errors import DimensionMismatch
 def cross(x, f):
     """Cross product as used in torque balances.
 
-    Scalar ``x0*f1 - x1*f0`` for d=2, the usual 3-vector for d=3.
+    Scalar ``x0*f1 - x1*f0`` for d=2, the usual 3-vector for d=3. The
+    3-vector is written out as ``np.cross`` computes it, so the bits are the
+    same, without that function's per-call axis handling.
     """
     x = np.asarray(x, dtype=float)
     f = np.asarray(f, dtype=float)
@@ -20,7 +23,11 @@ def cross(x, f):
     if d == 2:
         return x[..., 0] * f[..., 1] - x[..., 1] * f[..., 0]
     if d == 3:
-        return np.cross(x, f)
+        x0, x1, x2 = x[..., 0], x[..., 1], x[..., 2]
+        f0, f1, f2 = f[..., 0], f[..., 1], f[..., 2]
+        return np.stack(
+            [x1 * f2 - x2 * f1, x2 * f0 - x0 * f2, x0 * f1 - x1 * f0], axis=-1
+        )
     raise DimensionMismatch(f"cross product defined for d in (2, 3), got {d}")
 
 
@@ -58,28 +65,26 @@ def balance_operator(positions):
     n, d = positions.shape
     n_torque = 1 if d == 2 else 3
     B = np.zeros((d + n_torque, n * d))
-    for i in range(n):
-        for a in range(d):
-            B[a, i * d + a] = 1.0
-    for i, x in enumerate(positions):
-        if d == 2:
-            B[2, i * d + 0] = -x[1]
-            B[2, i * d + 1] = x[0]
-        else:
-            B[3, i * d + 1] = -x[2]
-            B[3, i * d + 2] = x[1]
-            B[4, i * d + 0] = x[2]
-            B[4, i * d + 2] = -x[0]
-            B[5, i * d + 0] = -x[1]
-            B[5, i * d + 1] = x[0]
+    B[:d] = np.tile(np.eye(d), n)
+    if d == 2:
+        B[2, 0::2], B[2, 1::2] = -positions[:, 1], positions[:, 0]
+    else:
+        x0, x1, x2 = positions.T
+        B[3, 1::3], B[3, 2::3] = -x2, x1
+        B[4, 0::3], B[4, 2::3] = x2, -x0
+        B[5, 0::3], B[5, 1::3] = -x1, x0
     return B
 
 
-def project_balanced(f, positions):
-    """Orthogonal projection of a force vector onto the balanced subspace."""
-    f = np.asarray(f, dtype=float)
+def project_balanced(forces, positions):
+    """Orthogonal projections of force vectors onto the balanced subspace.
+
+    ``B`` and its pseudoinverse are formed once for all of ``forces``; each
+    vector is projected by its own matrix-vector products.
+    """
     B = balance_operator(positions)
-    return f - np.linalg.pinv(B) @ (B @ f)
+    B_pinv = np.linalg.pinv(B)
+    return [f - B_pinv @ (B @ f) for f in forces]
 
 
 def hull_diameter(points):
@@ -90,12 +95,44 @@ def hull_diameter(points):
     return float(np.sqrt((diff**2).sum(-1)).max())
 
 
+# Point sets whose hull KKT systems are kept, the least recently used
+# dropped first. A synthesis asks for the distances of all its internal
+# nodes to one set of terminals.
+HULL_CACHE_SIZE = 4
+
+
+@lru_cache(maxsize=HULL_CACHE_SIZE)
+def _hull_systems(shape, data):
+    """Per subset size, the regular subsets' points and KKT matrices.
+
+    The point set is given by content, its shape and float64 bytes, so a set
+    changed in place is a new key. The KKT system projects onto the affine
+    hull of a subset, in barycentric coordinates ``t`` with ``sum(t) = 1``.
+    An exactly zero pivot marks an affinely dependent subset, which the
+    smaller subsets cover; ``slogdet`` runs the LU that ``solve`` would run.
+    """
+    pts = np.frombuffer(data).reshape(shape)
+    n, d = shape
+    systems = []
+    for size in range(2, min(n, d + 1) + 1):
+        p = pts[np.array(list(itertools.combinations(range(n), size)))]
+        kkt = np.ones((len(p), size + 1, size + 1))
+        kkt[:, :size, :size] = 2.0 * (p @ p.swapaxes(1, 2))
+        kkt[:, size, size] = 0.0
+        regular = np.linalg.slogdet(kkt)[0] != 0.0
+        p, kkt = p[regular], kkt[regular]
+        p.flags.writeable = kkt.flags.writeable = False
+        systems.append((p, kkt))
+    return tuple(systems)
+
+
 def hull_distance(x, points):
     """Exact Euclidean distance from ``x`` to the convex hull of ``points``.
 
     Enumerates candidate supporting subsets of size at most d+1 (enough by
     Caratheodory) and keeps the best feasible affine projection; the
-    subsets of one size are solved as one stack. Intended for the
+    subsets of one size are solved as one stack, against KKT matrices kept
+    for the ``HULL_CACHE_SIZE`` point sets used last. Intended for the
     desk-scale point sets of this package, not large hulls.
     """
     x = np.asarray(x, dtype=float)
@@ -106,20 +143,11 @@ def hull_distance(x, points):
     best = np.sqrt(((pts - x) ** 2).sum(-1)).min()
     if best == 0.0:
         return 0.0
-    for size in range(2, min(n, d + 1) + 1):
-        p = pts[np.array(list(itertools.combinations(range(n), size)))]
-        # projection onto the affine hull of each subset: KKT system in
-        # barycentric coordinates t with sum(t) = 1
-        kkt = np.ones((len(p), size + 1, size + 1))
-        kkt[:, :size, :size] = 2.0 * (p @ p.swapaxes(1, 2))
-        kkt[:, size, size] = 0.0
+    for p, kkt in _hull_systems(pts.shape, pts.tobytes()):
+        size = p.shape[1]
         rhs = np.ones((len(p), size + 1, 1))
         rhs[:, :size, 0] = 2.0 * (p @ x)
-        # an exactly zero pivot marks an affinely dependent subset, which
-        # the smaller subsets cover; slogdet runs the LU solve would run
-        regular = np.linalg.slogdet(kkt)[0] != 0.0
-        p = p[regular]
-        t = np.linalg.solve(kkt[regular], rhs[regular])[:, :size]
+        t = np.linalg.solve(kkt, rhs)[:, :size]
         feasible = t.min(axis=(1, 2)) >= -1e-12
         cand = np.linalg.norm((p.swapaxes(1, 2) @ t)[feasible, :, 0] - x, axis=1)
         best = np.fmin.reduce(cand, initial=best)  # fmin skips NaN candidates

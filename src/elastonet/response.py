@@ -52,6 +52,10 @@ ROUNDTRIP_TOL = 1e-8
 # little time and raise the peak memory of a roundtrip.
 SELFCHECK_CHUNK_BYTES = 1_500_000
 
+# Modes whose terms evaluate_canonical stacks at once: one stack holds at
+# most 0.5 MB at 30 terminal coordinates, and a 90-mode form takes three.
+CANONICAL_CHUNK = 32
+
 
 @dataclass(frozen=True)
 class ResponseSample:
@@ -439,22 +443,37 @@ def _relative_gap(closed, direct, floor):
 
 
 def evaluate_canonical(cr, lam):
-    """Evaluate the pole-residue form at one Laplace point."""
+    """Evaluate the pole-residue form at one Laplace point.
+
+    The coefficients ``damp^2/q_j`` are Python complex numbers, checked in
+    mode order against the pole guard. The terms ``c_j R_j`` are then
+    subtracted in mode order by one ``np.subtract.reduce`` per stack of
+    ``CANONICAL_CHUNK`` modes, which gives the bits of subtracting them one
+    at a time.
+    """
     lam = complex(lam)
-    damp = 1.0 + cr.rayleigh.alpha * lam
-    w = damp * cr.A.a + (cr.rayleigh.beta * lam + lam * lam) * np.diag(cr.Mbb)
+    alpha, beta = cr.rayleigh.alpha, cr.rayleigh.beta
+    damp, lam2 = 1.0 + alpha * lam, lam * lam
+    w = damp * cr.A.a + (beta * lam + lam2) * np.diag(cr.Mbb)
     guard = 1e-12 * (1.0 + abs(lam) ** 2)
+    coefficients = []
     for mode in cr.modes:
-        q = (
-            mode.sigma
-            + (cr.rayleigh.alpha * mode.sigma + cr.rayleigh.beta) * lam
-            + lam * lam
-        )
+        sigma = mode.sigma
+        q = sigma + (alpha * sigma + beta) * lam + lam2
         if abs(q) <= guard:
             raise AtResonance(
-                f"lambda = {lam} is a pole: |q({mode.sigma:.6g})| = {abs(q):.3e}"
+                f"lambda = {lam} is a pole: |q({sigma:.6g})| = {abs(q):.3e}"
             )
-        w = w - (damp * damp / q) * mode.R.a
+        coefficients.append(damp * damp / q)
+    n = cr.order
+    for start in range(0, len(cr.modes), CANONICAL_CHUNK):
+        chunk = cr.modes[start:start + CANONICAL_CHUNK]
+        terms = np.empty((len(chunk) + 1, n, n), dtype=complex)
+        terms[0] = w
+        terms[1:] = [mode.R.a for mode in chunk]
+        c = np.array(coefficients[start:start + CANONICAL_CHUNK], dtype=complex)
+        np.multiply(c[:, None, None], terms[1:], out=terms[1:])
+        w = np.subtract.reduce(terms, axis=0)
     return ResponseSample(lam, SymMatrix(w))
 
 

@@ -24,6 +24,7 @@ Realizing one by literal springs is out of scope here.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -154,6 +155,12 @@ class NetworkComponent:
         return np.array([n.position for n in self.nodes[self.n_terminals:]]).reshape(
             -1, self.dimension
         )
+
+    @cached_property
+    def reduced(self):
+        """The component assembled and reduced (:func:`eliminate_massless`),
+        computed once: the gadget check and :func:`modal_form` both read it."""
+        return eliminate_massless(assemble_component(self))
 
 
 def assemble_component(comp):
@@ -303,7 +310,7 @@ def _solve_couple(x1, x2, f_rem, tau, min_force):
     else:
         if abs(float(w @ tau)) > 1e-9 * (np.linalg.norm(w) * np.linalg.norm(tau) + 1e-300):
             return None  # torque not cancellable along this joining direction
-        h = np.cross(w, tau) / wnorm2
+        h = cross(w, tau) / wnorm2
     g1 = f_rem + h
     g2 = -h
     g = np.concatenate([g1, g2])
@@ -392,7 +399,7 @@ def balance_forces(
             tnorm = np.linalg.norm(tau)
             if tnorm > 1e-12 * scale:
                 probe = rng.standard_normal(3)
-                u = np.cross(tau, probe)
+                u = cross(tau, probe)
                 if np.linalg.norm(u) < 1e-9 * tnorm:
                     continue
             else:
@@ -495,7 +502,7 @@ def build_rank_one_gadget(
     )
     # the contract on the gadget's own modes: one coupled column, of modal
     # stiffness sigma and equal to +-sqrt(sigma)*f, gives rank_one_response
-    sigmas, v = eliminate_massless(assemble_component(comp)).modal
+    sigmas, v = comp.reduced.modal
     column = np.sqrt(sigma) * f
     size = np.linalg.norm(column)
     coupled = np.nonzero(np.linalg.norm(v, axis=0) > 1e-9 * size)[0]
@@ -531,7 +538,7 @@ def _rank_one_factors(matrix, positions=None, what="", floor=0.0):
         if vals[k] > cutoff:
             factors.append(np.sqrt(vals[k]) * vecs[:, k])
     if positions is not None:
-        factors = [project_balanced(w, positions) for w in factors]
+        factors = project_balanced(factors, positions)
         for w in factors:
             ok, residual = check_balanced(w, positions, tol=1e-9)
             if not ok:
@@ -613,21 +620,26 @@ def synthesize(
     if node_masses.max(initial=0.0) > 0.0:
         components.append(on_terminals("terminal_masses", node_masses, ()))
 
-    placed = user_forbidden.copy()
-    for mode in cr.modes:
-        for v in _rank_one_factors(mode.R.a / mode.sigma):
-            gadget = build_rank_one_gadget(
-                terminals,
-                v,
-                mode.sigma,
-                cr.rayleigh,
-                epsilon_hull=epsilon_hull,
-                forbidden=placed,
-                seed=rng,
-                min_clearance=clearance,
-            )
-            components.append(gadget)
-            placed = np.vstack([placed, gadget.internal_positions])
+    factors = [(m.sigma, v) for m in cr.modes for v in _rank_one_factors(m.R.a / m.sigma)]
+    # each gadget keeps clear of the user's points and of the nodes placed
+    # before it, which fill this array in order
+    placed = np.empty((len(user_forbidden) + 2 * len(factors), d))
+    placed[:len(user_forbidden)] = user_forbidden
+    used = len(user_forbidden)
+    for sigma, v in factors:
+        gadget = build_rank_one_gadget(
+            terminals,
+            v,
+            sigma,
+            cr.rayleigh,
+            epsilon_hull=epsilon_hull,
+            forbidden=placed[:used],
+            seed=rng,
+            min_clearance=clearance,
+        )
+        components.append(gadget)
+        placed[used:used + 2] = gadget.internal_positions
+        used += 2
 
     gn = GeneralizedNetwork(
         terminals=terminals.copy(),
@@ -649,12 +661,13 @@ def synthesize(
 def modal_form(gn):
     """``(A, Mbb, sigmas, V)`` of the network, for :func:`modal_response`.
 
-    Each component is assembled and reduced (:func:`eliminate_massless`)
-    once; the static blocks and terminal masses add and the modes join, in
-    component order. No components give zero blocks and a ``(nb, 0)`` ``V``.
+    Each component's :attr:`NetworkComponent.reduced` is read, so a gadget
+    is not reduced again; the static blocks and terminal masses add and the
+    modes join, in component order. No components give zero blocks and a
+    ``(nb, 0)`` ``V``.
     """
     nb = gn.terminals.size
-    reduced = [eliminate_massless(assemble_component(c)) for c in gn.components]
+    reduced = [c.reduced for c in gn.components]
     A = sum((red.Ktilde.a[:nb, :nb] for red in reduced), np.zeros((nb, nb)))
     Mbb = sum((red.Mbb for red in reduced), np.zeros(nb))
     sigmas = np.concatenate([np.zeros(0)] + [red.modal[0] for red in reduced])

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from elastonet import GeneralizedNetwork, NetworkComponent, Node, RayleighParams
 from elastonet.errors import DimensionMismatch
-from elastonet.geometry import hull_distance
+from elastonet import geometry
+from elastonet.geometry import balance_operator, cross, hull_distance
 
 synthesize_module = import_module("elastonet.synthesize")
 
@@ -123,6 +124,105 @@ class TestHullDistanceProperties:
         d = points.shape[1]
         x = np.array(data.draw(st.lists(st.floats(-12.0, 12.0), min_size=d, max_size=d)))
         assert_matches_oracle(x, points)
+
+
+class TestHullSystemsCache:
+    """The KKT stacks are kept per terminal set; the distances do not change."""
+
+    SETS = (
+        np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 2.0],
+                  [1.0, 1.0, 1.0]]),
+        np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.5, 0.5]]),
+    )
+
+    def points(self, d, seed):
+        return np.random.default_rng(seed).uniform(-1.0, 3.0, (6, d))
+
+    def test_alternating_sets_match_the_enumerator(self):
+        geometry._hull_systems.cache_clear()
+        warm = []
+        for turn in range(4):
+            for k, pts in enumerate(self.SETS):
+                warm.append([assert_matches_oracle(x, pts)
+                             for x in self.points(pts.shape[1], 10 * turn + k)])
+        assert geometry._hull_systems.cache_info().currsize == 2
+        # a cold cache gives the same bits
+        for turn in range(4):
+            for k, pts in enumerate(self.SETS):
+                cold = []
+                for x in self.points(pts.shape[1], 10 * turn + k):
+                    geometry._hull_systems.cache_clear()
+                    cold.append(hull_distance(x, pts))
+                assert cold == warm[2 * turn + k]
+
+    def test_set_changed_in_place_is_a_new_set(self):
+        pts = self.SETS[0].copy()
+        x = np.array([3.0, 3.0, 3.0])
+        before = assert_matches_oracle(x, pts)
+        pts[4] = [2.5, 2.5, 2.5]
+        after = assert_matches_oracle(x, pts)
+        assert after < before
+
+    def test_cache_is_bounded(self):
+        for seed in range(3 * geometry.HULL_CACHE_SIZE):
+            pts = np.random.default_rng(seed).standard_normal((4, 2))
+            assert_matches_oracle(np.array([5.0, 5.0]), pts)
+            assert geometry._hull_systems.cache_info().currsize <= geometry.HULL_CACHE_SIZE
+
+
+def looped_balance_operator(positions):
+    """Oracle: the balance operator filled entry by entry."""
+    positions = np.atleast_2d(np.asarray(positions, dtype=float))
+    n, d = positions.shape
+    B = np.zeros((d + (1 if d == 2 else 3), n * d))
+    for i in range(n):
+        for a in range(d):
+            B[a, i * d + a] = 1.0
+    for i, x in enumerate(positions):
+        if d == 2:
+            B[2, i * d + 0] = -x[1]
+            B[2, i * d + 1] = x[0]
+        else:
+            B[3, i * d + 1] = -x[2]
+            B[3, i * d + 2] = x[1]
+            B[4, i * d + 0] = x[2]
+            B[4, i * d + 2] = -x[0]
+            B[5, i * d + 0] = -x[1]
+            B[5, i * d + 1] = x[0]
+    return B
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_balance_operator_equals_the_loop_bitwise(d, n):
+    positions = np.random.default_rng(n + d).standard_normal((n, d))
+    positions[0, 0] = 0.0  # its negation is -0.0 in both
+    got, want = balance_operator(positions), looped_balance_operator(positions)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestCross:
+    @pytest.mark.parametrize(
+        "shape_x,shape_f", [((3,), (3,)), ((8, 3), (8, 3)), ((8, 3), (3,)),
+                            ((3,), (8, 3)), ((2, 5, 3), (5, 3))]
+    )
+    def test_equals_numpy_cross_bitwise(self, shape_x, shape_f):
+        rng = np.random.default_rng(len(shape_x) + len(shape_f))
+        x = rng.standard_normal(shape_x) * 1e3
+        f = rng.standard_normal(shape_f)
+        got, want = cross(x, f), np.cross(x, f)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_two_dimensions_is_the_scalar_torque(self):
+        x = np.array([[1.0, 2.0], [-3.0, 0.5]])
+        f = np.array([[0.25, -1.0], [2.0, 4.0]])
+        assert cross(x, f).tolist() == [1.0 * -1.0 - 2.0 * 0.25, -3.0 * 4.0 - 0.5 * 2.0]
+        assert cross(x[0], f[0]) == -1.5
+
+    @pytest.mark.parametrize("shape_x,shape_f", [((3,), (2,)), ((4,), (4,))])
+    def test_other_dimensions_rejected(self, shape_x, shape_f):
+        with pytest.raises(DimensionMismatch):
+            cross(np.ones(shape_x), np.ones(shape_f))
 
 
 TERMINALS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])

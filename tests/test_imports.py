@@ -1,6 +1,7 @@
 """Every module of the package uses each name it imports, raises every
 error class it defines, and writes JSON only through the canonical writer;
-in synthesis only the direct oracle solves Schur complements."""
+in synthesis only the direct oracle solves Schur complements, and
+``geometry.cross`` is the one cross product."""
 
 import ast
 from pathlib import Path
@@ -122,3 +123,35 @@ def test_guard_reports_every_caller():
 def test_only_the_oracle_solves_schur_complements_in_synthesis():
     source = (PACKAGE / "synthesize.py").read_text()
     assert callers(source, "evaluate_response") == ["evaluate_generalized"]
+
+
+def numpy_cross_uses(source):
+    """Lines of ``source`` that read ``np.cross``/``numpy.cross`` or import
+    ``cross`` from numpy."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+            if any(a.name == "cross" for a in node.names):
+                lines.append(node.lineno)
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr == "cross"
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("np", "numpy")
+        ):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_guard_reports_a_numpy_cross():
+    source = (
+        "import numpy as np\nfrom numpy import cross\nnp.cross(a, b)\n"
+        "cross(a, b)\ngeometry.cross(a, b)\nf = numpy.cross\n"
+    )
+    assert numpy_cross_uses(source) == [2, 3, 6]
+
+
+# np.cross spends most of a 3-vector call on axis handling
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_no_numpy_cross(module):
+    assert numpy_cross_uses((PACKAGE / module).read_text()) == []

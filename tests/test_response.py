@@ -429,6 +429,82 @@ class TestEvaluateCanonical:
             evaluate_canonical(cr, 1.0j)
 
 
+def looped_canonical(cr, lam):
+    """Oracle: the per-mode loop, one ``(nb, nb)`` update per mode."""
+    lam = complex(lam)
+    damp = 1.0 + cr.rayleigh.alpha * lam
+    w = damp * cr.A.a + (cr.rayleigh.beta * lam + lam * lam) * np.diag(cr.Mbb)
+    guard = 1e-12 * (1.0 + abs(lam) ** 2)
+    for mode in cr.modes:
+        q = (
+            mode.sigma
+            + (cr.rayleigh.alpha * mode.sigma + cr.rayleigh.beta) * lam
+            + lam * lam
+        )
+        if abs(q) <= guard:
+            raise AtResonance(
+                f"lambda = {lam} is a pole: |q({mode.sigma:.6g})| = {abs(q):.3e}"
+            )
+        w = w - (damp * damp / q) * mode.R.a
+    return SymMatrix(w).a
+
+
+def random_form(n_modes, sigmas=None, rayleigh=RayleighParams(0.3, 0.7), seed=0):
+    """A canonical form on 4 terminals in 3-D with random PSD residues."""
+    rng = np.random.default_rng(seed)
+    n = 12
+    if sigmas is None:
+        sigmas = 10.0 ** rng.uniform(-3.0, 3.0, n_modes)
+    a = rng.standard_normal((n, n))
+    modes = []
+    for sigma in sigmas:
+        v = rng.standard_normal((n, 2))
+        modes.append(Mode(float(sigma), SymMatrix(v @ v.T)))
+    return CanonicalResponse(
+        rayleigh=rayleigh,
+        A=SymMatrix(a + a.T),
+        Mbb=rng.uniform(0.0, 2.0, n),
+        modes=tuple(modes),
+        terminal_positions=rng.standard_normal((4, 3)),
+    )
+
+
+def raised(evaluate, cr, lam):
+    with pytest.raises(AtResonance) as info:
+        evaluate(cr, lam)
+    return str(info.value)
+
+
+class TestStackedCanonicalSum:
+    """The stacked sum of ``evaluate_canonical`` against the per-mode loop."""
+
+    # no stack, one, the edges of one and two stacks, and many stacks
+    @pytest.mark.parametrize("n_modes", [0, 1, 31, 32, 33, 225])
+    def test_equals_the_loop_bitwise(self, n_modes):
+        assert response.CANONICAL_CHUNK == 32
+        cr = random_form(n_modes, seed=n_modes)
+        lams = np.random.default_rng(1).standard_normal((12, 2)) @ [3.0, 3.0j]
+        for lam in [*lams, 0.0, 2.5j]:
+            assert np.array_equal(evaluate_canonical(cr, lam).W.a, looped_canonical(cr, lam))
+
+    def test_every_mode_resonant_names_the_first(self):
+        # with alpha*beta = 1 every q_j vanishes at lambda = -1/alpha
+        cr = random_form(40, sigmas=np.linspace(1.0, 4.0, 40),
+                         rayleigh=RayleighParams(0.5, 2.0))
+        text = raised(evaluate_canonical, cr, -2.0)
+        assert text == raised(looped_canonical, cr, -2.0)
+        assert "|q(1)|" in text
+
+    def test_two_resonant_modes_in_two_stacks(self):
+        sigmas = 10.0 ** np.random.default_rng(2).uniform(-1.0, 1.0, 70)
+        sigmas[5] = sigmas[50] = 2.5
+        cr = random_form(70, sigmas=sigmas)
+        lam = resonances_of(2.5, cr.rayleigh)[0]
+        text = raised(evaluate_canonical, cr, lam)
+        assert text == raised(looped_canonical, cr, lam)
+        assert "|q(2.5)|" in text
+
+
 class TestNonResonantSampling:
     def test_clearance_respected(self):
         rng = np.random.default_rng(0)

@@ -492,10 +492,11 @@ class TestStackedEvaluation:
         assert not isinstance(info.value, SingularBlock)
         assert str(info.value) == message(springs)
 
-    def test_verify_assembles_each_component_once(self, monkeypatch):
+    @pytest.mark.parametrize("check", [True, False])
+    def test_pipeline_assembles_each_component_once(self, monkeypatch, check):
+        # a gadget is reduced once, for its contract check, and verification
+        # reads that reduction; the other components are reduced there
         module = import_module("elastonet.synthesize")
-        cr = extracted(3, d=3, nt=3)
-        gn = synthesize(cr, seed=3, check=False)
         calls = Counter()
         real = module.assemble_component
 
@@ -504,7 +505,13 @@ class TestStackedEvaluation:
             return real(comp)
 
         monkeypatch.setattr(module, "assemble_component", counting)
-        assert verify_synthesis(gn, cr, n_samples=10, seed=4) <= 1e-8
+        cr = extracted(3, d=3, nt=3)
+        gn = synthesize(cr, seed=3, check=check)
+        if not check:
+            assert verify_synthesis(gn, cr, n_samples=10, seed=4) <= 1e-8
+        assert {c.kind for c in gn.components} == {
+            "ideal_elements", "terminal_masses", "rank_one_gadget"
+        }
         assert calls == Counter({id(c): 1 for c in gn.components})
 
     def test_fewer_than_one_sample_rejected(self):
