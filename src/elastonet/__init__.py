@@ -61,7 +61,6 @@ from .response import (
     evaluate_reduced,
     evaluate_response,
     extract_canonical,
-    reduced_modal_stiffnesses,
     sample_nonresonant,
     system_resonances,
 )

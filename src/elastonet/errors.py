@@ -10,15 +10,11 @@ class AsymmetricMatrix(ElastonetError):
 
 
 class SingularBlock(ElastonetError):
-    """Interior block is numerically singular where an inverse was requested.
+    """Interior block is numerically singular where an inverse was requested."""
 
-    ``index`` is the position of the singular block in a stack of them.
-    """
-
-    def __init__(self, message, smallest_singular_value=None, index=None):
+    def __init__(self, message, smallest_singular_value=None):
         super().__init__(message)
         self.smallest_singular_value = smallest_singular_value
-        self.index = index
 
 
 class DegenerateSpring(ElastonetError):

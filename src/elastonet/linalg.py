@@ -19,9 +19,11 @@ PINV_TOL = 1e-10
 class SymMatrix:
     """Square symmetric matrix over the reals or complexes.
 
-    Symmetry is repaired by averaging with the transpose at construction;
-    asymmetry beyond ``SYMMETRY_TOL`` times the largest entry magnitude is an
-    error rather than something to silently fix.
+    The entries are kept as a private read-only copy. A bitwise symmetric
+    matrix is stored as given; any other is repaired by averaging with its
+    transpose (:func:`symmetrized`), and an asymmetry beyond
+    ``SYMMETRY_TOL`` times the largest entry magnitude is an error rather
+    than something to silently fix.
     """
 
     __slots__ = ("a",)
@@ -30,12 +32,18 @@ class SymMatrix:
         a = np.asarray(entries)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-        if np.iscomplexobj(a):
-            a = a.astype(np.complex128, copy=False)
-        else:
-            a = a.astype(np.float64, copy=False)
-        self.a = symmetrized(a)
-        self.a.flags.writeable = False
+        dtype = np.complex128 if np.iscomplexobj(a) else np.float64
+        a = np.array(a, dtype=dtype, order="C")
+        # |z| can overflow although both parts of z are finite
+        if not np.isfinite(np.abs(a) if dtype is np.complex128 else a).all():
+            raise DimensionMismatch("matrix entries must be finite")
+        # integers tell -0.0 from 0.0, which == does not; a complex entry
+        # is compared as its two parts
+        bits = a.view(np.int64).reshape(a.shape + (a.itemsize // 8,))
+        if not np.array_equal(bits, bits.swapaxes(0, 1)):
+            a = symmetrized(a)
+        a.flags.writeable = False
+        self.a = a
 
     @property
     def order(self):
@@ -89,27 +97,21 @@ def _sym_part(a):
 
 
 def symmetrized(a):
-    """``(a + a^T) / 2`` of a matrix, or of each matrix in a stack.
+    """``(a + a^T) / 2`` of a square matrix.
 
-    The last two axes index the matrix. Every matrix must have finite
-    entries (:class:`DimensionMismatch`) and an asymmetry of at most
-    ``SYMMETRY_TOL`` times its own largest entry magnitude
-    (:class:`AsymmetricMatrix`, with the numbers of the first offending
-    matrix).
+    The entries must be finite (:class:`DimensionMismatch`) and the
+    asymmetry at most ``SYMMETRY_TOL`` times the largest entry magnitude
+    (:class:`AsymmetricMatrix`).
     """
-    if a.size:
-        scale = np.abs(a).max(axis=(-2, -1))  # NaN or inf here iff some entry is
-        if not np.isfinite(scale).all():
-            raise DimensionMismatch("matrix entries must be finite")
-        gap = np.abs(a - np.swapaxes(a, -1, -2)).max(axis=(-2, -1))
-        over = np.ravel(gap > SYMMETRY_TOL * scale)
-        if over.any():
-            k = int(np.argmax(over))
-            gap, scale = np.ravel(gap)[k], np.ravel(scale)[k]
-            raise AsymmetricMatrix(
-                f"asymmetry {gap:.3e} exceeds {SYMMETRY_TOL:.1e} * max|entry| = "
-                f"{SYMMETRY_TOL * scale:.3e}"
-            )
+    scale = np.abs(a).max(initial=0.0)
+    if not np.isfinite(scale):  # NaN or inf here iff some entry is
+        raise DimensionMismatch("matrix entries must be finite")
+    gap = np.abs(a - a.T).max(initial=0.0)
+    if gap > SYMMETRY_TOL * scale:
+        raise AsymmetricMatrix(
+            f"asymmetry {gap:.3e} exceeds {SYMMETRY_TOL:.1e} * max|entry| = "
+            f"{SYMMETRY_TOL * scale:.3e}"
+        )
     return _sym_part(a)
 
 
@@ -126,54 +128,12 @@ def _block(a, rows, cols):
     return a[np.ix_(np.arange(len(a)), rows, cols)]
 
 
-def schur_complements(a, boundary, interior, mode="inverse", tol=PINV_TOL):
-    """Schur complements of a stack of symmetric matrices over one partition.
-
-    ``a`` has shape ``(G, n, n)``, every matrix bitwise symmetric, and
-    ``boundary``/``interior`` split ``range(n)``. Returns the ``(G, nb, nb)``
-    stack of ``A_BB - A_BI inv(A_II) A_IB``, bitwise symmetric; see
-    :func:`schur_complement` for the two modes. Each interior block is
-    inverted through its own SVD, so a matrix's complement does not depend
-    on the rest of the stack. In inverse mode the first numerically
-    singular block raises :class:`SingularBlock`, whose ``index`` is its
-    position in the stack.
-    """
-    if mode not in ("inverse", "pseudoinverse"):
-        raise ValueError(f"unknown mode {mode!r}")
-    b, i = _indices(boundary, interior)
-    a_bb = _block(a, b, b)
-    if not (i.size and b.size):
-        return a_bb
-    a_bi = _block(a, b, i)
-    u, s, vh = np.linalg.svd(_block(a, i, i))
-    smax = s[:, 0]
-    keep = s > tol * smax[:, None]  # a prefix: singular values descend
-    if mode == "inverse" and not keep.all():
-        # the smallest singular value of block k is at or below tol * smax
-        k = int(np.argmin(keep[:, -1]))
-        smin = s[k, -1]
-        raise SingularBlock(
-            f"interior block numerically singular: smallest singular value "
-            f"{smin:.3e} vs threshold {tol * smax[k]:.3e}",
-            smallest_singular_value=smin,
-            index=k,
-        )
-    inv = np.empty_like(u)
-    rank = keep.sum(axis=1)
-    for r in np.unique(rank):
-        sel = rank == r
-        scaled = vh[sel, :r].conj().swapaxes(-1, -2) * (1.0 / s[sel, None, :r])
-        u_h = np.ascontiguousarray(u[sel, :, :r].conj().swapaxes(-1, -2))
-        inv[sel] = scaled @ u_h
-    cross = _sym_part(a_bi @ inv @ a_bi.swapaxes(-1, -2))
-    return a_bb - cross
-
-
 def schur_complements_lu(a, boundary, interior):
     """Schur complements of a stack of symmetric matrices by LU solves.
 
-    Takes the arguments of :func:`schur_complements` and returns the same
-    bitwise symmetric ``(G, nb, nb)`` stack, ``A_BB - A_BI X``, where ``X``
+    ``a`` has shape ``(G, n, n)``, every matrix bitwise symmetric, and
+    ``boundary``/``interior`` split ``range(n)``. Returns the bitwise
+    symmetric ``(G, nb, nb)`` stack of ``A_BB - A_BI X``, where ``X``
     solves ``A_II X = A_IB`` through one stacked ``np.linalg.solve`` (LU
     with partial pivoting). An interior block with an exactly zero pivot
     makes the whole call raise ``np.linalg.LinAlgError``. A nearly singular
@@ -195,8 +155,7 @@ def schur_complement(a, partition, mode="inverse"):
     either a true inverse (``mode="inverse"``, raising :class:`SingularBlock`
     when the block is numerically singular) or a Moore-Penrose pseudoinverse
     with singular values at or below ``PINV_TOL`` times the largest truncated
-    (``mode="pseudoinverse"``). This is :func:`schur_complements` on a stack
-    of one.
+    (``mode="pseudoinverse"``). Both come from one SVD of the interior block.
 
     Parameters
     ----------
@@ -206,8 +165,24 @@ def schur_complement(a, partition, mode="inverse"):
     mode : {"inverse", "pseudoinverse"}
     """
     partition.check_covers(a.order)
-    s = schur_complements(a.a[None], partition.boundary, partition.interior, mode)
-    return SymMatrix(s[0])
+    if mode not in ("inverse", "pseudoinverse"):
+        raise ValueError(f"unknown mode {mode!r}")
+    b, i = _indices(partition.boundary, partition.interior)
+    a_bb = a.a[np.ix_(b, b)]
+    if not (i.size and b.size):
+        return SymMatrix(a_bb)
+    a_bi = a.a[np.ix_(b, i)]
+    u, s, vh = np.linalg.svd(a.a[np.ix_(i, i)])
+    keep = s > PINV_TOL * s[0]  # a prefix: singular values descend
+    if mode == "inverse" and not keep.all():
+        raise SingularBlock(
+            f"interior block numerically singular: smallest singular value "
+            f"{s[-1]:.3e} vs threshold {PINV_TOL * s[0]:.3e}",
+            smallest_singular_value=s[-1],
+        )
+    r = int(keep.sum())
+    inv = (vh[:r].conj().T * (1.0 / s[:r])) @ np.ascontiguousarray(u[:, :r].conj().T)
+    return SymMatrix(a_bb - _sym_part(a_bi @ inv @ a_bi.T))
 
 
 def psd_check(a, tol=PINV_TOL):

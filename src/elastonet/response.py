@@ -322,11 +322,6 @@ def _cluster_ascending(sigmas, tol):
     return groups
 
 
-def reduced_modal_stiffnesses(red):
-    """The modal stiffnesses of a reduced system, which carry every resonance."""
-    return red.modal[0]
-
-
 def extract_canonical(
     sys,
     tol_floppy=FLOPPY_TOL,

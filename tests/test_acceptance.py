@@ -32,7 +32,6 @@ from elastonet import (
     passivity_margin,
     random_network,
     rank_one_response,
-    reduced_modal_stiffnesses,
     resonances_of,
     sample_nonresonant,
     schur_complement,
@@ -75,7 +74,7 @@ def acceptance_networks():
 
 def nonresonant_points(sys, count, seed):
     red = eliminate_massless(sys)
-    avoid = system_resonances(sys.rayleigh, reduced_modal_stiffnesses(red))
+    avoid = system_resonances(sys.rayleigh, red.modal[0])
     return sample_nonresonant(np.random.default_rng(seed), avoid, count)
 
 

@@ -1,7 +1,8 @@
 """Every module of the package uses each name it imports, raises every
 error class it defines, and writes JSON only through the canonical writer;
-in synthesis only the direct oracle solves Schur complements, and
-``geometry.cross`` is the one cross product."""
+in synthesis only the direct oracle solves Schur complements,
+``geometry.cross`` is the one cross product, and only ``linalg`` repairs
+symmetry or takes an SVD."""
 
 import ast
 from pathlib import Path
@@ -155,3 +156,39 @@ def test_guard_reports_a_numpy_cross():
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_no_numpy_cross(module):
     assert numpy_cross_uses((PACKAGE / module).read_text()) == []
+
+
+REPAIR_AND_SVD = ("symmetrized", "_sym_part", "svd")
+
+
+def repair_or_svd_uses(source):
+    """Lines of ``source`` that call ``symmetrized``, ``_sym_part`` or an
+    ``svd``, or import one of them."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            if any(a.name in REPAIR_AND_SVD for a in node.names):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            if name in REPAIR_AND_SVD:
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_guard_reports_a_repair_or_svd():
+    source = (
+        "import numpy as np\nfrom numpy.linalg import svd\nfrom .linalg import _sym_part\n"
+        "np.linalg.svd(a)\nlinalg.symmetrized(a)\n_sym_part(a)\n"
+        "np.linalg.eigh(a)\nsvd_of(a)\nlinalg.SymMatrix(a)\n"
+    )
+    assert repair_or_svd_uses(source) == [2, 3, 4, 5, 6]
+
+
+# one module owns symmetry repair and the SVD Schur kernel
+@pytest.mark.parametrize(
+    "module", sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "linalg.py")
+)
+def test_only_linalg_repairs_symmetry_or_takes_an_svd(module):
+    assert repair_or_svd_uses((PACKAGE / module).read_text()) == []

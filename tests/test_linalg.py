@@ -1,7 +1,11 @@
-"""Schur complements, PSD tests."""
+"""Symmetric matrices, Schur complements, PSD tests."""
+
+import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from elastonet import (
@@ -11,9 +15,13 @@ from elastonet import (
     SingularBlock,
     SymMatrix,
     is_psd,
+    linalg,
+    network_to_dict,
+    random_network,
     schur_complement,
 )
-from elastonet.linalg import schur_complements, schur_complements_lu, symmetrized
+from elastonet.cli import main as cli_main
+from elastonet.linalg import PINV_TOL, schur_complements_lu, symmetrized
 
 
 def random_spd(rng, n, shift=0.1):
@@ -25,12 +33,17 @@ class TestSymMatrix:
     def test_symmetrizes_rounding_noise(self):
         a = np.array([[1.0, 2.0], [2.0 + 1e-14, 3.0]])
         m = SymMatrix(a)
-        assert_allclose(m.a, m.a.T, rtol=0, atol=0)
+        assert m.a.tobytes() == (0.5 * (a + a.T)).tobytes()
         assert m.field == "real"
+        z = a + 1j * np.array([[0.0, 1.0], [1.0 - 1e-15, 0.0]])
+        assert SymMatrix(z).a.tobytes() == (0.5 * (z + z.T)).tobytes()
 
     def test_rejects_gross_asymmetry(self):
-        with pytest.raises(AsymmetricMatrix):
+        with pytest.raises(AsymmetricMatrix) as info:
             SymMatrix(np.array([[1.0, 2.0], [2.1, 3.0]]))
+        assert str(info.value) == (
+            "asymmetry 1.000e-01 exceeds 1.0e-12 * max|entry| = 3.000e-12"
+        )
 
     def test_rejects_non_square(self):
         with pytest.raises(DimensionMismatch):
@@ -45,6 +58,95 @@ class TestSymMatrix:
         m = SymMatrix(np.eye(2))
         with pytest.raises(ValueError):
             m.a[0, 0] = 5.0
+
+
+# finite doubles, weighted towards signed zeros, subnormals and the extremes
+ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308]),
+    st.floats(min_value=-1e308, max_value=1e308),
+)
+
+
+@st.composite
+def bitwise_symmetric(draw):
+    n = draw(st.integers(0, 5))
+    parts = []
+    for _ in range(draw(st.sampled_from([1, 2]))):  # one part real, two complex
+        part = np.zeros((n, n))
+        for i in range(n):
+            for j in range(i, n):
+                part[i, j] = part[j, i] = draw(ENTRIES)
+        parts.append(part)
+    return parts[0] if len(parts) == 1 else parts[0] + 1j * parts[1]
+
+
+class TestSymMatrixContract:
+    """Bitwise symmetric matrices are stored as given; others as before."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(bitwise_symmetric())
+    @example(np.array([[1e308, 0.0], [0.0, 1.0]]))  # a + a.T overflows
+    @example(np.array([[-0.0, -0.0], [-0.0, 5e-324]]))
+    @example(np.array([[1j, complex(-0.0, -1.0)], [complex(-0.0, -1.0), 2.0]]))
+    def test_bitwise_symmetric_input_is_stored_bit_for_bit(self, a):
+        m = SymMatrix(a)
+        assert m.a.dtype == a.dtype
+        assert m.a.tobytes() == a.tobytes()
+        assert not m.a.flags.writeable
+        assert a.flags.writeable
+        assert not np.shares_memory(m.a, a)
+
+    def test_signed_zero_pair_is_repaired_to_plus_zero(self):
+        a = np.array([[1.0, 0.0], [-0.0, 1.0]])
+        m = SymMatrix(a)
+        assert m.a[0, 1] == 0.0
+        assert not np.signbit(m.a).any()
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            np.diag([1.0, np.nan]),
+            np.array([[1.0, np.inf], [np.inf, 1.0]]),
+            np.array([[1.0, -np.inf], [0.0, 1.0]]),
+            np.array([[1.0, complex(0.0, np.nan)], [complex(0.0, np.nan), 1.0]]),
+            np.diag([complex(1.5e308, 1.5e308), 1.0]),  # finite parts, |z| = inf
+        ],
+    )
+    def test_non_finite_entries_raise(self, a):
+        with pytest.raises(DimensionMismatch, match="matrix entries must be finite"):
+            SymMatrix(a)
+
+    @pytest.mark.parametrize("noise", [0.0, 1e-14])
+    def test_input_stays_writable_and_unaliased(self, noise):
+        a = np.array([[1.0, 2.0], [2.0 + noise, 3.0]])
+        m = SymMatrix(a)
+        a[0, 0] = 7.0
+        assert m.a[0, 0] == 1.0
+        assert not np.shares_memory(m.a, a)
+
+    def test_pipeline_builds_its_matrices_symmetric(self, tmp_path, monkeypatch):
+        # every intermediate of these commands is built bitwise symmetric,
+        # so none of them averages a matrix
+        calls = []
+        real = linalg.symmetrized
+
+        def counting(a):
+            calls.append(a.shape)
+            return real(a)
+
+        monkeypatch.setattr(linalg, "symmetrized", counting)
+        net = tmp_path / "net.json"
+        net.write_text(json.dumps(network_to_dict(random_network(3, 3, 3, 6, 0.5))))
+        can, out = str(tmp_path / "can.json"), str(tmp_path / "out.json")
+        for argv in (
+            ["extract", str(net), "-o", can],
+            ["characterize", str(net), "-o", out],
+            ["characterize", can, "-o", out],
+            ["synthesize", can, "-o", out],
+            ["roundtrip", str(net), "-o", out],
+        ):
+            assert cli_main(argv) == 0
+        assert calls == []
 
 
 class TestBlockPartition:
@@ -109,7 +211,12 @@ class TestSchurComplement:
         a = SymMatrix(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0]]))
         with pytest.raises(SingularBlock) as info:
             schur_complement(a, BlockPartition([0], [1, 2]))
-        assert info.value.smallest_singular_value is not None
+        s = np.linalg.svd(a.a[1:, 1:])[1]
+        assert info.value.smallest_singular_value == s[-1]
+        assert str(info.value) == (
+            f"interior block numerically singular: smallest singular value "
+            f"{s[-1]:.3e} vs threshold {PINV_TOL * s[0]:.3e}"
+        )
         # pseudoinverse mode handles the same block
         schur_complement(a, BlockPartition([0], [1, 2]), mode="pseudoinverse")
 
@@ -119,7 +226,8 @@ class TestSchurComplement:
 
 
 class TestSchurComplements:
-    """The stacked kernel against its stack-of-one form, matrix by matrix."""
+    """The SVD kernel against numpy's pseudoinverse, and the stacked LU kernel
+    against the SVD kernel."""
 
     @staticmethod
     def stack(rng, count, n, rank, complex_part=False):
@@ -134,32 +242,23 @@ class TestSchurComplements:
         return np.stack(out)
 
     @pytest.mark.parametrize("complex_part", [False, True])
-    def test_mixed_ranks_equal_one_at_a_time_bitwise(self, complex_part):
-        # pseudoinverse truncation at a different rank per matrix; full-rank
-        # matrices in the same stack take the inverse-mode formula
+    def test_mixed_ranks_match_the_pinv_formula(self, complex_part):
+        # pinv cuts at s > rcond * s_max, as the kernel does, so each matrix
+        # keeps the same rank in both
         rng = np.random.default_rng(3)
         a = self.stack(rng, 6, 7, [7, 3, 5, 3, 7, 1], complex_part)
         part = BlockPartition([4, 0, 6], [1, 5, 2, 3])
-        stacked = schur_complements(a, part.boundary, part.interior, "pseudoinverse")
-        for k in range(len(a)):
-            one = schur_complement(SymMatrix(a[k]), part, mode="pseudoinverse").a
-            assert np.array_equal(stacked[k], one)
-
-    def test_first_singular_matrix_is_named(self):
-        rng = np.random.default_rng(4)
-        a = self.stack(rng, 5, 6, [6, 6, 2, 6, 1])
-        with pytest.raises(SingularBlock) as info:
-            schur_complements(a, range(2), range(2, 6))
-        assert info.value.index == 2
-        with pytest.raises(SingularBlock) as alone:
-            schur_complement(SymMatrix(a[2]), BlockPartition(range(2), range(2, 6)))
-        assert str(info.value) == str(alone.value)
-        assert info.value.smallest_singular_value == alone.value.smallest_singular_value
+        b, i = np.ix_(part.boundary, part.boundary), np.ix_(part.interior, part.interior)
+        bi = np.ix_(part.boundary, part.interior)
+        for m in a:
+            expected = m[b] - m[bi] @ np.linalg.pinv(m[i], rcond=PINV_TOL) @ m[bi].T
+            s = schur_complement(SymMatrix(m), part, mode="pseudoinverse").a
+            assert_allclose(s, expected, rtol=0, atol=1e-10 * np.abs(m).max())
 
     def test_empty_blocks(self):
-        a = np.stack([np.eye(3), 2.0 * np.eye(3)])
-        assert np.array_equal(schur_complements(a, range(3), []), a)
-        assert schur_complements(a, [], range(3)).shape == (2, 0, 0)
+        a = SymMatrix(2.0 * np.eye(3))
+        assert np.array_equal(schur_complement(a, BlockPartition(range(3), [])).a, a.a)
+        assert schur_complement(a, BlockPartition([], range(3))).a.shape == (0, 0)
 
     @pytest.mark.parametrize("complex_part", [False, True])
     def test_lu_kernel_agrees_with_the_svd_kernel(self, complex_part):
@@ -167,9 +266,10 @@ class TestSchurComplements:
         a = self.stack(rng, 4, 7, 7, complex_part)
         part = BlockPartition([4, 0, 6], [1, 5, 2, 3])
         lu = schur_complements_lu(a, part.boundary, part.interior)
-        svd = schur_complements(a, part.boundary, part.interior)
         assert np.array_equal(lu, np.swapaxes(lu, -1, -2))
-        assert_allclose(lu, svd, rtol=0, atol=1e-10 * np.abs(svd).max())
+        for k in range(len(a)):
+            svd = schur_complement(SymMatrix(a[k]), part).a
+            assert_allclose(lu[k], svd, rtol=0, atol=1e-10 * np.abs(svd).max())
 
     def test_lu_kernel_raises_on_a_zero_pivot(self):
         a = np.stack([np.eye(3), np.diag([1.0, 1.0, 0.0])])
@@ -181,11 +281,11 @@ class TestSchurComplements:
         assert np.array_equal(schur_complements_lu(a, range(3), []), a)
         assert schur_complements_lu(a, [], range(3)).shape == (2, 0, 0)
 
-    def test_symmetrized_checks_every_matrix(self):
-        a = np.stack([np.eye(2), np.array([[1.0, 2.0], [2.1, 3.0]])])
+    def test_symmetrized_checks_the_matrix(self):
+        a = np.array([[1.0, 2.0], [2.1, 3.0]])
         with pytest.raises(AsymmetricMatrix, match="asymmetry 1.000e-01"):
             symmetrized(a)
-        a[1] = np.inf
+        a[1, 1] = np.inf
         with pytest.raises(DimensionMismatch):
             symmetrized(a)
 

@@ -11,6 +11,7 @@ from elastonet import (
     BlockPartition,
     CanonicalResponse,
     ElastodynamicNetwork,
+    ElastonetError,
     FloppyModeInconsistent,
     Mode,
     Node,
@@ -31,12 +32,11 @@ from elastonet import (
     extract_canonical,
     is_psd,
     random_network,
-    reduced_modal_stiffnesses,
     resonances_of,
     sample_nonresonant,
     system_resonances,
 )
-from elastonet import linalg, response
+from elastonet import response
 from elastonet.response import RESONANCE_CLEARANCE, _cluster_ascending
 
 from conftest import axial_block
@@ -114,7 +114,7 @@ class TestEliminateMassless:
         net = random_network(seed, 2 + seed % 2, 2, 4, 0.5)
         sys = assemble(net)
         red = eliminate_massless(sys)
-        avoid = system_resonances(net.rayleigh, reduced_modal_stiffnesses(red))
+        avoid = system_resonances(net.rayleigh, red.modal[0])
         rng = np.random.default_rng(seed)
         for lam in sample_nonresonant(rng, avoid, 10):
             full = evaluate_response(sys, lam, mode="pseudoinverse").W.a
@@ -126,15 +126,15 @@ class TestEliminateMassless:
         # only K is eliminated; the reduced damping follows from Ktilde and M
         sys = assemble(random_network(5, 2, 2, 4, 0.5))
         calls = []
-        real = linalg.schur_complements
+        real = response.schur_complement
 
         def counting(*args, **kwargs):
-            calls.append(args[0].shape)
+            calls.append(args[0].order)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(linalg, "schur_complements", counting)
+        monkeypatch.setattr(response, "schur_complement", counting)
         eliminate_massless(sys)
-        assert calls == [(1, sys.order, sys.order)]
+        assert calls == [sys.order]
 
 
 def reduced_pencil_response(red, lam):
@@ -311,7 +311,7 @@ class TestExtractCanonical:
         sys = assemble(net)
         cr = extract_canonical(sys, seed=seed)
         red = eliminate_massless(sys)
-        avoid = system_resonances(net.rayleigh, reduced_modal_stiffnesses(red))
+        avoid = system_resonances(net.rayleigh, red.modal[0])
         rng = np.random.default_rng(100 + seed)
         for lam in sample_nonresonant(rng, avoid, 10):
             direct = evaluate_response(sys, lam, mode="pseudoinverse").W.a
@@ -337,6 +337,29 @@ class TestExtractCanonical:
         assert is_psd(w0, tol=1e-9)
         ok, residual = check_balanced(w0.a, cr.terminal_positions, tol=1e-10)
         assert ok, residual
+
+
+def refused(seed, error):
+    """A seed of ``random_network(seed, 3, 3, 6, 0.5)`` that extraction
+    refuses today with ``error``."""
+    return pytest.param(seed, marks=pytest.mark.xfail(raises=error, strict=True))
+
+
+# The floppy-mode tests are not scale-free, so these networks' near-floppy
+# modes are refused (ROADMAP O14); each should extract once they are.
+@pytest.mark.parametrize(
+    "seed",
+    [
+        refused(1093, ElastonetError),  # reduced interior stiffness not PSD
+        refused(1196, FloppyModeInconsistent),
+        refused(1922, FloppyModeInconsistent),
+        refused(1965, FloppyModeInconsistent),
+        refused(2301, FloppyModeInconsistent),
+        refused(1269183695, ReconstructionMismatch),  # roundtrip benchmark warm-up
+    ],
+)
+def test_near_floppy_network_extracts(seed):
+    extract_canonical(assemble(random_network(seed, 3, 3, 6, 0.5)))
 
 
 def count_fallbacks(monkeypatch):
