@@ -10,7 +10,6 @@ realizing network when it is.
 from .characterize import (
     CharacterizationReport,
     ConditionResult,
-    check_balanced,
     check_canonical,
     passivity_margin,
 )
@@ -29,6 +28,7 @@ from .errors import (
     SingularBlock,
     ZeroForce,
 )
+from .geometry import check_balanced
 from .linalg import BlockPartition, SymMatrix, is_psd, schur_complement
 from .model import (
     ElastodynamicNetwork,

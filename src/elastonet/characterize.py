@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AtResonance, DimensionMismatch
-from .geometry import balance_check
+from .errors import AtResonance
+from .geometry import check_balanced
 from .linalg import psd_check
 from .resonances import resonances_of
 from .response import evaluate_canonical
@@ -58,30 +58,6 @@ class CharacterizationReport:
             },
             "warnings": list(self.warnings),
         }
-
-
-def check_balanced(F, positions, tol=1e-10):
-    """Are all columns of ``F`` balanced force systems at ``positions``?
-
-    ``F`` is a (n*d, m) matrix (or a single (n*d,) vector); each column is
-    read node-major. Returns ``(passed, worst_residual)``: every column
-    passes :func:`balance_check` at ``tol * (1 + max|F|)``, so the test is
-    insensitive to force and length units.
-    """
-    positions = np.atleast_2d(np.asarray(positions, dtype=float))
-    n, d = positions.shape
-    F = np.asarray(F, dtype=float)
-    if F.ndim == 1:
-        F = F[:, None]
-    if F.ndim != 2 or F.shape[0] != n * d:
-        raise DimensionMismatch(
-            f"force matrix has shape {F.shape}, expected ({n * d}, m)"
-        )
-    if F.shape[1] == 0:
-        raise DimensionMismatch("force matrix must have at least one column")
-    threshold = tol * (1.0 + np.abs(F).max())
-    checks = [balance_check(positions, col.reshape(n, d), threshold) for col in F.T]
-    return all(ok for ok, _ in checks), max(residual for _, residual in checks)
 
 
 def passivity_margin(cr, omega):

@@ -55,8 +55,9 @@ EXIT_FLOPPY = 4
 EXIT_NOT_CHARACTERIZABLE = 5
 EXIT_PLACEMENT = 6
 
-# Largest --omega COUNT: the output is held in memory until written, 1.5 kB a
-# point for two 2-D terminals and 47 kB for eight 3-D ones (0.15-4.7 GB here).
+# Largest point count of every flag (--omega COUNT, --samples, loci --points):
+# a sweep's output is held in memory until written, 1.5 kB a point for two 2-D
+# terminals and 47 kB for eight 3-D ones (0.15-4.7 GB here).
 MAX_SWEEP_POINTS = 100_000
 
 
@@ -189,8 +190,8 @@ def _check_nonnegative(args, *flags):
 
 def _check_synthesis_args(args):
     # --samples 0 would verify nothing and still report a pass
-    if args.samples < 1:
-        raise SchemaError(f"{args.command}: --samples must be >= 1")
+    if not 1 <= args.samples <= MAX_SWEEP_POINTS:
+        raise SchemaError(f"{args.command}: --samples must lie in [1, {MAX_SWEEP_POINTS}]")
     if not 0.0 < args.epsilon < np.inf:
         raise SchemaError(f"{args.command}: --epsilon must be finite and > 0")
 
@@ -225,8 +226,8 @@ def cmd_synthesize(args):
 
 def cmd_loci(args):
     _check_nonnegative(args, "--alpha", "--beta")
-    if args.points < 2:
-        raise SchemaError("loci: --points must be >= 2")
+    if not 2 <= args.points <= MAX_SWEEP_POINTS:
+        raise SchemaError(f"loci: --points must lie in [2, {MAX_SWEEP_POINTS}]")
     rows = locus_table(RayleighParams(args.alpha, args.beta), args.points)
     lines = ["re,im,sigma,piece_label"]
     for row in rows:

@@ -1,4 +1,4 @@
-"""Geometric helpers: torque cross products, force-balance residuals, hulls."""
+"""Geometric helpers: torque cross products, force-balance verdicts, hulls."""
 
 import itertools
 from functools import lru_cache
@@ -31,6 +31,12 @@ def cross(x, f):
     raise DimensionMismatch(f"cross product defined for d in (2, 3), got {d}")
 
 
+def total_torque(positions, forces):
+    """``sum_i x_i x f_i`` of (n, d) positions and forces, as a 1-D array."""
+    t = np.atleast_1d(cross(positions, forces))
+    return t.reshape(len(positions), -1).sum(axis=0)
+
+
 def balance_check(positions, forces, threshold):
     """``(passed, residual)`` of the equilibrium of a force system.
 
@@ -49,10 +55,34 @@ def balance_check(positions, forces, threshold):
             f"positions {positions.shape} vs forces {forces.shape}"
         )
     fsum = forces.sum(axis=0)
-    tsum = np.atleast_1d(cross(positions, forces)).reshape(len(positions), -1).sum(axis=0)
+    tsum = total_torque(positions, forces)
     force, torque = float(np.abs(fsum).max()), float(np.abs(tsum).max())
     length = max(1.0, float(np.abs(positions).max(initial=0.0)))
     return bool(force <= threshold and torque <= threshold * length), max(force, torque)
+
+
+def check_balanced(F, positions, tol=1e-10):
+    """Are all columns of ``F`` balanced force systems at ``positions``?
+
+    ``F`` is a (n*d, m) matrix (or a single (n*d,) vector); each column is
+    read node-major. Returns ``(passed, worst_residual)``: every column
+    passes :func:`balance_check` at ``tol * (1 + max|F|)``, so the test is
+    insensitive to force and length units.
+    """
+    positions = np.atleast_2d(np.asarray(positions, dtype=float))
+    n, d = positions.shape
+    F = np.asarray(F, dtype=float)
+    if F.ndim == 1:
+        F = F[:, None]
+    if F.ndim != 2 or F.shape[0] != n * d:
+        raise DimensionMismatch(
+            f"force matrix has shape {F.shape}, expected ({n * d}, m)"
+        )
+    if F.shape[1] == 0:
+        raise DimensionMismatch("force matrix must have at least one column")
+    threshold = tol * (1.0 + np.abs(F).max())
+    checks = [balance_check(positions, col.reshape(n, d), threshold) for col in F.T]
+    return all(ok for ok, _ in checks), max(residual for _, residual in checks)
 
 
 def balance_operator(positions):

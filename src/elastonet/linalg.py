@@ -93,7 +93,7 @@ class BlockPartition:
 
 def _sym_part(a):
     # (a + a.T)/2 is bitwise symmetric; used to kill rounding asymmetry in products
-    return 0.5 * (a + np.swapaxes(a, -1, -2))
+    return 0.5 * (a + a.T)
 
 
 def symmetrized(a):
@@ -115,39 +115,6 @@ def symmetrized(a):
     return _sym_part(a)
 
 
-def _indices(boundary, interior):
-    return np.asarray(boundary, dtype=np.intp), np.asarray(interior, dtype=np.intp)
-
-
-def _block(a, rows, cols):
-    """The ``(rows, cols)`` block of every matrix in a stack.
-
-    Gathered with ``np.ix_`` over all three axes: the block comes out
-    C-contiguous, so every product of blocks is one BLAS call per matrix.
-    """
-    return a[np.ix_(np.arange(len(a)), rows, cols)]
-
-
-def schur_complements_lu(a, boundary, interior):
-    """Schur complements of a stack of symmetric matrices by LU solves.
-
-    ``a`` has shape ``(G, n, n)``, every matrix bitwise symmetric, and
-    ``boundary``/``interior`` split ``range(n)``. Returns the bitwise
-    symmetric ``(G, nb, nb)`` stack of ``A_BB - A_BI X``, where ``X``
-    solves ``A_II X = A_IB`` through one stacked ``np.linalg.solve`` (LU
-    with partial pivoting). An interior block with an exactly zero pivot
-    makes the whole call raise ``np.linalg.LinAlgError``. A nearly singular
-    block is not detected: its complement may be inaccurate or not finite,
-    so a caller compares the result with an independent value.
-    """
-    b, i = _indices(boundary, interior)
-    a_bb = _block(a, b, b)
-    if not (i.size and b.size):
-        return a_bb
-    x = np.linalg.solve(_block(a, i, i), _block(a, i, b))
-    return a_bb - _sym_part(_block(a, b, i) @ x)
-
-
 def schur_complement(a, partition, mode="inverse"):
     """Schur complement of the interior block of a symmetric matrix.
 
@@ -167,9 +134,9 @@ def schur_complement(a, partition, mode="inverse"):
     partition.check_covers(a.order)
     if mode not in ("inverse", "pseudoinverse"):
         raise ValueError(f"unknown mode {mode!r}")
-    b, i = _indices(partition.boundary, partition.interior)
+    b, i = partition.boundary, partition.interior
     a_bb = a.a[np.ix_(b, b)]
-    if not (i.size and b.size):
+    if not (b and i):
         return SymMatrix(a_bb)
     a_bi = a.a[np.ix_(b, i)]
     u, s, vh = np.linalg.svd(a.a[np.ix_(i, i)])
@@ -183,6 +150,25 @@ def schur_complement(a, partition, mode="inverse"):
     r = int(keep.sum())
     inv = (vh[:r].conj().T * (1.0 / s[:r])) @ np.ascontiguousarray(u[:, :r].conj().T)
     return SymMatrix(a_bb - _sym_part(a_bi @ inv @ a_bi.T))
+
+
+def schur_complement_lu(a, partition):
+    """Schur complement of the interior block of a symmetric array by LU.
+
+    ``a`` is a plain 2-D array, bitwise symmetric, covered by ``partition``.
+    Returns the bitwise symmetric ``A_BB - A_BI X``, where ``X`` solves
+    ``A_II X = A_IB`` by one ``np.linalg.solve`` (LU with partial pivoting).
+    An exactly zero pivot raises ``np.linalg.LinAlgError``. A nearly
+    singular block is not detected: its complement may be inaccurate or not
+    finite, so a caller compares the result with an independent value.
+    """
+    partition.check_covers(len(a))
+    b, i = partition.boundary, partition.interior
+    a_bb = a[np.ix_(b, b)]
+    if not (b and i):
+        return a_bb
+    x = np.linalg.solve(a[np.ix_(i, i)], a[np.ix_(i, b)])
+    return a_bb - _sym_part(a[np.ix_(b, i)] @ x)
 
 
 def psd_check(a, tol=PINV_TOL):

@@ -109,7 +109,7 @@ class RayleighParams:
             raise ValueError(f"alpha, beta must be finite and >= 0, got {self}")
 
     def damping(self, K, M):
-        """``alpha*K + beta*M`` for one matrix pair or a stack of them."""
+        """``alpha*K + beta*M``."""
         return self.alpha * K + self.beta * M
 
 

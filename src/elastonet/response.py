@@ -36,7 +36,7 @@ from .linalg import (
     SymMatrix,
     is_psd,
     schur_complement,
-    schur_complements_lu,
+    schur_complement_lu,
 )
 from .model import RayleighParams
 from .resonances import resonances_of
@@ -46,11 +46,6 @@ FLOPPY_TOL = 1e-9
 CLUSTER_TOL = 1e-8
 RESONANCE_CLEARANCE = 1e-3
 ROUNDTRIP_TOL = 1e-8
-
-# Bytes of complex pencils the extraction self-check solves as one stack:
-# two points up to 216 degrees of freedom, one above. Larger stacks save
-# little time and raise the peak memory of a roundtrip.
-SELFCHECK_CHUNK_BYTES = 1_500_000
 
 # Modes whose terms evaluate_canonical stacks at once: one stack holds at
 # most 0.5 MB at 30 terminal coordinates, and a 90-mode form takes three.
@@ -293,18 +288,18 @@ def sample_nonresonant(rng, avoid, count):
 
     Moduli are log-uniform in [0.1, 10]; points within
     ``RESONANCE_CLEARANCE`` of any avoided resonance are redrawn, up to
-    10000 draws in all.
+    10000 rejected draws in all.
     """
     avoid = np.asarray(list(avoid), dtype=complex)
     lo, hi = np.log(0.1), np.log(10.0)
     out = []
-    tries = 0
+    rejected = 0
     while len(out) < count:
-        if tries > 10000:
-            raise ElastonetError("could not sample non-resonant points")
-        tries += 1
         lam = np.exp(rng.uniform(lo, hi)) * np.exp(2j * np.pi * rng.uniform())
         if avoid.size and np.abs(avoid - lam).min() < RESONANCE_CLEARANCE:
+            rejected += 1
+            if rejected > 10000:
+                raise ElastonetError("could not sample non-resonant points")
             continue
         out.append(lam)
     return np.array(out, dtype=complex)
@@ -396,9 +391,9 @@ def extract_canonical(
 def _reconstruction_error(sys, cr, lams):
     """Worst relative deviation of ``cr`` from the direct response of ``sys``.
 
-    The pencils at ``lams`` are solved in chunks of ``SELFCHECK_CHUNK_BYTES``
-    by LU (:func:`schur_complements_lu`). A point whose solve fails, is not
-    finite or deviates beyond ``ROUNDTRIP_TOL`` is evaluated again by the
+    The pencil at each of ``lams`` is solved by LU
+    (:func:`schur_complement_lu`). A point whose solve fails, is not finite
+    or deviates beyond ``ROUNDTRIP_TOL`` is evaluated again by the
     pseudoinverse :func:`evaluate_response`, and that value counts. Massless
     interior nodes with floppy directions make every pencil singular and
     take this path.
@@ -406,30 +401,22 @@ def _reconstruction_error(sys, cr, lams):
     K, M = sys.K.a, sys.M.a
     C = sys.rayleigh.damping(K, M)
     norms = [np.abs(x).max() for x in (K, C, M)]
-    part = sys.partition
-    chunk = max(1, SELFCHECK_CHUNK_BYTES // (16 * sys.order**2))
     worst = 0.0
-    for start in range(0, len(lams), chunk):
-        z = lams[start:start + chunk, None, None]
+    for lam in lams:
+        closed = evaluate_canonical(cr, lam).W.a
+        # numerically-zero responses (mechanisms) are compared against
+        # the pencil magnitude instead of their own rounding-level norm
+        floor = 1e-4 * (norms[0] + norms[1] * abs(lam) + norms[2] * abs(lam) ** 2)
         try:
             with np.errstate(all="ignore"):
-                solved = schur_complements_lu(
-                    K + z * C + z * z * M, part.boundary, part.interior
-                )
+                direct = schur_complement_lu(K + lam * C + lam * lam * M, sys.partition)
+                err = _relative_gap(closed, direct, floor)  # NaN if not finite
         except np.linalg.LinAlgError:
-            solved = [None] * len(z)
-        for lam, direct in zip(z.ravel(), solved):
-            closed = evaluate_canonical(cr, lam).W.a
-            # numerically-zero responses (mechanisms) are compared against
-            # the pencil magnitude instead of their own rounding-level norm
-            floor = 1e-4 * (norms[0] + norms[1] * abs(lam) + norms[2] * abs(lam) ** 2)
             err = np.inf
-            if direct is not None and np.isfinite(direct).all():
-                err = _relative_gap(closed, direct, floor)
-            if not err <= ROUNDTRIP_TOL:
-                direct = evaluate_response(sys, lam, mode="pseudoinverse").W.a
-                err = _relative_gap(closed, direct, floor)
-            worst = max(worst, err)
+        if not err <= ROUNDTRIP_TOL:
+            direct = evaluate_response(sys, lam, mode="pseudoinverse").W.a
+            err = _relative_gap(closed, direct, floor)
+        worst = max(worst, err)
     return worst
 
 

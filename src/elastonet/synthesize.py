@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from . import jsonio
-from .characterize import check_balanced, check_canonical
+from .characterize import check_canonical
 from .errors import (
     NotCharacterizable,
     PlacementFailed,
@@ -39,10 +39,12 @@ from .errors import (
 )
 from .geometry import (
     balance_check,
+    check_balanced,
     cross,
     hull_diameter,
     hull_distance,
     project_balanced,
+    total_torque,
 )
 from .linalg import SymMatrix
 from .model import (
@@ -139,10 +141,8 @@ class NetworkComponent:
                 continue
             if el.force_vector.size != len(el.support) * d:
                 raise ValueError("ideal element force vector has the wrong length")
-            balanced, residual = balance_check(
-                positions[list(el.support)],
-                el.force_vector.reshape(-1, d),
-                1e-8 * (1.0 + np.abs(el.force_vector).max()),
+            balanced, residual = check_balanced(
+                el.force_vector, positions[list(el.support)], tol=1e-8
             )
             if not balanced:
                 raise ValueError(
@@ -285,11 +285,6 @@ def assemble_union(gn):
 # ---------------------------------------------------------------------------
 
 
-def _total_torque(positions, forces):
-    t = np.atleast_1d(cross(positions, forces))
-    return t.reshape(len(positions), -1).sum(axis=0)
-
-
 def _solve_couple(x1, x2, f_rem, tau, min_force):
     """Forces (g1 at x1, g2 at x2) cancelling net force f_rem and torque tau.
 
@@ -364,7 +359,7 @@ def balance_forces(
         terminals, forbidden, min_clearance, epsilon_hull
     )
     f_rem = -fmat.sum(axis=0)
-    tau_terminals = _total_torque(terminals, fmat)
+    tau_terminals = total_torque(terminals, fmat)
     scale = 1.0 + np.abs(fmat).max()
 
     def couple_at(x1, x2):

@@ -222,6 +222,16 @@ class TestSynthesize:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["synthesize", "roundtrip"])
+    def test_samples_above_cap_exits_2(self, tmp_path, command, canonical_file,
+                                       net_file, capsys):
+        src = canonical_file if command == "synthesize" else net_file
+        out = tmp_path / "o.json"
+        samples = str(cli_module.MAX_SWEEP_POINTS + 1)
+        assert main([command, src, "--samples", samples, "-o", str(out)]) == 2
+        assert "--samples must lie in [1, 100000]" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["synthesize", "roundtrip"])
     @pytest.mark.parametrize("epsilon", ["0", "-0.1", "nan"])
     def test_nonpositive_epsilon_exits_2(self, tmp_path, command, epsilon,
                                          canonical_file, net_file, capsys):
@@ -260,6 +270,17 @@ class TestLoci:
             else:
                 assert label == "line"
                 np.testing.assert_allclose(re, -1.0)
+
+    @pytest.mark.parametrize("points", [
+        "1" + "0" * 300, str(cli_module.MAX_SWEEP_POINTS + 1), "1",
+    ], ids=["301 digits", "cap + 1", "one"])
+    def test_points_outside_bounds_exit_2(self, tmp_path, points, capsys):
+        # a 301-digit count used to escape main as an untyped ValueError
+        out = tmp_path / "loci.csv"
+        assert main(["loci", "--alpha", "1", "--beta", "0", "--points", points,
+                     "-o", str(out)]) == 2
+        assert "--points must lie in [2, 100000]" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_negative_parameters_exit_2(self, tmp_path):
         # nan and inf used to escape main as a ValueError traceback

@@ -2,7 +2,7 @@
 error class it defines, and writes JSON only through the canonical writer;
 in synthesis only the direct oracle solves Schur complements,
 ``geometry.cross`` is the one cross product, and only ``linalg`` repairs
-symmetry or takes an SVD."""
+symmetry, takes an SVD or gathers blocks with ``np.ix_``."""
 
 import ast
 from pathlib import Path
@@ -192,3 +192,37 @@ def test_guard_reports_a_repair_or_svd():
 )
 def test_only_linalg_repairs_symmetry_or_takes_an_svd(module):
     assert repair_or_svd_uses((PACKAGE / module).read_text()) == []
+
+
+def ix_uses(source):
+    """Lines of ``source`` that read ``np.ix_``/``numpy.ix_`` or import ``ix_``
+    from numpy."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+            if any(a.name == "ix_" for a in node.names):
+                lines.append(node.lineno)
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr == "ix_"
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("np", "numpy")
+        ):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_guard_reports_an_ix_gather():
+    source = (
+        "import numpy as np\nfrom numpy import ix_\na[np.ix_(b, b)]\n"
+        "ix_(b, i)\na[b][:, i]\nf = numpy.ix_\n"
+    )
+    assert ix_uses(source) == [2, 3, 6]
+
+
+# one module gathers the blocks of every Schur complement
+@pytest.mark.parametrize(
+    "module", sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "linalg.py")
+)
+def test_only_linalg_gathers_blocks(module):
+    assert ix_uses((PACKAGE / module).read_text()) == []

@@ -21,7 +21,7 @@ from elastonet import (
     schur_complement,
 )
 from elastonet.cli import main as cli_main
-from elastonet.linalg import PINV_TOL, schur_complements_lu, symmetrized
+from elastonet.linalg import PINV_TOL, schur_complement_lu, symmetrized
 
 
 def random_spd(rng, n, shift=0.1):
@@ -226,8 +226,8 @@ class TestSchurComplement:
 
 
 class TestSchurComplements:
-    """The SVD kernel against numpy's pseudoinverse, and the stacked LU kernel
-    against the SVD kernel."""
+    """The SVD kernel against numpy's pseudoinverse, and the LU kernel against
+    the SVD kernel."""
 
     @staticmethod
     def stack(rng, count, n, rank, complex_part=False):
@@ -260,26 +260,35 @@ class TestSchurComplements:
         assert np.array_equal(schur_complement(a, BlockPartition(range(3), [])).a, a.a)
         assert schur_complement(a, BlockPartition([], range(3))).a.shape == (0, 0)
 
-    @pytest.mark.parametrize("complex_part", [False, True])
-    def test_lu_kernel_agrees_with_the_svd_kernel(self, complex_part):
+    @pytest.mark.parametrize("damped", [False, True])
+    def test_lu_kernel_agrees_with_the_svd_kernel(self, damped):
+        # K + lambda*C + lambda^2*M with SPD K and positive masses: away from
+        # the real axis the interior block is well conditioned
         rng = np.random.default_rng(5)
-        a = self.stack(rng, 4, 7, 7, complex_part)
         part = BlockPartition([4, 0, 6], [1, 5, 2, 3])
-        lu = schur_complements_lu(a, part.boundary, part.interior)
-        assert np.array_equal(lu, np.swapaxes(lu, -1, -2))
-        for k in range(len(a)):
-            svd = schur_complement(SymMatrix(a[k]), part).a
-            assert_allclose(lu[k], svd, rtol=0, atol=1e-10 * np.abs(svd).max())
+        for lam in (0.7 + 1.3j, -0.2 + 2.5j, 3.0 - 0.4j, 1.5):
+            k = random_spd(rng, 7)
+            m = np.diag(rng.uniform(0.5, 2.0, 7))
+            c = 0.3 * k + 0.8 * m if damped else np.zeros((7, 7))
+            a = SymMatrix(k + lam * c + lam * lam * m).a
+            lu = schur_complement_lu(a, part)
+            assert np.array_equal(lu, lu.T)
+            svd = schur_complement(SymMatrix(a), part).a
+            assert_allclose(lu, svd, rtol=0, atol=1e-10 * np.abs(svd).max())
 
     def test_lu_kernel_raises_on_a_zero_pivot(self):
-        a = np.stack([np.eye(3), np.diag([1.0, 1.0, 0.0])])
+        a = np.diag([1.0, 1.0, 0.0])
         with pytest.raises(np.linalg.LinAlgError):
-            schur_complements_lu(a, [0], [1, 2])
+            schur_complement_lu(a, BlockPartition([0], [1, 2]))
+        # the same block with the zero pivot on the boundary solves
+        assert schur_complement_lu(a, BlockPartition([2], [0, 1])).tolist() == [[0.0]]
 
     def test_lu_kernel_empty_blocks(self):
-        a = np.stack([np.eye(3), 2.0 * np.eye(3)])
-        assert np.array_equal(schur_complements_lu(a, range(3), []), a)
-        assert schur_complements_lu(a, [], range(3)).shape == (2, 0, 0)
+        a = 2.0 * np.eye(3)
+        assert np.array_equal(schur_complement_lu(a, BlockPartition(range(3), [])), a)
+        assert schur_complement_lu(a, BlockPartition([], range(3))).shape == (0, 0)
+        with pytest.raises(DimensionMismatch):
+            schur_complement_lu(a, BlockPartition([0], [1]))
 
     def test_symmetrized_checks_the_matrix(self):
         a = np.array([[1.0, 2.0], [2.1, 3.0]])
