@@ -55,6 +55,8 @@ from .response import (
     ReducedSystem,
     ResponseSample,
     canonical_from_dict,
+    canonical_poles,
+    canonical_responses,
     canonical_to_dict,
     eliminate_massless,
     evaluate_canonical,

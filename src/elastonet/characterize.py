@@ -16,9 +16,9 @@ import numpy as np
 
 from .errors import AtResonance
 from .geometry import check_balanced
-from .linalg import psd_check
+from .linalg import psd_check, psd_checks
 from .resonances import resonances_of
-from .response import evaluate_canonical
+from .response import canonical_poles, canonical_responses
 
 PASSIVITY_GRID_POINTS = 41  # per sign, spanning omega in [1e-2, 1e2]
 DEFAULT_TOL = 1e-9
@@ -66,8 +66,17 @@ def passivity_margin(cr, omega):
     Nonnegative for admissible responses at every real omega: damping can
     only consume energy.
     """
-    sample = evaluate_canonical(cr, 1j * float(omega))
-    return psd_check(float(omega) * sample.W.a.imag)[0]
+    return _dissipation(cr, [omega])[0][0]
+
+
+def _dissipation(cr, omegas):
+    """Smallest eigenvalue and largest entry modulus of the bitwise symmetric
+    ``omega * Im W(i omega)`` at each omega; a pole raises :class:`AtResonance`."""
+    omegas = np.asarray(omegas, dtype=float)
+    images = [w.imag for w in canonical_responses(cr, [1j * float(x) for x in omegas])]
+    dissipation = omegas[:, None, None] * np.reshape(images, (len(omegas), cr.order, cr.order))
+    lows = [low for low, _ in psd_checks(dissipation)]
+    return lows, np.abs(dissipation).max(axis=(1, 2), initial=0.0)
 
 
 def check_canonical(cr, tol=DEFAULT_TOL):
@@ -79,11 +88,11 @@ def check_canonical(cr, tol=DEFAULT_TOL):
     """
     conditions = {}
 
+    residues = np.reshape([mode.R.a for mode in cr.modes], (-1, cr.order, cr.order))
     worst = 0.0
     witness = "no modes" if not cr.modes else ""
     ok = True
-    for k, mode in enumerate(cr.modes):
-        low, psd = psd_check(mode.R, tol=tol)
+    for k, (low, psd) in enumerate(psd_checks(residues, tol=tol)):
         ok = ok and psd
         if low < -worst:
             worst = -low
@@ -137,25 +146,19 @@ def check_canonical(cr, tol=DEFAULT_TOL):
     # omega the PSD quantity is rounding in W(0) amplified by alpha*omega^2,
     # which an absolute threshold cannot absorb
     grid = np.logspace(-2.0, 2.0, PASSIVITY_GRID_POINTS)
+    omegas = np.concatenate([-grid[::-1], grid])
+    resonant = canonical_poles(cr, [1j * float(omega) for omega in omegas]).any(axis=1)
     worst_margin = np.inf
     worst_ratio = np.inf
     witness = ""
-    skipped = 0
-    for omega in np.concatenate([-grid[::-1], grid]):
-        try:
-            sample = evaluate_canonical(cr, 1j * float(omega))
-        except AtResonance:
-            skipped += 1
-            continue
-        dissipation = float(omega) * sample.W.a.imag
-        margin = psd_check(dissipation)[0]
-        ratio = margin / (1.0 + np.abs(dissipation).max())
+    for omega, margin, peak in zip(omegas[~resonant], *_dissipation(cr, omegas[~resonant])):
+        ratio = margin / (1.0 + peak)
         if ratio < worst_ratio:
             worst_ratio = ratio
             worst_margin = margin
             witness = f"min eig(omega Im W) = {margin:.3e} at omega = {omega:.6g}"
-    if skipped:
-        witness += f" ({skipped} resonant grid points skipped)"
+    if resonant.any():
+        witness += f" ({resonant.sum()} resonant grid points skipped)"
     conditions["passivity_sampled"] = ConditionResult(
         bool(worst_ratio >= -tol), max(0.0, -float(worst_margin)), witness
     )

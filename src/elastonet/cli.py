@@ -63,12 +63,16 @@ MAX_SWEEP_POINTS = 100_000
 
 def _seed(args):
     env = os.environ.get("ELASTONET_SEED")
+    source, seed = "--seed", args.seed
     if env is not None:
         try:
-            return int(env)
+            source, seed = "ELASTONET_SEED", int(env)
         except ValueError as exc:
             raise SchemaError(f"ELASTONET_SEED: not an integer ({env!r})") from exc
-    return args.seed
+    # numpy's generators take no negative seed
+    if seed < 0:
+        raise SchemaError(f"{source}: must be >= 0, got {seed}")
+    return seed
 
 
 def _write_text(args, text):

@@ -179,10 +179,16 @@ def psd_check(a, tol=PINV_TOL):
     both pass; an empty matrix gives ``(0.0, True)``.
     """
     arr = a.a if isinstance(a, SymMatrix) else _sym_part(np.asarray(a, dtype=float))
-    if arr.size == 0:
-        return 0.0, True
-    w = np.linalg.eigvalsh(arr)
-    return float(w[0]), bool(w[0] >= -tol * max(1.0, w[-1]))
+    return psd_checks(arr[None], tol)[0]
+
+
+def psd_checks(stack, tol=PINV_TOL):
+    """:func:`psd_check` of each bitwise symmetric matrix of a ``(k, n, n)``
+    stack by one stacked eigensolve, which has the bits of one per matrix."""
+    if stack.size == 0:
+        return [(0.0, True)] * len(stack)
+    w = np.linalg.eigvalsh(stack)[:, [0, -1]]
+    return [(float(lo), bool(lo >= -tol * max(1.0, hi))) for lo, hi in w]
 
 
 def is_psd(a, tol=PINV_TOL):

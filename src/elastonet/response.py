@@ -24,6 +24,7 @@ import numpy as np
 from . import jsonio
 from .errors import (
     AtResonance,
+    DimensionMismatch,
     ElastonetError,
     FloppyModeInconsistent,
     ReconstructionMismatch,
@@ -47,9 +48,9 @@ CLUSTER_TOL = 1e-8
 RESONANCE_CLEARANCE = 1e-3
 ROUNDTRIP_TOL = 1e-8
 
-# Modes whose terms evaluate_canonical stacks at once: one stack holds at
-# most 0.5 MB at 30 terminal coordinates, and a 90-mode form takes three.
-CANONICAL_CHUNK = 32
+# Bytes of one block of points in canonical_responses, so that its memory
+# does not grow with the point count: 315 points at 90 modes and n = 18.
+CANONICAL_BLOCK_BYTES = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -402,8 +403,7 @@ def _reconstruction_error(sys, cr, lams):
     C = sys.rayleigh.damping(K, M)
     norms = [np.abs(x).max() for x in (K, C, M)]
     worst = 0.0
-    for lam in lams:
-        closed = evaluate_canonical(cr, lam).W.a
+    for lam, closed in zip(lams, canonical_responses(cr, lams)):
         # numerically-zero responses (mechanisms) are compared against
         # the pencil magnitude instead of their own rounding-level norm
         floor = 1e-4 * (norms[0] + norms[1] * abs(lam) + norms[2] * abs(lam) ** 2)
@@ -424,39 +424,100 @@ def _relative_gap(closed, direct, floor):
     return np.abs(closed - direct).max() / max(np.abs(direct).max(), floor, 1e-300)
 
 
-def evaluate_canonical(cr, lam):
-    """Evaluate the pole-residue form at one Laplace point.
+def canonical_poles(cr, lams):
+    """``(P, modes)`` bool: ``lams[p]`` is a pole of mode ``j``, that is
+    ``|q_j(lambda)| <= 1e-12 * (1 + |lambda|^2)``."""
+    return _poles(cr, [complex(lam) for lam in lams])[0]
 
-    The coefficients ``damp^2/q_j`` are Python complex numbers, checked in
-    mode order against the pole guard. The terms ``c_j R_j`` are then
-    subtracted in mode order by one ``np.subtract.reduce`` per stack of
-    ``CANONICAL_CHUNK`` modes, which gives the bits of subtracting them one
-    at a time.
+
+def _poles(cr, lams):
+    """:func:`canonical_poles`, ``q`` and the columns ``lambda``, ``lambda^2``."""
+    lam = np.array(lams, dtype=complex).reshape(-1, 1)
+    sigma = np.array([mode.sigma for mode in cr.modes])
+    guard = np.array([1e-12 * (1.0 + abs(x) ** 2) for x in lams]).reshape(-1, 1)
+    with np.errstate(all="ignore"):  # Python's complex arithmetic does not warn
+        lam2 = _product(lam, lam)
+        q = sigma + _product(cr.rayleigh.alpha * sigma + cr.rayleigh.beta, lam) + lam2
+        return np.hypot(q.real, q.imag) <= guard, q, lam, lam2
+
+
+def _product(a, b):
+    """``a * b`` as CPython forms it, a real entering as ``x + 0j``; numpy's
+    complex product fuses multiply-adds, so its last bit may differ."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    return _complex(a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real)
+
+
+def _quotient(a, b):
+    """``a / b`` as CPython forms it, by Smith's algorithm (R. L. Smith,
+    "Algorithm 116: Complex division", CACM 5(8), 1962)."""
+    (a_re, a_im), (b_re, b_im) = (a.real, a.imag), (b.real, b.imag)
+    by_re = np.abs(b_re) >= np.abs(b_im)
+    ratio = np.where(by_re, b_im / b_re, b_re / b_im)
+    denom = np.where(by_re, b_re + b_im * ratio, b_re * ratio + b_im)
+    return _complex(
+        np.where(by_re, a_re + a_im * ratio, a_re * ratio + a_im) / denom,
+        np.where(by_re, a_im - a_re * ratio, a_im * ratio - a_re) / denom,
+    )
+
+
+def _complex(re, im):
+    """Parts to a complex array, bit for bit (``re + 1j*im`` can turn -0.0 into 0.0)."""
+    out = np.empty(np.broadcast_shapes(np.shape(re), np.shape(im)), dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def canonical_responses(cr, lams):
+    """Yield the ``(n, n)`` W of the pole-residue form at each of ``lams``.
+
+    Points go in blocks of at most ``CANONICAL_BLOCK_BYTES``. Each W has the
+    bits of the one-point evaluation: products and quotients of complex
+    scalars as CPython forms them, then the terms ``c_j R_j`` subtracted in
+    mode order by one ``np.subtract.reduce``, over the upper triangle and
+    mirrored (``A`` and ``R_j`` are bitwise symmetric). The points before the
+    first resonant one (:func:`canonical_poles`) or the first with an entry
+    that is not finite are yielded; that point raises :class:`AtResonance`,
+    naming its first resonant mode, or :class:`DimensionMismatch`.
     """
-    lam = complex(lam)
-    alpha, beta = cr.rayleigh.alpha, cr.rayleigh.beta
-    damp, lam2 = 1.0 + alpha * lam, lam * lam
-    w = damp * cr.A.a + (beta * lam + lam2) * np.diag(cr.Mbb)
-    guard = 1e-12 * (1.0 + abs(lam) ** 2)
-    coefficients = []
-    for mode in cr.modes:
-        sigma = mode.sigma
-        q = sigma + (alpha * sigma + beta) * lam + lam2
-        if abs(q) <= guard:
+    lams = [complex(lam) for lam in lams]
+    n, alpha, beta = cr.order, cr.rayleigh.alpha, cr.rayleigh.beta
+    upper = np.triu_indices(n)
+    a, mbb = cr.A.a[upper], np.diag(cr.Mbb)[upper]
+    residues = np.reshape([mode.R.a for mode in cr.modes], (-1, n, n))[:, upper[0], upper[1]]
+    terms = np.empty((len(residues) + 1, a.size), dtype=complex)
+    block = max(1, CANONICAL_BLOCK_BYTES // (16 * (n * n + len(residues) + 1)))
+    for start in range(0, len(lams), block):
+        points = lams[start:start + block]
+        resonant, q, lam, lam2 = _poles(cr, points)
+        w = np.empty((len(points), n, n), dtype=complex)
+        with np.errstate(all="ignore"):
+            damp = 1.0 + _product(alpha, lam)
+            # a complex times a real array: the real's zero imaginary part
+            # adds only zeros, so fused multiply-adds keep CPython's bits
+            direct = damp * a + (_product(beta, lam) + lam2) * mbb
+            for p, c in enumerate(_quotient(_product(damp, damp), q)):
+                terms[0] = direct[p]
+                np.multiply(c[:, None], residues, out=terms[1:])
+                w[p][upper] = w[p].T[upper] = np.subtract.reduce(terms, axis=0)
+            finite = np.isfinite(np.abs(w)).all(axis=(1, 2))
+        bad = np.nonzero(resonant.any(axis=1) | ~finite)[0]
+        yield from w[:bad[0] if bad.size else len(points)]
+        if bad.size and resonant[bad[0]].any():
+            p, j = bad[0], np.argmax(resonant[bad[0]])
             raise AtResonance(
-                f"lambda = {lam} is a pole: |q({sigma:.6g})| = {abs(q):.3e}"
+                f"lambda = {points[p]} is a pole: |q({cr.modes[j].sigma:.6g})| = "
+                f"{np.hypot(q[p, j].real, q[p, j].imag):.3e}"
             )
-        coefficients.append(damp * damp / q)
-    n = cr.order
-    for start in range(0, len(cr.modes), CANONICAL_CHUNK):
-        chunk = cr.modes[start:start + CANONICAL_CHUNK]
-        terms = np.empty((len(chunk) + 1, n, n), dtype=complex)
-        terms[0] = w
-        terms[1:] = [mode.R.a for mode in chunk]
-        c = np.array(coefficients[start:start + CANONICAL_CHUNK], dtype=complex)
-        np.multiply(c[:, None, None], terms[1:], out=terms[1:])
-        w = np.subtract.reduce(terms, axis=0)
-    return ResponseSample(lam, SymMatrix(w))
+        if bad.size:
+            raise DimensionMismatch("matrix entries must be finite")
+
+
+def evaluate_canonical(cr, lam):
+    """Evaluate the pole-residue form at one Laplace point
+    (:func:`canonical_responses` of one point)."""
+    lam = complex(lam)
+    return ResponseSample(lam, SymMatrix(next(canonical_responses(cr, [lam]))))
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,8 @@ import numpy as np
 from . import jsonio
 from .characterize import check_canonical
 from .errors import (
+    DimensionMismatch,
+    ElastonetError,
     NotCharacterizable,
     PlacementFailed,
     ReconstructionMismatch,
@@ -46,7 +48,7 @@ from .geometry import (
     project_balanced,
     total_torque,
 )
-from .linalg import SymMatrix
+from .linalg import SymMatrix, psd_checks
 from .model import (
     IdealElasticElement,
     Node,
@@ -63,9 +65,10 @@ from .model import (
 )
 from .response import (
     ROUNDTRIP_TOL,
+    ReducedSystem,
     ResponseSample,
+    canonical_responses,
     eliminate_massless,
-    evaluate_canonical,
     evaluate_response,
     modal_response,
     sample_nonresonant,
@@ -159,7 +162,8 @@ class NetworkComponent:
     @cached_property
     def reduced(self):
         """The component assembled and reduced (:func:`eliminate_massless`),
-        computed once: the gadget check and :func:`modal_form` both read it."""
+        computed once for :func:`modal_form`. A gadget built here has it
+        already, from :func:`_reduce_gadgets`."""
         return eliminate_massless(assemble_component(self))
 
 
@@ -458,8 +462,17 @@ def build_rank_one_gadget(
     which pins the gadget's resonances at the roots of
     ``sigma + (alpha*sigma + beta)*lambda + lambda^2`` and makes the static
     response vanish. The gadget's own modes are checked against that
-    contract before returning (:class:`PlacementFailed` otherwise).
+    contract before returning (:func:`_reduce_gadgets`).
     """
+    comp = _place_gadget(terminals, f, sigma, rayleigh, epsilon_hull=epsilon_hull,
+                         forbidden=forbidden, seed=seed, min_clearance=min_clearance,
+                         candidates=candidates)
+    _reduce_gadgets([(comp, sigma)])
+    return comp
+
+
+def _place_gadget(terminals, f, sigma, rayleigh, **placement):
+    """The component of :func:`build_rank_one_gadget`, not yet checked."""
     terminals = np.atleast_2d(np.asarray(terminals, dtype=float))
     nt, d = terminals.shape
     f = np.asarray(f, dtype=float).ravel()
@@ -470,16 +483,7 @@ def build_rank_one_gadget(
         raise ZeroForce("rank-one gadget needs a nonzero force vector")
     if sigma <= 0.0:
         raise ValueError(f"sigma must be > 0, got {sigma}")
-    x1, x2, g = balance_forces(
-        terminals,
-        f,
-        epsilon_hull=epsilon_hull,
-        forbidden=forbidden,
-        seed=seed,
-        min_clearance=min_clearance,
-        min_force=max(1e-2, 0.1 * fnorm),
-        candidates=candidates,
-    )
+    x1, x2, g = balance_forces(terminals, f, min_force=max(1e-2, 0.1 * fnorm), **placement)
     mass = float(g @ g) / float(sigma)
     nodes = [Node(tuple(p), 0.0, True) for p in terminals]
     nodes.append(Node(tuple(x1), mass, False))
@@ -487,7 +491,7 @@ def build_rank_one_gadget(
     element = IdealElasticElement(
         support=tuple(range(nt + 2)), force_vector=np.concatenate([f, g])
     )
-    comp = NetworkComponent(
+    return NetworkComponent(
         kind="rank_one_gadget",
         nodes=tuple(nodes),
         n_terminals=nt,
@@ -495,17 +499,63 @@ def build_rank_one_gadget(
         rayleigh=rayleigh,
         dimension=d,
     )
-    # the contract on the gadget's own modes: one coupled column, of modal
-    # stiffness sigma and equal to +-sqrt(sigma)*f, gives rank_one_response
-    sigmas, v = comp.reduced.modal
-    column = np.sqrt(sigma) * f
-    size = np.linalg.norm(column)
-    coupled = np.nonzero(np.linalg.norm(v, axis=0) > 1e-9 * size)[0]
-    k = coupled[0] if coupled.size else 0
-    gap = min(np.linalg.norm(v[:, k] - column), np.linalg.norm(v[:, k] + column))
-    if coupled.size != 1 or abs(sigmas[k] - sigma) > 1e-9 * sigma or gap > 1e-9 * size:
+
+
+def _gadget_matrices(comps):
+    """Force vectors ``[f; g]``, stiffnesses and internal masses of gadgets
+    on one terminal set; ``K = 0 + [f; g][f; g]^T`` as assembly stamps it."""
+    forces = np.array([comp.elements[0].force_vector for comp in comps])
+    stiffness = np.zeros((len(comps), forces.shape[1], forces.shape[1]))
+    stiffness += forces[:, :, None] * forces[:, None, :]
+    return forces, stiffness, np.array([comp.nodes[-1].mass for comp in comps])
+
+
+def _reduce_gadgets(gadgets):
+    """Reduce ``(gadget, sigma)`` pairs as one stack and check each contract.
+
+    A gadget's interior is all massive, so its reduction keeps K whole. The
+    PSD test of :func:`eliminate_massless`, one ``eigh`` and ``V`` run on the
+    stack with the bits of :attr:`ReducedSystem.modal`, and seed each
+    :attr:`NetworkComponent.reduced`. The contract, which gives
+    :func:`rank_one_response`: one coupled column, of modal stiffness sigma
+    and equal to ``+-sqrt(sigma) f``. The first gadget to fail raises what
+    its own reduction would, or :class:`PlacementFailed` for the contract.
+    """
+    if not gadgets:
+        return
+    comps, target = zip(*gadgets)
+    d = comps[0].dimension
+    nb = comps[0].n_terminals * d
+    forces, K, mass = _gadget_matrices(comps)
+    scale = 1.0 / np.sqrt(mass)[:, None, None]
+    normalized = scale * scale * K[:, nb:, nb:]
+    finite = np.isfinite(K).all(axis=(1, 2)) & np.isfinite(normalized).all(axis=(1, 2))
+    count = len(comps) if finite.all() else int(np.argmin(finite))
+    sigmas, u = np.linalg.eigh(normalized[:count])
+    v = K[:count, :nb, nb:] @ (scale[:count] * u)
+    sigmas.flags.writeable = v.flags.writeable = False
+    target = np.array(target[:count])
+    column = np.sqrt(target)[:, None] * forces[:count, :nb]
+    size = np.linalg.norm(column, axis=1)
+    coupled = np.linalg.norm(v, axis=1) > 1e-9 * size[:, None]
+    k = np.argmax(coupled, axis=1)[:, None]  # the first coupled column, else 0
+    vk = np.take_along_axis(v, k[:, None], axis=2)[:, :, 0]
+    gap = np.minimum(np.linalg.norm(vk - column, axis=1), np.linalg.norm(vk + column, axis=1))
+    off = np.abs(np.take_along_axis(sigmas, k, axis=1)[:, 0] - target) > 1e-9 * target
+    psd = np.array([ok for _, ok in psd_checks(K[:count, nb:, nb:], tol=1e-9)], bool)
+    bad = np.nonzero(~psd | (coupled.sum(axis=1) != 1) | off | (gap > 1e-9 * size))[0]
+    if bad.size and not psd[bad[0]]:
+        raise ElastonetError("reduced interior stiffness is not positive semidefinite")
+    if bad.size:
         raise PlacementFailed("gadget response deviates from the closed form")
-    return comp
+    if count < len(comps):
+        raise DimensionMismatch("matrix entries must be finite")
+    terminals = np.array([node.position for node in comps[0].nodes[:nb // d]])
+    for i, comp in enumerate(comps):
+        red = ReducedSystem(SymMatrix(K[i]), np.zeros(nb), np.full(2 * d, mass[i]), d,
+                            comp.rayleigh, terminals)
+        vars(red)["modal"] = sigmas[i], v[i]
+        vars(comp)["reduced"] = red
 
 
 # ---------------------------------------------------------------------------
@@ -621,20 +671,17 @@ def synthesize(
     placed = np.empty((len(user_forbidden) + 2 * len(factors), d))
     placed[:len(user_forbidden)] = user_forbidden
     used = len(user_forbidden)
-    for sigma, v in factors:
-        gadget = build_rank_one_gadget(
-            terminals,
-            v,
-            sigma,
-            cr.rayleigh,
-            epsilon_hull=epsilon_hull,
-            forbidden=placed[:used],
-            seed=rng,
-            min_clearance=clearance,
-        )
-        components.append(gadget)
-        placed[used:used + 2] = gadget.internal_positions
-        used += 2
+    gadgets = []
+    try:
+        for sigma, v in factors:
+            gadget = _place_gadget(terminals, v, sigma, cr.rayleigh, epsilon_hull=epsilon_hull,
+                                   forbidden=placed[:used], seed=rng, min_clearance=clearance)
+            gadgets.append((gadget, sigma))
+            placed[used:used + 2] = gadget.internal_positions
+            used += 2
+    finally:  # also after a failed placement: a gadget placed before it fails first
+        _reduce_gadgets(gadgets)
+    components.extend(gadget for gadget, _ in gadgets)
 
     gn = GeneralizedNetwork(
         terminals=terminals.copy(),
@@ -674,7 +721,8 @@ def verify_synthesis(gn, cr, n_samples=50, seed=0):
     """Max relative deviation between the network and the closed form.
 
     The network side is :func:`modal_response` of the network's own
-    :func:`modal_form`, never of ``cr``. A deviation that is not finite
+    :func:`modal_form`, never of ``cr``; the reference side is
+    :func:`canonical_responses` of ``cr``. A deviation that is not finite
     counts as infinite.
     """
     if n_samples < 1:
@@ -683,8 +731,8 @@ def verify_synthesis(gn, cr, n_samples=50, seed=0):
     avoid = system_resonances(cr.rayleigh, [m.sigma for m in cr.modes] + [0.0])
     form = modal_form(gn)
     worst = 0.0
-    for lam in sample_nonresonant(rng, avoid, n_samples):
-        reference = evaluate_canonical(cr, lam).W.a
+    points = sample_nonresonant(rng, avoid, n_samples)
+    for lam, reference in zip(points, canonical_responses(cr, points)):
         with np.errstate(all="ignore"):
             gap = np.abs(modal_response(gn.rayleigh, *form, complex(lam)) - reference)
         deviation = gap.max() / max(np.abs(reference).max(), 1e-300)

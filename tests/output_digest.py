@@ -1,0 +1,92 @@
+"""Digest the CLI's outputs on a fixed set of networks.
+
+Usage::
+
+    PYTHONPATH=src python tests/output_digest.py OUT.json
+    PYTHONPATH=/path/to/other/checkout/src python tests/output_digest.py OTHER.json
+    diff OUT.json OTHER.json
+
+The package is imported from ``PYTHONPATH``, so this one script digests any
+checkout. For each network it runs ``extract``, ``characterize``,
+``respond``, ``synthesize`` (on the extracted form) and ``roundtrip``
+in process through ``elastonet.cli.main``, and writes the exit code and the
+sha256 of the output file of each run. Two checkouts whose files are equal
+write byte-identical outputs on every run; ``diff`` names the runs that
+differ. Run both with the same BLAS thread count (for example
+``OPENBLAS_NUM_THREADS=1``).
+
+The networks are ``random_network(s, d, 3, 6, mf)`` for s = 0..23, d = 2, 3
+and mf = 0, 0.5, 1, and the near-floppy networks of
+``tests/test_response.py::test_near_floppy_network_extracts``: about 750 runs,
+about 10 s on one core. Pytest does not collect this file.
+"""
+
+import hashlib
+import json
+import sys
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
+from elastonet import network_to_dict, random_network
+from elastonet.cli import main
+from elastonet.jsonio import write_json
+
+NEAR_FLOPPY_SEEDS = (1093, 1196, 1922, 1965, 2301, 1269183695)
+
+
+def tiny_mass():
+    """``random_network(4, 2, 3, 4, 0.5)`` with one interior mass set to 1e-10."""
+    net = random_network(4, 2, 3, 4, 0.5)
+    k = next(k for k, n in enumerate(net.nodes) if not n.is_terminal and n.mass)
+    nodes = list(net.nodes)
+    nodes[k] = replace(nodes[k], mass=1e-10)
+    return replace(net, nodes=tuple(nodes))
+
+
+def networks():
+    """``(name, network)`` pairs, in a fixed order."""
+    for s in range(24):
+        for d in (2, 3):
+            for mf in (0.0, 0.5, 1.0):
+                yield f"random_network({s}, {d}, 3, 6, {mf})", random_network(s, d, 3, 6, mf)
+    for s in NEAR_FLOPPY_SEEDS:
+        yield f"random_network({s}, 3, 3, 6, 0.5)", random_network(s, 3, 3, 6, 0.5)
+    yield "tiny_mass", tiny_mass()
+
+
+def run(argv, out):
+    """Exit code of ``main(argv + ["-o", out])`` and the sha256 of ``out``,
+    None when the run wrote no file."""
+    out.unlink(missing_ok=True)
+    code = main(argv + ["-o", str(out)])
+    digest = hashlib.sha256(out.read_bytes()).hexdigest() if out.exists() else None
+    return {"exit": code, "sha256": digest}
+
+
+def digest(workdir):
+    results = {}
+    for name, net in networks():
+        net_file, canonical = workdir / "net.json", workdir / "canonical.json"
+        write_json(net_file, network_to_dict(net))
+        net_file = str(net_file)
+        runs = {"extract": run(["extract", net_file], canonical)}
+        runs["characterize"] = run(["characterize", net_file], workdir / "report.json")
+        runs["respond"] = run(
+            ["respond", net_file, "--omega", "0.1", "10", "25", "--scale", "log"],
+            workdir / "responses.json",
+        )
+        if canonical.exists():
+            runs["synthesize"] = run(["synthesize", str(canonical)], workdir / "network.json")
+        runs["roundtrip"] = run(["roundtrip", net_file], workdir / "roundtrip.json")
+        canonical.unlink(missing_ok=True)
+        results[name] = runs
+    return results
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit("usage: python tests/output_digest.py OUT.json")
+    with tempfile.TemporaryDirectory() as tmp:
+        results = digest(Path(tmp))
+    Path(sys.argv[1]).write_text(json.dumps(results, indent=1, sort_keys=True) + "\n")

@@ -154,7 +154,8 @@ class TestCheckCanonical:
             assert report.passed, (seed, report.failing())
 
     def test_one_eigensolve_per_matrix(self, monkeypatch):
-        # one per residue, one for A, one for W(0), one per passivity point
+        # one per residue, one for A, one for W(0), one per passivity point;
+        # the residues and the passivity points each in one stacked call
         net = random_network(3, 3, 3, 4, 0.5)
         cr = extract_canonical(assemble(net))
         expected = check_canonical(cr).to_dict()
@@ -169,7 +170,8 @@ class TestCheckCanonical:
         report = check_canonical(cr)
         assert report.to_dict() == expected
         assert "skipped" not in report.conditions["passivity_sampled"].witness
-        assert len(calls) == len(cr.modes) + 2 + 2 * PASSIVITY_GRID_POINTS
+        assert sum(shape[0] for shape in calls) == len(cr.modes) + 2 + 2 * PASSIVITY_GRID_POINTS
+        assert len(calls) == 4
 
     def test_negated_residue_fails_psd_and_passivity(self):
         net = random_network(1, 2, 2, 2, 1.0, alpha=0.2, beta=0.1)

@@ -156,6 +156,31 @@ class TestExtractAndCharacterize:
         rep = json.loads(report.read_text())
         assert rep["conditions"]["sigma_positive"]["pass"] is False
 
+    def test_a_residue_that_overflows_exits_1(self, tmp_path, capsys):
+        # finite on input, the form overflows on the passivity grid; a stacked
+        # eigensolve of the non-finite W let an untyped LinAlgError escape
+        obj = canonical_to_dict(extract_canonical(assemble(random_network(1, 2, 2, 2, 1.0))))
+        obj["modes"][0]["R"][0][0] = 1e308
+        bad, report = tmp_path / "bad.json", tmp_path / "report.json"
+        write_json(bad, obj)
+        assert main(["characterize", str(bad), "-o", str(report)]) == 1
+        assert capsys.readouterr().err == "error: matrix entries must be finite\n"
+        assert not report.exists()
+
+    def test_a_pole_polynomial_that_overflows_is_reported(self, tmp_path, capsys):
+        # |q| of sigma = 1.5e308 overflows although its parts are finite;
+        # Python's abs raised an untyped OverflowError there
+        net = random_network(1, 2, 2, 2, 1.0, alpha=1.0, beta=0.1)
+        obj = canonical_to_dict(extract_canonical(assemble(net)))
+        obj["modes"][0]["sigma"] = 1.5e308
+        bad, report = tmp_path / "bad.json", tmp_path / "report.json"
+        write_json(bad, obj)
+        assert main(["characterize", str(bad), "-o", str(report)]) == 1
+        assert capsys.readouterr().err == ""
+        rep = json.loads(report.read_text())
+        assert rep["conditions"]["static_balanced"]["pass"] is False
+        assert rep["conditions"]["passivity_sampled"]["pass"] is True
+
     def test_non_psd_static_slice_fails(self, tmp_path, canonical_file):
         obj = json.loads(open(canonical_file).read())
         obj["modes"] = [
@@ -423,3 +448,23 @@ class TestRoundtrip:
         assert obj["pass"] is True
         assert obj["characterization"]["pass"] is True
         assert obj["verification"]["max_rel_error"] <= 1e-8
+
+
+class TestNegativeSeed:
+    """A negative seed is refused as a parse error, from the flag or the
+    environment, before it reaches numpy's generator."""
+
+    @pytest.mark.parametrize("command", ["extract", "characterize", "synthesize", "roundtrip"])
+    @pytest.mark.parametrize("source", ["--seed", "ELASTONET_SEED"])
+    def test_exits_2_naming_its_source(
+        self, tmp_path, net_file, canonical_file, monkeypatch, capsys, command, source
+    ):
+        argv = [command, canonical_file if command == "synthesize" else net_file]
+        if source == "--seed":
+            argv += ["--seed", "-3"]
+        else:
+            monkeypatch.setenv("ELASTONET_SEED", "-3")
+        out = tmp_path / "out.json"
+        assert main(argv + ["-o", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {source}: must be >= 0, got -3\n"
+        assert not out.exists()

@@ -10,6 +10,7 @@ from elastonet import (
     AtResonance,
     BlockPartition,
     CanonicalResponse,
+    DimensionMismatch,
     ElastodynamicNetwork,
     ElastonetError,
     FloppyModeInconsistent,
@@ -23,6 +24,8 @@ from elastonet import (
     SystemMatrices,
     assemble,
     canonical_from_dict,
+    canonical_poles,
+    canonical_responses,
     canonical_to_dict,
     check_balanced,
     eliminate_massless,
@@ -427,15 +430,13 @@ class TestExtractionSelfCheck:
         assert_allclose(cr.A.a, axial_block(0.5), atol=1e-14)
 
     def test_perturbed_residue_is_still_rejected(self, monkeypatch):
-        # every residue 1e-6 relative too large: LU and SVD both see it
-        original = response.evaluate_canonical
-
-        def perturbed(cr, lam):
-            modes = tuple(Mode(m.sigma, SymMatrix(m.R.a * (1 + 1e-6))) for m in cr.modes)
-            return original(replace(cr, modes=modes), lam)
+        # every residue of the extracted form 1e-6 relative too large: LU
+        # and SVD both see it
+        def perturbed(sigma, R):
+            return Mode(sigma, SymMatrix(R.a * (1 + 1e-6)))
 
         calls = count_fallbacks(monkeypatch)
-        monkeypatch.setattr(response, "evaluate_canonical", perturbed)
+        monkeypatch.setattr(response, "Mode", perturbed)
         with pytest.raises(ReconstructionMismatch, match="deviates from the direct"):
             extract_canonical(assemble(random_network(3, 3, 4, 10, 1.0)))
         assert calls == ["pseudoinverse"] * 20
@@ -484,8 +485,9 @@ class TestEvaluateCanonical:
             evaluate_canonical(cr, 1.0j)
 
 
-def looped_canonical(cr, lam):
-    """Oracle: the per-mode loop, one ``(nb, nb)`` update per mode."""
+def looped_canonical(cr, lam, check=True):
+    """Oracle: the per-mode loop, one ``(nb, nb)`` update per mode; without
+    ``check`` W is returned as computed."""
     lam = complex(lam)
     damp = 1.0 + cr.rayleigh.alpha * lam
     w = damp * cr.A.a + (cr.rayleigh.beta * lam + lam * lam) * np.diag(cr.Mbb)
@@ -500,8 +502,9 @@ def looped_canonical(cr, lam):
             raise AtResonance(
                 f"lambda = {lam} is a pole: |q({mode.sigma:.6g})| = {abs(q):.3e}"
             )
-        w = w - (damp * damp / q) * mode.R.a
-    return SymMatrix(w).a
+        with np.errstate(all="ignore"):
+            w = w - (damp * damp / q) * mode.R.a
+    return SymMatrix(w).a if check else w
 
 
 def random_form(n_modes, sigmas=None, rayleigh=RayleighParams(0.3, 0.7), seed=0):
@@ -530,17 +533,99 @@ def raised(evaluate, cr, lam):
     return str(info.value)
 
 
-class TestStackedCanonicalSum:
-    """The stacked sum of ``evaluate_canonical`` against the per-mode loop."""
+def bits(w):
+    """The raw bits of a float or complex array: -0.0 differs from 0.0."""
+    return np.ascontiguousarray(w).view(np.int64)
 
-    # no stack, one, the edges of one and two stacks, and many stacks
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(bits(a), bits(b))
+
+
+def yielded_then_raised(cr, lams):
+    """The Ws :func:`canonical_responses` yields before it raises, and its text."""
+    out = []
+    with pytest.raises(AtResonance) as info:
+        for w in canonical_responses(cr, lams):
+            out.append(w)
+    return out, str(info.value)
+
+
+def sparse_form(n_modes, seed=0):
+    """:func:`random_form` with zero entries in A, the masses and the
+    residues, so that signed zeros reach W."""
+    cr = random_form(n_modes, seed=seed)
+    mask = np.kron(np.eye(4), np.ones((3, 3)))
+    return replace(
+        cr,
+        A=SymMatrix(cr.A.a * mask),
+        Mbb=np.where(np.arange(12) % 2, cr.Mbb, 0.0),
+        modes=tuple(Mode(m.sigma, SymMatrix(m.R.a * mask)) for m in cr.modes),
+    )
+
+
+# Laplace points with both signs of zero parts, as 1j * -omega gives
+SIGNED_POINTS = [0.0, 2.5j, -0.0, complex(-0.0, -0.0), 1j * -3.0, 1j * -0.01, -2.0 + 0.0j]
+
+
+class TestStackedCanonicalSum:
+    """:func:`canonical_responses` against the per-mode, per-point loop."""
+
+    # no mode, one, and many; the three middle counts were the edges of the
+    # former mode stacks
     @pytest.mark.parametrize("n_modes", [0, 1, 31, 32, 33, 225])
     def test_equals_the_loop_bitwise(self, n_modes):
-        assert response.CANONICAL_CHUNK == 32
-        cr = random_form(n_modes, seed=n_modes)
         lams = np.random.default_rng(1).standard_normal((12, 2)) @ [3.0, 3.0j]
-        for lam in [*lams, 0.0, 2.5j]:
-            assert np.array_equal(evaluate_canonical(cr, lam).W.a, looped_canonical(cr, lam))
+        lams = [*lams, *SIGNED_POINTS]
+        for cr in (random_form(n_modes, seed=n_modes), sparse_form(n_modes, seed=n_modes)):
+            looped = [looped_canonical(cr, lam) for lam in lams]
+            stacked = list(canonical_responses(cr, lams))
+            assert len(stacked) == len(lams)
+            for lam, w, want in zip(lams, stacked, looped):
+                assert same_bits(w, want)
+                assert same_bits(evaluate_canonical(cr, lam).W.a, want)
+
+    def test_signed_zeros_reach_the_comparison(self):
+        cr = sparse_form(5)
+        w = np.array(list(canonical_responses(cr, SIGNED_POINTS)))
+        assert (np.signbit(w.real) & (w.real == 0.0)).any()
+
+    def test_block_edges(self, monkeypatch):
+        # point counts around one and two blocks of the byte budget
+        blocks = []
+        poles = response._poles
+
+        def recording(cr, lams):
+            blocks.append(len(lams))
+            return poles(cr, lams)
+
+        monkeypatch.setattr(response, "_poles", recording)
+        cr = random_form(33, seed=4)
+        rng = np.random.default_rng(3)
+        lams = rng.uniform(0.1, 10.0, 2000) * np.exp(2j * np.pi * rng.uniform(size=2000))
+        list(canonical_responses(cr, lams))
+        size = blocks[0]
+        assert 1 < size < 2000 and sum(blocks) == 2000
+        for count in (1, size - 1, size, size + 1, 2 * size + 1):
+            blocks.clear()
+            stacked = list(canonical_responses(cr, lams[:count]))
+            assert blocks == [size] * (count // size) + [count % size] * (count % size > 0)
+            for lam, w in zip(lams[:count], stacked, strict=True):
+                assert same_bits(w, looped_canonical(cr, lam))
+
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_a_resonant_point_raises_after_the_points_before_it(self, where):
+        cr = random_form(20, seed=5)
+        lams = list(np.random.default_rng(6).uniform(0.5, 2.0, 9) * 1j)
+        k = {"first": 0, "middle": 4, "last": 8}[where]
+        lams[k] = resonances_of(cr.modes[7].sigma, cr.rayleigh)[0]
+        out, text = yielded_then_raised(cr, lams)
+        assert text == raised(looped_canonical, cr, lams[k])
+        assert "|q(" in text and len(out) == k
+        for lam, w in zip(lams, out):
+            assert same_bits(w, looped_canonical(cr, lam))
+        assert not canonical_poles(cr, lams[:k]).any()
+        assert canonical_poles(cr, lams)[k].nonzero()[0].tolist() == [7]
 
     def test_every_mode_resonant_names_the_first(self):
         # with alpha*beta = 1 every q_j vanishes at lambda = -1/alpha
@@ -558,6 +643,22 @@ class TestStackedCanonicalSum:
         text = raised(evaluate_canonical, cr, lam)
         assert text == raised(looped_canonical, cr, lam)
         assert "|q(2.5)|" in text
+
+    def test_an_entry_that_overflows_is_refused(self):
+        # the residue is finite, its term next to its pole is not
+        cr = random_form(3, seed=7)
+        r = cr.modes[1].R.a.copy()
+        r[0, 0] = 1e308
+        cr = replace(cr, modes=(cr.modes[0], Mode(cr.modes[1].sigma, SymMatrix(r)), cr.modes[2]))
+        near = resonances_of(cr.modes[1].sigma, cr.rayleigh)[0] + 1e-8
+        for evaluate in (evaluate_canonical, looped_canonical):
+            with pytest.raises(DimensionMismatch, match="matrix entries must be finite"):
+                evaluate(cr, near)
+        lams = [0.3j, 0.4j, near, 2j]
+        out = []
+        with pytest.raises(DimensionMismatch):
+            out.extend(canonical_responses(cr, lams))
+        assert len(out) == 2
 
 
 class TestNonResonantSampling:

@@ -12,6 +12,8 @@ from numpy.testing import assert_allclose
 from elastonet import (
     AtResonance,
     CanonicalResponse,
+    DimensionMismatch,
+    ElastonetError,
     GeneralizedNetwork,
     IdealElasticElement,
     Mode,
@@ -185,19 +187,18 @@ class TestRankOneGadget:
         "fault", ["mass", "coupling column", "uncoupled mode", "interior stiffness"]
     )
     def test_broken_contract_raises(self, monkeypatch, fault):
-        # the gadget as assembled departs from its construction by 1e-6;
-        # the last three faults each break one clause of the contract alone:
-        # the coupled column, the coupling of a zero mode, or sigma
+        # the gadget's stacked matrices depart from its construction by
+        # 1e-6; the last three faults each break one clause of the contract
+        # alone: the coupled column, the coupling of a zero mode, or sigma
         module = import_module("elastonet.synthesize")
-        real = module.assemble_component
+        real = module._gadget_matrices
 
-        def broken(comp):
-            sys = real(comp)
-            K, M = sys.K.a.copy(), sys.M.a.copy()
-            nb = len(sys.partition.boundary)
-            g = comp.elements[0].force_vector[nb:]
+        def broken(comps):
+            forces, (K,), (mass,) = real(comps)
+            nb = comps[0].n_terminals * comps[0].dimension
+            g = comps[0].elements[0].force_vector[nb:]
             if fault == "mass":
-                M *= 1.0 + 1e-6
+                mass *= 1.0 + 1e-6
             elif fault == "coupling column":
                 K[:nb, nb:] *= 1.0 + 1e-6
                 K[nb:, :nb] *= 1.0 + 1e-6
@@ -207,9 +208,9 @@ class TestRankOneGadget:
                 K[nb:, 0] = K[0, nb:]
             else:
                 K[nb:, nb:] *= 1.0 + 1e-6
-            return replace(sys, K=SymMatrix(K), M=SymMatrix(M))
+            return forces, K[None], np.array([mass])
 
-        monkeypatch.setattr(module, "assemble_component", broken)
+        monkeypatch.setattr(module, "_gadget_matrices", broken)
         with pytest.raises(PlacementFailed, match="deviates from the closed form"):
             build_rank_one_gadget(
                 [[0.0, 0.0], [1.0, 1.0]],
@@ -230,6 +231,108 @@ class TestRankOneGadget:
             build_rank_one_gadget(
                 [[0.0, 0.0]], [1.0, 0.0], 0.0, RayleighParams(0.0, 0.0)
             )
+
+
+def same_bits(a, b):
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def placed_gadgets(d, count, seed=0):
+    """``(component, sigma)`` pairs of unchecked gadgets on 4 terminals."""
+    module = import_module("elastonet.synthesize")
+    rng = np.random.default_rng(seed)
+    terminals = rng.uniform(0.0, 1.0, (4, d))
+    ray = RayleighParams(0.3, 0.2)
+    gadgets = []
+    for k in range(count):
+        sigma = 10.0 ** rng.uniform(-2.0, 2.0)
+        f = rng.standard_normal(4 * d) * 10.0 ** rng.uniform(-1.0, 1.0)
+        gadgets.append((module._place_gadget(terminals, f, sigma, ray, seed=k), sigma))
+    return gadgets
+
+
+def faulty_matrices(monkeypatch, faults):
+    """Make ``_gadget_matrices`` break gadget ``k`` by ``faults[k]``."""
+    module = import_module("elastonet.synthesize")
+    real = module._gadget_matrices
+
+    def broken(comps):
+        forces, K, mass = real(comps)
+        nb = comps[0].n_terminals * comps[0].dimension
+        for k, fault in faults.items():
+            if k >= len(comps):
+                continue
+            if fault == "not psd":
+                K[k, nb:, nb:] -= np.eye(K.shape[1] - nb)
+            elif fault == "contract":
+                K[k, nb:, nb:] *= 1.0 + 1e-6
+            else:
+                K[k, 0, 0] = np.inf
+        return forces, K, mass
+
+    monkeypatch.setattr(module, "_gadget_matrices", broken)
+
+
+class TestGadgetStack:
+    """Gadgets reduced and checked as one stack against the generic path."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_equals_the_generic_reduction_bitwise(self, d):
+        gadgets = placed_gadgets(d, 40, seed=d)
+        import_module("elastonet.synthesize")._reduce_gadgets(gadgets)
+        for comp, _ in gadgets:
+            stacked = vars(comp)["reduced"]
+            generic = eliminate_massless(assemble_component(comp))
+            for field in ("Mbb", "Mjj"):
+                assert same_bits(getattr(stacked, field), getattr(generic, field))
+            assert same_bits(stacked.Ktilde.a, generic.Ktilde.a)
+            assert same_bits(stacked.modal[0], generic.modal[0])
+            assert same_bits(stacked.modal[1], generic.modal[1])
+            assert not stacked.modal[1].flags.writeable
+
+    @pytest.mark.parametrize(
+        "faults, error",
+        [
+            ({1: "not psd", 2: "contract"}, ElastonetError),
+            ({1: "contract", 2: "not psd"}, PlacementFailed),
+            ({1: "not finite", 2: "contract"}, DimensionMismatch),
+            ({1: "contract", 2: "not finite"}, PlacementFailed),
+            ({0: "not finite", 2: "not psd"}, DimensionMismatch),
+        ],
+    )
+    def test_the_first_failing_gadget_wins(self, monkeypatch, faults, error):
+        gadgets = placed_gadgets(3, 4)
+        faulty_matrices(monkeypatch, faults)
+        with pytest.raises(ElastonetError) as info:
+            import_module("elastonet.synthesize")._reduce_gadgets(gadgets)
+        assert type(info.value) is error
+        assert str(info.value) == {
+            ElastonetError: "reduced interior stiffness is not positive semidefinite",
+            PlacementFailed: "gadget response deviates from the closed form",
+            DimensionMismatch: "matrix entries must be finite",
+        }[error]
+
+    @pytest.mark.parametrize("faults", [{}, {1: "contract"}])
+    def test_the_gadgets_before_a_failed_placement_are_checked_first(
+        self, monkeypatch, faults
+    ):
+        module = import_module("elastonet.synthesize")
+        real = module._place_gadget
+        placed = []
+
+        def failing_third(*args, **kwargs):
+            if len(placed) == 2:
+                raise PlacementFailed("third placement fails")
+            placed.append(real(*args, **kwargs))
+            return placed[-1]
+
+        monkeypatch.setattr(module, "_place_gadget", failing_third)
+        faulty_matrices(monkeypatch, faults)
+        cr = extracted(3, d=3, nt=3)
+        match = "deviates from the closed form" if faults else "third placement"
+        with pytest.raises(PlacementFailed, match=match):
+            synthesize(cr, seed=3)
 
 
 def extracted(seed, **kwargs):
@@ -494,8 +597,9 @@ class TestStackedEvaluation:
 
     @pytest.mark.parametrize("check", [True, False])
     def test_pipeline_assembles_each_component_once(self, monkeypatch, check):
-        # a gadget is reduced once, for its contract check, and verification
-        # reads that reduction; the other components are reduced there
+        # a gadget is reduced in the stack that checks its contract, and
+        # verification reads that reduction; the other components are
+        # assembled and reduced there, once each
         module = import_module("elastonet.synthesize")
         calls = Counter()
         real = module.assemble_component
@@ -512,7 +616,9 @@ class TestStackedEvaluation:
         assert {c.kind for c in gn.components} == {
             "ideal_elements", "terminal_masses", "rank_one_gadget"
         }
-        assert calls == Counter({id(c): 1 for c in gn.components})
+        assert calls == Counter(
+            {id(c): 1 for c in gn.components if c.kind != "rank_one_gadget"}
+        )
 
     def test_fewer_than_one_sample_rejected(self):
         cr = extracted(1, nt=3)
