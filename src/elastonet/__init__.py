@@ -47,7 +47,6 @@ from .resonances import (
     contains,
     locus,
     resonances_of,
-    sample_locus,
 )
 from .response import (
     CanonicalResponse,
@@ -71,7 +70,6 @@ from .synthesize import (
     IdealElasticElement,
     NetworkComponent,
     assemble_component,
-    assemble_union,
     balance_forces,
     build_rank_one_gadget,
     evaluate_generalized,

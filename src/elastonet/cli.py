@@ -9,9 +9,9 @@ Subcommands::
     loci          (alpha, beta) -> loci.csv of realizable resonances
     roundtrip     extract + characterize + synthesize + compare in one pass
 
-Exit codes: 0 success / checks pass, 1 checks fail, 2 parse or argument
-failure, 3 all sweep points resonant, 4 inconsistent floppy mode, 5 response
-not admissible, 6 internal-node placement failed.
+Exit codes: 0 success / checks pass, 1 checks fail, 2 bad argument or a
+file that cannot be read, parsed or written, 3 all sweep points resonant, 4
+inconsistent floppy mode, 5 response not admissible, 6 placement failed.
 
 All outputs are canonical JSON (sorted keys, two-space indent, shortest
 round-trip floats): identical inputs and seed give byte-identical files.
@@ -77,8 +77,11 @@ def _seed(args):
 
 def _write_text(args, text):
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise SchemaError(f"{args.output}: cannot write ({exc})") from exc
     else:
         sys.stdout.write(text)
 
@@ -232,7 +235,11 @@ def cmd_loci(args):
     _check_nonnegative(args, "--alpha", "--beta")
     if not 2 <= args.points <= MAX_SWEEP_POINTS:
         raise SchemaError(f"loci: --points must lie in [2, {MAX_SWEEP_POINTS}]")
-    rows = locus_table(RayleighParams(args.alpha, args.beta), args.points)
+    try:  # each constant is finite, their sum may not be
+        rayleigh = RayleighParams(args.alpha, args.beta)
+    except ValueError as exc:
+        raise SchemaError(f"loci: {exc}") from exc
+    rows = locus_table(rayleigh, args.points)
     lines = ["re,im,sigma,piece_label"]
     for row in rows:
         lines.append(

@@ -233,7 +233,8 @@ def load_json(path_on_disk):
     try:
         with open(path_on_disk, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError: bad UTF-8 or an integer past Python's digit limit
+    except (OSError, ValueError, RecursionError) as exc:
         raise SchemaError(f"{path_on_disk}: cannot parse JSON ({exc})") from exc
 
 

@@ -156,13 +156,6 @@ class ElastodynamicNetwork:
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "springs", springs)
 
-    @property
-    def n_nodes(self):
-        return len(self.nodes)
-
-    def positions(self):
-        return np.array([n.position for n in self.nodes], dtype=float)
-
 
 @dataclass(frozen=True)
 class SystemMatrices:
@@ -288,7 +281,6 @@ def random_network(
     mass_fraction,
     alpha=None,
     beta=None,
-    allow_empty=False,
 ):
     """Deterministic random test network.
 
@@ -300,7 +292,7 @@ def random_network(
     ``alpha`` or ``beta`` is None it is drawn uniformly from [0, 2].
 
     A single-node request cannot carry any spring; it raises
-    :class:`GenerationFailed` unless ``allow_empty`` is set.
+    :class:`GenerationFailed`.
     """
     if d not in (2, 3):
         raise ValueError(f"dimension must be 2 or 3, got {d}")
@@ -310,8 +302,10 @@ def random_network(
         raise ValueError("n_interior must be >= 0")
     if not 0.0 <= mass_fraction <= 1.0:
         raise ValueError(f"mass_fraction must lie in [0, 1], got {mass_fraction}")
-    rng = np.random.default_rng(seed)
     n_total = n_terminals + n_interior
+    if n_total < 2:
+        raise GenerationFailed("a single-node network has no springs")
+    rng = np.random.default_rng(seed)
 
     positions = []
     for _ in range(n_total):
@@ -329,22 +323,16 @@ def random_network(
             )
 
     springs = []
-    if n_total >= 2:
-        order = rng.permutation(n_total)
-        for k in range(1, n_total):
-            a = int(order[k])
-            b = int(order[rng.integers(0, k)])
-            springs.append(Spring(a, b, rng.uniform(0.5, 2.0)))
-        tree_pairs = {(min(s.i, s.j), max(s.i, s.j)) for s in springs}
-        for a in range(n_total):
-            for b in range(a + 1, n_total):
-                if (a, b) not in tree_pairs and rng.random() < 0.3:
-                    springs.append(Spring(a, b, rng.uniform(0.5, 2.0)))
-    elif not allow_empty:
-        raise GenerationFailed(
-            "a single-node network has no springs; pass allow_empty=True "
-            "to build it anyway"
-        )
+    order = rng.permutation(n_total)
+    for k in range(1, n_total):
+        a = int(order[k])
+        b = int(order[rng.integers(0, k)])
+        springs.append(Spring(a, b, rng.uniform(0.5, 2.0)))
+    tree_pairs = {(min(s.i, s.j), max(s.i, s.j)) for s in springs}
+    for a in range(n_total):
+        for b in range(a + 1, n_total):
+            if (a, b) not in tree_pairs and rng.random() < 0.3:
+                springs.append(Spring(a, b, rng.uniform(0.5, 2.0)))
 
     n_massive = int(round(mass_fraction * n_interior))
     massive = set(

@@ -153,30 +153,20 @@ def _piece_label(rayleigh, lam):
     return "ray" if on_axis else "circle"
 
 
-def _sigma_sweep(rayleigh, n_points):
-    """(sigma, resonance) pairs, sigma log-spaced over [1e-2, 1e2], ``n_points`` in all."""
+def locus_table(rayleigh, n_points):
+    """Rows (re, im, sigma, piece_label) for CSV emission: the resonances of
+    sigma log-spaced over [1e-2, 1e2], ``n_points`` rows in all."""
     if n_points < 2:
         raise ValueError("n_points must be >= 2")
-    n_sigma = (n_points + 1) // 2
-    sigmas = np.logspace(-2.0, 2.0, n_sigma)
-    pairs = [(float(s), lam) for s in sigmas for lam in resonances_of(s, rayleigh)]
-    return pairs[:n_points]
-
-
-def sample_locus(rayleigh, n_points):
-    """Resonances for a log-spaced sigma sweep, ``n_points`` in total."""
-    pairs = _sigma_sweep(rayleigh, n_points)
-    return np.array([lam for _, lam in pairs], dtype=complex)
-
-
-def locus_table(rayleigh, n_points):
-    """Rows (re, im, sigma, piece_label) for CSV emission."""
-    return [
+    sigmas = np.logspace(-2.0, 2.0, (n_points + 1) // 2)
+    rows = [
         {
             "re": lam.real,
             "im": lam.imag,
-            "sigma": sigma,
+            "sigma": float(sigma),
             "piece_label": _piece_label(rayleigh, lam),
         }
-        for sigma, lam in _sigma_sweep(rayleigh, n_points)
+        for sigma in sigmas
+        for lam in resonances_of(sigma, rayleigh)
     ]
+    return rows[:n_points]

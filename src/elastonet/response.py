@@ -150,10 +150,6 @@ class ReducedSystem:
     def n_b(self):
         return len(self.Mbb)
 
-    @property
-    def n_j(self):
-        return len(self.Mjj)
-
     @cached_property
     def modal(self):
         """``(sigmas, V)``, computed once and read-only: ``Mjj^-1/2 Kjj Mjj^-1/2

@@ -32,7 +32,6 @@ from . import jsonio
 from .characterize import check_canonical
 from .errors import (
     DimensionMismatch,
-    ElastonetError,
     NotCharacterizable,
     PlacementFailed,
     ReconstructionMismatch,
@@ -48,7 +47,7 @@ from .geometry import (
     project_balanced,
     total_torque,
 )
-from .linalg import SymMatrix, psd_checks
+from .linalg import SymMatrix
 from .model import (
     IdealElasticElement,
     Node,
@@ -65,7 +64,6 @@ from .model import (
 )
 from .response import (
     ROUNDTRIP_TOL,
-    ReducedSystem,
     ResponseSample,
     canonical_responses,
     eliminate_massless,
@@ -160,11 +158,12 @@ class NetworkComponent:
         )
 
     @cached_property
-    def reduced(self):
-        """The component assembled and reduced (:func:`eliminate_massless`),
-        computed once for :func:`modal_form`. A gadget built here has it
-        already, from :func:`_reduce_gadgets`."""
-        return eliminate_massless(assemble_component(self))
+    def modal_form(self):
+        """``(A, Mbb, sigmas, V)`` of the component assembled and reduced
+        (:func:`eliminate_massless`), computed once for :func:`modal_form`.
+        A gadget built here has it already, from :func:`_reduce_gadgets`."""
+        red = eliminate_massless(assemble_component(self))
+        return (red.Ktilde.a[:red.n_b, :red.n_b], red.Mbb, *red.modal)
 
 
 def assemble_component(comp):
@@ -254,34 +253,6 @@ def evaluate_generalized(gn, lam, mode="inverse"):
     for comp in gn.components:
         total = total + evaluate_response(assemble_component(comp), lam, mode).W.a
     return ResponseSample(complex(lam), SymMatrix(total))
-
-
-def assemble_union(gn):
-    """Merge all components into a single assembled system.
-
-    Terminal masses add across components; internal nodes are stacked after
-    the shared terminals. Evaluating the union's Schur complement and
-    summing per-component responses must agree: that is the superposition
-    principle, exercised directly by the test suite.
-    """
-    nt = len(gn.terminals)
-    terminal_mass = [0.0] * nt
-    internals = []
-    elements = []
-    for comp in gn.components:
-        shift = len(internals)  # component node k >= nt is union node k + shift
-        for k, node in enumerate(comp.nodes[:nt]):
-            terminal_mass[k] += node.mass
-        internals.extend(comp.nodes[nt:])
-        for el in comp.elements:
-            if isinstance(el, Spring):
-                i, j = (k if k < nt else k + shift for k in (el.i, el.j))
-                elements.append(Spring(i, j, el.stiffness))
-            else:
-                support = tuple(k if k < nt else k + shift for k in el.support)
-                elements.append(IdealElasticElement(support, el.force_vector))
-    terminals = [Node(tuple(p), m, True) for p, m in zip(gn.terminals, terminal_mass)]
-    return assemble_elements(terminals + internals, elements, gn.dimension, gn.rayleigh)
 
 
 # ---------------------------------------------------------------------------
@@ -513,13 +484,14 @@ def _gadget_matrices(comps):
 def _reduce_gadgets(gadgets):
     """Reduce ``(gadget, sigma)`` pairs as one stack and check each contract.
 
-    A gadget's interior is all massive, so its reduction keeps K whole. The
-    PSD test of :func:`eliminate_massless`, one ``eigh`` and ``V`` run on the
-    stack with the bits of :attr:`ReducedSystem.modal`, and seed each
-    :attr:`NetworkComponent.reduced`. The contract, which gives
-    :func:`rank_one_response`: one coupled column, of modal stiffness sigma
-    and equal to ``+-sqrt(sigma) f``. The first gadget to fail raises what
-    its own reduction would, or :class:`PlacementFailed` for the contract.
+    A gadget's interior is all massive, so its reduction keeps K whole, and
+    its interior block ``g g^T`` is PSD by construction. One ``eigh`` and
+    ``V`` run on the stack with the bits of :attr:`ReducedSystem.modal`, and
+    seed each :attr:`NetworkComponent.modal_form`, read-only. The contract,
+    which gives :func:`rank_one_response`: one coupled column, of modal
+    stiffness sigma and equal to ``+-sqrt(sigma) f``. The first gadget to
+    fail raises :class:`PlacementFailed` for the contract, or what its own
+    reduction would for entries that are not finite.
     """
     if not gadgets:
         return
@@ -533,7 +505,6 @@ def _reduce_gadgets(gadgets):
     count = len(comps) if finite.all() else int(np.argmin(finite))
     sigmas, u = np.linalg.eigh(normalized[:count])
     v = K[:count, :nb, nb:] @ (scale[:count] * u)
-    sigmas.flags.writeable = v.flags.writeable = False
     target = np.array(target[:count])
     column = np.sqrt(target)[:, None] * forces[:count, :nb]
     size = np.linalg.norm(column, axis=1)
@@ -542,20 +513,14 @@ def _reduce_gadgets(gadgets):
     vk = np.take_along_axis(v, k[:, None], axis=2)[:, :, 0]
     gap = np.minimum(np.linalg.norm(vk - column, axis=1), np.linalg.norm(vk + column, axis=1))
     off = np.abs(np.take_along_axis(sigmas, k, axis=1)[:, 0] - target) > 1e-9 * target
-    psd = np.array([ok for _, ok in psd_checks(K[:count, nb:, nb:], tol=1e-9)], bool)
-    bad = np.nonzero(~psd | (coupled.sum(axis=1) != 1) | off | (gap > 1e-9 * size))[0]
-    if bad.size and not psd[bad[0]]:
-        raise ElastonetError("reduced interior stiffness is not positive semidefinite")
-    if bad.size:
+    if ((coupled.sum(axis=1) != 1) | off | (gap > 1e-9 * size)).any():
         raise PlacementFailed("gadget response deviates from the closed form")
     if count < len(comps):
         raise DimensionMismatch("matrix entries must be finite")
-    terminals = np.array([node.position for node in comps[0].nodes[:nb // d]])
+    K.flags.writeable = sigmas.flags.writeable = v.flags.writeable = False
+    terminal_mass = np.broadcast_to(0.0, nb)  # read-only
     for i, comp in enumerate(comps):
-        red = ReducedSystem(SymMatrix(K[i]), np.zeros(nb), np.full(2 * d, mass[i]), d,
-                            comp.rayleigh, terminals)
-        vars(red)["modal"] = sigmas[i], v[i]
-        vars(comp)["reduced"] = red
+        vars(comp)["modal_form"] = K[i, :nb, :nb], terminal_mass, sigmas[i], v[i]
 
 
 # ---------------------------------------------------------------------------
@@ -703,18 +668,15 @@ def synthesize(
 def modal_form(gn):
     """``(A, Mbb, sigmas, V)`` of the network, for :func:`modal_response`.
 
-    Each component's :attr:`NetworkComponent.reduced` is read, so a gadget
-    is not reduced again; the static blocks and terminal masses add and the
-    modes join, in component order. No components give zero blocks and a
-    ``(nb, 0)`` ``V``.
+    Each component's :attr:`NetworkComponent.modal_form` is read, so a
+    gadget is not reduced again; the static blocks and terminal masses add
+    and the modes join, in component order. No components give zero blocks
+    and a ``(nb, 0)`` ``V``.
     """
     nb = gn.terminals.size
-    reduced = [c.reduced for c in gn.components]
-    A = sum((red.Ktilde.a[:nb, :nb] for red in reduced), np.zeros((nb, nb)))
-    Mbb = sum((red.Mbb for red in reduced), np.zeros(nb))
-    sigmas = np.concatenate([np.zeros(0)] + [red.modal[0] for red in reduced])
-    V = np.hstack([np.zeros((nb, 0))] + [red.modal[1] for red in reduced])
-    return A, Mbb, sigmas, V
+    empty = (np.zeros((nb, nb)), np.zeros(nb), np.zeros(0), np.zeros((nb, 0)))
+    A, Mbb, sigmas, V = zip(empty, *(c.modal_form for c in gn.components))
+    return sum(A), sum(Mbb), np.concatenate(sigmas), np.hstack(V)
 
 
 def verify_synthesis(gn, cr, n_samples=50, seed=0):

@@ -47,6 +47,11 @@ def axial_block(scale=1.0):
     )
 
 
+def node_positions(net):
+    """(N, d) positions of a network's nodes, in node order."""
+    return np.array([n.position for n in net.nodes], dtype=float)
+
+
 def scaled_network(net, factor):
     """The same network with every position multiplied by ``factor``."""
     nodes = tuple(

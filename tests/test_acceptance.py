@@ -17,7 +17,6 @@ from elastonet import (
     SymMatrix,
     assemble,
     assemble_component,
-    assemble_union,
     build_rank_one_gadget,
     canonical_to_dict,
     check_balanced,
@@ -42,6 +41,8 @@ from elastonet.cli import main as cli_main
 from elastonet.jsonio import write_json
 from elastonet.linalg import BlockPartition
 from elastonet.resonances import classify
+
+from oracles import assemble_union
 
 N_NETWORKS = 25
 

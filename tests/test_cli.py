@@ -113,7 +113,7 @@ class TestRespond:
     def test_one_eigensolve_per_sweep(self, tmp_path, net_file, monkeypatch):
         # the modal decomposition is taken once, however many points
         net = cli_module.network_from_dict(json.loads(open(net_file).read()))
-        n_j = cli_module.eliminate_massless(assemble(net)).n_j
+        n_j = len(cli_module.eliminate_massless(assemble(net)).Mjj)
         assert n_j
         calls = []
         real = np.linalg.eigh
@@ -392,6 +392,35 @@ class TestErrorMapping:
 
         monkeypatch.setattr(cli_mod, "synthesize", boom)
         assert main(["synthesize", canonical_file, "-o", str(tmp_path / "g.json")]) == 6
+
+    RESPOND = ["respond", "in.json", "--lam", "1,1", "-o", "out.json"]
+
+    @pytest.mark.parametrize(
+        "content, argv",
+        [
+            pytest.param(b"[" * 100_000 + b"]" * 100_000, RESPOND, id="deep-array"),
+            pytest.param(b"9" * 5000, RESPOND, id="integer-past-digit-limit"),
+            pytest.param(b'{"nodes": "\xff"}', RESPOND, id="invalid-utf8"),
+            pytest.param(None, ["loci", "--alpha", "1", "--beta", "1", "-o", "no/out.csv"],
+                         id="output-in-missing-directory"),
+            pytest.param(None, ["loci", "--alpha", "1", "--beta", "1", "-o", "dir"],
+                         id="output-onto-directory"),
+            pytest.param(None, ["loci", "--alpha", "1e308", "--beta", "1e308", "-o", "out.csv"],
+                         id="damping-sum-overflows"),
+        ],
+    )
+    def test_hostile_input_exits_2_writing_nothing(
+        self, tmp_path, monkeypatch, capsys, content, argv
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "dir").mkdir()
+        if content is not None:
+            (tmp_path / "in.json").write_bytes(content)
+        before = sorted(tmp_path.rglob("*"))
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert sorted(tmp_path.rglob("*")) == before
 
 
 class TestRoundtrip:

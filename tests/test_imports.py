@@ -1,8 +1,9 @@
 """Every module of the package uses each name it imports, raises every
 error class it defines, and writes JSON only through the canonical writer;
 in synthesis only the direct oracle solves Schur complements,
-``geometry.cross`` is the one cross product, and only ``linalg`` repairs
-symmetry, takes an SVD or gathers blocks with ``np.ix_``."""
+``geometry.cross`` is the one cross product, only ``linalg`` repairs
+symmetry, takes an SVD or gathers blocks with ``np.ix_``, and only
+``response`` builds a ``ReducedSystem``."""
 
 import ast
 from pathlib import Path
@@ -124,6 +125,28 @@ def test_guard_reports_every_caller():
 def test_only_the_oracle_solves_schur_complements_in_synthesis():
     source = (PACKAGE / "synthesize.py").read_text()
     assert callers(source, "evaluate_response") == ["evaluate_generalized"]
+
+
+def calls_to(source, name):
+    """Lines of ``source`` that call ``name``, bare or as an attribute."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    )
+
+
+def test_guard_reports_every_call():
+    source = "f(1)\nx = f\nm.f(2)\ng(f)\nm.f\n"
+    assert calls_to(source, "f") == [1, 3]
+
+
+# a gadget seeds its modal form directly; reduction stays in one module
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_only_response_builds_a_reduced_system(module):
+    calls = calls_to((PACKAGE / module).read_text(), "ReducedSystem")
+    assert bool(calls) == (module == "response.py")
 
 
 def numpy_cross_uses(source):

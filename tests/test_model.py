@@ -19,7 +19,6 @@ from elastonet import (
     Spring,
     assemble,
     assemble_component,
-    assemble_union,
     extract_canonical,
     is_psd,
     network_from_dict,
@@ -30,9 +29,10 @@ from elastonet import (
 from elastonet.geometry import balance_check
 from elastonet.model import STAMP_CHUNK, assemble_elements
 
-from conftest import axial_block, scaled_network
+from conftest import axial_block, node_positions, scaled_network
+from oracles import assemble_union
 
-synthesize_module = import_module("elastonet.synthesize")
+oracles_module = import_module("oracles")
 
 
 class TestTypes:
@@ -133,10 +133,10 @@ class TestAssemble:
         for axis in range(d):
             shift = np.zeros(d)
             shift[axis] = 1.0
-            u = np.tile(shift, net.n_nodes)
+            u = np.tile(shift, len(net.nodes))
             assert np.abs(sys.K.a @ u).max() <= 1e-14 * scale
         # linearized rotations are in the null space numerically
-        pos = net.positions()
+        pos = node_positions(net)
         if d == 2:
             rotations = [np.array([[0.0, -1.0], [1.0, 0.0]])]
         else:
@@ -152,7 +152,7 @@ class TestAssemble:
     def test_stiffness_columns_are_balanced_force_systems(self, seed):
         net = random_network(seed, 2, 3, 2, 1.0)
         sys = assemble(net)
-        pos = net.positions()
+        pos = node_positions(net)
         for col in sys.K.a.T:
             assert balance_check(pos, col.reshape(-1, 2), 1e-10)[1] <= 1e-10
 
@@ -218,7 +218,7 @@ class TestOnePassAssembly:
                 comp.nodes, comp.elements, d
             ).tobytes()
         seen = []
-        monkeypatch.setattr(synthesize_module, "assemble_elements",
+        monkeypatch.setattr(oracles_module, "assemble_elements",
                             lambda *args: seen.append(args) or assemble_elements(*args))
         union = assemble_union(gn)
         nodes, elements = seen[0][0], seen[0][1]
@@ -237,7 +237,7 @@ class TestOnePassAssembly:
         rng = np.random.default_rng(4)
         elements = list(springs)
         for at in (len(springs), STAMP_CHUNK + 1, STAMP_CHUNK, 100, 0):
-            support = tuple(rng.choice(net.n_nodes, size=3, replace=False))
+            support = tuple(rng.choice(len(net.nodes), size=3, replace=False))
             elements.insert(at, IdealElasticElement(support, rng.standard_normal(9)))
         assert_assembles_like_the_loop(net.nodes, springs, 3)
         assert_assembles_like_the_loop(net.nodes, elements, 3)
@@ -266,15 +266,16 @@ class TestRandomNetwork:
         interior_masses = [n.mass for n in net.nodes if not n.is_terminal]
         assert sum(1 for m in interior_masses if m == 0.0) == 2
 
-    def test_single_node_fails_without_flag(self):
+    def test_single_node_fails(self):
         with pytest.raises(GenerationFailed):
             random_network(1, 3, 1, 0, 1.0)
-        net = random_network(1, 3, 1, 0, 1.0, allow_empty=True)
-        assert net.n_nodes == 1 and not net.springs
+        # a one-node network itself is valid, only the generator refuses it
+        net = ElastodynamicNetwork(3, (Node((0.5, 0.5, 0.5), 1.0, True),), ())
+        assert len(net.nodes) == 1 and not net.springs
 
     def test_graph_is_connected(self):
         net = random_network(5, 2, 2, 5, 0.5)
-        adjacency = {k: set() for k in range(net.n_nodes)}
+        adjacency = {k: set() for k in range(len(net.nodes))}
         for s in net.springs:
             adjacency[s.i].add(s.j)
             adjacency[s.j].add(s.i)
@@ -285,11 +286,11 @@ class TestRandomNetwork:
                 continue
             seen.add(k)
             stack.extend(adjacency[k])
-        assert seen == set(range(net.n_nodes))
+        assert seen == set(range(len(net.nodes)))
 
     def test_minimum_separation(self):
         net = random_network(6, 2, 3, 5, 0.5)
-        pos = net.positions()
+        pos = node_positions(net)
         for a in range(len(pos)):
             for b in range(a + 1, len(pos)):
                 assert np.linalg.norm(pos[a] - pos[b]) >= 1e-3

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from elastonet import RayleighParams, contains, locus, resonances_of, sample_locus
+from elastonet import RayleighParams, contains, locus, resonances_of
 from elastonet.resonances import classify, locus_table
 
 
@@ -124,6 +124,11 @@ class TestContains:
                 assert abs(found - sigma) <= 1e-9 * sigma
 
 
+def sample_locus(rayleigh, n_points):
+    """The resonances of :func:`locus_table`'s rows."""
+    return np.array([complex(r["re"], r["im"]) for r in locus_table(rayleigh, n_points)])
+
+
 class TestSampleLocus:
     def test_point_count(self):
         pts = sample_locus(RayleighParams(1.0, 0.0), 4)
@@ -131,7 +136,7 @@ class TestSampleLocus:
 
     def test_minimum_points(self):
         with pytest.raises(ValueError):
-            sample_locus(RayleighParams(1.0, 0.0), 1)
+            locus_table(RayleighParams(1.0, 0.0), 1)
 
     def test_dashpot_samples_on_ray_or_circle(self):
         pts = sample_locus(RayleighParams(1.0, 0.0), 100)
