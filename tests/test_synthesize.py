@@ -292,9 +292,11 @@ class TestGadgetStack:
     @pytest.mark.parametrize(
         "faults, error",
         [
-            ({0: "not finite", 2: "contract"}, DimensionMismatch),
-            ({1: "contract", 2: "not finite"}, PlacementFailed),
+            ({2: "contract", 3: "not finite"}, PlacementFailed),
+            ({0: "contract", 1: "not finite"}, PlacementFailed),
             ({1: "not finite", 2: "contract"}, DimensionMismatch),
+            ({1: "contract", 2: "not finite"}, PlacementFailed),
+            ({0: "not finite", 2: "contract"}, DimensionMismatch),
         ],
     )
     def test_the_first_failing_gadget_wins(self, monkeypatch, faults, error):
