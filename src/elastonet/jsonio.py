@@ -11,6 +11,7 @@ import math
 from functools import lru_cache
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 import numpy as np
 
@@ -141,12 +142,40 @@ def _float_shape(seq):
 
 
 def _encode_block(flat, shape, level, out):
-    """Write the floats ``flat`` (row-major) as a nested array of ``shape``."""
-    text = _block_template(shape, level) % tuple(map(_float_repr, flat))
+    """Write the floats ``flat`` (row-major) as a nested array of ``shape``;
+    a bitwise symmetric block formats its upper triangle only (equal bits,
+    equal text)."""
+    if _bitwise_symmetric(flat, shape):
+        upper, mirror = _triangle_gathers(shape)
+        strings = mirror(tuple(map(_float_repr, upper(flat))))
+    else:
+        strings = tuple(map(_float_repr, flat))
+    text = _block_template(shape, level) % strings
     if "n" in text:
         for value in flat:
             _float_text(value)  # raises at the first NaN or infinity
     out.append(text)
+
+
+def _bitwise_symmetric(flat, shape):
+    """Whether a non-empty block is square (n >= 2) in its two leading axes
+    with equal bits across them; ``-0.0`` and ``0.0`` differ."""
+    if len(shape) < 2 or not shape[0] == shape[1] > 1 or not flat:
+        return False
+    bits = np.array(flat, dtype=float).view(np.uint64).reshape(shape[0], shape[0], -1)
+    return np.array_equal(bits, bits.swapaxes(0, 1))
+
+
+@lru_cache(maxsize=1024)
+def _triangle_gathers(shape):
+    """Gathers for a symmetric block of ``shape``: ``upper`` picks its entries
+    with row <= column, row-major; ``mirror`` spreads them over the block."""
+    n = shape[0]
+    index = np.arange(math.prod(shape)).reshape(n, n, -1)
+    upper = index[np.triu_indices(n)].ravel()  # ascending
+    # entry (i, j) mirrors (min(i, j), max(i, j)), the smaller flat index
+    source = np.minimum(index, index.swapaxes(0, 1)).ravel()
+    return itemgetter(*upper.tolist()), itemgetter(*np.searchsorted(upper, source).tolist())
 
 
 @lru_cache(maxsize=1024)
@@ -187,7 +216,10 @@ def check_fields(obj, path, required, optional=()):
 def as_number(value, path):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{path}: expected a number")
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:  # an integer past the float range
+        v = math.inf
     if not math.isfinite(v):
         raise SchemaError(f"{path}: must be finite")
     return v

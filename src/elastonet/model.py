@@ -15,7 +15,8 @@ and residue reshaping in the package relies on this single convention.
 
 import math
 from dataclasses import dataclass, field
-from itertools import groupby
+from itertools import chain, groupby
+from operator import ne
 
 import numpy as np
 
@@ -400,6 +401,21 @@ def spring_from_dict(raw, path):
         raise SchemaError(f"{path}: {exc}") from exc
 
 
+def _springs_from_list(rows, path):
+    """The springs of a JSON spring list, checked column by column; a list
+    that fails a check is read spring by spring, naming the first bad one."""
+    fields = {"i", "j", "k"}
+    if all(type(raw) is dict and raw.keys() == fields for raw in jsonio.as_list(rows, path)):
+        i, j, k = ([raw[key] for raw in rows] for key in "ijk")
+        ends = all(type(v) is int for v in chain(i, j)) and all(map(ne, i, j))
+        # an integer from 2**1023 up may overflow a float: it is read alone
+        if ends and all(type(v) is float or type(v) is int and abs(v) < 2**1023 for v in k):
+            stiffness = np.array(k, dtype=float)
+            if np.isfinite(stiffness).all() and (stiffness > 0).all():
+                return list(map(Spring, i, j, stiffness.tolist()))
+    return [spring_from_dict(raw, f"{path}[{q}]") for q, raw in enumerate(rows)]
+
+
 def element_from_dict(raw, path):
     if not (isinstance(raw, dict) and "support" in raw):
         return spring_from_dict(raw, path)
@@ -448,10 +464,7 @@ def network_from_dict(obj, path="network"):
         node_from_dict(raw, f"{path}.nodes[{k}]", d)
         for k, raw in enumerate(jsonio.as_list(obj["nodes"], f"{path}.nodes"))
     ]
-    springs = [
-        spring_from_dict(raw, f"{path}.springs[{k}]")
-        for k, raw in enumerate(jsonio.as_list(obj["springs"], f"{path}.springs"))
-    ]
+    springs = _springs_from_list(obj["springs"], f"{path}.springs")
     ray = rayleigh_from_dict(obj["rayleigh"], f"{path}.rayleigh")
     try:
         return ElastodynamicNetwork(d, tuple(nodes), tuple(springs), ray)

@@ -1,7 +1,12 @@
 """Reference constructions the tests compare the package against."""
 
-from elastonet import IdealElasticElement, Node, Spring
-from elastonet.model import assemble_elements
+from elastonet import ElastodynamicNetwork, IdealElasticElement, Node, SchemaError, Spring
+from elastonet.model import (
+    assemble_elements,
+    node_from_dict,
+    rayleigh_from_dict,
+    spring_from_dict,
+)
 
 
 def assemble_union(gn):
@@ -30,3 +35,19 @@ def assemble_union(gn):
                 elements.append(IdealElasticElement(support, el.force_vector))
     terminals = [Node(tuple(p), m, True) for p, m in zip(gn.terminals, terminal_mass)]
     return assemble_elements(terminals + internals, elements, gn.dimension, gn.rayleigh)
+
+
+def network_from_dict_by_spring(obj, path="network"):
+    """``network_from_dict`` on a well-formed network object whose springs
+    are each read by ``spring_from_dict``: the reference for the package's
+    column-by-column spring reader, errors and merge order included."""
+    d = obj["dimension"]
+    nodes = [node_from_dict(raw, f"{path}.nodes[{k}]", d) for k, raw in enumerate(obj["nodes"])]
+    springs = [
+        spring_from_dict(raw, f"{path}.springs[{k}]") for k, raw in enumerate(obj["springs"])
+    ]
+    ray = rayleigh_from_dict(obj["rayleigh"], f"{path}.rayleigh")
+    try:
+        return ElastodynamicNetwork(d, tuple(nodes), tuple(springs), ray)
+    except ValueError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc

@@ -16,9 +16,12 @@ differ. Run both with the same BLAS thread count (for example
 ``OPENBLAS_NUM_THREADS=1``).
 
 The networks are ``random_network(s, d, 3, 6, mf)`` for s = 0..23, d = 2, 3
-and mf = 0, 0.5, 1, and the near-floppy networks of
-``tests/test_response.py::test_near_floppy_network_extracts``: about 750 runs,
-about 10 s on one core. Pytest does not collect this file.
+and mf = 0, 0.5, 1, the near-floppy networks of
+``tests/test_response.py::test_near_floppy_network_extracts``, and a network
+file whose spring list repeats springs and reverses their ends: about 750
+runs, about 10 s on one core. One more ``respond`` sweeps 50 points of the
+158-node ``random_network(5, 3, 8, 150, 0.5)``, the size of a benchmark sweep
+input, in about 0.2 s. Pytest does not collect this file.
 """
 
 import hashlib
@@ -44,15 +47,31 @@ def tiny_mass():
     return replace(net, nodes=tuple(nodes))
 
 
+def parallel_and_reversed():
+    """``random_network(6, 3, 3, 6, 0.5)`` as a file whose spring list also
+    holds every third spring again with its ends swapped and every fourth
+    with its stiffness halved, so reading it merges parallel springs."""
+    obj = network_to_dict(random_network(6, 3, 3, 6, 0.5))
+    springs = obj["springs"]
+    obj["springs"] = (
+        [{"i": s["j"], "j": s["i"], "k": s["k"]} for s in springs[::3]]
+        + springs
+        + [{**s, "k": s["k"] / 2} for s in springs[::4]]
+    )
+    return obj
+
+
 def networks():
-    """``(name, network)`` pairs, in a fixed order."""
+    """``(name, network file object)`` pairs, in a fixed order."""
     for s in range(24):
         for d in (2, 3):
             for mf in (0.0, 0.5, 1.0):
-                yield f"random_network({s}, {d}, 3, 6, {mf})", random_network(s, d, 3, 6, mf)
+                net = random_network(s, d, 3, 6, mf)
+                yield f"random_network({s}, {d}, 3, 6, {mf})", network_to_dict(net)
     for s in NEAR_FLOPPY_SEEDS:
-        yield f"random_network({s}, 3, 3, 6, 0.5)", random_network(s, 3, 3, 6, 0.5)
-    yield "tiny_mass", tiny_mass()
+        yield f"random_network({s}, 3, 3, 6, 0.5)", network_to_dict(random_network(s, 3, 3, 6, 0.5))
+    yield "tiny_mass", network_to_dict(tiny_mass())
+    yield "parallel_and_reversed", parallel_and_reversed()
 
 
 def run(argv, out):
@@ -66,9 +85,9 @@ def run(argv, out):
 
 def digest(workdir):
     results = {}
-    for name, net in networks():
+    for name, obj in networks():
         net_file, canonical = workdir / "net.json", workdir / "canonical.json"
-        write_json(net_file, network_to_dict(net))
+        write_json(net_file, obj)
         net_file = str(net_file)
         runs = {"extract": run(["extract", net_file], canonical)}
         runs["characterize"] = run(["characterize", net_file], workdir / "report.json")
@@ -81,6 +100,12 @@ def digest(workdir):
         runs["roundtrip"] = run(["roundtrip", net_file], workdir / "roundtrip.json")
         canonical.unlink(missing_ok=True)
         results[name] = runs
+    net_file = workdir / "sweep.json"
+    write_json(net_file, network_to_dict(random_network(5, 3, 8, 150, 0.5)))
+    argv = ["respond", str(net_file), "--omega", "0.1", "100", "50", "--scale", "log"]
+    results["random_network(5, 3, 8, 150, 0.5)"] = {
+        "respond": run(argv, workdir / "responses.json")
+    }
     return results
 
 

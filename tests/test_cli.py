@@ -370,6 +370,20 @@ class TestNumericArguments:
         assert len(cli_module._sweep_points(args)) == cli_module.MAX_SWEEP_POINTS
 
 
+def past_float_range(obj, *keys):
+    """``obj`` as JSON bytes with the entry at ``keys`` set to the 401-digit
+    integer ``10**400``, past the float range."""
+    entry = obj
+    for key in keys[:-1]:
+        entry = entry[key]
+    entry[keys[-1]] = 10**400
+    return json.dumps(obj).encode()
+
+
+def network_dict():
+    return network_to_dict(random_network(7, 2, 2, 3, 0.5, alpha=0.4, beta=0.8))
+
+
 class TestErrorMapping:
     def test_floppy_inconsistency_exits_4(self, tmp_path, net_file, monkeypatch):
         # unreachable from a well-formed network file (PSD stiffness forces
@@ -394,6 +408,7 @@ class TestErrorMapping:
         assert main(["synthesize", canonical_file, "-o", str(tmp_path / "g.json")]) == 6
 
     RESPOND = ["respond", "in.json", "--lam", "1,1", "-o", "out.json"]
+    CHARACTERIZE = ["characterize", "in.json", "-o", "out.json"]
 
     @pytest.mark.parametrize(
         "content, argv",
@@ -407,6 +422,20 @@ class TestErrorMapping:
                          id="output-onto-directory"),
             pytest.param(None, ["loci", "--alpha", "1e308", "--beta", "1e308", "-o", "out.csv"],
                          id="damping-sum-overflows"),
+            pytest.param(past_float_range(network_dict(), "springs", 2, "k"), RESPOND,
+                         id="stiffness-past-float-range"),
+            pytest.param(past_float_range(network_dict(), "nodes", 1, "mass"), RESPOND,
+                         id="mass-past-float-range"),
+            pytest.param(past_float_range(network_dict(), "rayleigh", "alpha"), RESPOND,
+                         id="alpha-past-float-range"),
+            pytest.param(
+                past_float_range(
+                    canonical_to_dict(extract_canonical(assemble(random_network(1, 2, 2, 2, 1.0)))),
+                    "modes", 0, "R", 0, 1,
+                ),
+                CHARACTERIZE,
+                id="residue-past-float-range",
+            ),
         ],
     )
     def test_hostile_input_exits_2_writing_nothing(

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from elastonet import jsonio, network_to_dict, random_network
+from elastonet.cli import main
 from elastonet.jsonio import dumps_canonical, matrix_pairs
 
 
@@ -119,3 +121,115 @@ def test_same_error_as_json_dumps(payload):
 def test_arrays_fail_like_json_dumps(array):
     expected = raised(json_dumps, array.tolist() if array.dtype == float else array)
     assert raised(dumps_canonical, array) == expected
+
+
+# square blocks: the writer formats the upper triangle of a block that is
+# bitwise symmetric in its two leading axes and copies the lower half
+
+
+def outcome(fn, obj):
+    """The text ``fn(obj)`` writes, or the type and message it raises."""
+    try:
+        return fn(obj)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+def symmetric(block):
+    """Whether the writer takes the mirror path on ``block``."""
+    return jsonio._bitwise_symmetric(block.ravel().tolist(), block.shape)
+
+
+# a block is written from an ndarray or from its nested lists
+FORMS = st.sampled_from([np.asarray, np.ndarray.tolist])
+TAILS = st.sampled_from([(), (2,), (3,)])
+
+
+@st.composite
+def symmetric_blocks(draw):
+    """Blocks of shape (n, n), (n, n, 2) or (n, n, 3), n >= 2, whose lower
+    half repeats the bits of the upper."""
+    n = draw(st.integers(2, 5))
+    tail = draw(TAILS)
+    a = draw(hnp.arrays(np.float64, (n, n) + tail, elements=FINITE))
+    upper = np.triu(np.ones((n, n), dtype=bool)).reshape((n, n) + (1,) * len(tail))
+    return np.where(upper, a, a.swapaxes(0, 1))
+
+
+@st.composite
+def broken_mirrors(draw):
+    """A symmetric block with one lower-triangle entry changed: a ``-0.0``
+    against ``0.0``, one ulp off, or NaN or infinity in the lower half only."""
+    a = draw(symmetric_blocks())
+    i, j = sorted(draw(st.lists(st.integers(0, len(a) - 1), min_size=2, max_size=2,
+                                unique=True)))
+    rest = tuple(draw(st.integers(0, side - 1)) for side in a.shape[2:])
+    upper, lower = (i, j) + rest, (j, i) + rest
+    fault = draw(st.sampled_from(["signed zero", "ulp", "nan", "inf", "-inf"]))
+    if fault == "signed zero":
+        a[upper], a[lower] = draw(st.permutations([0.0, -0.0]))
+    elif fault == "ulp":
+        a[lower] = np.nextafter(a[upper], draw(st.sampled_from([np.inf, -np.inf])))
+    else:
+        a[lower] = float(fault)
+    return a
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(symmetric_blocks(), FORMS)
+def test_symmetric_blocks_write_like_json_dumps(block, form):
+    assert symmetric(block)
+    assert dumps_canonical(form(block)) == reference(form(block))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(broken_mirrors(), FORMS)
+def test_broken_mirrors_write_or_fail_like_json_dumps(block, form):
+    assert not symmetric(block)
+    assert outcome(dumps_canonical, form(block)) == outcome(reference, form(block))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    st.tuples(st.integers(1, 4), st.integers(1, 4))
+    .filter(lambda shape: shape[0] != shape[1] or shape[0] == 1)
+    .flatmap(lambda shape: TAILS.flatmap(
+        lambda tail: hnp.arrays(np.float64, shape + tail, elements=FINITE))),
+    FORMS,
+)
+def test_one_by_one_and_oblong_blocks_write_like_json_dumps(block, form):
+    assert not symmetric(block)
+    assert dumps_canonical(form(block)) == reference(form(block))
+
+
+def test_symmetric_nan_fails_at_its_first_row_major_entry():
+    block = np.zeros((3, 3, 2))
+    block[2, 0, 1] = block[0, 2, 1] = np.inf
+    block[1, 1, 0] = np.nan
+    assert symmetric(block)
+    for form in (np.asarray, np.ndarray.tolist):
+        assert outcome(dumps_canonical, form(block)) == outcome(reference, form(block))
+
+
+def test_every_response_block_is_written_by_its_upper_triangle(tmp_path, monkeypatch):
+    # evaluate_reduced averages W with its transpose; should it stop, the
+    # writer's mirror path would go unused without failing anything else
+    seen = []
+
+    def spy(flat, shape):
+        result = bitwise_symmetric(flat, shape)
+        seen.append((shape, result))
+        return result
+
+    bitwise_symmetric = jsonio._bitwise_symmetric
+    monkeypatch.setattr(jsonio, "_bitwise_symmetric", spy)
+    net = random_network(7, 3, 3, 6, 0.5)
+    net_file, out = tmp_path / "net.json", tmp_path / "out.json"
+    jsonio.write_json(net_file, network_to_dict(net))
+    seen.clear()
+    argv = ["respond", str(net_file), "--omega", "0.1", "100", "12", "--scale", "log"]
+    assert main(argv + ["-o", str(out)]) == 0
+    blocks = [result for shape, result in seen if shape == (9, 9, 2)]
+    entries = jsonio.load_json(out)
+    assert len(blocks) == sum("W" in entry for entry in entries) == 12
+    assert all(blocks)

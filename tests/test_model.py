@@ -1,5 +1,6 @@
 """Network model, assembly, random generation, JSON round trips."""
 
+import json
 from importlib import import_module
 
 import numpy as np
@@ -27,10 +28,11 @@ from elastonet import (
     synthesize,
 )
 from elastonet.geometry import balance_check
+from elastonet.cli import main
 from elastonet.model import STAMP_CHUNK, assemble_elements
 
 from conftest import axial_block, node_positions, scaled_network
-from oracles import assemble_union
+from oracles import assemble_union, network_from_dict_by_spring
 
 oracles_module = import_module("oracles")
 
@@ -330,3 +332,89 @@ class TestNetworkJson:
         obj["nodes"][0]["position"] = [0.0, 1.0, 2.0]
         with pytest.raises(SchemaError, match=r"nodes\[0\].position"):
             network_from_dict(obj)
+
+
+# (id, the bad spring made from a good row {i, j, k}, the error it raises);
+# the message is formatted with the spring's path p and the row's i and j
+BAD_SPRINGS = [
+    ("missing-field", lambda r: {"i": r["i"], "j": r["j"]}, "{p}.k: missing field"),
+    ("extra-field", lambda r: {**r, "c": 0.5}, "{p}.c: unknown field"),
+    ("not-an-object", lambda r: [r["i"], r["j"], r["k"]], "{p}: expected an object, got list"),
+    ("bool-index", lambda r: {**r, "i": True}, "{p}.i: expected an integer"),
+    ("float-index", lambda r: {**r, "j": float(r["j"])}, "{p}.j: expected an integer"),
+    ("str-index", lambda r: {**r, "i": str(r["i"])}, "{p}.i: expected an integer"),
+    ("bool-stiffness", lambda r: {**r, "k": True}, "{p}.k: expected a number"),
+    ("str-stiffness", lambda r: {**r, "k": "1.0"}, "{p}.k: expected a number"),
+    ("zero-stiffness", lambda r: {**r, "k": 0}, "{p}: spring stiffness must be > 0, got 0.0"),
+    ("negative-stiffness", lambda r: {**r, "k": -1.5},
+     "{p}: spring stiffness must be > 0, got -1.5"),
+    ("nan-stiffness", lambda r: {**r, "k": float("nan")}, "{p}.k: must be finite"),
+    ("infinite-stiffness", lambda r: {**r, "k": float("inf")}, "{p}.k: must be finite"),
+    ("stiffness-past-float-range", lambda r: {**r, "k": 10**400}, "{p}.k: must be finite"),
+    ("coincident-ends", lambda r: {**r, "j": r["i"]},
+     "{p}: spring endpoints coincide (node {i})"),
+    ("index-out-of-range", lambda r: {**r, "j": 158},
+     "network: spring ({i}, 158) references a missing node"),
+    ("negative-index", lambda r: {**r, "i": -1},
+     "network: spring (-1, {j}) references a missing node"),
+]
+
+
+@pytest.fixture(scope="module")
+def sweep_sized():
+    """A 158-node network as JSON text parses it: the size of a sweep input."""
+    return json.loads(json.dumps(network_to_dict(random_network(3, 3, 8, 150, 0.5))))
+
+
+class TestSpringColumns:
+    """``network_from_dict`` checks the spring list column by column and reads
+    a bad list again spring by spring: same springs, same errors as reading
+    every spring by itself (``oracles.network_from_dict_by_spring``)."""
+
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    @pytest.mark.parametrize("make, message", [
+        pytest.param(make, message, id=name) for name, make, message in BAD_SPRINGS
+    ])
+    def test_bad_spring_fails_as_when_read_alone(
+        self, sweep_sized, tmp_path, monkeypatch, capsys, where, make, message
+    ):
+        rows = sweep_sized["springs"]
+        q = {"first": 0, "middle": len(rows) // 2, "last": len(rows) - 1}[where]
+        text = json.dumps({**sweep_sized, "springs": [*rows[:q], make(rows[q]), *rows[q + 1:]]})
+        expected = message.format(p=f"network.springs[{q}]", **rows[q])
+        obj = json.loads(text)
+        for read in (network_from_dict_by_spring, network_from_dict):
+            with pytest.raises(SchemaError) as info:
+                read(obj)
+            assert str(info.value) == expected
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "in.json").write_text(text)
+        assert main(["respond", "in.json", "--lam", "1,1", "-o", "out.json"]) == 2
+        assert capsys.readouterr().err == f"error: {expected}\n"
+
+    def test_parallel_and_reversed_springs_merge_as_when_read_alone(self, sweep_sized):
+        rows = sweep_sized["springs"]
+        reversed_rows = [{"i": r["j"], "j": r["i"], "k": r["k"]} for r in rows[::3]]
+        parallel = [{**r, "k": 0.25} for r in rows[::5]]
+        obj = {**sweep_sized, "springs": [*reversed_rows, *rows, *parallel, *reversed_rows]}
+        net = network_from_dict(obj)
+        assert len(net.springs) == len(rows)
+        assert net.springs == network_from_dict_by_spring(obj).springs
+        assert all(s.i < s.j for s in net.springs)
+
+    @pytest.mark.parametrize("k", [3, 2**1023 - 1, 2**1023, 2**1024 - 2**971])
+    def test_integer_stiffness_reads_as_when_read_alone(self, sweep_sized, k):
+        # from 2**1023 up an integer is read by itself; the largest here is
+        # the largest finite float
+        obj = {**sweep_sized, "springs": [{**sweep_sized["springs"][0], "k": k}]}
+        net = network_from_dict(obj)
+        assert net.springs == network_from_dict_by_spring(obj).springs
+        assert net.springs[0].stiffness == float(k)
+
+    def test_well_formed_springs_are_not_read_one_by_one(self, sweep_sized, monkeypatch):
+        def one_by_one(raw, path):
+            raise AssertionError(f"{path} read by itself")
+
+        monkeypatch.setattr(import_module("elastonet.model"), "spring_from_dict", one_by_one)
+        net = network_from_dict(sweep_sized)
+        assert len(net.springs) == len(sweep_sized["springs"])
