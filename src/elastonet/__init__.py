@@ -35,6 +35,7 @@ from .model import (
     Node,
     RayleighParams,
     Spring,
+    SpringColumns,
     SystemMatrices,
     assemble,
     network_from_dict,

@@ -60,7 +60,7 @@ def _encode(obj, level, out):
     elif isinstance(obj, dict):
         _encode_dict(obj, level, out)
     elif isinstance(obj, np.ndarray) and obj.dtype == float:
-        _encode_block(obj.ravel().tolist(), obj.shape, level, out)
+        _encode_block(obj.ravel().tolist(), obj.shape, level, out, obj)
     else:
         raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
 
@@ -141,11 +141,12 @@ def _float_shape(seq):
     return (len(seq),) + inner
 
 
-def _encode_block(flat, shape, level, out):
-    """Write the floats ``flat`` (row-major) as a nested array of ``shape``;
+def _encode_block(flat, shape, level, out, block=None):
+    """Write the floats ``flat`` (row-major) as a nested array of ``shape``,
+    given also as the float64 ndarray ``block`` when the caller holds one;
     a bitwise symmetric block formats its upper triangle only (equal bits,
     equal text)."""
-    if _bitwise_symmetric(flat, shape):
+    if _bitwise_symmetric(flat, shape, block):
         upper, mirror = _triangle_gathers(shape)
         strings = mirror(tuple(map(_float_repr, upper(flat))))
     else:
@@ -157,12 +158,15 @@ def _encode_block(flat, shape, level, out):
     out.append(text)
 
 
-def _bitwise_symmetric(flat, shape):
+def _bitwise_symmetric(flat, shape, block=None):
     """Whether a non-empty block is square (n >= 2) in its two leading axes
-    with equal bits across them; ``-0.0`` and ``0.0`` differ."""
+    with equal bits across them; ``-0.0`` and ``0.0`` differ. The bits are
+    read from ``block``, the block's float64 ndarray, when there is one."""
     if len(shape) < 2 or not shape[0] == shape[1] > 1 or not flat:
         return False
-    bits = np.array(flat, dtype=float).view(np.uint64).reshape(shape[0], shape[0], -1)
+    if block is None:
+        block = np.array(flat, dtype=float).reshape(shape)
+    bits = block.view(np.uint64)
     return np.array_equal(bits, bits.swapaxes(0, 1))
 
 

@@ -15,11 +15,14 @@ SYMMETRY_TOL = 1e-12
 # Default relative truncation threshold for pseudoinverse Schur complements.
 PINV_TOL = 1e-10
 
+HALF_MAX = np.finfo(float).max / 2
+
 
 class SymMatrix:
     """Square symmetric matrix over the reals or complexes.
 
-    The entries are kept as a private read-only copy. A bitwise symmetric
+    The entries are kept as a private read-only copy (``copy=False``: an
+    array handed over is kept itself when its type fits). A bitwise symmetric
     matrix is stored as given; any other is repaired by averaging with its
     transpose (:func:`symmetrized`), and an asymmetry beyond
     ``SYMMETRY_TOL`` times the largest entry magnitude is an error rather
@@ -28,14 +31,17 @@ class SymMatrix:
 
     __slots__ = ("a",)
 
-    def __init__(self, entries):
+    def __init__(self, entries, copy=True):
         a = np.asarray(entries)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
         dtype = np.complex128 if np.iscomplexobj(a) else np.float64
-        a = np.array(a, dtype=dtype, order="C")
-        # |z| can overflow although both parts of z are finite
-        if not np.isfinite(np.abs(a) if dtype is np.complex128 else a).all():
+        a = np.array(a, dtype=dtype, order="C", copy=copy or None)
+        # |z| <= sqrt(2) * DBL_MAX/2 when no part exceeds DBL_MAX/2 (NaN
+        # fails that too); past it |z| can overflow though both parts are finite
+        parts = a.view(np.float64)
+        small = -HALF_MAX <= parts.min(initial=0.0) and parts.max(initial=0.0) <= HALF_MAX
+        if not small and not np.isfinite(np.abs(a) if dtype is np.complex128 else a).all():
             raise DimensionMismatch("matrix entries must be finite")
         # integers tell -0.0 from 0.0, which == does not; a complex entry
         # is compared as its two parts

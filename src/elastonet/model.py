@@ -15,8 +15,9 @@ and residue reshaping in the package relies on this single convention.
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain, groupby
-from operator import ne
+from functools import cached_property
+from itertools import groupby
+from typing import NamedTuple
 
 import numpy as np
 
@@ -114,19 +115,61 @@ class RayleighParams:
         return self.alpha * K + self.beta * M
 
 
+class SpringColumns(NamedTuple):
+    """Springs as three columns: endpoints ``i`` and ``j``, stiffness ``k``."""
+
+    i: np.ndarray
+    j: np.ndarray
+    k: np.ndarray
+
+    @classmethod
+    def of(cls, springs):
+        """The columns of a sequence of :class:`Spring`, in its order."""
+        springs = tuple(springs)
+        return cls(*(np.array([getattr(s, f) for s in springs]) for f in ("i", "j", "stiffness")))
+
+    def __eq__(self, other):
+        return isinstance(other, SpringColumns) and all(map(np.array_equal, self, other))
+
+
+def merge_springs(springs, n_nodes):
+    """Read-only columns of ``springs`` (:class:`SpringColumns` or
+    :class:`Spring` objects), one spring per unordered node pair stored as
+    ``(min, max)`` in the order of its first occurrence. Parallel
+    stiffnesses add from zero in the order given: bitwise the running sum
+    ``prev + k``, as ``0 + k`` is ``k``. The first bad spring raises."""
+    i, j, k = springs if isinstance(springs, SpringColumns) else SpringColumns.of(springs)
+    i, j, k = np.asarray(i), np.asarray(j), np.asarray(k, dtype=float)
+    bad = np.flatnonzero((i == j) | ~(k > 0) | ~np.isfinite(k))
+    if bad.size:
+        Spring(i[bad[0]], j[bad[0]], k[bad[0]])  # raises its ValueError
+    bad = np.flatnonzero((i < 0) | (i >= n_nodes) | (j < 0) | (j >= n_nodes))
+    if bad.size:
+        raise ValueError(f"spring ({i[bad[0]]}, {j[bad[0]]}) references a missing node")
+    lo, hi = np.minimum(i, j).astype(np.intp), np.maximum(i, j).astype(np.intp)
+    _, first, pair = np.unique(lo * n_nodes + hi, return_index=True, return_inverse=True)
+    order = np.argsort(first)  # the pairs in order of first occurrence
+    # bincount adds the weights one by one in index order
+    stiffness = np.bincount(np.argsort(order)[pair], k, order.size)
+    columns = SpringColumns(lo[first[order]], hi[first[order]], stiffness)
+    for column in columns:
+        column.flags.writeable = False
+    return columns
+
+
 @dataclass(frozen=True)
 class ElastodynamicNetwork:
     """A damped mass-spring network with at least one terminal node.
 
-    Duplicate springs on the same unordered node pair are merged at
-    construction by summing their stiffnesses (parallel springs add). Every
-    spring is stored as ``(min, max)`` of its endpoints, in the order of the
-    first occurrence of its pair.
+    The springs are given as :class:`Spring` objects or as
+    :class:`SpringColumns`, and stored as merged read-only columns
+    (:func:`merge_springs`): duplicate springs on the same unordered node
+    pair add. :attr:`springs` lists them as :class:`Spring` objects.
     """
 
     dimension: int
     nodes: tuple
-    springs: tuple
+    spring_columns: SpringColumns
     rayleigh: RayleighParams = field(default_factory=RayleighParams)
 
     def __post_init__(self):
@@ -143,19 +186,13 @@ class ElastodynamicNetwork:
                 )
         if not any(n.is_terminal for n in nodes):
             raise ValueError("network needs at least one terminal node")
-        merged = {}
-        for s in self.springs:
-            if not (0 <= s.i < len(nodes)) or not (0 <= s.j < len(nodes)):
-                raise ValueError(f"spring ({s.i}, {s.j}) references a missing node")
-            key = (s.i, s.j) if s.i < s.j else (s.j, s.i)
-            prev = merged.get(key)
-            merged[key] = s if prev is None else Spring(*key, prev.stiffness + s.stiffness)
-        springs = tuple(
-            s if (s.i, s.j) == key else Spring(*key, s.stiffness)
-            for key, s in merged.items()
-        )
         object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "springs", springs)
+        object.__setattr__(self, "spring_columns", merge_springs(self.spring_columns, len(nodes)))
+
+    @cached_property
+    def springs(self):
+        """The merged springs as :class:`Spring` objects, built when first read."""
+        return tuple(map(Spring, *(column.tolist() for column in self.spring_columns)))
 
 
 @dataclass(frozen=True)
@@ -211,14 +248,13 @@ def spring_directions(positions, i, j):
 
 
 def _stamp_springs(K, springs, positions, coords):
-    """Add the springs' stamps to the flat ``K``, spring by spring."""
-    i = np.array([s.i for s in springs])
-    j = np.array([s.j for s in springs])
-    stiffness = np.array([s.stiffness for s in springs])
+    """Add the stamps of the :class:`SpringColumns` ``springs`` to the flat
+    ``K``, spring by spring."""
+    i, j, stiffness = springs
     nvec = spring_directions(positions, i, j)
     axis = np.concatenate([nvec, -nvec], axis=1)
     c = np.concatenate([coords[i], coords[j]], axis=1)
-    for start in range(0, len(springs), STAMP_CHUNK):
+    for start in range(0, len(stiffness), STAMP_CHUNK):
         part = slice(start, start + STAMP_CHUNK)
         index = c[part, :, None] * coords.size + c[part, None, :]
         ax = axis[part]
@@ -229,18 +265,19 @@ def _stamp_springs(K, springs, positions, coords):
 def assemble_elements(nodes, elements, dimension, rayleigh):
     """Assemble the system matrices of nodes joined by stiffness elements.
 
-    Each element adds a symmetric stamp to ``K``. A spring between nodes
-    ``i, j`` with unit vector ``n`` along it adds ``k * n n^T`` on the (i,i)
-    and (j,j) diagonal blocks and ``-k * n n^T`` on the off-diagonal ones;
-    an ideal elastic element adds ``f f^T`` on the coordinates of its
-    support. The mass matrix repeats each nodal mass d times on the
-    diagonal; the damping matrix follows from both (:attr:`SystemMatrices.C`).
+    Each element adds a symmetric stamp to ``K``; a :class:`SpringColumns`
+    element stands for its springs in order. A spring between nodes ``i, j``
+    with unit vector ``n`` along it adds ``k * n n^T`` on the (i,i) and (j,j)
+    diagonal blocks and ``-k * n n^T`` on the off-diagonal ones; an ideal
+    elastic element adds ``f f^T`` on the coordinates of its support. The
+    mass matrix repeats each nodal mass d times on the diagonal; the damping
+    matrix follows from both (:attr:`SystemMatrices.C`).
     The partition puts the coordinates of terminal nodes in the boundary,
     all others in the interior, each in node order.
 
-    Runs of springs are stamped as arrays. ``np.add.at`` applies the
-    updates one at a time in element order, so every entry of ``K`` is the
-    same sum, in the same order, as stamping element by element.
+    Springs are stamped as columns. ``np.add.at`` applies the updates one
+    at a time in element order, so every entry of ``K`` is the same sum, in
+    the same order, as stamping element by element.
     """
     d = dimension
     positions = np.array([node.position for node in nodes], dtype=float)
@@ -248,9 +285,11 @@ def assemble_elements(nodes, elements, dimension, rayleigh):
     K = np.zeros(coords.size * coords.size)
     for kind, run in groupby(elements, type):
         if kind is Spring:
-            _stamp_springs(K, tuple(run), positions, coords)
-            continue
+            run = (SpringColumns.of(run),)
         for el in run:
+            if isinstance(el, SpringColumns):
+                _stamp_springs(K, el, positions, coords)
+                continue
             c = coords[list(el.support)].ravel()
             stamp = np.outer(el.force_vector, el.force_vector)
             np.add.at(K, (c[:, None] * coords.size + c).ravel(), stamp.ravel())
@@ -258,8 +297,8 @@ def assemble_elements(nodes, elements, dimension, rayleigh):
     M = np.diag(np.repeat([node.mass for node in nodes], d))
     terminal = np.array([node.is_terminal for node in nodes])
     return SystemMatrices(
-        K=SymMatrix(K),
-        M=SymMatrix(M),
+        K=SymMatrix(K, copy=False),
+        M=SymMatrix(M, copy=False),
         partition=BlockPartition(
             coords[terminal].ravel().tolist(), coords[~terminal].ravel().tolist()
         ),
@@ -271,7 +310,7 @@ def assemble_elements(nodes, elements, dimension, rayleigh):
 
 def assemble(net):
     """Assemble the system matrices of a network (see :func:`assemble_elements`)."""
-    return assemble_elements(net.nodes, net.springs, net.dimension, net.rayleigh)
+    return assemble_elements(net.nodes, (net.spring_columns,), net.dimension, net.rayleigh)
 
 
 def random_network(
@@ -323,17 +362,17 @@ def random_network(
                 f">= {MIN_NODE_SEPARATION}"
             )
 
-    springs = []
+    ends, stiffness = [], []
     order = rng.permutation(n_total)
     for k in range(1, n_total):
-        a = int(order[k])
-        b = int(order[rng.integers(0, k)])
-        springs.append(Spring(a, b, rng.uniform(0.5, 2.0)))
-    tree_pairs = {(min(s.i, s.j), max(s.i, s.j)) for s in springs}
+        ends.append((int(order[k]), int(order[rng.integers(0, k)])))
+        stiffness.append(rng.uniform(0.5, 2.0))
+    tree_pairs = {(min(e), max(e)) for e in ends}
     for a in range(n_total):
         for b in range(a + 1, n_total):
             if (a, b) not in tree_pairs and rng.random() < 0.3:
-                springs.append(Spring(a, b, rng.uniform(0.5, 2.0)))
+                ends.append((a, b))
+                stiffness.append(rng.uniform(0.5, 2.0))
 
     n_massive = int(round(mass_fraction * n_interior))
     massive = set(
@@ -351,7 +390,7 @@ def random_network(
         alpha if alpha is not None else rng.uniform(0.0, 2.0),
         beta if beta is not None else rng.uniform(0.0, 2.0),
     )
-    return ElastodynamicNetwork(d, tuple(nodes), tuple(springs), ray)
+    return ElastodynamicNetwork(d, tuple(nodes), SpringColumns(*zip(*ends), stiffness), ray)
 
 
 # ---------------------------------------------------------------------------
@@ -402,17 +441,21 @@ def spring_from_dict(raw, path):
 
 
 def _springs_from_list(rows, path):
-    """The springs of a JSON spring list, checked column by column; a list
-    that fails a check is read spring by spring, naming the first bad one."""
-    fields = {"i", "j", "k"}
-    if all(type(raw) is dict and raw.keys() == fields for raw in jsonio.as_list(rows, path)):
-        i, j, k = ([raw[key] for raw in rows] for key in "ijk")
-        ends = all(type(v) is int for v in chain(i, j)) and all(map(ne, i, j))
-        # an integer from 2**1023 up may overflow a float: it is read alone
-        if ends and all(type(v) is float or type(v) is int and abs(v) < 2**1023 for v in k):
-            stiffness = np.array(k, dtype=float)
-            if np.isfinite(stiffness).all() and (stiffness > 0).all():
-                return list(map(Spring, i, j, stiffness.tolist()))
+    """The springs of a JSON spring list as :class:`SpringColumns`, checked
+    column by column; a list that fails a check is read spring by spring,
+    naming the first bad one."""
+    rows = jsonio.as_list(rows, path)
+    try:  # KeyError: a field is missing; OverflowError: past the intp or float range
+        if {*map(type, rows)} <= {dict} and {*map(len, rows)} <= {3}:
+            i, j, k = ([raw[key] for raw in rows] for key in "ijk")
+            # a bool is neither an index nor a stiffness
+            if {*map(type, i), *map(type, j)} <= {int} and {*map(type, k)} <= {int, float}:
+                ends = np.array([i, j], dtype=np.intp).reshape(2, -1)
+                k = np.array(k, dtype=float)
+                if (ends[0] != ends[1]).all() and (k > 0).all() and np.isfinite(k).all():
+                    return SpringColumns(*ends, k)
+    except (KeyError, OverflowError):
+        pass
     return [spring_from_dict(raw, f"{path}[{q}]") for q, raw in enumerate(rows)]
 
 
@@ -447,10 +490,11 @@ def rayleigh_from_dict(raw, path):
 
 
 def network_to_dict(net):
+    i, j, k = (column.tolist() for column in net.spring_columns)
     return {
         "dimension": net.dimension,
         "nodes": [node_to_dict(n) for n in net.nodes],
-        "springs": [element_to_dict(s) for s in net.springs],
+        "springs": [{"i": a, "j": b, "k": s} for a, b, s in zip(i, j, k)],
         "rayleigh": rayleigh_to_dict(net.rayleigh),
     }
 
@@ -467,6 +511,6 @@ def network_from_dict(obj, path="network"):
     springs = _springs_from_list(obj["springs"], f"{path}.springs")
     ray = rayleigh_from_dict(obj["rayleigh"], f"{path}.rayleigh")
     try:
-        return ElastodynamicNetwork(d, tuple(nodes), tuple(springs), ray)
+        return ElastodynamicNetwork(d, tuple(nodes), springs, ray)
     except (ValueError, DimensionMismatch) as exc:
         raise SchemaError(f"{path}: {exc}") from exc

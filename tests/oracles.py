@@ -1,10 +1,13 @@
 """Reference constructions the tests compare the package against."""
 
+import numpy as np
+
 from elastonet import ElastodynamicNetwork, IdealElasticElement, Node, SchemaError, Spring
 from elastonet.model import (
     assemble_elements,
     node_from_dict,
     rayleigh_from_dict,
+    spring_directions,
     spring_from_dict,
 )
 
@@ -37,10 +40,26 @@ def assemble_union(gn):
     return assemble_elements(terminals + internals, elements, gn.dimension, gn.rayleigh)
 
 
+def merge_by_spring(springs, n_nodes):
+    """Springs merged one by one in a dict keyed by their unordered pair:
+    the reference for ``model.merge_springs``. A pair is stored as
+    ``(min, max)`` in the order of its first occurrence and parallel
+    stiffnesses add in the order given."""
+    merged = {}
+    for s in springs:
+        if not (0 <= s.i < n_nodes) or not (0 <= s.j < n_nodes):
+            raise ValueError(f"spring ({s.i}, {s.j}) references a missing node")
+        key = (s.i, s.j) if s.i < s.j else (s.j, s.i)
+        prev = merged.get(key)
+        merged[key] = Spring(*key, s.stiffness if prev is None else prev.stiffness + s.stiffness)
+    return tuple(merged.values())
+
+
 def network_from_dict_by_spring(obj, path="network"):
     """``network_from_dict`` on a well-formed network object whose springs
-    are each read by ``spring_from_dict``: the reference for the package's
-    column-by-column spring reader, errors and merge order included."""
+    are each read by ``spring_from_dict`` and merged by ``merge_by_spring``:
+    the reference for the package's column-by-column spring reader and
+    merge, errors and merge order included."""
     d = obj["dimension"]
     nodes = [node_from_dict(raw, f"{path}.nodes[{k}]", d) for k, raw in enumerate(obj["nodes"])]
     springs = [
@@ -48,6 +67,27 @@ def network_from_dict_by_spring(obj, path="network"):
     ]
     ray = rayleigh_from_dict(obj["rayleigh"], f"{path}.rayleigh")
     try:
-        return ElastodynamicNetwork(d, tuple(nodes), tuple(springs), ray)
+        return ElastodynamicNetwork(d, tuple(nodes), merge_by_spring(springs, len(nodes)), ray)
     except ValueError as exc:
         raise SchemaError(f"{path}: {exc}") from exc
+
+
+def assemble_by_spring(net):
+    """The stiffness matrix of ``net`` stamped from its ``Spring`` objects:
+    three arrays gathered from ``net.springs``, then one ``np.add.at``
+    that adds each spring's stamp in spring order. The reference for the
+    column stamp of ``assemble``."""
+    d = net.dimension
+    positions = np.array([node.position for node in net.nodes], dtype=float)
+    coords = np.arange(len(net.nodes) * d).reshape(-1, d)
+    i = np.array([s.i for s in net.springs], dtype=int)
+    j = np.array([s.j for s in net.springs], dtype=int)
+    stiffness = np.array([s.stiffness for s in net.springs], dtype=float)
+    nvec = spring_directions(positions, i, j)
+    axis = np.concatenate([nvec, -nvec], axis=1)
+    c = np.concatenate([coords[i], coords[j]], axis=1)
+    index = c[:, :, None] * coords.size + c[:, None, :]
+    stamp = stiffness[:, None, None] * (axis[:, :, None] * axis[:, None, :])
+    K = np.zeros(coords.size * coords.size)
+    np.add.at(K, index.ravel(), stamp.ravel())
+    return K.reshape(coords.size, coords.size)

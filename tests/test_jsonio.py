@@ -211,13 +211,48 @@ def test_symmetric_nan_fails_at_its_first_row_major_entry():
         assert outcome(dumps_canonical, form(block)) == outcome(reference, form(block))
 
 
+def mirror_cases():
+    """(id, block, whether its bits are symmetric): square blocks the writer
+    tests for symmetry."""
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((4, 4, 2))
+    sym = a + a.swapaxes(0, 1)
+    zero = sym.copy()
+    zero[0, 2, 1], zero[2, 0, 1] = -0.0, 0.0
+    nan, inf = sym.copy(), sym.copy()
+    nan[1, 3, 0] = nan[3, 1, 0] = np.nan
+    inf[2, 2, 1] = -np.inf
+    return [("symmetric", sym, True), ("asymmetric", a, False),
+            ("signed-zero-mirror", zero, False), ("nan", nan, True), ("infinity", inf, True)]
+
+
+@pytest.mark.parametrize("block, mirrored", [
+    pytest.param(block, mirrored, id=name) for name, block, mirrored in mirror_cases()
+])
+def test_ndarray_is_tested_for_symmetry_on_its_own_bits(block, mirrored, monkeypatch):
+    # the ndarray and its nested lists write the same bytes, or fail alike
+    expected = outcome(reference, block.tolist())
+    assert outcome(dumps_canonical, block.tolist()) == expected
+    seen = []
+
+    def spy(flat, shape, block=None):
+        seen.append((block, bitwise_symmetric(flat, shape, block)))
+        return seen[-1][1]
+
+    bitwise_symmetric = jsonio._bitwise_symmetric
+    monkeypatch.setattr(jsonio, "_bitwise_symmetric", spy)
+    assert outcome(dumps_canonical, block) == expected
+    assert len(seen) == 1 and seen[0][0] is block
+    assert seen[0][1] is mirrored
+
+
 def test_every_response_block_is_written_by_its_upper_triangle(tmp_path, monkeypatch):
     # evaluate_reduced averages W with its transpose; should it stop, the
     # writer's mirror path would go unused without failing anything else
     seen = []
 
-    def spy(flat, shape):
-        result = bitwise_symmetric(flat, shape)
+    def spy(flat, shape, block=None):
+        result = bitwise_symmetric(flat, shape, block)
         seen.append((shape, result))
         return result
 

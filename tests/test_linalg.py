@@ -116,6 +116,28 @@ class TestSymMatrixContract:
         with pytest.raises(DimensionMismatch, match="matrix entries must be finite"):
             SymMatrix(a)
 
+    @pytest.mark.parametrize("z, finite", [
+        (1.3e308 + 1.3e308j, False),  # |z| = 1.8e308 overflows
+        (1e308 + 1e308j, True),  # |z| = 1.4e308, past DBL_MAX/2 in each part
+        (1.7e308 + 0j, True),
+        (8e307 + 8e307j, True),  # both parts under DBL_MAX/2: |z| is not taken
+        (-5e307 - 1.7e308j, True),
+    ])
+    def test_complex_modulus_decides_finiteness(self, z, finite):
+        a = np.diag([z, 1.0])
+        if finite:
+            assert SymMatrix(a).a[0, 0] == z
+        else:
+            with pytest.raises(DimensionMismatch, match="matrix entries must be finite"):
+                SymMatrix(a)
+
+    def test_no_copy_keeps_the_array_read_only(self):
+        a = np.array([[1.0, 2.0], [2.0, 3.0]])
+        m = SymMatrix(a, copy=False)
+        assert m.a is a and not a.flags.writeable
+        b = np.array([[1.0, 2.0], [2.0 + 1e-14, 3.0]])
+        assert not np.shares_memory(SymMatrix(b, copy=False).a, b)
+
     @pytest.mark.parametrize("noise", [0.0, 1e-14])
     def test_input_stays_writable_and_unaliased(self, noise):
         a = np.array([[1.0, 2.0], [2.0 + noise, 3.0]])

@@ -1,6 +1,7 @@
 """Network model, assembly, random generation, JSON round trips."""
 
 import json
+import re
 from importlib import import_module
 
 import numpy as np
@@ -29,10 +30,10 @@ from elastonet import (
 )
 from elastonet.geometry import balance_check
 from elastonet.cli import main
-from elastonet.model import STAMP_CHUNK, assemble_elements
+from elastonet.model import STAMP_CHUNK, SpringColumns, assemble_elements
 
 from conftest import axial_block, node_positions, scaled_network
-from oracles import assemble_union, network_from_dict_by_spring
+from oracles import assemble_by_spring, assemble_union, network_from_dict_by_spring
 
 oracles_module = import_module("oracles")
 
@@ -418,3 +419,93 @@ class TestSpringColumns:
         monkeypatch.setattr(import_module("elastonet.model"), "spring_from_dict", one_by_one)
         net = network_from_dict(sweep_sized)
         assert len(net.springs) == len(sweep_sized["springs"])
+
+
+def with_reversed_and_parallel(obj):
+    """``obj`` with every third spring appended reversed and every fifth
+    appended twice in parallel: a tiny stiffness, then a large one, so
+    the merged stiffness depends on the order of the additions."""
+    rows = obj["springs"]
+    reversed_rows = [{"i": r["j"], "j": r["i"], "k": r["k"]} for r in rows[::3]]
+    parallel = [{**r, "k": r["k"] * 2.0**-53} for r in rows[::5]]
+    parallel += [{**r, "k": 1e3 * r["k"]} for r in rows[::5]]
+    return {**obj, "springs": [*rows, *reversed_rows, *parallel]}
+
+
+def columns_inputs():
+    """(id, network object): seeded networks in d = 2 and 3, and the sweep
+    size with reversed and parallel springs appended."""
+    cases = [
+        (f"seed{seed}-d{d}", network_to_dict(random_network(seed, d, 3, 12, 0.5)))
+        for seed in (0, 1, 2) for d in (2, 3)
+    ]
+    sweep = json.loads(json.dumps(network_to_dict(random_network(3, 3, 8, 150, 0.5))))
+    return cases + [("sweep-reversed-parallel", with_reversed_and_parallel(sweep))]
+
+
+class TestColumnsAgainstSprings:
+    """The merged spring columns and their stamp are bitwise those of the
+    per-spring merge and stamp (``oracles.merge_by_spring``,
+    ``oracles.assemble_by_spring``)."""
+
+    @pytest.mark.parametrize("obj", [pytest.param(o, id=name) for name, o in columns_inputs()])
+    def test_merge_and_stamp_match_the_per_spring_oracles(self, obj):
+        net, oracle = network_from_dict(obj), network_from_dict_by_spring(obj)
+        i, j, k = net.spring_columns
+        assert i.tolist() == [s.i for s in oracle.springs]
+        assert j.tolist() == [s.j for s in oracle.springs]
+        assert k.tobytes() == np.array([s.stiffness for s in oracle.springs]).tobytes()
+        assert net.springs == oracle.springs
+        assert np.array_equal(
+            assemble(net).K.a.view(np.uint64), assemble_by_spring(oracle).view(np.uint64)
+        )
+
+    def test_parallel_stiffnesses_add_in_the_order_given(self):
+        nodes = (Node((0.0, 0.0), 1.0, True), Node((1.0, 0.0), 0.0, False))
+        order = [1.0, 2.0**-53, 2.0**-53]
+        springs = [Spring(*ends, k) for ends, k in zip([(0, 1), (1, 0), (0, 1)], order)]
+        net = ElastodynamicNetwork(2, nodes, springs)
+        assert net.springs == (Spring(0, 1, (1.0 + 2.0**-53) + 2.0**-53),)
+        assert net.springs[0].stiffness == 1.0 != 1.0 + (2.0**-53 + 2.0**-53)
+
+    def test_columns_are_merged_read_only_arrays(self):
+        net = random_network(4, 3, 3, 5, 0.5)
+        assert isinstance(net.spring_columns, SpringColumns)
+        for column in net.spring_columns:
+            assert isinstance(column, np.ndarray) and not column.flags.writeable
+        assert (net.spring_columns.i < net.spring_columns.j).all()
+
+    def test_columns_and_springs_construct_the_same_network(self):
+        net = random_network(5, 2, 2, 6, 0.5)
+        i, j, k = (column.tolist() for column in net.spring_columns)
+        pairs = list(zip(j, i, k)) + list(zip(i, j, k))  # reversed, then parallel
+        cols = SpringColumns(*(list(c) for c in zip(*pairs)))
+        springs = tuple(Spring(*p) for p in pairs)
+        assert ElastodynamicNetwork(2, net.nodes, cols) == ElastodynamicNetwork(2, net.nodes, springs)
+
+    @pytest.mark.parametrize("i, j, k, message", [
+        ([0, 1], [1, 1], [1.0, 1.0], "spring endpoints coincide (node 1)"),
+        ([0, 1], [1, 2], [1.0, -2.0], "spring stiffness must be > 0, got -2.0"),
+        ([0, 1], [1, 2], [1.0, np.inf], "spring stiffness must be > 0, got inf"),
+        ([0, 2], [1, 3], [1.0, 1.0], "spring (2, 3) references a missing node"),
+        ([0, -1], [1, 2], [1.0, 1.0], "spring (-1, 2) references a missing node"),
+        ([0, 10**30], [1, 2], [1.0, 1.0], f"spring ({10**30}, 2) references a missing node"),
+    ])
+    def test_bad_columns_fail_as_the_spring_objects_do(self, i, j, k, message):
+        nodes = tuple(Node((float(q), 0.0), 1.0, q == 0) for q in range(3))
+        with pytest.raises(ValueError) as info:
+            ElastodynamicNetwork(2, nodes, SpringColumns(i, j, k))
+        assert str(info.value) == message
+        if k[1] > 0 and np.isfinite(k[1]) and i[1] != j[1]:  # a Spring can be made
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                ElastodynamicNetwork(2, nodes, tuple(map(Spring, i, j, k)))
+
+    def test_reading_assembling_and_writing_make_no_spring(self, monkeypatch):
+        def no_spring(*args):
+            raise AssertionError("a Spring was made")
+
+        monkeypatch.setattr(import_module("elastonet.model"), "Spring", no_spring)
+        net = random_network(6, 3, 4, 20, 0.5)
+        back = network_from_dict(network_to_dict(net))
+        assemble(back)
+        assert "springs" not in vars(back) and back == net

@@ -3,12 +3,16 @@
 ``perfbench`` wraps names of the package (the ``cli`` imports, several
 ``synthesize`` attributes and the keyword arguments it reads from their
 calls). Running its self-test here turns a rename of any of them into a
-test failure instead of a failed benchmark run.
+test failure instead of a failed benchmark run. The set-up of the
+declared workloads also runs here, in process, on a few seeds.
 """
 
 import subprocess
 import sys
+from importlib import import_module
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -20,3 +24,28 @@ def test_perfbench_selftest_passes():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "selftest passed" in proc.stdout
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        return import_module("workloads")
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+
+
+# the benchmark's set-up (inputs written, references extracted) runs
+# outside its ops, so an exception there ends a run without a result
+SETUP_SEEDS = {"sweep": (1, 2, 3), "roundtrip": (1, 2, 3, 4, 5)}
+
+
+@pytest.mark.parametrize("name, seed", [
+    (name, seed) for name, seeds in SETUP_SEEDS.items() for seed in seeds
+])
+def test_benchmark_set_up_returns(workloads, name, seed, tmp_path):
+    inputs = workloads.make_inputs(workloads.WORKLOADS[name], seed, str(tmp_path))
+    warm = workloads.make_inputs(workloads.TINY[name], seed, str(tmp_path), tag="warm")
+    assert len(inputs) == workloads.N_NETWORKS and len(warm) == 1
+    for inp in inputs + warm:
+        assert Path(inp.path).stat().st_size > 0 and inp.reference is not None
