@@ -125,25 +125,27 @@ def hull_diameter(points):
     return float(np.sqrt((diff**2).sum(-1)).max())
 
 
-# Point sets whose hull KKT systems are kept, the least recently used
-# dropped first. A synthesis asks for the distances of all its internal
-# nodes to one set of terminals.
+# Point sets whose hull maps are kept, the least recently used dropped
+# first. A synthesis asks for the distances of all its internal nodes to one
+# set of terminals.
 HULL_CACHE_SIZE = 4
 
 
 @lru_cache(maxsize=HULL_CACHE_SIZE)
 def _hull_systems(shape, data):
-    """Per subset size, the regular subsets' points and KKT matrices.
+    """Affine maps of ``[x; 1]`` for the regular subsets of 2 to d+1 points.
 
     The point set is given by content, its shape and float64 bytes, so a set
-    changed in place is a new key. The KKT system projects onto the affine
-    hull of a subset, in barycentric coordinates ``t`` with ``sum(t) = 1``.
-    An exactly zero pivot marks an affinely dependent subset, which the
-    smaller subsets cover; ``slogdet`` runs the LU that ``solve`` would run.
+    changed in place is a new key. A subset's KKT system projects ``x`` onto
+    its affine hull in barycentric coordinates ``t``, ``sum(t) = 1``; its
+    right-hand side ``[2 p x; 1]`` is linear in ``[x; 1]``, so the solutions
+    for ``[2p; 0]`` and ``e_{s+1}`` give ``t`` as a map. An exactly zero
+    pivot marks an affinely dependent subset, which the smaller subsets
+    cover; ``slogdet`` runs the LU that ``solve`` would run.
     """
     pts = np.frombuffer(data).reshape(shape)
     n, d = shape
-    systems = []
+    maps = [np.zeros((0, 2 * d + 1, d + 1))]
     for size in range(2, min(n, d + 1) + 1):
         p = pts[np.array(list(itertools.combinations(range(n), size)))]
         kkt = np.ones((len(p), size + 1, size + 1))
@@ -151,19 +153,27 @@ def _hull_systems(shape, data):
         kkt[:, size, size] = 0.0
         regular = np.linalg.slogdet(kkt)[0] != 0.0
         p, kkt = p[regular], kkt[regular]
-        p.flags.writeable = kkt.flags.writeable = False
-        systems.append((p, kkt))
-    return tuple(systems)
+        rhs = np.zeros((len(p), size + 1, d + 1))
+        rhs[:, :size, :d], rhs[:, size, d] = 2.0 * p, 1.0
+        t = np.linalg.solve(kkt, rhs)[:, :size]
+        # 2d + 1 rows a subset: t padded with zeros to d + 1, then p^T t - x
+        m = np.zeros((len(p), 2 * d + 1, d + 1))
+        m[:, :size], m[:, d + 1:] = t, p.swapaxes(1, 2) @ t - np.eye(d, d + 1)
+        maps.append(m)
+    maps = np.concatenate(maps).reshape(-1, d + 1)
+    maps.flags.writeable = False
+    return maps
 
 
 def hull_distance(x, points):
     """Exact Euclidean distance from ``x`` to the convex hull of ``points``.
 
     Enumerates candidate supporting subsets of size at most d+1 (enough by
-    Caratheodory) and keeps the best feasible affine projection; the
-    subsets of one size are solved as one stack, against KKT matrices kept
-    for the ``HULL_CACHE_SIZE`` point sets used last. Intended for the
-    desk-scale point sets of this package, not large hulls.
+    Caratheodory) and keeps the best feasible affine projection. Each
+    subset's projection is an affine map of ``x``, kept for the
+    ``HULL_CACHE_SIZE`` point sets used last, so a call is one
+    matrix-vector product. Intended for the desk-scale point sets of this
+    package, not large hulls.
     """
     x = np.asarray(x, dtype=float)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -173,12 +183,8 @@ def hull_distance(x, points):
     best = np.sqrt(((pts - x) ** 2).sum(-1)).min()
     if best == 0.0:
         return 0.0
-    for p, kkt in _hull_systems(pts.shape, pts.tobytes()):
-        size = p.shape[1]
-        rhs = np.ones((len(p), size + 1, 1))
-        rhs[:, :size, 0] = 2.0 * (p @ x)
-        t = np.linalg.solve(kkt, rhs)[:, :size]
-        feasible = t.min(axis=(1, 2)) >= -1e-12
-        cand = np.linalg.norm((p.swapaxes(1, 2) @ t)[feasible, :, 0] - x, axis=1)
-        best = np.fmin.reduce(cand, initial=best)  # fmin skips NaN candidates
-    return float(best)
+    maps = _hull_systems(pts.shape, pts.tobytes())
+    out = (maps @ np.append(x, 1.0)).reshape(-1, 2 * d + 1)
+    feasible = out[:, :d + 1].min(axis=1) >= -1e-12
+    cand = np.linalg.norm(out[feasible, d + 1:], axis=1)
+    return float(np.fmin.reduce(cand, initial=best))  # fmin skips NaN candidates

@@ -158,23 +158,38 @@ def schur_complement(a, partition, mode="inverse"):
     return SymMatrix(a_bb - _sym_part(a_bi @ inv @ a_bi.T))
 
 
+def boundary_first(arrays, partition):
+    """The square ``arrays`` gathered into the order boundary, then interior,
+    and the partition of that order; its boundary is a leading range, so
+    :func:`schur_complement_lu` takes its blocks as slices."""
+    partition.check_covers(len(arrays[0]))
+    order = partition.boundary + partition.interior
+    nb = len(partition.boundary)
+    leading = BlockPartition(range(nb), range(nb, len(order)))
+    return [a[np.ix_(order, order)] for a in arrays], leading
+
+
 def schur_complement_lu(a, partition):
     """Schur complement of the interior block of a symmetric array by LU.
 
     ``a`` is a plain 2-D array, bitwise symmetric, covered by ``partition``.
     Returns the bitwise symmetric ``A_BB - A_BI X``, where ``X`` solves
     ``A_II X = A_IB`` by one ``np.linalg.solve`` (LU with partial pivoting).
+    The blocks are slices of ``a`` when the boundary is a leading range in
+    order and the interior the rest (:func:`boundary_first`); under any
+    other partition ``a`` is gathered into that order first. The blocks
+    hold the same entries either way.
     An exactly zero pivot raises ``np.linalg.LinAlgError``. A nearly
     singular block is not detected: its complement may be inaccurate or not
     finite, so a caller compares the result with an independent value.
     """
     partition.check_covers(len(a))
-    b, i = partition.boundary, partition.interior
-    a_bb = a[np.ix_(b, b)]
-    if not (b and i):
-        return a_bb
-    x = np.linalg.solve(a[np.ix_(i, i)], a[np.ix_(i, b)])
-    return a_bb - _sym_part(a[np.ix_(b, i)] @ x)
+    nb = len(partition.boundary)
+    if partition.boundary + partition.interior != tuple(range(len(a))):
+        (a,), _ = boundary_first([a], partition)
+    if not 0 < nb < len(a):
+        return a[:nb, :nb].copy()
+    return a[:nb, :nb] - _sym_part(a[:nb, nb:] @ np.linalg.solve(a[nb:, nb:], a[nb:, :nb]))
 
 
 def psd_check(a, tol=PINV_TOL):

@@ -425,7 +425,7 @@ def element_to_dict(el):
     """A spring as ``{i, j, k}``, an ideal element as ``{support, f}``."""
     if isinstance(el, Spring):
         return {"i": el.i, "j": el.j, "k": el.stiffness}
-    return {"support": list(el.support), "f": list(el.force_vector)}
+    return {"support": list(el.support), "f": el.force_vector.tolist()}
 
 
 def spring_from_dict(raw, path):

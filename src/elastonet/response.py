@@ -35,6 +35,7 @@ from .linalg import (
     PINV_TOL,
     BlockPartition,
     SymMatrix,
+    boundary_first,
     is_psd,
     schur_complement,
     schur_complement_lu,
@@ -388,7 +389,9 @@ def extract_canonical(
 def _reconstruction_error(sys, cr, lams):
     """Worst relative deviation of ``cr`` from the direct response of ``sys``.
 
-    The pencil at each of ``lams`` is solved by LU
+    ``K``, ``C`` and ``M`` are gathered into boundary-first order once
+    (:func:`boundary_first`); the pencil at each of ``lams`` is formed in one
+    buffer, entry for entry ``K + lambda*C + lambda^2*M``, and solved by LU
     (:func:`schur_complement_lu`). A point whose solve fails, is not finite
     or deviates beyond ``ROUNDTRIP_TOL`` is evaluated again by the
     pseudoinverse :func:`evaluate_response`, and that value counts. Massless
@@ -396,8 +399,9 @@ def _reconstruction_error(sys, cr, lams):
     take this path.
     """
     K, M = sys.K.a, sys.M.a
-    C = sys.rayleigh.damping(K, M)
+    (K, C, M), leading = boundary_first((K, sys.rayleigh.damping(K, M), M), sys.partition)
     norms = [np.abs(x).max() for x in (K, C, M)]
+    pencil = np.empty(K.shape, dtype=complex)
     worst = 0.0
     for lam, closed in zip(lams, canonical_responses(cr, lams)):
         # numerically-zero responses (mechanisms) are compared against
@@ -405,7 +409,11 @@ def _reconstruction_error(sys, cr, lams):
         floor = 1e-4 * (norms[0] + norms[1] * abs(lam) + norms[2] * abs(lam) ** 2)
         try:
             with np.errstate(all="ignore"):
-                direct = schur_complement_lu(K + lam * C + lam * lam * M, sys.partition)
+                # IEEE addition commutes: the bits of K + lam*C + lam*lam*M
+                np.multiply(C, lam, out=pencil)
+                pencil += K
+                pencil += (lam * lam) * M
+                direct = schur_complement_lu(pencil, leading)
                 err = _relative_gap(closed, direct, floor)  # NaN if not finite
         except np.linalg.LinAlgError:
             err = np.inf
@@ -525,12 +533,10 @@ def canonical_to_dict(cr):
     return {
         "alpha": cr.rayleigh.alpha,
         "beta": cr.rayleigh.beta,
-        "A": [list(row) for row in cr.A.a],
-        "Mbb": list(cr.Mbb),
-        "modes": [
-            {"sigma": m.sigma, "R": [list(row) for row in m.R.a]} for m in cr.modes
-        ],
-        "terminals": [list(p) for p in cr.terminal_positions],
+        "A": cr.A.a.tolist(),
+        "Mbb": cr.Mbb.tolist(),
+        "modes": [{"sigma": float(m.sigma), "R": m.R.a.tolist()} for m in cr.modes],
+        "terminals": cr.terminal_positions.tolist(),
     }
 
 

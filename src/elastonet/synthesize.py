@@ -710,7 +710,7 @@ def verify_synthesis(gn, cr, n_samples=50, seed=0):
 
 def generalized_to_dict(gn):
     return {
-        "terminals": [list(p) for p in gn.terminals],
+        "terminals": gn.terminals.tolist(),
         "components": [
             {
                 "kind": comp.kind,

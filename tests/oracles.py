@@ -10,6 +10,7 @@ from elastonet.model import (
     spring_directions,
     spring_from_dict,
 )
+from elastonet.response import ROUNDTRIP_TOL, canonical_responses, evaluate_response
 
 
 def assemble_union(gn):
@@ -91,3 +92,36 @@ def assemble_by_spring(net):
     K = np.zeros(coords.size * coords.size)
     np.add.at(K, index.ravel(), stamp.ravel())
     return K.reshape(coords.size, coords.size)
+
+
+def reconstruction_error_by_point(sys, cr, lams):
+    """The extraction self-check point by point: at each of ``lams`` the
+    pencil ``K + lam*C + lam*lam*M`` in the system's own order, its four
+    blocks gathered by index and one LU solve, the pseudoinverse
+    ``evaluate_response`` where that fails or deviates. The reference for
+    ``response._reconstruction_error``."""
+    K, M = sys.K.a, sys.M.a
+    C = sys.rayleigh.damping(K, M)
+    b, i = sys.partition.boundary, sys.partition.interior
+    norms = [np.abs(x).max() for x in (K, C, M)]
+
+    def gap(closed, direct, floor):
+        return np.abs(closed - direct).max() / max(np.abs(direct).max(), floor, 1e-300)
+
+    worst = 0.0
+    for lam, closed in zip(lams, canonical_responses(cr, lams)):
+        floor = 1e-4 * (norms[0] + norms[1] * abs(lam) + norms[2] * abs(lam) ** 2)
+        try:
+            with np.errstate(all="ignore"):
+                a = K + lam * C + lam * lam * M
+                x = np.linalg.solve(a[np.ix_(i, i)], a[np.ix_(i, b)])
+                xb = a[np.ix_(b, i)] @ x
+                direct = a[np.ix_(b, b)] - 0.5 * (xb + xb.T)
+                err = gap(closed, direct, floor)
+        except np.linalg.LinAlgError:
+            err = np.inf
+        if not err <= ROUNDTRIP_TOL:
+            direct = evaluate_response(sys, lam, mode="pseudoinverse").W.a
+            err = gap(closed, direct, floor)
+        worst = max(worst, err)
+    return worst

@@ -9,7 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elastonet import GeneralizedNetwork, NetworkComponent, Node, RayleighParams
+from elastonet import (
+    GeneralizedNetwork,
+    NetworkComponent,
+    Node,
+    RayleighParams,
+    assemble,
+    extract_canonical,
+    random_network,
+    synthesize,
+)
 from elastonet.errors import DimensionMismatch
 from elastonet import geometry
 from elastonet.geometry import balance_operator, cross, hull_distance
@@ -96,6 +105,55 @@ class TestHullDistance:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             hull_distance(np.zeros(3), np.zeros((4, 2)))
+
+
+# terminal sets with affinely dependent subsets: exactly dependent (a zero
+# pivot) on the axes, and dependent up to rounding when tilted
+DEGENERATE = {
+    "collinear triples, 2d": [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0], [0.0, 2.0]],
+    "collinear triples, tilted 2d": [[0.1, 0.3], [0.4, 0.9], [0.7, 1.5], [1.3, 0.2]],
+    "collinear triples, 3d": [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0],
+                              [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+    "coplanar quadruples, 3d": [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                                [1.0, 1.0, 0.0], [0.5, 0.5, 1.0], [0.5, 0.5, -1.0]],
+    "coplanar quadruples, tilted 3d": [[0.1, 0.2, 0.7], [0.6, 0.3, 0.1], [0.3, 0.6, 0.1],
+                                       [0.2, 0.1, 0.7], [0.9, 0.9, 0.9]],
+    "duplicated terminals, 3d": [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0],
+                                 [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]],
+}
+
+
+@pytest.mark.parametrize("name", DEGENERATE)
+def test_degenerate_sets_match_the_enumerator(name):
+    points = np.array(DEGENERATE[name])
+    n, d = points.shape
+    rng = np.random.default_rng(n + d)
+    extent = np.abs(points).max()
+    near = rng.uniform(-2.0, 3.0, (20, d))
+    # far points: every KKT map is read far outside its terminals
+    far = 1e3 * extent * rng.standard_normal((20, d))
+    for x in np.concatenate([near, far, points + 1e-3]):
+        assert_matches_oracle(x, points)
+
+
+# (seed, terminals, interior) of random_network(seed, 3, ..., 0.5) inputs:
+# the roundtrip workload's shape at seeds 1-5, and one 16-terminal input of
+# the wide_synth shape
+SYNTHESIZED = [(seed, 6, 60) for seed in range(1, 6)] + [(1, 16, 6)]
+
+
+@pytest.mark.parametrize("seed, n_terminals, n_interior", SYNTHESIZED)
+def test_synthesized_nodes_have_the_enumerators_verdicts(seed, n_terminals, n_interior):
+    net = random_network(seed, 3, n_terminals, n_interior, 0.5)
+    gn = synthesize(extract_canonical(assemble(net)), epsilon_hull=0.1, check=False)
+    internal = np.concatenate([np.reshape(c.internal_positions, (-1, 3))
+                               for c in gn.components])
+    got = np.array([hull_distance(x, gn.terminals) for x in internal])
+    want = np.array([enumerated_hull_distance(x, gn.terminals) for x in internal])
+    # the contract's verdict, and the same test at tighter neighborhoods
+    for epsilon in (gn.epsilon_hull, 1e-2, 1e-3):
+        assert np.array_equal(got > epsilon + 1e-9, want > epsilon + 1e-9)
+    assert np.abs(got - want).max() <= 1e-12
 
 
 POINT_SETS = st.integers(2, 3).flatmap(

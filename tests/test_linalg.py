@@ -298,6 +298,21 @@ class TestSchurComplements:
             svd = schur_complement(SymMatrix(a), part).a
             assert_allclose(lu, svd, rtol=0, atol=1e-10 * np.abs(svd).max())
 
+    def test_lu_kernel_slices_have_the_bits_of_gathered_blocks(self):
+        rng = np.random.default_rng(7)
+        b, i = [4, 0, 6], [1, 5, 2, 3]
+        k, m = random_spd(rng, 7), np.diag(rng.uniform(0.5, 2.0, 7))
+        a = SymMatrix(k + (0.7 + 1.3j) * (0.3 * k + 0.8 * m) + (0.7 + 1.3j) ** 2 * m).a
+        (gathered,), leading = linalg.boundary_first([a], BlockPartition(b, i))
+        assert (leading.boundary, leading.interior) == ((0, 1, 2), (3, 4, 5, 6))
+        assert gathered.tobytes() == a[np.ix_(b + i, b + i)].tobytes()
+        # each block gathered on its own, the kernel before slicing
+        x = a[np.ix_(b, i)] @ np.linalg.solve(a[np.ix_(i, i)], a[np.ix_(i, b)])
+        want = a[np.ix_(b, b)] - 0.5 * (x + x.T)
+        for got in (schur_complement_lu(gathered, leading),
+                    schur_complement_lu(a, BlockPartition(b, i))):
+            assert got.tobytes() == want.tobytes()
+
     def test_lu_kernel_raises_on_a_zero_pivot(self):
         a = np.diag([1.0, 1.0, 0.0])
         with pytest.raises(np.linalg.LinAlgError):

@@ -43,6 +43,7 @@ from elastonet import response
 from elastonet.response import RESONANCE_CLEARANCE, _cluster_ascending
 
 from conftest import axial_block
+from oracles import reconstruction_error_by_point
 
 
 def scalar_response(k, m, alpha, beta, lam):
@@ -457,6 +458,55 @@ class TestExtractionSelfCheck:
         extract_canonical(sys)
         assert solves == [sys.order] * 20
         assert calls == ["pseudoinverse"]
+
+
+def reversed_nodes(net):
+    """The same network with its nodes in reverse order, so the terminal
+    coordinates are not a leading range."""
+    last = len(net.nodes) - 1
+    springs = [Spring(last - s.i, last - s.j, s.stiffness) for s in net.springs]
+    return ElastodynamicNetwork(net.dimension, net.nodes[::-1], springs, net.rayleigh)
+
+
+def self_check_points(sys, seed=0):
+    """The 20 points ``extract_canonical(sys, seed=seed)`` checks."""
+    red = eliminate_massless(sys)
+    avoid = system_resonances(red.rayleigh, red.modal[0])
+    return sample_nonresonant(np.random.default_rng(seed), avoid, 20)
+
+
+class TestSelfCheckAgainstThePointLoop:
+    """The boundary-first pencil of the self-check has the bits of the pencil
+    gathered point by point (``oracles.reconstruction_error_by_point``)."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("mass_fraction", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_random_networks(self, d, mass_fraction, seed):
+        net = random_network(seed, d, 4, 20, mass_fraction)
+        for sys in (assemble(net), assemble(reversed_nodes(net))):
+            cr = extract_canonical(sys, check=False)
+            lams = self_check_points(sys)
+            worst = response._reconstruction_error(sys, cr, lams)
+            assert worst == reconstruction_error_by_point(sys, cr, lams)
+            assert worst <= response.ROUNDTRIP_TOL
+
+    def test_every_point_falls_back_on_the_chain(self, monkeypatch, assembled_chain):
+        calls = count_fallbacks(monkeypatch)
+        cr = extract_canonical(assembled_chain, check=False)
+        lams = self_check_points(assembled_chain)
+        worst = response._reconstruction_error(assembled_chain, cr, lams)
+        assert calls == ["pseudoinverse"] * 20
+        assert worst == reconstruction_error_by_point(assembled_chain, cr, lams)
+
+    def test_an_off_diagonal_mass_is_rejected(self):
+        # the closed form reads only diag(M); the self-check sees all of M
+        sys = assemble(random_network(3, 3, 4, 10, 1.0))
+        m = sys.M.a.copy()
+        j, k = sys.partition.interior[:2]
+        m[j, k] = m[k, j] = 0.1 * m[j, j]
+        with pytest.raises(ReconstructionMismatch, match="deviates from the direct"):
+            extract_canonical(replace(sys, M=SymMatrix(m)))
 
 
 class TestEvaluateCanonical:

@@ -27,6 +27,7 @@ from elastonet import (
     assemble_component,
     balance_forces,
     build_rank_one_gadget,
+    canonical_to_dict,
     eliminate_massless,
     evaluate_generalized,
     evaluate_response,
@@ -44,7 +45,8 @@ from elastonet import (
 )
 from elastonet.cli import main
 from elastonet.geometry import hull_distance
-from elastonet.jsonio import write_json
+from elastonet.jsonio import dumps_canonical, write_json
+from elastonet.model import element_to_dict, node_to_dict
 from elastonet.response import ROUNDTRIP_TOL, modal_response
 from elastonet.synthesize import modal_form
 
@@ -799,6 +801,58 @@ class TestGeneralizedJson:
         obj["components"][0]["elements"] = [element]
         with pytest.raises(SchemaError):
             generalized_from_dict(obj)
+
+
+def numbers(obj):
+    """Every number in a tree of dicts and lists; booleans are not numbers."""
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (list, tuple)):
+        for value in obj:
+            yield from numbers(value)
+    elif not isinstance(obj, (str, bool)) and obj is not None:
+        yield obj
+
+
+class TestDictsHoldPythonNumbers:
+    """The dicts handed to the writer hold Python floats and ints, which its
+    float blocks read fastest; numpy scalars print the same text."""
+
+    def dicts(self):
+        net = random_network(3, 3, 4, 12, 0.5)
+        cr = extract_canonical(assemble(net))
+        gn = synthesize(cr, seed=0)
+        # the gadgets' ideal elements, then springs
+        elements = [el for c in gn.components for el in c.elements] + list(net.springs)
+        nodes = [node_to_dict(n) for c in gn.components for n in c.nodes]
+        return cr, elements, (canonical_to_dict(cr), nodes, list(map(element_to_dict, elements)))
+
+    def test_every_number_is_an_exact_float_or_int(self):
+        for obj in self.dicts()[2]:
+            types = {type(v) for v in numbers(obj)}
+            assert float in types and types <= {float, int}
+
+    def test_the_writer_gives_the_bytes_of_numpy_scalars(self):
+        cr, raw, (canonical, nodes, elements) = self.dicts()
+        old_canonical = {
+            "alpha": cr.rayleigh.alpha,
+            "beta": cr.rayleigh.beta,
+            "A": [list(row) for row in cr.A.a],
+            "Mbb": list(cr.Mbb),
+            "modes": [{"sigma": m.sigma, "R": [list(row) for row in m.R.a]}
+                      for m in cr.modes],
+            "terminals": [list(p) for p in cr.terminal_positions],
+        }
+        old_elements = [
+            {"i": el.i, "j": el.j, "k": el.stiffness} if hasattr(el, "stiffness")
+            else {"support": list(el.support), "f": list(el.force_vector)}
+            for el in raw
+        ]
+        for new, old in ((canonical, old_canonical), (elements, old_elements)):
+            text = dumps_canonical(new)
+            assert text == dumps_canonical(old)
+            assert text == json.dumps(old, sort_keys=True, indent=2) + "\n"
+        assert dumps_canonical(nodes) == json.dumps(nodes, sort_keys=True, indent=2) + "\n"
 
 
 class TestComponentValidation:
