@@ -181,9 +181,9 @@ def cmd_characterize(args):
 def _load_forbidden(path, d):
     if path is None:
         return ()
-    obj = jsonio.load_json(path)
-    points = jsonio.as_matrix(obj, "forbidden")
-    if points.size and points.shape[1] != d:
+    points = jsonio.as_matrix(jsonio.load_json(path), "forbidden")
+    # an empty list is no points; an empty point, as in [[]], is refused
+    if len(points) and points.shape[1] != d:
         raise SchemaError(f"forbidden: expected {d} coordinates per point")
     return points
 
@@ -281,16 +281,45 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("-o", "--output", help="output file (default: stdout)")
-        p.add_argument(
-            "--seed",
-            type=int,
-            default=0,
-            help="random seed (default 0; ELASTONET_SEED overrides)",
-        )
+    # each flag shared by several subcommands is declared once, on a parent
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("-o", "--output", help="output file (default: stdout)")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[output])
+    seeded.add_argument(
+        "--seed",
+        type=int,
+        default=0,
+        help="random seed (default 0; ELASTONET_SEED overrides)",
+    )
+    condition = argparse.ArgumentParser(add_help=False)
+    condition.add_argument(
+        "--tol",
+        type=float,
+        default=DEFAULT_TOL,
+        help=f"condition tolerance (default {DEFAULT_TOL})",
+    )
+    synthesis = argparse.ArgumentParser(add_help=False)
+    synthesis.add_argument(
+        "--epsilon",
+        type=float,
+        default=0.1,
+        help="allowed distance of internal nodes from the terminal hull "
+        "(default 0.1)",
+    )
+    synthesis.add_argument("--forbidden", help="JSON file with points internal nodes avoid")
+    synthesis.add_argument(
+        "--samples",
+        type=int,
+        default=50,
+        help="number of verification points (default 50)",
+    )
 
-    p = sub.add_parser("respond", help="evaluate the terminal response on a sweep")
+    def command(name, func, parents, summary):
+        p = sub.add_parser(name, parents=parents, help=summary)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("respond", cmd_respond, [output], "evaluate the terminal response on a sweep")
     p.add_argument("input", help="network JSON file")
     p.add_argument(
         "--omega",
@@ -312,10 +341,8 @@ def build_parser():
         help="a point is resonant when min |q_j| <= TOL * max |q_j| over the "
         "modal characteristic polynomials (default 1e-10)",
     )
-    p.add_argument("-o", "--output", help="output file (default: stdout)")
-    p.set_defaults(func=cmd_respond)
 
-    p = sub.add_parser("extract", help="extract the pole-residue canonical form")
+    p = command("extract", cmd_extract, [seeded], "extract the pole-residue canonical form")
     p.add_argument("input", help="network JSON file")
     p.add_argument(
         "--tol-floppy",
@@ -329,59 +356,23 @@ def build_parser():
         default=CLUSTER_TOL,
         help=f"relative eigenvalue clustering tolerance (default {CLUSTER_TOL})",
     )
-    add_common(p)
-    p.set_defaults(func=cmd_extract)
 
-    p = sub.add_parser(
-        "characterize",
-        help="check admissibility of a network's response or a canonical form",
-    )
+    p = command("characterize", cmd_characterize, [seeded, condition],
+                "check admissibility of a network's response or a canonical form")
     p.add_argument("input", help="network or canonical JSON file")
-    p.add_argument(
-        "--tol",
-        type=float,
-        default=DEFAULT_TOL,
-        help=f"condition tolerance (default {DEFAULT_TOL})",
-    )
-    add_common(p)
-    p.set_defaults(func=cmd_characterize)
 
-    p = sub.add_parser("synthesize", help="build a network realizing a canonical form")
+    p = command("synthesize", cmd_synthesize, [seeded, synthesis],
+                "build a network realizing a canonical form")
     p.add_argument("input", help="canonical JSON file")
-    p.add_argument(
-        "--epsilon",
-        type=float,
-        default=0.1,
-        help="allowed distance of internal nodes from the terminal hull "
-        "(default 0.1)",
-    )
-    p.add_argument("--forbidden", help="JSON file with points internal nodes avoid")
-    p.add_argument(
-        "--samples",
-        type=int,
-        default=50,
-        help="number of verification points (default 50)",
-    )
-    add_common(p)
-    p.set_defaults(func=cmd_synthesize)
 
-    p = sub.add_parser("loci", help="emit realizable resonance loci as CSV")
+    p = command("loci", cmd_loci, [output], "emit realizable resonance loci as CSV")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--points", type=int, default=100, help="points (default 100)")
-    p.add_argument("-o", "--output", help="output CSV file (default: stdout)")
-    p.set_defaults(func=cmd_loci)
 
-    p = sub.add_parser(
-        "roundtrip", help="extract, check, synthesize and compare in one pass"
-    )
+    p = command("roundtrip", cmd_roundtrip, [seeded, synthesis, condition],
+                "extract, check, synthesize and compare in one pass")
     p.add_argument("input", help="network JSON file")
-    p.add_argument("--epsilon", type=float, default=0.1)
-    p.add_argument("--forbidden", help="JSON file with points internal nodes avoid")
-    p.add_argument("--samples", type=int, default=50)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    add_common(p)
-    p.set_defaults(func=cmd_roundtrip)
 
     return parser
 

@@ -204,13 +204,12 @@ def matrix_pairs(a):
     return np.stack((a.real, a.imag), -1)
 
 
-def check_fields(obj, path, required, optional=()):
+def check_fields(obj, path, required):
     """Validate that a JSON object has exactly the expected fields."""
     if not isinstance(obj, dict):
         raise SchemaError(f"{path}: expected an object, got {type(obj).__name__}")
-    allowed = set(required) | set(optional)
     for key in obj:
-        if key not in allowed:
+        if key not in required:
             raise SchemaError(f"{path}.{key}: unknown field")
     for key in required:
         if key not in obj:

@@ -121,31 +121,33 @@ def symmetrized(a):
     return _sym_part(a)
 
 
-def schur_complement(a, partition, mode="inverse"):
-    """Schur complement of the interior block of a symmetric matrix.
+def boundary_first(arrays, partition):
+    """The square ``arrays`` gathered into the order boundary, then interior,
+    and the boundary count ``nb``: the one gather of every Schur complement,
+    whose kernels then take their blocks as slices. ``partition`` must
+    cover exactly the index range of the arrays."""
+    partition.check_covers(len(arrays[0]))
+    order = partition.boundary + partition.interior
+    return [a[np.ix_(order, order)] for a in arrays], len(partition.boundary)
 
+
+def schur_complement(a, nb, mode="inverse"):
+    """Schur complement of the interior block of a symmetric array.
+
+    ``a`` is a finite 2-D array, bitwise symmetric and boundary first
+    (:func:`boundary_first`): its leading ``nb`` indices are the boundary.
     Returns ``S = A_BB - A_BI inv(A_II) A_IB`` where the interior inverse is
     either a true inverse (``mode="inverse"``, raising :class:`SingularBlock`
     when the block is numerically singular) or a Moore-Penrose pseudoinverse
     with singular values at or below ``PINV_TOL`` times the largest truncated
     (``mode="pseudoinverse"``). Both come from one SVD of the interior block.
-
-    Parameters
-    ----------
-    a : SymMatrix
-    partition : BlockPartition
-        Must cover exactly the index range of ``a``.
-    mode : {"inverse", "pseudoinverse"}
     """
-    partition.check_covers(a.order)
     if mode not in ("inverse", "pseudoinverse"):
         raise ValueError(f"unknown mode {mode!r}")
-    b, i = partition.boundary, partition.interior
-    a_bb = a.a[np.ix_(b, b)]
-    if not (b and i):
-        return SymMatrix(a_bb)
-    a_bi = a.a[np.ix_(b, i)]
-    u, s, vh = np.linalg.svd(a.a[np.ix_(i, i)])
+    if not 0 < nb < len(a):
+        return SymMatrix(a[:nb, :nb])
+    a_bi = a[:nb, nb:]
+    u, s, vh = np.linalg.svd(a[nb:, nb:])
     keep = s > PINV_TOL * s[0]  # a prefix: singular values descend
     if mode == "inverse" and not keep.all():
         raise SingularBlock(
@@ -155,38 +157,19 @@ def schur_complement(a, partition, mode="inverse"):
         )
     r = int(keep.sum())
     inv = (vh[:r].conj().T * (1.0 / s[:r])) @ np.ascontiguousarray(u[:, :r].conj().T)
-    return SymMatrix(a_bb - _sym_part(a_bi @ inv @ a_bi.T))
+    return SymMatrix(a[:nb, :nb] - _sym_part(a_bi @ inv @ a_bi.T))
 
 
-def boundary_first(arrays, partition):
-    """The square ``arrays`` gathered into the order boundary, then interior,
-    and the partition of that order; its boundary is a leading range, so
-    :func:`schur_complement_lu` takes its blocks as slices."""
-    partition.check_covers(len(arrays[0]))
-    order = partition.boundary + partition.interior
-    nb = len(partition.boundary)
-    leading = BlockPartition(range(nb), range(nb, len(order)))
-    return [a[np.ix_(order, order)] for a in arrays], leading
-
-
-def schur_complement_lu(a, partition):
+def schur_complement_lu(a, nb):
     """Schur complement of the interior block of a symmetric array by LU.
 
-    ``a`` is a plain 2-D array, bitwise symmetric, covered by ``partition``.
-    Returns the bitwise symmetric ``A_BB - A_BI X``, where ``X`` solves
-    ``A_II X = A_IB`` by one ``np.linalg.solve`` (LU with partial pivoting).
-    The blocks are slices of ``a`` when the boundary is a leading range in
-    order and the interior the rest (:func:`boundary_first`); under any
-    other partition ``a`` is gathered into that order first. The blocks
-    hold the same entries either way.
+    ``a`` is as for :func:`schur_complement`. Returns the bitwise symmetric
+    ``A_BB - A_BI X``, where ``X`` solves ``A_II X = A_IB`` by one
+    ``np.linalg.solve`` (LU with partial pivoting).
     An exactly zero pivot raises ``np.linalg.LinAlgError``. A nearly
     singular block is not detected: its complement may be inaccurate or not
     finite, so a caller compares the result with an independent value.
     """
-    partition.check_covers(len(a))
-    nb = len(partition.boundary)
-    if partition.boundary + partition.interior != tuple(range(len(a))):
-        (a,), _ = boundary_first([a], partition)
     if not 0 < nb < len(a):
         return a[:nb, :nb].copy()
     return a[:nb, :nb] - _sym_part(a[:nb, nb:] @ np.linalg.solve(a[nb:, nb:], a[nb:, :nb]))

@@ -153,14 +153,34 @@ class ReducedSystem:
 
     @cached_property
     def modal(self):
-        """``(sigmas, V)``, computed once and read-only: ``Mjj^-1/2 Kjj Mjj^-1/2
-        = U diag(sigmas) U^T`` ascending, and ``V = Ktilde_bj Mjj^-1/2 U``."""
-        nb, inv_sqrt = self.n_b, 1.0 / np.sqrt(self.Mjj)
-        normalized = SymMatrix(np.outer(inv_sqrt, inv_sqrt) * self.Ktilde.a[nb:, nb:])
-        sigmas, u = np.linalg.eigh(normalized.a)
-        v = self.Ktilde.a[:nb, nb:] @ (inv_sqrt[:, None] * u)
+        """:func:`modal_stack` of this one system, computed once and read-only."""
+        sigmas, v = modal_stack(self.Ktilde.a[None], 1.0 / np.sqrt(self.Mjj)[None], self.n_b)
+        if not len(sigmas):
+            raise DimensionMismatch("matrix entries must be finite")
         sigmas.flags.writeable = v.flags.writeable = False
-        return sigmas, v
+        return sigmas[0], v[0]
+
+
+def modal_stack(K, inv_sqrt, nb):
+    """``(sigmas, V)`` of a ``(k, n, n)`` stack ``K``, boundary first, and the
+    ``(k, n - nb)`` interior ``Mjj^-1/2``: ``Mjj^-1/2 Kjj Mjj^-1/2 = U
+    diag(sigmas) U^T`` ascending and ``V = K_bj Mjj^-1/2 U``, by one stacked
+    ``eigh`` with the bits of one per system, up to the first system whose
+    ``K`` or normalized block is not finite."""
+    normalized = inv_sqrt[:, :, None] * inv_sqrt[:, None, :] * K[:, nb:, nb:]
+    finite = np.isfinite(K).all(axis=(1, 2)) & np.isfinite(normalized).all(axis=(1, 2))
+    count = len(K) if finite.all() else int(np.argmin(finite))
+    sigmas, u = np.linalg.eigh(normalized[:count])
+    return sigmas, K[:count, :nb, nb:] @ (inv_sqrt[:count, :, None] * u)
+
+
+def _pencil(K, C, M, lam, out=None):
+    """``K + lambda*C + lambda^2*M``, into ``out`` when given: IEEE addition
+    commutes, so these are the bits of that expression."""
+    out = np.multiply(C, lam, out=out)
+    out += K
+    out += (lam * lam) * M
+    return out
 
 
 def evaluate_response(sys, lam, mode="inverse"):
@@ -176,9 +196,10 @@ def evaluate_response(sys, lam, mode="inverse"):
     """
     lam = complex(lam)
     K, M = sys.K.a, sys.M.a
-    pencil = SymMatrix(K + lam * sys.rayleigh.damping(K, M) + lam * lam * M)
+    pencil = SymMatrix(_pencil(K, sys.rayleigh.damping(K, M), M, lam), copy=False)
+    (pencil,), nb = boundary_first([pencil.a], sys.partition)
     try:
-        return ResponseSample(lam, schur_complement(pencil, sys.partition, mode))
+        return ResponseSample(lam, schur_complement(pencil, nb, mode))
     except SingularBlock as exc:
         raise AtResonance(
             f"lambda = {lam} is numerically a resonance: {exc}",
@@ -210,9 +231,8 @@ def eliminate_massless(sys):
     j_coords = [c for c in interior if masses[c] != 0.0]
     l_coords = [c for c in interior if masses[c] == 0.0]
 
-    ktilde = schur_complement(
-        sys.K, BlockPartition(boundary + j_coords, l_coords), mode="pseudoinverse"
-    )
+    (k,), nk = boundary_first([sys.K.a], BlockPartition(boundary + j_coords, l_coords))
+    ktilde = schur_complement(k, nk, mode="pseudoinverse")
     block = ktilde.a[len(boundary):, len(boundary):]
     if block.size and not is_psd(SymMatrix(block), tol=1e-9):
         raise ElastonetError("reduced interior stiffness is not positive semidefinite")
@@ -391,15 +411,15 @@ def _reconstruction_error(sys, cr, lams):
 
     ``K``, ``C`` and ``M`` are gathered into boundary-first order once
     (:func:`boundary_first`); the pencil at each of ``lams`` is formed in one
-    buffer, entry for entry ``K + lambda*C + lambda^2*M``, and solved by LU
-    (:func:`schur_complement_lu`). A point whose solve fails, is not finite
-    or deviates beyond ``ROUNDTRIP_TOL`` is evaluated again by the
-    pseudoinverse :func:`evaluate_response`, and that value counts. Massless
-    interior nodes with floppy directions make every pencil singular and
-    take this path.
+    buffer (:func:`_pencil`) and solved by LU (:func:`schur_complement_lu`).
+    A point whose solve fails, is not finite or deviates beyond
+    ``ROUNDTRIP_TOL`` is solved again by the pseudoinverse
+    :func:`schur_complement` of the same pencil, and that value counts.
+    Massless interior nodes with floppy directions make every pencil
+    singular and take this path.
     """
     K, M = sys.K.a, sys.M.a
-    (K, C, M), leading = boundary_first((K, sys.rayleigh.damping(K, M), M), sys.partition)
+    (K, C, M), nb = boundary_first((K, sys.rayleigh.damping(K, M), M), sys.partition)
     norms = [np.abs(x).max() for x in (K, C, M)]
     pencil = np.empty(K.shape, dtype=complex)
     worst = 0.0
@@ -409,16 +429,12 @@ def _reconstruction_error(sys, cr, lams):
         floor = 1e-4 * (norms[0] + norms[1] * abs(lam) + norms[2] * abs(lam) ** 2)
         try:
             with np.errstate(all="ignore"):
-                # IEEE addition commutes: the bits of K + lam*C + lam*lam*M
-                np.multiply(C, lam, out=pencil)
-                pencil += K
-                pencil += (lam * lam) * M
-                direct = schur_complement_lu(pencil, leading)
+                direct = schur_complement_lu(_pencil(K, C, M, lam, pencil), nb)
                 err = _relative_gap(closed, direct, floor)  # NaN if not finite
         except np.linalg.LinAlgError:
             err = np.inf
         if not err <= ROUNDTRIP_TOL:
-            direct = evaluate_response(sys, lam, mode="pseudoinverse").W.a
+            direct = schur_complement(SymMatrix(pencil).a, nb, "pseudoinverse").a
             err = _relative_gap(closed, direct, floor)
         worst = max(worst, err)
     return worst

@@ -69,6 +69,7 @@ from .response import (
     eliminate_massless,
     evaluate_response,
     modal_response,
+    modal_stack,
     sample_nonresonant,
     system_resonances,
 )
@@ -337,14 +338,14 @@ def balance_forces(
     tau_terminals = total_torque(terminals, fmat)
     scale = 1.0 + np.abs(fmat).max()
 
-    def couple_at(x1, x2):
-        tau = tau_terminals + np.atleast_1d(cross(x1, f_rem))
-        return _solve_couple(x1, x2, f_rem, tau, min_force)
+    def residual_torque(x1):
+        # the torque of the system once f_rem is assigned to x1
+        return tau_terminals + np.atleast_1d(cross(x1, f_rem))
 
     if candidates is not None:
         x1 = np.asarray(candidates[0], dtype=float)
         x2 = np.asarray(candidates[1], dtype=float)
-        g = couple_at(x1, x2)
+        g = _solve_couple(x1, x2, f_rem, residual_torque(x1), min_force)
         if g is None:
             raise PlacementFailed(
                 "candidate nodes cannot balance the system (coincident, or "
@@ -360,12 +361,12 @@ def balance_forces(
         x1 = _draw_point(rng, terminals, epsilon_hull, avoid, clearance, jitter1)
         if x1 is None:
             continue
+        tau = residual_torque(x1)
         if d == 2:
             x2 = _draw_point(rng, terminals, epsilon_hull, avoid, clearance, 0.9)
             if x2 is None:
                 continue
         else:
-            tau = tau_terminals + cross(x1, f_rem)
             tnorm = np.linalg.norm(tau)
             if tnorm > 1e-12 * scale:
                 probe = rng.standard_normal(3)
@@ -384,7 +385,7 @@ def balance_forces(
         separation = np.linalg.norm(x1 - x2)
         if separation < max(clearance, 0.02 * epsilon_hull):
             continue
-        g = couple_at(x1, x2)
+        g = _solve_couple(x1, x2, f_rem, tau, min_force)
         if g is None:
             continue
         _assert_balanced(terminals, fmat, x1, x2, g, scale)
@@ -435,15 +436,20 @@ def build_rank_one_gadget(
     response vanish. The gadget's own modes are checked against that
     contract before returning (:func:`_reduce_gadgets`).
     """
-    comp = _place_gadget(terminals, f, sigma, rayleigh, epsilon_hull=epsilon_hull,
+    comp = _place_gadget(terminals, None, f, sigma, rayleigh, epsilon_hull=epsilon_hull,
                          forbidden=forbidden, seed=seed, min_clearance=min_clearance,
                          candidates=candidates)
     _reduce_gadgets([(comp, sigma)])
     return comp
 
 
-def _place_gadget(terminals, f, sigma, rayleigh, **placement):
-    """The component of :func:`build_rank_one_gadget`, not yet checked."""
+def _terminal_nodes(terminals, masses):
+    return tuple(Node(tuple(p), float(m), True) for p, m in zip(terminals, masses))
+
+
+def _place_gadget(terminals, terminal_nodes, f, sigma, rayleigh, **placement):
+    """The component of :func:`build_rank_one_gadget`, not yet checked, on
+    the shared massless ``terminal_nodes`` (None: built once placed)."""
     terminals = np.atleast_2d(np.asarray(terminals, dtype=float))
     nt, d = terminals.shape
     f = np.asarray(f, dtype=float).ravel()
@@ -456,15 +462,15 @@ def _place_gadget(terminals, f, sigma, rayleigh, **placement):
         raise ValueError(f"sigma must be > 0, got {sigma}")
     x1, x2, g = balance_forces(terminals, f, min_force=max(1e-2, 0.1 * fnorm), **placement)
     mass = float(g @ g) / float(sigma)
-    nodes = [Node(tuple(p), 0.0, True) for p in terminals]
-    nodes.append(Node(tuple(x1), mass, False))
-    nodes.append(Node(tuple(x2), mass, False))
+    if terminal_nodes is None:
+        terminal_nodes = _terminal_nodes(terminals, np.zeros(nt))
+    nodes = (*terminal_nodes, Node(tuple(x1), mass, False), Node(tuple(x2), mass, False))
     element = IdealElasticElement(
         support=tuple(range(nt + 2)), force_vector=np.concatenate([f, g])
     )
     return NetworkComponent(
         kind="rank_one_gadget",
-        nodes=tuple(nodes),
+        nodes=nodes,
         n_terminals=nt,
         elements=(element,),
         rayleigh=rayleigh,
@@ -485,9 +491,9 @@ def _reduce_gadgets(gadgets):
     """Reduce ``(gadget, sigma)`` pairs as one stack and check each contract.
 
     A gadget's interior is all massive, so its reduction keeps K whole, and
-    its interior block ``g g^T`` is PSD by construction. One ``eigh`` and
-    ``V`` run on the stack with the bits of :attr:`ReducedSystem.modal`, and
-    seed each :attr:`NetworkComponent.modal_form`, read-only. The contract,
+    its interior block ``g g^T`` is PSD by construction. One
+    :func:`modal_stack` gives the bits of :attr:`ReducedSystem.modal` and
+    seeds each :attr:`NetworkComponent.modal_form`, read-only. The contract,
     which gives :func:`rank_one_response`: one coupled column, of modal
     stiffness sigma and equal to ``+-sqrt(sigma) f``. The first gadget to
     fail raises :class:`PlacementFailed` for the contract, or what its own
@@ -499,12 +505,9 @@ def _reduce_gadgets(gadgets):
     d = comps[0].dimension
     nb = comps[0].n_terminals * d
     forces, K, mass = _gadget_matrices(comps)
-    scale = 1.0 / np.sqrt(mass)[:, None, None]
-    normalized = scale * scale * K[:, nb:, nb:]
-    finite = np.isfinite(K).all(axis=(1, 2)) & np.isfinite(normalized).all(axis=(1, 2))
-    count = len(comps) if finite.all() else int(np.argmin(finite))
-    sigmas, u = np.linalg.eigh(normalized[:count])
-    v = K[:count, :nb, nb:] @ (scale[:count] * u)
+    inv_sqrt = np.repeat(1.0 / np.sqrt(mass)[:, None], 2 * d, axis=1)
+    sigmas, v = modal_stack(K, inv_sqrt, nb)
+    count = len(sigmas)
     target = np.array(target[:count])
     column = np.sqrt(target)[:, None] * forces[:count, :nb]
     size = np.linalg.norm(column, axis=1)
@@ -609,8 +612,7 @@ def synthesize(
     static_factors = _rank_one_factors(
         w0.a, terminals, what="static slice", floor=1e-12 * static_scale
     )
-    def on_terminals(kind, masses, elements):
-        nodes = tuple(Node(tuple(p), float(m), True) for p, m in zip(terminals, masses))
+    def on_terminals(kind, nodes, elements):
         return NetworkComponent(
             kind=kind,
             nodes=nodes,
@@ -620,15 +622,19 @@ def synthesize(
             dimension=d,
         )
 
+    # the massless terminal nodes, built once and shared by the components
+    massless = _terminal_nodes(terminals, np.zeros(nt))
     if static_factors:
         elements = tuple(
             IdealElasticElement(tuple(range(nt)), w) for w in static_factors
         )
-        components.append(on_terminals("ideal_elements", np.zeros(nt), elements))
+        components.append(on_terminals("ideal_elements", massless, elements))
 
     node_masses = cr.Mbb[::d]
     if node_masses.max(initial=0.0) > 0.0:
-        components.append(on_terminals("terminal_masses", node_masses, ()))
+        components.append(
+            on_terminals("terminal_masses", _terminal_nodes(terminals, node_masses), ())
+        )
 
     factors = [(m.sigma, v) for m in cr.modes for v in _rank_one_factors(m.R.a / m.sigma)]
     # each gadget keeps clear of the user's points and of the nodes placed
@@ -639,8 +645,9 @@ def synthesize(
     gadgets = []
     try:
         for sigma, v in factors:
-            gadget = _place_gadget(terminals, v, sigma, cr.rayleigh, epsilon_hull=epsilon_hull,
-                                   forbidden=placed[:used], seed=rng, min_clearance=clearance)
+            gadget = _place_gadget(terminals, massless, v, sigma, cr.rayleigh,
+                                   epsilon_hull=epsilon_hull, forbidden=placed[:used],
+                                   seed=rng, min_clearance=clearance)
             gadgets.append((gadget, sigma))
             placed[used:used + 2] = gadget.internal_positions
             used += 2

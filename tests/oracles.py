@@ -2,7 +2,16 @@
 
 import numpy as np
 
-from elastonet import ElastodynamicNetwork, IdealElasticElement, Node, SchemaError, Spring
+from elastonet import (
+    ElastodynamicNetwork,
+    IdealElasticElement,
+    Node,
+    SchemaError,
+    SingularBlock,
+    Spring,
+    SymMatrix,
+)
+from elastonet.linalg import PINV_TOL
 from elastonet.model import (
     assemble_elements,
     node_from_dict,
@@ -11,6 +20,49 @@ from elastonet.model import (
     spring_from_dict,
 )
 from elastonet.response import ROUNDTRIP_TOL, canonical_responses, evaluate_response
+
+
+def schur_complement_by_index(a, partition, mode="inverse"):
+    """The SVD Schur complement of a ``SymMatrix`` with its three blocks
+    gathered by ``np.ix_`` straight from the partition, in any order: the
+    reference for ``linalg.schur_complement`` on a boundary-first array."""
+    partition.check_covers(a.order)
+    b, i = partition.boundary, partition.interior
+    a_bb = a.a[np.ix_(b, b)]
+    if not (b and i):
+        return SymMatrix(a_bb)
+    a_bi = a.a[np.ix_(b, i)]
+    u, s, vh = np.linalg.svd(a.a[np.ix_(i, i)])
+    keep = s > PINV_TOL * s[0]
+    if mode == "inverse" and not keep.all():
+        raise SingularBlock(
+            f"interior block numerically singular: smallest singular value "
+            f"{s[-1]:.3e} vs threshold {PINV_TOL * s[0]:.3e}",
+            smallest_singular_value=s[-1],
+        )
+    r = int(keep.sum())
+    inv = (vh[:r].conj().T * (1.0 / s[:r])) @ np.ascontiguousarray(u[:, :r].conj().T)
+    x = a_bi @ inv @ a_bi.T
+    return SymMatrix(a_bb - 0.5 * (x + x.T))
+
+
+def evaluate_response_by_index(sys, lam, mode):
+    """The direct response of an assembled system as one expression in node
+    order, ``K + lam*C + lam*lam*M``, then :func:`schur_complement_by_index`:
+    the reference for ``response.evaluate_response``."""
+    lam = complex(lam)
+    K, M = sys.K.a, sys.M.a
+    pencil = SymMatrix(K + lam * sys.rayleigh.damping(K, M) + lam * lam * M)
+    return schur_complement_by_index(pencil, sys.partition, mode)
+
+
+def modal_by_system(red):
+    """``(sigmas, V)`` of one reduced system by a two-dimensional ``eigh``:
+    the reference for ``response.modal_stack``."""
+    nb, inv_sqrt = red.n_b, 1.0 / np.sqrt(red.Mjj)
+    normalized = SymMatrix(np.outer(inv_sqrt, inv_sqrt) * red.Ktilde.a[nb:, nb:])
+    sigmas, u = np.linalg.eigh(normalized.a)
+    return sigmas, red.Ktilde.a[:nb, nb:] @ (inv_sqrt[:, None] * u)
 
 
 def assemble_union(gn):

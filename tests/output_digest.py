@@ -8,8 +8,11 @@ Usage::
 
 The package is imported from ``PYTHONPATH``, so this one script digests any
 checkout. For each network it runs ``extract``, ``characterize``,
-``respond``, ``synthesize`` (on the extracted form) and ``roundtrip``
-in process through ``elastonet.cli.main``, and writes the exit code and the
+``respond``, ``synthesize`` (on the extracted form), ``synthesize
+--forbidden`` (the same form, forbidding the internal node positions of the
+plain synthesis and the centroid of the terminals, so that placement must
+redraw) and ``roundtrip`` in process through ``elastonet.cli.main``, and
+writes the exit code and the
 sha256 of the output file of each run. Two checkouts whose files are equal
 write byte-identical outputs on every run; ``diff`` names the runs that
 differ. Run both with the same BLAS thread count (for example
@@ -18,8 +21,8 @@ differ. Run both with the same BLAS thread count (for example
 The networks are ``random_network(s, d, 3, 6, mf)`` for s = 0..23, d = 2, 3
 and mf = 0, 0.5, 1, the near-floppy networks of
 ``tests/test_response.py::test_near_floppy_network_extracts``, and a network
-file whose spring list repeats springs and reverses their ends: about 750
-runs, about 10 s on one core. One more ``respond`` sweeps 50 points of the
+file whose spring list repeats springs and reverses their ends: about 900
+runs, about 8 s on one core. One more ``respond`` sweeps 50 points of the
 158-node ``random_network(5, 3, 8, 150, 0.5)``, the size of a benchmark sweep
 input, in about 0.2 s. Pytest does not collect this file.
 """
@@ -74,6 +77,21 @@ def networks():
     yield "parallel_and_reversed", parallel_and_reversed()
 
 
+def forbidden_points(network_file):
+    """The internal node positions of a synthesized network file, then the
+    centroid of its terminals."""
+    obj = json.loads(network_file.read_text())
+    points = [
+        node["position"]
+        for comp in obj["components"]
+        for node in comp["nodes"]
+        if not node["terminal"]
+    ]
+    terminals = obj["terminals"]
+    centroid = [sum(column) / len(terminals) for column in zip(*terminals)]
+    return points + [centroid]
+
+
 def run(argv, out):
     """Exit code of ``main(argv + ["-o", out])`` and the sha256 of ``out``,
     None when the run wrote no file."""
@@ -96,7 +114,14 @@ def digest(workdir):
             workdir / "responses.json",
         )
         if canonical.exists():
-            runs["synthesize"] = run(["synthesize", str(canonical)], workdir / "network.json")
+            network = workdir / "network.json"
+            runs["synthesize"] = run(["synthesize", str(canonical)], network)
+            if network.exists():
+                forbidden = workdir / "forbidden.json"
+                write_json(forbidden, forbidden_points(network))
+                runs["synthesize --forbidden"] = run(
+                    ["synthesize", str(canonical), "--forbidden", str(forbidden)], network
+                )
         runs["roundtrip"] = run(["roundtrip", net_file], workdir / "roundtrip.json")
         canonical.unlink(missing_ok=True)
         results[name] = runs

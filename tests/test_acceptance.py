@@ -39,7 +39,7 @@ from elastonet import (
 )
 from elastonet.cli import main as cli_main
 from elastonet.jsonio import write_json
-from elastonet.linalg import BlockPartition
+from elastonet.linalg import BlockPartition, boundary_first
 from elastonet.resonances import classify
 
 from oracles import assemble_union
@@ -133,7 +133,8 @@ def test_criterion_3_rayleigh_structure_preservation():
         massive = [c for c in interior if masses[c] != 0.0]
         massless = [c for c in interior if masses[c] == 0.0]
         part = BlockPartition(list(sys.partition.boundary) + massive, massless)
-        ctilde = schur_complement(sys.C, part, "pseudoinverse")
+        (c,), nb = boundary_first([sys.C.a], part)
+        ctilde = schur_complement(c, nb, "pseudoinverse")
         alpha, beta = net.rayleigh.alpha, net.rayleigh.beta
         expected = alpha * red.Ktilde.a + beta * np.diag(
             np.concatenate([red.Mbb, red.Mjj])
@@ -221,18 +222,17 @@ def test_criterion_7_schur_appendix_properties():
         g = rng.standard_normal((n, n))
         return g.T @ g + shift * np.eye(n)
 
-    part = BlockPartition(range(3), range(3, 7))
     for _ in range(200):  # homogeneity
         a = SymMatrix(spd(7) + 1j * 0.4 * spd(7))
         lam = rng.standard_normal() + 1j * rng.standard_normal()
-        s = schur_complement(a, part)
-        s_scaled = schur_complement(SymMatrix(lam * a.a), part)
+        s = schur_complement(a.a, 3)
+        s_scaled = schur_complement(SymMatrix(lam * a.a).a, 3)
         assert np.abs(s_scaled.a - lam * s.a).max() <= 1e-10 * np.abs(lam * s.a).max()
     for _ in range(200):  # quadratic form identity
         re = rng.standard_normal((7, 7))
         im = rng.standard_normal((7, 7))
         a = SymMatrix((re + re.T) / 2 + 1j * (im + im.T) / 2 + 4.0 * np.eye(7))
-        s = schur_complement(a, part)
+        s = schur_complement(a.a, 3)
         vb = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         vi = -np.linalg.solve(a.a[3:, 3:], a.a[3:, :3] @ vb)
         v = np.concatenate([vb, vi])
@@ -242,11 +242,11 @@ def test_criterion_7_schur_appendix_properties():
     for _ in range(200):  # sign preservation, both parts
         im = rng.standard_normal((7, 7))
         a = SymMatrix(spd(7) + 0.5j * (im + im.T))
-        s = schur_complement(a, part).a
+        s = schur_complement(a.a, 3).a
         assert np.linalg.eigvalsh((s.real + s.real.T) / 2).min() >= -1e-9
         re = rng.standard_normal((7, 7))
         a = SymMatrix((re + re.T) / 2 + 1j * spd(7))
-        s = schur_complement(a, part).a
+        s = schur_complement(a.a, 3).a
         assert np.linalg.eigvalsh((s.imag + s.imag.T) / 2).min() >= -1e-9
     _report(7, "Schur complement identities", "(200 matrices per property)")
 

@@ -127,7 +127,7 @@ class TestRespond:
             calls.clear()
             argv = ["respond", net_file, "--omega", "0.5", "5", count]
             assert main(argv + ["-o", str(tmp_path / "o.json")]) == 0
-            assert calls == [(n_j, n_j)], count
+            assert calls == [(1, n_j, n_j)], count  # a stack of one
 
     def test_missing_sweep_exits_2(self, net_file, tmp_path):
         assert main(["respond", net_file, "-o", str(tmp_path / "o")]) == 2
@@ -234,6 +234,27 @@ class TestSynthesize:
             ["synthesize", canonical_file, "--forbidden", str(forb), "-o", str(out)]
         )
         assert code == 0
+
+    @pytest.mark.parametrize("points", [[[]], [[], []], [[0.5, 0.5, 0.5]]])
+    def test_a_forbidden_point_of_the_wrong_width_exits_2(
+        self, tmp_path, canonical_file, points, capsys
+    ):
+        # [[]] holds one point with no coordinates, not an empty list of points
+        forb = tmp_path / "forbidden.json"
+        write_json(forb, points)
+        out = tmp_path / "gen.json"
+        code = main(["synthesize", canonical_file, "--forbidden", str(forb), "-o", str(out)])
+        assert code == 2
+        assert "forbidden: expected 2 coordinates per point" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_an_empty_forbidden_list_is_no_points(self, tmp_path, canonical_file):
+        forb = tmp_path / "forbidden.json"
+        write_json(forb, [])
+        out, plain = tmp_path / "gen.json", tmp_path / "plain.json"
+        assert main(["synthesize", canonical_file, "--forbidden", str(forb), "-o", str(out)]) == 0
+        assert main(["synthesize", canonical_file, "-o", str(plain)]) == 0
+        assert out.read_bytes() == plain.read_bytes()
 
 
     @pytest.mark.parametrize("command", ["synthesize", "roundtrip"])

@@ -2,8 +2,9 @@
 error class it defines, and writes JSON only through the canonical writer;
 in synthesis only the direct oracle solves Schur complements,
 ``geometry.cross`` is the one cross product, only ``linalg`` repairs
-symmetry, takes an SVD or gathers blocks with ``np.ix_``, and only
-``response`` builds a ``ReducedSystem``."""
+symmetry, takes an SVD or gathers blocks with ``np.ix_`` (only in
+``boundary_first``), only ``response`` builds a ``ReducedSystem``, and one
+pencil helper and one modal eigensolve remain."""
 
 import ast
 from pathlib import Path
@@ -249,3 +250,66 @@ def test_guard_reports_an_ix_gather():
 )
 def test_only_linalg_gathers_blocks(module):
     assert ix_uses((PACKAGE / module).read_text()) == []
+
+
+def scopes_calling(source, name):
+    """Names of the top-level functions of ``source``, and of its methods as
+    ``Class.method``, that call ``name``, bare or as an attribute."""
+    tree = ast.parse(source)
+    scopes = [(fn.name, fn) for fn in tree.body if isinstance(fn, ast.FunctionDef)]
+    scopes += [
+        (f"{cls.name}.{fn.name}", fn)
+        for cls in tree.body if isinstance(cls, ast.ClassDef)
+        for fn in cls.body if isinstance(fn, ast.FunctionDef)
+    ]
+    return sorted(
+        qualified for qualified, fn in scopes
+        if any(
+            isinstance(node, ast.Call)
+            and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+            for node in ast.walk(fn)
+        )
+    )
+
+
+def test_guard_reports_every_calling_scope():
+    source = (
+        "def a():\n    return np.f(1)\n\n\nclass C:\n    def m(self):\n"
+        "        return f()\n\n    def n(self):\n        return f\n\n\n"
+        "def b():\n    return g(1)\n"
+    )
+    assert scopes_calling(source, "f") == ["C.m", "a"]
+
+
+def package_scopes_calling(name):
+    return [
+        f"{path.name}:{scope}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for scope in scopes_calling(path.read_text(), name)
+    ]
+
+
+# the one gather and the one coverage check of every Schur complement; the
+# kernels take slices of a boundary-first array
+@pytest.mark.parametrize("name", ["ix_", "check_covers"])
+def test_only_boundary_first_gathers_and_checks_a_partition(name):
+    assert package_scopes_calling(name) == ["linalg.py:boundary_first"]
+
+
+# one modal kernel serves a reduced system (a stack of one) and the gadget
+# stack; the other eigh is the rank-one factorization of a PSD block
+def test_one_modal_eigensolve():
+    assert package_scopes_calling("eigh") == [
+        "response.py:modal_stack", "synthesize.py:_rank_one_factors"
+    ]
+
+
+# one pencil helper; the self-check's fallback solves the pencil in its
+# buffer instead of rebuilding it through evaluate_response
+def test_one_pencil_helper():
+    assert package_scopes_calling("_pencil") == [
+        "response.py:_reconstruction_error", "response.py:evaluate_response"
+    ]
+    assert package_scopes_calling("evaluate_response") == [
+        "synthesize.py:evaluate_generalized"
+    ]

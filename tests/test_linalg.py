@@ -21,7 +21,16 @@ from elastonet import (
     schur_complement,
 )
 from elastonet.cli import main as cli_main
-from elastonet.linalg import PINV_TOL, schur_complement_lu, symmetrized
+from elastonet.linalg import PINV_TOL, boundary_first, schur_complement_lu, symmetrized
+
+from oracles import schur_complement_by_index
+
+
+def schur_of(a, boundary, interior, mode="inverse"):
+    """``schur_complement`` of a ``SymMatrix`` under any partition: one
+    gather by ``boundary_first``, then the kernel."""
+    (g,), nb = boundary_first([a.a], BlockPartition(boundary, interior))
+    return schur_complement(g, nb, mode)
 
 
 def random_spd(rng, n, shift=0.1):
@@ -177,25 +186,24 @@ class TestBlockPartition:
             BlockPartition([0, 1], [1, 2])
 
     def test_coverage_checked_at_use(self):
-        a = SymMatrix(np.eye(3))
         with pytest.raises(DimensionMismatch):
-            schur_complement(a, BlockPartition([0], [1]))
+            boundary_first([np.eye(3)], BlockPartition([0], [1]))
 
 
 class TestSchurComplement:
     def test_two_by_two(self):
         a = SymMatrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        s = schur_complement(a, BlockPartition([0], [1]))
+        s = schur_complement(a.a, 1)
         assert_allclose(s.a, [[1.5]])
 
     def test_identity_any_partition(self):
         a = SymMatrix(np.eye(5))
-        s = schur_complement(a, BlockPartition([0, 2, 4], [1, 3]))
+        s = schur_of(a, [0, 2, 4], [1, 3])
         assert_allclose(s.a, np.eye(3))
 
     def test_empty_interior_returns_boundary_block(self):
         a = SymMatrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        s = schur_complement(a, BlockPartition([0, 1], []))
+        s = schur_complement(a.a, 2)
         assert_allclose(s.a, a.a)
 
     def test_chain_pseudoinverse_matches_series_stiffness(self, assembled_chain):
@@ -204,7 +212,7 @@ class TestSchurComplement:
         k = assembled_chain.K
         part = assembled_chain.partition
         assert_allclose(k.a[np.ix_(part.interior, part.interior)], [[2.0, 0.0], [0.0, 0.0]])
-        s = schur_complement(k, part, mode="pseudoinverse")
+        s = schur_of(k, part.boundary, part.interior, mode="pseudoinverse")
         expected = 0.5 * np.array(
             [
                 [1.0, 0.0, -1.0, 0.0],
@@ -221,7 +229,7 @@ class TestSchurComplement:
         k = assembled_chain.K.a
         part = assembled_chain.partition
         b, i = list(part.boundary), list(part.interior)
-        s = schur_complement(assembled_chain.K, part, mode="pseudoinverse")
+        s = schur_of(assembled_chain.K, b, i, mode="pseudoinverse")
         rng = np.random.default_rng(42)
         for _ in range(5):
             ub = rng.standard_normal(len(b))
@@ -232,7 +240,7 @@ class TestSchurComplement:
     def test_singular_block_raises_with_value(self):
         a = SymMatrix(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0]]))
         with pytest.raises(SingularBlock) as info:
-            schur_complement(a, BlockPartition([0], [1, 2]))
+            schur_complement(a.a, 1)
         s = np.linalg.svd(a.a[1:, 1:])[1]
         assert info.value.smallest_singular_value == s[-1]
         assert str(info.value) == (
@@ -240,11 +248,11 @@ class TestSchurComplement:
             f"{s[-1]:.3e} vs threshold {PINV_TOL * s[0]:.3e}"
         )
         # pseudoinverse mode handles the same block
-        schur_complement(a, BlockPartition([0], [1, 2]), mode="pseudoinverse")
+        schur_complement(a.a, 1, mode="pseudoinverse")
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
-            schur_complement(SymMatrix(np.eye(2)), BlockPartition([0], [1]), mode="lu")
+            schur_complement(np.eye(2), 1, mode="lu")
 
 
 class TestSchurComplements:
@@ -274,13 +282,13 @@ class TestSchurComplements:
         bi = np.ix_(part.boundary, part.interior)
         for m in a:
             expected = m[b] - m[bi] @ np.linalg.pinv(m[i], rcond=PINV_TOL) @ m[bi].T
-            s = schur_complement(SymMatrix(m), part, mode="pseudoinverse").a
+            s = schur_of(SymMatrix(m), part.boundary, part.interior, "pseudoinverse").a
             assert_allclose(s, expected, rtol=0, atol=1e-10 * np.abs(m).max())
 
     def test_empty_blocks(self):
         a = SymMatrix(2.0 * np.eye(3))
-        assert np.array_equal(schur_complement(a, BlockPartition(range(3), [])).a, a.a)
-        assert schur_complement(a, BlockPartition([], range(3))).a.shape == (0, 0)
+        assert np.array_equal(schur_complement(a.a, 3).a, a.a)
+        assert schur_complement(a.a, 0).a.shape == (0, 0)
 
     @pytest.mark.parametrize("damped", [False, True])
     def test_lu_kernel_agrees_with_the_svd_kernel(self, damped):
@@ -292,10 +300,10 @@ class TestSchurComplements:
             k = random_spd(rng, 7)
             m = np.diag(rng.uniform(0.5, 2.0, 7))
             c = 0.3 * k + 0.8 * m if damped else np.zeros((7, 7))
-            a = SymMatrix(k + lam * c + lam * lam * m).a
-            lu = schur_complement_lu(a, part)
+            (a,), nb = boundary_first([SymMatrix(k + lam * c + lam * lam * m).a], part)
+            lu = schur_complement_lu(a, nb)
             assert np.array_equal(lu, lu.T)
-            svd = schur_complement(SymMatrix(a), part).a
+            svd = schur_complement(a, nb).a
             assert_allclose(lu, svd, rtol=0, atol=1e-10 * np.abs(svd).max())
 
     def test_lu_kernel_slices_have_the_bits_of_gathered_blocks(self):
@@ -303,29 +311,26 @@ class TestSchurComplements:
         b, i = [4, 0, 6], [1, 5, 2, 3]
         k, m = random_spd(rng, 7), np.diag(rng.uniform(0.5, 2.0, 7))
         a = SymMatrix(k + (0.7 + 1.3j) * (0.3 * k + 0.8 * m) + (0.7 + 1.3j) ** 2 * m).a
-        (gathered,), leading = linalg.boundary_first([a], BlockPartition(b, i))
-        assert (leading.boundary, leading.interior) == ((0, 1, 2), (3, 4, 5, 6))
+        (gathered,), nb = linalg.boundary_first([a], BlockPartition(b, i))
+        assert nb == 3
         assert gathered.tobytes() == a[np.ix_(b + i, b + i)].tobytes()
         # each block gathered on its own, the kernel before slicing
         x = a[np.ix_(b, i)] @ np.linalg.solve(a[np.ix_(i, i)], a[np.ix_(i, b)])
         want = a[np.ix_(b, b)] - 0.5 * (x + x.T)
-        for got in (schur_complement_lu(gathered, leading),
-                    schur_complement_lu(a, BlockPartition(b, i))):
-            assert got.tobytes() == want.tobytes()
+        assert schur_complement_lu(gathered, nb).tobytes() == want.tobytes()
 
     def test_lu_kernel_raises_on_a_zero_pivot(self):
         a = np.diag([1.0, 1.0, 0.0])
         with pytest.raises(np.linalg.LinAlgError):
-            schur_complement_lu(a, BlockPartition([0], [1, 2]))
+            schur_complement_lu(a, 1)
         # the same block with the zero pivot on the boundary solves
-        assert schur_complement_lu(a, BlockPartition([2], [0, 1])).tolist() == [[0.0]]
+        (g,), nb = boundary_first([a], BlockPartition([2], [0, 1]))
+        assert schur_complement_lu(g, nb).tolist() == [[0.0]]
 
     def test_lu_kernel_empty_blocks(self):
         a = 2.0 * np.eye(3)
-        assert np.array_equal(schur_complement_lu(a, BlockPartition(range(3), [])), a)
-        assert schur_complement_lu(a, BlockPartition([], range(3))).shape == (0, 0)
-        with pytest.raises(DimensionMismatch):
-            schur_complement_lu(a, BlockPartition([0], [1]))
+        assert np.array_equal(schur_complement_lu(a, 3), a)
+        assert schur_complement_lu(a, 0).shape == (0, 0)
 
     def test_symmetrized_checks_the_matrix(self):
         a = np.array([[1.0, 2.0], [2.1, 3.0]])
@@ -334,6 +339,55 @@ class TestSchurComplements:
         a[1, 1] = np.inf
         with pytest.raises(DimensionMismatch):
             symmetrized(a)
+
+
+class TestSchurKernelAgainstTheIndexGather:
+    """The SVD kernel on a boundary-first array has the bits of the kernel
+    that gathers its three blocks by index from any partition
+    (``oracles.schur_complement_by_index``)."""
+
+    @pytest.mark.parametrize("scattered", [False, True])
+    @pytest.mark.parametrize("mode", ["inverse", "pseudoinverse"])
+    @pytest.mark.parametrize("complex_part", [False, True])
+    def test_bitwise_equal(self, complex_part, mode, scattered):
+        rng = np.random.default_rng(29)
+        for n in (2, 3, 7, 12, 30, 61):
+            for nb in sorted({1, n // 3, n - 1}):
+                # a rank-deficient interior block where the pseudoinverse truncates
+                g = rng.standard_normal((n, n if mode == "inverse" else max(1, n // 2)))
+                a = g @ g.T + (0.1 * np.eye(n) if mode == "inverse" else 0.0)
+                if complex_part:
+                    h = rng.standard_normal((n, n))
+                    a = a + 1j * (h @ h.T)
+                a = SymMatrix(a)
+                order = rng.permutation(n) if scattered else np.arange(n)
+                part = BlockPartition(order[:nb], order[nb:])
+                want = schur_complement_by_index(a, part, mode).a
+                got = schur_of(a, part.boundary, part.interior, mode).a
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("scattered", [False, True])
+    def test_a_singular_interior_block_still_raises(self, scattered):
+        # coordinates 1 and 2 have equal rows, so every interior block holding both is singular
+        a = SymMatrix(np.array([
+            [2.0, 1.0, 1.0, 0.5],
+            [1.0, 1.0, 1.0, 0.0],
+            [1.0, 1.0, 1.0, 0.0],
+            [0.5, 0.0, 0.0, 3.0],
+        ]))
+        order = [3, 1, 0, 2] if scattered else [0, 1, 2, 3]
+        part = BlockPartition(order[:1], order[1:])
+        errors = []
+        for kernel in (schur_complement_by_index, self.gathered):
+            with pytest.raises(SingularBlock) as info:
+                kernel(a, part)
+            errors.append((str(info.value), info.value.smallest_singular_value))
+        assert errors[0] == errors[1]
+
+    @staticmethod
+    def gathered(a, part):
+        return schur_of(a, part.boundary, part.interior)
 
 
 class TestIsPsd:
@@ -360,22 +414,20 @@ def random_complex_symmetric(rng, n):
 
 def test_homogeneity():
     rng = np.random.default_rng(7)
-    part = BlockPartition(range(3), range(3, 7))
     for _ in range(25):
         a = SymMatrix(random_spd(rng, 7) + 1j * 0.3 * random_spd(rng, 7))
         lam = rng.standard_normal() + 1j * rng.standard_normal()
-        s = schur_complement(a, part)
-        s_scaled = schur_complement(SymMatrix(lam * a.a), part)
+        s = schur_complement(a.a, 3)
+        s_scaled = schur_complement(SymMatrix(lam * a.a).a, 3)
         assert np.abs(s_scaled.a - lam * s.a).max() <= 1e-10 * np.abs(lam * s.a).max()
 
 
 def test_quadratic_form_identity():
     rng = np.random.default_rng(11)
-    part = BlockPartition(range(2), range(2, 6))
     for _ in range(25):
         a = random_complex_symmetric(rng, 6)
         a = SymMatrix(a.a + 3.0 * np.eye(6))  # keep the interior block invertible
-        s = schur_complement(a, part)
+        s = schur_complement(a.a, 2)
         vb = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         a_ii = a.a[2:, 2:]
         vi = -np.linalg.solve(a_ii, a.a[2:, :2] @ vb)
@@ -387,23 +439,21 @@ def test_quadratic_form_identity():
 
 def test_sign_preservation_real_part():
     rng = np.random.default_rng(13)
-    part = BlockPartition(range(2), range(2, 6))
     for _ in range(25):
         re = random_spd(rng, 6)
         im = rng.standard_normal((6, 6))
         a = SymMatrix(re + 0.5j * (im + im.T))
-        s = schur_complement(a, part)
+        s = schur_complement(a.a, 2)
         assert np.linalg.eigvalsh((s.a.real + s.a.real.T) / 2).min() >= -1e-9
 
 
 def test_sign_preservation_imag_part():
     rng = np.random.default_rng(17)
-    part = BlockPartition(range(2), range(2, 6))
     for _ in range(25):
         im = random_spd(rng, 6)
         re = rng.standard_normal((6, 6))
         a = SymMatrix((re + re.T) / 2 + 1j * im)
-        s = schur_complement(a, part)
+        s = schur_complement(a.a, 2)
         assert np.linalg.eigvalsh((s.a.imag + s.a.imag.T) / 2).min() >= -1e-9
 
 
@@ -411,7 +461,7 @@ def test_idempotent_nesting():
     rng = np.random.default_rng(19)
     for _ in range(25):
         a = SymMatrix(random_spd(rng, 8))
-        one_stage = schur_complement(a, BlockPartition(range(3), range(3, 8)))
-        stage1 = schur_complement(a, BlockPartition(range(6), range(6, 8)))
-        stage2 = schur_complement(stage1, BlockPartition(range(3), range(3, 6)))
+        one_stage = schur_complement(a.a, 3)
+        stage1 = schur_complement(a.a, 6)
+        stage2 = schur_complement(stage1.a, 3)
         assert np.abs(stage2.a - one_stage.a).max() <= 1e-10 * np.abs(one_stage.a).max()

@@ -1,5 +1,6 @@
 """Response evaluation, massless elimination, pole-residue extraction."""
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +20,7 @@ from elastonet import (
     RayleighParams,
     ReconstructionMismatch,
     SchemaError,
+    SingularBlock,
     Spring,
     SymMatrix,
     SystemMatrices,
@@ -43,7 +45,12 @@ from elastonet import response
 from elastonet.response import RESONANCE_CLEARANCE, _cluster_ascending
 
 from conftest import axial_block
-from oracles import reconstruction_error_by_point
+from oracles import (
+    evaluate_response_by_index,
+    modal_by_system,
+    reconstruction_error_by_point,
+    schur_complement_by_index,
+)
 
 
 def scalar_response(k, m, alpha, beta, lam):
@@ -133,7 +140,7 @@ class TestEliminateMassless:
         real = response.schur_complement
 
         def counting(*args, **kwargs):
-            calls.append(args[0].order)
+            calls.append(len(args[0]))
             return real(*args, **kwargs)
 
         monkeypatch.setattr(response, "schur_complement", counting)
@@ -398,15 +405,18 @@ def test_near_floppy_network_extracts(case):
 
 
 def count_fallbacks(monkeypatch):
-    """Count the pseudoinverse evaluations the extraction self-check makes."""
+    """Count the SVD Schur complements of complex pencils the extraction
+    self-check makes, by mode; the elimination's, of the real ``K``, are
+    not counted."""
     calls = []
-    original = response.evaluate_response
+    original = response.schur_complement
 
-    def counting(sys, lam, mode="inverse"):
-        calls.append(mode)
-        return original(sys, lam, mode)
+    def counting(a, nb, mode="inverse"):
+        if np.iscomplexobj(a):
+            calls.append(mode)
+        return original(a, nb, mode)
 
-    monkeypatch.setattr(response, "evaluate_response", counting)
+    monkeypatch.setattr(response, "schur_complement", counting)
     return calls
 
 
@@ -446,11 +456,11 @@ class TestExtractionSelfCheck:
         original = response.schur_complement_lu
         solves = []
 
-        def failing_once(a, partition):
+        def failing_once(a, nb):
             solves.append(len(a))
             if len(solves) == 7:
                 raise np.linalg.LinAlgError("Singular matrix")
-            return original(a, partition)
+            return original(a, nb)
 
         calls = count_fallbacks(monkeypatch)
         monkeypatch.setattr(response, "schur_complement_lu", failing_once)
@@ -473,6 +483,62 @@ def self_check_points(sys, seed=0):
     red = eliminate_massless(sys)
     avoid = system_resonances(red.rayleigh, red.modal[0])
     return sample_nonresonant(np.random.default_rng(seed), avoid, 20)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestKernelsAgainstTheIndexGather:
+    """Elimination, modal decomposition and direct response have the bits of
+    the code that gathers blocks by index and decomposes one system at a
+    time (``oracles``)."""
+
+    @staticmethod
+    def systems(d, mass_fraction):
+        for seed in range(3):
+            net = random_network(seed, d, 3, 12, mass_fraction)
+            yield assemble(net)
+            yield assemble(reversed_nodes(net))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("mass_fraction", [0.0, 0.5, 1.0])
+    def test_elimination_and_modes(self, d, mass_fraction):
+        for sys in self.systems(d, mass_fraction):
+            self.check_reduction(sys)
+
+    def test_elimination_and_modes_at_474_dof(self):
+        sys = assemble(random_network(5, 3, 8, 150, 0.5))
+        assert sys.order == 474
+        self.check_reduction(sys)
+
+    @staticmethod
+    def check_reduction(sys):
+        red = eliminate_massless(sys)
+        masses = sys.mass_vector()
+        interior = sys.partition.interior
+        part = BlockPartition(
+            list(sys.partition.boundary) + [c for c in interior if masses[c] != 0.0],
+            [c for c in interior if masses[c] == 0.0],
+        )
+        want = schur_complement_by_index(sys.K, part, "pseudoinverse").a
+        assert same_bits(red.Ktilde.a, want)
+        for got, want in zip(red.modal, modal_by_system(red)):
+            assert same_bits(got, want)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("mass_fraction", [0.0, 0.5, 1.0])
+    def test_direct_response(self, d, mass_fraction):
+        for sys in self.systems(d, mass_fraction):
+            lams = [0.3, *sample_nonresonant(np.random.default_rng(d), [], 3)]
+            for lam, mode in itertools.product(lams, ("inverse", "pseudoinverse")):
+                try:
+                    want = evaluate_response_by_index(sys, lam, mode).a
+                except SingularBlock:
+                    with pytest.raises(AtResonance):
+                        evaluate_response(sys, lam, mode)
+                    continue
+                assert same_bits(evaluate_response(sys, lam, mode).W.a, want)
 
 
 class TestSelfCheckAgainstThePointLoop:

@@ -250,7 +250,7 @@ def placed_gadgets(d, count, seed=0):
     for k in range(count):
         sigma = 10.0 ** rng.uniform(-2.0, 2.0)
         f = rng.standard_normal(4 * d) * 10.0 ** rng.uniform(-1.0, 1.0)
-        gadgets.append((module._place_gadget(terminals, f, sigma, ray, seed=k), sigma))
+        gadgets.append((module._place_gadget(terminals, None, f, sigma, ray, seed=k), sigma))
     return gadgets
 
 
@@ -341,6 +341,14 @@ def extracted(seed, **kwargs):
 
 
 class TestSynthesize:
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_massless_terminal_nodes_are_built_once(self, d):
+        gn = synthesize(extracted(3, d=d, nt=3), seed=3)
+        massless = [c for c in gn.components if c.kind != "terminal_masses"]
+        assert len(massless) > 2
+        shared = massless[0].nodes[:3]
+        assert all(c.nodes[k] is shared[k] for c in massless for k in range(3))
+
     @pytest.mark.parametrize("seed", [0, 4, 9])
     def test_roundtrip_from_extraction(self, seed):
         cr = extracted(seed, d=2 + seed % 2)
