@@ -29,7 +29,7 @@ from .errors import (
     ZeroForce,
 )
 from .geometry import check_balanced
-from .linalg import BlockPartition, SymMatrix, is_psd, schur_complement
+from .linalg import SymMatrix, is_psd, schur_complement
 from .model import (
     ElastodynamicNetwork,
     Node,

@@ -66,37 +66,6 @@ class SymMatrix:
         return f"SymMatrix(order={self.order}, field={self.field})"
 
 
-class BlockPartition:
-    """Partition of the index range 0..n-1 into boundary and interior sets."""
-
-    __slots__ = ("boundary", "interior")
-
-    def __init__(self, boundary, interior):
-        b = tuple(map(int, boundary))
-        i = tuple(map(int, interior))
-        if set(b) & set(i):
-            raise DimensionMismatch("boundary and interior index sets overlap")
-        if len(set(b)) != len(b) or len(set(i)) != len(i):
-            raise DimensionMismatch("repeated index in partition")
-        if b + i and min(b + i) < 0:
-            raise DimensionMismatch("negative index in partition")
-        self.boundary = b
-        self.interior = i
-
-    @property
-    def order(self):
-        return len(self.boundary) + len(self.interior)
-
-    def check_covers(self, order):
-        if set(self.boundary) | set(self.interior) != set(range(order)):
-            raise DimensionMismatch(
-                f"partition covers {self.order} indices, matrix has order {order}"
-            )
-
-    def __repr__(self):
-        return f"BlockPartition(boundary={self.boundary}, interior={self.interior})"
-
-
 def _sym_part(a):
     # (a + a.T)/2 is bitwise symmetric; used to kill rounding asymmetry in products
     return 0.5 * (a + a.T)
@@ -121,21 +90,11 @@ def symmetrized(a):
     return _sym_part(a)
 
 
-def boundary_first(arrays, partition):
-    """The square ``arrays`` gathered into the order boundary, then interior,
-    and the boundary count ``nb``: the one gather of every Schur complement,
-    whose kernels then take their blocks as slices. ``partition`` must
-    cover exactly the index range of the arrays."""
-    partition.check_covers(len(arrays[0]))
-    order = partition.boundary + partition.interior
-    return [a[np.ix_(order, order)] for a in arrays], len(partition.boundary)
-
-
 def schur_complement(a, nb, mode="inverse"):
     """Schur complement of the interior block of a symmetric array.
 
-    ``a`` is a finite 2-D array, bitwise symmetric and boundary first
-    (:func:`boundary_first`): its leading ``nb`` indices are the boundary.
+    ``a`` is a finite 2-D array, bitwise symmetric and boundary first: its
+    leading ``nb`` indices are the boundary.
     Returns ``S = A_BB - A_BI inv(A_II) A_IB`` where the interior inverse is
     either a true inverse (``mode="inverse"``, raising :class:`SingularBlock`
     when the block is numerically singular) or a Moore-Penrose pseudoinverse

@@ -8,9 +8,11 @@ constants (:meth:`RayleighParams.damping`), which models a dashpot in
 parallel with every spring (constant ``alpha*k``) plus a viscous cavity
 around every mass (constant ``beta*m``).
 
-Degrees of freedom are ordered node-major, coordinate-minor: node 0 owns
-rows/columns 0..d-1, node 1 owns d..2d-1, and so on. Every Schur partition
-and residue reshaping in the package relies on this single convention.
+Degrees of freedom are ordered boundary first: the coordinates of the
+terminal nodes come first, then those of the interior nodes, each set in
+node order with d consecutive coordinates per node. The terminal response is
+the Schur complement of the interior block, so every Schur complement takes
+its blocks as slices, and residues reshape in terminal order.
 """
 
 import math
@@ -23,7 +25,7 @@ import numpy as np
 
 from . import jsonio
 from .errors import DegenerateSpring, DimensionMismatch, GenerationFailed, SchemaError
-from .linalg import BlockPartition, SymMatrix
+from .linalg import SymMatrix
 
 # Minimum pairwise node separation produced by the random generator.
 MIN_NODE_SEPARATION = 1e-3
@@ -201,16 +203,15 @@ class SystemMatrices:
 
     The damping matrix is not stored: :attr:`C` derives it from ``K``,
     ``M`` and the Rayleigh constants, so it is proportional by construction.
-    ``partition`` splits the coordinate range into terminal (boundary) and
-    interior coordinates, d consecutive entries per node. The Rayleigh
-    constants, spatial dimension and terminal positions ride along because
-    the pole-residue extraction needs all three and receives only this
-    object.
+    The matrices are boundary first: the leading :attr:`n_b` coordinates are
+    the terminals', d consecutive entries per node, and the rest interior.
+    The Rayleigh constants, spatial dimension and terminal positions ride
+    along because the pole-residue extraction needs all three and receives
+    only this object.
     """
 
     K: SymMatrix
     M: SymMatrix
-    partition: BlockPartition
     dimension: int
     rayleigh: RayleighParams
     terminal_positions: np.ndarray
@@ -218,6 +219,11 @@ class SystemMatrices:
     @property
     def order(self):
         return self.K.order
+
+    @property
+    def n_b(self):
+        """The number of terminal (boundary) coordinates."""
+        return self.terminal_positions.size
 
     @property
     def C(self):
@@ -272,8 +278,8 @@ def assemble_elements(nodes, elements, dimension, rayleigh):
     elastic element adds ``f f^T`` on the coordinates of its support. The
     mass matrix repeats each nodal mass d times on the diagonal; the damping
     matrix follows from both (:attr:`SystemMatrices.C`).
-    The partition puts the coordinates of terminal nodes in the boundary,
-    all others in the interior, each in node order.
+    The coordinates of terminal nodes are numbered first, then those of
+    the interior nodes, each in node order.
 
     Springs are stamped as columns. ``np.add.at`` applies the updates one
     at a time in element order, so every entry of ``K`` is the same sum, in
@@ -281,7 +287,10 @@ def assemble_elements(nodes, elements, dimension, rayleigh):
     """
     d = dimension
     positions = np.array([node.position for node in nodes], dtype=float)
-    coords = np.arange(len(nodes) * d).reshape(-1, d)  # row k: node k's coordinates
+    terminal = np.array([node.is_terminal for node in nodes])
+    first = np.argsort(~terminal, kind="stable")  # terminals, then interior
+    coords = np.empty((len(nodes), d), dtype=np.intp)  # row k: node k's coordinates
+    coords[first] = np.arange(len(nodes) * d).reshape(-1, d)
     K = np.zeros(coords.size * coords.size)
     for kind, run in groupby(elements, type):
         if kind is Spring:
@@ -294,14 +303,10 @@ def assemble_elements(nodes, elements, dimension, rayleigh):
             stamp = np.outer(el.force_vector, el.force_vector)
             np.add.at(K, (c[:, None] * coords.size + c).ravel(), stamp.ravel())
     K = K.reshape(coords.size, coords.size)
-    M = np.diag(np.repeat([node.mass for node in nodes], d))
-    terminal = np.array([node.is_terminal for node in nodes])
+    M = np.diag(np.repeat([nodes[k].mass for k in first], d))
     return SystemMatrices(
         K=SymMatrix(K, copy=False),
         M=SymMatrix(M, copy=False),
-        partition=BlockPartition(
-            coords[terminal].ravel().tolist(), coords[~terminal].ravel().tolist()
-        ),
         dimension=d,
         rayleigh=rayleigh,
         terminal_positions=positions[terminal],

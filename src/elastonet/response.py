@@ -31,15 +31,7 @@ from .errors import (
     SchemaError,
     SingularBlock,
 )
-from .linalg import (
-    PINV_TOL,
-    BlockPartition,
-    SymMatrix,
-    boundary_first,
-    is_psd,
-    schur_complement,
-    schur_complement_lu,
-)
+from .linalg import PINV_TOL, SymMatrix, is_psd, schur_complement, schur_complement_lu
 from .model import RayleighParams
 from .resonances import resonances_of
 
@@ -197,9 +189,8 @@ def evaluate_response(sys, lam, mode="inverse"):
     lam = complex(lam)
     K, M = sys.K.a, sys.M.a
     pencil = SymMatrix(_pencil(K, sys.rayleigh.damping(K, M), M, lam), copy=False)
-    (pencil,), nb = boundary_first([pencil.a], sys.partition)
     try:
-        return ResponseSample(lam, schur_complement(pencil, nb, mode))
+        return ResponseSample(lam, schur_complement(pencil.a, sys.n_b, mode))
     except SingularBlock as exc:
         raise AtResonance(
             f"lambda = {lam} is numerically a resonance: {exc}",
@@ -211,36 +202,34 @@ def eliminate_massless(sys):
     """Statically eliminate massless interior nodes.
 
     Interior coordinates split by exact ``mass == 0`` test into massive (J)
-    and massless (L). The massless block is removed by one pseudoinverse
-    Schur complement of ``K``. The massless rows of ``M`` are zero, so the
-    same elimination applied to ``C = alpha*K + beta*M`` gives ``alpha*Ktilde
-    + beta*diag(Mbb, Mjj)``: the reduced system stays proportionally damped
-    and its damping need not be computed. The reduced interior stiffness
-    block is asserted PSD; with positive masses that makes the reduced
-    interior damping block PSD as well.
+    and massless (L). ``K`` is permuted once to the order terminals, J, L,
+    each in the system's order, and the massless block is removed by one
+    pseudoinverse Schur complement. The massless rows of ``M`` are zero, so
+    the same elimination applied to ``C = alpha*K + beta*M`` gives
+    ``alpha*Ktilde + beta*diag(Mbb, Mjj)``: the reduced system stays
+    proportionally damped and its damping need not be computed. The reduced
+    interior stiffness block is asserted PSD; with positive masses that
+    makes the reduced interior damping block PSD as well.
     """
-    d = sys.dimension
-    masses = sys.mass_vector()
-    boundary = list(sys.partition.boundary)
-    interior = list(sys.partition.interior)
-    blocks = masses[interior].reshape(-1, d)
+    nb, masses = sys.n_b, sys.mass_vector()
+    interior = masses[nb:]
+    blocks = interior.reshape(-1, sys.dimension)
     if blocks.size and not np.all(blocks == blocks[:, :1]):
         raise ElastonetError(
             "interior mass entries differ within a node's coordinate block"
         )
-    j_coords = [c for c in interior if masses[c] != 0.0]
-    l_coords = [c for c in interior if masses[c] == 0.0]
-
-    (k,), nk = boundary_first([sys.K.a], BlockPartition(boundary + j_coords, l_coords))
-    ktilde = schur_complement(k, nk, mode="pseudoinverse")
-    block = ktilde.a[len(boundary):, len(boundary):]
+    massless = interior == 0.0
+    order = np.concatenate([np.arange(nb), nb + np.argsort(massless, kind="stable")])
+    nk = masses.size - np.count_nonzero(massless)
+    ktilde = schur_complement(sys.K.a[np.ix_(order, order)], nk, mode="pseudoinverse")
+    block = ktilde.a[nb:, nb:]
     if block.size and not is_psd(SymMatrix(block), tol=1e-9):
         raise ElastonetError("reduced interior stiffness is not positive semidefinite")
     return ReducedSystem(
         Ktilde=ktilde,
-        Mbb=masses[boundary],
-        Mjj=masses[j_coords],
-        dimension=d,
+        Mbb=masses[:nb],
+        Mjj=interior[~massless],
+        dimension=sys.dimension,
         rayleigh=sys.rayleigh,
         terminal_positions=sys.terminal_positions,
     )
@@ -288,13 +277,14 @@ def evaluate_reduced(red, lam, tol=PINV_TOL):
 def system_resonances(rayleigh, sigmas):
     """Candidate resonances for modal stiffnesses ``sigmas``.
 
-    Includes the roots of every ``q(lambda)`` (with sigma clipped at zero:
-    floppy modes contribute the roots 0 and -beta) and, when alpha > 0, the
-    point ``-1/alpha`` where the spring-damper factor ``1 + alpha*lambda``
-    vanishes and massless interior blocks degenerate.
+    Includes the roots of every ``q(lambda)``, with sigma clipped at zero,
+    and always those of sigma = 0, which are 0 and -beta (floppy modes);
+    and, when alpha > 0, the point ``-1/alpha`` where the spring-damper
+    factor ``1 + alpha*lambda`` vanishes and massless interior blocks
+    degenerate.
     """
     points = []
-    for sigma in sigmas:
+    for sigma in [*sigmas, 0.0]:
         points.extend(resonances_of(max(float(sigma), 0.0), rayleigh))
     if rayleigh.alpha > 0.0:
         points.append(complex(-1.0 / rayleigh.alpha))
@@ -409,9 +399,9 @@ def extract_canonical(
 def _reconstruction_error(sys, cr, lams):
     """Worst relative deviation of ``cr`` from the direct response of ``sys``.
 
-    ``K``, ``C`` and ``M`` are gathered into boundary-first order once
-    (:func:`boundary_first`); the pencil at each of ``lams`` is formed in one
-    buffer (:func:`_pencil`) and solved by LU (:func:`schur_complement_lu`).
+    The pencil of the boundary-first ``K``, ``C`` and ``M`` at each of
+    ``lams`` is formed in one buffer (:func:`_pencil`) and solved by LU
+    (:func:`schur_complement_lu`).
     A point whose solve fails, is not finite or deviates beyond
     ``ROUNDTRIP_TOL`` is solved again by the pseudoinverse
     :func:`schur_complement` of the same pencil, and that value counts.
@@ -419,7 +409,7 @@ def _reconstruction_error(sys, cr, lams):
     singular and take this path.
     """
     K, M = sys.K.a, sys.M.a
-    (K, C, M), nb = boundary_first((K, sys.rayleigh.damping(K, M), M), sys.partition)
+    C, nb = sys.rayleigh.damping(K, M), sys.n_b
     norms = [np.abs(x).max() for x in (K, C, M)]
     pencil = np.empty(K.shape, dtype=complex)
     worst = 0.0

@@ -93,6 +93,15 @@ def _distances(points, others):
     return np.linalg.norm(points[:, None, :] - others[None, :, :], axis=-1)
 
 
+def _finite(name, values):
+    """``values`` as a float array, refused up front (:class:`DimensionMismatch`
+    naming the argument) unless every entry is finite."""
+    values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        raise DimensionMismatch(f"{name} must be finite")
+    return values
+
+
 def _placement_constraints(terminals, forbidden, min_clearance, epsilon_hull):
     """Forbidden points as a (k, d) array, and the clearance or its default."""
     d = terminals.shape[1]
@@ -327,10 +336,11 @@ def balance_forces(
     with the requested hull/forbidden clearances. ``min_force`` requests
     ``|g|`` at least that large, achieved by adding an equal-and-opposite
     force pair along the joining line, which never disturbs the balance.
+    Terminals and forces that are not finite are refused up front.
     """
-    terminals = np.atleast_2d(np.asarray(terminals, dtype=float))
+    terminals = np.atleast_2d(_finite("terminals", terminals))
     nt, d = terminals.shape
-    fmat = np.asarray(f, dtype=float).reshape(nt, d)
+    fmat = _finite("f", f).reshape(nt, d)
     forb, clearance = _placement_constraints(
         terminals, forbidden, min_clearance, epsilon_hull
     )
@@ -434,7 +444,8 @@ def build_rank_one_gadget(
     which pins the gadget's resonances at the roots of
     ``sigma + (alpha*sigma + beta)*lambda + lambda^2`` and makes the static
     response vanish. The gadget's own modes are checked against that
-    contract before returning (:func:`_reduce_gadgets`).
+    contract before returning (:func:`_reduce_gadgets`). Terminals, forces
+    and ``sigma`` that are not finite are refused up front.
     """
     comp = _place_gadget(terminals, None, f, sigma, rayleigh, epsilon_hull=epsilon_hull,
                          forbidden=forbidden, seed=seed, min_clearance=min_clearance,
@@ -450,9 +461,9 @@ def _terminal_nodes(terminals, masses):
 def _place_gadget(terminals, terminal_nodes, f, sigma, rayleigh, **placement):
     """The component of :func:`build_rank_one_gadget`, not yet checked, on
     the shared massless ``terminal_nodes`` (None: built once placed)."""
-    terminals = np.atleast_2d(np.asarray(terminals, dtype=float))
+    terminals = np.atleast_2d(_finite("terminals", terminals))
     nt, d = terminals.shape
-    f = np.asarray(f, dtype=float).ravel()
+    f, sigma = _finite("f", f).ravel(), float(_finite("sigma", sigma))
     if f.size != nt * d:
         raise ValueError(f"force vector length {f.size}, expected {nt * d}")
     fnorm = np.linalg.norm(f)
@@ -697,7 +708,7 @@ def verify_synthesis(gn, cr, n_samples=50, seed=0):
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     rng = np.random.default_rng(seed)
-    avoid = system_resonances(cr.rayleigh, [m.sigma for m in cr.modes] + [0.0])
+    avoid = system_resonances(cr.rayleigh, [m.sigma for m in cr.modes])
     form = modal_form(gn)
     worst = 0.0
     points = sample_nonresonant(rng, avoid, n_samples)

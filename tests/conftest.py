@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from elastonet import ElastodynamicNetwork, Node, Spring, assemble
+from elastonet import ElastodynamicNetwork, Node, Spring, SpringColumns, assemble
 
 
 @pytest.fixture
@@ -69,6 +69,19 @@ def stiffened_network(net, stiffness, mass):
     return ElastodynamicNetwork(net.dimension, nodes, springs, net.rayleigh)
 
 
+def shuffled_nodes(net, seed):
+    """The same network with its nodes in a random order drawn from
+    ``seed``, so that the terminals need not come first."""
+    perm = np.random.default_rng(seed).permutation(len(net.nodes))
+    where = np.argsort(perm)  # old node k is new node where[k]
+    i, j, k = net.spring_columns
+    return ElastodynamicNetwork(
+        net.dimension, tuple(net.nodes[q] for q in perm),
+        SpringColumns(where[i], where[j], k), net.rayleigh,
+    )
+
+
 @pytest.fixture
 def assembled_chain(collinear_chain):
     return assemble(collinear_chain)
+

@@ -1,5 +1,7 @@
 """Reference constructions the tests compare the package against."""
 
+from fractions import Fraction
+
 import numpy as np
 
 from elastonet import (
@@ -19,15 +21,15 @@ from elastonet.model import (
     spring_directions,
     spring_from_dict,
 )
-from elastonet.response import ROUNDTRIP_TOL, canonical_responses, evaluate_response
+from elastonet.response import ROUNDTRIP_TOL, canonical_responses
 
 
-def schur_complement_by_index(a, partition, mode="inverse"):
+def schur_complement_by_index(a, boundary, interior, mode="inverse"):
     """The SVD Schur complement of a ``SymMatrix`` with its three blocks
-    gathered by ``np.ix_`` straight from the partition, in any order: the
-    reference for ``linalg.schur_complement`` on a boundary-first array."""
-    partition.check_covers(a.order)
-    b, i = partition.boundary, partition.interior
+    gathered by ``np.ix_`` from the index lists ``boundary`` and
+    ``interior``, in any order: the reference for
+    ``linalg.schur_complement`` on a boundary-first array."""
+    b, i = list(boundary), list(interior)
     a_bb = a.a[np.ix_(b, b)]
     if not (b and i):
         return SymMatrix(a_bb)
@@ -46,14 +48,30 @@ def schur_complement_by_index(a, partition, mode="inverse"):
     return SymMatrix(a_bb - 0.5 * (x + x.T))
 
 
-def evaluate_response_by_index(sys, lam, mode):
-    """The direct response of an assembled system as one expression in node
-    order, ``K + lam*C + lam*lam*M``, then :func:`schur_complement_by_index`:
-    the reference for ``response.evaluate_response``."""
+def node_major(net):
+    """``(K, M, b, i)`` of ``net`` in node order, node ``k`` owning the
+    coordinates ``k*d .. k*d + d - 1``: ``K`` stamped spring by spring
+    (:func:`assemble_by_spring`), ``M`` the nodal masses repeated d times,
+    and the terminal (``b``) and interior (``i``) coordinates as index
+    lists, each in node order. The reference that the package's
+    boundary-first layout is gathered from."""
+    d = net.dimension
+    coords = np.arange(len(net.nodes) * d).reshape(-1, d)
+    terminal = np.array([node.is_terminal for node in net.nodes])
+    M = np.diag(np.repeat([node.mass for node in net.nodes], d))
+    b, i = (coords[side].ravel().tolist() for side in (terminal, ~terminal))
+    return assemble_by_spring(net), M, b, i
+
+
+def evaluate_response_by_index(net, lam, mode):
+    """The direct response of a network as one expression in node order,
+    ``K + lam*C + lam*lam*M`` of :func:`node_major`, then
+    :func:`schur_complement_by_index`: the reference for
+    ``response.evaluate_response`` of ``assemble(net)``."""
     lam = complex(lam)
-    K, M = sys.K.a, sys.M.a
-    pencil = SymMatrix(K + lam * sys.rayleigh.damping(K, M) + lam * lam * M)
-    return schur_complement_by_index(pencil, sys.partition, mode)
+    K, M, b, i = node_major(net)
+    pencil = SymMatrix(K + lam * net.rayleigh.damping(K, M) + lam * lam * M)
+    return schur_complement_by_index(pencil, b, i, mode)
 
 
 def modal_by_system(red):
@@ -146,15 +164,14 @@ def assemble_by_spring(net):
     return K.reshape(coords.size, coords.size)
 
 
-def reconstruction_error_by_point(sys, cr, lams):
+def reconstruction_error_by_point(net, cr, lams):
     """The extraction self-check point by point: at each of ``lams`` the
-    pencil ``K + lam*C + lam*lam*M`` in the system's own order, its four
-    blocks gathered by index and one LU solve, the pseudoinverse
-    ``evaluate_response`` where that fails or deviates. The reference for
-    ``response._reconstruction_error``."""
-    K, M = sys.K.a, sys.M.a
-    C = sys.rayleigh.damping(K, M)
-    b, i = sys.partition.boundary, sys.partition.interior
+    pencil ``K + lam*C + lam*lam*M`` in node order (:func:`node_major`),
+    its four blocks gathered by index and one LU solve, the pseudoinverse
+    :func:`evaluate_response_by_index` where that fails or deviates. The
+    reference for ``response._reconstruction_error`` of ``assemble(net)``."""
+    K, M, b, i = node_major(net)
+    C = net.rayleigh.damping(K, M)
     norms = [np.abs(x).max() for x in (K, C, M)]
 
     def gap(closed, direct, floor):
@@ -173,7 +190,47 @@ def reconstruction_error_by_point(sys, cr, lams):
         except np.linalg.LinAlgError:
             err = np.inf
         if not err <= ROUNDTRIP_TOL:
-            direct = evaluate_response(sys, lam, mode="pseudoinverse").W.a
+            direct = evaluate_response_by_index(net, lam, "pseudoinverse").a
             err = gap(closed, direct, floor)
         worst = max(worst, err)
     return worst
+
+
+def exact_response(net, lam):
+    """The terminal response of ``net`` at a real ``lam > 0``, exactly.
+
+    Everything is a ``Fraction`` of the float inputs. A spring adds
+    ``k*dx*dx^T/(dx.dx)``, with no square root, and the pencil is
+    ``(1 + alpha*lam)*K + (beta*lam + lam^2)*M``, which is PSD at a real
+    ``lam > 0``. Gaussian elimination removes the interior coordinates one
+    by one; a zero pivot of a PSD matrix has a zero row, so such a
+    coordinate couples to nothing and is skipped. Returns the terminal
+    block, in node order, rounded once to floats.
+    """
+    lam, d = Fraction(lam), net.dimension
+    alpha, beta = Fraction(net.rayleigh.alpha), Fraction(net.rayleigh.beta)
+    pos = [[Fraction(x) for x in node.position] for node in net.nodes]
+    n = len(pos) * d
+    a = [[Fraction(0)] * n for _ in range(n)]
+    for i, j, k in zip(*(column.tolist() for column in net.spring_columns)):
+        dx = [p - q for p, q in zip(pos[i], pos[j])]
+        scale = (1 + alpha * lam) * Fraction(k) / sum(x * x for x in dx)
+        for p, q, sign in ((i, i, 1), (j, j, 1), (i, j, -1), (j, i, -1)):
+            for r in range(d):
+                for c in range(d):
+                    a[p * d + r][q * d + c] += sign * scale * dx[r] * dx[c]
+    for k, node in enumerate(net.nodes):
+        for r in range(k * d, k * d + d):
+            a[r][r] += (beta * lam + lam * lam) * Fraction(node.mass)
+    terminal = [k for k in range(n) if net.nodes[k // d].is_terminal]
+    left = set(range(n))
+    for p in (k for k in range(n) if not net.nodes[k // d].is_terminal):
+        left.discard(p)
+        if a[p][p] == 0:
+            continue
+        for r in left:
+            if a[r][p]:
+                f = a[r][p] / a[p][p]
+                for c in left:
+                    a[r][c] -= f * a[p][c]
+    return np.array([[float(a[r][c]) for c in terminal] for r in terminal])

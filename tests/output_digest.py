@@ -20,9 +20,11 @@ differ. Run both with the same BLAS thread count (for example
 
 The networks are ``random_network(s, d, 3, 6, mf)`` for s = 0..23, d = 2, 3
 and mf = 0, 0.5, 1, the near-floppy networks of
-``tests/test_response.py::test_near_floppy_network_extracts``, and a network
-file whose spring list repeats springs and reverses their ends: about 900
-runs, about 8 s on one core. One more ``respond`` sweeps 50 points of the
+``tests/test_response.py::test_near_floppy_network_extracts``, a network
+file whose spring list repeats springs and reverses their ends, and
+``random_network(s, d, 3, 3, mf)`` for s = 0..4 with its nodes shuffled
+(``conftest.shuffled_nodes(net, s)``), so that terminals follow interior
+nodes: about 1,080 runs, about 10 s on one core. One more ``respond`` sweeps 50 points of the
 158-node ``random_network(5, 3, 8, 150, 0.5)``, the size of a benchmark sweep
 input, in about 0.2 s. Pytest does not collect this file.
 """
@@ -37,6 +39,8 @@ from pathlib import Path
 from elastonet import network_to_dict, random_network
 from elastonet.cli import main
 from elastonet.jsonio import write_json
+
+from conftest import shuffled_nodes
 
 NEAR_FLOPPY_SEEDS = (1093, 1196, 1922, 1965, 2301, 1269183695)
 
@@ -75,6 +79,11 @@ def networks():
         yield f"random_network({s}, 3, 3, 6, 0.5)", network_to_dict(random_network(s, 3, 3, 6, 0.5))
     yield "tiny_mass", network_to_dict(tiny_mass())
     yield "parallel_and_reversed", parallel_and_reversed()
+    for s in range(5):
+        for d in (2, 3):
+            for mf in (0.0, 0.5, 1.0):
+                name = f"shuffled_nodes(random_network({s}, {d}, 3, 3, {mf}), {s})"
+                yield name, network_to_dict(shuffled_nodes(random_network(s, d, 3, 3, mf), s))
 
 
 def forbidden_points(network_file):

@@ -2,11 +2,13 @@
 error class it defines, and writes JSON only through the canonical writer;
 in synthesis only the direct oracle solves Schur complements,
 ``geometry.cross`` is the one cross product, only ``linalg`` repairs
-symmetry, takes an SVD or gathers blocks with ``np.ix_`` (only in
-``boundary_first``), only ``response`` builds a ``ReducedSystem``, and one
-pencil helper and one modal eigensolve remain."""
+symmetry or takes an SVD, the one ``np.ix_`` gather is the massless split
+of ``eliminate_massless``, no module keeps a block partition, only
+``response`` builds a ``ReducedSystem``, and one pencil helper and one
+modal eigensolve remain."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -244,9 +246,11 @@ def test_guard_reports_an_ix_gather():
     assert ix_uses(source) == [2, 3, 6]
 
 
-# one module gathers the blocks of every Schur complement
+# the Schur kernels in linalg take their blocks as slices of boundary-first
+# arrays; response holds the one gather (see the massless split below)
 @pytest.mark.parametrize(
-    "module", sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "linalg.py")
+    "module",
+    sorted(p.name for p in PACKAGE.glob("*.py") if p.name not in ("linalg.py", "response.py")),
 )
 def test_only_linalg_gathers_blocks(module):
     assert ix_uses((PACKAGE / module).read_text()) == []
@@ -289,11 +293,20 @@ def package_scopes_calling(name):
     ]
 
 
-# the one gather and the one coverage check of every Schur complement; the
-# kernels take slices of a boundary-first array
-@pytest.mark.parametrize("name", ["ix_", "check_covers"])
-def test_only_boundary_first_gathers_and_checks_a_partition(name):
-    assert package_scopes_calling(name) == ["linalg.py:boundary_first"]
+# assembly numbers terminal coordinates first, so the one permutation left
+# is the massless split: massive interior coordinates first, massless last
+def test_only_eliminate_massless_gathers_blocks():
+    assert package_scopes_calling("ix_") == ["response.py:eliminate_massless"]
+    assert len(ix_uses((PACKAGE / "response.py").read_text())) == 1
+    assert ix_uses((PACKAGE / "linalg.py").read_text()) == []
+
+
+# the system matrices are boundary first by construction: no module keeps a
+# block partition or gathers into boundary-first order
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_no_block_partition(module):
+    text = (PACKAGE / module).read_text()
+    assert not re.search(r"partition|boundary_first|check_covers", text, re.IGNORECASE)
 
 
 # one modal kernel serves a reduced system (a stack of one) and the gadget

@@ -10,7 +10,6 @@ from numpy.testing import assert_allclose
 
 from elastonet import (
     AsymmetricMatrix,
-    BlockPartition,
     DimensionMismatch,
     SingularBlock,
     SymMatrix,
@@ -21,16 +20,22 @@ from elastonet import (
     schur_complement,
 )
 from elastonet.cli import main as cli_main
-from elastonet.linalg import PINV_TOL, boundary_first, schur_complement_lu, symmetrized
+from elastonet.linalg import PINV_TOL, schur_complement_lu, symmetrized
 
 from oracles import schur_complement_by_index
 
 
+def boundary_first(a, boundary, interior):
+    """The array ``a`` gathered into the order ``boundary``, then
+    ``interior``, by one ``np.ix_``, and the boundary count."""
+    order = list(boundary) + list(interior)
+    return a[np.ix_(order, order)], len(boundary)
+
+
 def schur_of(a, boundary, interior, mode="inverse"):
     """``schur_complement`` of a ``SymMatrix`` under any partition: one
-    gather by ``boundary_first``, then the kernel."""
-    (g,), nb = boundary_first([a.a], BlockPartition(boundary, interior))
-    return schur_complement(g, nb, mode)
+    gather by :func:`boundary_first`, then the kernel."""
+    return schur_complement(*boundary_first(a.a, boundary, interior), mode)
 
 
 def random_spd(rng, n, shift=0.1):
@@ -180,16 +185,6 @@ class TestSymMatrixContract:
         assert calls == []
 
 
-class TestBlockPartition:
-    def test_overlap_rejected(self):
-        with pytest.raises(DimensionMismatch):
-            BlockPartition([0, 1], [1, 2])
-
-    def test_coverage_checked_at_use(self):
-        with pytest.raises(DimensionMismatch):
-            boundary_first([np.eye(3)], BlockPartition([0], [1]))
-
-
 class TestSchurComplement:
     def test_two_by_two(self):
         a = SymMatrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
@@ -209,10 +204,9 @@ class TestSchurComplement:
     def test_chain_pseudoinverse_matches_series_stiffness(self, assembled_chain):
         # interior block of the chain stiffness is [[2, 0], [0, 0]]: the
         # transverse direction is a floppy zero that the pseudoinverse drops
-        k = assembled_chain.K
-        part = assembled_chain.partition
-        assert_allclose(k.a[np.ix_(part.interior, part.interior)], [[2.0, 0.0], [0.0, 0.0]])
-        s = schur_of(k, part.boundary, part.interior, mode="pseudoinverse")
+        k, nb = assembled_chain.K, assembled_chain.n_b
+        assert_allclose(k.a[nb:, nb:], [[2.0, 0.0], [0.0, 0.0]])
+        s = schur_complement(k.a, nb, mode="pseudoinverse")
         expected = 0.5 * np.array(
             [
                 [1.0, 0.0, -1.0, 0.0],
@@ -226,10 +220,9 @@ class TestSchurComplement:
     def test_pseudoinverse_agrees_with_equilibrium_oracle(self, assembled_chain):
         # independent oracle: impose boundary displacements, solve the
         # interior equilibrium in the least-squares sense, read the forces
-        k = assembled_chain.K.a
-        part = assembled_chain.partition
-        b, i = list(part.boundary), list(part.interior)
-        s = schur_of(assembled_chain.K, b, i, mode="pseudoinverse")
+        k, nb = assembled_chain.K.a, assembled_chain.n_b
+        b, i = list(range(nb)), list(range(nb, len(k)))
+        s = schur_complement(k, nb, mode="pseudoinverse")
         rng = np.random.default_rng(42)
         for _ in range(5):
             ub = rng.standard_normal(len(b))
@@ -277,12 +270,12 @@ class TestSchurComplements:
         # keeps the same rank in both
         rng = np.random.default_rng(3)
         a = self.stack(rng, 6, 7, [7, 3, 5, 3, 7, 1], complex_part)
-        part = BlockPartition([4, 0, 6], [1, 5, 2, 3])
-        b, i = np.ix_(part.boundary, part.boundary), np.ix_(part.interior, part.interior)
-        bi = np.ix_(part.boundary, part.interior)
+        boundary, interior = [4, 0, 6], [1, 5, 2, 3]
+        b, i = np.ix_(boundary, boundary), np.ix_(interior, interior)
+        bi = np.ix_(boundary, interior)
         for m in a:
             expected = m[b] - m[bi] @ np.linalg.pinv(m[i], rcond=PINV_TOL) @ m[bi].T
-            s = schur_of(SymMatrix(m), part.boundary, part.interior, "pseudoinverse").a
+            s = schur_of(SymMatrix(m), boundary, interior, "pseudoinverse").a
             assert_allclose(s, expected, rtol=0, atol=1e-10 * np.abs(m).max())
 
     def test_empty_blocks(self):
@@ -295,12 +288,12 @@ class TestSchurComplements:
         # K + lambda*C + lambda^2*M with SPD K and positive masses: away from
         # the real axis the interior block is well conditioned
         rng = np.random.default_rng(5)
-        part = BlockPartition([4, 0, 6], [1, 5, 2, 3])
         for lam in (0.7 + 1.3j, -0.2 + 2.5j, 3.0 - 0.4j, 1.5):
             k = random_spd(rng, 7)
             m = np.diag(rng.uniform(0.5, 2.0, 7))
             c = 0.3 * k + 0.8 * m if damped else np.zeros((7, 7))
-            (a,), nb = boundary_first([SymMatrix(k + lam * c + lam * lam * m).a], part)
+            pencil = SymMatrix(k + lam * c + lam * lam * m).a
+            a, nb = boundary_first(pencil, [4, 0, 6], [1, 5, 2, 3])
             lu = schur_complement_lu(a, nb)
             assert np.array_equal(lu, lu.T)
             svd = schur_complement(a, nb).a
@@ -311,9 +304,7 @@ class TestSchurComplements:
         b, i = [4, 0, 6], [1, 5, 2, 3]
         k, m = random_spd(rng, 7), np.diag(rng.uniform(0.5, 2.0, 7))
         a = SymMatrix(k + (0.7 + 1.3j) * (0.3 * k + 0.8 * m) + (0.7 + 1.3j) ** 2 * m).a
-        (gathered,), nb = linalg.boundary_first([a], BlockPartition(b, i))
-        assert nb == 3
-        assert gathered.tobytes() == a[np.ix_(b + i, b + i)].tobytes()
+        gathered, nb = boundary_first(a, b, i)
         # each block gathered on its own, the kernel before slicing
         x = a[np.ix_(b, i)] @ np.linalg.solve(a[np.ix_(i, i)], a[np.ix_(i, b)])
         want = a[np.ix_(b, b)] - 0.5 * (x + x.T)
@@ -324,8 +315,7 @@ class TestSchurComplements:
         with pytest.raises(np.linalg.LinAlgError):
             schur_complement_lu(a, 1)
         # the same block with the zero pivot on the boundary solves
-        (g,), nb = boundary_first([a], BlockPartition([2], [0, 1]))
-        assert schur_complement_lu(g, nb).tolist() == [[0.0]]
+        assert schur_complement_lu(*boundary_first(a, [2], [0, 1])).tolist() == [[0.0]]
 
     def test_lu_kernel_empty_blocks(self):
         a = 2.0 * np.eye(3)
@@ -361,9 +351,8 @@ class TestSchurKernelAgainstTheIndexGather:
                     a = a + 1j * (h @ h.T)
                 a = SymMatrix(a)
                 order = rng.permutation(n) if scattered else np.arange(n)
-                part = BlockPartition(order[:nb], order[nb:])
-                want = schur_complement_by_index(a, part, mode).a
-                got = schur_of(a, part.boundary, part.interior, mode).a
+                want = schur_complement_by_index(a, order[:nb], order[nb:], mode).a
+                got = schur_of(a, order[:nb], order[nb:], mode).a
                 assert got.dtype == want.dtype
                 assert got.tobytes() == want.tobytes()
 
@@ -377,17 +366,12 @@ class TestSchurKernelAgainstTheIndexGather:
             [0.5, 0.0, 0.0, 3.0],
         ]))
         order = [3, 1, 0, 2] if scattered else [0, 1, 2, 3]
-        part = BlockPartition(order[:1], order[1:])
         errors = []
-        for kernel in (schur_complement_by_index, self.gathered):
+        for kernel in (schur_complement_by_index, schur_of):
             with pytest.raises(SingularBlock) as info:
-                kernel(a, part)
+                kernel(a, order[:1], order[1:])
             errors.append((str(info.value), info.value.smallest_singular_value))
         assert errors[0] == errors[1]
-
-    @staticmethod
-    def gathered(a, part):
-        return schur_of(a, part.boundary, part.interior)
 
 
 class TestIsPsd:

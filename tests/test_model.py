@@ -33,7 +33,12 @@ from elastonet.cli import main
 from elastonet.model import STAMP_CHUNK, SpringColumns, assemble_elements
 
 from conftest import axial_block, node_positions, scaled_network
-from oracles import assemble_by_spring, assemble_union, network_from_dict_by_spring
+from oracles import (
+    assemble_by_spring,
+    assemble_union,
+    network_from_dict_by_spring,
+    node_major,
+)
 
 oracles_module = import_module("oracles")
 
@@ -113,16 +118,23 @@ class TestAssemble:
         with pytest.raises(DegenerateSpring, match=r"spring \(0, 9\)"):
             assemble(coincident)
 
-    def test_partition_is_node_major(self):
+    def test_terminal_coordinates_come_first(self):
+        # interior node 0 before terminals 1 and 2: the node-major matrices
+        # gathered as [terminal coordinates, interior coordinates]
         nodes = (
-            Node((0.0, 0.0), 0.0, False),
-            Node((1.0, 0.0), 0.0, True),
-            Node((2.0, 0.0), 0.0, True),
+            Node((0.0, 0.0), 0.5, False),
+            Node((1.0, 0.0), 2.0, True),
+            Node((0.3, 0.7), 0.0, True),
         )
-        net = ElastodynamicNetwork(2, nodes, (Spring(0, 1, 1.0),))
+        springs = (Spring(0, 1, 1.0), Spring(1, 2, 0.7), Spring(2, 0, 1.9))
+        net = ElastodynamicNetwork(2, nodes, springs)
         sys = assemble(net)
-        assert sys.partition.boundary == (2, 3, 4, 5)
-        assert sys.partition.interior == (0, 1)
+        K, M, b, i = node_major(net)
+        assert (b, i) == ([2, 3, 4, 5], [0, 1])
+        order = np.ix_(b + i, b + i)
+        for got, want in ((sys.K.a, K[order]), (sys.M.a, M[order])):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert sys.n_b == 4
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_stiffness_psd_with_rigid_body_null_space(self, seed):

@@ -9,7 +9,6 @@ from numpy.testing import assert_allclose
 
 from elastonet import (
     AtResonance,
-    BlockPartition,
     CanonicalResponse,
     DimensionMismatch,
     ElastodynamicNetwork,
@@ -44,10 +43,12 @@ from elastonet import (
 from elastonet import response
 from elastonet.response import RESONANCE_CLEARANCE, _cluster_ascending
 
-from conftest import axial_block
+from conftest import axial_block, shuffled_nodes
 from oracles import (
     evaluate_response_by_index,
+    exact_response,
     modal_by_system,
+    node_major,
     reconstruction_error_by_point,
     schur_complement_by_index,
 )
@@ -100,8 +101,7 @@ class TestEliminateMassless:
         net = random_network(4, 2, 2, 2, 1.0)
         sys = assemble(net)
         red = eliminate_massless(sys)
-        keep = list(sys.partition.boundary) + list(sys.partition.interior)
-        assert np.array_equal(red.Ktilde.a, sys.K.a[np.ix_(keep, keep)])
+        assert np.array_equal(red.Ktilde.a, sys.K.a)
 
     def test_chain_reduces_to_series_spring(self, assembled_chain):
         red = eliminate_massless(assembled_chain)
@@ -150,11 +150,9 @@ class TestEliminateMassless:
 
 def reduced_pencil_response(red, lam):
     """Direct Schur complement of a reduced system's interior pencil."""
-    nb, nj = red.n_b, len(red.Mjj)
     sys = SystemMatrices(
         K=red.Ktilde,
         M=SymMatrix(np.diag(np.concatenate([red.Mbb, red.Mjj]))),
-        partition=BlockPartition(range(nb), range(nb, nb + nj)),
         dimension=red.dimension,
         rayleigh=red.rayleigh,
         terminal_positions=red.terminal_positions,
@@ -304,7 +302,6 @@ class TestExtractCanonical:
         sys = SystemMatrices(
             K=SymMatrix(k),
             M=SymMatrix(np.diag([0.0, 0.0, 1.0, 1.0])),
-            partition=BlockPartition([0, 1], [2, 3]),
             dimension=2,
             rayleigh=RayleighParams(0.0, 0.0),
             terminal_positions=np.array([[0.0, 0.0]]),
@@ -495,33 +492,30 @@ class TestKernelsAgainstTheIndexGather:
     time (``oracles``)."""
 
     @staticmethod
-    def systems(d, mass_fraction):
+    def networks(d, mass_fraction):
         for seed in range(3):
             net = random_network(seed, d, 3, 12, mass_fraction)
-            yield assemble(net)
-            yield assemble(reversed_nodes(net))
+            yield net
+            yield reversed_nodes(net)
 
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("mass_fraction", [0.0, 0.5, 1.0])
     def test_elimination_and_modes(self, d, mass_fraction):
-        for sys in self.systems(d, mass_fraction):
-            self.check_reduction(sys)
+        for net in self.networks(d, mass_fraction):
+            self.check_reduction(net)
 
     def test_elimination_and_modes_at_474_dof(self):
-        sys = assemble(random_network(5, 3, 8, 150, 0.5))
-        assert sys.order == 474
-        self.check_reduction(sys)
+        net = random_network(5, 3, 8, 150, 0.5)
+        assert assemble(net).order == 474
+        self.check_reduction(net)
 
     @staticmethod
-    def check_reduction(sys):
-        red = eliminate_massless(sys)
-        masses = sys.mass_vector()
-        interior = sys.partition.interior
-        part = BlockPartition(
-            list(sys.partition.boundary) + [c for c in interior if masses[c] != 0.0],
-            [c for c in interior if masses[c] == 0.0],
-        )
-        want = schur_complement_by_index(sys.K, part, "pseudoinverse").a
+    def check_reduction(net):
+        red = eliminate_massless(assemble(net))
+        K, M, b, i = node_major(net)
+        massive = [c for c in i if M[c, c] != 0.0]
+        massless = [c for c in i if M[c, c] == 0.0]
+        want = schur_complement_by_index(SymMatrix(K), b + massive, massless, "pseudoinverse").a
         assert same_bits(red.Ktilde.a, want)
         for got, want in zip(red.modal, modal_by_system(red)):
             assert same_bits(got, want)
@@ -529,11 +523,12 @@ class TestKernelsAgainstTheIndexGather:
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("mass_fraction", [0.0, 0.5, 1.0])
     def test_direct_response(self, d, mass_fraction):
-        for sys in self.systems(d, mass_fraction):
+        for net in self.networks(d, mass_fraction):
+            sys = assemble(net)
             lams = [0.3, *sample_nonresonant(np.random.default_rng(d), [], 3)]
             for lam, mode in itertools.product(lams, ("inverse", "pseudoinverse")):
                 try:
-                    want = evaluate_response_by_index(sys, lam, mode).a
+                    want = evaluate_response_by_index(net, lam, mode).a
                 except SingularBlock:
                     with pytest.raises(AtResonance):
                         evaluate_response(sys, lam, mode)
@@ -542,34 +537,37 @@ class TestKernelsAgainstTheIndexGather:
 
 
 class TestSelfCheckAgainstThePointLoop:
-    """The boundary-first pencil of the self-check has the bits of the pencil
-    gathered point by point (``oracles.reconstruction_error_by_point``)."""
+    """The boundary-first pencil of the self-check has the bits of the
+    node-major pencil gathered point by point
+    (``oracles.reconstruction_error_by_point``)."""
 
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("mass_fraction", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_random_networks(self, d, mass_fraction, seed):
         net = random_network(seed, d, 4, 20, mass_fraction)
-        for sys in (assemble(net), assemble(reversed_nodes(net))):
+        for net in (net, reversed_nodes(net)):
+            sys = assemble(net)
             cr = extract_canonical(sys, check=False)
             lams = self_check_points(sys)
             worst = response._reconstruction_error(sys, cr, lams)
-            assert worst == reconstruction_error_by_point(sys, cr, lams)
+            assert worst == reconstruction_error_by_point(net, cr, lams)
             assert worst <= response.ROUNDTRIP_TOL
 
-    def test_every_point_falls_back_on_the_chain(self, monkeypatch, assembled_chain):
+    def test_every_point_falls_back_on_the_chain(self, monkeypatch, collinear_chain):
+        sys = assemble(collinear_chain)
         calls = count_fallbacks(monkeypatch)
-        cr = extract_canonical(assembled_chain, check=False)
-        lams = self_check_points(assembled_chain)
-        worst = response._reconstruction_error(assembled_chain, cr, lams)
+        cr = extract_canonical(sys, check=False)
+        lams = self_check_points(sys)
+        worst = response._reconstruction_error(sys, cr, lams)
         assert calls == ["pseudoinverse"] * 20
-        assert worst == reconstruction_error_by_point(assembled_chain, cr, lams)
+        assert worst == reconstruction_error_by_point(collinear_chain, cr, lams)
 
     def test_an_off_diagonal_mass_is_rejected(self):
         # the closed form reads only diag(M); the self-check sees all of M
         sys = assemble(random_network(3, 3, 4, 10, 1.0))
         m = sys.M.a.copy()
-        j, k = sys.partition.interior[:2]
+        j, k = sys.n_b, sys.n_b + 1
         m[j, k] = m[k, j] = 0.1 * m[j, j]
         with pytest.raises(ReconstructionMismatch, match="deviates from the direct"):
             extract_canonical(replace(sys, M=SymMatrix(m)))
@@ -812,15 +810,39 @@ class TestNonResonantSampling:
             sample_nonresonant(np.random.default_rng(7), draws, 1)
 
 
+class TestAgainstExactResponse:
+    """``evaluate_response`` agrees with the rational-arithmetic response
+    (``oracles.exact_response``) to rounding at real ``lambda > 0``, with the
+    terminals leading and with the nodes shuffled."""
+
+    @pytest.mark.parametrize(
+        "mass_fraction,mode", [(0.5, "inverse"), (0.0, "pseudoinverse")]
+    )
+    @pytest.mark.parametrize("seed", range(5))
+    def test_small_networks(self, seed, mass_fraction, mode):
+        net = random_network(seed, 2, 3, 3, mass_fraction)
+        for net in (net, shuffled_nodes(net, seed)):
+            sys = assemble(net)
+            assert sys.order == 12
+            for lam in (0.5, 1.0, 3.0):
+                exact = exact_response(net, lam)
+                got = evaluate_response(sys, lam, mode).W.a
+                assert np.abs(got - exact).max() <= 1e-12 * np.abs(exact).max(), lam
+
+
 class TestSystemResonances:
     def test_floppy_mode_roots_are_zero_and_minus_beta(self):
-        # the points the former sigma <= 0 branch listed, compared with ==
+        # the points the former sigma <= 0 branch listed, compared with ==;
+        # the roots of sigma = 0 are always listed, after those of the modes
         for ray in (RayleighParams(0.0, 0.0), RayleighParams(0.7, 0.0),
                     RayleighParams(0.0, 1.3), RayleighParams(0.7, 1.3)):
             damper = [complex(-1.0 / ray.alpha)] if ray.alpha > 0.0 else []
+            floppy = [0.0 + 0.0j, complex(-ray.beta)]
+            assert system_resonances(ray, []) == floppy + damper
             for sigma in (0.0, -0.0, -1e-300, -2.5):
-                expected = [0.0 + 0.0j, complex(-ray.beta)] + damper
-                assert system_resonances(ray, [sigma]) == expected
+                assert system_resonances(ray, [sigma]) == floppy + floppy + damper
+            roots = list(resonances_of(2.0, ray))
+            assert system_resonances(ray, [2.0]) == roots + floppy + damper
 
 
 class TestCanonicalJson:

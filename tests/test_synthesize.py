@@ -1,6 +1,7 @@
 """Force balancing, rank-one gadgets, full synthesis, superposition."""
 
 import json
+import warnings
 from collections import Counter
 from dataclasses import replace
 from importlib import import_module
@@ -233,6 +234,26 @@ class TestRankOneGadget:
             build_rank_one_gadget(
                 [[0.0, 0.0]], [1.0, 0.0], 0.0, RayleighParams(0.0, 0.0)
             )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_refused_up_front(self, bad):
+        # refused before any arithmetic: no numpy warning, and the error
+        # names the argument instead of a late placement or mass failure
+        terminals, f = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], np.ones(6)
+        ray = RayleighParams(0.1, 0.1)
+        cases = [
+            ("terminals", lambda: build_rank_one_gadget(
+                [[0.0, 0.0], [1.0, 0.0], [bad, 1.0]], f, 1.0, ray)),
+            ("f", lambda: build_rank_one_gadget(terminals, np.r_[bad, f[1:]], 1.0, ray)),
+            ("sigma", lambda: build_rank_one_gadget(terminals, f, bad, ray)),
+            ("terminals", lambda: balance_forces([[bad, 0.0], [1.0, 0.0]], np.ones(4))),
+            ("f", lambda: balance_forces(terminals, np.r_[f[:5], bad])),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for name, call in cases:
+                with pytest.raises(DimensionMismatch, match=f"^{name} must be finite$"):
+                    call()
 
 
 def same_bits(a, b):
@@ -480,8 +501,7 @@ class TestSynthesize:
         union, single = assemble_union(alone), assemble_component(comp)
         for name in ("K", "C", "M"):
             assert np.array_equal(getattr(union, name).a, getattr(single, name).a)
-        assert union.partition.boundary == single.partition.boundary
-        assert union.partition.interior == single.partition.interior
+        assert union.n_b == single.n_b
         assert np.array_equal(union.terminal_positions, single.terminal_positions)
         assert (union.dimension, union.rayleigh) == (single.dimension, single.rayleigh)
 
@@ -728,7 +748,7 @@ def test_modal_form_matches_direct_oracle(name):
     gn = network_case(name)
     form = modal_form(gn)
     assert form[3].shape == (gn.terminals.size, len(form[2]))
-    avoid = system_resonances(gn.rayleigh, list(form[2]) + [0.0])
+    avoid = system_resonances(gn.rayleigh, form[2])
     for lam in sample_nonresonant(np.random.default_rng(0), avoid, 8):
         modal = modal_response(gn.rayleigh, *form, lam)
         direct = evaluate_generalized(gn, lam, "pseudoinverse").W.a
