@@ -76,7 +76,6 @@ from .synthesize import (
     evaluate_generalized,
     generalized_from_dict,
     generalized_to_dict,
-    rank_one_response,
     synthesize,
     verify_synthesis,
 )

@@ -13,52 +13,59 @@ def cross(x, f):
 
     Scalar ``x0*f1 - x1*f0`` for d=2, the usual 3-vector for d=3. The
     3-vector is written out as ``np.cross`` computes it, so the bits are the
-    same, without that function's per-call axis handling.
+    same, without that function's per-call axis handling (two single
+    3-vectors as Python floats, which round alike). The result is C-ordered,
+    so a stack sums its nodes in the order one system does.
     """
     x = np.asarray(x, dtype=float)
     f = np.asarray(f, dtype=float)
     d = x.shape[-1]
     if f.shape[-1] != d:
         raise DimensionMismatch("position/force dimension mismatch")
+    if d not in (2, 3):
+        raise DimensionMismatch(f"cross product defined for d in (2, 3), got {d}")
+    shape = np.broadcast_shapes(x.shape, f.shape)
     if d == 2:
-        return x[..., 0] * f[..., 1] - x[..., 1] * f[..., 0]
-    if d == 3:
-        x0, x1, x2 = x[..., 0], x[..., 1], x[..., 2]
-        f0, f1, f2 = f[..., 0], f[..., 1], f[..., 2]
-        return np.stack(
-            [x1 * f2 - x2 * f1, x2 * f0 - x0 * f2, x0 * f1 - x1 * f0], axis=-1
-        )
-    raise DimensionMismatch(f"cross product defined for d in (2, 3), got {d}")
+        out = np.empty(shape[:-1])
+        return np.subtract(x[..., 0] * f[..., 1], x[..., 1] * f[..., 0], out=out)
+    if len(shape) == 1:
+        (x0, x1, x2), (f0, f1, f2) = x.tolist(), f.tolist()
+        return np.array([x1 * f2 - x2 * f1, x2 * f0 - x0 * f2, x0 * f1 - x1 * f0])
+    out = np.empty(shape)
+    return np.subtract(x[..., _NEXT] * f[..., _LAST], x[..., _LAST] * f[..., _NEXT], out=out)
 
 
-def total_torque(positions, forces):
-    """``sum_i x_i x f_i`` of (n, d) positions and forces, as a 1-D array."""
-    t = np.atleast_1d(cross(positions, forces))
-    return t.reshape(len(positions), -1).sum(axis=0)
+# component k of a 3-vector cross product is x[k+1] f[k+2] - x[k+2] f[k+1]
+_NEXT, _LAST = np.array([1, 2, 0]), np.array([2, 0, 1])
 
 
-def balance_check(positions, forces, threshold):
-    """``(passed, residual)`` of the equilibrium of a force system.
+def balance_verdicts(positions, forces, threshold):
+    """``(passed, residual)`` of the equilibrium of a stack of force systems.
 
-    ``positions`` is (n, d), ``forces`` is (n, d). ``residual`` is
-    ``max(|sum f|_inf, |sum x_i x f_i|_inf)``. The force residual passes at
+    ``forces`` is (..., n, d), ``positions`` broadcasts against it and
+    ``threshold`` against the leading shape. ``residual`` is ``max(|sum
+    f|_inf, |sum x_i x f_i|_inf)``. The force residual passes at
     ``threshold``. A torque is a force times a length, and so is its
     rounding: the torque residual passes at ``threshold * max(1, max|x|)``,
-    with ``max|x|`` the largest coordinate magnitude of ``positions``. The
-    verdict thus holds when the lengths grow, and up to unit lengths both
-    residuals pass at ``threshold``.
+    with ``max|x|`` the largest coordinate magnitude of the system's
+    positions. Each verdict is the one its system would get alone; maxima
+    keep the first operand unless the second is larger, as ``max`` does.
     """
     positions = np.asarray(positions, dtype=float)
-    forces = np.asarray(forces, dtype=float)
-    if positions.shape != forces.shape:
+    forces = np.ascontiguousarray(forces, dtype=float)
+    if positions.shape[-2:] != forces.shape[-2:]:
         raise DimensionMismatch(
             f"positions {positions.shape} vs forces {forces.shape}"
         )
-    fsum = forces.sum(axis=0)
-    tsum = total_torque(positions, forces)
-    force, torque = float(np.abs(fsum).max()), float(np.abs(tsum).max())
-    length = max(1.0, float(np.abs(positions).max(initial=0.0)))
-    return bool(force <= threshold and torque <= threshold * length), max(force, torque)
+    torque = cross(positions, forces)
+    force = np.abs(forces.sum(axis=-2)).max(axis=-1)
+    if positions.shape[-1] == 2:
+        torque = np.abs(torque.sum(axis=-1))
+    else:
+        torque = np.abs(torque.sum(axis=-2)).max(axis=-1)
+    length = np.fmax(np.abs(positions).max(axis=(-2, -1), initial=0.0), 1.0)
+    passed = (force <= threshold) & (torque <= threshold * length)
+    return passed, np.where(torque > force, torque, force)
 
 
 def check_balanced(F, positions, tol=1e-10):
@@ -66,8 +73,9 @@ def check_balanced(F, positions, tol=1e-10):
 
     ``F`` is a (n*d, m) matrix (or a single (n*d,) vector); each column is
     read node-major. Returns ``(passed, worst_residual)``: every column
-    passes :func:`balance_check` at ``tol * (1 + max|F|)``, so the test is
-    insensitive to force and length units.
+    passes :func:`balance_verdicts` at ``tol * (1 + max|F|)``, so the test
+    is insensitive to force and length units. The worst residual is taken
+    as ``max`` takes it: NaN only when the first column's is.
     """
     positions = np.atleast_2d(np.asarray(positions, dtype=float))
     n, d = positions.shape
@@ -81,8 +89,9 @@ def check_balanced(F, positions, tol=1e-10):
     if F.shape[1] == 0:
         raise DimensionMismatch("force matrix must have at least one column")
     threshold = tol * (1.0 + np.abs(F).max())
-    checks = [balance_check(positions, col.reshape(n, d), threshold) for col in F.T]
-    return all(ok for ok, _ in checks), max(residual for _, residual in checks)
+    passed, residual = balance_verdicts(positions, F.T.reshape(-1, n, d), threshold)
+    worst = residual[0] if np.isnan(residual[0]) else np.fmax.reduce(residual)
+    return bool(passed.all()), float(worst)
 
 
 def balance_operator(positions):
@@ -115,14 +124,6 @@ def project_balanced(forces, positions):
     B = balance_operator(positions)
     B_pinv = np.linalg.pinv(B)
     return [f - B_pinv @ (B @ f) for f in forces]
-
-
-def hull_diameter(points):
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    if len(points) < 2:
-        return 0.0
-    diff = points[:, None, :] - points[None, :, :]
-    return float(np.sqrt((diff**2).sum(-1)).max())
 
 
 # Point sets whose hull maps are kept, the least recently used dropped
@@ -184,7 +185,7 @@ def hull_distance(x, points):
     if best == 0.0:
         return 0.0
     maps = _hull_systems(pts.shape, pts.tobytes())
-    out = (maps @ np.append(x, 1.0)).reshape(-1, 2 * d + 1)
+    out = (maps @ np.concatenate([x, [1.0]])).reshape(-1, 2 * d + 1)
     feasible = out[:, :d + 1].min(axis=1) >= -1e-12
-    cand = np.linalg.norm(out[feasible, d + 1:], axis=1)
+    cand = np.sqrt(np.square(out[feasible, d + 1:]).sum(axis=1))  # np.linalg.norm's sum
     return float(np.fmin.reduce(cand, initial=best))  # fmin skips NaN candidates

@@ -216,6 +216,13 @@ class SystemMatrices:
     rayleigh: RayleighParams
     terminal_positions: np.ndarray
 
+    def __post_init__(self):
+        if self.n_b > min(self.K.order, self.M.order):
+            raise DimensionMismatch(
+                f"{self.n_b} terminal coordinates exceed the order of K "
+                f"({self.K.order}) or M ({self.M.order})"
+            )
+
     @property
     def order(self):
         return self.K.order

@@ -23,8 +23,9 @@ nodes with force vector ``f`` contributes the rank-one stiffness ``f f^T``.
 Realizing one by literal springs is out of scope here.
 """
 
-from dataclasses import dataclass, field
-from functools import cached_property
+import math
+from dataclasses import InitVar, dataclass, field
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -39,13 +40,11 @@ from .errors import (
     ZeroForce,
 )
 from .geometry import (
-    balance_check,
+    balance_verdicts,
     check_balanced,
     cross,
-    hull_diameter,
     hull_distance,
     project_balanced,
-    total_torque,
 )
 from .linalg import SymMatrix
 from .model import (
@@ -82,15 +81,17 @@ RANK_TOL = 1e-12
 # Random draws of a balancing node pair before placement gives up.
 PLACEMENT_DRAWS = 200
 
-
-def default_min_clearance(terminals, epsilon_hull):
-    """A millionth of the width of the region internal nodes may occupy."""
-    return 1e-6 * (hull_diameter(terminals) + 2.0 * epsilon_hull)
+# check_balanced's tolerance for the force system of an ideal element.
+ELEMENT_TOL = 1e-8
 
 
 def _distances(points, others):
-    """(N, F) Euclidean distances between two point sets."""
-    return np.linalg.norm(points[:, None, :] - others[None, :, :], axis=-1)
+    """(N, F) Euclidean distances between two point sets, the squares added
+    coordinate by coordinate, as ``np.linalg.norm`` adds them."""
+    total = 0.0
+    for k in range(points.shape[1]):
+        total = total + np.square(points[:, None, k] - others[None, :, k])
+    return np.sqrt(total)
 
 
 def _finite(name, values):
@@ -103,7 +104,8 @@ def _finite(name, values):
 
 
 def _placement_constraints(terminals, forbidden, min_clearance, epsilon_hull):
-    """Forbidden points as a (k, d) array, and the clearance or its default."""
+    """Forbidden points as a (k, d) array, and the clearance; by default a
+    millionth of the width of the region internal nodes may occupy."""
     d = terminals.shape[1]
     forb = (
         np.asarray(forbidden, dtype=float).reshape(-1, d)
@@ -111,7 +113,8 @@ def _placement_constraints(terminals, forbidden, min_clearance, epsilon_hull):
         else np.zeros((0, d))
     )
     if min_clearance is None:
-        return forb, default_min_clearance(terminals, epsilon_hull)
+        width = float(_distances(terminals, terminals).max(initial=0.0)) + 2.0 * epsilon_hull
+        return forb, 1e-6 * width
     return forb, float(min_clearance)
 
 
@@ -121,7 +124,9 @@ class NetworkComponent:
 
     Nodes list every shared terminal first (in global order), then the
     component's own internal nodes. Element force systems are verified
-    balanced at construction.
+    balanced at construction (:func:`check_balanced` at ``ELEMENT_TOL``)
+    unless ``balanced`` says the caller did so (:func:`_gadget_verdicts`).
+    ``positions``: the node positions, a read-only (n, d) array.
     """
 
     kind: str
@@ -130,8 +135,10 @@ class NetworkComponent:
     elements: tuple
     rayleigh: RayleighParams
     dimension: int
+    positions: np.ndarray = field(init=False, repr=False, compare=False)
+    balanced: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, balanced):
         object.__setattr__(self, "nodes", tuple(self.nodes))
         object.__setattr__(self, "elements", tuple(self.elements))
         if self.kind not in COMPONENT_KINDS:
@@ -143,6 +150,8 @@ class NetworkComponent:
                 raise ValueError("terminal nodes must come first and be flagged")
         d = self.dimension
         positions = np.array([n.position for n in self.nodes])
+        positions.flags.writeable = False
+        object.__setattr__(self, "positions", positions)
         for el in self.elements:
             refs = (el.i, el.j) if isinstance(el, Spring) else el.support
             if min(refs) < 0 or max(refs) >= len(self.nodes):
@@ -152,20 +161,17 @@ class NetworkComponent:
                 continue
             if el.force_vector.size != len(el.support) * d:
                 raise ValueError("ideal element force vector has the wrong length")
-            balanced, residual = check_balanced(
-                el.force_vector, positions[list(el.support)], tol=1e-8
+            if balanced:
+                continue
+            passed, residual = check_balanced(
+                el.force_vector, positions[list(el.support)], tol=ELEMENT_TOL
             )
-            if not balanced:
-                raise ValueError(
-                    f"ideal element force system is unbalanced (residual "
-                    f"{residual:.3e})"
-                )
+            if not passed:
+                raise _unbalanced_element(residual)
 
     @property
     def internal_positions(self):
-        return np.array([n.position for n in self.nodes[self.n_terminals:]]).reshape(
-            -1, self.dimension
-        )
+        return self.positions[self.n_terminals:].reshape(-1, self.dimension)
 
     @cached_property
     def modal_form(self):
@@ -174,6 +180,10 @@ class NetworkComponent:
         A gadget built here has it already, from :func:`_reduce_gadgets`."""
         red = eliminate_massless(assemble_component(self))
         return (red.Ktilde.a[:red.n_b, :red.n_b], red.Mbb, *red.modal)
+
+
+def _unbalanced_element(residual):
+    return ValueError(f"ideal element force system is unbalanced (residual {residual:.3e})")
 
 
 def assemble_component(comp):
@@ -210,17 +220,16 @@ class GeneralizedNetwork:
         )
         object.__setattr__(self, "forbidden", forb)
         object.__setattr__(self, "min_clearance", clearance)
-        internal = []
+        internal = [np.zeros((0, d))]
         for k, comp in enumerate(self.components):
             if comp.dimension != d or comp.n_terminals != len(terminals):
                 raise ValueError(f"component {k} does not share the terminal set")
-            shared = np.array([n.position for n in comp.nodes[: comp.n_terminals]])
-            if not np.array_equal(shared, terminals):
+            if not np.array_equal(comp.positions[:comp.n_terminals], terminals):
                 raise ValueError(f"component {k} terminal positions differ")
             if comp.rayleigh != self.components[0].rayleigh:
                 raise ValueError("components must share the damping constants")
-            internal.extend(comp.internal_positions)
-        internal = np.reshape(internal, (-1, d))
+            internal.append(comp.internal_positions)
+        internal = np.concatenate(internal)
         slack = 1e-9
         outside = np.array([hull_distance(p, terminals) for p in internal]) > (
             self.epsilon_hull + slack
@@ -270,6 +279,17 @@ def evaluate_generalized(gn, lam, mode="inverse"):
 # ---------------------------------------------------------------------------
 
 
+def _norm(v):
+    """``np.linalg.norm`` of a vector: the root of the ``dot`` it takes."""
+    return math.sqrt(v.dot(v))
+
+
+def _clear(avoid, point, clearance):
+    """Is ``point`` at least ``clearance`` from every row of ``avoid``, by
+    the distances ``np.linalg.norm(avoid - point, axis=1)`` gives?"""
+    return not (np.sqrt(np.square(avoid - point).sum(axis=1)) < clearance).any()
+
+
 def _solve_couple(x1, x2, f_rem, tau, min_force):
     """Forces (g1 at x1, g2 at x2) cancelling net force f_rem and torque tau.
 
@@ -284,36 +304,113 @@ def _solve_couple(x1, x2, f_rem, tau, min_force):
     wnorm2 = float(w @ w)
     if wnorm2 == 0.0:
         return None
-    d = len(x1)
-    if d == 2:
+    if len(x1) == 2:
         h = (-float(tau[0]) / wnorm2) * np.array([-w[1], w[0]])
     else:
-        if abs(float(w @ tau)) > 1e-9 * (np.linalg.norm(w) * np.linalg.norm(tau) + 1e-300):
+        if abs(float(w @ tau)) > 1e-9 * (_norm(w) * _norm(tau) + 1e-300):
             return None  # torque not cancellable along this joining direction
         h = cross(w, tau) / wnorm2
     g1 = f_rem + h
-    g2 = -h
-    g = np.concatenate([g1, g2])
-    if min_force > 0.0 and np.linalg.norm(g) < min_force:
-        t = (min_force + np.linalg.norm(h)) / np.sqrt(wnorm2)
-        g = np.concatenate([g1 + t * w, g2 - t * w])
+    g = np.concatenate([g1, -h])
+    if min_force > 0.0 and _norm(g) < min_force:
+        t = (min_force + _norm(h)) / math.sqrt(wnorm2)
+        g = np.concatenate([g1 + t * w, -h - t * w])
     return g
 
 
-def _draw_point(rng, terminals, epsilon_hull, avoid, clearance, jitter_frac):
-    """Random point within ``jitter_frac * epsilon_hull`` of the hull."""
+def _terminal_loads(terminals, fmats):
+    """Net force negated, torque ((k, 1) for d=2) and ``1 + max|f|`` of each
+    of a (k, nt, d) stack of terminal force systems."""
+    tau = cross(terminals, fmats).sum(axis=1)
+    if terminals.shape[1] == 2:
+        tau = tau[:, None]
+    return -fmats.sum(axis=1), tau, 1.0 + np.abs(fmats).max(axis=(1, 2))
+
+
+def _balancing_pair(rng, terminals, avoid, clearance, epsilon_hull, f_rem, tau_t,
+                    scale, min_force, candidates):
+    """``(x1, x2, g)``: nodes, given as ``candidates`` or drawn near the hull
+    clear of ``avoid``, and the forces on them that balance terminal loads
+    ``(f_rem, tau_t)``; :class:`PlacementFailed` if none can."""
+    if candidates is not None:
+        x1 = np.asarray(candidates[0], dtype=float)
+        x2 = np.asarray(candidates[1], dtype=float)
+        g = _solve_couple(x1, x2, f_rem, tau_t + cross(x1, f_rem), min_force)
+        if g is None:
+            raise PlacementFailed(
+                "candidate nodes cannot balance the system (coincident, or "
+                "joining direction not orthogonal to the residual torque)"
+            )
+        return x1, x2, g
     nt, d = terminals.shape
-    weights = rng.dirichlet(np.ones(nt)) if nt > 1 else np.array([1.0])
-    base = weights @ terminals
-    direction = rng.standard_normal(d)
-    norm = np.linalg.norm(direction)
-    if norm == 0.0:
-        return None
-    radius = jitter_frac * epsilon_hull * rng.uniform(0.1, 1.0)
-    point = base + (radius / norm) * direction
-    if (np.linalg.norm(avoid - point, axis=1) < clearance).any():
-        return None
-    return point
+    ones = np.ones(nt)
+
+    def draw(jitter_frac):
+        # a random point within jitter_frac * epsilon_hull of the hull
+        weights = rng.dirichlet(ones) if nt > 1 else np.array([1.0])
+        base = weights @ terminals
+        direction = rng.standard_normal(d)
+        norm = _norm(direction)
+        if norm == 0.0:
+            return None
+        radius = jitter_frac * epsilon_hull * rng.uniform(0.1, 1.0)
+        point = base + (radius / norm) * direction
+        return point if _clear(avoid, point, clearance) else None
+
+    for _ in range(PLACEMENT_DRAWS):
+        x1 = draw(0.45 if d == 3 else 0.9)
+        if x1 is None:
+            continue
+        # the torque of the system once f_rem is assigned to x1
+        tau = tau_t + cross(x1, f_rem)
+        if d == 2:
+            x2 = draw(0.9)
+            if x2 is None:
+                continue
+        else:
+            tnorm = _norm(tau)
+            if tnorm > 1e-12 * scale:
+                u = cross(tau, rng.standard_normal(3))
+                unorm = _norm(u)
+                if unorm < 1e-9 * tnorm:
+                    continue
+            else:
+                u = rng.standard_normal(3)
+                unorm = _norm(u)
+                if unorm == 0.0:
+                    continue
+            x2 = x1 - epsilon_hull * rng.uniform(0.1, 0.5) * (u / unorm)
+            if not _clear(avoid, x2, clearance):
+                continue
+        if _norm(x1 - x2) < max(clearance, 0.02 * epsilon_hull):
+            continue
+        g = _solve_couple(x1, x2, f_rem, tau, min_force)
+        if g is not None:
+            return x1, x2, g
+    raise PlacementFailed(
+        f"no admissible balancing pair found in {PLACEMENT_DRAWS} draws "
+        f"(epsilon_hull={epsilon_hull}, clearance={clearance:.3e})"
+    )
+
+
+def _gadget_verdicts(terminals, fmats, pairs, g, scale):
+    """``(k, error)``: the first of a stack of completed force systems
+    (``fmats[k]`` at the terminals, ``g[k]`` at ``pairs[k]``) to fail, and
+    its error; ``(len(fmats), None)`` when all pass. Each system is judged
+    at ``1e-10*scale[k]`` (:class:`PlacementFailed`), then by the element
+    rule of :class:`NetworkComponent` (``ValueError``)."""
+    count, nt, d = fmats.shape
+    points = np.concatenate([np.broadcast_to(terminals, fmats.shape), pairs], axis=1)
+    loads = np.concatenate([fmats, g.reshape(count, 2, d)], axis=1)
+    element = ELEMENT_TOL * (1.0 + np.abs(loads).max(axis=(1, 2), initial=0.0))
+    passed, residual = balance_verdicts(points, loads, np.stack([1e-10 * scale, element]))
+    failed = ~passed.all(axis=0)
+    if not failed.any():
+        return count, None
+    k = int(np.argmax(failed))
+    if passed[0, k]:
+        return k, _unbalanced_element(residual[k])
+    return k, PlacementFailed(f"balancing construction left residual {residual[k]:.3e}")
 
 
 def balance_forces(
@@ -339,91 +436,19 @@ def balance_forces(
     Terminals and forces that are not finite are refused up front.
     """
     terminals = np.atleast_2d(_finite("terminals", terminals))
-    nt, d = terminals.shape
-    fmat = _finite("f", f).reshape(nt, d)
+    fmats = _finite("f", f).reshape(terminals.shape)[None]
     forb, clearance = _placement_constraints(
         terminals, forbidden, min_clearance, epsilon_hull
     )
-    f_rem = -fmat.sum(axis=0)
-    tau_terminals = total_torque(terminals, fmat)
-    scale = 1.0 + np.abs(fmat).max()
-
-    def residual_torque(x1):
-        # the torque of the system once f_rem is assigned to x1
-        return tau_terminals + np.atleast_1d(cross(x1, f_rem))
-
-    if candidates is not None:
-        x1 = np.asarray(candidates[0], dtype=float)
-        x2 = np.asarray(candidates[1], dtype=float)
-        g = _solve_couple(x1, x2, f_rem, residual_torque(x1), min_force)
-        if g is None:
-            raise PlacementFailed(
-                "candidate nodes cannot balance the system (coincident, or "
-                "joining direction not orthogonal to the residual torque)"
-            )
-        _assert_balanced(terminals, fmat, x1, x2, g, scale)
-        return x1, x2, g
-
-    rng = np.random.default_rng(seed)
-    avoid = np.vstack([forb, terminals]) if forb.size else terminals
-    for _ in range(PLACEMENT_DRAWS):
-        jitter1 = 0.45 if d == 3 else 0.9
-        x1 = _draw_point(rng, terminals, epsilon_hull, avoid, clearance, jitter1)
-        if x1 is None:
-            continue
-        tau = residual_torque(x1)
-        if d == 2:
-            x2 = _draw_point(rng, terminals, epsilon_hull, avoid, clearance, 0.9)
-            if x2 is None:
-                continue
-        else:
-            tnorm = np.linalg.norm(tau)
-            if tnorm > 1e-12 * scale:
-                probe = rng.standard_normal(3)
-                u = cross(tau, probe)
-                if np.linalg.norm(u) < 1e-9 * tnorm:
-                    continue
-            else:
-                u = rng.standard_normal(3)
-                if np.linalg.norm(u) == 0.0:
-                    continue
-            u = u / np.linalg.norm(u)
-            step = epsilon_hull * rng.uniform(0.1, 0.5)
-            x2 = x1 - step * u
-            if (np.linalg.norm(avoid - x2, axis=1) < clearance).any():
-                continue
-        separation = np.linalg.norm(x1 - x2)
-        if separation < max(clearance, 0.02 * epsilon_hull):
-            continue
-        g = _solve_couple(x1, x2, f_rem, tau, min_force)
-        if g is None:
-            continue
-        _assert_balanced(terminals, fmat, x1, x2, g, scale)
-        return x1, x2, g
-    raise PlacementFailed(
-        f"no admissible balancing pair found in {PLACEMENT_DRAWS} draws "
-        f"(epsilon_hull={epsilon_hull}, clearance={clearance:.3e})"
-    )
-
-
-def _assert_balanced(terminals, fmat, x1, x2, g, scale):
-    d = terminals.shape[1]
-    points = np.vstack([terminals, x1, x2])
-    forces = np.vstack([fmat, g[:d], g[d:]])
-    balanced, residual = balance_check(points, forces, 1e-10 * scale)
-    if not balanced:
-        raise PlacementFailed(
-            f"balancing construction left residual {residual:.3e}"
-        )
-
-
-def rank_one_response(f, sigma, rayleigh, lam):
-    """Closed-form gadget response at one Laplace point."""
-    lam = complex(lam)
-    f = np.asarray(f, dtype=float).ravel()
-    damp = 1.0 + rayleigh.alpha * lam
-    q = sigma + (rayleigh.alpha * sigma + rayleigh.beta) * lam + lam * lam
-    return SymMatrix((damp - damp * damp * sigma / q) * np.outer(f, f))
+    (f_rem,), (tau_t,), scale = _terminal_loads(terminals, fmats)
+    rng = np.random.default_rng(seed) if candidates is None else None
+    x1, x2, g = _balancing_pair(rng, terminals, np.concatenate([terminals, forb]),
+                                clearance, epsilon_hull, f_rem, tau_t, scale[0],
+                                min_force, candidates)
+    _, error = _gadget_verdicts(terminals, fmats, np.array([[x1, x2]]), g[None], scale)
+    if error:
+        raise error
+    return x1, x2, g
 
 
 def build_rank_one_gadget(
@@ -447,10 +472,18 @@ def build_rank_one_gadget(
     contract before returning (:func:`_reduce_gadgets`). Terminals, forces
     and ``sigma`` that are not finite are refused up front.
     """
-    comp = _place_gadget(terminals, None, f, sigma, rayleigh, epsilon_hull=epsilon_hull,
-                         forbidden=forbidden, seed=seed, min_clearance=min_clearance,
-                         candidates=candidates)
-    _reduce_gadgets([(comp, sigma)])
+    terminals = np.atleast_2d(_finite("terminals", terminals))
+    f, sigma = _finite("f", f).ravel(), float(_finite("sigma", sigma))
+    if f.size != terminals.size:
+        raise ValueError(f"force vector length {f.size}, expected {terminals.size}")
+    _refuse_degenerate(_norm(f), sigma)
+    forb, clearance = _placement_constraints(
+        terminals, forbidden, min_clearance, epsilon_hull
+    )
+    rng = np.random.default_rng(seed) if candidates is None else None
+    (comp,) = _gadgets(terminals, _terminal_nodes(terminals, np.zeros(len(terminals))),
+                       f[None], np.array([sigma]), rayleigh, rng, epsilon_hull, forb,
+                       clearance, candidates)
     return comp
 
 
@@ -458,35 +491,68 @@ def _terminal_nodes(terminals, masses):
     return tuple(Node(tuple(p), float(m), True) for p, m in zip(terminals, masses))
 
 
-def _place_gadget(terminals, terminal_nodes, f, sigma, rayleigh, **placement):
-    """The component of :func:`build_rank_one_gadget`, not yet checked, on
-    the shared massless ``terminal_nodes`` (None: built once placed)."""
-    terminals = np.atleast_2d(_finite("terminals", terminals))
-    nt, d = terminals.shape
-    f, sigma = _finite("f", f).ravel(), float(_finite("sigma", sigma))
-    if f.size != nt * d:
-        raise ValueError(f"force vector length {f.size}, expected {nt * d}")
-    fnorm = np.linalg.norm(f)
+def _refuse_degenerate(fnorm, sigma):
     if fnorm == 0.0:
         raise ZeroForce("rank-one gadget needs a nonzero force vector")
     if sigma <= 0.0:
-        raise ValueError(f"sigma must be > 0, got {sigma}")
-    x1, x2, g = balance_forces(terminals, f, min_force=max(1e-2, 0.1 * fnorm), **placement)
-    mass = float(g @ g) / float(sigma)
-    if terminal_nodes is None:
-        terminal_nodes = _terminal_nodes(terminals, np.zeros(nt))
-    nodes = (*terminal_nodes, Node(tuple(x1), mass, False), Node(tuple(x2), mass, False))
-    element = IdealElasticElement(
-        support=tuple(range(nt + 2)), force_vector=np.concatenate([f, g])
-    )
-    return NetworkComponent(
-        kind="rank_one_gadget",
-        nodes=nodes,
-        n_terminals=nt,
-        elements=(element,),
-        rayleigh=rayleigh,
-        dimension=d,
-    )
+        raise ValueError(f"sigma must be > 0, got {float(sigma)}")
+
+
+def _gadgets(terminals, terminal_nodes, forces, sigmas, rayleigh, rng, epsilon_hull,
+             forbidden, clearance, candidates=None):
+    """Checked rank-one gadgets, one per row of ``forces`` (of length
+    ``terminals.size``), on the shared massless ``terminal_nodes``.
+
+    The gadgets are placed in order, each clear of the terminals, of
+    ``forbidden`` and of the nodes placed before it. Then the stack gets its
+    balance verdicts (:func:`_gadget_verdicts`), its components and its
+    contract (:func:`_reduce_gadgets`). Inputs that are not finite are
+    refused up front; a zero force, a ``sigma <= 0`` or a failed placement
+    ends the placement after the gadgets before it are checked, so the
+    first failure in gadget order is raised.
+    """
+    count = len(forces)
+    if count:
+        for name, values in (("terminals", terminals), ("f", forces), ("sigma", sigmas)):
+            _finite(name, values)
+    nt, d = terminals.shape
+    fmats = forces.reshape(count, nt, d)
+    f_rem, tau_t, scale = _terminal_loads(terminals, fmats)
+    # the terminals, the forbidden points, then each gadget's pair, in order
+    avoid = np.concatenate([terminals, forbidden, np.empty((2 * count, d))])
+    fixed = len(avoid) - 2 * count
+    pairs = avoid[fixed:].reshape(count, 2, d)
+    g = np.empty((count, 2 * d))
+    placed = 0
+    try:
+        for k in range(count):
+            fnorm = _norm(forces[k])
+            _refuse_degenerate(fnorm, sigmas[k])
+            x1, x2, g[k] = _balancing_pair(
+                rng, terminals, avoid[:fixed + 2 * k], clearance, epsilon_hull,
+                f_rem[k], tau_t[k], scale[k], max(1e-2, 0.1 * fnorm), candidates,
+            )
+            pairs[k] = x1, x2
+            placed += 1
+    finally:  # also after a failed placement: a gadget placed before it fails first
+        passed, error = _gadget_verdicts(
+            terminals, fmats[:placed], pairs[:placed], g[:placed], scale[:placed]
+        )
+        gadgets = []
+        try:
+            for k in range(passed):
+                mass = float(g[k] @ g[k]) / float(sigmas[k])
+                nodes = (*terminal_nodes, Node(tuple(pairs[k, 0]), mass, False),
+                         Node(tuple(pairs[k, 1]), mass, False))
+                element = IdealElasticElement(tuple(range(nt + 2)),
+                                              np.concatenate([forces[k], g[k]]))
+                gadgets.append(NetworkComponent("rank_one_gadget", nodes, nt, (element,),
+                                                rayleigh, d, balanced=True))
+            if error:
+                raise error
+        finally:
+            _reduce_gadgets(list(zip(gadgets, sigmas)))
+    return gadgets
 
 
 def _gadget_matrices(comps):
@@ -505,10 +571,11 @@ def _reduce_gadgets(gadgets):
     its interior block ``g g^T`` is PSD by construction. One
     :func:`modal_stack` gives the bits of :attr:`ReducedSystem.modal` and
     seeds each :attr:`NetworkComponent.modal_form`, read-only. The contract,
-    which gives :func:`rank_one_response`: one coupled column, of modal
-    stiffness sigma and equal to ``+-sqrt(sigma) f``. The first gadget to
-    fail raises :class:`PlacementFailed` for the contract, or what its own
-    reduction would for entries that are not finite.
+    which gives the closed-form response of the module docstring: one
+    coupled column, of modal stiffness sigma and equal to ``+-sqrt(sigma)
+    f``. The first gadget to fail raises :class:`PlacementFailed` for the
+    contract, or what its own reduction would for entries that are not
+    finite.
     """
     if not gadgets:
         return
@@ -542,35 +609,17 @@ def _reduce_gadgets(gadgets):
 # ---------------------------------------------------------------------------
 
 
-def _rank_one_factors(matrix, positions=None, what="", floor=0.0):
-    """Spectral factorization of a PSD block into rank-one force vectors.
-
-    Eigenvalues at or below ``RANK_TOL`` times the largest (or below the
-    absolute ``floor``, which callers derive from the magnitudes whose
-    cancellation produced the block) are treated as rank deficiency. With
-    ``positions`` the factors are projected onto the balanced-force
-    subspace: the block's columns are balanced, so its range lies in that
-    subspace up to rounding, but eigenvectors of near-threshold eigenvalues
-    amplify the rounding and need the projection to be usable as element
-    force systems.
-    """
-    vals, vecs = np.linalg.eigh(matrix)
-    top = max(float(vals[-1]), 0.0)
-    cutoff = max(RANK_TOL * max(top, 1e-300), floor)
-    factors = []
-    for k in range(len(vals)):
-        if vals[k] > cutoff:
-            factors.append(np.sqrt(vals[k]) * vecs[:, k])
-    if positions is not None:
-        factors = project_balanced(factors, positions)
-        for w in factors:
-            ok, residual = check_balanced(w, positions, tol=1e-9)
-            if not ok:
-                raise NotCharacterizable(
-                    f"{what} factor is not a balanced force system "
-                    f"(residual {residual:.3e})"
-                )
-    return factors
+def _rank_one_factors(blocks, floors):
+    """Rank-one factors ``sqrt(lambda) v`` of a (k, n, n) stack of PSD
+    blocks by one stacked ``eigh``, as rows in block order, and the block of
+    each. Eigenvalues at or below ``RANK_TOL`` times their block's largest,
+    or its absolute ``floors`` entry (derived by callers from the magnitudes
+    whose cancellation produced the block), are rank deficiency."""
+    vals, vecs = np.linalg.eigh(blocks)
+    top = np.maximum(vals[:, -1], 0.0)
+    cutoff = np.maximum(RANK_TOL * np.maximum(top, 1e-300), floors)
+    owner, k = np.nonzero(vals > cutoff[:, None])
+    return owner, vecs[owner, :, k] * np.sqrt(vals[owner, k])[:, None]
 
 
 def synthesize(
@@ -620,51 +669,43 @@ def synthesize(
     static_scale = np.abs(cr.A.a).max() + sum(
         np.abs(m.R.a).max() / m.sigma for m in cr.modes
     )
-    static_factors = _rank_one_factors(
-        w0.a, terminals, what="static slice", floor=1e-12 * static_scale
+    sigmas = np.array([m.sigma for m in cr.modes])
+    floors = np.r_[1e-12 * static_scale, np.zeros(len(sigmas))]
+    owner, factors = _rank_one_factors(
+        np.array([w0.a] + [m.R.a / m.sigma for m in cr.modes]), floors
     )
-    def on_terminals(kind, nodes, elements):
-        return NetworkComponent(
-            kind=kind,
-            nodes=nodes,
-            n_terminals=nt,
-            elements=elements,
-            rayleigh=cr.rayleigh,
-            dimension=d,
-        )
+    # the static factors are projected onto the balanced subspace: the
+    # slice's columns are balanced, but eigenvectors of near-threshold
+    # eigenvalues amplify the rounding
+    static_factors = project_balanced(factors[owner == 0], terminals)
+    for w in static_factors:
+        ok, residual = check_balanced(w, terminals, tol=1e-9)
+        if not ok:
+            raise NotCharacterizable(
+                f"static slice factor is not a balanced force system "
+                f"(residual {residual:.3e})"
+            )
 
+    on_terminals = partial(NetworkComponent, n_terminals=nt, rayleigh=cr.rayleigh, dimension=d)
     # the massless terminal nodes, built once and shared by the components
     massless = _terminal_nodes(terminals, np.zeros(nt))
     if static_factors:
         elements = tuple(
             IdealElasticElement(tuple(range(nt)), w) for w in static_factors
         )
-        components.append(on_terminals("ideal_elements", massless, elements))
+        components.append(on_terminals("ideal_elements", massless, elements=elements))
 
     node_masses = cr.Mbb[::d]
     if node_masses.max(initial=0.0) > 0.0:
         components.append(
-            on_terminals("terminal_masses", _terminal_nodes(terminals, node_masses), ())
+            on_terminals("terminal_masses", _terminal_nodes(terminals, node_masses), elements=())
         )
 
-    factors = [(m.sigma, v) for m in cr.modes for v in _rank_one_factors(m.R.a / m.sigma)]
-    # each gadget keeps clear of the user's points and of the nodes placed
-    # before it, which fill this array in order
-    placed = np.empty((len(user_forbidden) + 2 * len(factors), d))
-    placed[:len(user_forbidden)] = user_forbidden
-    used = len(user_forbidden)
-    gadgets = []
-    try:
-        for sigma, v in factors:
-            gadget = _place_gadget(terminals, massless, v, sigma, cr.rayleigh,
-                                   epsilon_hull=epsilon_hull, forbidden=placed[:used],
-                                   seed=rng, min_clearance=clearance)
-            gadgets.append((gadget, sigma))
-            placed[used:used + 2] = gadget.internal_positions
-            used += 2
-    finally:  # also after a failed placement: a gadget placed before it fails first
-        _reduce_gadgets(gadgets)
-    components.extend(gadget for gadget, _ in gadgets)
+    gadget = owner > 0
+    components.extend(_gadgets(
+        terminals, massless, factors[gadget], sigmas[owner[gadget] - 1], cr.rayleigh,
+        rng, epsilon_hull, user_forbidden, clearance,
+    ))
 
     gn = GeneralizedNetwork(
         terminals=terminals.copy(),

@@ -5,14 +5,20 @@ from fractions import Fraction
 import numpy as np
 
 from elastonet import (
+    DimensionMismatch,
     ElastodynamicNetwork,
     IdealElasticElement,
     Node,
+    NotCharacterizable,
+    PlacementFailed,
     SchemaError,
     SingularBlock,
     Spring,
     SymMatrix,
+    ZeroForce,
+    check_balanced,
 )
+from elastonet.geometry import cross, project_balanced
 from elastonet.linalg import PINV_TOL
 from elastonet.model import (
     assemble_elements,
@@ -22,6 +28,15 @@ from elastonet.model import (
     spring_from_dict,
 )
 from elastonet.response import ROUNDTRIP_TOL, canonical_responses
+from elastonet.synthesize import (
+    PLACEMENT_DRAWS,
+    RANK_TOL,
+    NetworkComponent,
+    _finite,
+    _placement_constraints,
+    _reduce_gadgets,
+    _terminal_nodes,
+)
 
 
 def schur_complement_by_index(a, boundary, interior, mode="inverse"):
@@ -234,3 +249,315 @@ def exact_response(net, lam):
                 for c in left:
                     a[r][c] -= f * a[p][c]
     return np.array([[float(a[r][c]) for c in terminal] for r in terminal])
+
+
+def rank_one_response(f, sigma, rayleigh, lam):
+    """Closed-form gadget response at one Laplace point:
+    ``[(1+alpha*lam) - (1+alpha*lam)^2 sigma / q(lam)] f f^T``, the
+    reference a gadget's own response is tested against."""
+    lam = complex(lam)
+    f = np.asarray(f, dtype=float).ravel()
+    damp = 1.0 + rayleigh.alpha * lam
+    q = sigma + (rayleigh.alpha * sigma + rayleigh.beta) * lam + lam * lam
+    return SymMatrix((damp - damp * damp * sigma / q) * np.outer(f, f))
+
+
+# ---------------------------------------------------------------------------
+# The synthesis construction one gadget at a time: each block factored by its
+# own eigh, each gadget drawn, balanced, checked and built by the calls
+# below, in order. The reference for the stacked construction of
+# ``synthesize``; ``construction_one_by_one`` runs it.
+# ---------------------------------------------------------------------------
+
+
+def total_torque(positions, forces):
+    """``sum_i x_i x f_i`` of (n, d) positions and forces, as a 1-D array."""
+    t = np.atleast_1d(cross(positions, forces))
+    return t.reshape(len(positions), -1).sum(axis=0)
+
+
+def balance_check(positions, forces, threshold):
+    """``(passed, residual)`` of the equilibrium of a force system.
+
+    ``positions`` is (n, d), ``forces`` is (n, d). ``residual`` is
+    ``max(|sum f|_inf, |sum x_i x f_i|_inf)``. The force residual passes at
+    ``threshold``. A torque is a force times a length, and so is its
+    rounding: the torque residual passes at ``threshold * max(1, max|x|)``,
+    with ``max|x|`` the largest coordinate magnitude of ``positions``. The
+    verdict thus holds when the lengths grow, and up to unit lengths both
+    residuals pass at ``threshold``.
+    """
+    positions = np.asarray(positions, dtype=float)
+    forces = np.asarray(forces, dtype=float)
+    if positions.shape != forces.shape:
+        raise DimensionMismatch(
+            f"positions {positions.shape} vs forces {forces.shape}"
+        )
+    fsum = forces.sum(axis=0)
+    tsum = total_torque(positions, forces)
+    force, torque = float(np.abs(fsum).max()), float(np.abs(tsum).max())
+    length = max(1.0, float(np.abs(positions).max(initial=0.0)))
+    return bool(force <= threshold and torque <= threshold * length), max(force, torque)
+
+
+
+
+def check_balanced_by_column(F, positions, tol=1e-10):
+    """``check_balanced`` with one :func:`balance_check` per column of
+    ``F``: the reference for the package's stacked verdict."""
+    positions = np.atleast_2d(np.asarray(positions, dtype=float))
+    n, d = positions.shape
+    F = np.asarray(F, dtype=float)
+    if F.ndim == 1:
+        F = F[:, None]
+    threshold = tol * (1.0 + np.abs(F).max())
+    checks = [balance_check(positions, col.reshape(n, d), threshold) for col in F.T]
+    return all(ok for ok, _ in checks), max(residual for _, residual in checks)
+
+def _solve_couple(x1, x2, f_rem, tau, min_force):
+    """Forces (g1 at x1, g2 at x2) cancelling net force f_rem and torque tau.
+
+    ``tau`` is the torque of the full system once ``f_rem`` has been
+    assigned to x1. The couple part is the minimum-norm solution of
+    ``(x1 - x2) x h = -tau``; in three dimensions that requires the joining
+    direction to be orthogonal to ``tau``. The null direction (equal and
+    opposite forces along the joining line) is used to inflate ``|g|`` up to
+    ``min_force`` without disturbing the balance.
+    """
+    w = x1 - x2
+    wnorm2 = float(w @ w)
+    if wnorm2 == 0.0:
+        return None
+    d = len(x1)
+    if d == 2:
+        h = (-float(tau[0]) / wnorm2) * np.array([-w[1], w[0]])
+    else:
+        if abs(float(w @ tau)) > 1e-9 * (np.linalg.norm(w) * np.linalg.norm(tau) + 1e-300):
+            return None  # torque not cancellable along this joining direction
+        h = cross(w, tau) / wnorm2
+    g1 = f_rem + h
+    g2 = -h
+    g = np.concatenate([g1, g2])
+    if min_force > 0.0 and np.linalg.norm(g) < min_force:
+        t = (min_force + np.linalg.norm(h)) / np.sqrt(wnorm2)
+        g = np.concatenate([g1 + t * w, g2 - t * w])
+    return g
+
+
+def _draw_point(rng, terminals, epsilon_hull, avoid, clearance, jitter_frac):
+    """Random point within ``jitter_frac * epsilon_hull`` of the hull."""
+    nt, d = terminals.shape
+    weights = rng.dirichlet(np.ones(nt)) if nt > 1 else np.array([1.0])
+    base = weights @ terminals
+    direction = rng.standard_normal(d)
+    norm = np.linalg.norm(direction)
+    if norm == 0.0:
+        return None
+    radius = jitter_frac * epsilon_hull * rng.uniform(0.1, 1.0)
+    point = base + (radius / norm) * direction
+    if (np.linalg.norm(avoid - point, axis=1) < clearance).any():
+        return None
+    return point
+
+
+def balance_forces(
+    terminals,
+    f,
+    epsilon_hull=0.1,
+    forbidden=(),
+    seed=0,
+    min_clearance=None,
+    min_force=0.0,
+    candidates=None,
+):
+    """Complete an arbitrary terminal force system to a balanced one.
+
+    Places two new nodes near the convex hull of the terminals and returns
+    ``(x1, x2, g)`` where ``g`` stacks the two balancing forces: the full
+    system (``f`` at the terminals, ``g`` at the new nodes) has zero total
+    force and torque. With ``candidates`` the two positions are taken as
+    given (no placement constraints are applied); otherwise they are drawn
+    with the requested hull/forbidden clearances. ``min_force`` requests
+    ``|g|`` at least that large, achieved by adding an equal-and-opposite
+    force pair along the joining line, which never disturbs the balance.
+    Terminals and forces that are not finite are refused up front.
+    """
+    terminals = np.atleast_2d(_finite("terminals", terminals))
+    nt, d = terminals.shape
+    fmat = _finite("f", f).reshape(nt, d)
+    forb, clearance = _placement_constraints(
+        terminals, forbidden, min_clearance, epsilon_hull
+    )
+    f_rem = -fmat.sum(axis=0)
+    tau_terminals = total_torque(terminals, fmat)
+    scale = 1.0 + np.abs(fmat).max()
+
+    def residual_torque(x1):
+        # the torque of the system once f_rem is assigned to x1
+        return tau_terminals + np.atleast_1d(cross(x1, f_rem))
+
+    if candidates is not None:
+        x1 = np.asarray(candidates[0], dtype=float)
+        x2 = np.asarray(candidates[1], dtype=float)
+        g = _solve_couple(x1, x2, f_rem, residual_torque(x1), min_force)
+        if g is None:
+            raise PlacementFailed(
+                "candidate nodes cannot balance the system (coincident, or "
+                "joining direction not orthogonal to the residual torque)"
+            )
+        _assert_balanced(terminals, fmat, x1, x2, g, scale)
+        return x1, x2, g
+
+    rng = np.random.default_rng(seed)
+    avoid = np.vstack([forb, terminals]) if forb.size else terminals
+    for _ in range(PLACEMENT_DRAWS):
+        jitter1 = 0.45 if d == 3 else 0.9
+        x1 = _draw_point(rng, terminals, epsilon_hull, avoid, clearance, jitter1)
+        if x1 is None:
+            continue
+        tau = residual_torque(x1)
+        if d == 2:
+            x2 = _draw_point(rng, terminals, epsilon_hull, avoid, clearance, 0.9)
+            if x2 is None:
+                continue
+        else:
+            tnorm = np.linalg.norm(tau)
+            if tnorm > 1e-12 * scale:
+                probe = rng.standard_normal(3)
+                u = cross(tau, probe)
+                if np.linalg.norm(u) < 1e-9 * tnorm:
+                    continue
+            else:
+                u = rng.standard_normal(3)
+                if np.linalg.norm(u) == 0.0:
+                    continue
+            u = u / np.linalg.norm(u)
+            step = epsilon_hull * rng.uniform(0.1, 0.5)
+            x2 = x1 - step * u
+            if (np.linalg.norm(avoid - x2, axis=1) < clearance).any():
+                continue
+        separation = np.linalg.norm(x1 - x2)
+        if separation < max(clearance, 0.02 * epsilon_hull):
+            continue
+        g = _solve_couple(x1, x2, f_rem, tau, min_force)
+        if g is None:
+            continue
+        _assert_balanced(terminals, fmat, x1, x2, g, scale)
+        return x1, x2, g
+    raise PlacementFailed(
+        f"no admissible balancing pair found in {PLACEMENT_DRAWS} draws "
+        f"(epsilon_hull={epsilon_hull}, clearance={clearance:.3e})"
+    )
+
+
+def _assert_balanced(terminals, fmat, x1, x2, g, scale):
+    d = terminals.shape[1]
+    points = np.vstack([terminals, x1, x2])
+    forces = np.vstack([fmat, g[:d], g[d:]])
+    balanced, residual = balance_check(points, forces, 1e-10 * scale)
+    if not balanced:
+        raise PlacementFailed(
+            f"balancing construction left residual {residual:.3e}"
+        )
+
+
+def _place_gadget(terminals, terminal_nodes, f, sigma, rayleigh, **placement):
+    """The component of :func:`build_rank_one_gadget`, not yet checked, on
+    the shared massless ``terminal_nodes`` (None: built once placed)."""
+    terminals = np.atleast_2d(_finite("terminals", terminals))
+    nt, d = terminals.shape
+    f, sigma = _finite("f", f).ravel(), float(_finite("sigma", sigma))
+    if f.size != nt * d:
+        raise ValueError(f"force vector length {f.size}, expected {nt * d}")
+    fnorm = np.linalg.norm(f)
+    if fnorm == 0.0:
+        raise ZeroForce("rank-one gadget needs a nonzero force vector")
+    if sigma <= 0.0:
+        raise ValueError(f"sigma must be > 0, got {sigma}")
+    x1, x2, g = balance_forces(terminals, f, min_force=max(1e-2, 0.1 * fnorm), **placement)
+    mass = float(g @ g) / float(sigma)
+    if terminal_nodes is None:
+        terminal_nodes = _terminal_nodes(terminals, np.zeros(nt))
+    nodes = (*terminal_nodes, Node(tuple(x1), mass, False), Node(tuple(x2), mass, False))
+    element = IdealElasticElement(
+        support=tuple(range(nt + 2)), force_vector=np.concatenate([f, g])
+    )
+    return NetworkComponent(
+        kind="rank_one_gadget",
+        nodes=nodes,
+        n_terminals=nt,
+        elements=(element,),
+        rayleigh=rayleigh,
+        dimension=d,
+    )
+
+
+
+def _rank_one_factors(matrix, positions=None, what="", floor=0.0):
+    """Spectral factorization of a PSD block into rank-one force vectors.
+
+    Eigenvalues at or below ``RANK_TOL`` times the largest (or below the
+    absolute ``floor``, which callers derive from the magnitudes whose
+    cancellation produced the block) are treated as rank deficiency. With
+    ``positions`` the factors are projected onto the balanced-force
+    subspace: the block's columns are balanced, so its range lies in that
+    subspace up to rounding, but eigenvectors of near-threshold eigenvalues
+    amplify the rounding and need the projection to be usable as element
+    force systems.
+    """
+    vals, vecs = np.linalg.eigh(matrix)
+    top = max(float(vals[-1]), 0.0)
+    cutoff = max(RANK_TOL * max(top, 1e-300), floor)
+    factors = []
+    for k in range(len(vals)):
+        if vals[k] > cutoff:
+            factors.append(np.sqrt(vals[k]) * vecs[:, k])
+    if positions is not None:
+        factors = project_balanced(factors, positions)
+        for w in factors:
+            ok, residual = check_balanced(w, positions, tol=1e-9)
+            if not ok:
+                raise NotCharacterizable(
+                    f"{what} factor is not a balanced force system "
+                    f"(residual {residual:.3e})"
+                )
+    return factors
+
+
+def construction_one_by_one(cr, epsilon_hull=0.1, forbidden=(), seed=0, min_clearance=None):
+    """``(static_factors, gadgets)`` of ``synthesize(cr, ...)`` built one
+    at a time: the balanced factors of the static slice, and the
+    ``(component, sigma)`` pairs of the rank-one gadgets, placed by
+    :func:`_place_gadget` in order and reduced as one stack."""
+    nt, d = cr.n_terminals, cr.dimension
+    terminals = cr.terminal_positions
+    user_forbidden, clearance = _placement_constraints(
+        terminals, forbidden, min_clearance, epsilon_hull
+    )
+    rng = np.random.default_rng(seed)
+    static_scale = np.abs(cr.A.a).max() + sum(
+        np.abs(m.R.a).max() / m.sigma for m in cr.modes
+    )
+    static_factors = _rank_one_factors(
+        cr.static_response().a, terminals, what="static slice",
+        floor=1e-12 * static_scale,
+    )
+    massless = _terminal_nodes(terminals, np.zeros(nt))
+    factors = [(m.sigma, v) for m in cr.modes for v in _rank_one_factors(m.R.a / m.sigma)]
+    # each gadget keeps clear of the user's points and of the nodes placed
+    # before it, which fill this array in order
+    placed = np.empty((len(user_forbidden) + 2 * len(factors), d))
+    placed[:len(user_forbidden)] = user_forbidden
+    used = len(user_forbidden)
+    gadgets = []
+    try:
+        for sigma, v in factors:
+            gadget = _place_gadget(terminals, massless, v, sigma, cr.rayleigh,
+                                   epsilon_hull=epsilon_hull, forbidden=placed[:used],
+                                   seed=rng, min_clearance=clearance)
+            gadgets.append((gadget, sigma))
+            placed[used:used + 2] = gadget.internal_positions
+            used += 2
+    finally:  # also after a failed placement: a gadget placed before it fails first
+        _reduce_gadgets(gadgets)
+    return static_factors, gadgets

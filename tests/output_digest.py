@@ -21,12 +21,16 @@ differ. Run both with the same BLAS thread count (for example
 The networks are ``random_network(s, d, 3, 6, mf)`` for s = 0..23, d = 2, 3
 and mf = 0, 0.5, 1, the near-floppy networks of
 ``tests/test_response.py::test_near_floppy_network_extracts``, a network
-file whose spring list repeats springs and reverses their ends, and
+file whose spring list repeats springs and reverses their ends,
 ``random_network(s, d, 3, 3, mf)`` for s = 0..4 with its nodes shuffled
 (``conftest.shuffled_nodes(net, s)``), so that terminals follow interior
-nodes: about 1,080 runs, about 10 s on one core. One more ``respond`` sweeps 50 points of the
-158-node ``random_network(5, 3, 8, 150, 0.5)``, the size of a benchmark sweep
-input, in about 0.2 s. Pytest does not collect this file.
+nodes, and the benchmark-size networks ``random_network(s, 3, 6, 60, 0.5)``
+for s = 0..3 (the size of a benchmark roundtrip input, 90 or so gadgets a
+synthesis) and ``random_network(s, 3, 16, 6, 0.5)`` for s = 0, 1 (16
+terminals): about 1,130 runs, about 20 s on one core. One more
+``respond`` sweeps 50 points of the 158-node ``random_network(5, 3, 8, 150,
+0.5)``, the size of a benchmark sweep input, in about 0.2 s. Pytest does not
+collect this file.
 """
 
 import hashlib
@@ -84,6 +88,10 @@ def networks():
             for mf in (0.0, 0.5, 1.0):
                 name = f"shuffled_nodes(random_network({s}, {d}, 3, 3, {mf}), {s})"
                 yield name, network_to_dict(shuffled_nodes(random_network(s, d, 3, 3, mf), s))
+    for s, nt, ni in [(s, 6, 60) for s in range(4)] + [(s, 16, 6) for s in range(2)]:
+        yield f"random_network({s}, 3, {nt}, {ni}, 0.5)", network_to_dict(
+            random_network(s, 3, nt, ni, 0.5)
+        )
 
 
 def forbidden_points(network_file):

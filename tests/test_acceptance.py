@@ -30,7 +30,6 @@ from elastonet import (
     network_to_dict,
     passivity_margin,
     random_network,
-    rank_one_response,
     resonances_of,
     sample_nonresonant,
     schur_complement,
@@ -41,7 +40,7 @@ from elastonet.cli import main as cli_main
 from elastonet.jsonio import write_json
 from elastonet.resonances import classify
 
-from oracles import assemble_union
+from oracles import assemble_union, rank_one_response
 
 N_NETWORKS = 25
 

@@ -24,6 +24,7 @@ from elastonet import geometry
 from elastonet.geometry import balance_operator, cross, hull_distance
 
 synthesize_module = import_module("elastonet.synthesize")
+oracles = import_module("oracles")
 
 
 def enumerated_hull_distance(x, points):
@@ -281,6 +282,70 @@ class TestCross:
     def test_other_dimensions_rejected(self, shape_x, shape_f):
         with pytest.raises(DimensionMismatch):
             cross(np.ones(shape_x), np.ones(shape_f))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_a_stack_sums_its_nodes_as_each_system_alone(self, d):
+        # the result is C-ordered, so a sum over the nodes of a stack adds
+        # them in the order a single system's sum does, pairwise for d = 2
+        # at eight nodes and more, one by one for d = 3
+        # the stack is a view whose node axis is outermost in memory
+        rng = np.random.default_rng(d)
+        x = rng.standard_normal((17, d)) * 10.0 ** rng.uniform(-6, 6, (17, d))
+        f = rng.standard_normal((17, 9, d)) * 10.0 ** rng.uniform(-6, 6, (17, 9, d))
+        stacked = cross(x, f.swapaxes(0, 1)[::2])
+        assert stacked.flags.c_contiguous
+        for k, system in enumerate(f.swapaxes(0, 1)[::2]):
+            alone = np.atleast_1d(cross(x, system.copy())).reshape(17, -1).sum(axis=0)
+            summed = stacked[k].sum(axis=0 if d == 3 else None)
+            assert np.atleast_1d(summed).tobytes() == alone.tobytes()
+
+
+def ragged_force_matrix(rng, n, d, m):
+    """A (n*d, m) force matrix whose entries span twelve decades."""
+    return rng.standard_normal((n * d, m)) * 10.0 ** rng.uniform(-6, 6, (n * d, m))
+
+
+class TestBalanceVerdicts:
+    """The stacked verdicts against one ``balance_check`` per system."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("n", [1, 3, 8, 17])
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    def test_check_balanced_equals_the_column_loop_bitwise(self, d, n, m):
+        rng = np.random.default_rng(100 * d + 10 * n + m)
+        positions = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-3, 3)
+        F = ragged_force_matrix(rng, n, d, m)
+        balanced = F - np.linalg.pinv(balance_operator(positions)) @ (
+            balance_operator(positions) @ F)
+        cases = [F, balanced, F[:, 0], balanced * 1e-9]
+        for k in range(m):  # a column that is not a number, first or later
+            bad = F.copy()
+            bad[0, k] = np.nan
+            cases.append(bad)
+        nan_positions = positions.copy()
+        nan_positions[-1, 0] = np.nan
+        for tol in (1e-10, 1e-8):
+            for case in cases:
+                for where in (positions, nan_positions):
+                    got = geometry.check_balanced(case, where, tol)
+                    want = oracles.check_balanced_by_column(case, where, tol)
+                    assert got[0] is want[0]
+                    assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_a_stack_of_systems_gets_each_verdict_alone(self, d):
+        # each system has its own positions and threshold
+        rng = np.random.default_rng(d)
+        n, count = 11, 40
+        positions = rng.standard_normal((count, n, d)) * 10.0 ** rng.uniform(-2, 2, (count, 1, 1))
+        forces = ragged_force_matrix(rng, n, d, count).T.reshape(count, n, d)
+        threshold = 10.0 ** rng.uniform(-12, 8, count)
+        passed, residual = geometry.balance_verdicts(positions, forces, threshold)
+        assert 0 < passed.sum() < count
+        for k in range(count):
+            ok, worst = oracles.balance_check(positions[k], forces[k], threshold[k])
+            assert (bool(passed[k]), residual[k]) == (ok, worst)
+            assert np.float64(residual[k]).tobytes() == np.float64(worst).tobytes()
 
 
 TERMINALS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])

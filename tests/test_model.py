@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 
 from elastonet import (
     DegenerateSpring,
+    DimensionMismatch,
     ElastodynamicNetwork,
     GeneralizedNetwork,
     GenerationFailed,
@@ -19,8 +20,11 @@ from elastonet import (
     RayleighParams,
     SchemaError,
     Spring,
+    SymMatrix,
+    SystemMatrices,
     assemble,
     assemble_component,
+    evaluate_response,
     extract_canonical,
     is_psd,
     network_from_dict,
@@ -28,7 +32,7 @@ from elastonet import (
     random_network,
     synthesize,
 )
-from elastonet.geometry import balance_check
+from elastonet.geometry import balance_verdicts
 from elastonet.cli import main
 from elastonet.model import STAMP_CHUNK, SpringColumns, assemble_elements
 
@@ -82,6 +86,42 @@ class TestTypes:
         net = ElastodynamicNetwork(2, nodes, (Spring(0, 1, 1.0), Spring(1, 0, 2.5)))
         assert len(net.springs) == 1
         assert net.springs[0].stiffness == 3.5
+
+
+def hand_built(order_k, order_m, n_terminals, d=2):
+    """A hand-built system: identity ``K`` and ``M`` of the given orders and
+    ``n_terminals`` terminals of dimension ``d`` at the origin."""
+    return SystemMatrices(
+        K=SymMatrix(np.eye(order_k)),
+        M=SymMatrix(np.eye(order_m)),
+        dimension=d,
+        rayleigh=RayleighParams(0.1, 0.1),
+        terminal_positions=np.zeros((n_terminals, d)),
+    )
+
+
+class TestSystemMatricesOrder:
+    """More terminal coordinates than ``K`` or ``M`` has rows is refused, so
+    neither the response nor the extraction sees such a system."""
+
+    @pytest.mark.parametrize("call", [
+        lambda sys: evaluate_response(sys, 1j),
+        lambda sys: extract_canonical(sys),
+    ], ids=["evaluate_response", "extract_canonical"])
+    @pytest.mark.parametrize("orders", [(4, 4), (4, 8), (8, 4)])
+    def test_too_many_terminal_coordinates(self, call, orders):
+        # three 2-D terminals: six coordinates
+        message = (
+            rf"^6 terminal coordinates exceed the order of K \({orders[0]}\) "
+            rf"or M \({orders[1]}\)$"
+        )
+        with pytest.raises(DimensionMismatch, match=message):
+            call(hand_built(*orders, n_terminals=3))
+
+    def test_all_terminal_system_is_accepted(self):
+        sys = hand_built(6, 6, n_terminals=3)
+        # K + lam*(0.1 K + 0.1 M) + lam^2 M at lam = 0.5, with no interior
+        assert_allclose(evaluate_response(sys, 0.5).W.a, 1.35 * np.eye(6), rtol=1e-15)
 
 
 class TestAssemble:
@@ -169,7 +209,7 @@ class TestAssemble:
         sys = assemble(net)
         pos = node_positions(net)
         for col in sys.K.a.T:
-            assert balance_check(pos, col.reshape(-1, 2), 1e-10)[1] <= 1e-10
+            assert balance_verdicts(pos, col.reshape(-1, 2), 1e-10)[1] <= 1e-10
 
     def test_mass_matrix_repeats_node_masses(self):
         nodes = (Node((0.0, 0.0), 2.0, True), Node((1.0, 0.0), 0.5, False))

@@ -37,7 +37,6 @@ from elastonet import (
     generalized_to_dict,
     network_to_dict,
     random_network,
-    rank_one_response,
     resonances_of,
     sample_nonresonant,
     synthesize,
@@ -52,7 +51,8 @@ from elastonet.response import ROUNDTRIP_TOL, modal_response
 from elastonet.synthesize import modal_form
 
 from conftest import scaled_network, stiffened_network
-from oracles import assemble_union
+import oracles
+from oracles import assemble_union, construction_one_by_one, rank_one_response
 
 
 def brute_force_balance_residual(points, forces):
@@ -262,8 +262,8 @@ def same_bits(a, b):
 
 
 def placed_gadgets(d, count, seed=0):
-    """``(component, sigma)`` pairs of unchecked gadgets on 4 terminals."""
-    module = import_module("elastonet.synthesize")
+    """``(component, sigma)`` pairs of unchecked gadgets on 4 terminals,
+    placed one at a time by the oracle."""
     rng = np.random.default_rng(seed)
     terminals = rng.uniform(0.0, 1.0, (4, d))
     ray = RayleighParams(0.3, 0.2)
@@ -271,7 +271,7 @@ def placed_gadgets(d, count, seed=0):
     for k in range(count):
         sigma = 10.0 ** rng.uniform(-2.0, 2.0)
         f = rng.standard_normal(4 * d) * 10.0 ** rng.uniform(-1.0, 1.0)
-        gadgets.append((module._place_gadget(terminals, None, f, sigma, ray, seed=k), sigma))
+        gadgets.append((oracles._place_gadget(terminals, None, f, sigma, ray, seed=k), sigma))
     return gadgets
 
 
@@ -333,32 +333,176 @@ class TestGadgetStack:
             DimensionMismatch: "matrix entries must be finite",
         }[error]
 
-    @pytest.mark.parametrize("faults", [{}, {1: "contract"}])
+    @pytest.mark.parametrize("faults", [{}, {1: "contract"}, {1: "unbalanced"}])
     def test_the_gadgets_before_a_failed_placement_are_checked_first(
         self, monkeypatch, faults
     ):
+        # the third gadget cannot be placed: the two placed before it get
+        # their balance verdicts and their contract first
         module = import_module("elastonet.synthesize")
-        real = module._place_gadget
+        real = module._balancing_pair
         placed = []
 
         def failing_third(*args, **kwargs):
             if len(placed) == 2:
                 raise PlacementFailed("third placement fails")
-            placed.append(real(*args, **kwargs))
-            return placed[-1]
+            x1, x2, g = real(*args, **kwargs)
+            if faults.get(len(placed)) == "unbalanced":
+                g = g + 1e-3 * np.abs(g).max()
+            placed.append(g)
+            return x1, x2, g
 
-        monkeypatch.setattr(module, "_place_gadget", failing_third)
-        faulty_matrices(monkeypatch, faults)
+        monkeypatch.setattr(module, "_balancing_pair", failing_third)
+        faulty_matrices(monkeypatch, {k: v for k, v in faults.items() if v == "contract"})
         cr = extracted(3, d=3, nt=3)
-        match = "deviates from the closed form" if faults else "third placement"
+        match = {
+            "contract": "deviates from the closed form",
+            "unbalanced": "balancing construction left residual",
+        }.get(faults.get(1), "third placement")
         with pytest.raises(PlacementFailed, match=match):
             synthesize(cr, seed=3)
+        assert len(placed) == 2
 
 
 def extracted(seed, **kwargs):
     net = random_network(seed, kwargs.pop("d", 2), kwargs.pop("nt", 2),
                          kwargs.pop("ni", 3), kwargs.pop("mf", 0.5), **kwargs)
     return extract_canonical(assemble(net))
+
+
+def forbidding(cr, seed):
+    """The internal node positions of a plain synthesis of ``cr``, then the
+    centroid of its terminals: forbidden points on which the first draws
+    of a synthesis with the same seed land."""
+    gn = synthesize(cr, seed=seed, check=False)
+    inner = [c.internal_positions for c in gn.components]
+    return np.vstack(inner + [cr.terminal_positions.mean(axis=0)])
+
+
+def assert_same_construction(cr, **placement):
+    """``synthesize(cr, check=False, **placement)`` builds, bit for bit, the
+    static factors and gadgets of the one-by-one oracle."""
+    gn = synthesize(cr, check=False, **placement)
+    static, gadgets = construction_one_by_one(cr, **placement)
+    ideal = [c for c in gn.components if c.kind == "ideal_elements"]
+    assert len(ideal) == (1 if static else 0)
+    for comp in ideal:
+        assert len(comp.elements) == len(static)
+        for el, w in zip(comp.elements, static):
+            assert same_bits(el.force_vector, w)
+    built = [c for c in gn.components if c.kind == "rank_one_gadget"]
+    assert len(built) == len(gadgets) > 0
+    for comp, (ref, _) in zip(built, gadgets):
+        assert same_bits(comp.positions, np.array([n.position for n in ref.nodes]))
+        assert same_bits(np.array([n.mass for n in comp.nodes]),
+                         np.array([n.mass for n in ref.nodes]))
+        assert same_bits(comp.elements[0].force_vector, ref.elements[0].force_vector)
+        for stacked, one_by_one in zip(vars(comp)["modal_form"], vars(ref)["modal_form"]):
+            assert same_bits(stacked, one_by_one)
+    return gn
+
+
+class TestStackedConstruction:
+    """One stacked factorization, one placement loop and one balance verdict
+    per gadget stack build what the per-gadget construction built."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("nt", [3, 9])
+    @pytest.mark.parametrize("forbid", [False, True])
+    def test_equals_the_one_by_one_oracle_bitwise(self, d, nt, forbid):
+        # nine terminals put eleven nodes in a gadget's force system, so
+        # the torque sums of d = 2 run pairwise, as a single system's do
+        for seed in range(2):
+            cr = extracted(seed, d=d, nt=nt, ni=6)
+            forbidden = forbidding(cr, seed) if forbid else ()
+            assert_same_construction(cr, seed=seed, forbidden=forbidden)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_rejected_draws_equal_the_oracle(self, monkeypatch, d):
+        # a clearance of 0.04 rejects draws near the nodes already placed;
+        # at 0.08 the placement gives up, with the oracle's error
+        cr = extracted(1, d=d, nt=3, ni=6)
+        real, rejected = oracles._draw_point, []
+
+        def counting(*args):
+            point = real(*args)
+            rejected.append(point is None)
+            return point
+
+        monkeypatch.setattr(oracles, "_draw_point", counting)
+        assert_same_construction(cr, seed=5, min_clearance=0.04)
+        assert sum(rejected) > 0  # the oracle took its rejection branch
+        with pytest.raises(PlacementFailed) as oracle:
+            construction_one_by_one(cr, seed=5, min_clearance=0.08)
+        with pytest.raises(PlacementFailed) as stacked:
+            synthesize(cr, seed=5, min_clearance=0.08, check=False)
+        assert str(stacked.value) == str(oracle.value)
+
+    def test_factors_equal_one_eigh_per_block_bitwise(self):
+        # blocks forty decades apart, each cut at its own largest eigenvalue
+        # or floor: one at 1e-13 of its top falls below RANK_TOL, one at
+        # 1e-11 stays, and a floor cuts a third
+        module = import_module("elastonet.synthesize")
+        rng = np.random.default_rng(0)
+        blocks, floors = [], []
+        for scale, floor in [(1e-20, 0.0), (1.0, 0.0), (1e20, 0.0), (1e3, 2.0), (1e-5, 0.0)]:
+            q = np.linalg.qr(rng.standard_normal((6, 6)))[0]
+            vals = scale * np.array([1.0, 0.5, 3.0, 1e-13, 1e-11, 0.0])
+            blocks.append((q * vals) @ q.T)
+            floors.append(floor * scale)
+        blocks, floors = np.array(blocks), np.array(floors)
+        owner, factors = module._rank_one_factors(blocks, floors)
+        expected = [(j, w) for j, (b, floor) in enumerate(zip(blocks, floors))
+                    for w in oracles._rank_one_factors(b, floor=floor)]
+        assert owner.tolist() == [j for j, _ in expected]
+        assert all(same_bits(got, w) for got, (_, w) in zip(factors, expected))
+        assert 0 < len(expected) < 4 * len(blocks)
+
+    def test_one_stacked_pass_of_each_kind(self, monkeypatch):
+        module = import_module("elastonet.synthesize")
+        calls = Counter()
+        for name in ("_rank_one_factors", "_gadget_verdicts", "_reduce_gadgets"):
+            real = getattr(module, name)
+
+            def counting(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+        gn = synthesize(extracted(2, d=3, nt=3, ni=6), seed=2, check=False)
+        assert sum(c.kind == "rank_one_gadget" for c in gn.components) > 2
+        assert calls == {"_rank_one_factors": 1, "_gadget_verdicts": 1, "_reduce_gadgets": 1}
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_element_verdict_is_the_component_rule(self, d):
+        # an imbalance of each size either passes both rules or raises the
+        # component's own error; a placement verdict made lax by a huge
+        # scale leaves the element verdict to fail on its own
+        module = import_module("elastonet.synthesize")
+        gadgets = [comp for comp, _ in placed_gadgets(d, 6, seed=d)]
+        nt = gadgets[0].n_terminals
+        terminals = gadgets[0].positions[:nt]
+        nb = nt * d
+        fmats = np.array([c.elements[0].force_vector[:nb] for c in gadgets]).reshape(-1, nt, d)
+        pairs = np.array([c.positions[nt:] for c in gadgets])
+        g = np.array([c.elements[0].force_vector[nb:] for c in gadgets])
+        refused = []
+        for k, size in enumerate([0.0, 1e-12, 1e-9, 1e-7, 1e-5, 1e-3]):
+            bent = g.copy()
+            bent[k, 0] += size * np.abs(g[k]).max()
+            scale = np.full(len(gadgets), 1e300)
+            passed, error = module._gadget_verdicts(terminals, fmats, pairs, bent, scale)
+            comp = gadgets[k]
+            element = IdealElasticElement(comp.elements[0].support,
+                                          np.concatenate([fmats[k].ravel(), bent[k]]))
+            try:
+                replace(comp, elements=(element,))
+            except ValueError as own:
+                assert (passed, type(error), str(error)) == (k, ValueError, str(own))
+                refused.append(size)
+            else:
+                assert (passed, error) == (len(gadgets), None)
+        assert 0 < len(refused) < 6
 
 
 class TestSynthesize:
