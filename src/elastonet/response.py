@@ -112,17 +112,26 @@ class CanonicalResponse:
     def n_terminals(self):
         return self.terminal_positions.shape[0]
 
+    @cached_property
+    def static_terms(self):
+        """The read-only ``(k, n, n)`` stack of ``R_j / sigma_j``, divided
+        once; :class:`AtResonance` at the first mode whose term is not finite."""
+        residues = np.reshape([mode.R.a for mode in self.modes], (-1, self.order, self.order))
+        with np.errstate(all="ignore"):
+            terms = residues / np.reshape([mode.sigma for mode in self.modes], (-1, 1, 1))
+        finite = np.isfinite(terms).all(axis=(1, 2))
+        if not finite.all():
+            k = int(np.argmin(finite))
+            raise AtResonance(f"W(0) is undefined: mode {k} has sigma = "
+                              f"{self.modes[k].sigma:.6g}, a pole at lambda = 0")
+        terms.flags.writeable = False
+        return terms
+
     def static_response(self):
-        """W(0) = A - sum_j R_j / sigma_j; AtResonance if a term is not finite."""
-        w0 = self.A.a.copy()
-        for k, mode in enumerate(self.modes):
-            with np.errstate(all="ignore"):
-                term = mode.R.a / mode.sigma
-            if not np.isfinite(term).all():
-                raise AtResonance(f"W(0) is undefined: mode {k} has sigma = "
-                                  f"{mode.sigma:.6g}, a pole at lambda = 0")
-            w0 = w0 - term
-        return SymMatrix(w0)
+        """W(0) = A - sum_j R_j / sigma_j, subtracted in mode order;
+        AtResonance if a term is not finite (:attr:`static_terms`)."""
+        stack = np.concatenate([self.A.a[None], self.static_terms])
+        return SymMatrix(np.subtract.reduce(stack), copy=False)
 
 
 @dataclass(frozen=True)
@@ -211,6 +220,12 @@ def eliminate_massless(sys):
     interior stiffness block is asserted PSD; with positive masses that
     makes the reduced interior damping block PSD as well.
     """
+    return _eliminate(sys)[0]
+
+
+def _eliminate(sys):
+    """:func:`eliminate_massless` of ``sys`` and the permuted ``K`` it was
+    reduced from, for the extraction self-check."""
     nb, masses = sys.n_b, sys.mass_vector()
     interior = masses[nb:]
     blocks = interior.reshape(-1, sys.dimension)
@@ -221,7 +236,8 @@ def eliminate_massless(sys):
     massless = interior == 0.0
     order = np.concatenate([np.arange(nb), nb + np.argsort(massless, kind="stable")])
     nk = masses.size - np.count_nonzero(massless)
-    ktilde = schur_complement(sys.K.a[np.ix_(order, order)], nk, mode="pseudoinverse")
+    gathered = sys.K.a[np.ix_(order, order)]
+    ktilde = schur_complement(gathered, nk, mode="pseudoinverse")
     block = ktilde.a[nb:, nb:]
     if block.size and not is_psd(SymMatrix(block), tol=1e-9):
         raise ElastonetError("reduced interior stiffness is not positive semidefinite")
@@ -232,7 +248,7 @@ def eliminate_massless(sys):
         dimension=sys.dimension,
         rayleigh=sys.rayleigh,
         terminal_positions=sys.terminal_positions,
-    )
+    ), gathered
 
 
 def modal_response(rayleigh, A, Mbb, sigmas, V, lam):
@@ -344,9 +360,13 @@ def extract_canonical(
 
     When ``check`` is set the result is validated against the direct Schur
     response at 20 random non-resonant points
-    (:class:`ReconstructionMismatch` beyond ``ROUNDTRIP_TOL`` relative).
+    (:class:`ReconstructionMismatch` beyond ``ROUNDTRIP_TOL`` relative). A
+    system whose ``M`` is exactly diagonal has its massless interior
+    eliminated from the check's pencils once, by one real LU of the
+    stiffness, which is exact under Rayleigh damping
+    (:func:`_reconstruction_error`).
     """
-    red = eliminate_massless(sys)
+    red, gathered = _eliminate(sys)
     nb = red.n_b
     a_arr = red.Ktilde.a[:nb, :nb]
     # a boundary block below the rounding floor of the elimination is an
@@ -387,7 +407,7 @@ def extract_canonical(
     if check and nb:
         rng = np.random.default_rng(seed)
         lams = sample_nonresonant(rng, system_resonances(red.rayleigh, sigmas), 20)
-        worst = _reconstruction_error(sys, cr, lams)
+        worst = _reconstruction_error(sys, red, gathered, cr, lams)
         if worst > ROUNDTRIP_TOL:
             raise ReconstructionMismatch(
                 f"pole-residue form deviates from the direct response by "
@@ -396,22 +416,34 @@ def extract_canonical(
     return cr
 
 
-def _reconstruction_error(sys, cr, lams):
+def _reconstruction_error(sys, red, gathered, cr, lams):
     """Worst relative deviation of ``cr`` from the direct response of ``sys``.
 
-    The pencil of the boundary-first ``K``, ``C`` and ``M`` at each of
-    ``lams`` is formed in one buffer (:func:`_pencil`) and solved by LU
-    (:func:`schur_complement_lu`).
+    At each of ``lams`` a pencil is formed in one buffer (:func:`_pencil`)
+    and its interior solved by LU (:func:`schur_complement_lu`). When ``M``
+    is exactly diagonal, its massless rows are zero, so under Rayleigh
+    damping the massless block of the pencil and its coupling are
+    ``(1 + alpha*lambda)`` times ``K_LL`` and ``K_LX``, where ``X`` is the
+    terminals and the massive interior. Eliminating ``L`` then gives the
+    pencil of ``Khat = K_XX - K_XL K_LL^-1 K_LX``, ``alpha*Khat +
+    beta*M_XX`` and ``M_XX`` (static condensation, R. J. Guyan, AIAA J.
+    3(2), 1965), exactly at every lambda. ``Khat`` is formed once
+    (:func:`_condensed`, from ``gathered``, the permuted ``K`` of
+    :func:`_eliminate` with ``red`` its reduction), and each point solves
+    only the massive interior. A system with a non-diagonal ``M``, no
+    massless interior, or a massless block whose LU fails, takes the pencil
+    of the whole ``K``, ``C`` and ``M``.
     A point whose solve fails, is not finite or deviates beyond
     ``ROUNDTRIP_TOL`` is solved again by the pseudoinverse
-    :func:`schur_complement` of the same pencil, and that value counts.
+    :func:`schur_complement` of the whole pencil, and that value counts.
     Massless interior nodes with floppy directions make every pencil
     singular and take this path.
     """
     K, M = sys.K.a, sys.M.a
     C, nb = sys.rayleigh.damping(K, M), sys.n_b
     norms = [np.abs(x).max() for x in (K, C, M)]
-    pencil = np.empty(K.shape, dtype=complex)
+    parts = _condensed(sys, red, gathered) or (K, C, M)
+    pencil = np.empty(parts[0].shape, dtype=complex)
     worst = 0.0
     for lam, closed in zip(lams, canonical_responses(cr, lams)):
         # numerically-zero responses (mechanisms) are compared against
@@ -419,15 +451,35 @@ def _reconstruction_error(sys, cr, lams):
         floor = 1e-4 * (norms[0] + norms[1] * abs(lam) + norms[2] * abs(lam) ** 2)
         try:
             with np.errstate(all="ignore"):
-                direct = schur_complement_lu(_pencil(K, C, M, lam, pencil), nb)
+                direct = schur_complement_lu(_pencil(*parts, lam, pencil), nb)
                 err = _relative_gap(closed, direct, floor)  # NaN if not finite
         except np.linalg.LinAlgError:
             err = np.inf
         if not err <= ROUNDTRIP_TOL:
-            direct = schur_complement(SymMatrix(pencil).a, nb, "pseudoinverse").a
+            full = SymMatrix(_pencil(K, C, M, lam), copy=False)
+            direct = schur_complement(full.a, nb, "pseudoinverse").a
             err = _relative_gap(closed, direct, floor)
         worst = max(worst, err)
     return worst
+
+
+def _condensed(sys, red, gathered):
+    """``(Khat, alpha*Khat + beta*M_XX, M_XX)`` of :func:`_reconstruction_error`,
+    or None when ``M`` has an entry off its diagonal, the interior has no
+    massless coordinate, or the LU of the massless block raises or gives a
+    ``Khat`` that is not finite."""
+    M, masses = sys.M.a, np.concatenate([red.Mbb, red.Mjj])
+    if np.count_nonzero(M) != np.count_nonzero(M.diagonal()) or masses.size == len(M):
+        return None
+    try:
+        with np.errstate(all="ignore"):
+            khat = schur_complement_lu(gathered, masses.size)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.isfinite(khat).all():
+        return None
+    m_xx = np.diag(masses)
+    return khat, sys.rayleigh.damping(khat, m_xx), m_xx
 
 
 def _relative_gap(closed, direct, floor):

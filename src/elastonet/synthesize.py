@@ -663,17 +663,14 @@ def synthesize(
     rng = np.random.default_rng(seed)
     components = []
 
-    w0 = cr.static_response()
+    w0, terms = cr.static_response(), cr.static_terms
     # the static slice is a difference of the canonical blocks; spectral
-    # content below their joint rounding is cancellation noise
-    static_scale = np.abs(cr.A.a).max() + sum(
-        np.abs(m.R.a).max() / m.sigma for m in cr.modes
-    )
+    # content below their joint rounding is cancellation noise. With every
+    # sigma > 0, max|R_j / sigma_j| has the bits of max|R_j| / sigma_j
+    static_scale = np.abs(cr.A.a).max() + sum(np.abs(terms).max(axis=(1, 2)))
     sigmas = np.array([m.sigma for m in cr.modes])
     floors = np.r_[1e-12 * static_scale, np.zeros(len(sigmas))]
-    owner, factors = _rank_one_factors(
-        np.array([w0.a] + [m.R.a / m.sigma for m in cr.modes]), floors
-    )
+    owner, factors = _rank_one_factors(np.concatenate([w0.a[None], terms]), floors)
     # the static factors are projected onto the balanced subspace: the
     # slice's columns are balanced, but eigenvectors of near-threshold
     # eigenvalues amplify the rounding

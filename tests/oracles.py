@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 
 from elastonet import (
+    AtResonance,
     DimensionMismatch,
     ElastodynamicNetwork,
     IdealElasticElement,
@@ -184,31 +185,117 @@ def reconstruction_error_by_point(net, cr, lams):
     pencil ``K + lam*C + lam*lam*M`` in node order (:func:`node_major`),
     its four blocks gathered by index and one LU solve, the pseudoinverse
     :func:`evaluate_response_by_index` where that fails or deviates. The
-    reference for ``response._reconstruction_error`` of ``assemble(net)``."""
+    full-pencil reference for ``response._reconstruction_error`` of
+    ``assemble(net)``."""
+    return full_pencil_check(*node_major(net), net.rayleigh, lams)(cr)
+
+
+def reconstruction_error_massless_once(net, cr, lams):
+    """The extraction self-check with the massless interior eliminated once
+    (:func:`massless_once_check`): the reference for
+    ``response._reconstruction_error`` of ``assemble(net)``."""
+    return massless_once_check(net, lams)(cr)
+
+
+def full_pencil_check(K, M, b, i, rayleigh, lams):
+    """:func:`reconstruction_error_by_point` of node-order ``K`` and ``M``,
+    any symmetric ``M``, with terminal coordinates ``b`` and interior ``i``,
+    as a function of the form (:func:`_point_check`)."""
+    C = rayleigh.damping(K, M)
+    return _point_check((K, C, M), b, i, lams, (K, C, M), b, i)
+
+
+def massless_once_check(net, lams):
+    """The self-check of ``net`` with its massless interior eliminated once,
+    as a function of the form. On :func:`node_major`, with ``X`` the
+    terminal then the massive interior coordinates and ``L`` the massless
+    ones, each an index list in node order, ``Khat = K_XX - (Y + Y^T)/2``
+    with ``Y = K_XL K_LL^-1 K_LX`` by one LU solve; each point solves the
+    massive interior of the pencil of ``Khat``, ``alpha*Khat + beta*M_XX``
+    and ``M_XX``. Without a massless coordinate, or when that solve raises or
+    ``Khat`` is not finite, it is :func:`full_pencil_check`."""
     K, M, b, i = node_major(net)
-    C = net.rayleigh.damping(K, M)
-    norms = [np.abs(x).max() for x in (K, C, M)]
-
-    def gap(closed, direct, floor):
-        return np.abs(closed - direct).max() / max(np.abs(direct).max(), floor, 1e-300)
-
-    worst = 0.0
-    for lam, closed in zip(lams, canonical_responses(cr, lams)):
-        floor = 1e-4 * (norms[0] + norms[1] * abs(lam) + norms[2] * abs(lam) ** 2)
+    massive = [c for c in i if M[c, c] != 0.0]
+    massless = [c for c in i if M[c, c] == 0.0]
+    x = b + massive
+    if massless:
         try:
             with np.errstate(all="ignore"):
-                a = K + lam * C + lam * lam * M
-                x = np.linalg.solve(a[np.ix_(i, i)], a[np.ix_(i, b)])
-                xb = a[np.ix_(b, i)] @ x
-                direct = a[np.ix_(b, b)] - 0.5 * (xb + xb.T)
-                err = gap(closed, direct, floor)
+                y = K[np.ix_(x, massless)] @ np.linalg.solve(
+                    K[np.ix_(massless, massless)], K[np.ix_(massless, x)]
+                )
+                khat = K[np.ix_(x, x)] - 0.5 * (y + y.T)
         except np.linalg.LinAlgError:
-            err = np.inf
-        if not err <= ROUNDTRIP_TOL:
-            direct = evaluate_response_by_index(net, lam, "pseudoinverse").a
-            err = gap(closed, direct, floor)
-        worst = max(worst, err)
+            khat = None
+        if khat is not None and np.isfinite(khat).all():
+            m_xx = M[np.ix_(x, x)]
+            full = (K, net.rayleigh.damping(K, M), M)
+            parts = (khat, net.rayleigh.damping(khat, m_xx), m_xx)
+            local = list(range(len(x)))
+            return _point_check(full, b, i, lams, parts, local[:len(b)], local[len(b):])
+    return full_pencil_check(K, M, b, i, net.rayleigh, lams)
+
+
+def _point_check(full, b, i, lams, parts, pb, pi):
+    """The worst relative gap of a form from the direct response at
+    ``lams``, as a function of the form. Each point's LU value comes from
+    the pencil of ``parts`` (``K``, ``C``, ``M``) with boundary ``pb`` and
+    interior ``pi``, solved once; where it fails or deviates, the
+    pseudoinverse value of the pencil of ``full`` with boundary ``b`` and
+    interior ``i`` counts, with the bits of
+    :func:`evaluate_response_by_index`, computed once a point when a form
+    first needs it. The floor is that of ``full``."""
+    K, C, M = full
+    norms = [np.abs(x).max() for x in full]
+    floors = [1e-4 * (norms[0] + norms[1] * abs(lam) + norms[2] * abs(lam) ** 2) for lam in lams]
+    direct = []
+    for lam in lams:
+        try:
+            with np.errstate(all="ignore"):
+                a = parts[0] + lam * parts[1] + lam * lam * parts[2]
+                x = np.linalg.solve(a[np.ix_(pi, pi)], a[np.ix_(pi, pb)])
+                xb = a[np.ix_(pb, pi)] @ x
+                direct.append(a[np.ix_(pb, pb)] - 0.5 * (xb + xb.T))
+        except np.linalg.LinAlgError:
+            direct.append(None)
+    pinv = {}
+
+    def fallback(p):
+        if p not in pinv:
+            lam = complex(lams[p])
+            pencil = SymMatrix(K + lam * C + lam * lam * M)
+            pinv[p] = schur_complement_by_index(pencil, b, i, "pseudoinverse").a
+        return pinv[p]
+
+    def gap(closed, value, floor):
+        with np.errstate(all="ignore"):
+            return np.abs(closed - value).max() / max(np.abs(value).max(), floor, 1e-300)
+
+    def worst(cr):
+        out = 0.0
+        for p, closed in enumerate(canonical_responses(cr, lams)):
+            err = np.inf if direct[p] is None else gap(closed, direct[p], floors[p])
+            if not err <= ROUNDTRIP_TOL:
+                err = gap(closed, fallback(p), floors[p])
+            out = max(out, err)
+        return out
+
     return worst
+
+
+def static_response_by_mode(cr):
+    """``W(0) = A - sum_j R_j / sigma_j`` one mode at a time, each term
+    divided and checked in mode order: the reference for
+    ``CanonicalResponse.static_response``."""
+    w0 = cr.A.a.copy()
+    for k, mode in enumerate(cr.modes):
+        with np.errstate(all="ignore"):
+            term = mode.R.a / mode.sigma
+        if not np.isfinite(term).all():
+            raise AtResonance(f"W(0) is undefined: mode {k} has sigma = "
+                              f"{mode.sigma:.6g}, a pole at lambda = 0")
+        w0 = w0 - term
+    return SymMatrix(w0)
 
 
 def exact_response(net, lam):
@@ -539,7 +626,7 @@ def construction_one_by_one(cr, epsilon_hull=0.1, forbidden=(), seed=0, min_clea
         np.abs(m.R.a).max() / m.sigma for m in cr.modes
     )
     static_factors = _rank_one_factors(
-        cr.static_response().a, terminals, what="static slice",
+        static_response_by_mode(cr).a, terminals, what="static slice",
         floor=1e-12 * static_scale,
     )
     massless = _terminal_nodes(terminals, np.zeros(nt))

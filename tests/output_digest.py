@@ -27,10 +27,11 @@ file whose spring list repeats springs and reverses their ends,
 nodes, and the benchmark-size networks ``random_network(s, 3, 6, 60, 0.5)``
 for s = 0..3 (the size of a benchmark roundtrip input, 90 or so gadgets a
 synthesis) and ``random_network(s, 3, 16, 6, 0.5)`` for s = 0, 1 (16
-terminals): about 1,130 runs, about 20 s on one core. One more
-``respond`` sweeps 50 points of the 158-node ``random_network(5, 3, 8, 150,
-0.5)``, the size of a benchmark sweep input, in about 0.2 s. Pytest does not
-collect this file.
+terminals): about 1,130 runs, about 20 s on one core. The 158-node
+``random_network(5, 3, 8, 150, 0.5)``, the size of a benchmark sweep input
+(474 degrees of freedom, half its interior nodes massless), gets three more
+runs: a ``respond`` sweep of 50 points, ``extract`` and ``roundtrip``.
+Pytest does not collect this file.
 """
 
 import hashlib
@@ -146,7 +147,9 @@ def digest(workdir):
     write_json(net_file, network_to_dict(random_network(5, 3, 8, 150, 0.5)))
     argv = ["respond", str(net_file), "--omega", "0.1", "100", "50", "--scale", "log"]
     results["random_network(5, 3, 8, 150, 0.5)"] = {
-        "respond": run(argv, workdir / "responses.json")
+        "respond": run(argv, workdir / "responses.json"),
+        "extract": run(["extract", str(net_file)], workdir / "canonical.json"),
+        "roundtrip": run(["roundtrip", str(net_file)], workdir / "roundtrip.json"),
     }
     return results
 

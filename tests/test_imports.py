@@ -301,10 +301,14 @@ def package_scopes_calling(name):
 # is the massless split: terminals stay first, then massive interior
 # coordinates, massless last; the same scope checks that split (mass entries
 # equal within each interior node). The coverage check of the old block
-# partition went with it.
+# partition went with it. The extraction keeps that gather for its
+# self-check, so the scope is the helper behind eliminate_massless.
 @pytest.mark.parametrize("name", ["ix_"])
 def test_only_boundary_first_gathers_and_checks_a_partition(name):
-    assert package_scopes_calling(name) == ["response.py:eliminate_massless"]
+    assert package_scopes_calling(name) == ["response.py:_eliminate"]
+    assert package_scopes_calling("_eliminate") == [
+        "response.py:eliminate_massless", "response.py:extract_canonical"
+    ]
 
 
 # the system matrices are boundary first by construction: no module keeps a

@@ -1,7 +1,9 @@
 """Response evaluation, massless elimination, pole-residue extraction."""
 
+import hashlib
 import itertools
 from dataclasses import replace
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from elastonet import (
     canonical_responses,
     canonical_to_dict,
     check_balanced,
+    check_canonical,
     eliminate_massless,
     evaluate_canonical,
     evaluate_reduced,
@@ -38,6 +41,7 @@ from elastonet import (
     random_network,
     resonances_of,
     sample_nonresonant,
+    synthesize,
     system_resonances,
 )
 from elastonet import response
@@ -47,10 +51,13 @@ from conftest import axial_block, shuffled_nodes
 from oracles import (
     evaluate_response_by_index,
     exact_response,
+    full_pencil_check,
     modal_by_system,
     node_major,
     reconstruction_error_by_point,
+    reconstruction_error_massless_once,
     schur_complement_by_index,
+    static_response_by_mode,
 )
 
 
@@ -417,6 +424,20 @@ def count_fallbacks(monkeypatch):
     return calls
 
 
+def count_solves(monkeypatch):
+    """Record ``(field, order, nb)`` of every LU Schur complement the
+    extraction self-check makes."""
+    solves = []
+    original = response.schur_complement_lu
+
+    def counting(a, nb):
+        solves.append(("complex" if np.iscomplexobj(a) else "real", len(a), nb))
+        return original(a, nb)
+
+    monkeypatch.setattr(response, "schur_complement_lu", counting)
+    return solves
+
+
 class TestExtractionSelfCheck:
     """One LU solve per point, with the SVD pseudoinverse as its fallback."""
 
@@ -430,10 +451,14 @@ class TestExtractionSelfCheck:
     def test_massless_floppy_node_passes_through_the_fallback(
         self, monkeypatch, assembled_chain
     ):
-        # the middle node moves freely across the chain: every pencil is
-        # singular, so every point is evaluated by the pseudoinverse
-        calls = count_fallbacks(monkeypatch)
+        # the middle node moves freely across the chain: its massless block
+        # is singular, so its LU raises, every point solves the whole
+        # pencil, which is singular too, and is evaluated by the
+        # pseudoinverse; with no massive interior, X is the terminals
+        calls, solves = count_fallbacks(monkeypatch), count_solves(monkeypatch)
         cr = extract_canonical(assembled_chain)
+        order, nb = assembled_chain.order, assembled_chain.n_b
+        assert solves == [("real", order, nb)] + [("complex", order, nb)] * 20
         assert calls == ["pseudoinverse"] * 20
         assert_allclose(cr.A.a, axial_block(0.5), atol=1e-14)
 
@@ -447,6 +472,31 @@ class TestExtractionSelfCheck:
         monkeypatch.setattr(response, "Mode", perturbed)
         with pytest.raises(ReconstructionMismatch, match="deviates from the direct"):
             extract_canonical(assemble(random_network(3, 3, 4, 10, 1.0)))
+        assert calls == ["pseudoinverse"] * 20
+
+    def test_a_massless_interior_is_eliminated_once(self, monkeypatch):
+        # one real LU of the massless block, then each point solves only
+        # the massive interior of the condensed pencil
+        calls, solves = count_fallbacks(monkeypatch), count_solves(monkeypatch)
+        sys = assemble(random_network(1, 3, 6, 60, 0.5))
+        red = eliminate_massless(sys)
+        nb, nx = red.n_b, red.n_b + len(red.Mjj)
+        assert sys.order == 198 and nb < nx < sys.order
+        extract_canonical(sys)
+        assert solves == [("real", sys.order, nx)] + [("complex", nx, nb)] * 20
+        assert calls == []
+
+    def test_an_off_diagonal_mass_takes_the_whole_pencil(self, monkeypatch):
+        # a mass entry off the diagonal couples coordinates the condensed
+        # pencil would keep apart: no massless LU, every point whole
+        sys = assemble(random_network(1, 3, 6, 60, 0.5))
+        m = sys.M.a.copy()
+        j = next(c for c in range(sys.n_b, sys.order) if m[c, c] != 0.0)
+        m[j, j + 1] = m[j + 1, j] = 0.1 * m[j, j]
+        calls, solves = count_fallbacks(monkeypatch), count_solves(monkeypatch)
+        with pytest.raises(ReconstructionMismatch, match="deviates from the direct"):
+            extract_canonical(replace(sys, M=SymMatrix(m)))
+        assert solves == [("complex", sys.order, sys.n_b)] * 20
         assert calls == ["pseudoinverse"] * 20
 
     def test_a_zero_pivot_sends_only_its_point_to_the_fallback(self, monkeypatch):
@@ -536,10 +586,15 @@ class TestKernelsAgainstTheIndexGather:
                 assert same_bits(evaluate_response(sys, lam, mode).W.a, want)
 
 
+def self_check_error(sys, cr, lams):
+    """``response._reconstruction_error`` of ``sys`` with its own elimination."""
+    return response._reconstruction_error(sys, *response._eliminate(sys), cr, lams)
+
+
 class TestSelfCheckAgainstThePointLoop:
-    """The boundary-first pencil of the self-check has the bits of the
-    node-major pencil gathered point by point
-    (``oracles.reconstruction_error_by_point``)."""
+    """The boundary-first pencils of the self-check have the bits of the
+    node-major pencils gathered point by point
+    (``oracles.reconstruction_error_massless_once``)."""
 
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("mass_fraction", [0.0, 0.5, 1.0])
@@ -550,8 +605,8 @@ class TestSelfCheckAgainstThePointLoop:
             sys = assemble(net)
             cr = extract_canonical(sys, check=False)
             lams = self_check_points(sys)
-            worst = response._reconstruction_error(sys, cr, lams)
-            assert worst == reconstruction_error_by_point(net, cr, lams)
+            worst = self_check_error(sys, cr, lams)
+            assert worst == reconstruction_error_massless_once(net, cr, lams)
             assert worst <= response.ROUNDTRIP_TOL
 
     def test_every_point_falls_back_on_the_chain(self, monkeypatch, collinear_chain):
@@ -559,8 +614,9 @@ class TestSelfCheckAgainstThePointLoop:
         calls = count_fallbacks(monkeypatch)
         cr = extract_canonical(sys, check=False)
         lams = self_check_points(sys)
-        worst = response._reconstruction_error(sys, cr, lams)
+        worst = self_check_error(sys, cr, lams)
         assert calls == ["pseudoinverse"] * 20
+        assert worst == reconstruction_error_massless_once(collinear_chain, cr, lams)
         assert worst == reconstruction_error_by_point(collinear_chain, cr, lams)
 
     def test_an_off_diagonal_mass_is_rejected(self):
@@ -571,6 +627,103 @@ class TestSelfCheckAgainstThePointLoop:
         m[j, k] = m[k, j] = 0.1 * m[j, j]
         with pytest.raises(ReconstructionMismatch, match="deviates from the direct"):
             extract_canonical(replace(sys, M=SymMatrix(m)))
+
+
+def scaled(x):
+    return x * (1 + 1e-6)
+
+
+def mutated_forms(cr):
+    """``(row, form)`` pairs: sigma and R scaled by 1 + 1e-6 and the mode
+    dropped, each at the lowest, the middle and the top mode, then A, Mbb,
+    alpha and beta scaled."""
+    k = len(cr.modes)
+    for where, j in (("low", 0), ("mid", k // 2), ("top", k - 1)):
+        sigma, r = cr.modes[j].sigma, cr.modes[j].R
+
+        def with_mode(*mode):
+            return replace(cr, modes=cr.modes[:j] + mode + cr.modes[j + 1:])
+
+        yield f"sigma {where}", with_mode(Mode(scaled(sigma), r))
+        yield f"R {where}", with_mode(Mode(sigma, SymMatrix(scaled(r.a))))
+        yield f"drop {where}", with_mode()
+    ray = cr.rayleigh
+    yield "A", replace(cr, A=SymMatrix(scaled(cr.A.a)))
+    yield "Mbb", replace(cr, Mbb=scaled(cr.Mbb))
+    yield "alpha", replace(cr, rayleigh=RayleighParams(scaled(ray.alpha), ray.beta))
+    yield "beta", replace(cr, rayleigh=RayleighParams(ray.alpha, scaled(ray.beta)))
+
+
+def memoized_fallback(monkeypatch):
+    """Keep the self-check's pseudoinverse values by the bytes of their
+    pencil, so that a table of forms checked on one system solves each
+    point's pencil once; the values are those of the uncached call."""
+    memo = {}
+    original = response.schur_complement
+
+    def memoized(a, nb, mode="inverse"):
+        key = (a.shape, nb, mode, hashlib.sha256(a.tobytes()).digest())
+        if key not in memo:
+            memo[key] = original(a, nb, mode)
+        return memo[key]
+
+    monkeypatch.setattr(response, "schur_complement", memoized)
+
+
+class TestSelfCheckMutationTable:
+    """The self-check rejects a slightly wrong form exactly when the
+    full-pencil check (``oracles.full_pencil_check``) does. At 474 degrees
+    of freedom only the rows next to the threshold run: each row far from
+    it sends all 20 points to a 450-order SVD on both sides."""
+
+    @staticmethod
+    def rejections(sys, lams, forms, check):
+        red, gathered = response._eliminate(sys)
+        tol, out = response.ROUNDTRIP_TOL, {}
+        for row, cr in forms:
+            worst = response._reconstruction_error(sys, red, gathered, cr, lams)
+            assert (worst > tol) == (check(cr) > tol), row
+            out[row] = worst > tol
+        return out
+
+    @staticmethod
+    def table(net, rows, monkeypatch):
+        memoized_fallback(monkeypatch)
+        sys = assemble(net)
+        lams = self_check_points(sys)
+        forms = [(row, cr) for row, cr in mutated_forms(extract_canonical(sys, check=False))
+                 if row in rows]
+        check = full_pencil_check(*node_major(net), net.rayleigh, lams)
+        return TestSelfCheckMutationTable.rejections(sys, lams, forms, check)
+
+    def test_198_dof(self, monkeypatch):
+        rows = [f"{kind} {where}" for kind in ("sigma", "R", "drop")
+                for where in ("low", "mid", "top")] + ["A", "Mbb", "alpha", "beta"]
+        rejected = self.table(random_network(1, 3, 6, 60, 0.5), rows, monkeypatch)
+        assert rejected.keys() == set(rows)
+        assert rejected["sigma mid"] and not all(rejected.values())
+
+    def test_474_dof_rows_next_to_the_threshold(self, monkeypatch):
+        rows = ["sigma mid", "R mid", "sigma top", "R top"]
+        rejected = self.table(random_network(11, 3, 8, 150, 0.5), rows, monkeypatch)
+        assert rejected.keys() == set(rows)
+        assert rejected["sigma mid"] and not all(rejected.values())
+
+    def test_an_off_diagonal_mass_at_198_dof(self):
+        net = random_network(1, 3, 6, 60, 0.5)
+        sys = assemble(net)
+        K, M, b, i = node_major(net)
+        m, node = sys.M.a.copy(), b + i  # system coordinate c is node coordinate node[c]
+        j = next(c for c in range(sys.n_b, sys.order) if m[c, c] != 0.0)
+        m[j, j + 1] = m[j + 1, j] = 0.1 * m[j, j]
+        M[node[j], node[j + 1]] = M[node[j + 1], node[j]] = 0.1 * m[j, j]
+        lams = self_check_points(sys)
+        check = full_pencil_check(K, M, b, i, net.rayleigh, lams)
+        cr = extract_canonical(sys, check=False)
+        wrong = replace(sys, M=SymMatrix(m))
+        assert self.rejections(wrong, lams, [("off-diagonal M", cr)], check) == {
+            "off-diagonal M": True
+        }
 
 
 class TestEvaluateCanonical:
@@ -773,6 +926,56 @@ class TestStackedCanonicalSum:
         with pytest.raises(DimensionMismatch):
             out.extend(canonical_responses(cr, lams))
         assert len(out) == 2
+
+
+class TestStaticTerms:
+    """``CanonicalResponse.static_terms`` against the per-mode loop
+    (``oracles.static_response_by_mode``)."""
+
+    @pytest.mark.parametrize("n_modes", [0, 1, 33, 225])
+    def test_static_response_equals_the_loop_bitwise(self, n_modes):
+        for cr in (random_form(n_modes, seed=n_modes), sparse_form(n_modes, seed=n_modes)):
+            assert same_bits(cr.static_response().a, static_response_by_mode(cr).a)
+
+    def test_largest_term_is_largest_residue_over_sigma_bitwise(self):
+        # rounding is monotone for sigma > 0, so max|R/sigma| = max|R|/sigma
+        sigmas = 10.0 ** np.random.default_rng(8).uniform(-250.0, 250.0, 400)
+        for cr in (random_form(400, sigmas=sigmas, seed=8), sparse_form(225, seed=9)):
+            got = np.abs(cr.static_terms).max(axis=(1, 2))
+            want = np.array([np.abs(m.R.a).max() / m.sigma for m in cr.modes])
+            assert same_bits(got, want)
+
+    def test_read_only_and_computed_once(self, monkeypatch):
+        calls = []
+        divide = CanonicalResponse.static_terms.func
+
+        def counting(cr):
+            calls.append(cr)
+            return divide(cr)
+
+        prop = cached_property(counting)
+        prop.__set_name__(CanonicalResponse, "static_terms")
+        monkeypatch.setattr(CanonicalResponse, "static_terms", prop)
+        cr = extract_canonical(assemble(random_network(1, 3, 3, 6, 0.5)))
+        assert cr.static_terms is cr.static_terms
+        assert not cr.static_terms.flags.writeable
+        synthesize(cr)  # checks the form, then factors its static slice
+        assert calls == [cr]
+
+    @pytest.mark.parametrize("bad", [[0.0], [0.0, 0.0], [1e-310]])
+    def test_the_first_term_that_is_not_finite_is_named(self, bad):
+        # a zero sigma divides to inf or nan, a subnormal one overflows
+        sigmas = np.linspace(1.0, 2.0, 6)
+        sigmas[3:3 + len(bad)] = bad
+        cr = random_form(6, sigmas=sigmas, seed=10)
+        with pytest.raises(AtResonance) as info:
+            cr.static_response()
+        with pytest.raises(AtResonance) as want:
+            static_response_by_mode(cr)
+        assert str(info.value) == str(want.value)
+        assert "mode 3 has sigma" in str(info.value)
+        report = check_canonical(cr)
+        assert report.conditions["static_psd"].witness == str(want.value)
 
 
 class TestNonResonantSampling:
