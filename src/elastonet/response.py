@@ -420,19 +420,13 @@ def _reconstruction_error(sys, red, gathered, cr, lams):
     """Worst relative deviation of ``cr`` from the direct response of ``sys``.
 
     At each of ``lams`` a pencil is formed in one buffer (:func:`_pencil`)
-    and its interior solved by LU (:func:`schur_complement_lu`). When ``M``
-    is exactly diagonal, its massless rows are zero, so under Rayleigh
-    damping the massless block of the pencil and its coupling are
-    ``(1 + alpha*lambda)`` times ``K_LL`` and ``K_LX``, where ``X`` is the
-    terminals and the massive interior. Eliminating ``L`` then gives the
-    pencil of ``Khat = K_XX - K_XL K_LL^-1 K_LX``, ``alpha*Khat +
-    beta*M_XX`` and ``M_XX`` (static condensation, R. J. Guyan, AIAA J.
-    3(2), 1965), exactly at every lambda. ``Khat`` is formed once
-    (:func:`_condensed`, from ``gathered``, the permuted ``K`` of
-    :func:`_eliminate` with ``red`` its reduction), and each point solves
-    only the massive interior. A system with a non-diagonal ``M``, no
-    massless interior, or a massless block whose LU fails, takes the pencil
-    of the whole ``K``, ``C`` and ``M``.
+    and its interior solved by LU (:func:`schur_complement_lu`). With ``M``
+    diagonal, its massless rows are zero, so under Rayleigh damping the
+    pencil's massless block and its coupling are ``(1 + alpha*lambda)``
+    times those of ``K``: condensing them out of ``K`` once
+    (:func:`_condensed`) gives the pencil over the terminals and the
+    massive interior exactly, and each point solves only the massive
+    interior. Otherwise the pencil is that of the whole ``K``, ``C``, ``M``.
     A point whose solve fails, is not finite or deviates beyond
     ``ROUNDTRIP_TOL`` is solved again by the pseudoinverse
     :func:`schur_complement` of the whole pencil, and that value counts.
@@ -464,10 +458,13 @@ def _reconstruction_error(sys, red, gathered, cr, lams):
 
 
 def _condensed(sys, red, gathered):
-    """``(Khat, alpha*Khat + beta*M_XX, M_XX)`` of :func:`_reconstruction_error`,
-    or None when ``M`` has an entry off its diagonal, the interior has no
-    massless coordinate, or the LU of the massless block raises or gives a
-    ``Khat`` that is not finite."""
+    """``(Khat, alpha*Khat + beta*M_XX, M_XX)`` over the terminals and the
+    massive interior ``X``, where ``Khat = K_XX - K_XL K_LL^-1 K_LX`` by one
+    real LU of the massless block ``L`` of ``gathered``, the permuted ``K``
+    that :func:`_eliminate` reduced to ``red`` (static condensation; R. J.
+    Guyan, AIAA J. 3(2), 1965). None when ``M`` has an entry off its
+    diagonal, the interior has no massless coordinate, or that LU raises or
+    gives a ``Khat`` that is not finite."""
     M, masses = sys.M.a, np.concatenate([red.Mbb, red.Mjj])
     if np.count_nonzero(M) != np.count_nonzero(M.diagonal()) or masses.size == len(M):
         return None

@@ -1,6 +1,7 @@
 """Response evaluation, massless elimination, pole-residue extraction."""
 
 import hashlib
+import importlib
 import itertools
 from dataclasses import replace
 from functools import cached_property
@@ -409,15 +410,15 @@ def test_near_floppy_network_extracts(case):
 
 
 def count_fallbacks(monkeypatch):
-    """Count the SVD Schur complements of complex pencils the extraction
-    self-check makes, by mode; the elimination's, of the real ``K``, are
-    not counted."""
+    """Record ``(mode, order)`` of every SVD Schur complement of a complex
+    pencil the extraction self-check makes; the elimination's, of the real
+    ``K``, are not counted."""
     calls = []
     original = response.schur_complement
 
     def counting(a, nb, mode="inverse"):
         if np.iscomplexobj(a):
-            calls.append(mode)
+            calls.append((mode, len(a)))
         return original(a, nb, mode)
 
     monkeypatch.setattr(response, "schur_complement", counting)
@@ -436,6 +437,15 @@ def count_solves(monkeypatch):
 
     monkeypatch.setattr(response, "schur_complement_lu", counting)
     return solves
+
+
+def off_diagonal_mass(sys):
+    """``sys`` with the mass coupling the first massive interior coordinate
+    ``j`` to the next set to a tenth of ``M[j, j]``, and ``j``."""
+    m = sys.M.a.copy()
+    j = next(c for c in range(sys.n_b, sys.order) if m[c, c] != 0.0)
+    m[j, j + 1] = m[j + 1, j] = 0.1 * m[j, j]
+    return replace(sys, M=SymMatrix(m)), j
 
 
 class TestExtractionSelfCheck:
@@ -459,7 +469,7 @@ class TestExtractionSelfCheck:
         cr = extract_canonical(assembled_chain)
         order, nb = assembled_chain.order, assembled_chain.n_b
         assert solves == [("real", order, nb)] + [("complex", order, nb)] * 20
-        assert calls == ["pseudoinverse"] * 20
+        assert calls == [("pseudoinverse", order)] * 20
         assert_allclose(cr.A.a, axial_block(0.5), atol=1e-14)
 
     def test_perturbed_residue_is_still_rejected(self, monkeypatch):
@@ -470,9 +480,10 @@ class TestExtractionSelfCheck:
 
         calls = count_fallbacks(monkeypatch)
         monkeypatch.setattr(response, "Mode", perturbed)
+        sys = assemble(random_network(3, 3, 4, 10, 1.0))
         with pytest.raises(ReconstructionMismatch, match="deviates from the direct"):
-            extract_canonical(assemble(random_network(3, 3, 4, 10, 1.0)))
-        assert calls == ["pseudoinverse"] * 20
+            extract_canonical(sys)
+        assert calls == [("pseudoinverse", sys.order)] * 20
 
     def test_a_massless_interior_is_eliminated_once(self, monkeypatch):
         # one real LU of the massless block, then each point solves only
@@ -489,32 +500,51 @@ class TestExtractionSelfCheck:
     def test_an_off_diagonal_mass_takes_the_whole_pencil(self, monkeypatch):
         # a mass entry off the diagonal couples coordinates the condensed
         # pencil would keep apart: no massless LU, every point whole
-        sys = assemble(random_network(1, 3, 6, 60, 0.5))
-        m = sys.M.a.copy()
-        j = next(c for c in range(sys.n_b, sys.order) if m[c, c] != 0.0)
-        m[j, j + 1] = m[j + 1, j] = 0.1 * m[j, j]
+        sys, _ = off_diagonal_mass(assemble(random_network(1, 3, 6, 60, 0.5)))
         calls, solves = count_fallbacks(monkeypatch), count_solves(monkeypatch)
         with pytest.raises(ReconstructionMismatch, match="deviates from the direct"):
-            extract_canonical(replace(sys, M=SymMatrix(m)))
+            extract_canonical(sys)
         assert solves == [("complex", sys.order, sys.n_b)] * 20
-        assert calls == ["pseudoinverse"] * 20
+        assert calls == [("pseudoinverse", sys.order)] * 20
+
+    def test_a_massless_block_that_overflows_takes_the_whole_pencil(self, monkeypatch):
+        # a massless pivot of 1e-310 passes the LU but makes Khat infinite;
+        # the elimination's pseudoinverse truncates it
+        k = np.eye(4)
+        k[0, 2] = k[2, 0] = k[1, 3] = k[3, 1] = 0.5
+        k[3, 3] = 1e-310
+        sys = SystemMatrices(SymMatrix(k), SymMatrix(np.zeros((4, 4))), 2,
+                             RayleighParams(0.1, 0.0), np.zeros((1, 2)))
+        calls, solves = count_fallbacks(monkeypatch), count_solves(monkeypatch)
+        cr = extract_canonical(sys)
+        assert solves == [("real", 4, 2)] + [("complex", 4, 2)] * 20
+        assert calls == [("pseudoinverse", 4)] * 20
+        assert_allclose(cr.A.a, np.diag([0.75, 1.0]))
 
     def test_a_zero_pivot_sends_only_its_point_to_the_fallback(self, monkeypatch):
+        # the seventh point's solve fails, on the whole pencil of a massive
+        # network and on the condensed pencil of a half-massless one; that
+        # point alone is solved again, through the whole pencil
         original = response.schur_complement_lu
         solves = []
 
         def failing_once(a, nb):
-            solves.append(len(a))
-            if len(solves) == 7:
-                raise np.linalg.LinAlgError("Singular matrix")
+            if np.iscomplexobj(a):
+                solves.append(len(a))
+                if len(solves) == 7:
+                    raise np.linalg.LinAlgError("Singular matrix")
             return original(a, nb)
 
-        calls = count_fallbacks(monkeypatch)
         monkeypatch.setattr(response, "schur_complement_lu", failing_once)
-        sys = assemble(random_network(3, 3, 6, 60, 1.0))
-        extract_canonical(sys)
-        assert solves == [sys.order] * 20
-        assert calls == ["pseudoinverse"]
+        calls = count_fallbacks(monkeypatch)
+        for mass_fraction in (1.0, 0.5):
+            calls.clear()
+            solves.clear()
+            sys = assemble(random_network(3, 3, 6, 60, mass_fraction))
+            red = eliminate_massless(sys)
+            extract_canonical(sys)
+            assert solves == [red.n_b + len(red.Mjj)] * 20
+            assert calls == [("pseudoinverse", sys.order)]
 
 
 def reversed_nodes(net):
@@ -615,7 +645,7 @@ class TestSelfCheckAgainstThePointLoop:
         cr = extract_canonical(sys, check=False)
         lams = self_check_points(sys)
         worst = self_check_error(sys, cr, lams)
-        assert calls == ["pseudoinverse"] * 20
+        assert calls == [("pseudoinverse", sys.order)] * 20
         assert worst == reconstruction_error_massless_once(collinear_chain, cr, lams)
         assert worst == reconstruction_error_by_point(collinear_chain, cr, lams)
 
@@ -712,15 +742,13 @@ class TestSelfCheckMutationTable:
     def test_an_off_diagonal_mass_at_198_dof(self):
         net = random_network(1, 3, 6, 60, 0.5)
         sys = assemble(net)
+        wrong, j = off_diagonal_mass(sys)
         K, M, b, i = node_major(net)
-        m, node = sys.M.a.copy(), b + i  # system coordinate c is node coordinate node[c]
-        j = next(c for c in range(sys.n_b, sys.order) if m[c, c] != 0.0)
-        m[j, j + 1] = m[j + 1, j] = 0.1 * m[j, j]
-        M[node[j], node[j + 1]] = M[node[j + 1], node[j]] = 0.1 * m[j, j]
+        node = b + i  # system coordinate c is node coordinate node[c]
+        M[node[j], node[j + 1]] = M[node[j + 1], node[j]] = wrong.M.a[j, j + 1]
         lams = self_check_points(sys)
         check = full_pencil_check(K, M, b, i, net.rayleigh, lams)
         cr = extract_canonical(sys, check=False)
-        wrong = replace(sys, M=SymMatrix(m))
         assert self.rejections(wrong, lams, [("off-diagonal M", cr)], check) == {
             "off-diagonal M": True
         }
@@ -976,6 +1004,26 @@ class TestStaticTerms:
         assert "mode 3 has sigma" in str(info.value)
         report = check_canonical(cr)
         assert report.conditions["static_psd"].witness == str(want.value)
+
+    def test_synthesis_factors_the_loops_static_slice(self, monkeypatch):
+        # the blocks and the static rank floor that synthesize factors are
+        # those of the per-mode loop, bit for bit
+        module = importlib.import_module("elastonet.synthesize")
+        seen = []
+        factor = module._rank_one_factors
+
+        def recording(blocks, floors):
+            seen.append((blocks, floors))
+            return factor(blocks, floors)
+
+        monkeypatch.setattr(module, "_rank_one_factors", recording)
+        cr = extract_canonical(assemble(random_network(1, 3, 6, 60, 0.5)))
+        synthesize(cr, check=False)
+        (blocks, floors), = seen
+        scale = np.abs(cr.A.a).max() + sum(np.abs(m.R.a).max() / m.sigma for m in cr.modes)
+        want = [static_response_by_mode(cr).a] + [m.R.a / m.sigma for m in cr.modes]
+        assert same_bits(blocks, np.array(want))
+        assert same_bits(floors, np.r_[1e-12 * scale, np.zeros(len(cr.modes))])
 
 
 class TestNonResonantSampling:
