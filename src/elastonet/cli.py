@@ -240,11 +240,11 @@ def cmd_loci(args):
     except ValueError as exc:
         raise SchemaError(f"loci: {exc}") from exc
     rows = locus_table(rayleigh, args.points)
+    values = np.array([(row["re"], row["im"], row["sigma"]) for row in rows])
+    texts = jsonio.float_texts(values.ravel())
     lines = ["re,im,sigma,piece_label"]
-    for row in rows:
-        lines.append(
-            f"{row['re']!r},{row['im']!r},{row['sigma']!r},{row['piece_label']}"
-        )
+    for k, row in enumerate(rows):
+        lines.append(",".join(texts[3 * k:3 * k + 3]) + "," + row["piece_label"])
     _write_text(args, "\n".join(lines) + "\n")
     return 0
 

@@ -29,9 +29,13 @@ for s = 0..3 (the size of a benchmark roundtrip input, 90 or so gadgets a
 synthesis) and ``random_network(s, 3, 16, 6, 0.5)`` for s = 0, 1 (16
 terminals): about 1,130 runs, about 20 s on one core. The 158-node
 ``random_network(5, 3, 8, 150, 0.5)``, the size of a benchmark sweep input
-(474 degrees of freedom, half its interior nodes massless), gets three more
-runs: a ``respond`` sweep of 50 points, ``extract`` and ``roundtrip``.
-Pytest does not collect this file.
+(474 degrees of freedom, half its interior nodes massless), gets four more
+runs: a ``respond`` sweep of 50 points, ``extract``, ``roundtrip``, and a
+``respond`` sweep over ``--omega 1e-6 1e9 400 --scale log``, whose entries
+of W fall on both sides of the float writer's switches of notation at 1e16
+and 1e-4. Last, ``loci --alpha 0.05 --beta 0.5 --points 20000`` writes
+60,000 floats of CSV through the same formatter. Pytest does not collect
+this file.
 """
 
 import hashlib
@@ -150,7 +154,13 @@ def digest(workdir):
         "respond": run(argv, workdir / "responses.json"),
         "extract": run(["extract", str(net_file)], workdir / "canonical.json"),
         "roundtrip": run(["roundtrip", str(net_file)], workdir / "roundtrip.json"),
+        "respond 1e-6..1e9": run(
+            ["respond", str(net_file), "--omega", "1e-6", "1e9", "400", "--scale", "log"],
+            workdir / "responses.json",
+        ),
     }
+    argv = ["loci", "--alpha", "0.05", "--beta", "0.5", "--points", "20000"]
+    results["loci"] = {"loci --points 20000": run(argv, workdir / "loci.csv")}
     return results
 
 

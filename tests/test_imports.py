@@ -1,5 +1,6 @@
 """Every module of the package uses each name it imports, raises every
-error class it defines, and writes JSON only through the canonical writer;
+error class it defines, writes JSON only through the canonical writer and
+formats floats only through its vectorized formatter;
 in synthesis only the direct oracle solves Schur complements,
 ``geometry.cross`` is the one cross product, only ``linalg`` repairs
 symmetry or takes an SVD, the one ``np.ix_`` gather is the massless split
@@ -99,6 +100,32 @@ def test_guard_reports_a_json_write():
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_no_json_write_outside_the_canonical_writer(module):
     assert json_writes((PACKAGE / module).read_text()) == []
+
+
+def float_repr_uses(source):
+    """Lines of ``source`` that read ``float.__repr__``."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute)
+        and node.attr == "__repr__"
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "float"
+    )
+
+
+def test_guard_reports_a_float_repr():
+    source = (
+        "r = float.__repr__\nlist(map(float.__repr__, xs))\n"
+        "int.__repr__(1)\nrepr(x)\nnp.float64.__repr__\n"
+    )
+    assert float_repr_uses(source) == [1, 2]
+
+
+# jsonio.float_texts formats every float the package writes, JSON and CSV
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_no_float_repr(module):
+    assert float_repr_uses((PACKAGE / module).read_text()) == []
 
 
 def callers(source, name):

@@ -1,6 +1,8 @@
-"""The canonical writer against ``json.dumps``: same bytes, same errors."""
+"""The canonical writer against ``json.dumps``: same bytes, same errors;
+and its float formatter against ``float.__repr__``."""
 
 import json
+import math
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -38,6 +40,27 @@ ARRAYS = hnp.arrays(
     hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4),
     elements=FINITE,
 )
+
+
+def random_doubles(rng, shape):
+    """Finite doubles from random bit patterns; a NaN or infinity reads -0.0."""
+    a = rng.integers(0, 2**64, shape, dtype=np.uint64).view(float)
+    a[~np.isfinite(a)] = -0.0
+    return a
+
+
+def large_block(seed, symmetric):
+    """A block of shape (n, n, 2) whose floats to format, all of them or its
+    upper triangle when it is bitwise symmetric, fill more than one chunk."""
+    # n * (n + 1) floats of a symmetric block's upper triangle, else 2 * n * n
+    n = math.isqrt(jsonio._CHUNK if symmetric else jsonio._CHUNK // 2) + 1
+    a = random_doubles(np.random.default_rng(seed), (n, n, 2))
+    if symmetric:
+        upper = np.triu(np.ones((n, n), dtype=bool))[:, :, None]
+        a = np.where(upper, a, a.swapaxes(0, 1))
+    return a
+
+
 # float blocks as arrays, nested lists, tuples and lists of np.float64
 BLOCKS = (
     ARRAYS
@@ -45,6 +68,7 @@ BLOCKS = (
     | ARRAYS.map(lambda a: tuple(a.ravel().tolist()))
     | ARRAYS.map(lambda a: [np.float64(x) for x in a.ravel()])
 )
+LARGE = st.builds(large_block, st.integers(0, 2**32 - 1), st.booleans())
 PAYLOADS = st.recursive(
     SCALARS | BLOCKS,
     lambda children: (
@@ -59,6 +83,13 @@ PAYLOADS = st.recursive(
 @settings(derandomize=True, max_examples=80, deadline=None)
 @given(PAYLOADS)
 def test_same_bytes_as_json_dumps(payload):
+    assert dumps_canonical(payload) == reference(payload)
+
+
+# each with a block that spans formatting chunks, as an array or as lists
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(st.tuples(PAYLOADS, LARGE | LARGE.map(np.ndarray.tolist), PAYLOADS).map(list))
+def test_payloads_with_a_large_block_write_like_json_dumps(payload):
     assert dumps_canonical(payload) == reference(payload)
 
 
@@ -86,6 +117,11 @@ def test_matrix_pairs_writes_as_the_pair_lists():
     assert dumps_canonical(matrix_pairs(a)) == reference(pairs)
 
 
+def symmetric(block):
+    """Whether the writer takes the mirror path on ``block``."""
+    return jsonio._bitwise_symmetric(block.ravel().tolist(), block.shape)
+
+
 def raised(fn, obj):
     with pytest.raises((ValueError, TypeError)) as info:
         fn(obj)
@@ -106,9 +142,45 @@ def raised(fn, obj):
     {"a": np.bool_(True)},
     {1: 0, "b": 1},
     {(1, 2): 0},
+    # the first error in document order: NaN in a row or a block, then
+    # unsortable keys or an integer too long to write, and the reverse
+    [[0.5, float("nan")], {1: 0, "b": 1}],
+    [{1: 0, "b": 1}, [0.5, float("nan")]],
+    [[[0.5, 1.0], [1.0, -float("inf")]], 10**5000],
+    [10**5000, float("nan")],
+    {"a": float("nan"), "b": {1.5: 0, -float("inf"): 1}},
 ])
 def test_same_error_as_json_dumps(payload):
     assert raised(dumps_canonical, payload) == raised(json_dumps, payload)
+
+
+@pytest.mark.parametrize("mirrored", [False, True])
+def test_first_error_across_a_large_block(mirrored):
+    # a block checked as one array still fails in document order
+    block = large_block(3, mirrored)
+    block[-1, -1, 1] = np.nan
+    for form in (np.asarray, np.ndarray.tolist):
+        for payload, error in [([form(block), object()], ValueError),
+                               ([object(), form(block)], TypeError)]:
+            expected = raised(json_dumps, [x.tolist() if x is block else x for x in payload])
+            assert expected[0] is error
+            assert raised(dumps_canonical, payload) == expected
+
+
+def chunk_boundary_payload(offset):
+    """Scalars, a tuple and blocks with -0.0 mirrors placed so that the chunk
+    boundary falls before, inside or after each of them."""
+    sym = np.array([[[-0.0, 1.5], [0.25, -0.0]], [[0.25, -0.0], [1e16, -5e-324]]])
+    assert symmetric(sym)
+    lead = np.linspace(-1.0, 1.0, jsonio._CHUNK + offset)
+    return [lead, np.float64(-0.0), (1e-4, -0.0, 5e-324), sym, np.float64(0.1),
+            sym.tolist(), (9999999999999998.0,), sym]
+
+
+@pytest.mark.parametrize("offset", range(-24, 2))
+def test_chunk_boundaries_write_like_json_dumps(offset):
+    payload = chunk_boundary_payload(offset)
+    assert dumps_canonical(payload) == reference(payload)
 
 
 @pytest.mark.parametrize("array", [
@@ -133,11 +205,6 @@ def outcome(fn, obj):
         return fn(obj)
     except (ValueError, TypeError) as exc:
         return type(exc), str(exc)
-
-
-def symmetric(block):
-    """Whether the writer takes the mirror path on ``block``."""
-    return jsonio._bitwise_symmetric(block.ravel().tolist(), block.shape)
 
 
 # a block is written from an ndarray or from its nested lists
@@ -268,3 +335,41 @@ def test_every_response_block_is_written_by_its_upper_triangle(tmp_path, monkeyp
     entries = jsonio.load_json(out)
     assert len(blocks) == sum("W" in entry for entry in entries) == 12
     assert all(blocks)
+
+
+# the formatter against float.__repr__, its oracle
+
+
+def oracle_doubles():
+    """Seeded doubles that reach every branch of the formatter: every
+    subnormal with a significand below 2**17 (the JDK's Schubfach writes two
+    digits where repr writes one), powers of two and of ten with their
+    neighbours, integers around 2**53, the switches of notation at 1e16 and
+    1e-4, and random bit patterns; each with both signs."""
+    subnormals = np.arange(1, 2**17, dtype=np.uint64).view(float)
+    powers = np.concatenate([np.ldexp(1.0, np.arange(-1074, 1024)),
+                             [float(f"1e{e}") for e in range(-323, 309)]])
+    neighbours = np.concatenate([np.nextafter(powers, -np.inf), powers,
+                                 np.nextafter(powers, np.inf)])
+    integers = np.arange(2**53 - 2000, 2**53 + 2000).astype(float)
+    switches = (np.array([1e16, 1e-4]).view(np.int64)[:, None]
+                + np.arange(-8, 9)).view(float).ravel()
+    structured = np.concatenate([subnormals, neighbours, integers, switches, [0.0]])
+    structured = structured[np.isfinite(structured)]
+    rng = np.random.default_rng(28)
+    return np.concatenate([structured, -structured, random_doubles(rng, 500_000)])
+
+
+def test_float_texts_match_repr():
+    values = oracle_doubles()
+    assert len(values) > 750_000
+    texts = jsonio.float_texts(values)
+    expected = list(map(float.__repr__, values.tolist()))
+    assert len(texts) == len(expected)
+    mismatches = [(want, got) for want, got in zip(expected, texts) if want != got]
+    assert mismatches[:5] == []
+
+
+def test_float_texts_of_nan_and_infinities():
+    values = np.array([np.nan, -np.nan, np.inf, -np.inf, -0.0, 1.0])
+    assert jsonio.float_texts(values) == list(map(float.__repr__, values.tolist()))
