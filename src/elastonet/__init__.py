@@ -71,8 +71,6 @@ from .synthesize import (
     IdealElasticElement,
     NetworkComponent,
     assemble_component,
-    balance_forces,
-    build_rank_one_gadget,
     evaluate_generalized,
     generalized_from_dict,
     generalized_to_dict,

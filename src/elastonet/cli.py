@@ -213,7 +213,6 @@ def _synthesize_verified(args, cr, seed, report):
         epsilon_hull=args.epsilon,
         forbidden=_load_forbidden(args.forbidden, cr.dimension),
         seed=seed,
-        check=False,
         report=report,
     )
     worst = verify_synthesis(gn, cr, n_samples=args.samples, seed=seed + 1)

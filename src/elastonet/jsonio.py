@@ -143,7 +143,8 @@ def _encode(obj, level, out, floats):
     elif isinstance(obj, dict):
         _encode_dict(obj, level, out, floats)
     elif isinstance(obj, np.ndarray) and obj.dtype == float:
-        _encode_block(obj.ravel(), obj.shape, level, out, floats, obj)
+        block = np.asarray(obj)  # a subclass (np.matrix) as its np.ndarray.tolist()
+        _encode_block(block.ravel(), block.shape, level, out, floats, block)
     else:
         raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
 

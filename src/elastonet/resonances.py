@@ -22,7 +22,9 @@ def resonances_of(sigma, rayleigh):
     formula computes the larger-magnitude real root first and recovers the
     other from the product ``lambda_plus * lambda_minus = sigma``, avoiding
     cancellation when ``(alpha*sigma + beta)^2 >> 4 sigma``; ``sigma <= 0``
-    (floppy modes, hand-edited candidates) takes the closed form.
+    (floppy modes, hand-edited candidates) takes the closed form. When
+    ``b*b`` or ``4*sigma`` overflows, ``sqrt(|disc|) / 2`` is taken as
+    ``sqrt(|h - r|) * sqrt(h + r)`` with ``h = b/2`` and ``r = sqrt(sigma)``.
     """
     sigma = float(sigma)
     b = rayleigh.alpha * sigma + rayleigh.beta
@@ -30,6 +32,13 @@ def resonances_of(sigma, rayleigh):
     if sigma <= 0:
         sq = np.sqrt(complex(disc))
         return complex((-b + sq) / 2.0), complex((-b - sq) / 2.0)
+    if not np.isfinite(disc):
+        h, r = b / 2.0, np.sqrt(sigma)
+        half = np.sqrt(abs(h - r)) * np.sqrt(h + r)
+        if h < r:
+            return complex(-h, half), complex(-h, -half)
+        lam_minus = -(h + half)
+        return complex(sigma / lam_minus), complex(lam_minus)
     if disc >= 0.0:
         # sigma > 0 forces b > 0 here, so lam_minus < 0 and the division is safe
         lam_minus = -(b + np.sqrt(disc)) / 2.0

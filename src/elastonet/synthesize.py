@@ -35,7 +35,6 @@ from .errors import (
     DimensionMismatch,
     NotCharacterizable,
     PlacementFailed,
-    ReconstructionMismatch,
     SchemaError,
     ZeroForce,
 )
@@ -62,7 +61,6 @@ from .model import (
     spring_directions,
 )
 from .response import (
-    ROUNDTRIP_TOL,
     ResponseSample,
     canonical_responses,
     eliminate_massless,
@@ -92,15 +90,6 @@ def _distances(points, others):
     for k in range(points.shape[1]):
         total = total + np.square(points[:, None, k] - others[None, :, k])
     return np.sqrt(total)
-
-
-def _finite(name, values):
-    """``values`` as a float array, refused up front (:class:`DimensionMismatch`
-    naming the argument) unless every entry is finite."""
-    values = np.asarray(values, dtype=float)
-    if not np.isfinite(values).all():
-        raise DimensionMismatch(f"{name} must be finite")
-    return values
 
 
 def _placement_constraints(terminals, forbidden, min_clearance, epsilon_hull):
@@ -284,12 +273,6 @@ def _norm(v):
     return math.sqrt(v.dot(v))
 
 
-def _clear(avoid, point, clearance):
-    """Is ``point`` at least ``clearance`` from every row of ``avoid``, by
-    the distances ``np.linalg.norm(avoid - point, axis=1)`` gives?"""
-    return not (np.sqrt(np.square(avoid - point).sum(axis=1)) < clearance).any()
-
-
 def _solve_couple(x1, x2, f_rem, tau, min_force):
     """Forces (g1 at x1, g2 at x2) cancelling net force f_rem and torque tau.
 
@@ -312,7 +295,7 @@ def _solve_couple(x1, x2, f_rem, tau, min_force):
         h = cross(w, tau) / wnorm2
     g1 = f_rem + h
     g = np.concatenate([g1, -h])
-    if min_force > 0.0 and _norm(g) < min_force:
+    if _norm(g) < min_force:
         t = (min_force + _norm(h)) / math.sqrt(wnorm2)
         g = np.concatenate([g1 + t * w, -h - t * w])
     return g
@@ -328,20 +311,10 @@ def _terminal_loads(terminals, fmats):
 
 
 def _balancing_pair(rng, terminals, avoid, clearance, epsilon_hull, f_rem, tau_t,
-                    scale, min_force, candidates):
-    """``(x1, x2, g)``: nodes, given as ``candidates`` or drawn near the hull
-    clear of ``avoid``, and the forces on them that balance terminal loads
-    ``(f_rem, tau_t)``; :class:`PlacementFailed` if none can."""
-    if candidates is not None:
-        x1 = np.asarray(candidates[0], dtype=float)
-        x2 = np.asarray(candidates[1], dtype=float)
-        g = _solve_couple(x1, x2, f_rem, tau_t + cross(x1, f_rem), min_force)
-        if g is None:
-            raise PlacementFailed(
-                "candidate nodes cannot balance the system (coincident, or "
-                "joining direction not orthogonal to the residual torque)"
-            )
-        return x1, x2, g
+                    scale, min_force):
+    """``(x1, x2, g)``: nodes drawn near the hull clear of ``avoid``, and the
+    forces on them that balance terminal loads ``(f_rem, tau_t)``;
+    :class:`PlacementFailed` if none can."""
     nt, d = terminals.shape
     ones = np.ones(nt)
 
@@ -355,7 +328,7 @@ def _balancing_pair(rng, terminals, avoid, clearance, epsilon_hull, f_rem, tau_t
             return None
         radius = jitter_frac * epsilon_hull * rng.uniform(0.1, 1.0)
         point = base + (radius / norm) * direction
-        return point if _clear(avoid, point, clearance) else None
+        return None if (_distances(point[None], avoid) < clearance).any() else point
 
     for _ in range(PLACEMENT_DRAWS):
         x1 = draw(0.45 if d == 3 else 0.9)
@@ -380,7 +353,7 @@ def _balancing_pair(rng, terminals, avoid, clearance, epsilon_hull, f_rem, tau_t
                 if unorm == 0.0:
                     continue
             x2 = x1 - epsilon_hull * rng.uniform(0.1, 0.5) * (u / unorm)
-            if not _clear(avoid, x2, clearance):
+            if (_distances(x2[None], avoid) < clearance).any():
                 continue
         if _norm(x1 - x2) < max(clearance, 0.02 * epsilon_hull):
             continue
@@ -413,93 +386,12 @@ def _gadget_verdicts(terminals, fmats, pairs, g, scale):
     return k, PlacementFailed(f"balancing construction left residual {residual[k]:.3e}")
 
 
-def balance_forces(
-    terminals,
-    f,
-    epsilon_hull=0.1,
-    forbidden=(),
-    seed=0,
-    min_clearance=None,
-    min_force=0.0,
-    candidates=None,
-):
-    """Complete an arbitrary terminal force system to a balanced one.
-
-    Places two new nodes near the convex hull of the terminals and returns
-    ``(x1, x2, g)`` where ``g`` stacks the two balancing forces: the full
-    system (``f`` at the terminals, ``g`` at the new nodes) has zero total
-    force and torque. With ``candidates`` the two positions are taken as
-    given (no placement constraints are applied); otherwise they are drawn
-    with the requested hull/forbidden clearances. ``min_force`` requests
-    ``|g|`` at least that large, achieved by adding an equal-and-opposite
-    force pair along the joining line, which never disturbs the balance.
-    Terminals and forces that are not finite are refused up front.
-    """
-    terminals = np.atleast_2d(_finite("terminals", terminals))
-    fmats = _finite("f", f).reshape(terminals.shape)[None]
-    forb, clearance = _placement_constraints(
-        terminals, forbidden, min_clearance, epsilon_hull
-    )
-    (f_rem,), (tau_t,), scale = _terminal_loads(terminals, fmats)
-    rng = np.random.default_rng(seed) if candidates is None else None
-    x1, x2, g = _balancing_pair(rng, terminals, np.concatenate([terminals, forb]),
-                                clearance, epsilon_hull, f_rem, tau_t, scale[0],
-                                min_force, candidates)
-    _, error = _gadget_verdicts(terminals, fmats, np.array([[x1, x2]]), g[None], scale)
-    if error:
-        raise error
-    return x1, x2, g
-
-
-def build_rank_one_gadget(
-    terminals,
-    f,
-    sigma,
-    rayleigh,
-    epsilon_hull=0.1,
-    forbidden=(),
-    seed=0,
-    min_clearance=None,
-    candidates=None,
-):
-    """Two-internal-node component with response ``w(lambda) f f^T``.
-
-    The internal nodes carry the balancing forces ``g`` of
-    :func:`balance_forces` and both receive the mass ``m = |g|^2 / sigma``,
-    which pins the gadget's resonances at the roots of
-    ``sigma + (alpha*sigma + beta)*lambda + lambda^2`` and makes the static
-    response vanish. The gadget's own modes are checked against that
-    contract before returning (:func:`_reduce_gadgets`). Terminals, forces
-    and ``sigma`` that are not finite are refused up front.
-    """
-    terminals = np.atleast_2d(_finite("terminals", terminals))
-    f, sigma = _finite("f", f).ravel(), float(_finite("sigma", sigma))
-    if f.size != terminals.size:
-        raise ValueError(f"force vector length {f.size}, expected {terminals.size}")
-    _refuse_degenerate(_norm(f), sigma)
-    forb, clearance = _placement_constraints(
-        terminals, forbidden, min_clearance, epsilon_hull
-    )
-    rng = np.random.default_rng(seed) if candidates is None else None
-    (comp,) = _gadgets(terminals, _terminal_nodes(terminals, np.zeros(len(terminals))),
-                       f[None], np.array([sigma]), rayleigh, rng, epsilon_hull, forb,
-                       clearance, candidates)
-    return comp
-
-
 def _terminal_nodes(terminals, masses):
     return tuple(Node(tuple(p), float(m), True) for p, m in zip(terminals, masses))
 
 
-def _refuse_degenerate(fnorm, sigma):
-    if fnorm == 0.0:
-        raise ZeroForce("rank-one gadget needs a nonzero force vector")
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be > 0, got {float(sigma)}")
-
-
 def _gadgets(terminals, terminal_nodes, forces, sigmas, rayleigh, rng, epsilon_hull,
-             forbidden, clearance, candidates=None):
+             forbidden, clearance):
     """Checked rank-one gadgets, one per row of ``forces`` (of length
     ``terminals.size``), on the shared massless ``terminal_nodes``.
 
@@ -514,7 +406,8 @@ def _gadgets(terminals, terminal_nodes, forces, sigmas, rayleigh, rng, epsilon_h
     count = len(forces)
     if count:
         for name, values in (("terminals", terminals), ("f", forces), ("sigma", sigmas)):
-            _finite(name, values)
+            if not np.isfinite(values).all():
+                raise DimensionMismatch(f"{name} must be finite")
     nt, d = terminals.shape
     fmats = forces.reshape(count, nt, d)
     f_rem, tau_t, scale = _terminal_loads(terminals, fmats)
@@ -527,10 +420,13 @@ def _gadgets(terminals, terminal_nodes, forces, sigmas, rayleigh, rng, epsilon_h
     try:
         for k in range(count):
             fnorm = _norm(forces[k])
-            _refuse_degenerate(fnorm, sigmas[k])
+            if fnorm == 0.0:
+                raise ZeroForce("rank-one gadget needs a nonzero force vector")
+            if sigmas[k] <= 0.0:
+                raise ValueError(f"sigma must be > 0, got {float(sigmas[k])}")
             x1, x2, g[k] = _balancing_pair(
                 rng, terminals, avoid[:fixed + 2 * k], clearance, epsilon_hull,
-                f_rem[k], tau_t[k], scale[k], max(1e-2, 0.1 * fnorm), candidates,
+                f_rem[k], tau_t[k], scale[k], max(1e-2, 0.1 * fnorm),
             )
             pairs[k] = x1, x2
             placed += 1
@@ -628,7 +524,6 @@ def synthesize(
     forbidden=(),
     seed=0,
     min_clearance=None,
-    check=True,
     report=None,
 ):
     """Construct a generalized network realizing an admissible response.
@@ -638,9 +533,10 @@ def synthesize(
     node's coordinate block, which no isotropic nodal mass can realize) and
     :class:`PlacementFailed` when internal nodes cannot be placed. The
     check is ``report``, the :class:`CharacterizationReport` of ``cr``
-    when the caller has one, else ``check_canonical(cr)``. With ``check``
-    the construction is verified against the closed form at 50 random
-    non-resonant points.
+    when the caller has one, else ``check_canonical(cr)``. Each gadget's
+    balance and closed-form contract are checked as it is built; the
+    network as a whole is not compared with ``cr`` here, which is what
+    :func:`verify_synthesis` does.
     """
     if report is None:
         report = check_canonical(cr)
@@ -704,21 +600,13 @@ def synthesize(
         rng, epsilon_hull, user_forbidden, clearance,
     ))
 
-    gn = GeneralizedNetwork(
+    return GeneralizedNetwork(
         terminals=terminals.copy(),
         components=tuple(components),
         epsilon_hull=epsilon_hull,
         forbidden=user_forbidden,
         min_clearance=clearance,
     )
-    if check:
-        worst = verify_synthesis(gn, cr, n_samples=50, seed=rng)
-        if worst > ROUNDTRIP_TOL:
-            raise ReconstructionMismatch(
-                f"synthesized response deviates by {worst:.3e} relative "
-                f"(threshold {ROUNDTRIP_TOL:.1e})"
-            )
-    return gn
 
 
 def modal_form(gn):

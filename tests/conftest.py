@@ -1,7 +1,17 @@
 import numpy as np
 import pytest
 
-from elastonet import ElastodynamicNetwork, Node, Spring, SpringColumns, assemble
+from elastonet import (
+    ElastodynamicNetwork,
+    Node,
+    Spring,
+    SpringColumns,
+    assemble,
+    synthesize,
+    verify_synthesis,
+)
+from elastonet.response import ROUNDTRIP_TOL
+from elastonet.synthesize import _gadgets, _placement_constraints, _terminal_nodes
 
 
 @pytest.fixture
@@ -79,6 +89,29 @@ def shuffled_nodes(net, seed):
         net.dimension, tuple(net.nodes[q] for q in perm),
         SpringColumns(where[i], where[j], k), net.rayleigh,
     )
+
+
+def synthesized(cr, **placement):
+    """``synthesize(cr, **placement)``, asserted to realize ``cr`` within
+    ``ROUNDTRIP_TOL`` at 50 non-resonant points drawn from its seed."""
+    gn = synthesize(cr, **placement)
+    assert verify_synthesis(gn, cr, 50, placement.get("seed", 0)) <= ROUNDTRIP_TOL
+    return gn
+
+
+def rank_one_gadget(terminals, f, sigma, rayleigh, seed=0, epsilon_hull=0.1, forbidden=(),
+                    min_clearance=None):
+    """The checked gadget ``_gadgets`` builds for the force ``f`` and
+    ``sigma`` on massless ``terminals``, placed from ``seed`` under the
+    constraints ``synthesize`` takes."""
+    terminals = np.atleast_2d(np.asarray(terminals, dtype=float))
+    forb, clearance = _placement_constraints(terminals, forbidden, min_clearance, epsilon_hull)
+    (comp,) = _gadgets(
+        terminals, _terminal_nodes(terminals, np.zeros(len(terminals))),
+        np.asarray(f, dtype=float).reshape(1, -1), np.array([sigma], dtype=float), rayleigh,
+        np.random.default_rng(seed), epsilon_hull, forb, clearance,
+    )
+    return comp
 
 
 @pytest.fixture

@@ -33,7 +33,6 @@ from elastonet.synthesize import (
     PLACEMENT_DRAWS,
     RANK_TOL,
     NetworkComponent,
-    _finite,
     _placement_constraints,
     _reduce_gadgets,
     _terminal_nodes,
@@ -401,6 +400,16 @@ def check_balanced_by_column(F, positions, tol=1e-10):
     checks = [balance_check(positions, col.reshape(n, d), threshold) for col in F.T]
     return all(ok for ok, _ in checks), max(residual for _, residual in checks)
 
+
+def _finite(name, values):
+    """``values`` as a float array, refused up front (:class:`DimensionMismatch`
+    naming the argument) unless every entry is finite."""
+    values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        raise DimensionMismatch(f"{name} must be finite")
+    return values
+
+
 def _solve_couple(x1, x2, f_rem, tau, min_force):
     """Forces (g1 at x1, g2 at x2) cancelling net force f_rem and torque tau.
 
@@ -455,16 +464,14 @@ def balance_forces(
     seed=0,
     min_clearance=None,
     min_force=0.0,
-    candidates=None,
 ):
     """Complete an arbitrary terminal force system to a balanced one.
 
     Places two new nodes near the convex hull of the terminals and returns
     ``(x1, x2, g)`` where ``g`` stacks the two balancing forces: the full
     system (``f`` at the terminals, ``g`` at the new nodes) has zero total
-    force and torque. With ``candidates`` the two positions are taken as
-    given (no placement constraints are applied); otherwise they are drawn
-    with the requested hull/forbidden clearances. ``min_force`` requests
+    force and torque. The two positions are drawn with the requested
+    hull/forbidden clearances. ``min_force`` requests
     ``|g|`` at least that large, achieved by adding an equal-and-opposite
     force pair along the joining line, which never disturbs the balance.
     Terminals and forces that are not finite are refused up front.
@@ -482,18 +489,6 @@ def balance_forces(
     def residual_torque(x1):
         # the torque of the system once f_rem is assigned to x1
         return tau_terminals + np.atleast_1d(cross(x1, f_rem))
-
-    if candidates is not None:
-        x1 = np.asarray(candidates[0], dtype=float)
-        x2 = np.asarray(candidates[1], dtype=float)
-        g = _solve_couple(x1, x2, f_rem, residual_torque(x1), min_force)
-        if g is None:
-            raise PlacementFailed(
-                "candidate nodes cannot balance the system (coincident, or "
-                "joining direction not orthogonal to the residual torque)"
-            )
-        _assert_balanced(terminals, fmat, x1, x2, g, scale)
-        return x1, x2, g
 
     rng = np.random.default_rng(seed)
     avoid = np.vstack([forb, terminals]) if forb.size else terminals
@@ -549,8 +544,8 @@ def _assert_balanced(terminals, fmat, x1, x2, g, scale):
 
 
 def _place_gadget(terminals, terminal_nodes, f, sigma, rayleigh, **placement):
-    """The component of :func:`build_rank_one_gadget`, not yet checked, on
-    the shared massless ``terminal_nodes`` (None: built once placed)."""
+    """One rank-one gadget component, not yet checked, on the shared
+    massless ``terminal_nodes`` (None: built once placed)."""
     terminals = np.atleast_2d(_finite("terminals", terminals))
     nt, d = terminals.shape
     f, sigma = _finite("f", f).ravel(), float(_finite("sigma", sigma))

@@ -17,7 +17,6 @@ from elastonet import (
     SymMatrix,
     assemble,
     assemble_component,
-    build_rank_one_gadget,
     canonical_to_dict,
     check_balanced,
     check_canonical,
@@ -40,6 +39,7 @@ from elastonet.cli import main as cli_main
 from elastonet.jsonio import write_json
 from elastonet.resonances import classify
 
+from conftest import rank_one_gadget
 from oracles import assemble_union, rank_one_response
 
 N_NETWORKS = 25
@@ -85,7 +85,7 @@ def test_criterion_1_roundtrip_identity():
         cr = extract_canonical(sys, seed=k)
         report = check_canonical(cr)
         assert report.passed, (k, report.failing())
-        gn = synthesize(cr, seed=1000 + k, check=False)
+        gn = synthesize(cr, seed=1000 + k)
         # the union network as one system, independent of the per-component
         # superposition that evaluate_generalized computes
         union = assemble_union(gn)
@@ -191,7 +191,7 @@ def test_criterion_6_gadget_contract():
         f = rng.standard_normal(nt * d)
         sigma = 10.0 ** rng.uniform(-1.5, 1.5)
         ray = RayleighParams(rng.uniform(0.0, 2.0), rng.uniform(0.0, 2.0))
-        comp = build_rank_one_gadget(terminals, f, sigma, ray, seed=int(rng.integers(1 << 31)))
+        comp = rank_one_gadget(terminals, f, sigma, ray, seed=int(rng.integers(1 << 31)))
         sys = assemble_component(comp)
         w0 = evaluate_response(sys, 0.0, mode="pseudoinverse").W.a
         assert np.abs(w0).max() <= 1e-10, (trial, np.abs(w0).max())

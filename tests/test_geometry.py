@@ -146,7 +146,7 @@ SYNTHESIZED = [(seed, 6, 60) for seed in range(1, 6)] + [(1, 16, 6)]
 @pytest.mark.parametrize("seed, n_terminals, n_interior", SYNTHESIZED)
 def test_synthesized_nodes_have_the_enumerators_verdicts(seed, n_terminals, n_interior):
     net = random_network(seed, 3, n_terminals, n_interior, 0.5)
-    gn = synthesize(extract_canonical(assemble(net)), epsilon_hull=0.1, check=False)
+    gn = synthesize(extract_canonical(assemble(net)), epsilon_hull=0.1)
     internal = np.concatenate([np.reshape(c.internal_positions, (-1, 3))
                                for c in gn.components])
     got = np.array([hull_distance(x, gn.terminals) for x in internal])

@@ -5,8 +5,9 @@ in synthesis only the direct oracle solves Schur complements,
 ``geometry.cross`` is the one cross product, only ``linalg`` repairs
 symmetry or takes an SVD, the one ``np.ix_`` gather is the massless split
 of ``eliminate_massless``, no module keeps a block partition, only
-``response`` builds a ``ReducedSystem``, and one pencil helper and one
-modal eigensolve remain."""
+``response`` builds a ``ReducedSystem``, one pencil helper and one
+modal eigensolve remain, and the package's defaulted parameters stay
+within their budget."""
 
 import ast
 import re
@@ -363,3 +364,32 @@ def test_one_pencil_helper():
     assert package_scopes_calling("evaluate_response") == [
         "synthesize.py:evaluate_generalized"
     ]
+
+
+def defaulted_parameters(source):
+    """Parameters with a default value in the functions and lambdas of
+    ``source``, keyword-only ones included."""
+    count = 0
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            count += len(args.defaults) + sum(d is not None for d in args.kw_defaults)
+    return count
+
+
+def package_defaults(*extra):
+    """Defaulted parameters of the package, and of ``extra`` sources."""
+    sources = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]
+    return sum(map(defaulted_parameters, sources + list(extra)))
+
+
+def test_guard_reports_an_extra_defaulted_parameter():
+    source = "def f(a, b=1, *, c, d=2):\n    return lambda x=0: x\n"
+    assert defaulted_parameters(source) == 3
+    assert package_defaults("def knob(x, y=1):\n    return x + y\n") == package_defaults() + 1
+
+
+# every defaulted parameter is a knob some caller may turn; a change that
+# adds one raises this budget and says why in CHANGES.md
+def test_defaulted_parameters_stay_within_budget():
+    assert package_defaults() <= 39

@@ -278,6 +278,20 @@ def test_symmetric_nan_fails_at_its_first_row_major_entry():
         assert outcome(dumps_canonical, form(block)) == outcome(reference, form(block))
 
 
+@pytest.mark.parametrize("rows", [
+    [[1.0, 2.0], [3.0, 4.0]],
+    [[1.0, 2.0], [2.0, 4.0]],  # bitwise symmetric: written by its upper triangle
+    [[1.0, 2.0], [2.0, np.nan]],
+], ids=["asymmetric", "symmetric", "nan"])
+@pytest.mark.filterwarnings("ignore:the matrix subclass:PendingDeprecationWarning")
+def test_ndarray_subclass_writes_like_its_tolist(rows):
+    # np.matrix keeps two axes under ravel() and indexing: the writer reads
+    # the float64 data behind it, as json.dumps reads np.ndarray.tolist()
+    matrix = np.matrix(rows)
+    for payload in (matrix, {"m": [matrix, 0.5]}):
+        assert outcome(dumps_canonical, payload) == outcome(reference, payload)
+
+
 def mirror_cases():
     """(id, block, whether its bits are symmetric): square blocks the writer
     tests for symmetry."""

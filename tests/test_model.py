@@ -30,13 +30,12 @@ from elastonet import (
     network_from_dict,
     network_to_dict,
     random_network,
-    synthesize,
 )
 from elastonet.geometry import balance_verdicts
 from elastonet.cli import main
 from elastonet.model import STAMP_CHUNK, SpringColumns, assemble_elements
 
-from conftest import axial_block, node_positions, scaled_network
+from conftest import axial_block, node_positions, scaled_network, synthesized
 from oracles import (
     assemble_by_spring,
     assemble_union,
@@ -254,7 +253,7 @@ class TestOnePassAssembly:
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_synthesized_components_and_union(self, d, monkeypatch):
-        gn = synthesize(extract_canonical(assemble(random_network(d, d, 3, 4, 0.5))), seed=d)
+        gn = synthesized(extract_canonical(assemble(random_network(d, d, 3, 4, 0.5))), seed=d)
         # a springs component in the middle puts springs between ideal elements
         nt = len(gn.terminals)
         terminals = [Node(tuple(p), 0.3, True) for p in gn.terminals]

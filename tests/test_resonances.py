@@ -1,14 +1,60 @@
 """Resonance roots, locus classification, membership, sampling."""
 
+from fractions import Fraction
+from math import isqrt
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from elastonet import RayleighParams, contains, locus, resonances_of
+from elastonet.cli import main
 from elastonet.resonances import classify, locus_table
 
 
+def exact_roots(sigma, ray):
+    """Both roots of ``lambda^2 + b*lambda + sigma`` (sigma > 0) as
+    ``(re, im)`` Fraction pairs: ``b`` and the discriminant exact, its root
+    to 2^-200 relative, the smaller real root by Vieta."""
+    s = Fraction(sigma)
+    b = Fraction(ray.alpha) * s + Fraction(ray.beta)
+    disc = b * b - 4 * s
+    mag = abs(disc)
+    root = Fraction(isqrt(mag.numerator * mag.denominator * 4**200),
+                    mag.denominator * 2**200)
+    if disc < 0:
+        return (-b / 2, root / 2), (-b / 2, -root / 2)
+    minus = -(b + root) / 2
+    return (s / minus, Fraction(0)), (minus, Fraction(0))
+
+
+def assert_near_exact(root, exact, rtol=1e-15):
+    gap = (Fraction(root.real) - exact[0]) ** 2 + (Fraction(root.imag) - exact[1]) ** 2
+    assert gap <= Fraction(rtol) ** 2 * (exact[0] ** 2 + exact[1] ** 2), (root, exact)
+
+
 class TestResonancesOf:
+    @pytest.mark.parametrize("sigma, ray", [
+        (1e308, RayleighParams(0.0, 0.0)),  # 4*sigma overflows, imaginary pair
+        (1e308, RayleighParams(0.0, 1e150)),  # 4*sigma overflows, complex pair
+        (1e308, RayleighParams(0.0, 1e160)),  # both overflow, real pair
+        (0.01, RayleighParams(0.0, 1e200)),  # b*b overflows, real pair
+        (0.01, RayleighParams(1e2, 1e300)),
+    ])
+    def test_overflowing_discriminant_keeps_finite_roots(self, sigma, ray):
+        for root, exact in zip(resonances_of(sigma, ray), exact_roots(sigma, ray)):
+            assert_near_exact(root, exact)
+
+    def test_loci_with_an_overflowing_discriminant(self, tmp_path):
+        out = tmp_path / "loci.csv"
+        assert main(["loci", "--alpha", "0", "--beta", "1e200", "--points", "4",
+                     "-o", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 4
+        for k, (re, im, sigma, _) in enumerate(rows):
+            exact = exact_roots(float(sigma), RayleighParams(0.0, 1e200))[k % 2]
+            assert_near_exact(complex(float(re), float(im)), exact)
+
     def test_double_root(self):
         plus, minus = resonances_of(1.0, RayleighParams(0.0, 2.0))
         assert_allclose(plus, -1.0)

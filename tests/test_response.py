@@ -1018,7 +1018,7 @@ class TestStaticTerms:
 
         monkeypatch.setattr(module, "_rank_one_factors", recording)
         cr = extract_canonical(assemble(random_network(1, 3, 6, 60, 0.5)))
-        synthesize(cr, check=False)
+        synthesize(cr)
         (blocks, floors), = seen
         scale = np.abs(cr.A.a).max() + sum(np.abs(m.R.a).max() / m.sigma for m in cr.modes)
         want = [static_response_by_mode(cr).a] + [m.R.a / m.sigma for m in cr.modes]

@@ -26,8 +26,6 @@ from elastonet import (
     ZeroForce,
     assemble,
     assemble_component,
-    balance_forces,
-    build_rank_one_gadget,
     canonical_to_dict,
     eliminate_massless,
     evaluate_generalized,
@@ -44,13 +42,13 @@ from elastonet import (
     verify_synthesis,
 )
 from elastonet.cli import main
-from elastonet.geometry import hull_distance
+from elastonet.geometry import cross, hull_distance
 from elastonet.jsonio import dumps_canonical, write_json
 from elastonet.model import element_to_dict, node_to_dict
 from elastonet.response import ROUNDTRIP_TOL, modal_response
 from elastonet.synthesize import modal_form
 
-from conftest import scaled_network, stiffened_network
+from conftest import rank_one_gadget, scaled_network, stiffened_network, synthesized
 import oracles
 from oracles import assemble_union, construction_one_by_one, rank_one_response
 
@@ -75,27 +73,47 @@ def brute_force_balance_residual(points, forces):
     return max(max(abs(v) for v in force_sum), max(abs(v) for v in torque))
 
 
+SYNTHESIZE = import_module("elastonet.synthesize")
+
+
+def worked_couple():
+    """One terminal at the origin pulled along +x, balanced by nodes on the
+    y-axis: ``(x1, x2, g)`` of ``_solve_couple`` at the production floor
+    ``max(1e-2, 0.1*|f|)``."""
+    x1, x2 = np.array([0.0, 1.0]), np.array([0.0, 2.0])
+    (f_rem,), (tau_t,), _ = SYNTHESIZE._terminal_loads(np.zeros((1, 2)), np.array([[[1.0, 0.0]]]))
+    return x1, x2, SYNTHESIZE._solve_couple(x1, x2, f_rem, tau_t + cross(x1, f_rem), 0.1)
+
+
+def balancing_pair(terminals, f, seed, min_force):
+    """``(x1, x2, g)`` that ``_balancing_pair`` draws for the terminal loads
+    of ``f`` under the default placement constraints, inflated to
+    ``min_force``."""
+    terminals = np.asarray(terminals, dtype=float)
+    fmats = np.asarray(f, dtype=float).reshape(1, *terminals.shape)
+    (f_rem,), (tau_t,), (scale,) = SYNTHESIZE._terminal_loads(terminals, fmats)
+    _, clearance = SYNTHESIZE._placement_constraints(terminals, (), None, 0.1)
+    return SYNTHESIZE._balancing_pair(np.random.default_rng(seed), terminals, terminals,
+                                      clearance, 0.1, f_rem, tau_t, scale, min_force)
+
+
 class TestBalanceForces:
     def test_worked_example(self):
-        # one terminal at the origin pulled along +x; candidate nodes on the
-        # y-axis force the balancing pair (-2, 0), (1, 0)
-        x1, x2, g = balance_forces(
-            [[0.0, 0.0]],
-            [1.0, 0.0],
-            candidates=(np.array([0.0, 1.0]), np.array([0.0, 2.0])),
-        )
+        # nodes on the y-axis force the balancing pair (-2, 0), (1, 0), whose
+        # norm needs no inflation; coincident nodes balance nothing
+        x1, x2, g = worked_couple()
         assert_allclose(g, [-2.0, 0.0, 1.0, 0.0], atol=1e-15)
+        assert SYNTHESIZE._solve_couple(x1, x1.copy(), np.zeros(2), np.zeros(1), 0.1) is None
 
     def test_already_balanced_yields_zero_completion(self):
-        terminals = [[0.0, 0.0], [1.0, 0.0]]
-        f = [1.0, 0.0, -1.0, 0.0]
-        x1, x2, g = balance_forces(terminals, f, seed=3)
+        # before any inflation the completion of a balanced system is zero
+        x1, x2, g = balancing_pair([[0.0, 0.0], [1.0, 0.0]], [1.0, 0.0, -1.0, 0.0], 3, 0.0)
         assert_allclose(g, np.zeros(4), atol=1e-12)
 
     def test_min_force_inflation_keeps_balance(self):
         terminals = [[0.0, 0.0], [1.0, 0.0]]
         f = np.array([1.0, 0.0, -1.0, 0.0])
-        x1, x2, g = balance_forces(terminals, f, seed=3, min_force=0.5)
+        x1, x2, g = balancing_pair(terminals, f, 3, 0.5)
         assert np.linalg.norm(g) >= 0.5
         points = np.vstack([terminals, x1, x2])
         forces = np.vstack([np.asarray(f).reshape(2, 2), g[:2], g[2:]])
@@ -106,48 +124,41 @@ class TestBalanceForces:
         rng = np.random.default_rng(seed)
         terminals = rng.uniform(0, 1, size=(3, 3))
         f = rng.standard_normal(9)
-        x1, x2, g = balance_forces(terminals, f, seed=seed + 100)
-        points = np.vstack([terminals, x1, x2])
-        forces = np.vstack([f.reshape(3, 3), g[:3], g[3:]])
-        assert brute_force_balance_residual(points, forces) <= 1e-10 * (
-            1 + np.abs(f).max()
+        comp = rank_one_gadget(terminals, f, 1.0, RayleighParams(0.0, 0.0), seed=seed + 100)
+        forces = comp.elements[0].force_vector
+        assert same_bits(forces[:9], f)
+        assert brute_force_balance_residual(comp.positions, forces.reshape(5, 3)) <= 1e-10 * (
+            1 + np.abs(forces).max()
         )
-
-    def test_coincident_candidates_fail(self):
-        p = np.array([0.0, 1.0])
-        with pytest.raises(PlacementFailed):
-            balance_forces([[0.0, 0.0]], [1.0, 0.0], candidates=(p, p.copy()))
 
     def test_placement_respects_forbidden_points(self):
         terminals = np.array([[0.0, 0.0], [1.0, 0.0]])
         forbidden = np.array([[0.5, 0.0], [0.25, 0.05]])
-        x1, x2, g = balance_forces(
+        comp = rank_one_gadget(
             terminals,
             [0.3, 0.1, 0.2, -0.4],
+            1.0,
+            RayleighParams(0.0, 0.0),
             epsilon_hull=0.2,
             forbidden=forbidden,
             seed=5,
             min_clearance=0.02,
         )
-        for p in (x1, x2):
+        for p in comp.internal_positions:
             assert min(np.linalg.norm(p - q) for q in forbidden) >= 0.02
 
 
 class TestRankOneGadget:
-    def test_worked_example_mass(self):
-        comp = build_rank_one_gadget(
-            [[0.0, 0.0]],
-            [1.0, 0.0],
-            sigma=5.0,
-            rayleigh=RayleighParams(0.0, 0.0),
-            candidates=(np.array([0.0, 1.0]), np.array([0.0, 2.0])),
-        )
-        # |g|^2 = 4 + 1 = 5, so m = 5 / 5 = 1 on both internal nodes
+    def test_worked_example_mass(self, monkeypatch):
+        # the worked example's pair placed as the gadget's: |g|^2 = 4 + 1 =
+        # 5, so m = 5 / 5 = 1 on both internal nodes
+        monkeypatch.setattr(SYNTHESIZE, "_balancing_pair", lambda *args: worked_couple())
+        comp = rank_one_gadget([[0.0, 0.0]], [1.0, 0.0], 5.0, RayleighParams(0.0, 0.0))
         masses = [n.mass for n in comp.nodes if not n.is_terminal]
         assert_allclose(masses, [1.0, 1.0])
 
     def test_static_response_vanishes(self):
-        comp = build_rank_one_gadget(
+        comp = rank_one_gadget(
             [[0.0, 0.0], [1.0, 1.0]],
             [0.4, -0.3, 0.2, 0.1],
             sigma=2.5,
@@ -165,7 +176,7 @@ class TestRankOneGadget:
         f = rng.standard_normal(2 * d)
         sigma = 10.0 ** rng.uniform(-1, 1)
         ray = RayleighParams(rng.uniform(0, 2), rng.uniform(0, 2))
-        comp = build_rank_one_gadget(terminals, f, sigma, ray, seed=seed)
+        comp = rank_one_gadget(terminals, f, sigma, ray, seed=seed)
         sys = assemble_component(comp)
         for _ in range(5):
             lam = rng.uniform(0.3, 3.0) * np.exp(2j * np.pi * rng.uniform())
@@ -177,7 +188,7 @@ class TestRankOneGadget:
 
     def test_gadget_resonances_match_sigma(self):
         sigma, ray = 3.7, RayleighParams(0.5, 0.2)
-        comp = build_rank_one_gadget([[0.0, 0.0]], [1.0, 2.0], sigma, ray, seed=2)
+        comp = rank_one_gadget([[0.0, 0.0]], [1.0, 2.0], sigma, ray, seed=2)
         g = comp.elements[0].force_vector[2:]
         mass = comp.nodes[-1].mass
         assert_allclose(float(g @ g) / mass, sigma, rtol=1e-12)
@@ -193,8 +204,7 @@ class TestRankOneGadget:
         # the gadget's stacked matrices depart from its construction by
         # 1e-6; the last three faults each break one clause of the contract
         # alone: the coupled column, the coupling of a zero mode, or sigma
-        module = import_module("elastonet.synthesize")
-        real = module._gadget_matrices
+        real = SYNTHESIZE._gadget_matrices
 
         def broken(comps):
             forces, (K,), (mass,) = real(comps)
@@ -213,9 +223,9 @@ class TestRankOneGadget:
                 K[nb:, nb:] *= 1.0 + 1e-6
             return forces, K[None], np.array([mass])
 
-        monkeypatch.setattr(module, "_gadget_matrices", broken)
+        monkeypatch.setattr(SYNTHESIZE, "_gadget_matrices", broken)
         with pytest.raises(PlacementFailed, match="deviates from the closed form"):
-            build_rank_one_gadget(
+            rank_one_gadget(
                 [[0.0, 0.0], [1.0, 1.0]],
                 [0.4, -0.3, 0.2, 0.1],
                 sigma=2.5,
@@ -225,29 +235,28 @@ class TestRankOneGadget:
 
     def test_zero_force_rejected(self):
         with pytest.raises(ZeroForce):
-            build_rank_one_gadget(
-                [[0.0, 0.0]], [0.0, 0.0], 1.0, RayleighParams(0.0, 0.0)
-            )
+            rank_one_gadget([[0.0, 0.0]], [0.0, 0.0], 1.0, RayleighParams(0.0, 0.0))
 
     def test_nonpositive_sigma_rejected(self):
-        with pytest.raises(ValueError):
-            build_rank_one_gadget(
-                [[0.0, 0.0]], [1.0, 0.0], 0.0, RayleighParams(0.0, 0.0)
-            )
+        with pytest.raises(ValueError, match="sigma must be > 0"):
+            rank_one_gadget([[0.0, 0.0]], [1.0, 0.0], 0.0, RayleighParams(0.0, 0.0))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_input_refused_up_front(self, bad):
         # refused before any arithmetic: no numpy warning, and the error
         # names the argument instead of a late placement or mass failure
-        terminals, f = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], np.ones(6)
+        terminals, f = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.ones(6)
         ray = RayleighParams(0.1, 0.1)
+
+        def gadgets(terminals, f, sigma):
+            SYNTHESIZE._gadgets(terminals, (), f[None], np.array([sigma]), ray, None, 0.1,
+                                np.zeros((0, 2)), 1e-6)
+
         cases = [
-            ("terminals", lambda: build_rank_one_gadget(
-                [[0.0, 0.0], [1.0, 0.0], [bad, 1.0]], f, 1.0, ray)),
-            ("f", lambda: build_rank_one_gadget(terminals, np.r_[bad, f[1:]], 1.0, ray)),
-            ("sigma", lambda: build_rank_one_gadget(terminals, f, bad, ray)),
-            ("terminals", lambda: balance_forces([[bad, 0.0], [1.0, 0.0]], np.ones(4))),
-            ("f", lambda: balance_forces(terminals, np.r_[f[:5], bad])),
+            ("terminals", lambda: gadgets(np.array([[0.0, 0.0], [1.0, 0.0], [bad, 1.0]]), f, 1.0)),
+            ("f", lambda: gadgets(terminals, np.r_[bad, f[1:]], 1.0)),
+            ("f", lambda: gadgets(terminals, np.r_[f[:5], bad], 1.0)),
+            ("sigma", lambda: gadgets(terminals, f, bad)),
         ]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -374,15 +383,15 @@ def forbidding(cr, seed):
     """The internal node positions of a plain synthesis of ``cr``, then the
     centroid of its terminals: forbidden points on which the first draws
     of a synthesis with the same seed land."""
-    gn = synthesize(cr, seed=seed, check=False)
+    gn = synthesize(cr, seed=seed)
     inner = [c.internal_positions for c in gn.components]
     return np.vstack(inner + [cr.terminal_positions.mean(axis=0)])
 
 
 def assert_same_construction(cr, **placement):
-    """``synthesize(cr, check=False, **placement)`` builds, bit for bit, the
-    static factors and gadgets of the one-by-one oracle."""
-    gn = synthesize(cr, check=False, **placement)
+    """``synthesize(cr, **placement)`` builds, bit for bit, the static
+    factors and gadgets of the one-by-one oracle."""
+    gn = synthesize(cr, **placement)
     static, gadgets = construction_one_by_one(cr, **placement)
     ideal = [c for c in gn.components if c.kind == "ideal_elements"]
     assert len(ideal) == (1 if static else 0)
@@ -435,7 +444,7 @@ class TestStackedConstruction:
         with pytest.raises(PlacementFailed) as oracle:
             construction_one_by_one(cr, seed=5, min_clearance=0.08)
         with pytest.raises(PlacementFailed) as stacked:
-            synthesize(cr, seed=5, min_clearance=0.08, check=False)
+            synthesize(cr, seed=5, min_clearance=0.08)
         assert str(stacked.value) == str(oracle.value)
 
     def test_factors_equal_one_eigh_per_block_bitwise(self):
@@ -469,7 +478,7 @@ class TestStackedConstruction:
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(module, name, counting)
-        gn = synthesize(extracted(2, d=3, nt=3, ni=6), seed=2, check=False)
+        gn = synthesize(extracted(2, d=3, nt=3, ni=6), seed=2)
         assert sum(c.kind == "rank_one_gadget" for c in gn.components) > 2
         assert calls == {"_rank_one_factors": 1, "_gadget_verdicts": 1, "_reduce_gadgets": 1}
 
@@ -508,7 +517,7 @@ class TestStackedConstruction:
 class TestSynthesize:
     @pytest.mark.parametrize("d", [2, 3])
     def test_massless_terminal_nodes_are_built_once(self, d):
-        gn = synthesize(extracted(3, d=d, nt=3), seed=3)
+        gn = synthesized(extracted(3, d=d, nt=3), seed=3)
         massless = [c for c in gn.components if c.kind != "terminal_masses"]
         assert len(massless) > 2
         shared = massless[0].nodes[:3]
@@ -531,7 +540,7 @@ class TestSynthesize:
                 terminal_positions=cr.terminal_positions,
             )
         assert not cr.modes
-        gn = synthesize(cr, seed=1)
+        gn = synthesized(cr, seed=1)
         assert len(gn.components) == 1
         assert gn.components[0].kind == "ideal_elements"
         lam = 0.3 + 0.8j
@@ -547,7 +556,7 @@ class TestSynthesize:
             modes=(),
             terminal_positions=np.array([[0.0, 0.0], [1.0, 0.0]]),
         )
-        gn = synthesize(cr, seed=0)
+        gn = synthesized(cr, seed=0)
         assert not gn.components
         assert np.abs(evaluate_generalized(gn, 1.0j).W.a).max() == 0.0
 
@@ -604,7 +613,7 @@ class TestSynthesize:
             modes=(),
             terminal_positions=np.array([[0.0, 0.0], [1.0, 0.0]]),
         )
-        gn = synthesize(cr, seed=0)
+        gn = synthesized(cr, seed=0)
         assert [c.kind for c in gn.components] == ["terminal_masses"]
         lam = 0.2 + 1.1j
         w = evaluate_generalized(gn, lam).W.a
@@ -614,7 +623,7 @@ class TestSynthesize:
     @pytest.mark.parametrize("seed", [2, 7])
     def test_superposition_union_equals_component_sum(self, seed):
         cr = extracted(seed, ni=4)
-        gn = synthesize(cr, seed=seed)
+        gn = synthesized(cr, seed=seed)
         union = assemble_union(gn)
         rng = np.random.default_rng(seed)
         for _ in range(6):
@@ -630,7 +639,7 @@ class TestSynthesize:
         from elastonet import NetworkComponent, Node, Spring
 
         cr = extracted(5, ni=4)
-        gn = synthesize(cr, seed=5)
+        gn = synthesized(cr, seed=5)
         if kind == "springs":
             terminals = [Node(tuple(p), 0.3, True) for p in gn.terminals]
             inner = Node(tuple(gn.terminals.mean(axis=0)), 1.1, False)
@@ -651,7 +660,7 @@ class TestSynthesize:
 
     def test_gadget_static_sum_vanishes(self):
         cr = extracted(6, ni=4, mf=1.0)
-        gn = synthesize(cr, seed=6)
+        gn = synthesized(cr, seed=6)
         gadgets = [c for c in gn.components if c.kind == "rank_one_gadget"]
         assert gadgets
         total = sum(
@@ -664,7 +673,7 @@ class TestSynthesize:
         cr = extracted(8, ni=5, mf=1.0)
         eps = 0.25
         forbidden = cr.terminal_positions.mean(axis=0, keepdims=True)
-        gn = synthesize(cr, epsilon_hull=eps, forbidden=forbidden, seed=8,
+        gn = synthesized(cr, epsilon_hull=eps, forbidden=forbidden, seed=8,
                         min_clearance=1e-3)
         count = 0
         for comp in gn.components:
@@ -714,7 +723,7 @@ class TestStackedEvaluation:
     @pytest.mark.parametrize("mode", ["inverse", "pseudoinverse"])
     def test_equals_per_component_sum_bitwise(self, seed, d, mode):
         cr = extracted(seed, d=d, nt=3)
-        gn = synthesize(cr, seed=seed)
+        gn = synthesized(cr, seed=seed)
         # the springs component sits between two gadgets, so component order
         # differs from the order of the groups of equal matrix order
         comps = gn.components
@@ -730,7 +739,7 @@ class TestStackedEvaluation:
 
     @pytest.mark.parametrize("mode", ["inverse", "pseudoinverse"])
     def test_empty_network_is_exactly_zero(self, mode):
-        gn = with_components(synthesize(extracted(1, nt=3), seed=1), ())
+        gn = with_components(synthesized(extracted(1, nt=3), seed=1), ())
         w = evaluate_generalized(gn, 0.5 + 1.5j, mode).W.a
         assert np.array_equal(w, np.zeros((6, 6), dtype=complex))
 
@@ -739,7 +748,7 @@ class TestStackedEvaluation:
         # both resonate at the root of one mode's q(lambda): the springs
         # component comes first in component order, so it is the one named
         cr = extracted(3, d=3, nt=3)
-        gn = synthesize(cr, seed=3)
+        gn = synthesized(cr, seed=3)
         sigma = cr.modes[-1].sigma
         lam = resonances_of(sigma, cr.rayleigh)[0]
 
@@ -766,8 +775,7 @@ class TestStackedEvaluation:
         assert not isinstance(info.value, SingularBlock)
         assert str(info.value) == message(springs)
 
-    @pytest.mark.parametrize("check", [True, False])
-    def test_pipeline_assembles_each_component_once(self, monkeypatch, check):
+    def test_pipeline_assembles_each_component_once(self, monkeypatch):
         # a gadget is reduced in the stack that checks its contract, and
         # verification reads its modal form; the other components are
         # assembled and reduced there, once each
@@ -781,9 +789,8 @@ class TestStackedEvaluation:
 
         monkeypatch.setattr(module, "assemble_component", counting)
         cr = extracted(3, d=3, nt=3)
-        gn = synthesize(cr, seed=3, check=check)
-        if not check:
-            assert verify_synthesis(gn, cr, n_samples=10, seed=4) <= 1e-8
+        gn = synthesize(cr, seed=3)
+        assert verify_synthesis(gn, cr, n_samples=10, seed=4) <= 1e-8
         assert {c.kind for c in gn.components} == {
             "ideal_elements", "terminal_masses", "rank_one_gadget"
         }
@@ -793,7 +800,7 @@ class TestStackedEvaluation:
 
     def test_fewer_than_one_sample_rejected(self):
         cr = extracted(1, nt=3)
-        gn = synthesize(cr, seed=1)
+        gn = synthesized(cr, seed=1)
         with pytest.raises(ValueError, match="n_samples"):
             verify_synthesis(gn, cr, n_samples=0)
 
@@ -801,7 +808,7 @@ class TestStackedEvaluation:
 def synthesized_3d():
     """A canonical form and its network: static elements, terminal masses, gadgets."""
     cr = extracted(3, d=3, nt=3)
-    return cr, synthesize(cr, seed=3)
+    return cr, synthesized(cr, seed=3)
 
 
 def first(gn, kind):
@@ -876,7 +883,7 @@ def network_case(name):
         return with_components(synthesized_3d()[1], ())
     seed, d, nt = {"2d": (1, 2, 3), "3d": (3, 3, 3), "mechanism": (2, 2, 2),
                    "massless interior": (1, 2, 3), "massless mechanism": (2, 2, 2)}[name]
-    gn = synthesize(extracted(seed, d=d, nt=nt), seed=seed)
+    gn = synthesized(extracted(seed, d=d, nt=nt), seed=seed)
     if name in ("2d", "3d"):
         return gn
     # two terminals in the plane leave the centroid node free to move across
@@ -917,7 +924,7 @@ class TestStiffAndLightNetworks:
 
     def unit_kinds(self):
         cr = extract_canonical(assemble(random_network(*self.ARGS)))
-        return kinds(synthesize(cr, seed=0).components)
+        return kinds(synthesized(cr, seed=0).components)
 
     @STIFF_OR_LIGHT
     def test_synthesis_passes_its_check(self, stiffness, mass):
@@ -940,7 +947,7 @@ class TestStiffAndLightNetworks:
 class TestGeneralizedJson:
     def test_round_trip(self):
         cr = extracted(12, ni=3, mf=1.0)
-        gn = synthesize(cr, seed=12)
+        gn = synthesized(cr, seed=12)
         obj = generalized_to_dict(gn)
         back = generalized_from_dict(obj)
         assert generalized_to_dict(back) == obj
@@ -953,7 +960,7 @@ class TestGeneralizedJson:
 
     def test_unknown_component_kind(self):
         cr = extracted(12, ni=2, mf=1.0)
-        gn = synthesize(cr, seed=12)
+        gn = synthesized(cr, seed=12)
         obj = generalized_to_dict(gn)
         obj["components"][0]["kind"] = "wormhole"
         from elastonet import SchemaError
@@ -968,7 +975,7 @@ class TestGeneralizedJson:
     def test_bad_element_is_a_schema_error(self, element):
         from elastonet import SchemaError
 
-        gn = synthesize(extracted(12, ni=2, mf=1.0), seed=12)
+        gn = synthesized(extracted(12, ni=2, mf=1.0), seed=12)
         obj = generalized_to_dict(gn)
         obj["components"][0]["elements"] = [element]
         with pytest.raises(SchemaError):
@@ -993,7 +1000,7 @@ class TestDictsHoldPythonNumbers:
     def dicts(self):
         net = random_network(3, 3, 4, 12, 0.5)
         cr = extract_canonical(assemble(net))
-        gn = synthesize(cr, seed=0)
+        gn = synthesized(cr, seed=0)
         # the gadgets' ideal elements, then springs
         elements = [el for c in gn.components for el in c.elements] + list(net.springs)
         nodes = [node_to_dict(n) for c in gn.components for n in c.nodes]
