@@ -2,7 +2,7 @@
 
 Usage::
 
-    python tests/golden_drift.py OLD_DIR NEW_DIR
+    PYTHONPATH=src python tests/golden_drift.py OLD_DIR NEW_DIR
 
 A change of numerical method cannot keep the golden files byte-identical;
 this script shows how far they moved. Byte-identical files are reported as
@@ -17,17 +17,50 @@ codes are not stored in the golden files: ``tests/test_golden.py`` holds
 them in ``CASES``, and its ``regenerate`` refuses any case whose exit code
 differs.
 
+A characterization report prints rounding-level numbers: a PSD condition's
+smallest eigenvalue and ``worst_violation`` are often ``1e-16`` of the
+matrix they test, which no change of rounding keeps. So the numbers of
+the conditions in ``SCALED`` (each number in the witness text and the
+``worst_violation``) are bounded by ``BOUND`` relative to the scale of the
+matrix the condition tests: ``|A|``, ``|W(0)|``, ``max |R_j|`` or the
+largest ``|omega Im W|`` on the passivity grid, each the largest entry
+modulus. The scales are read from the old file's canonical form, or from
+the golden input (``tests/test_golden.py::CASES``) when the file has none.
+Such a witness's text outside its numbers must match exactly, every
+number must keep its side of the condition's tolerance
+(``|x| <= DEFAULT_TOL * max(1, scale)``, below it, or above it) and the
+``pass`` flag must match.
+
 Prints one line per file and exits 1 on any violation. Pytest does not
 collect this file.
 """
 
 import json
+import re
 import sys
 from pathlib import Path
 
 import numpy as np
 
+from elastonet import assemble, canonical_from_dict, extract_canonical, network_from_dict
+from elastonet.characterize import DEFAULT_TOL, PASSIVITY_GRID_POINTS, _dissipation
+from elastonet.errors import AtResonance
+from elastonet.response import canonical_poles
+
 BOUND = 1e-12
+
+# condition -> the matrix whose scale bounds its rounding-level numbers
+SCALED = {
+    "A_psd": "A",
+    "R_psd": "R",
+    "static_psd": "W(0)",
+    "static_balanced": "W(0)",
+    "passivity_sampled": "omega Im W",
+}
+
+# a number in a witness: a float as "%.3e" or "%.6g" writes it; integers
+# (mode indices, counts, the 0 of "W(0)") are text
+NUMBER = re.compile(r"[-+]?(?:\d+\.\d*(?:e[-+]?\d+)?|\d+e[-+]?\d+)")
 
 
 def _w_scale(w):
@@ -35,8 +68,90 @@ def _w_scale(w):
     return float(np.hypot(*np.moveaxis(np.asarray(w, dtype=float), -1, 0)).max())
 
 
-def _walk(old, new, path, scale, out):
-    """Collect drifts into ``out``; returns the first structural mismatch or None."""
+def _peak(a):
+    return float(np.abs(a).max(initial=0.0))
+
+
+def matrix_scales(cr):
+    """Largest entry modulus of ``A``, ``W(0)``, every ``R_j`` and
+    ``omega Im W`` on the passivity grid of a ``CanonicalResponse``, by the
+    matrix names of ``SCALED``; ``W(0)`` is absent when a pole sits at 0."""
+    scales = {"A": _peak(cr.A.a), "R": max([_peak(m.R.a) for m in cr.modes], default=0.0)}
+    try:
+        scales["W(0)"] = _peak(cr.static_response().a)
+    except AtResonance:
+        pass
+    grid = np.logspace(-2.0, 2.0, PASSIVITY_GRID_POINTS)
+    omegas = np.concatenate([-grid[::-1], grid])
+    resonant = canonical_poles(cr, [1j * float(omega) for omega in omegas]).any(axis=1)
+    scales["omega Im W"] = float(max(_dissipation(cr, omegas[~resonant])[1], default=0.0))
+    return scales
+
+
+def _input_canonical(stem):
+    """The canonical form of the golden input of case ``stem``, or None."""
+    from test_golden import CASES  # imports this module
+
+    build = CASES.get(stem, (None,))[0]
+    obj = build() if build is not None else None
+    if isinstance(obj, dict) and "nodes" in obj:
+        return extract_canonical(assemble(network_from_dict(obj)), check=False)
+    return canonical_from_dict(obj) if isinstance(obj, dict) and "modes" in obj else None
+
+
+def condition_scales(stem, old):
+    """``{condition: scale}`` for the conditions of ``SCALED`` in a golden
+    object holding a characterization report; empty when it holds none."""
+    if not (isinstance(old, dict) and ("conditions" in old or "characterization" in old)):
+        return {}
+    canonical = old.get("canonical")
+    cr = canonical_from_dict(canonical) if canonical else _input_canonical(stem)
+    if cr is None:
+        return {}
+    scales = matrix_scales(cr)
+    return {name: scales[matrix] for name, matrix in SCALED.items() if matrix in scales}
+
+
+def _side(x, line):
+    """-1, 0 or 1: ``x`` below, within or above ``[-line, line]``."""
+    return (x > line) - (x < -line)
+
+
+def _rounding(old, new, path, scale, out):
+    """Drift of one rounding-level number bounded against ``scale``; returns
+    a mismatch when the number changes its side of the tolerance."""
+    line = DEFAULT_TOL * max(1.0, scale)
+    if _side(old, line) != _side(new, line):
+        return f"{path}: {old!r} -> {new!r} crosses the tolerance {line:.3e}"
+    out.append((abs(new - old) / scale if scale else float(new != old), path, new != old))
+    return None
+
+
+def _condition(old, new, path, scale, out):
+    """A condition of ``SCALED``: same keys and ``pass`` flag, the same
+    witness text outside its numbers, each number by :func:`_rounding`."""
+    if not (isinstance(old, dict) and isinstance(new, dict)) or sorted(old) != sorted(new):
+        return _walk(old, new, path, None, out)
+    pieces = []
+    for key in ("witness", "worst_violation"):
+        a, b = old.get(key), new.get(key)
+        if key == "witness" and isinstance(a, str) and isinstance(b, str):
+            if NUMBER.split(a) != NUMBER.split(b):
+                return f"{path}.witness: {a!r} -> {b!r}"
+            pieces += [(x, y, f"{path}.witness") for x, y in zip(NUMBER.findall(a), NUMBER.findall(b))]
+        elif isinstance(a, (int, float)) and isinstance(b, (int, float)) and not isinstance(a, bool):
+            pieces.append((a, b, f"{path}.{key}"))
+    for a, b, where in pieces:
+        bad = _rounding(float(a), float(b), where, scale, out)
+        if bad:
+            return bad
+    rest = {k: v for k, v in old.items() if k not in ("witness", "worst_violation")}
+    return _walk(rest, {k: new[k] for k in rest}, path, None, out)
+
+
+def _walk(old, new, path, scale, out, scaled=None):
+    """Collect drifts into ``out``; returns the first structural mismatch or
+    None. ``scaled`` maps a condition of ``SCALED`` to its matrix scale."""
     if old is None or isinstance(old, (bool, str)) or isinstance(new, bool):
         if old == new and type(old) is type(new):
             return None
@@ -52,8 +167,12 @@ def _walk(old, new, path, scale, out):
         if sorted(old) != sorted(new):
             return f"{path}: keys {sorted(old)} -> {sorted(new)}"
         for key in sorted(old):
-            sub = _w_scale(old[key]) if key == "W" else scale
-            bad = _walk(old[key], new[key], f"{path}.{key}", sub, out)
+            where = f"{path}.{key}"
+            if scaled and path.endswith(".conditions") and key in scaled:
+                bad = _condition(old[key], new[key], where, scaled[key], out)
+            else:
+                sub = _w_scale(old[key]) if key == "W" else scale
+                bad = _walk(old[key], new[key], where, sub, out, scaled)
             if bad:
                 return bad
         return None
@@ -61,7 +180,7 @@ def _walk(old, new, path, scale, out):
         if len(old) != len(new):
             return f"{path}: length {len(old)} -> {len(new)}"
         for k, (a, b) in enumerate(zip(old, new)):
-            bad = _walk(a, b, f"{path}[{k}]", scale, out)
+            bad = _walk(a, b, f"{path}[{k}]", scale, out, scaled)
             if bad:
                 return bad
         return None
@@ -89,7 +208,8 @@ def compare(old_dir, new_dir):
             ok = False
             continue
         drifts = []
-        bad = _walk(old, new, name, None, drifts)
+        scaled = condition_scales(Path(name).stem, old)
+        bad = _walk(old, new, name, None, drifts, scaled)
         if bad:
             lines.append(f"{name}: FAIL structure or flag changed at {bad}")
             ok = False
@@ -108,7 +228,7 @@ def compare(old_dir, new_dir):
 
 def main(argv):
     if len(argv) != 2:
-        print("usage: python tests/golden_drift.py OLD_DIR NEW_DIR", file=sys.stderr)
+        print("usage: PYTHONPATH=src python tests/golden_drift.py OLD_DIR NEW_DIR", file=sys.stderr)
         return 2
     lines, ok = compare(*argv)
     print("\n".join(lines))

@@ -210,6 +210,77 @@ def test_drift_bounds_max_rel_error_absolutely(tmp_path, edit, ok):
     assert passed is ok, lines
 
 
+def _a_psd(payload, low):
+    condition = payload["characterization"]["conditions"]["A_psd"]
+    condition["witness"] = f"A min eigenvalue {low:.3e}"
+    condition["worst_violation"] = max(0.0, -low)
+
+
+def _a_psd_line():
+    """The A_psd tolerance at the scale of roundtrip_d2's ``A``."""
+    payload = json.loads((GOLDEN / "roundtrip_d2.out").read_text())
+    scale = golden_drift.condition_scales("roundtrip_d2", payload)["A_psd"]
+    return golden_drift.DEFAULT_TOL * max(1.0, scale)
+
+
+def _rename_witness(payload):
+    condition = payload["characterization"]["conditions"]["A_psd"]
+    condition["witness"] = condition["witness"].replace("min", "smallest")
+
+
+def _flip_a_psd(payload):
+    payload["characterization"]["conditions"]["A_psd"]["pass"] = False
+
+
+# a PSD witness is rounding of the matrix it tests: it may move within
+# BOUND of that matrix's scale, but its text, its side of the condition's
+# tolerance and its pass flag are held
+@pytest.mark.parametrize(
+    "edit_old,edit_new,ok",
+    [
+        (None, lambda p: _a_psd(p, -2.313e-16), True),
+        (None, lambda p: _a_psd(p, 1.074e-18), True),
+        (None, lambda p: _a_psd(p, -1e-11), False),
+        (None, _rename_witness, False),
+        (
+            lambda p: _a_psd(p, -_a_psd_line() * (1.0 - 1e-9)),
+            lambda p: _a_psd(p, -_a_psd_line() * (1.0 + 1e-9)),
+            False,
+        ),
+        (None, _flip_a_psd, False),
+    ],
+    ids=["rounding", "rounding across zero", "beyond the scale", "text changed",
+         "across the tolerance", "pass flipped"],
+)
+def test_drift_bounds_witnesses_by_matrix_scale(tmp_path, edit_old, edit_new, ok):
+    old, new = tmp_path / "old", tmp_path / "new"
+    for d, edit in ((old, edit_old), (new, edit_new)):
+        d.mkdir()
+        payload = json.loads((GOLDEN / "roundtrip_d2.out").read_text())
+        if edit is not None:
+            edit(payload)
+        write_json(d / "roundtrip_d2.out", payload)
+    lines, passed = golden_drift.compare(old, new)
+    assert passed is ok, lines
+
+
+def test_drift_reads_the_scale_from_the_golden_input(tmp_path):
+    # a characterize report holds no canonical form: the scale of A comes
+    # from the input the case builds
+    old, new = tmp_path / "old", tmp_path / "new"
+    name = "characterize_negative_sigma.out"
+    for d in (old, new):
+        d.mkdir()
+        shutil.copy(GOLDEN / name, d)
+    payload = json.loads((new / name).read_text())
+    payload["conditions"]["A_psd"]["witness"] = "A min eigenvalue -1.042e-16"
+    payload["conditions"]["A_psd"]["worst_violation"] = 1.042e-16
+    write_json(new / name, payload)
+    lines, passed = golden_drift.compare(old, new)
+    assert passed, lines
+    assert "worst 2.36e-16 relative" in lines[0], lines
+
+
 def regenerate():
     os.environ.pop("ELASTONET_SEED", None)
     GOLDEN.mkdir(exist_ok=True)
