@@ -15,6 +15,12 @@ SYMMETRY_TOL = 1e-12
 # Default relative truncation threshold for pseudoinverse Schur complements.
 PINV_TOL = 1e-10
 
+# Smallest kept |eigenvalue| of a block, relative to the largest, at or
+# below which schur_complement_eigh defers to the SVD: the two kernels agree
+# to about kappa*u (2e-12 at kappa = 1e4) only up to that condition, so the
+# rank and refusal decisions of near-singular blocks stay the SVD's.
+EIGH_GUARD = 1e-4
+
 HALF_MAX = np.finfo(float).max / 2
 
 
@@ -119,6 +125,30 @@ def schur_complement(a, nb, mode="inverse"):
     return SymMatrix(a[:nb, :nb] - _sym_part(a_bi @ inv @ a_bi.T))
 
 
+def schur_complement_eigh(a, nb):
+    """Pseudoinverse Schur complement of a real symmetric array by one
+    ``eigh``.
+
+    ``a`` is as for :func:`schur_complement`. ``A_II = U diag(w) U^T``;
+    eigenvalues with ``|w| <= PINV_TOL * max|w|`` are truncated, the rule
+    :func:`schur_complement` applies to singular values, and ``S = A_BB -
+    (Y / w) Y^T`` with ``Y = A_BI U`` over the kept ones. A block whose
+    smallest kept ``|w|`` is at most ``EIGH_GUARD * max|w|``, or that is
+    zero, gets :func:`schur_complement` in ``"pseudoinverse"`` mode instead,
+    with its bits.
+    """
+    if not 0 < nb < len(a):
+        return SymMatrix(a[:nb, :nb])
+    w, u = np.linalg.eigh(a[nb:, nb:])
+    mag = np.abs(w)
+    top = mag.max()
+    keep = mag > PINV_TOL * top
+    if not top or mag[keep].min() <= EIGH_GUARD * top:
+        return schur_complement(a, nb, "pseudoinverse")
+    y = a[:nb, nb:] @ u[:, keep]
+    return SymMatrix(a[:nb, :nb] - _sym_part((y / w[keep]) @ y.T), copy=False)
+
+
 def schur_complement_lu(a, nb):
     """Schur complement of the interior block of a symmetric array by LU.
 
@@ -157,7 +187,20 @@ def psd_checks(stack, tol=PINV_TOL):
 def is_psd(a, tol=PINV_TOL):
     """True iff the real symmetric matrix is PSD up to a relative slack.
 
-    See :func:`psd_check` for the test.
+    See :func:`psd_check` for the test. A Cholesky factorization that
+    completes certifies it: its factor is exact for ``A + E`` with ``|E| <=
+    gamma_{n+1} |R^T| |R|`` (Higham 2002, section 10.1), which bounds ``min
+    eig >= -n(n+1)u * max eig`` to first order, within the slack when
+    ``n(n+1)eps <= tol``. Only a factorization that fails, or a slack too
+    small for that bound, takes the eigensolve.
     """
-    return psd_check(a, tol)[1]
+    arr = a.a if isinstance(a, SymMatrix) else _sym_part(np.asarray(a, dtype=float))
+    n = len(arr)
+    if n and n * (n + 1) * np.finfo(float).eps <= tol:
+        try:
+            np.linalg.cholesky(arr)
+            return True
+        except np.linalg.LinAlgError:
+            pass
+    return psd_check(arr, tol)[1]
 

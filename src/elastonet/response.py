@@ -31,7 +31,14 @@ from .errors import (
     SchemaError,
     SingularBlock,
 )
-from .linalg import PINV_TOL, SymMatrix, is_psd, schur_complement, schur_complement_lu
+from .linalg import (
+    PINV_TOL,
+    SymMatrix,
+    is_psd,
+    schur_complement,
+    schur_complement_eigh,
+    schur_complement_lu,
+)
 from .model import RayleighParams
 from .resonances import resonances_of
 
@@ -237,7 +244,7 @@ def _eliminate(sys):
     order = np.concatenate([np.arange(nb), nb + np.argsort(massless, kind="stable")])
     nk = masses.size - np.count_nonzero(massless)
     gathered = sys.K.a[np.ix_(order, order)]
-    ktilde = schur_complement(gathered, nk, mode="pseudoinverse")
+    ktilde = schur_complement_eigh(gathered, nk)
     block = ktilde.a[nb:, nb:]
     if block.size and not is_psd(SymMatrix(block), tol=1e-9):
         raise ElastonetError("reduced interior stiffness is not positive semidefinite")

@@ -20,7 +20,7 @@ from elastonet import (
     check_balanced,
 )
 from elastonet.geometry import cross, project_balanced
-from elastonet.linalg import PINV_TOL
+from elastonet.linalg import EIGH_GUARD, PINV_TOL
 from elastonet.model import (
     assemble_elements,
     node_from_dict,
@@ -60,6 +60,26 @@ def schur_complement_by_index(a, boundary, interior, mode="inverse"):
     r = int(keep.sum())
     inv = (vh[:r].conj().T * (1.0 / s[:r])) @ np.ascontiguousarray(u[:, :r].conj().T)
     x = a_bi @ inv @ a_bi.T
+    return SymMatrix(a_bb - 0.5 * (x + x.T))
+
+
+def schur_complement_eigh_by_index(a, boundary, interior):
+    """The ``eigh`` Schur complement of a real ``SymMatrix`` with its blocks
+    gathered by ``np.ix_`` from the index lists ``boundary`` and
+    ``interior``: the reference for ``linalg.schur_complement_eigh`` on a
+    boundary-first array, deferring to :func:`schur_complement_by_index`
+    where that kernel defers to the SVD."""
+    b, i = list(boundary), list(interior)
+    a_bb = a.a[np.ix_(b, b)]
+    if not (b and i):
+        return SymMatrix(a_bb)
+    w, u = np.linalg.eigh(a.a[np.ix_(i, i)])
+    mag = np.abs(w)
+    keep = mag > PINV_TOL * mag.max()
+    if not mag.max() or mag[keep].min() <= EIGH_GUARD * mag.max():
+        return schur_complement_by_index(a, b, i, "pseudoinverse")
+    y = a.a[np.ix_(b, i)] @ u[:, keep]
+    x = (y / w[keep]) @ y.T
     return SymMatrix(a_bb - 0.5 * (x + x.T))
 
 

@@ -23,6 +23,7 @@ from elastonet.cli import main
 from elastonet.jsonio import write_json
 
 from conftest import axial_block
+from oracles import exact_response
 
 
 @pytest.fixture
@@ -111,10 +112,13 @@ class TestRespond:
         assert capsys.readouterr().err == ""
 
     def test_one_eigensolve_per_sweep(self, tmp_path, net_file, monkeypatch):
-        # the modal decomposition is taken once, however many points
+        # the massless block and the modal decomposition are each
+        # eigensolved once, however many points
         net = cli_module.network_from_dict(json.loads(open(net_file).read()))
-        n_j = len(cli_module.eliminate_massless(assemble(net)).Mjj)
-        assert n_j
+        sys = assemble(net)
+        n_j = len(cli_module.eliminate_massless(sys).Mjj)
+        n_l = sys.order - sys.n_b - n_j
+        assert n_j and n_l
         calls = []
         real = np.linalg.eigh
 
@@ -127,7 +131,35 @@ class TestRespond:
             calls.clear()
             argv = ["respond", net_file, "--omega", "0.5", "5", count]
             assert main(argv + ["-o", str(tmp_path / "o.json")]) == 0
-            assert calls == [(1, n_j, n_j)], count  # a stack of one
+            assert calls == [(n_l, n_l), (1, n_j, n_j)], count  # a stack of one
+
+    def test_no_svd_and_no_eigvalsh_at_474_dof(self, tmp_path, monkeypatch):
+        # the massless block goes through one eigh and the reduced interior
+        # stiffness is certified PSD by one Cholesky
+        path = tmp_path / "net.json"
+        write_json(path, network_to_dict(random_network(5, 3, 8, 150, 0.5)))
+        calls = []
+        for name in ("svd", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, lambda *a, name=name, **k: calls.append(name))
+        argv = ["respond", str(path), "--omega", "0.1", "100", "3", "--scale", "log"]
+        assert main(argv + ["-o", str(tmp_path / "o.json")]) == 0
+        assert calls == []
+
+    def test_near_singular_massless_block_is_refused_or_exact(self, tmp_path):
+        # seed 1093's massless block has condition 4.7e16: an eigh
+        # elimination without EIGH_GUARD answered 1.06e-7, 7.0e-8 and
+        # 3.2e-8 off the exact response
+        net = random_network(1093, 3, 3, 6, 0.5)
+        path, out = tmp_path / "net.json", tmp_path / "o.json"
+        write_json(path, network_to_dict(net))
+        lams = (0.5, 1.0, 2.0)
+        argv = ["respond", str(path), "-o", str(out)]
+        code = main(argv + [x for lam in lams for x in ("--lam", f"{lam},0")])
+        assert code in (0, 1)
+        for lam, entry in zip(lams, json.loads(out.read_text()) if code == 0 else ()):
+            exact = exact_response(net, lam)
+            w = np.array(entry["W"])[..., 0]
+            assert np.abs(w - exact).max() <= 1e-8 * np.abs(exact).max(), lam
 
     def test_missing_sweep_exits_2(self, net_file, tmp_path):
         assert main(["respond", net_file, "-o", str(tmp_path / "o")]) == 2

@@ -269,13 +269,12 @@ def test_drift_reads_the_scale_from_the_golden_input(tmp_path):
     # from the input the case builds
     old, new = tmp_path / "old", tmp_path / "new"
     name = "characterize_negative_sigma.out"
-    for d in (old, new):
+    for d, low in ((old, -4.306e-19), (new, -1.042e-16)):
         d.mkdir()
-        shutil.copy(GOLDEN / name, d)
-    payload = json.loads((new / name).read_text())
-    payload["conditions"]["A_psd"]["witness"] = "A min eigenvalue -1.042e-16"
-    payload["conditions"]["A_psd"]["worst_violation"] = 1.042e-16
-    write_json(new / name, payload)
+        payload = json.loads((GOLDEN / name).read_text())
+        payload["conditions"]["A_psd"]["witness"] = f"A min eigenvalue {low:.3e}"
+        payload["conditions"]["A_psd"]["worst_violation"] = -low
+        write_json(d / name, payload)
     lines, passed = golden_drift.compare(old, new)
     assert passed, lines
     assert "worst 2.36e-16 relative" in lines[0], lines

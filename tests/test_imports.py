@@ -348,10 +348,13 @@ def test_no_block_partition(module):
 
 
 # one modal kernel serves a reduced system (a stack of one) and the gadget
-# stack; the other eigh is the rank-one factorization of a PSD block
+# stack; the others are the massless elimination's pseudoinverse and the
+# rank-one factorization of a PSD block
 def test_one_modal_eigensolve():
     assert package_scopes_calling("eigh") == [
-        "response.py:modal_stack", "synthesize.py:_rank_one_factors"
+        "linalg.py:schur_complement_eigh",
+        "response.py:modal_stack",
+        "synthesize.py:_rank_one_factors",
     ]
 
 

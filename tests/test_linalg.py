@@ -374,6 +374,76 @@ class TestSchurKernelAgainstTheIndexGather:
         assert errors[0] == errors[1]
 
 
+def counting(monkeypatch, name):
+    """Shapes of the arrays passed to ``np.linalg.<name>`` from now on."""
+    calls, real = [], getattr(np.linalg, name)
+
+    def spy(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, spy)
+    return calls
+
+
+def with_interior(rng, block, nb):
+    """A symmetric array whose trailing block is ``block``, with a random
+    boundary block and coupling."""
+    g = rng.standard_normal((nb, nb))
+    a = np.zeros((nb + len(block),) * 2)
+    a[:nb, :nb] = g @ g.T
+    a[nb:, :nb] = rng.standard_normal((len(block), nb))
+    a[:nb, nb:] = a[nb:, :nb].T
+    a[nb:, nb:] = block
+    return a
+
+
+class TestEighSchurComplement:
+    """``schur_complement_eigh`` against the SVD pseudoinverse complement."""
+
+    @pytest.mark.parametrize("floppy", [False, True])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_agrees_with_the_svd_on_well_conditioned_blocks(self, seed, floppy, monkeypatch):
+        rng = np.random.default_rng(seed)
+        n, nb = 12 + 8 * seed, 2 + seed
+        a = random_spd(rng, n, shift=1.0)
+        if floppy:  # an uncoupled zero direction, truncated by both
+            a[-1], a[:, -1] = 0.0, 0.0
+        w = np.abs(np.linalg.eigvalsh(a[nb:, nb:]))
+        kept = w[w > PINV_TOL * w.max()]
+        assert len(kept) == n - nb - floppy
+        assert kept.min() > 10 * linalg.EIGH_GUARD * w.max()
+        want = schur_complement(a, nb, "pseudoinverse").a
+        svds = counting(monkeypatch, "svd")
+        got = linalg.schur_complement_eigh(a, nb).a
+        assert svds == []
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert got.tobytes() == got.T.tobytes()
+
+    @pytest.mark.parametrize("ratio", [linalg.EIGH_GUARD / 2, 1e-6, 1e-9])
+    def test_a_block_at_the_guard_gets_the_svd_bits(self, ratio, monkeypatch):
+        rng = np.random.default_rng(3)
+        q, _ = np.linalg.qr(rng.standard_normal((9, 9)))
+        block = (q * np.geomspace(1.0, ratio, 9)) @ q.T
+        a = symmetrized(with_interior(rng, block, 4))
+        want = schur_complement(a, 4, "pseudoinverse").a
+        svds = counting(monkeypatch, "svd")
+        got = linalg.schur_complement_eigh(a, 4).a
+        assert svds == [(9, 9)]
+        assert got.tobytes() == want.tobytes()
+
+    def test_a_zero_block_gets_the_svd_bits(self):
+        a = with_interior(np.random.default_rng(4), np.zeros((3, 3)), 2)
+        want = schur_complement(a, 2, "pseudoinverse").a
+        assert linalg.schur_complement_eigh(a, 2).a.tobytes() == want.tobytes()
+        assert np.array_equal(want, a[:2, :2])
+
+    @pytest.mark.parametrize("nb", [0, 5])
+    def test_no_interior_or_no_boundary(self, nb):
+        a = random_spd(np.random.default_rng(5), 5)
+        assert linalg.schur_complement_eigh(a, nb).a.tobytes() == a[:nb, :nb].tobytes()
+
+
 class TestIsPsd:
     def test_examples(self):
         assert is_psd(SymMatrix(np.diag([1.0, 0.0])), tol=1e-10)
@@ -383,6 +453,27 @@ class TestIsPsd:
     def test_small_negative_within_tol(self):
         assert is_psd(SymMatrix(np.diag([1.0, -1e-12])), tol=1e-10)
         assert not is_psd(SymMatrix(np.diag([1.0, -1e-6])), tol=1e-10)
+
+    def test_a_completed_cholesky_decides(self, monkeypatch):
+        a = SymMatrix(random_spd(np.random.default_rng(0), 30))
+        eigensolves = counting(monkeypatch, "eigvalsh")
+        assert is_psd(a, tol=1e-9)
+        assert eigensolves == []
+        # 30 * 31 * eps = 2.1e-13: the factorization no longer certifies
+        assert is_psd(a, tol=1e-13)
+        assert eigensolves == [(1, 30, 30)]
+
+    @pytest.mark.parametrize("tol", [1e-9, PINV_TOL, 1e-13])
+    @pytest.mark.parametrize("shift", [-2.0, -0.5, 0.0, 0.5, 2.0])
+    def test_same_verdict_as_the_eigensolve(self, shift, tol):
+        # the smallest eigenvalue sits at shift * tol * max eig
+        rng = np.random.default_rng(11)
+        q, _ = np.linalg.qr(rng.standard_normal((20, 20)))
+        for top in (1e-3, 1.0, 1e3):
+            w = np.linspace(0.0, top, 20)
+            w[0] = shift * tol * max(1.0, top)
+            a = SymMatrix((q * w) @ q.T)
+            assert is_psd(a, tol) == linalg.psd_check(a, tol)[1]
 
 
 # ---------------------------------------------------------------------------
