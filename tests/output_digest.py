@@ -4,7 +4,7 @@ Usage::
 
     PYTHONPATH=src python tests/output_digest.py OUT.json
     PYTHONPATH=/path/to/other/checkout/src python tests/output_digest.py OTHER.json
-    diff OUT.json OTHER.json
+    PYTHONPATH=src python tests/output_digest.py --compare OTHER.json OUT.json
 
 The package is imported from ``PYTHONPATH``, so this one script digests any
 checkout. For each network it runs ``extract``, ``characterize``,
@@ -14,8 +14,11 @@ plain synthesis and the centroid of the terminals, so that placement must
 redraw) and ``roundtrip`` in process through ``elastonet.cli.main``, and
 writes the exit code and the
 sha256 of the output file of each run. Two checkouts whose files are equal
-write byte-identical outputs on every run; ``diff`` names the runs that
-differ. Run both with the same BLAS thread count (for example
+write byte-identical outputs on every run. ``--compare OLD.json NEW.json``
+names every run whose exit code changed (or that only one digest holds),
+counts the runs whose output changed, and exits 1 when an exit code
+changed: a change of numerical method may move output bits but no exit
+code. Run both with the same BLAS thread count (for example
 ``OPENBLAS_NUM_THREADS=1``).
 
 The networks are ``random_network(s, d, 3, 6, mf)`` for s = 0..23, d = 2, 3
@@ -46,7 +49,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from elastonet import network_to_dict, random_network
-from elastonet.cli import main
+from elastonet.cli import main as cli_main
 from elastonet.jsonio import write_json
 
 from conftest import shuffled_nodes
@@ -115,10 +118,10 @@ def forbidden_points(network_file):
 
 
 def run(argv, out):
-    """Exit code of ``main(argv + ["-o", out])`` and the sha256 of ``out``,
+    """Exit code of ``cli_main(argv + ["-o", out])`` and the sha256 of ``out``,
     None when the run wrote no file."""
     out.unlink(missing_ok=True)
-    code = main(argv + ["-o", str(out)])
+    code = cli_main(argv + ["-o", str(out)])
     digest = hashlib.sha256(out.read_bytes()).hexdigest() if out.exists() else None
     return {"exit": code, "sha256": digest}
 
@@ -164,9 +167,37 @@ def digest(workdir):
     return results
 
 
-if __name__ == "__main__":
-    if len(sys.argv) != 2:
-        sys.exit("usage: python tests/output_digest.py OUT.json")
+def compare(old, new):
+    """One line per run of two digests whose exit code changed, then a count
+    of the runs and of the outputs that changed; and whether no exit code
+    changed."""
+    runs = sorted({(net, cmd) for d in (old, new) for net in d for cmd in d[net]})
+    lines, outputs = [], 0
+    for net, cmd in runs:
+        a, b = (d.get(net, {}).get(cmd, {"exit": None}) for d in (old, new))
+        if a["exit"] != b["exit"]:
+            lines.append(f"{net} {cmd}: exit {a['exit']} -> {b['exit']}")
+        elif a["sha256"] != b["sha256"]:
+            outputs += 1
+    exits = len(lines)
+    lines.append(f"{len(runs)} runs: {exits} exit codes changed, {outputs} outputs changed")
+    return lines, exits == 0
+
+
+def main(argv):
+    if len(argv) == 3 and argv[0] == "--compare":
+        lines, same = compare(*(json.loads(Path(p).read_text()) for p in argv[1:]))
+        print("\n".join(lines))
+        return 0 if same else 1
+    if len(argv) != 1:
+        print("usage: python tests/output_digest.py OUT.json | --compare OLD.json NEW.json",
+              file=sys.stderr)
+        return 2
     with tempfile.TemporaryDirectory() as tmp:
         results = digest(Path(tmp))
-    Path(sys.argv[1]).write_text(json.dumps(results, indent=1, sort_keys=True) + "\n")
+    Path(argv[0]).write_text(json.dumps(results, indent=1, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

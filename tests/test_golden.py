@@ -37,6 +37,7 @@ from elastonet.cli import main
 from elastonet.jsonio import write_json
 
 import golden_drift
+import output_digest
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -278,6 +279,31 @@ def test_drift_reads_the_scale_from_the_golden_input(tmp_path):
     lines, passed = golden_drift.compare(old, new)
     assert passed, lines
     assert "worst 2.36e-16 relative" in lines[0], lines
+
+
+def test_digest_compare_names_changed_exit_codes(tmp_path, capsys):
+    old = {
+        "net a": {"respond": {"exit": 1, "sha256": None}, "extract": {"exit": 0, "sha256": "x"}},
+        "net b": {"roundtrip": {"exit": 0, "sha256": "y"}},
+    }
+    new = json.loads(json.dumps(old))
+    new["net a"]["extract"]["sha256"] = "z"
+    assert output_digest.compare(old, new) == (
+        ["3 runs: 0 exit codes changed, 1 outputs changed"], True
+    )
+    new["net a"]["respond"] = {"exit": 0, "sha256": "w"}
+    del new["net b"]["roundtrip"]
+    files = []
+    for k, digest in enumerate((old, new)):
+        files.append(tmp_path / f"{k}.json")
+        files[-1].write_text(json.dumps(digest))
+    assert output_digest.main(["--compare", *map(str, files)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "net a respond: exit 1 -> 0",
+        "net b roundtrip: exit 0 -> None",
+        "3 runs: 2 exit codes changed, 1 outputs changed",
+    ]
+    assert output_digest.main(["--compare", str(files[0]), str(files[0])]) == 0
 
 
 def regenerate():
