@@ -25,6 +25,8 @@ def resonances_of(sigma, rayleigh):
     (floppy modes, hand-edited candidates) takes the closed form. When
     ``b*b`` or ``4*sigma`` overflows, ``sqrt(|disc|) / 2`` is taken as
     ``sqrt(|h - r|) * sqrt(h + r)`` with ``h = b/2`` and ``r = sqrt(sigma)``.
+    When ``b = alpha*sigma + beta`` itself overflows, the large root is
+    ``-inf`` and the small one ``-sigma/b = -1/(alpha + beta/sigma)``.
     """
     sigma = float(sigma)
     b = rayleigh.alpha * sigma + rayleigh.beta
@@ -32,6 +34,8 @@ def resonances_of(sigma, rayleigh):
     if sigma <= 0:
         sq = np.sqrt(complex(disc))
         return complex((-b + sq) / 2.0), complex((-b - sq) / 2.0)
+    if b == np.inf:
+        return complex(-1.0 / (rayleigh.alpha + rayleigh.beta / sigma)), complex(-b)
     if not np.isfinite(disc):
         h, r = b / 2.0, np.sqrt(sigma)
         half = np.sqrt(abs(h - r)) * np.sqrt(h + r)

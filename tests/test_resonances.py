@@ -45,6 +45,19 @@ class TestResonancesOf:
         for root, exact in zip(resonances_of(sigma, ray), exact_roots(sigma, ray)):
             assert_near_exact(root, exact)
 
+    @pytest.mark.parametrize("sigma, ray", [
+        (1e308, RayleighParams(1e300, 0.0)),
+        (1e308, RayleighParams(1e300, 1e308)),
+        (1e200, RayleighParams(1e200, 1e300)),
+        (1e10, RayleighParams(1e300, 1e-300)),
+    ])
+    def test_overflowing_b_keeps_the_small_root(self, sigma, ray):
+        # b = alpha*sigma + beta overflows: the large root is -inf, the
+        # small one about -1/alpha (the parent gave -0.0)
+        plus, minus = resonances_of(sigma, ray)
+        assert_near_exact(plus, exact_roots(sigma, ray)[0])
+        assert minus == complex(-np.inf)
+
     def test_loci_with_an_overflowing_discriminant(self, tmp_path):
         out = tmp_path / "loci.csv"
         assert main(["loci", "--alpha", "0", "--beta", "1e200", "--points", "4",
