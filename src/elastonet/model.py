@@ -421,8 +421,11 @@ def node_to_dict(node):
     }
 
 
+NODE_FIELDS = ("position", "mass", "terminal")
+
+
 def node_from_dict(raw, path, d):
-    jsonio.check_fields(raw, path, ("position", "mass", "terminal"))
+    jsonio.check_fields(raw, path, NODE_FIELDS)
     try:
         return Node(
             tuple(jsonio.as_vector(raw["position"], f"{path}.position", d)),
@@ -431,6 +434,27 @@ def node_from_dict(raw, path, d):
         )
     except ValueError as exc:
         raise SchemaError(f"{path}: {exc}") from exc
+
+
+def _nodes_from_list(rows, path, d):
+    """The nodes of a JSON node list, checked column by column; a list that
+    fails a check is read node by node, naming the first bad one."""
+    rows = jsonio.as_list(rows, path)
+    try:  # KeyError: a field is missing; OverflowError: past the float range
+        if {*map(type, rows)} <= {dict} and {*map(len, rows)} <= {3}:
+            pos, mass, terminal = ([raw[key] for raw in rows] for key in NODE_FIELDS)
+            lists = {*map(type, pos)} <= {list} and {*map(len, pos)} <= {d}
+            if lists and {*map(type, terminal)} <= {bool}:
+                coords = [x for row in pos for x in row]
+                # a bool is not a number
+                if {*map(type, coords), *map(type, mass)} <= {int, float}:
+                    xyz, m = np.array(coords, dtype=float), np.array(mass, dtype=float)
+                    if np.isfinite(xyz).all() and np.isfinite(m).all() and (m >= 0).all():
+                        positions = map(tuple, xyz.reshape(-1, d).tolist())
+                        return list(map(Node, positions, m.tolist(), terminal))
+    except (KeyError, OverflowError):
+        pass
+    return [node_from_dict(raw, f"{path}[{k}]", d) for k, raw in enumerate(rows)]
 
 
 def element_to_dict(el):
@@ -516,10 +540,7 @@ def network_from_dict(obj, path="network"):
     d = jsonio.as_int(obj["dimension"], f"{path}.dimension")
     if d not in (2, 3):
         raise SchemaError(f"{path}.dimension: must be 2 or 3")
-    nodes = [
-        node_from_dict(raw, f"{path}.nodes[{k}]", d)
-        for k, raw in enumerate(jsonio.as_list(obj["nodes"], f"{path}.nodes"))
-    ]
+    nodes = _nodes_from_list(obj["nodes"], f"{path}.nodes", d)
     springs = _springs_from_list(obj["springs"], f"{path}.springs")
     ray = rayleigh_from_dict(obj["rayleigh"], f"{path}.rayleigh")
     try:

@@ -494,6 +494,85 @@ def columns_inputs():
     return cases + [("sweep-reversed-parallel", with_reversed_and_parallel(sweep))]
 
 
+BAD_NODES = [
+    ("missing-field", lambda r: {"position": r["position"], "mass": r["mass"]},
+     "{p}.terminal: missing field"),
+    ("extra-field", lambda r: {**r, "color": "red"}, "{p}.color: unknown field"),
+    ("renamed-field", lambda r: {"position": r["position"], "mass": r["mass"], "t": True},
+     "{p}.t: unknown field"),
+    ("not-an-object", lambda r: [r["position"], r["mass"], r["terminal"]],
+     "{p}: expected an object, got list"),
+    ("position-not-a-list", lambda r: {**r, "position": 1.0}, "{p}.position: expected an array"),
+    ("short-position", lambda r: {**r, "position": r["position"][:2]},
+     "{p}.position: expected 3 entries, got 2"),
+    ("str-coordinate", lambda r: {**r, "position": ["0", *r["position"][1:]]},
+     "{p}.position[0]: expected a number"),
+    ("bool-coordinate", lambda r: {**r, "position": [*r["position"][:2], True]},
+     "{p}.position[2]: expected a number"),
+    ("nan-coordinate", lambda r: {**r, "position": [float("nan"), *r["position"][1:]]},
+     "{p}.position[0]: must be finite"),
+    ("coordinate-past-float-range", lambda r: {**r, "position": [*r["position"][:2], 10**400]},
+     "{p}.position[2]: must be finite"),
+    ("bool-mass", lambda r: {**r, "mass": False}, "{p}.mass: expected a number"),
+    ("negative-mass", lambda r: {**r, "mass": -0.5},
+     "{p}: node mass must be finite and >= 0, got -0.5"),
+    ("infinite-mass", lambda r: {**r, "mass": float("inf")}, "{p}.mass: must be finite"),
+    ("int-terminal", lambda r: {**r, "terminal": 1}, "{p}.terminal: expected a boolean"),
+]
+
+
+class TestNodeColumns:
+    """``network_from_dict`` checks the node list column by column and reads
+    a bad list again node by node: same nodes, bit for bit, and the same
+    errors as reading every node by itself
+    (``oracles.network_from_dict_by_spring``)."""
+
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    @pytest.mark.parametrize("make, message", [
+        pytest.param(make, message, id=name) for name, make, message in BAD_NODES
+    ])
+    def test_bad_node_fails_as_when_read_alone(self, sweep_sized, where, make, message):
+        rows = sweep_sized["nodes"]
+        q = {"first": 0, "middle": len(rows) // 2, "last": len(rows) - 1}[where]
+        obj = {**sweep_sized, "nodes": [*rows[:q], make(rows[q]), *rows[q + 1:]]}
+        expected = message.format(p=f"network.nodes[{q}]")
+        for read in (network_from_dict_by_spring, network_from_dict):
+            with pytest.raises(SchemaError) as info:
+                read(obj)
+            assert str(info.value) == expected
+
+    @staticmethod
+    def node_bits(net):
+        return [(np.array(n.position).tobytes(), np.float64(n.mass).tobytes(), n.is_terminal)
+                for n in net.nodes]
+
+    @pytest.mark.parametrize("obj", [pytest.param(o, id=name) for name, o in columns_inputs()])
+    def test_nodes_match_the_per_node_reader(self, obj):
+        net = network_from_dict(obj)
+        assert self.node_bits(net) == self.node_bits(network_from_dict_by_spring(obj))
+        assert all(type(x) is float for n in net.nodes for x in (*n.position, n.mass))
+
+    def test_integers_and_signed_zeros_read_as_when_read_alone(self, sweep_sized):
+        rows = [
+            {"position": [0, -0.0, 2**53 + 1], "mass": -0.0, "terminal": True},
+            {"position": [1, 10**30, 3], "mass": 2, "terminal": False},
+            *sweep_sized["nodes"][2:],
+        ]
+        obj = {**sweep_sized, "nodes": rows}
+        net = network_from_dict(obj)
+        assert self.node_bits(net) == self.node_bits(network_from_dict_by_spring(obj))
+        assert net.nodes[0].position == (0.0, -0.0, float(2**53 + 1))
+        assert np.signbit(net.nodes[0].mass)
+
+    def test_well_formed_nodes_are_not_read_one_by_one(self, sweep_sized, monkeypatch):
+        def one_by_one(raw, path, d):
+            raise AssertionError(f"{path} read by itself")
+
+        monkeypatch.setattr(import_module("elastonet.model"), "node_from_dict", one_by_one)
+        net = network_from_dict(sweep_sized)
+        assert len(net.nodes) == len(sweep_sized["nodes"])
+
+
 class TestColumnsAgainstSprings:
     """The merged spring columns and their stamp are bitwise those of the
     per-spring merge and stamp (``oracles.merge_by_spring``,
