@@ -202,5 +202,5 @@ def is_psd(a, tol=PINV_TOL):
             return True
         except np.linalg.LinAlgError:
             pass
-    return psd_check(arr, tol)[1]
+    return psd_check(a, tol)[1]
 
