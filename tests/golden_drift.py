@@ -132,21 +132,24 @@ def _condition(old, new, path, scale, out):
     witness text outside its numbers, each number by :func:`_rounding`."""
     if not (isinstance(old, dict) and isinstance(new, dict)) or sorted(old) != sorted(new):
         return _walk(old, new, path, None, out)
-    pieces = []
-    for key in ("witness", "worst_violation"):
-        a, b = old.get(key), new.get(key)
+    for key in sorted(old):
+        a, b, where = old[key], new[key], f"{path}.{key}"
         if key == "witness" and isinstance(a, str) and isinstance(b, str):
             if NUMBER.split(a) != NUMBER.split(b):
-                return f"{path}.witness: {a!r} -> {b!r}"
-            pieces += [(x, y, f"{path}.witness") for x, y in zip(NUMBER.findall(a), NUMBER.findall(b))]
-        elif isinstance(a, (int, float)) and isinstance(b, (int, float)) and not isinstance(a, bool):
-            pieces.append((a, b, f"{path}.{key}"))
-    for a, b, where in pieces:
-        bad = _rounding(float(a), float(b), where, scale, out)
-        if bad:
-            return bad
-    rest = {k: v for k, v in old.items() if k not in ("witness", "worst_violation")}
-    return _walk(rest, {k: new[k] for k in rest}, path, None, out)
+                return f"{where}: {a!r} -> {b!r}"
+            numbers = zip(NUMBER.findall(a), NUMBER.findall(b))
+        elif key == "worst_violation" and {type(a), type(b)} <= {int, float}:
+            numbers = [(a, b)]
+        else:
+            numbers = ()
+            bad = _walk(a, b, where, None, out)
+            if bad:
+                return bad
+        for x, y in numbers:
+            bad = _rounding(float(x), float(y), where, scale, out)
+            if bad:
+                return bad
+    return None
 
 
 def _walk(old, new, path, scale, out, scaled=None):
