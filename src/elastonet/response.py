@@ -48,8 +48,8 @@ CLUSTER_TOL = 1e-8
 RESONANCE_CLEARANCE = 1e-3
 ROUNDTRIP_TOL = 1e-8
 
-# Bytes of one block of points in canonical_responses, so that its memory
-# does not grow with the point count: 315 points at 90 modes and n = 18.
+# Bytes of modal_sum's arrays for one block of points, so that their memory
+# does not grow with the point count: 139 points at 90 modes and n = 18.
 CANONICAL_BLOCK_BYTES = 1 << 21
 
 
@@ -139,6 +139,16 @@ class CanonicalResponse:
         AtResonance if a term is not finite (:attr:`static_terms`)."""
         stack = np.concatenate([self.A.a[None], self.static_terms])
         return SymMatrix(np.subtract.reduce(stack), copy=False)
+
+    @cached_property
+    def residue_stack(self):
+        """The read-only, C-ordered ``(k, n(n+1)/2)`` upper triangles of the
+        residues, gathered once for :func:`modal_sum`."""
+        rows, cols = np.triu_indices(self.order)
+        residues = np.reshape([mode.R.a for mode in self.modes], (-1, self.order, self.order))
+        stack = np.ascontiguousarray(residues[:, rows, cols])
+        stack.flags.writeable = False
+        return stack
 
 
 @dataclass(frozen=True)
@@ -258,43 +268,80 @@ def _eliminate(sys):
     ), gathered
 
 
-def modal_response(rayleigh, A, Mbb, sigmas, V, lam):
-    """The response of a proportionally damped system from its modes.
+def modal_sum(a, mbb, residues, damp, inertia, q):
+    """``(P, n, n)`` ``W = damp*A + inertia*diag(Mbb) - sum_j (damp^2/q_j) R_j``
+    from ``(P, 1)`` ``damp`` and ``inertia``, ``(P, k)`` ``q`` and the ``(k,
+    n(n+1)/2)`` upper triangles of the ``R_j``: two real GEMMs, one per part
+    of the coefficients, mirrored, so W is bitwise symmetric; its bits depend
+    on the BLAS and on the block. At a root of a ``q_j`` W is not finite."""
+    rows, cols = np.triu_indices(len(a))
+    mirror = np.empty(a.shape, dtype=np.intp)
+    mirror[rows, cols] = mirror[cols, rows] = np.arange(rows.size)
+    with np.errstate(all="ignore"):
+        c = damp * damp / q
+        w = damp * a[rows, cols] + inertia * np.diag(mbb)[rows, cols]
+        w.real -= np.ascontiguousarray(c.real) @ residues
+        w.imag -= np.ascontiguousarray(c.imag) @ residues
+    return w[:, mirror]
 
-    ``W = damp*A + inertia*diag(Mbb) - sum_j damp^2/q_j v_j v_j^T``, with
-    ``damp = 1 + alpha*lambda``, ``inertia = beta*lambda + lambda^2`` and
-    ``q_j = damp*sigma_j + inertia``; ``A`` is the static terminal block,
-    ``Mbb`` the terminal masses and ``v_j`` the columns of ``V``. Rayleigh
-    damping keeps the undamped modes, so this one formula is the response
-    of every network the package builds. Nothing here decides resonance:
-    at a root of some ``q_j`` the result is not finite.
-    """
-    damp, inertia = 1.0 + rayleigh.alpha * lam, rayleigh.beta * lam + lam * lam
-    q = damp * sigmas + inertia
-    return damp * A + inertia * np.diag(Mbb) - (V * (damp * damp / q)) @ V.T
+
+def _factors(rayleigh, lams):
+    """``(P, 1)`` columns ``lambda``, ``lambda^2``, ``1 + alpha*lambda`` and
+    ``beta*lambda + lambda^2`` with CPython's moduli (numpy's complex product
+    may fuse a multiply-add, so ``lambda^2`` is formed from its parts)."""
+    lam = np.array(lams, dtype=complex).reshape(-1, 1)
+    x, y = lam.real, lam.imag
+    square = np.empty_like(lam)
+    square.real, square.imag = x * x - y * y, x * y + y * x
+    return lam, square, 1.0 + rayleigh.alpha * lam, rayleigh.beta * lam + square
+
+
+def _blocks(lams, n, modes):
+    """``lams`` as complex numbers, in blocks of :func:`modal_sum` arrays of at
+    most ``CANONICAL_BLOCK_BYTES``."""
+    lams = [complex(lam) for lam in lams]
+    size = max(1, CANONICAL_BLOCK_BYTES // (16 * (n * n + n * (n + 1) + 3 * modes + 1)))
+    for start in range(0, len(lams), size):
+        yield lams[start:start + size]
+
+
+def modal_responses(rayleigh, A, Mbb, sigmas, V, lams):
+    """Responses from undamped modes, which Rayleigh damping keeps: static
+    block ``A``, terminal masses ``Mbb``, residues ``v_j v_j^T`` of the
+    columns of ``V``. Yields per block of ``lams`` (:func:`_blocks`) its
+    points, its ``(P, k)`` ``|damp*sigma_j + inertia|`` and its Ws."""
+    rows, cols = np.triu_indices(len(V))
+    residues = np.ascontiguousarray((V[rows] * V[cols]).T)
+    for points in _blocks(lams, len(A), len(sigmas)):
+        _, _, damp, inertia = _factors(rayleigh, points)
+        q = damp * sigmas + inertia
+        yield points, np.abs(q), modal_sum(A, Mbb, residues, damp, inertia, q)
+
+
+def reduced_responses(red, lams, tol):
+    """Yield a reduced system's response at each of ``lams`` as a
+    :class:`SymMatrix` (:func:`modal_responses` of :attr:`modal`), or the
+    :class:`AtResonance` of a point where ``min |q_j| <= tol * max |q_j|``,
+    the ``|q_j|`` being the singular values of the interior pencil."""
+    nb = red.n_b
+    blocks = modal_responses(red.rayleigh, red.Ktilde.a[:nb, :nb], red.Mbb, *red.modal, lams)
+    for points, mag, w in blocks:
+        lows, highs = mag.min(1, initial=np.inf), mag.max(1, initial=0.0)
+        for lam, low, high, wp in zip(points, lows, highs, w):
+            if low <= tol * high:
+                yield AtResonance(f"lambda = {lam} is numerically a resonance of the reduced "
+                                  f"system: min |q_j| = {low:.3e} <= {tol:.1e} * max |q_j|",
+                                  singular_values=low)
+            else:
+                yield SymMatrix(wp, copy=False)
 
 
 def evaluate_reduced(red, lam, tol=PINV_TOL):
-    """Response of a reduced system from its modal decomposition :attr:`modal`.
-
-    :func:`modal_response` of the reduced system; ``lambda`` is resonant
-    (:class:`AtResonance`) when ``min |q_j| <= tol * max |q_j|``, the
-    ``|q_j|`` being the singular values of the mass-normalized interior
-    pencil.
-    """
-    lam = complex(lam)
-    sigmas, v = red.modal
-    ray = red.rayleigh
-    mag = np.abs((1.0 + ray.alpha * lam) * sigmas + (ray.beta * lam + lam * lam))
-    if mag.size and mag.min() <= tol * mag.max():
-        raise AtResonance(
-            f"lambda = {lam} is numerically a resonance of the reduced system: "
-            f"min |q_j| = {mag.min():.3e} <= {tol:.1e} * max |q_j|",
-            singular_values=mag.min(),
-        )
-    nb = red.n_b
-    w = modal_response(ray, red.Ktilde.a[:nb, :nb], red.Mbb, sigmas, v, lam)
-    return ResponseSample(lam, SymMatrix(w))
+    """:func:`reduced_responses` at one point; :class:`AtResonance` there."""
+    w = next(reduced_responses(red, [lam], tol))
+    if isinstance(w, AtResonance):
+        raise w
+    return ResponseSample(complex(lam), w)
 
 
 def system_resonances(rayleigh, sigmas):
@@ -497,75 +544,27 @@ def canonical_poles(cr, lams):
 
 
 def _poles(cr, lams):
-    """:func:`canonical_poles`, ``q`` and the columns ``lambda``, ``lambda^2``."""
-    lam = np.array(lams, dtype=complex).reshape(-1, 1)
+    """:func:`canonical_poles`, ``q_j = sigma_j + (alpha*sigma_j + beta)*lambda
+    + lambda^2`` with CPython's moduli, ``damp`` and ``inertia``."""
+    lam, square, damp, inertia = _factors(cr.rayleigh, lams)
     sigma = np.array([mode.sigma for mode in cr.modes])
     guard = np.array([1e-12 * (1.0 + abs(x) ** 2) for x in lams]).reshape(-1, 1)
-    with np.errstate(all="ignore"):  # Python's complex arithmetic does not warn
-        lam2 = _product(lam, lam)
-        q = sigma + _product(cr.rayleigh.alpha * sigma + cr.rayleigh.beta, lam) + lam2
-        return np.hypot(q.real, q.imag) <= guard, q, lam, lam2
-
-
-def _product(a, b):
-    """``a * b`` as CPython forms it, a real entering as ``x + 0j``; numpy's
-    complex product fuses multiply-adds, so its last bit may differ."""
-    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
-    return _complex(a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real)
-
-
-def _quotient(a, b):
-    """``a / b`` as CPython forms it, by Smith's algorithm (R. L. Smith,
-    "Algorithm 116: Complex division", CACM 5(8), 1962)."""
-    (a_re, a_im), (b_re, b_im) = (a.real, a.imag), (b.real, b.imag)
-    by_re = np.abs(b_re) >= np.abs(b_im)
-    ratio = np.where(by_re, b_im / b_re, b_re / b_im)
-    denom = np.where(by_re, b_re + b_im * ratio, b_re * ratio + b_im)
-    return _complex(
-        np.where(by_re, a_re + a_im * ratio, a_re * ratio + a_im) / denom,
-        np.where(by_re, a_im - a_re * ratio, a_im * ratio - a_re) / denom,
-    )
-
-
-def _complex(re, im):
-    """Parts to a complex array, bit for bit (``re + 1j*im`` can turn -0.0 into 0.0)."""
-    out = np.empty(np.broadcast_shapes(np.shape(re), np.shape(im)), dtype=complex)
-    out.real, out.imag = re, im
-    return out
+    with np.errstate(all="ignore"):
+        q = sigma + (cr.rayleigh.alpha * sigma + cr.rayleigh.beta) * lam + square
+        return np.hypot(q.real, q.imag) <= guard, q, damp, inertia
 
 
 def canonical_responses(cr, lams):
-    """Yield the ``(n, n)`` W of the pole-residue form at each of ``lams``.
-
-    Points go in blocks of at most ``CANONICAL_BLOCK_BYTES``. Each W has the
-    bits of the one-point evaluation: products and quotients of complex
-    scalars as CPython forms them, then the terms ``c_j R_j`` subtracted in
-    mode order by one ``np.subtract.reduce``, over the upper triangle and
-    mirrored (``A`` and ``R_j`` are bitwise symmetric). The points before the
-    first resonant one (:func:`canonical_poles`) or the first with an entry
-    that is not finite are yielded; that point raises :class:`AtResonance`,
-    naming its first resonant mode, or :class:`DimensionMismatch`.
-    """
-    lams = [complex(lam) for lam in lams]
-    n, alpha, beta = cr.order, cr.rayleigh.alpha, cr.rayleigh.beta
-    upper = np.triu_indices(n)
-    a, mbb = cr.A.a[upper], np.diag(cr.Mbb)[upper]
-    residues = np.reshape([mode.R.a for mode in cr.modes], (-1, n, n))[:, upper[0], upper[1]]
-    terms = np.empty((len(residues) + 1, a.size), dtype=complex)
-    block = max(1, CANONICAL_BLOCK_BYTES // (16 * (n * n + len(residues) + 1)))
-    for start in range(0, len(lams), block):
-        points = lams[start:start + block]
-        resonant, q, lam, lam2 = _poles(cr, points)
-        w = np.empty((len(points), n, n), dtype=complex)
+    """Yield the ``(n, n)`` W of the pole-residue form at each of ``lams``,
+    one :func:`modal_sum` of :attr:`CanonicalResponse.residue_stack` per
+    block (:func:`_blocks`). The points before the first resonant one
+    (:func:`canonical_poles`) or the first with an entry that is not finite
+    are yielded; that point raises :class:`AtResonance`, naming its first
+    resonant mode, or :class:`DimensionMismatch`."""
+    for points in _blocks(lams, cr.order, len(cr.modes)):
+        resonant, q, damp, inertia = _poles(cr, points)
+        w = modal_sum(cr.A.a, cr.Mbb, cr.residue_stack, damp, inertia, q)
         with np.errstate(all="ignore"):
-            damp = 1.0 + _product(alpha, lam)
-            # a complex times a real array: the real's zero imaginary part
-            # adds only zeros, so fused multiply-adds keep CPython's bits
-            direct = damp * a + (_product(beta, lam) + lam2) * mbb
-            for p, c in enumerate(_quotient(_product(damp, damp), q)):
-                terms[0] = direct[p]
-                np.multiply(c[:, None], residues, out=terms[1:])
-                w[p][upper] = w[p].T[upper] = np.subtract.reduce(terms, axis=0)
             finite = np.isfinite(np.abs(w)).all(axis=(1, 2))
         bad = np.nonzero(resonant.any(axis=1) | ~finite)[0]
         yield from w[:bad[0] if bad.size else len(points)]

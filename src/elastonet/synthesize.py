@@ -65,7 +65,7 @@ from .response import (
     canonical_responses,
     eliminate_massless,
     evaluate_response,
-    modal_response,
+    modal_responses,
     modal_stack,
     sample_nonresonant,
     system_resonances,
@@ -610,7 +610,7 @@ def synthesize(
 
 
 def modal_form(gn):
-    """``(A, Mbb, sigmas, V)`` of the network, for :func:`modal_response`.
+    """``(A, Mbb, sigmas, V)`` of the network, for :func:`modal_responses`.
 
     Each component's :attr:`NetworkComponent.modal_form` is read, so a
     gadget is not reduced again; the static blocks and terminal masses add
@@ -626,7 +626,7 @@ def modal_form(gn):
 def verify_synthesis(gn, cr, n_samples=50, seed=0):
     """Max relative deviation between the network and the closed form.
 
-    The network side is :func:`modal_response` of the network's own
+    The network side is :func:`modal_responses` of the network's own
     :func:`modal_form`, never of ``cr``; the reference side is
     :func:`canonical_responses` of ``cr``. A deviation that is not finite
     counts as infinite.
@@ -635,14 +635,14 @@ def verify_synthesis(gn, cr, n_samples=50, seed=0):
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     rng = np.random.default_rng(seed)
     avoid = system_resonances(cr.rayleigh, [m.sigma for m in cr.modes])
-    form = modal_form(gn)
-    worst = 0.0
     points = sample_nonresonant(rng, avoid, n_samples)
-    for lam, reference in zip(points, canonical_responses(cr, points)):
-        with np.errstate(all="ignore"):
-            gap = np.abs(modal_response(gn.rayleigh, *form, complex(lam)) - reference)
-        deviation = gap.max() / max(np.abs(reference).max(), 1e-300)
-        worst = max(worst, deviation if np.isfinite(deviation) else np.inf)
+    references = canonical_responses(cr, points)
+    worst = 0.0
+    for _, _, network in modal_responses(gn.rayleigh, *modal_form(gn), points):
+        for w, reference in zip(network, references):
+            with np.errstate(all="ignore"):
+                deviation = np.abs(w - reference).max() / max(np.abs(reference).max(), 1e-300)
+            worst = max(worst, deviation if np.isfinite(deviation) else np.inf)
     return float(worst)
 
 

@@ -317,6 +317,36 @@ def static_response_by_mode(cr):
     return SymMatrix(w0)
 
 
+def canonical_block_twin(cr, lams):
+    """The pole-residue form at one block of points, ``(P, n, n)``, by the
+    formula of ``response.modal_sum`` written out again: the residues'
+    upper triangles gathered mode by mode, ``q_j = sigma_j + (alpha*sigma_j
+    + beta)*lambda + lambda^2`` with ``lambda^2`` from its parts, one real
+    GEMM per part of ``damp^2/q_j``, and the triangle written into W and its
+    transpose. No point is checked. The reference for
+    ``canonical_responses`` on a block: a GEMM's bits depend on its shape,
+    so this one must be given the same block of points."""
+    n = cr.order
+    rows, cols = np.triu_indices(n)
+    residues = np.array([m.R.a[rows, cols] for m in cr.modes]).reshape(-1, rows.size)
+    lam = np.array([complex(x) for x in lams]).reshape(-1, 1)
+    x, y = lam.real, lam.imag
+    square = np.empty_like(lam)
+    square.real, square.imag = x * x - y * y, x * y + y * x
+    alpha, beta = cr.rayleigh.alpha, cr.rayleigh.beta
+    damp, inertia = 1.0 + alpha * lam, beta * lam + square
+    sigma = np.array([m.sigma for m in cr.modes])
+    with np.errstate(all="ignore"):
+        c = damp * damp / (sigma + (alpha * sigma + beta) * lam + square)
+        upper = damp * cr.A.a[rows, cols] + inertia * np.diag(cr.Mbb)[rows, cols]
+        upper.real -= np.ascontiguousarray(c.real) @ residues
+        upper.imag -= np.ascontiguousarray(c.imag) @ residues
+    w = np.empty((len(lam), n, n), dtype=complex)
+    w[:, rows, cols] = upper
+    w[:, cols, rows] = upper
+    return w
+
+
 def exact_response(net, lam):
     """The terminal response of ``net`` at a real ``lam > 0``, exactly.
 

@@ -328,8 +328,9 @@ def test_ndarray_is_tested_for_symmetry_on_its_own_bits(block, mirrored, monkeyp
 
 
 def test_every_response_block_is_written_by_its_upper_triangle(tmp_path, monkeypatch):
-    # evaluate_reduced averages W with its transpose; should it stop, the
-    # writer's mirror path would go unused without failing anything else
+    # respond's W is mirrored from its upper triangle (modal_sum); should
+    # it stop being bitwise symmetric, the writer's mirror path would go
+    # unused without failing anything else
     seen = []
 
     def spy(flat, shape, block=None):

@@ -44,12 +44,14 @@ from elastonet import (
     sample_nonresonant,
     synthesize,
     system_resonances,
+    verify_synthesis,
 )
 from elastonet import response
 from elastonet.response import RESONANCE_CLEARANCE, _cluster_ascending
 
 from conftest import axial_block, shuffled_nodes
 from oracles import (
+    canonical_block_twin,
     evaluate_response_by_index,
     exact_response,
     full_pencil_check,
@@ -864,8 +866,35 @@ def sparse_form(n_modes, seed=0):
 SIGNED_POINTS = [0.0, 2.5j, -0.0, complex(-0.0, -0.0), 1j * -3.0, 1j * -0.01, -2.0 + 0.0j]
 
 
+def inner_product_bound(cr, lam):
+    """Entrywise bound on the gap between the kernel and :func:`looped_canonical`.
+
+    Both paths form ``damp*A + inertia*diag(Mbb)`` with the same bits and
+    the same ``q_j``; each forms ``c_j = damp^2/q_j`` within ``gamma_6`` of
+    its value, and sums the ``k`` terms on top of the static part within
+    ``gamma_(k+1)`` (a recursive sum and an inner product with one more
+    subtraction, N. J. Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, ch. 3). So the two differ by at most ``gamma_(2k+14)
+    * (|damp||A| + |inertia| Mbb + sum_j |c_j||R_j|)``; the static part's
+    magnitude counts because the last subtraction rounds relative to it."""
+    lam = complex(lam)
+    damp = 1.0 + cr.rayleigh.alpha * lam
+    inertia = cr.rayleigh.beta * lam + lam * lam
+    terms = abs(damp) * np.abs(cr.A.a) + abs(inertia) * np.diag(cr.Mbb)
+    for mode in cr.modes:
+        q = mode.sigma + (cr.rayleigh.alpha * mode.sigma + cr.rayleigh.beta) * lam + lam * lam
+        terms = terms + abs(damp * damp / q) * np.abs(mode.R.a)
+    m = 2 * len(cr.modes) + 14
+    u = np.finfo(float).eps / 2
+    return m * u / (1.0 - m * u) * terms
+
+
 class TestStackedCanonicalSum:
-    """:func:`canonical_responses` against the per-mode, per-point loop."""
+    """:func:`canonical_responses` bitwise against its formula written out
+    again on the same block of points (``oracles.canonical_block_twin``;
+    the bitwise tests keep the names they had when the per-point loop was
+    their reference), and within :func:`inner_product_bound` of the
+    per-mode, per-point loop :func:`looped_canonical`."""
 
     # no mode, one, and many; the three middle counts were the edges of the
     # former mode stacks
@@ -874,12 +903,21 @@ class TestStackedCanonicalSum:
         lams = np.random.default_rng(1).standard_normal((12, 2)) @ [3.0, 3.0j]
         lams = [*lams, *SIGNED_POINTS]
         for cr in (random_form(n_modes, seed=n_modes), sparse_form(n_modes, seed=n_modes)):
-            looped = [looped_canonical(cr, lam) for lam in lams]
             stacked = list(canonical_responses(cr, lams))
             assert len(stacked) == len(lams)
-            for lam, w, want in zip(lams, stacked, looped):
-                assert same_bits(w, want)
+            assert same_bits(np.array(stacked), canonical_block_twin(cr, lams))
+            for lam in lams:
+                want = canonical_block_twin(cr, [lam])[0]
                 assert same_bits(evaluate_canonical(cr, lam).W.a, want)
+
+    @pytest.mark.parametrize("n_modes", [0, 1, 31, 32, 33, 225])
+    def test_within_the_inner_product_bound_of_the_loop(self, n_modes):
+        lams = np.random.default_rng(1).standard_normal((12, 2)) @ [3.0, 3.0j]
+        lams = [*lams, *SIGNED_POINTS]
+        for cr in (random_form(n_modes, seed=n_modes), sparse_form(n_modes, seed=n_modes)):
+            for lam, w in zip(lams, canonical_responses(cr, lams), strict=True):
+                gap = np.abs(w - looped_canonical(cr, lam))
+                assert (gap <= inner_product_bound(cr, lam)).all(), lam
 
     def test_signed_zeros_reach_the_comparison(self):
         cr = sparse_form(5)
@@ -887,7 +925,8 @@ class TestStackedCanonicalSum:
         assert (np.signbit(w.real) & (w.real == 0.0)).any()
 
     def test_block_edges(self, monkeypatch):
-        # point counts around one and two blocks of the byte budget
+        # point counts around one and two blocks of the byte budget; each
+        # block is compared with the twin of that same block
         blocks = []
         poles = response._poles
 
@@ -904,10 +943,11 @@ class TestStackedCanonicalSum:
         assert 1 < size < 2000 and sum(blocks) == 2000
         for count in (1, size - 1, size, size + 1, 2 * size + 1):
             blocks.clear()
-            stacked = list(canonical_responses(cr, lams[:count]))
+            stacked = np.array(list(canonical_responses(cr, lams[:count])))
             assert blocks == [size] * (count // size) + [count % size] * (count % size > 0)
-            for lam, w in zip(lams[:count], stacked, strict=True):
-                assert same_bits(w, looped_canonical(cr, lam))
+            twins = [canonical_block_twin(cr, lams[k:min(k + size, count)])
+                     for k in range(0, count, size)]
+            assert same_bits(stacked, np.concatenate(twins))
 
     @pytest.mark.parametrize("where", ["first", "middle", "last"])
     def test_a_resonant_point_raises_after_the_points_before_it(self, where):
@@ -918,8 +958,9 @@ class TestStackedCanonicalSum:
         out, text = yielded_then_raised(cr, lams)
         assert text == raised(looped_canonical, cr, lams[k])
         assert "|q(" in text and len(out) == k
-        for lam, w in zip(lams, out):
-            assert same_bits(w, looped_canonical(cr, lam))
+        # one block: the resonant point's row does not reach the others
+        assert same_bits(np.array(out, dtype=complex).reshape(-1, 12, 12),
+                         canonical_block_twin(cr, lams)[:k])
         assert not canonical_poles(cr, lams[:k]).any()
         assert canonical_poles(cr, lams)[k].nonzero()[0].tolist() == [7]
 
@@ -955,6 +996,37 @@ class TestStackedCanonicalSum:
         with pytest.raises(DimensionMismatch):
             out.extend(canonical_responses(cr, lams))
         assert len(out) == 2
+
+
+class TestResidueStack:
+    """``CanonicalResponse.residue_stack``: the residues' upper triangles."""
+
+    def test_read_only_and_gathered_once_per_form(self, monkeypatch):
+        calls = []
+        gather = CanonicalResponse.residue_stack.func
+
+        def counting(cr):
+            calls.append(cr)
+            return gather(cr)
+
+        prop = cached_property(counting)
+        prop.__set_name__(CanonicalResponse, "residue_stack")
+        monkeypatch.setattr(CanonicalResponse, "residue_stack", prop)
+        cr = extract_canonical(assemble(random_network(1, 3, 3, 6, 0.5)))  # self-check
+        report = check_canonical(cr)  # the passivity grid
+        verify_synthesis(synthesize(cr, report=report), cr)  # the reference side
+        for lam in (0.5j, 1.0 + 2.0j):
+            evaluate_canonical(cr, lam)
+        assert calls == [cr]
+        stack = cr.residue_stack
+        assert stack is cr.residue_stack
+        assert not stack.flags.writeable and stack.flags.c_contiguous
+        rows, cols = np.triu_indices(cr.order)
+        assert same_bits(stack, np.array([mode.R.a[rows, cols] for mode in cr.modes]))
+
+    def test_no_mode_gives_an_empty_stack(self):
+        cr = random_form(0)
+        assert cr.residue_stack.shape == (0, 78)
 
 
 class TestStaticTerms:

@@ -45,7 +45,7 @@ from elastonet.cli import main
 from elastonet.geometry import cross, hull_distance
 from elastonet.jsonio import dumps_canonical, write_json
 from elastonet.model import element_to_dict, node_to_dict
-from elastonet.response import ROUNDTRIP_TOL, modal_response
+from elastonet.response import ROUNDTRIP_TOL, modal_responses
 from elastonet.synthesize import modal_form
 
 from conftest import rank_one_gadget, scaled_network, stiffened_network, synthesized
@@ -871,10 +871,13 @@ class TestVerificationDetects:
     def test_non_finite_deviation_counts_as_infinite(self, monkeypatch):
         module = import_module("elastonet.synthesize")
         cr, gn = synthesized_3d()
-        nb = gn.terminals.size
-        monkeypatch.setattr(
-            module, "modal_response", lambda *args: np.full((nb, nb), np.nan)
-        )
+
+        # the network side of verification, every W not finite
+        def not_finite(rayleigh, A, Mbb, sigmas, V, lams):
+            for points, mag, w in modal_responses(rayleigh, A, Mbb, sigmas, V, lams):
+                yield points, mag, np.full_like(w, np.nan)
+
+        monkeypatch.setattr(module, "modal_responses", not_finite)
         assert verify_synthesis(gn, cr, n_samples=3) == np.inf
 
 
@@ -900,8 +903,9 @@ def test_modal_form_matches_direct_oracle(name):
     form = modal_form(gn)
     assert form[3].shape == (gn.terminals.size, len(form[2]))
     avoid = system_resonances(gn.rayleigh, form[2])
-    for lam in sample_nonresonant(np.random.default_rng(0), avoid, 8):
-        modal = modal_response(gn.rayleigh, *form, lam)
+    points = sample_nonresonant(np.random.default_rng(0), avoid, 8)
+    (_, _, block), = modal_responses(gn.rayleigh, *form, points)
+    for lam, modal in zip(points, block, strict=True):
         direct = evaluate_generalized(gn, lam, "pseudoinverse").W.a
         assert np.abs(modal - direct).max() <= 1e-12 * np.abs(direct).max(), lam
 
