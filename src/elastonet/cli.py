@@ -34,6 +34,7 @@ from .errors import (
     PlacementFailed,
     SchemaError,
 )
+from .linalg import PINV_TOL
 from .model import RayleighParams, assemble, network_from_dict
 from .resonances import locus_table
 from .response import (
@@ -336,9 +337,9 @@ def build_parser():
     p.add_argument(
         "--tol",
         type=float,
-        default=1e-10,
+        default=PINV_TOL,
         help="a point is resonant when min |q_j| <= TOL * max |q_j| over the "
-        "modal characteristic polynomials (default 1e-10)",
+        f"modal characteristic polynomials (default {PINV_TOL})",
     )
 
     p = command("extract", cmd_extract, [seeded], "extract the pole-residue canonical form")

@@ -28,10 +28,6 @@ class GenerationFailed(ElastonetError):
 class AtResonance(ElastonetError):
     """Response requested at (or too close to) a resonance."""
 
-    def __init__(self, message, singular_values=None):
-        super().__init__(message)
-        self.singular_values = singular_values
-
 
 class FloppyModeInconsistent(ElastonetError):
     """A zero-stiffness interior mode couples to the terminals."""

@@ -199,29 +199,39 @@ class ElastodynamicNetwork:
 
 @dataclass(frozen=True)
 class SystemMatrices:
-    """Assembled stiffness and mass matrices plus bookkeeping.
+    """Assembled stiffness matrix and node masses plus bookkeeping.
 
-    The damping matrix is not stored: :attr:`C` derives it from ``K``,
-    ``M`` and the Rayleigh constants, so it is proportional by construction.
-    The matrices are boundary first: the leading :attr:`n_b` coordinates are
-    the terminals', d consecutive entries per node, and the rest interior.
-    The Rayleigh constants, spatial dimension and terminal positions ride
-    along because the pole-residue extraction needs all three and receives
-    only this object.
+    Masses are point masses, so the mass matrix is ``diag(m_i I_d)``:
+    :attr:`node_masses` keeps one per node, terminal nodes first, read-only,
+    and :attr:`M` and :attr:`C` derive the mass and the (proportional)
+    damping matrix. The matrices are boundary first: the leading :attr:`n_b`
+    coordinates are the terminals', d consecutive entries per node, and the
+    rest interior. The Rayleigh constants, spatial dimension and terminal
+    positions ride along because the pole-residue extraction needs all
+    three and receives only this object.
     """
 
     K: SymMatrix
-    M: SymMatrix
+    node_masses: np.ndarray
     dimension: int
     rayleigh: RayleighParams
     terminal_positions: np.ndarray
 
     def __post_init__(self):
-        if self.n_b > min(self.K.order, self.M.order):
+        masses = np.array(self.node_masses, dtype=float)
+        if masses.ndim != 1 or masses.size * self.dimension != self.order:
             raise DimensionMismatch(
-                f"{self.n_b} terminal coordinates exceed the order of K "
-                f"({self.K.order}) or M ({self.M.order})"
+                f"node masses of shape {masses.shape} in {self.dimension}-d do "
+                f"not fill K of order {self.order}"
             )
+        if not (np.isfinite(masses) & (masses >= 0)).all():
+            raise DimensionMismatch("node masses must be finite and >= 0")
+        if self.n_b > self.order:
+            raise DimensionMismatch(
+                f"{self.n_b} terminal coordinates exceed the order of K ({self.order})"
+            )
+        masses.flags.writeable = False
+        object.__setattr__(self, "node_masses", masses)
 
     @property
     def order(self):
@@ -233,12 +243,14 @@ class SystemMatrices:
         return self.terminal_positions.size
 
     @property
+    def M(self):
+        """The mass matrix: each node's mass repeated d times on the diagonal."""
+        return SymMatrix(np.diag(np.repeat(self.node_masses, self.dimension)), copy=False)
+
+    @property
     def C(self):
         """The damping matrix ``alpha*K + beta*M``."""
         return SymMatrix(self.rayleigh.damping(self.K.a, self.M.a))
-
-    def mass_vector(self):
-        return np.diag(self.M.a).copy()
 
 
 def spring_directions(positions, i, j):
@@ -283,8 +295,8 @@ def assemble_elements(nodes, elements, dimension, rayleigh):
     with unit vector ``n`` along it adds ``k * n n^T`` on the (i,i) and (j,j)
     diagonal blocks and ``-k * n n^T`` on the off-diagonal ones; an ideal
     elastic element adds ``f f^T`` on the coordinates of its support. The
-    mass matrix repeats each nodal mass d times on the diagonal; the damping
-    matrix follows from both (:attr:`SystemMatrices.C`).
+    node masses are kept as a vector; the mass and damping matrices follow
+    (:attr:`SystemMatrices.M`, :attr:`SystemMatrices.C`).
     The coordinates of terminal nodes are numbered first, then those of
     the interior nodes, each in node order.
 
@@ -309,11 +321,9 @@ def assemble_elements(nodes, elements, dimension, rayleigh):
             c = coords[list(el.support)].ravel()
             stamp = np.outer(el.force_vector, el.force_vector)
             np.add.at(K, (c[:, None] * coords.size + c).ravel(), stamp.ravel())
-    K = K.reshape(coords.size, coords.size)
-    M = np.diag(np.repeat([nodes[k].mass for k in first], d))
     return SystemMatrices(
-        K=SymMatrix(K, copy=False),
-        M=SymMatrix(M, copy=False),
+        K=SymMatrix(K.reshape(coords.size, coords.size), copy=False),
+        node_masses=[nodes[k].mass for k in first],
         dimension=d,
         rayleigh=rayleigh,
         terminal_positions=positions[terminal],

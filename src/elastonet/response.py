@@ -218,17 +218,14 @@ def evaluate_response(sys, lam, mode="inverse"):
     try:
         return ResponseSample(lam, schur_complement(pencil.a, sys.n_b, mode))
     except SingularBlock as exc:
-        raise AtResonance(
-            f"lambda = {lam} is numerically a resonance: {exc}",
-            singular_values=exc.smallest_singular_value,
-        ) from exc
+        raise AtResonance(f"lambda = {lam} is numerically a resonance: {exc}") from exc
 
 
 def eliminate_massless(sys):
     """Statically eliminate massless interior nodes.
 
-    Interior coordinates split by exact ``mass == 0`` test into massive (J)
-    and massless (L). ``K`` is permuted once to the order terminals, J, L,
+    Interior nodes split by exact ``mass == 0`` test into massive (J) and
+    massless (L). ``K`` is permuted once to the order terminals, J, L,
     each in the system's order, and the massless block is removed by one
     pseudoinverse Schur complement. The massless rows of ``M`` are zero, so
     the same elimination applied to ``C = alpha*K + beta*M`` gives
@@ -243,13 +240,8 @@ def eliminate_massless(sys):
 def _eliminate(sys):
     """:func:`eliminate_massless` of ``sys`` and the permuted ``K`` it was
     reduced from, for the extraction self-check."""
-    nb, masses = sys.n_b, sys.mass_vector()
+    nb, masses = sys.n_b, np.repeat(sys.node_masses, sys.dimension)
     interior = masses[nb:]
-    blocks = interior.reshape(-1, sys.dimension)
-    if blocks.size and not np.all(blocks == blocks[:, :1]):
-        raise ElastonetError(
-            "interior mass entries differ within a node's coordinate block"
-        )
     massless = interior == 0.0
     order = np.concatenate([np.arange(nb), nb + np.argsort(massless, kind="stable")])
     nk = masses.size - np.count_nonzero(massless)
@@ -330,8 +322,7 @@ def reduced_responses(red, lams, tol):
         for lam, low, high, wp in zip(points, lows, highs, w):
             if low <= tol * high:
                 yield AtResonance(f"lambda = {lam} is numerically a resonance of the reduced "
-                                  f"system: min |q_j| = {low:.3e} <= {tol:.1e} * max |q_j|",
-                                  singular_values=low)
+                                  f"system: min |q_j| = {low:.3e} <= {tol:.1e} * max |q_j|")
             else:
                 yield SymMatrix(wp, copy=False)
 
@@ -414,10 +405,9 @@ def extract_canonical(
 
     When ``check`` is set the result is validated against the direct Schur
     response at 20 random non-resonant points
-    (:class:`ReconstructionMismatch` beyond ``ROUNDTRIP_TOL`` relative). A
-    system whose ``M`` is exactly diagonal has its massless interior
-    eliminated from the check's pencils once, by one real LU of the
-    stiffness, which is exact under Rayleigh damping
+    (:class:`ReconstructionMismatch` beyond ``ROUNDTRIP_TOL`` relative). The
+    massless interior is eliminated from the check's pencils once, by one
+    real LU of the stiffness, which is exact under Rayleigh damping
     (:func:`_reconstruction_error`).
     """
     red, gathered = _eliminate(sys)
@@ -473,36 +463,37 @@ def extract_canonical(
 def _reconstruction_error(sys, red, gathered, cr, lams):
     """Worst relative deviation of ``cr`` from the direct response of ``sys``.
 
-    At each of ``lams`` a pencil is formed in one buffer (:func:`_pencil`)
-    and its interior solved by LU (:func:`schur_complement_lu`). With ``M``
-    diagonal, its massless rows are zero, so under Rayleigh damping the
-    pencil's massless block and its coupling are ``(1 + alpha*lambda)``
-    times those of ``K``: condensing them out of ``K`` once
-    (:func:`_condensed`) gives the pencil over the terminals and the
-    massive interior exactly, and each point solves only the massive
-    interior. Otherwise the pencil is that of the whole ``K``, ``C``, ``M``.
-    A point whose solve fails, is not finite or deviates beyond
-    ``ROUNDTRIP_TOL`` is solved again by the pseudoinverse
+    The mass matrix is diagonal, so its massless rows are zero, and under
+    Rayleigh damping the pencil's massless block and its coupling are ``(1
+    + alpha*lambda)`` times those of ``K``: condensing them out of ``K``
+    once (:func:`_condensed`) gives the pencil over the terminals and the
+    massive interior exactly. At each of ``lams`` that pencil is formed in
+    one buffer (:func:`_pencil`) and its massive interior solved by LU
+    (:func:`schur_complement_lu`). A point whose solve fails, is not finite
+    or deviates beyond ``ROUNDTRIP_TOL``, and every point when the
+    condensation fails, is solved again by the pseudoinverse
     :func:`schur_complement` of the whole pencil, and that value counts.
-    Massless interior nodes with floppy directions make every pencil
-    singular and take this path.
+    Massless interior nodes with floppy directions make ``K_LL`` singular,
+    and with it every whole pencil, so they take this path.
     """
     K, M = sys.K.a, sys.M.a
     C, nb = sys.rayleigh.damping(K, M), sys.n_b
     norms = [np.abs(x).max() for x in (K, C, M)]
-    parts = _condensed(sys, red, gathered) or (K, C, M)
-    pencil = np.empty(parts[0].shape, dtype=complex)
+    parts = _condensed(red, gathered)
+    pencil = None if parts is None else np.empty(parts[0].shape, dtype=complex)
     worst = 0.0
     for lam, closed in zip(lams, canonical_responses(cr, lams)):
         # numerically-zero responses (mechanisms) are compared against
         # the pencil magnitude instead of their own rounding-level norm
         floor = 1e-4 * (norms[0] + norms[1] * abs(lam) + norms[2] * abs(lam) ** 2)
-        try:
-            with np.errstate(all="ignore"):
-                direct = schur_complement_lu(_pencil(*parts, lam, pencil), nb)
-                err = _relative_gap(closed, direct, floor)  # NaN if not finite
-        except np.linalg.LinAlgError:
-            err = np.inf
+        err = np.inf
+        if parts is not None:
+            try:
+                with np.errstate(all="ignore"):
+                    direct = schur_complement_lu(_pencil(*parts, lam, pencil), nb)
+                    err = _relative_gap(closed, direct, floor)  # NaN if not finite
+            except np.linalg.LinAlgError:
+                pass
         if not err <= ROUNDTRIP_TOL:
             full = SymMatrix(_pencil(K, C, M, lam), copy=False)
             direct = schur_complement(full.a, nb, "pseudoinverse").a
@@ -511,17 +502,14 @@ def _reconstruction_error(sys, red, gathered, cr, lams):
     return worst
 
 
-def _condensed(sys, red, gathered):
+def _condensed(red, gathered):
     """``(Khat, alpha*Khat + beta*M_XX, M_XX)`` over the terminals and the
     massive interior ``X``, where ``Khat = K_XX - K_XL K_LL^-1 K_LX`` by one
     real LU of the massless block ``L`` of ``gathered``, the permuted ``K``
     that :func:`_eliminate` reduced to ``red`` (static condensation; R. J.
-    Guyan, AIAA J. 3(2), 1965). None when ``M`` has an entry off its
-    diagonal, the interior has no massless coordinate, or that LU raises or
-    gives a ``Khat`` that is not finite."""
-    M, masses = sys.M.a, np.concatenate([red.Mbb, red.Mjj])
-    if np.count_nonzero(M) != np.count_nonzero(M.diagonal()) or masses.size == len(M):
-        return None
+    Guyan, AIAA J. 3(2), 1965); with no massless coordinate ``Khat`` is
+    ``K``. None when that LU raises or gives a ``Khat`` that is not finite."""
+    masses = np.concatenate([red.Mbb, red.Mjj])
     try:
         with np.errstate(all="ignore"):
             khat = schur_complement_lu(gathered, masses.size)
@@ -530,7 +518,7 @@ def _condensed(sys, red, gathered):
     if not np.isfinite(khat).all():
         return None
     m_xx = np.diag(masses)
-    return khat, sys.rayleigh.damping(khat, m_xx), m_xx
+    return khat, red.rayleigh.damping(khat, m_xx), m_xx
 
 
 def _relative_gap(closed, direct, floor):

@@ -22,9 +22,11 @@ smallest eigenvalue and ``worst_violation`` are often ``1e-16`` of the
 matrix they test, which no change of rounding keeps. So the numbers of
 the conditions in ``SCALED`` (each number in the witness text and the
 ``worst_violation``) are bounded by ``BOUND`` relative to the scale of the
-matrix the condition tests: ``|A|``, ``|W(0)|``, ``max |R_j|`` or the
-largest ``|omega Im W|`` on the passivity grid, each the largest entry
-modulus. The scales are read from the old file's canonical form, or from
+matrix the condition tests: ``|A|``, ``max |R_j|`` or the largest ``|omega
+Im W|`` on the passivity grid, each the largest entry modulus. ``W(0) = A -
+sum_j R_j/sigma_j`` is rounded at the scale of its terms, which its own
+``|W(0)|`` is not when the static response vanishes, so the static
+conditions take ``max(|A|, max_j |R_j/sigma_j|)``. The scales are read from the old file's canonical form, or from
 the golden input (``tests/test_golden.py::CASES``) when the file has none.
 Such a witness's text outside its numbers must match exactly, every
 number must keep its side of the condition's tolerance
@@ -53,8 +55,8 @@ BOUND = 1e-12
 SCALED = {
     "A_psd": "A",
     "R_psd": "R",
-    "static_psd": "W(0)",
-    "static_balanced": "W(0)",
+    "static_psd": "W(0) terms",
+    "static_balanced": "W(0) terms",
     "passivity_sampled": "omega Im W",
 }
 
@@ -73,12 +75,13 @@ def _peak(a):
 
 
 def matrix_scales(cr):
-    """Largest entry modulus of ``A``, ``W(0)``, every ``R_j`` and
-    ``omega Im W`` on the passivity grid of a ``CanonicalResponse``, by the
-    matrix names of ``SCALED``; ``W(0)`` is absent when a pole sits at 0."""
+    """Largest entry modulus of ``A``, every ``R_j``, the terms ``A`` and
+    ``R_j/sigma_j`` of ``W(0)`` and ``omega Im W`` on the passivity grid of a
+    ``CanonicalResponse``, by the matrix names of ``SCALED``; ``W(0) terms``
+    is absent when a pole sits at 0."""
     scales = {"A": _peak(cr.A.a), "R": max([_peak(m.R.a) for m in cr.modes], default=0.0)}
     try:
-        scales["W(0)"] = _peak(cr.static_response().a)
+        scales["W(0) terms"] = max(scales["A"], _peak(cr.static_terms))
     except AtResonance:
         pass
     grid = np.logspace(-2.0, 2.0, PASSIVITY_GRID_POINTS)

@@ -286,6 +286,9 @@ def test_stiff_spring_answers_within_ten_lu_errors(tmp_path, seed, exponent):
     for lam, entry in zip(lams, entries, strict=True):
         exact = exact_response(net, lam)
         lu = linalg.schur_complement_lu(evaluate_pencil(sys, lam), sys.n_b)
+        # the LU error is the yardstick, so it must be small itself: an LU
+        # that is silently wrong (nearly singular block) would accept anything
+        assert np.abs(lu - exact).max() <= 1e-7 * np.abs(exact).max(), lam
         w = np.array(entry["W"])[..., 0] + 1j * np.array(entry["W"])[..., 1]
         assert np.abs(w - exact).max() <= 10 * np.abs(lu - exact).max(), lam
 

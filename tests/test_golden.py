@@ -281,6 +281,29 @@ def test_drift_reads_the_scale_from_the_golden_input(tmp_path):
     assert "worst 2.36e-16 relative" in lines[0], lines
 
 
+# characterize_network's static response vanishes: |W(0)| is 5.2e-15, itself
+# rounding, so the static witnesses are bounded by the scale of the terms
+# A and R_j/sigma_j that W(0) is rounded at
+@pytest.mark.parametrize("drift,ok", [(1e-14, True), (1e-11, False)],
+                         ids=["rounding of the terms", "beyond the scale"])
+def test_drift_bounds_static_witnesses_by_the_terms_of_w0(tmp_path, drift, ok):
+    name = "characterize_network.out"
+    payload = json.loads((GOLDEN / name).read_text())
+    scale = golden_drift.condition_scales("characterize_network", payload)["static_psd"]
+    assert scale > 1e14 * float(payload["conditions"]["static_psd"]["worst_violation"])
+    old, new = tmp_path / "old", tmp_path / "new"
+    for d in (old, new):
+        d.mkdir()
+        shutil.copy(GOLDEN / name, d)
+    condition = payload["conditions"]["static_psd"]
+    low = float(condition["witness"].split()[-1]) + drift * scale
+    condition["witness"] = f"W(0) min eigenvalue {low:.3e}"
+    condition["worst_violation"] = max(0.0, -low)
+    write_json(new / name, payload)
+    lines, passed = golden_drift.compare(old, new)
+    assert passed is ok, lines
+
+
 def test_digest_compare_names_changed_exit_codes(tmp_path, capsys):
     old = {
         "net a": {"respond": {"exit": 1, "sha256": None}, "extract": {"exit": 0, "sha256": "x"}},

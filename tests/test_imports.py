@@ -327,8 +327,7 @@ def package_scopes_calling(name):
 
 # assembly numbers terminal coordinates first, so the one permutation left
 # is the massless split: terminals stay first, then massive interior
-# coordinates, massless last; the same scope checks that split (mass entries
-# equal within each interior node). The coverage check of the old block
+# coordinates, massless last. The coverage check of the old block
 # partition went with it. The extraction keeps that gather for its
 # self-check, so the scope is the helper behind eliminate_massless.
 @pytest.mark.parametrize("name", ["ix_"])
@@ -395,4 +394,4 @@ def test_guard_reports_an_extra_defaulted_parameter():
 # every defaulted parameter is a knob some caller may turn; a change that
 # adds one raises this budget and says why in CHANGES.md
 def test_defaulted_parameters_stay_within_budget():
-    assert package_defaults() <= 39
+    assert package_defaults() <= 38

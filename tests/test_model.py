@@ -87,12 +87,13 @@ class TestTypes:
         assert net.springs[0].stiffness == 3.5
 
 
-def hand_built(order_k, order_m, n_terminals, d=2):
-    """A hand-built system: identity ``K`` and ``M`` of the given orders and
-    ``n_terminals`` terminals of dimension ``d`` at the origin."""
+def hand_built(order, n_terminals, d=2, node_masses=None):
+    """A hand-built system: identity ``K`` of the given order, unit node
+    masses unless given, and ``n_terminals`` terminals of dimension ``d``
+    at the origin."""
     return SystemMatrices(
-        K=SymMatrix(np.eye(order_k)),
-        M=SymMatrix(np.eye(order_m)),
+        K=SymMatrix(np.eye(order)),
+        node_masses=np.ones(order // d) if node_masses is None else node_masses,
         dimension=d,
         rayleigh=RayleighParams(0.1, 0.1),
         terminal_positions=np.zeros((n_terminals, d)),
@@ -100,25 +101,46 @@ def hand_built(order_k, order_m, n_terminals, d=2):
 
 
 class TestSystemMatricesOrder:
-    """More terminal coordinates than ``K`` or ``M`` has rows is refused, so
+    """More terminal coordinates than ``K`` has rows is refused, and so are
+    node masses that do not fill ``K`` or are not finite and nonnegative, so
     neither the response nor the extraction sees such a system."""
 
     @pytest.mark.parametrize("call", [
         lambda sys: evaluate_response(sys, 1j),
         lambda sys: extract_canonical(sys),
     ], ids=["evaluate_response", "extract_canonical"])
-    @pytest.mark.parametrize("orders", [(4, 4), (4, 8), (8, 4)])
+    # the order of K and the dimension
+    @pytest.mark.parametrize("orders", [(4, 2), (2, 2), (6, 3)])
     def test_too_many_terminal_coordinates(self, call, orders):
-        # three 2-D terminals: six coordinates
-        message = (
-            rf"^6 terminal coordinates exceed the order of K \({orders[0]}\) "
-            rf"or M \({orders[1]}\)$"
-        )
+        # three terminals: 3*d coordinates
+        order, d = orders
+        message = rf"^{3 * d} terminal coordinates exceed the order of K \({order}\)$"
         with pytest.raises(DimensionMismatch, match=message):
-            call(hand_built(*orders, n_terminals=3))
+            call(hand_built(order, n_terminals=3, d=d))
+
+    @pytest.mark.parametrize("masses,message", [
+        ([1.0], r"^node masses of shape \(1,\) in 2-d do not fill K of order 4$"),
+        ([1.0, 1.0, 1.0], r"^node masses of shape \(3,\) in 2-d do not fill K of order 4$"),
+        (np.ones((2, 1)), r"^node masses of shape \(2, 1\) in 2-d do not fill K of order 4$"),
+        ([1.0, -0.5], r"^node masses must be finite and >= 0$"),
+        ([np.nan, 1.0], r"^node masses must be finite and >= 0$"),
+        ([1.0, np.inf], r"^node masses must be finite and >= 0$"),
+    ], ids=["short", "long", "not a vector", "negative", "nan", "inf"])
+    def test_node_masses_are_refused(self, masses, message):
+        with pytest.raises(DimensionMismatch, match=message):
+            hand_built(4, n_terminals=1, node_masses=masses)
+
+    def test_node_masses_are_a_read_only_copy(self):
+        given = np.array([2.0, 0.0])
+        sys = hand_built(4, n_terminals=1, node_masses=given)
+        given[0] = 5.0
+        assert sys.node_masses.tolist() == [2.0, 0.0]
+        with pytest.raises(ValueError, match="read-only"):
+            sys.node_masses[0] = 1.0
+        assert np.array_equal(sys.M.a, np.diag([2.0, 2.0, 0.0, 0.0]))
 
     def test_all_terminal_system_is_accepted(self):
-        sys = hand_built(6, 6, n_terminals=3)
+        sys = hand_built(6, n_terminals=3)
         # K + lam*(0.1 K + 0.1 M) + lam^2 M at lam = 0.5, with no interior
         assert_allclose(evaluate_response(sys, 0.5).W.a, 1.35 * np.eye(6), rtol=1e-15)
 
@@ -214,7 +236,8 @@ class TestAssemble:
         nodes = (Node((0.0, 0.0), 2.0, True), Node((1.0, 0.0), 0.5, False))
         net = ElastodynamicNetwork(2, nodes, (Spring(0, 1, 1.0),))
         sys = assemble(net)
-        assert_allclose(sys.mass_vector(), [2.0, 2.0, 0.5, 0.5])
+        assert sys.node_masses.tolist() == [2.0, 0.5]
+        assert np.array_equal(sys.M.a, np.diag([2.0, 2.0, 0.5, 0.5]))
 
 
 def loop_stiffness(nodes, elements, d):

@@ -163,7 +163,7 @@ def reduced_pencil_response(red, lam):
     """Direct Schur complement of a reduced system's interior pencil."""
     sys = SystemMatrices(
         K=red.Ktilde,
-        M=SymMatrix(np.diag(np.concatenate([red.Mbb, red.Mjj]))),
+        node_masses=np.concatenate([red.Mbb, red.Mjj])[::red.dimension],
         dimension=red.dimension,
         rayleigh=red.rayleigh,
         terminal_positions=red.terminal_positions,
@@ -276,6 +276,19 @@ class TestModalSweep:
         ]
         assert missed == []
 
+    # the same rule invents resonances under mass contrast: tiny_mass's
+    # sigmas span 0.026 to 3.4e10, so min |q_j| / max |q_j| is 5e-12 to
+    # 7e-11 at real lambda from 0.1 to 2, though the modal W there is
+    # within 1e-15 of the exact response (ROADMAP O11)
+    @pytest.mark.xfail(raises=AtResonance, strict=True)
+    def test_mass_contrast_is_not_a_resonance(self):
+        net = tiny_mass()
+        red = eliminate_massless(assemble(net))
+        for lam in (0.5, 1.0):
+            exact = exact_response(net, lam)
+            w = evaluate_reduced(red, lam).W.a
+            assert np.abs(w - exact).max() <= 1e-12 * np.abs(exact).max(), lam
+
 
 class TestExtractCanonical:
     def test_single_mass_mode(self, terminal_plus_mass):
@@ -312,7 +325,7 @@ class TestExtractCanonical:
         k[2:, :2] = np.eye(2)
         sys = SystemMatrices(
             K=SymMatrix(k),
-            M=SymMatrix(np.diag([0.0, 0.0, 1.0, 1.0])),
+            node_masses=[0.0, 1.0],
             dimension=2,
             rayleigh=RayleighParams(0.0, 0.0),
             terminal_positions=np.array([[0.0, 0.0]]),
@@ -442,15 +455,6 @@ def count_solves(monkeypatch):
     return solves
 
 
-def off_diagonal_mass(sys):
-    """``sys`` with the mass coupling the first massive interior coordinate
-    ``j`` to the next set to a tenth of ``M[j, j]``, and ``j``."""
-    m = sys.M.a.copy()
-    j = next(c for c in range(sys.n_b, sys.order) if m[c, c] != 0.0)
-    m[j, j + 1] = m[j + 1, j] = 0.1 * m[j, j]
-    return replace(sys, M=SymMatrix(m)), j
-
-
 class TestExtractionSelfCheck:
     """One LU solve per point, with the SVD pseudoinverse as its fallback."""
 
@@ -465,13 +469,12 @@ class TestExtractionSelfCheck:
         self, monkeypatch, assembled_chain
     ):
         # the middle node moves freely across the chain: its massless block
-        # is singular, so its LU raises, every point solves the whole
-        # pencil, which is singular too, and is evaluated by the
-        # pseudoinverse; with no massive interior, X is the terminals
+        # is singular, so its LU raises, and every point is evaluated by
+        # the pseudoinverse of the whole pencil, which is singular too
         calls, solves = count_fallbacks(monkeypatch), count_solves(monkeypatch)
         cr = extract_canonical(assembled_chain)
         order, nb = assembled_chain.order, assembled_chain.n_b
-        assert solves == [("real", order, nb)] + [("complex", order, nb)] * 20
+        assert solves == [("real", order, nb)]
         assert calls == [("pseudoinverse", order)] * 20
         assert_allclose(cr.A.a, axial_block(0.5), atol=1e-14)
 
@@ -500,27 +503,18 @@ class TestExtractionSelfCheck:
         assert solves == [("real", sys.order, nx)] + [("complex", nx, nb)] * 20
         assert calls == []
 
-    def test_an_off_diagonal_mass_takes_the_whole_pencil(self, monkeypatch):
-        # a mass entry off the diagonal couples coordinates the condensed
-        # pencil would keep apart: no massless LU, every point whole
-        sys, _ = off_diagonal_mass(assemble(random_network(1, 3, 6, 60, 0.5)))
-        calls, solves = count_fallbacks(monkeypatch), count_solves(monkeypatch)
-        with pytest.raises(ReconstructionMismatch, match="deviates from the direct"):
-            extract_canonical(sys)
-        assert solves == [("complex", sys.order, sys.n_b)] * 20
-        assert calls == [("pseudoinverse", sys.order)] * 20
-
     def test_a_massless_block_that_overflows_takes_the_whole_pencil(self, monkeypatch):
-        # a massless pivot of 1e-310 passes the LU but makes Khat infinite;
-        # the elimination's pseudoinverse truncates it
+        # a massless pivot of 1e-310 passes the LU but makes Khat infinite,
+        # so every point is evaluated by the pseudoinverse of the whole
+        # pencil; the elimination's pseudoinverse truncates the pivot
         k = np.eye(4)
         k[0, 2] = k[2, 0] = k[1, 3] = k[3, 1] = 0.5
         k[3, 3] = 1e-310
-        sys = SystemMatrices(SymMatrix(k), SymMatrix(np.zeros((4, 4))), 2,
+        sys = SystemMatrices(SymMatrix(k), np.zeros(2), 2,
                              RayleighParams(0.1, 0.0), np.zeros((1, 2)))
         calls, solves = count_fallbacks(monkeypatch), count_solves(monkeypatch)
         cr = extract_canonical(sys)
-        assert solves == [("real", 4, 2)] + [("complex", 4, 2)] * 20
+        assert solves == [("real", 4, 2)]
         assert calls == [("pseudoinverse", 4)] * 20
         assert_allclose(cr.A.a, np.diag([0.75, 1.0]))
 
@@ -652,15 +646,6 @@ class TestSelfCheckAgainstThePointLoop:
         assert worst == reconstruction_error_massless_once(collinear_chain, cr, lams)
         assert worst == reconstruction_error_by_point(collinear_chain, cr, lams)
 
-    def test_an_off_diagonal_mass_is_rejected(self):
-        # the closed form reads only diag(M); the self-check sees all of M
-        sys = assemble(random_network(3, 3, 4, 10, 1.0))
-        m = sys.M.a.copy()
-        j, k = sys.n_b, sys.n_b + 1
-        m[j, k] = m[k, j] = 0.1 * m[j, j]
-        with pytest.raises(ReconstructionMismatch, match="deviates from the direct"):
-            extract_canonical(replace(sys, M=SymMatrix(m)))
-
 
 def scaled(x):
     return x * (1 + 1e-6)
@@ -741,20 +726,6 @@ class TestSelfCheckMutationTable:
         rejected = self.table(random_network(11, 3, 8, 150, 0.5), rows, monkeypatch)
         assert rejected.keys() == set(rows)
         assert rejected["sigma mid"] and not all(rejected.values())
-
-    def test_an_off_diagonal_mass_at_198_dof(self):
-        net = random_network(1, 3, 6, 60, 0.5)
-        sys = assemble(net)
-        wrong, j = off_diagonal_mass(sys)
-        K, M, b, i = node_major(net)
-        node = b + i  # system coordinate c is node coordinate node[c]
-        M[node[j], node[j + 1]] = M[node[j + 1], node[j]] = wrong.M.a[j, j + 1]
-        lams = self_check_points(sys)
-        check = full_pencil_check(K, M, b, i, net.rayleigh, lams)
-        cr = extract_canonical(sys, check=False)
-        assert self.rejections(wrong, lams, [("off-diagonal M", cr)], check) == {
-            "off-diagonal M": True
-        }
 
 
 class TestEvaluateCanonical:
