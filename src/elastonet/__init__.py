@@ -25,7 +25,6 @@ from .errors import (
     PlacementFailed,
     ReconstructionMismatch,
     SchemaError,
-    SingularBlock,
     ZeroForce,
 )
 from .geometry import check_balanced
@@ -61,7 +60,6 @@ from .response import (
     eliminate_massless,
     evaluate_canonical,
     evaluate_reduced,
-    evaluate_response,
     extract_canonical,
     sample_nonresonant,
     system_resonances,

@@ -9,14 +9,6 @@ class AsymmetricMatrix(ElastonetError):
     """Input matrix is too far from symmetric to repair by averaging."""
 
 
-class SingularBlock(ElastonetError):
-    """Interior block is numerically singular where an inverse was requested."""
-
-    def __init__(self, message, smallest_singular_value=None):
-        super().__init__(message)
-        self.smallest_singular_value = smallest_singular_value
-
-
 class DegenerateSpring(ElastonetError):
     """Spring endpoints coincide; the axial direction is undefined."""
 

@@ -7,7 +7,7 @@ and far easier to verify than sparse or iterative alternatives.
 
 import numpy as np
 
-from .errors import AsymmetricMatrix, DimensionMismatch, SingularBlock
+from .errors import AsymmetricMatrix, DimensionMismatch
 
 # Relative asymmetry accepted at construction before we refuse to repair.
 SYMMETRY_TOL = 1e-12
@@ -96,31 +96,21 @@ def symmetrized(a):
     return _sym_part(a)
 
 
-def schur_complement(a, nb, mode="inverse"):
-    """Schur complement of the interior block of a symmetric array.
+def schur_complement(a, nb):
+    """Pseudoinverse Schur complement of the interior block of a symmetric
+    array.
 
     ``a`` is a finite 2-D array, bitwise symmetric and boundary first: its
     leading ``nb`` indices are the boundary.
-    Returns ``S = A_BB - A_BI inv(A_II) A_IB`` where the interior inverse is
-    either a true inverse (``mode="inverse"``, raising :class:`SingularBlock`
-    when the block is numerically singular) or a Moore-Penrose pseudoinverse
-    with singular values at or below ``PINV_TOL`` times the largest truncated
-    (``mode="pseudoinverse"``). Both come from one SVD of the interior block.
+    Returns ``S = A_BB - A_BI pinv(A_II) A_IB``, the Moore-Penrose
+    pseudoinverse of the interior block from one SVD, with singular values
+    at or below ``PINV_TOL`` times the largest truncated.
     """
-    if mode not in ("inverse", "pseudoinverse"):
-        raise ValueError(f"unknown mode {mode!r}")
     if not 0 < nb < len(a):
         return SymMatrix(a[:nb, :nb])
     a_bi = a[:nb, nb:]
     u, s, vh = np.linalg.svd(a[nb:, nb:])
-    keep = s > PINV_TOL * s[0]  # a prefix: singular values descend
-    if mode == "inverse" and not keep.all():
-        raise SingularBlock(
-            f"interior block numerically singular: smallest singular value "
-            f"{s[-1]:.3e} vs threshold {PINV_TOL * s[0]:.3e}",
-            smallest_singular_value=s[-1],
-        )
-    r = int(keep.sum())
+    r = int((s > PINV_TOL * s[0]).sum())  # a prefix: singular values descend
     inv = (vh[:r].conj().T * (1.0 / s[:r])) @ np.ascontiguousarray(u[:, :r].conj().T)
     return SymMatrix(a[:nb, :nb] - _sym_part(a_bi @ inv @ a_bi.T))
 
@@ -134,8 +124,7 @@ def schur_complement_eigh(a, nb):
     :func:`schur_complement` applies to singular values, and ``S = A_BB -
     (Y / w) Y^T`` with ``Y = A_BI U`` over the kept ones. A block whose
     smallest kept ``|w|`` is at most ``EIGH_GUARD * max|w|``, or that is
-    zero, gets :func:`schur_complement` in ``"pseudoinverse"`` mode instead,
-    with its bits.
+    zero, gets :func:`schur_complement` instead, with its bits.
     """
     if not 0 < nb < len(a):
         return SymMatrix(a[:nb, :nb])
@@ -144,7 +133,7 @@ def schur_complement_eigh(a, nb):
     top = mag.max()
     keep = mag > PINV_TOL * top
     if not top or mag[keep].min() <= EIGH_GUARD * top:
-        return schur_complement(a, nb, "pseudoinverse")
+        return schur_complement(a, nb)
     y = a[:nb, nb:] @ u[:, keep]
     return SymMatrix(a[:nb, :nb] - _sym_part((y / w[keep]) @ y.T), copy=False)
 

@@ -29,7 +29,6 @@ from .errors import (
     FloppyModeInconsistent,
     ReconstructionMismatch,
     SchemaError,
-    SingularBlock,
 )
 from .linalg import (
     PINV_TOL,
@@ -201,24 +200,15 @@ def _pencil(K, C, M, lam, out=None):
     return out
 
 
-def evaluate_response(sys, lam, mode="inverse"):
-    """Terminal response W(lambda) of an assembled system.
-
-    Forms ``K + lambda*C + lambda^2*M`` and takes the Schur complement of
-    the interior block; a numerically singular block means ``lambda`` sits
-    on a resonance (:class:`AtResonance`). ``mode="pseudoinverse"`` handles
-    systems whose interior pencil is exactly singular at every lambda
-    (massless interior nodes with floppy directions); the truncated
-    directions carry no coupling to the terminals, so the response is
-    unchanged.
-    """
-    lam = complex(lam)
+def _direct_response(sys, lam):
+    """The direct response of an assembled system at ``lam``: the
+    pseudoinverse :func:`schur_complement` of ``K + lambda*C +
+    lambda^2*M``. Massless interior nodes with floppy directions make the
+    interior pencil singular at every lambda; the truncated directions
+    carry no coupling to the terminals, so the response is unchanged."""
     K, M = sys.K.a, sys.M.a
-    pencil = SymMatrix(_pencil(K, sys.rayleigh.damping(K, M), M, lam), copy=False)
-    try:
-        return ResponseSample(lam, schur_complement(pencil.a, sys.n_b, mode))
-    except SingularBlock as exc:
-        raise AtResonance(f"lambda = {lam} is numerically a resonance: {exc}") from exc
+    pencil = SymMatrix(_pencil(K, sys.rayleigh.damping(K, M), M, complex(lam)), copy=False)
+    return schur_complement(pencil.a, sys.n_b)
 
 
 def eliminate_massless(sys):
@@ -471,14 +461,20 @@ def _reconstruction_error(sys, red, gathered, cr, lams):
     one buffer (:func:`_pencil`) and its massive interior solved by LU
     (:func:`schur_complement_lu`). A point whose solve fails, is not finite
     or deviates beyond ``ROUNDTRIP_TOL``, and every point when the
-    condensation fails, is solved again by the pseudoinverse
-    :func:`schur_complement` of the whole pencil, and that value counts.
-    Massless interior nodes with floppy directions make ``K_LL`` singular,
-    and with it every whole pencil, so they take this path.
+    condensation fails, is solved again by :func:`_direct_response`, and
+    that value counts. Massless interior nodes with floppy directions make
+    ``K_LL`` singular, and with it every whole pencil, so they take this
+    path. The point floor reads ``max|K|``, ``max|C|`` and ``max|M|`` from
+    ``K`` and the node masses: ``M`` is diagonal, so ``C`` is ``alpha*K``
+    off the diagonal.
     """
-    K, M = sys.K.a, sys.M.a
-    C, nb = sys.rayleigh.damping(K, M), sys.n_b
-    norms = [np.abs(x).max() for x in (K, C, M)]
+    K, nb, ray = sys.K.a, sys.n_b, sys.rayleigh
+    mags = np.abs(K)
+    np.fill_diagonal(mags, 0.0)
+    off, diag = mags.max(), K.diagonal()
+    c_diag = ray.alpha * diag + ray.beta * np.repeat(sys.node_masses, sys.dimension)
+    norms = [max(off, np.abs(diag).max()), max(ray.alpha * off, np.abs(c_diag).max()),
+             sys.node_masses.max()]
     parts = _condensed(red, gathered)
     pencil = None if parts is None else np.empty(parts[0].shape, dtype=complex)
     worst = 0.0
@@ -495,9 +491,7 @@ def _reconstruction_error(sys, red, gathered, cr, lams):
             except np.linalg.LinAlgError:
                 pass
         if not err <= ROUNDTRIP_TOL:
-            full = SymMatrix(_pencil(K, C, M, lam), copy=False)
-            direct = schur_complement(full.a, nb, "pseudoinverse").a
-            err = _relative_gap(closed, direct, floor)
+            err = _relative_gap(closed, _direct_response(sys, lam).a, floor)
         worst = max(worst, err)
     return worst
 

@@ -62,9 +62,9 @@ from .model import (
 )
 from .response import (
     ResponseSample,
+    _direct_response,
     canonical_responses,
     eliminate_massless,
-    evaluate_response,
     modal_responses,
     modal_stack,
     sample_nonresonant,
@@ -249,17 +249,17 @@ class GeneralizedNetwork:
         return RayleighParams(0.0, 0.0)
 
 
-def evaluate_generalized(gn, lam, mode="inverse"):
+def evaluate_generalized(gn, lam):
     """Response of the superposition, by direct Schur complements.
 
-    The component responses (:func:`evaluate_response`) are added in
-    component order; the first resonant component raises :class:`AtResonance`.
+    The component responses (the pseudoinverse Schur complement of each
+    component's pencil) are added in component order.
     This is the oracle that the network's :func:`modal_form` is tested against.
     """
     nb = gn.terminals.size
     total = np.zeros((nb, nb), dtype=complex)
     for comp in gn.components:
-        total = total + evaluate_response(assemble_component(comp), lam, mode).W.a
+        total = total + _direct_response(assemble_component(comp), lam).a
     return ResponseSample(complex(lam), SymMatrix(total))
 
 

@@ -13,7 +13,6 @@ from elastonet import (
     NotCharacterizable,
     PlacementFailed,
     SchemaError,
-    SingularBlock,
     Spring,
     SymMatrix,
     ZeroForce,
@@ -39,11 +38,14 @@ from elastonet.synthesize import (
 )
 
 
-def schur_complement_by_index(a, boundary, interior, mode="inverse"):
+def schur_complement_by_index(a, boundary, interior, mode="pseudoinverse"):
     """The SVD Schur complement of a ``SymMatrix`` with its three blocks
     gathered by ``np.ix_`` from the index lists ``boundary`` and
     ``interior``, in any order: the reference for
-    ``linalg.schur_complement`` on a boundary-first array."""
+    ``linalg.schur_complement`` on a boundary-first array. With
+    ``mode="inverse"`` an interior block that the pseudoinverse would
+    truncate raises :class:`AtResonance`, the resonance rule ``smin <=
+    PINV_TOL * smax`` of a direct solve."""
     b, i = list(boundary), list(interior)
     a_bb = a.a[np.ix_(b, b)]
     if not (b and i):
@@ -52,10 +54,9 @@ def schur_complement_by_index(a, boundary, interior, mode="inverse"):
     u, s, vh = np.linalg.svd(a.a[np.ix_(i, i)])
     keep = s > PINV_TOL * s[0]
     if mode == "inverse" and not keep.all():
-        raise SingularBlock(
+        raise AtResonance(
             f"interior block numerically singular: smallest singular value "
-            f"{s[-1]:.3e} vs threshold {PINV_TOL * s[0]:.3e}",
-            smallest_singular_value=s[-1],
+            f"{s[-1]:.3e} vs threshold {PINV_TOL * s[0]:.3e}"
         )
     r = int(keep.sum())
     inv = (vh[:r].conj().T * (1.0 / s[:r])) @ np.ascontiguousarray(u[:, :r].conj().T)
@@ -77,7 +78,7 @@ def schur_complement_eigh_by_index(a, boundary, interior):
     mag = np.abs(w)
     keep = mag > PINV_TOL * mag.max()
     if not mag.max() or mag[keep].min() <= EIGH_GUARD * mag.max():
-        return schur_complement_by_index(a, b, i, "pseudoinverse")
+        return schur_complement_by_index(a, b, i)
     y = a.a[np.ix_(b, i)] @ u[:, keep]
     x = (y / w[keep]) @ y.T
     return SymMatrix(a_bb - 0.5 * (x + x.T))
@@ -98,15 +99,27 @@ def node_major(net):
     return assemble_by_spring(net), M, b, i
 
 
-def evaluate_response_by_index(net, lam, mode):
+def direct_response_by_index(net, lam):
     """The direct response of a network as one expression in node order,
     ``K + lam*C + lam*lam*M`` of :func:`node_major`, then
     :func:`schur_complement_by_index`: the reference for
-    ``response.evaluate_response`` of ``assemble(net)``."""
+    ``response._direct_response`` of ``assemble(net)``."""
     lam = complex(lam)
     K, M, b, i = node_major(net)
     pencil = SymMatrix(K + lam * net.rayleigh.damping(K, M) + lam * lam * M)
-    return schur_complement_by_index(pencil, b, i, mode)
+    return schur_complement_by_index(pencil, b, i)
+
+
+def direct_response(sys, lam, mode="pseudoinverse"):
+    """The direct response of an assembled system: the ``(n_b, n_b)``
+    :func:`schur_complement_by_index` of the interior of ``K + lam*C +
+    lam*lam*M``, with the bits of ``response._direct_response``; with
+    ``mode="inverse"`` a numerically singular interior block raises
+    :class:`AtResonance`."""
+    lam = complex(lam)
+    K, M = sys.K.a, sys.M.a
+    pencil = SymMatrix(K + lam * sys.rayleigh.damping(K, M) + lam * lam * M)
+    return schur_complement_by_index(pencil, range(sys.n_b), range(sys.n_b, sys.order), mode).a
 
 
 def modal_by_system(red):
@@ -203,7 +216,7 @@ def reconstruction_error_by_point(net, cr, lams):
     """The extraction self-check point by point: at each of ``lams`` the
     pencil ``K + lam*C + lam*lam*M`` in node order (:func:`node_major`),
     its four blocks gathered by index and one LU solve, the pseudoinverse
-    :func:`evaluate_response_by_index` where that fails or deviates. The
+    :func:`direct_response_by_index` where that fails or deviates. The
     full-pencil reference for ``response._reconstruction_error`` of
     ``assemble(net)``."""
     return full_pencil_check(*node_major(net), net.rayleigh, lams)(cr)
@@ -262,7 +275,7 @@ def _point_check(full, b, i, lams, parts, pb, pi):
     interior ``pi``, solved once; where it fails or deviates, the
     pseudoinverse value of the pencil of ``full`` with boundary ``b`` and
     interior ``i`` counts, with the bits of
-    :func:`evaluate_response_by_index`, computed once a point when a form
+    :func:`direct_response_by_index`, computed once a point when a form
     first needs it. The floor is that of ``full``."""
     K, C, M = full
     norms = [np.abs(x).max() for x in full]
@@ -283,7 +296,7 @@ def _point_check(full, b, i, lams, parts, pb, pi):
         if p not in pinv:
             lam = complex(lams[p])
             pencil = SymMatrix(K + lam * C + lam * lam * M)
-            pinv[p] = schur_complement_by_index(pencil, b, i, "pseudoinverse").a
+            pinv[p] = schur_complement_by_index(pencil, b, i).a
         return pinv[p]
 
     def gap(closed, value, floor):

@@ -11,7 +11,6 @@ from numpy.testing import assert_allclose
 from elastonet import (
     AsymmetricMatrix,
     DimensionMismatch,
-    SingularBlock,
     SymMatrix,
     is_psd,
     linalg,
@@ -32,10 +31,10 @@ def boundary_first(a, boundary, interior):
     return a[np.ix_(order, order)], len(boundary)
 
 
-def schur_of(a, boundary, interior, mode="inverse"):
+def schur_of(a, boundary, interior):
     """``schur_complement`` of a ``SymMatrix`` under any partition: one
     gather by :func:`boundary_first`, then the kernel."""
-    return schur_complement(*boundary_first(a.a, boundary, interior), mode)
+    return schur_complement(*boundary_first(a.a, boundary, interior))
 
 
 def random_spd(rng, n, shift=0.1):
@@ -206,7 +205,7 @@ class TestSchurComplement:
         # transverse direction is a floppy zero that the pseudoinverse drops
         k, nb = assembled_chain.K, assembled_chain.n_b
         assert_allclose(k.a[nb:, nb:], [[2.0, 0.0], [0.0, 0.0]])
-        s = schur_complement(k.a, nb, mode="pseudoinverse")
+        s = schur_complement(k.a, nb)
         expected = 0.5 * np.array(
             [
                 [1.0, 0.0, -1.0, 0.0],
@@ -222,7 +221,7 @@ class TestSchurComplement:
         # interior equilibrium in the least-squares sense, read the forces
         k, nb = assembled_chain.K.a, assembled_chain.n_b
         b, i = list(range(nb)), list(range(nb, len(k)))
-        s = schur_complement(k, nb, mode="pseudoinverse")
+        s = schur_complement(k, nb)
         rng = np.random.default_rng(42)
         for _ in range(5):
             ub = rng.standard_normal(len(b))
@@ -230,22 +229,12 @@ class TestSchurComplement:
             fb = k[np.ix_(b, b)] @ ub + k[np.ix_(b, i)] @ ui
             assert_allclose(fb, s.a @ ub, atol=1e-12)
 
-    def test_singular_block_raises_with_value(self):
+    def test_singular_block_is_truncated(self):
+        # the interior block [[1, 1], [1, 1]] has rank one and no coupling
         a = SymMatrix(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0]]))
-        with pytest.raises(SingularBlock) as info:
-            schur_complement(a.a, 1)
         s = np.linalg.svd(a.a[1:, 1:])[1]
-        assert info.value.smallest_singular_value == s[-1]
-        assert str(info.value) == (
-            f"interior block numerically singular: smallest singular value "
-            f"{s[-1]:.3e} vs threshold {PINV_TOL * s[0]:.3e}"
-        )
-        # pseudoinverse mode handles the same block
-        schur_complement(a.a, 1, mode="pseudoinverse")
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            schur_complement(np.eye(2), 1, mode="lu")
+        assert s[-1] <= PINV_TOL * s[0]
+        assert schur_complement(a.a, 1).a.tolist() == [[1.0]]
 
 
 class TestSchurComplements:
@@ -275,7 +264,7 @@ class TestSchurComplements:
         bi = np.ix_(boundary, interior)
         for m in a:
             expected = m[b] - m[bi] @ np.linalg.pinv(m[i], rcond=PINV_TOL) @ m[bi].T
-            s = schur_of(SymMatrix(m), boundary, interior, "pseudoinverse").a
+            s = schur_of(SymMatrix(m), boundary, interior).a
             assert_allclose(s, expected, rtol=0, atol=1e-10 * np.abs(m).max())
 
     def test_empty_blocks(self):
@@ -336,42 +325,27 @@ class TestSchurKernelAgainstTheIndexGather:
     that gathers its three blocks by index from any partition
     (``oracles.schur_complement_by_index``)."""
 
+    # a full-rank interior block, where the pseudoinverse is the inverse,
+    # and a rank-deficient one, where it truncates
     @pytest.mark.parametrize("scattered", [False, True])
-    @pytest.mark.parametrize("mode", ["inverse", "pseudoinverse"])
+    @pytest.mark.parametrize("interior", ["inverse", "pseudoinverse"])
     @pytest.mark.parametrize("complex_part", [False, True])
-    def test_bitwise_equal(self, complex_part, mode, scattered):
+    def test_bitwise_equal(self, complex_part, interior, scattered):
         rng = np.random.default_rng(29)
+        full = interior == "inverse"
         for n in (2, 3, 7, 12, 30, 61):
             for nb in sorted({1, n // 3, n - 1}):
-                # a rank-deficient interior block where the pseudoinverse truncates
-                g = rng.standard_normal((n, n if mode == "inverse" else max(1, n // 2)))
-                a = g @ g.T + (0.1 * np.eye(n) if mode == "inverse" else 0.0)
+                g = rng.standard_normal((n, n if full else max(1, n // 2)))
+                a = g @ g.T + (0.1 * np.eye(n) if full else 0.0)
                 if complex_part:
                     h = rng.standard_normal((n, n))
                     a = a + 1j * (h @ h.T)
                 a = SymMatrix(a)
                 order = rng.permutation(n) if scattered else np.arange(n)
-                want = schur_complement_by_index(a, order[:nb], order[nb:], mode).a
-                got = schur_of(a, order[:nb], order[nb:], mode).a
+                want = schur_complement_by_index(a, order[:nb], order[nb:]).a
+                got = schur_of(a, order[:nb], order[nb:]).a
                 assert got.dtype == want.dtype
                 assert got.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("scattered", [False, True])
-    def test_a_singular_interior_block_still_raises(self, scattered):
-        # coordinates 1 and 2 have equal rows, so every interior block holding both is singular
-        a = SymMatrix(np.array([
-            [2.0, 1.0, 1.0, 0.5],
-            [1.0, 1.0, 1.0, 0.0],
-            [1.0, 1.0, 1.0, 0.0],
-            [0.5, 0.0, 0.0, 3.0],
-        ]))
-        order = [3, 1, 0, 2] if scattered else [0, 1, 2, 3]
-        errors = []
-        for kernel in (schur_complement_by_index, schur_of):
-            with pytest.raises(SingularBlock) as info:
-                kernel(a, order[:1], order[1:])
-            errors.append((str(info.value), info.value.smallest_singular_value))
-        assert errors[0] == errors[1]
 
 
 def counting(monkeypatch, name):
@@ -413,7 +387,7 @@ class TestEighSchurComplement:
         kept = w[w > PINV_TOL * w.max()]
         assert len(kept) == n - nb - floppy
         assert kept.min() > 10 * linalg.EIGH_GUARD * w.max()
-        want = schur_complement(a, nb, "pseudoinverse").a
+        want = schur_complement(a, nb).a
         svds = counting(monkeypatch, "svd")
         got = linalg.schur_complement_eigh(a, nb).a
         assert svds == []
@@ -426,7 +400,7 @@ class TestEighSchurComplement:
         q, _ = np.linalg.qr(rng.standard_normal((9, 9)))
         block = (q * np.geomspace(1.0, ratio, 9)) @ q.T
         a = symmetrized(with_interior(rng, block, 4))
-        want = schur_complement(a, 4, "pseudoinverse").a
+        want = schur_complement(a, 4).a
         svds = counting(monkeypatch, "svd")
         got = linalg.schur_complement_eigh(a, 4).a
         assert svds == [(9, 9)]
@@ -434,7 +408,7 @@ class TestEighSchurComplement:
 
     def test_a_zero_block_gets_the_svd_bits(self):
         a = with_interior(np.random.default_rng(4), np.zeros((3, 3)), 2)
-        want = schur_complement(a, 2, "pseudoinverse").a
+        want = schur_complement(a, 2).a
         assert linalg.schur_complement_eigh(a, 2).a.tobytes() == want.tobytes()
         assert np.array_equal(want, a[:2, :2])
 

@@ -2,7 +2,6 @@
 
 import hashlib
 import importlib
-import itertools
 from dataclasses import replace
 from functools import cached_property
 
@@ -22,7 +21,6 @@ from elastonet import (
     RayleighParams,
     ReconstructionMismatch,
     SchemaError,
-    SingularBlock,
     Spring,
     SymMatrix,
     SystemMatrices,
@@ -36,7 +34,6 @@ from elastonet import (
     eliminate_massless,
     evaluate_canonical,
     evaluate_reduced,
-    evaluate_response,
     extract_canonical,
     is_psd,
     random_network,
@@ -52,7 +49,8 @@ from elastonet.response import RESONANCE_CLEARANCE, _cluster_ascending
 from conftest import axial_block, shuffled_nodes
 from oracles import (
     canonical_block_twin,
-    evaluate_response_by_index,
+    direct_response,
+    direct_response_by_index,
     exact_response,
     full_pencil_check,
     modal_by_system,
@@ -70,21 +68,29 @@ def scalar_response(k, m, alpha, beta, lam):
     return damp * k - (damp * k) ** 2 / (damp * k + (beta * lam + lam * lam) * m)
 
 
+def respond(sys, lam):
+    """The response ``respond`` answers with: :func:`evaluate_reduced` of
+    the system's massless elimination."""
+    return evaluate_reduced(eliminate_massless(sys), lam).W.a
+
+
 class TestEvaluateResponse:
+    """The response of small networks against their closed forms."""
+
     def test_no_interior_nodes_gives_full_pencil(self, single_spring_terminals):
         sys = assemble(single_spring_terminals)
         for lam in (0.0, 1.0 + 2.0j, -0.5j):
-            w = evaluate_response(sys, lam).W.a
+            w = respond(sys, lam)
             assert_allclose(w, axial_block(), atol=1e-15)
 
     def test_chain_static_pseudoinverse_is_series_spring(self, assembled_chain):
-        w = evaluate_response(assembled_chain, 0.0, mode="pseudoinverse").W.a
+        w = respond(assembled_chain, 0.0)
         assert_allclose(w, axial_block(0.5), atol=1e-14)
 
     def test_single_mass_matches_scalar_formula(self, terminal_plus_mass):
         sys = assemble(terminal_plus_mass)
         lam = 0.5j
-        w = evaluate_response(sys, lam).W.a
+        w = respond(sys, lam)
         expected = scalar_response(1.0, 1.0, 0.0, 0.0, lam)
         assert_allclose(w[0, 0], expected)
         assert_allclose(expected, 1.0 - 1.0 / 0.75)
@@ -93,7 +99,7 @@ class TestEvaluateResponse:
     def test_resonance_raises(self, terminal_plus_mass):
         sys = assemble(terminal_plus_mass)
         with pytest.raises(AtResonance):
-            evaluate_response(sys, 1.0j)  # sigma = 1 pole of the undamped system
+            respond(sys, 1.0j)  # sigma = 1 pole of the undamped system
 
     def test_damped_scalar_formula(self):
         nodes = (Node((0.0, 0.0), 0.0, True), Node((1.0, 0.0), 2.0, False))
@@ -102,7 +108,7 @@ class TestEvaluateResponse:
         )
         sys = assemble(net)
         for lam in (0.2 + 0.9j, -0.1 + 2.0j):
-            w = evaluate_response(sys, lam).W.a
+            w = respond(sys, lam)
             assert_allclose(w[0, 0], scalar_response(1.5, 2.0, 0.3, 0.7, lam))
 
 
@@ -138,7 +144,7 @@ class TestEliminateMassless:
         avoid = system_resonances(net.rayleigh, red.modal[0])
         rng = np.random.default_rng(seed)
         for lam in sample_nonresonant(rng, avoid, 10):
-            full = evaluate_response(sys, lam, mode="pseudoinverse").W.a
+            full = direct_response(sys, lam)
             reduced = evaluate_reduced(red, lam).W.a
             scale = max(np.abs(full).max(), 1e-300)
             assert np.abs(full - reduced).max() <= 1e-9 * scale
@@ -160,7 +166,8 @@ class TestEliminateMassless:
 
 
 def reduced_pencil_response(red, lam):
-    """Direct Schur complement of a reduced system's interior pencil."""
+    """Direct Schur complement of a reduced system's interior pencil;
+    :class:`AtResonance` where its interior block is numerically singular."""
     sys = SystemMatrices(
         K=red.Ktilde,
         node_masses=np.concatenate([red.Mbb, red.Mjj])[::red.dimension],
@@ -168,7 +175,7 @@ def reduced_pencil_response(red, lam):
         rayleigh=red.rayleigh,
         terminal_positions=red.terminal_positions,
     )
-    return evaluate_response(sys, lam).W.a
+    return direct_response(sys, lam, "inverse")
 
 
 def chain_network(middle_mass):
@@ -208,8 +215,15 @@ class TestModalSweep:
 
     @pytest.mark.parametrize("name", MODAL_CASES)
     def test_matches_direct_schur(self, name):
-        sys = assemble(MODAL_CASES[name]())
+        net = MODAL_CASES[name]()
+        sys = assemble(net)
         red = eliminate_massless(sys)
+        # real points against the rational-arithmetic response, which holds
+        # on stiff networks where a truncated pseudoinverse does not
+        for lam in (0.5, 1.0, 3.0):
+            exact = exact_response(net, lam)
+            modal = evaluate_reduced(red, lam).W.a
+            assert np.abs(modal - exact).max() <= 1e-12 * np.abs(exact).max(), (name, lam)
         avoid = system_resonances(sys.rayleigh, red.modal[0])
         points = list(sample_nonresonant(np.random.default_rng(0), avoid, 12))
         if sys.rayleigh.alpha > 0.0:
@@ -220,11 +234,7 @@ class TestModalSweep:
         for lam in points:
             assert np.abs(np.asarray(avoid) - lam).min() >= RESONANCE_CLEARANCE
             modal = evaluate_reduced(red, lam).W.a
-            direct = (
-                reduced_pencil_response(red, lam),
-                evaluate_response(sys, lam, mode="pseudoinverse").W.a,
-            )
-            for w in direct:
+            for w in (reduced_pencil_response(red, lam), direct_response(sys, lam)):
                 scale = max(np.abs(w).max(), 1e-300)
                 assert np.abs(modal - w).max() <= 1e-9 * scale, (name, lam)
 
@@ -361,7 +371,7 @@ class TestExtractCanonical:
         avoid = system_resonances(net.rayleigh, red.modal[0])
         rng = np.random.default_rng(100 + seed)
         for lam in sample_nonresonant(rng, avoid, 10):
-            direct = evaluate_response(sys, lam, mode="pseudoinverse").W.a
+            direct = direct_response(sys, lam)
             closed = evaluate_canonical(cr, lam).W.a
             scale = max(np.abs(direct).max(), 1e-300)
             assert np.abs(direct - closed).max() <= 1e-8 * scale
@@ -426,16 +436,16 @@ def test_near_floppy_network_extracts(case):
 
 
 def count_fallbacks(monkeypatch):
-    """Record ``(mode, order)`` of every SVD Schur complement of a complex
-    pencil the extraction self-check makes; the elimination's, of the real
-    ``K``, are not counted."""
+    """Record the order of every SVD Schur complement of a complex pencil
+    the extraction self-check makes; the elimination's, of the real ``K``,
+    are not counted."""
     calls = []
     original = response.schur_complement
 
-    def counting(a, nb, mode="inverse"):
+    def counting(a, nb):
         if np.iscomplexobj(a):
-            calls.append((mode, len(a)))
-        return original(a, nb, mode)
+            calls.append(len(a))
+        return original(a, nb)
 
     monkeypatch.setattr(response, "schur_complement", counting)
     return calls
@@ -475,7 +485,7 @@ class TestExtractionSelfCheck:
         cr = extract_canonical(assembled_chain)
         order, nb = assembled_chain.order, assembled_chain.n_b
         assert solves == [("real", order, nb)]
-        assert calls == [("pseudoinverse", order)] * 20
+        assert calls == [order] * 20
         assert_allclose(cr.A.a, axial_block(0.5), atol=1e-14)
 
     def test_perturbed_residue_is_still_rejected(self, monkeypatch):
@@ -489,7 +499,23 @@ class TestExtractionSelfCheck:
         sys = assemble(random_network(3, 3, 4, 10, 1.0))
         with pytest.raises(ReconstructionMismatch, match="deviates from the direct"):
             extract_canonical(sys)
-        assert calls == [("pseudoinverse", sys.order)] * 20
+        assert calls == [sys.order] * 20
+
+    # with a massless interior, condensed once, and without one
+    @pytest.mark.parametrize("mass_fraction", [0.5, 1.0])
+    def test_the_check_reads_neither_m_nor_c(self, monkeypatch, mass_fraction):
+        # the point floor takes max|C| and max|M| from K and the node
+        # masses; only a point that falls back builds the dense pencil
+        sys = assemble(random_network(1, 3, 6, 60, mass_fraction))
+
+        def refused(_):
+            raise AssertionError("the dense M or C was read")
+
+        for name in ("M", "C"):
+            monkeypatch.setattr(SystemMatrices, name, property(refused))
+        calls = count_fallbacks(monkeypatch)
+        extract_canonical(sys)
+        assert calls == []
 
     def test_a_massless_interior_is_eliminated_once(self, monkeypatch):
         # one real LU of the massless block, then each point solves only
@@ -515,7 +541,7 @@ class TestExtractionSelfCheck:
         calls, solves = count_fallbacks(monkeypatch), count_solves(monkeypatch)
         cr = extract_canonical(sys)
         assert solves == [("real", 4, 2)]
-        assert calls == [("pseudoinverse", 4)] * 20
+        assert calls == [4] * 20
         assert_allclose(cr.A.a, np.diag([0.75, 1.0]))
 
     def test_a_zero_pivot_sends_only_its_point_to_the_fallback(self, monkeypatch):
@@ -541,7 +567,7 @@ class TestExtractionSelfCheck:
             red = eliminate_massless(sys)
             extract_canonical(sys)
             assert solves == [red.n_b + len(red.Mjj)] * 20
-            assert calls == [("pseudoinverse", sys.order)]
+            assert calls == [sys.order]
 
 
 def reversed_nodes(net):
@@ -602,15 +628,9 @@ class TestKernelsAgainstTheIndexGather:
     def test_direct_response(self, d, mass_fraction):
         for net in self.networks(d, mass_fraction):
             sys = assemble(net)
-            lams = [0.3, *sample_nonresonant(np.random.default_rng(d), [], 3)]
-            for lam, mode in itertools.product(lams, ("inverse", "pseudoinverse")):
-                try:
-                    want = evaluate_response_by_index(net, lam, mode).a
-                except SingularBlock:
-                    with pytest.raises(AtResonance):
-                        evaluate_response(sys, lam, mode)
-                    continue
-                assert same_bits(evaluate_response(sys, lam, mode).W.a, want)
+            for lam in [0.3, *sample_nonresonant(np.random.default_rng(d), [], 3)]:
+                want = direct_response_by_index(net, lam).a
+                assert same_bits(response._direct_response(sys, lam).a, want)
 
 
 def self_check_error(sys, cr, lams):
@@ -636,13 +656,40 @@ class TestSelfCheckAgainstThePointLoop:
             assert worst == reconstruction_error_massless_once(net, cr, lams)
             assert worst <= response.ROUNDTRIP_TOL
 
+    # max|K|, max|C| and max|M| come from K and the node masses; the
+    # hand-built K takes its largest entry off the diagonal, or on it with
+    # a negative sign, so that no part of max|C| can be left out
+    @pytest.mark.parametrize("case", ["network", "off-diagonal", "negative diagonal"])
+    def test_point_floor_has_the_bits_of_the_dense_norms(self, monkeypatch, case):
+        if case == "network":
+            sys = assemble(random_network(2, 3, 4, 10, 0.5, alpha=0.3, beta=0.7))
+        else:
+            k = np.diag([-1.0 if case == "off-diagonal" else -4.0, 0.5, 2.0, 1.0])
+            k[0, 2] = k[2, 0] = 3.0
+            sys = SystemMatrices(SymMatrix(k), [0.0, 1.5], 2, RayleighParams(1.0, 0.1),
+                                 np.zeros((1, 2)))
+        floors = []
+        gap = response._relative_gap
+
+        def recording(closed, direct, floor):
+            floors.append(floor)
+            return gap(closed, direct, floor)
+
+        monkeypatch.setattr(response, "_relative_gap", recording)
+        lams = self_check_points(sys)
+        self_check_error(sys, extract_canonical(sys, check=False), lams)
+        norms = [np.abs(x.a).max() for x in (sys.K, sys.C, sys.M)]
+        want = [1e-4 * (norms[0] + norms[1] * abs(lam) + norms[2] * abs(lam) ** 2)
+                for lam in lams]
+        assert set(floors) == set(want) and len(floors) >= len(lams)
+
     def test_every_point_falls_back_on_the_chain(self, monkeypatch, collinear_chain):
         sys = assemble(collinear_chain)
         calls = count_fallbacks(monkeypatch)
         cr = extract_canonical(sys, check=False)
         lams = self_check_points(sys)
         worst = self_check_error(sys, cr, lams)
-        assert calls == [("pseudoinverse", sys.order)] * 20
+        assert calls == [sys.order] * 20
         assert worst == reconstruction_error_massless_once(collinear_chain, cr, lams)
         assert worst == reconstruction_error_by_point(collinear_chain, cr, lams)
 
@@ -679,10 +726,10 @@ def memoized_fallback(monkeypatch):
     memo = {}
     original = response.schur_complement
 
-    def memoized(a, nb, mode="inverse"):
-        key = (a.shape, nb, mode, hashlib.sha256(a.tobytes()).digest())
+    def memoized(a, nb):
+        key = (a.shape, nb, hashlib.sha256(a.tobytes()).digest())
         if key not in memo:
-            memo[key] = original(a, nb, mode)
+            memo[key] = original(a, nb)
         return memo[key]
 
     monkeypatch.setattr(response, "schur_complement", memoized)
@@ -1106,9 +1153,11 @@ class TestNonResonantSampling:
 
 
 class TestAgainstExactResponse:
-    """``evaluate_response`` agrees with the rational-arithmetic response
-    (``oracles.exact_response``) to rounding at real ``lambda > 0``, with the
-    terminals leading and with the nodes shuffled."""
+    """The response ``respond`` answers with (:func:`evaluate_reduced` of
+    the massless elimination) and the tests' direct Schur oracle
+    (``oracles.direct_response``) agree with the rational-arithmetic
+    response (``oracles.exact_response``) to rounding at real ``lambda >
+    0``, with the terminals leading and with the nodes shuffled."""
 
     @pytest.mark.parametrize(
         "mass_fraction,mode", [(0.5, "inverse"), (0.0, "pseudoinverse")]
@@ -1121,8 +1170,8 @@ class TestAgainstExactResponse:
             assert sys.order == 12
             for lam in (0.5, 1.0, 3.0):
                 exact = exact_response(net, lam)
-                got = evaluate_response(sys, lam, mode).W.a
-                assert np.abs(got - exact).max() <= 1e-12 * np.abs(exact).max(), lam
+                for got in (respond(sys, lam), direct_response(sys, lam, mode)):
+                    assert np.abs(got - exact).max() <= 1e-12 * np.abs(exact).max(), lam
 
 
 class TestSystemResonances:
