@@ -736,10 +736,13 @@ class TestStackedEvaluation:
                 evaluate_generalized(gn, lam).W.a, per_component(gn, lam, mode)
             )
 
-    def test_empty_network_is_exactly_zero(self):
+    @pytest.mark.parametrize("mode", ["inverse", "pseudoinverse"])
+    def test_empty_network_is_exactly_zero(self, mode):
         gn = with_components(synthesized(extracted(1, nt=3), seed=1), ())
-        w = evaluate_generalized(gn, 0.5 + 1.5j).W.a
+        lam = 0.5 + 1.5j
+        w = evaluate_generalized(gn, lam).W.a
         assert np.array_equal(w, np.zeros((6, 6), dtype=complex))
+        assert np.array_equal(w, per_component(gn, lam, mode))
 
     def test_a_resonance_gives_the_truncated_sum(self):
         # at a root of one mode's q(lambda) the gadget of that mode has a
