@@ -94,7 +94,8 @@ class _Floats:
         of each slot into ``out``."""
         values = np.concatenate(self.arrays) if self.arrays else np.empty(0)
         texts, pos, done = [], 0, 0
-        for slot in self.slots:
+        for k, slot in enumerate(self.slots):
+            self.slots[k] = None  # a record list's template is its own: let it go
             scalar = type(slot) is int
             count = 1 if scalar else slot[1]
             if pos + count > len(texts):
@@ -161,6 +162,8 @@ def _encode_list(seq, level, out, floats):
     if not seq:
         out.append("[]")
         return
+    if _encode_records(seq, level, out, floats):
+        return
     sep = ",\n" + INDENT * (level + 1)
     out.append("[" + sep[1:])
     for k, value in enumerate(seq):
@@ -168,6 +171,89 @@ def _encode_list(seq, level, out, floats):
             out.append(sep)
         _encode(value, level + 1, out, floats)
     out.append("\n" + INDENT * level + "]")
+
+
+# the text of a column of one of these types, item by item
+_TEXTS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+}
+
+
+def _encode_records(seq, level, out, floats):
+    """Write a list of two or more dicts that share one set of str keys
+    column by column, and return whether it did.
+
+    Each column must be all floats, all lists or tuples of one length of
+    floats, or all of one type of ``str``, ``int`` and ``bool``, whose
+    items are written as their text now. The list is one record template
+    repeated: its text columns fill it here, and its floats join the run
+    as one block, in document order. The template is built from texts of
+    one record's size, not one text of the whole list, so that no large
+    text is made and dropped per list. Any other list, and one whose text
+    ``json.dumps`` would refuse (an integer too long to write), is left to
+    the item-by-item walk, so the text and the errors stay those of
+    ``json.dumps``.
+    """
+    first = seq[0]
+    if len(seq) < 2 or {*map(type, seq)} != {dict} or not first:
+        return False
+    keys = sorted(first) if {*map(type, first)} == {str} else None
+    if keys is None or not all(map(first.keys().__eq__, map(dict.keys, seq))):
+        return False
+    # the record's text, with \0 for a float and \1 for a text column's
+    # item: encoded keys and texts hold neither
+    inner = INDENT * (level + 2)
+    pieces, texts, blocks = [], [], []
+    for key in keys:
+        column = [row[key] for row in seq]
+        kinds = {*map(type, column)}
+        if all(map(isinstance, column, repeat(float))):
+            value, block = "\0", zip(column)
+        elif kinds <= {list, tuple} and len({*map(len, column)}) == 1 and all(
+            map(isinstance, chain.from_iterable(column), repeat(float))
+        ):
+            value, block = _block_text((len(first[key]),), level + 2).replace("%s", "\0"), column
+        elif len(kinds) == 1 and kinds <= _TEXTS.keys():
+            try:
+                texts.append(list(map(_TEXTS[kinds.pop()], column)))
+            except ValueError:  # an integer past the digit limit of str()
+                return False
+            value, block = "\1", None
+        else:
+            return False
+        pieces.append(inner + encode_basestring_ascii(key) + ": " + value)
+        if block is not None:
+            blocks.append(block)
+    record = "{\n" + ",\n".join(pieces) + "\n" + INDENT * (level + 1) + "}"
+    # the record's stretches between its floats, each as one text a record
+    texts = iter(texts)
+    stretches = []
+    for stretch in record.split("\0"):
+        parts = stretch.split("\1")
+        items = [[parts[0]] * len(seq)]
+        for part in parts[1:]:
+            items += [next(texts), repeat(part)]
+        stretches.append(list(map("".join, zip(*items))))
+    sep = ",\n" + INDENT * (level + 1)
+    head, tail = "[" + sep[1:], "\n" + INDENT * level + "]"
+    if len(stretches) == 1:  # no floats
+        out.append(head + sep.join(stretches[0]) + tail)
+        return True
+    # the list's text between its floats: a record's first stretch joins
+    # the last stretch of the record before it
+    opening, *middle, closing = stretches
+    step = len(stretches) - 1
+    text = [None] * (step * len(seq) + 1)
+    text[:-1:step] = map("".join, zip(chain([""], closing), chain([head], repeat(sep)), opening))
+    for g, stretch in enumerate(middle, 1):
+        text[g::step] = stretch
+    text[-1] = closing[-1] + tail
+    template = [None] * (2 * len(text) - 1)
+    template[::2] = text
+    floats.add(out, list(chain.from_iterable(chain.from_iterable(zip(*blocks)))), template)
+    return True
 
 
 def _encode_dict(obj, level, out, floats):

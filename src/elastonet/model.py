@@ -253,6 +253,12 @@ class SystemMatrices:
         return SymMatrix(self.rayleigh.damping(self.K.a, self.M.a))
 
 
+def _row_norms(dx):
+    """The Euclidean norm of each row of ``dx``: the same bits as
+    ``np.linalg.norm`` of the row, which einsum and norm(axis=1) are not."""
+    return np.sqrt(np.matmul(dx[:, None, :], dx[:, :, None])[:, 0, 0])
+
+
 def spring_directions(positions, i, j):
     """Unit vectors along ``x_i - x_j`` for index arrays ``i`` and ``j``.
 
@@ -260,9 +266,7 @@ def spring_directions(positions, i, j):
     length unit; the first such pair raises :class:`DegenerateSpring`.
     """
     dx = positions[i] - positions[j]
-    # the same bits as np.linalg.norm of each row, which einsum and
-    # norm(axis=1) are not
-    length = np.sqrt(np.matmul(dx[:, None, :], dx[:, :, None])[:, 0, 0])
+    length = _row_norms(dx)
     bad = np.flatnonzero(length <= 1e-12 * np.abs(positions).max())
     if bad.size:
         k = bad[0]
@@ -369,14 +373,12 @@ def random_network(
         raise GenerationFailed("a single-node network has no springs")
     rng = np.random.default_rng(seed)
 
-    positions = []
-    for _ in range(n_total):
+    positions = np.empty((n_total, d))
+    for placed in range(n_total):
         for _attempt in range(200):
             cand = rng.uniform(0.0, 1.0, size=d)
-            if all(
-                np.linalg.norm(cand - p) >= MIN_NODE_SEPARATION for p in positions
-            ):
-                positions.append(cand)
+            if (_row_norms(cand - positions[:placed]) >= MIN_NODE_SEPARATION).all():
+                positions[placed] = cand
                 break
         else:
             raise GenerationFailed(
@@ -389,12 +391,13 @@ def random_network(
     for k in range(1, n_total):
         ends.append((int(order[k]), int(order[rng.integers(0, k)])))
         stiffness.append(rng.uniform(0.5, 2.0))
-    tree_pairs = {(min(e), max(e)) for e in ends}
-    for a in range(n_total):
-        for b in range(a + 1, n_total):
-            if (a, b) not in tree_pairs and rng.random() < 0.3:
-                ends.append((a, b))
-                stiffness.append(rng.uniform(0.5, 2.0))
+    tree = np.array(ends)
+    in_tree = np.zeros((n_total, n_total), dtype=bool)
+    in_tree[tree.min(1), tree.max(1)] = True
+    a, b = np.nonzero(np.triu(~in_tree, 1))  # the other pairs in row-major order
+    a, b, extra = _extra_pairs(rng, a, b)
+    i, j = np.concatenate([tree, np.stack([a, b], 1)]).T
+    stiffness = np.concatenate([stiffness, extra])
 
     n_massive = int(round(mass_fraction * n_interior))
     massive = set(
@@ -412,7 +415,40 @@ def random_network(
         alpha if alpha is not None else rng.uniform(0.0, 2.0),
         beta if beta is not None else rng.uniform(0.0, 2.0),
     )
-    return ElastodynamicNetwork(d, tuple(nodes), SpringColumns(*zip(*ends), stiffness), ray)
+    return ElastodynamicNetwork(d, tuple(nodes), SpringColumns(i, j, stiffness), ray)
+
+
+def _extra_pairs(rng, a, b):
+    """The pairs ``(a, b)`` that each take a spring with probability 0.3,
+    and their stiffnesses, from the stream that draws, pair by pair, one
+    ``rng.random()`` and for a pair taken one ``rng.uniform(0.5, 2.0)``
+    (bitwise ``0.5 + 1.5 * rng.random()``).
+
+    No pair takes more than two doubles, so the stream is drawn in one
+    block of twice the pairs and walked; then the generator's state is
+    restored and exactly the doubles used are drawn again, which leaves it
+    as the pair-by-pair draws would (``bit_generator.advance`` would not:
+    it drops the 32-bit half that ``rng.integers`` keeps buffered).
+
+    A stiffness follows each draw below 0.3 that decides a pair, and a
+    decision follows a stiffness, so a run of draws below 0.3 starts with a
+    decision and alternates: a draw is a stiffness exactly when the run of
+    draws below 0.3 just before it has odd length.
+    """
+    if not a.size:
+        return a, b, np.empty(0)
+    state = rng.bit_generator.state
+    u = rng.random(2 * a.size)
+    low = u < 0.3
+    at = np.arange(u.size)
+    run = at - np.maximum.accumulate(np.where(low, -1, at))  # draws below 0.3 ending here
+    stiff = np.zeros(u.size, dtype=bool)
+    stiff[1:] = run[:-1] % 2 == 1
+    decision = np.flatnonzero(~stiff)[:a.size]
+    taken = low[decision]
+    rng.bit_generator.state = state
+    rng.random(decision[-1] + 1 + taken[-1])
+    return a[taken], b[taken], 0.5 + 1.5 * u[decision[taken] + 1]
 
 
 # ---------------------------------------------------------------------------

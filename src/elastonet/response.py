@@ -424,13 +424,18 @@ def extract_canonical(
                 f"(threshold {tol_floppy * knorm:.3e})"
             )
     live = np.nonzero(~floppy)[0]
-    for group in _cluster_ascending([float(sigmas[i]) for i in live], tol_cluster):
-        members = [live[g] for g in group]
-        sigma_j = float(np.mean([sigmas[i] for i in members]))
-        r = np.zeros((nb, nb))
-        for i in members:
-            r += np.outer(v[:, i], v[:, i])
-        modes.append(Mode(sigma_j, SymMatrix(r)))
+    # every live mode's v_i v_i^T in one product; += 0.0 writes +0.0 where
+    # a product is -0.0, as summing from zeros does. A singleton cluster's
+    # residue is its slice, kept without a copy.
+    outer = v.T[live, :, None] * v.T[live, None, :]
+    outer += 0.0
+    for group in _cluster_ascending(sigmas[live].tolist(), tol_cluster):
+        r = outer[group[0]]
+        for g in group[1:]:  # in member order
+            r = r + outer[g]
+        members = sigmas[live[group]]
+        sigma_j = members[0] if len(group) == 1 else np.mean(members)
+        modes.append(Mode(float(sigma_j), SymMatrix(r, copy=False)))
     cr = CanonicalResponse(
         rayleigh=red.rayleigh,
         A=a_block,

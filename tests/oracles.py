@@ -8,6 +8,7 @@ from elastonet import (
     AtResonance,
     DimensionMismatch,
     ElastodynamicNetwork,
+    GenerationFailed,
     IdealElasticElement,
     Node,
     NotCharacterizable,
@@ -18,9 +19,12 @@ from elastonet import (
     ZeroForce,
     check_balanced,
 )
+from elastonet import model
 from elastonet.geometry import cross, project_balanced
 from elastonet.linalg import EIGH_GUARD, PINV_TOL
 from elastonet.model import (
+    RayleighParams,
+    SpringColumns,
     assemble_elements,
     node_from_dict,
     rayleigh_from_dict,
@@ -189,6 +193,78 @@ def network_from_dict_by_spring(obj, path="network"):
         return ElastodynamicNetwork(d, tuple(nodes), merge_by_spring(springs, len(nodes)), ray)
     except ValueError as exc:
         raise SchemaError(f"{path}: {exc}") from exc
+
+
+def random_network_by_pair(
+    seed,
+    d,
+    n_terminals,
+    n_interior,
+    mass_fraction,
+    alpha=None,
+    beta=None,
+):
+    """``random_network`` drawing its stream one call at a time: one
+    ``np.linalg.norm`` per placed node in the separation test and one
+    ``rng.random()`` per non-tree node pair. The reference for the
+    generator, which draws the same stream in blocks."""
+    if d not in (2, 3):
+        raise ValueError(f"dimension must be 2 or 3, got {d}")
+    if n_terminals < 1:
+        raise ValueError("need at least one terminal node")
+    if n_interior < 0:
+        raise ValueError("n_interior must be >= 0")
+    if not 0.0 <= mass_fraction <= 1.0:
+        raise ValueError(f"mass_fraction must lie in [0, 1], got {mass_fraction}")
+    n_total = n_terminals + n_interior
+    if n_total < 2:
+        raise GenerationFailed("a single-node network has no springs")
+    rng = np.random.default_rng(seed)
+
+    positions = []
+    for _ in range(n_total):
+        for _attempt in range(200):
+            cand = rng.uniform(0.0, 1.0, size=d)
+            if all(
+                np.linalg.norm(cand - p) >= model.MIN_NODE_SEPARATION for p in positions
+            ):
+                positions.append(cand)
+                break
+        else:
+            raise GenerationFailed(
+                f"could not place {n_total} nodes at separation "
+                f">= {model.MIN_NODE_SEPARATION}"
+            )
+
+    ends, stiffness = [], []
+    order = rng.permutation(n_total)
+    for k in range(1, n_total):
+        ends.append((int(order[k]), int(order[rng.integers(0, k)])))
+        stiffness.append(rng.uniform(0.5, 2.0))
+    tree_pairs = {(min(e), max(e)) for e in ends}
+    for a in range(n_total):
+        for b in range(a + 1, n_total):
+            if (a, b) not in tree_pairs and rng.random() < 0.3:
+                ends.append((a, b))
+                stiffness.append(rng.uniform(0.5, 2.0))
+
+    n_massive = int(round(mass_fraction * n_interior))
+    massive = set(
+        int(i) for i in rng.choice(n_interior, size=n_massive, replace=False)
+    ) if n_interior else set()
+    nodes = []
+    for k in range(n_terminals):
+        mass = rng.uniform(0.5, 2.0) if rng.random() < 0.5 else 0.0
+        nodes.append(Node(tuple(positions[k]), mass, True))
+    for k in range(n_interior):
+        mass = rng.uniform(0.5, 2.0) if k in massive else 0.0
+        nodes.append(Node(tuple(positions[n_terminals + k]), mass, False))
+
+    ray = RayleighParams(
+        alpha if alpha is not None else rng.uniform(0.0, 2.0),
+        beta if beta is not None else rng.uniform(0.0, 2.0),
+    )
+    return ElastodynamicNetwork(d, tuple(nodes), SpringColumns(*zip(*ends), stiffness), ray)
 
 
 def assemble_by_spring(net):

@@ -4,7 +4,8 @@ formats floats only through its vectorized formatter;
 in synthesis only the direct oracle solves Schur complements,
 ``geometry.cross`` is the one cross product, only ``linalg`` repairs
 symmetry or takes an SVD, the one ``np.ix_`` gather is the massless split
-of ``eliminate_massless``, no module keeps a block partition, only
+of ``eliminate_massless``, the network model takes no per-pair
+``np.linalg.norm``, no module keeps a block partition, only
 ``response`` builds a ``ReducedSystem``, one pencil helper and one
 modal eigensolve remain, and the package's defaulted parameters stay
 within their budget."""
@@ -286,6 +287,41 @@ IX_GATHERS = {"response.py": 1}
 def test_only_linalg_gathers_blocks(module):
     assert len(ix_uses((PACKAGE / module).read_text())) == IX_GATHERS.get(module, 0)
     assert ix_uses((PACKAGE / "linalg.py").read_text()) == []
+
+
+def norm_uses(source):
+    """Lines of ``source`` that read ``np.linalg.norm``/``numpy.linalg.norm``
+    or import ``norm`` from numpy."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+            if any(a.name == "norm" for a in node.names):
+                lines.append(node.lineno)
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr == "norm"
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "linalg"
+            and isinstance(node.value.value, ast.Name)
+            and node.value.value.id in ("np", "numpy")
+        ):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_guard_reports_a_linalg_norm():
+    source = (
+        "import numpy as np\nfrom numpy.linalg import norm\nnp.linalg.norm(a)\n"
+        "norm(a)\nlinalg.norm(a)\nf = numpy.linalg.norm\n"
+    )
+    assert norm_uses(source) == [2, 3, 6]
+
+
+# the generator tests a placement against all placed nodes, and stamping
+# takes its spring lengths, by one row-norm product (model._row_norms), so
+# no per-pair norm loop comes back
+def test_no_linalg_norm_in_the_network_model():
+    assert norm_uses((PACKAGE / "model.py").read_text()) == []
 
 
 def scopes_calling(source, name):

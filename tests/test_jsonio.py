@@ -69,8 +69,40 @@ BLOCKS = (
     | ARRAYS.map(lambda a: [np.float64(x) for x in a.ravel()])
 )
 LARGE = st.builds(large_block, st.integers(0, 2**32 - 1), st.booleans())
+# strs that need escapes, and the writer's own placeholders
+TEXTS = st.text(max_size=4) | st.sampled_from(['"', "\\", "\n\t", "\x00\x01", "%s", "é☃"])
+SUBNORMALS = st.integers(1, 2**52 - 1).map(lambda m: float(np.uint64(m).view(float)))
+
+
+def record_column(n, floats):
+    """Columns of ``n`` items: floats (subnormals among them), np.float64,
+    float lists and tuples of one length, ragged float lists, ints, bools,
+    strs, None, and a mixed column."""
+    floats = floats | SUBNORMALS | SUBNORMALS.map(float.__neg__)
+    items = [floats, floats.map(np.float64), st.integers(), st.booleans(), TEXTS,
+             st.none(), floats | st.integers() | st.booleans() | TEXTS | st.none()]
+    lists = st.integers(0, 3).flatmap(
+        lambda length: st.lists(st.lists(floats, min_size=length, max_size=length),
+                                min_size=n, max_size=n))
+    return (
+        st.one_of([st.lists(item, min_size=n, max_size=n) for item in items])
+        | lists
+        | lists.map(lambda column: [tuple(row) for row in column])
+        | st.lists(st.lists(floats, max_size=3), min_size=n, max_size=n)
+    )
+
+
+@st.composite
+def record_lists(draw, floats=FINITE):
+    """Lists of two to four dicts that share one set of str keys."""
+    n = draw(st.integers(2, 4))
+    keys = draw(st.lists(TEXTS, min_size=1, max_size=3, unique=True))
+    columns = [draw(record_column(n, floats)) for _ in keys]
+    return [dict(zip(keys, row)) for row in zip(*columns)]
+
+
 PAYLOADS = st.recursive(
-    SCALARS | BLOCKS,
+    SCALARS | BLOCKS | record_lists(),
     lambda children: (
         st.lists(children, max_size=4)
         | st.lists(children, max_size=4).map(tuple)
@@ -149,9 +181,50 @@ def raised(fn, obj):
     [[[0.5, 1.0], [1.0, -float("inf")]], 10**5000],
     [10**5000, float("nan")],
     {"a": float("nan"), "b": {1.5: 0, -float("inf"): 1}},
+    # record lists: the first non-finite float in document order, across
+    # rows and columns, and an integer too long to write before or after it
+    [{"a": 1.0, "b": [0.5, 2.0]}, {"a": 2.0, "b": [float("inf"), float("nan")]}],
+    [{"a": float("nan"), "b": [0.5]}, {"a": 2.0, "b": [-float("inf")]}],
+    [{"a": 1.0, "b": "x"}, {"a": 2.0, "b": "y"}, {"a": np.float64("-inf"), "b": "z"}],
+    [{"a": 1.0, "b": (0.5, float("nan"))}, {"a": 2.0, "b": (1.5, 2.5)}],
+    [{"a": 10**5000, "b": 1.0}, {"a": 1, "b": float("nan")}],
+    [{"a": 1, "b": float("nan")}, {"a": 10**5000, "b": 1.0}],
+    [{"a": 1.0, "b": 1}, {"a": 2.0, "b": object()}, {"a": float("nan"), "b": 3}],
+    [[{"a": float("nan")}, {"a": 1.0}], {"a": object()}],
 ])
 def test_same_error_as_json_dumps(payload):
     assert raised(dumps_canonical, payload) == raised(json_dumps, payload)
+
+
+NON_FINITE = FINITE | st.sampled_from([float("nan"), float("inf"), -float("inf")])
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.lists(record_lists(NON_FINITE), min_size=1, max_size=3))
+def test_record_lists_write_or_fail_like_json_dumps(payload):
+    assert outcome(dumps_canonical, payload) == outcome(json_dumps, payload)
+
+
+@pytest.mark.parametrize("records, by_column", [
+    ([{"k": 1.0, "i": 0, "j": 1}, {"k": 2.5, "i": 1, "j": 2}], True),
+    ([{"p": [0.5, 1.5], "m": np.float64(0.0), "t": True}, {"p": (1.0, 2.0), "m": 1.0, "t": False}],
+     True),
+    ([{"s": "a\n", "f": []}, {"s": "%s", "f": []}], True),
+    ([{"a": 1.0}], False),  # one record
+    ([{"a": 1.0}, {"b": 1.0}], False),  # other keys
+    ([{}, {}], False),
+    ([{1: 1.0}, {1: 2.0}], False),  # a key that is not a str
+    ([{"a": [1.0, 2.0]}, {"a": [3.0]}], False),  # ragged float lists
+    ([{"a": 1}, {"a": True}], False),  # ints and bools mixed
+    ([{"a": 1}, {"a": 1.0}], False),
+    ([{"a": None}, {"a": None}], False),
+    ([{"a": [1, 2]}, {"a": [3, 4]}], False),  # lists of ints
+    ([{"a": 10**5000}, {"a": 1}], False),  # an integer too long to write
+])
+def test_record_lists_are_written_by_column(records, by_column):
+    out, floats = [], jsonio._Floats()
+    assert jsonio._encode_records(records, 0, out, floats) is by_column
+    assert len(out) == by_column
 
 
 @pytest.mark.parametrize("mirrored", [False, True])

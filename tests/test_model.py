@@ -42,9 +42,11 @@ from oracles import (
     assemble_union,
     network_from_dict_by_spring,
     node_major,
+    random_network_by_pair,
 )
 
 oracles_module = import_module("oracles")
+model_module = import_module("elastonet.model")
 
 
 class TestTypes:
@@ -106,18 +108,15 @@ class TestSystemMatricesOrder:
     node masses that do not fill ``K`` or are not finite and nonnegative, so
     neither the response nor the extraction sees such a system."""
 
-    @pytest.mark.parametrize("call", [
-        lambda sys: evaluate_reduced(eliminate_massless(sys), 1j),
-        lambda sys: extract_canonical(sys),
-    ], ids=["evaluate_reduced", "extract_canonical"])
     # the order of K and the dimension
     @pytest.mark.parametrize("orders", [(4, 2), (2, 2), (6, 3)])
-    def test_too_many_terminal_coordinates(self, call, orders):
-        # three terminals: 3*d coordinates
+    def test_too_many_terminal_coordinates(self, orders):
+        # three terminals: 3*d coordinates; the constructor refuses them, so
+        # no response or extraction is reached
         order, d = orders
         message = rf"^{3 * d} terminal coordinates exceed the order of K \({order}\)$"
         with pytest.raises(DimensionMismatch, match=message):
-            call(hand_built(order, n_terminals=3, d=d))
+            hand_built(order, n_terminals=3, d=d)
 
     @pytest.mark.parametrize("masses,message", [
         ([1.0], r"^node masses of shape \(1,\) in 2-d do not fill K of order 4$"),
@@ -377,6 +376,56 @@ class TestRandomNetwork:
     def test_explicit_rayleigh(self):
         net = random_network(7, 2, 2, 2, 1.0, alpha=0.5, beta=0.25)
         assert net.rayleigh == RayleighParams(0.5, 0.25)
+
+
+def network_bits(net):
+    """Everything ``net`` holds, floats as their bits."""
+    positions = np.array([n.position for n in net.nodes])
+    masses = np.array([n.mass for n in net.nodes])
+    return (
+        net.dimension,
+        positions.shape, positions.tobytes(), masses.tobytes(),
+        tuple(n.is_terminal for n in net.nodes),
+        tuple((c.dtype.str, c.tobytes()) for c in net.spring_columns),
+        np.array([net.rayleigh.alpha, net.rayleigh.beta]).tobytes(),
+    )
+
+
+def generated(generator, *args, **kwargs):
+    """The bits of the network ``generator`` draws, or what it raises."""
+    try:
+        return network_bits(generator(*args, **kwargs))
+    except GenerationFailed as exc:
+        return GenerationFailed, str(exc)
+
+
+class TestRandomNetworkStream:
+    """The generator draws its stream in blocks; the pair-by-pair oracle
+    draws the same stream one call at a time, so both give the same bits."""
+
+    @pytest.mark.parametrize("size", [(1, 1), (3, 6), (6, 60), (8, 150)])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_same_bits_as_the_pair_by_pair_draws(self, size, d):
+        for seed in (0, 1):
+            for mass_fraction in (0.0, 0.5, 1.0):
+                for rayleigh in ({}, {"alpha": 0.75, "beta": 1.25}):
+                    args = (seed, d, *size, mass_fraction)
+                    expected = generated(random_network_by_pair, *args, **rayleigh)
+                    assert generated(random_network, *args, **rayleigh) == expected
+
+    # nine nodes in the unit square: at 0.3 all four seeds place them after
+    # rejected draws, at 0.35 seed 0 does and the others give up partway;
+    # 2.0 exceeds the box's diagonal, so no second node is ever placed
+    @pytest.mark.parametrize("separation", [0.3, 0.35, 2.0])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_same_outcome_in_a_crowded_box(self, seed, separation, monkeypatch):
+        monkeypatch.setattr(model_module, "MIN_NODE_SEPARATION", separation)
+        expected = generated(random_network_by_pair, seed, 2, 3, 6, 0.5)
+        assert generated(random_network, seed, 2, 3, 6, 0.5) == expected
+        if separation > 2**0.5:
+            assert expected == (
+                GenerationFailed, "could not place 9 nodes at separation >= 2.0"
+            )
 
 
 class TestNetworkJson:

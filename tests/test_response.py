@@ -362,6 +362,25 @@ class TestExtractCanonical:
         assert_allclose(cr.modes[0].sigma, 1.0)
         assert np.linalg.matrix_rank(cr.modes[0].R.a, tol=1e-10) == 2
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_cluster_residue_sums_its_members_in_order(self, seed):
+        # three equal springs along a random orthonormal frame at one massive
+        # node: a three-fold mode whose residue, summed from zeros in member
+        # order, differs in its bits from the sum in another order
+        frame, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((3, 3)))
+        centre = np.array([0.4, 0.5, 0.6])
+        nodes = tuple(Node(tuple(centre + 0.3 * n), 0.0, True) for n in frame.T)
+        nodes += (Node(tuple(centre), 1.0, False),)
+        springs = tuple(Spring(k, 3, 1.5) for k in range(3))
+        sys = assemble(ElastodynamicNetwork(3, nodes, springs, RayleighParams(0.1, 0.2)))
+        sigmas, v = eliminate_massless(sys).modal
+        r = np.zeros((9, 9))
+        for i in range(3):
+            r += np.outer(v[:, i], v[:, i])
+        (mode,) = extract_canonical(sys).modes
+        assert mode.sigma == float(np.mean(sigmas))
+        assert mode.R.a.tobytes() == r.tobytes()
+
     @pytest.mark.parametrize("seed", [1, 5, 9, 14])
     def test_roundtrip_against_direct_response(self, seed):
         net = random_network(seed, 2 + (seed + 1) % 2, 2 + seed % 3, 2 + seed % 4, 0.5)
