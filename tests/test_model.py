@@ -108,15 +108,21 @@ class TestSystemMatricesOrder:
     node masses that do not fill ``K`` or are not finite and nonnegative, so
     neither the response nor the extraction sees such a system."""
 
+    @pytest.mark.parametrize("call", [
+        lambda sys: evaluate_reduced(eliminate_massless(sys), 1j),
+        lambda sys: extract_canonical(sys),
+    ], ids=["evaluate_reduced", "extract_canonical"])
     # the order of K and the dimension
     @pytest.mark.parametrize("orders", [(4, 2), (2, 2), (6, 3)])
-    def test_too_many_terminal_coordinates(self, orders):
-        # three terminals: 3*d coordinates; the constructor refuses them, so
-        # no response or extraction is reached
+    def test_too_many_terminal_coordinates(self, call, orders):
+        # the entry point takes a system whose terminals fill K exactly;
+        # three terminals (3*d coordinates) exceed K, and the constructor
+        # refuses them before the entry point is reached
         order, d = orders
+        call(hand_built(order, n_terminals=order // d, d=d))
         message = rf"^{3 * d} terminal coordinates exceed the order of K \({order}\)$"
         with pytest.raises(DimensionMismatch, match=message):
-            hand_built(order, n_terminals=3, d=d)
+            call(hand_built(order, n_terminals=3, d=d))
 
     @pytest.mark.parametrize("masses,message", [
         ([1.0], r"^node masses of shape \(1,\) in 2-d do not fill K of order 4$"),
