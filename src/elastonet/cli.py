@@ -19,8 +19,10 @@ The environment variable ELASTONET_SEED overrides --seed everywhere.
 """
 
 import argparse
+import copy
 import os
 import sys
+from functools import cache
 
 import numpy as np
 
@@ -272,6 +274,14 @@ def cmd_roundtrip(args):
 
 
 def build_parser():
+    """The argument parser: a shallow copy of the one tree built per process.
+    An attribute set on the copy (as a tracer sets ``parse_args``) stays on
+    it; the arguments are shared, so add none."""
+    return copy.copy(_parser())
+
+
+@cache
+def _parser():
     parser = argparse.ArgumentParser(
         prog="elastonet",
         description=(

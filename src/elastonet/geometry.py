@@ -29,10 +29,19 @@ def cross(x, f):
         out = np.empty(shape[:-1])
         return np.subtract(x[..., 0] * f[..., 1], x[..., 1] * f[..., 0], out=out)
     if len(shape) == 1:
-        (x0, x1, x2), (f0, f1, f2) = x.tolist(), f.tolist()
-        return np.array([x1 * f2 - x2 * f1, x2 * f0 - x0 * f2, x0 * f1 - x1 * f0])
+        return np.array(cross_floats(x.tolist(), f.tolist()))
     out = np.empty(shape)
     return np.subtract(x[..., _NEXT] * f[..., _LAST], x[..., _LAST] * f[..., _NEXT], out=out)
+
+
+def cross_floats(x, f):
+    """:func:`cross` of two vectors given as lists of floats, as a list (of
+    one float for d=2), with its bits: Python floats round as numpy's
+    elementwise operations do."""
+    if len(x) == 2:
+        return [x[0] * f[1] - x[1] * f[0]]
+    (x0, x1, x2), (f0, f1, f2) = x, f
+    return [x1 * f2 - x2 * f1, x2 * f0 - x0 * f2, x0 * f1 - x1 * f0]
 
 
 # component k of a 3-vector cross product is x[k+1] f[k+2] - x[k+2] f[k+1]
@@ -161,7 +170,9 @@ def _hull_systems(shape, data):
         m = np.zeros((len(p), 2 * d + 1, d + 1))
         m[:, :size], m[:, d + 1:] = t, p.swapaxes(1, 2) @ t - np.eye(d, d + 1)
         maps.append(m)
-    maps = np.concatenate(maps).reshape(-1, d + 1)
+    # coordinate-major: the rows of each output coordinate of every subset
+    # together, so a call's output is a (2d + 1, subsets) array
+    maps = np.concatenate(maps).transpose(1, 0, 2).reshape(-1, d + 1)
     maps.flags.writeable = False
     return maps
 
@@ -173,8 +184,9 @@ def hull_distance(x, points):
     Caratheodory) and keeps the best feasible affine projection. Each
     subset's projection is an affine map of ``x``, kept for the
     ``HULL_CACHE_SIZE`` point sets used last, so a call is one
-    matrix-vector product. Intended for the desk-scale point sets of this
-    package, not large hulls.
+    matrix-vector product followed by elementwise minima and sums over the
+    rows of its coordinate-major output. Intended for the desk-scale point
+    sets of this package, not large hulls.
     """
     x = np.asarray(x, dtype=float)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -185,7 +197,8 @@ def hull_distance(x, points):
     if best == 0.0:
         return 0.0
     maps = _hull_systems(pts.shape, pts.tobytes())
-    out = (maps @ np.concatenate([x, [1.0]])).reshape(-1, 2 * d + 1)
-    feasible = out[:, :d + 1].min(axis=1) >= -1e-12
-    cand = np.sqrt(np.square(out[feasible, d + 1:]).sum(axis=1))  # np.linalg.norm's sum
-    return float(np.fmin.reduce(cand, initial=best))  # fmin skips NaN candidates
+    out = (maps @ np.concatenate([x, [1.0]])).reshape(2 * d + 1, -1)
+    feasible = out[:d + 1].min(axis=0) >= -1e-12
+    cand = np.sqrt(np.square(out[d + 1:]).sum(axis=0))  # np.linalg.norm's sum
+    # fmin skips NaN candidates
+    return float(np.fmin.reduce(cand, where=feasible, initial=best))

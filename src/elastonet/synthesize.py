@@ -42,6 +42,7 @@ from .geometry import (
     balance_verdicts,
     check_balanced,
     cross,
+    cross_floats,
     hull_distance,
     project_balanced,
 )
@@ -92,9 +93,18 @@ def _distances(points, others):
     return np.sqrt(total)
 
 
+def _too_close(point, avoid, clearance):
+    """Is ``point`` nearer than ``clearance`` to a row of ``avoid``? The
+    verdict of ``(_distances(point[None], avoid) < clearance).any()`` in one
+    pass: a row sum of d terms adds them in coordinate order too."""
+    return (np.sqrt(np.square(avoid - point).sum(axis=1)) < clearance).any()
+
+
 def _placement_constraints(terminals, forbidden, min_clearance, epsilon_hull):
     """Forbidden points as a (k, d) array, and the clearance; by default a
-    millionth of the width of the region internal nodes may occupy."""
+    millionth of the width of the region internal nodes may occupy. A width
+    that overflows is refused (:class:`PlacementFailed`): every draw would
+    fall within an infinite clearance."""
     d = terminals.shape[1]
     forb = (
         np.asarray(forbidden, dtype=float).reshape(-1, d)
@@ -102,7 +112,14 @@ def _placement_constraints(terminals, forbidden, min_clearance, epsilon_hull):
         else np.zeros((0, d))
     )
     if min_clearance is None:
-        width = float(_distances(terminals, terminals).max(initial=0.0)) + 2.0 * epsilon_hull
+        with np.errstate(over="ignore"):
+            span = float(_distances(terminals, terminals).max(initial=0.0))
+            width = span + 2.0 * epsilon_hull
+        if not np.isfinite(width):
+            raise PlacementFailed(
+                f"the width of the terminal hull overflows (terminal span {span:.3e}, "
+                f"epsilon_hull {epsilon_hull:.3e}); rescale the positions"
+            )
         return forb, 1e-6 * width
     return forb, float(min_clearance)
 
@@ -114,7 +131,8 @@ class NetworkComponent:
     Nodes list every shared terminal first (in global order), then the
     component's own internal nodes. Element force systems are verified
     balanced at construction (:func:`check_balanced` at ``ELEMENT_TOL``)
-    unless ``balanced`` says the caller did so (:func:`_gadget_verdicts`).
+    unless ``balanced`` says the caller did so (:func:`_gadget_verdicts`,
+    :func:`_check_static_factors`).
     ``positions``: the node positions, a read-only (n, d) array.
     """
 
@@ -281,23 +299,26 @@ def _solve_couple(x1, x2, f_rem, tau, min_force):
     ``(x1 - x2) x h = -tau``; in three dimensions that requires the joining
     direction to be orthogonal to ``tau``. The null direction (equal and
     opposite forces along the joining line) is used to inflate ``|g|`` up to
-    ``min_force`` without disturbing the balance.
+    ``min_force`` without disturbing the balance. The products and norms
+    are numpy's; the elementwise steps between them are Python floats.
     """
     w = x1 - x2
     wnorm2 = float(w @ w)
     if wnorm2 == 0.0:
         return None
-    if len(x1) == 2:
-        h = (-float(tau[0]) / wnorm2) * np.array([-w[1], w[0]])
+    wl = w.tolist()
+    if len(wl) == 2:
+        c = -float(tau[0]) / wnorm2
+        h = [c * -wl[1], c * wl[0]]
     else:
         if abs(float(w @ tau)) > 1e-9 * (_norm(w) * _norm(tau) + 1e-300):
             return None  # torque not cancellable along this joining direction
-        h = cross(w, tau) / wnorm2
-    g1 = f_rem + h
-    g = np.concatenate([g1, -h])
+        h = [v / wnorm2 for v in cross_floats(wl, tau.tolist())]
+    g1 = [a + b for a, b in zip(f_rem.tolist(), h)]
+    g = np.array(g1 + [-b for b in h])
     if _norm(g) < min_force:
-        t = (min_force + _norm(h)) / math.sqrt(wnorm2)
-        g = np.concatenate([g1 + t * w, -h - t * w])
+        t = (min_force + _norm(np.array(h))) / math.sqrt(wnorm2)
+        g = np.array([a + t * c for a, c in zip(g1, wl)] + [-b - t * c for b, c in zip(h, wl)])
     return g
 
 
@@ -317,6 +338,7 @@ def _balancing_pair(rng, terminals, avoid, clearance, epsilon_hull, f_rem, tau_t
     :class:`PlacementFailed` if none can."""
     nt, d = terminals.shape
     ones = np.ones(nt)
+    f_list, tau_list = f_rem.tolist(), tau_t.tolist()
 
     def draw(jitter_frac):
         # a random point within jitter_frac * epsilon_hull of the hull
@@ -328,14 +350,16 @@ def _balancing_pair(rng, terminals, avoid, clearance, epsilon_hull, f_rem, tau_t
             return None
         radius = jitter_frac * epsilon_hull * rng.uniform(0.1, 1.0)
         point = base + (radius / norm) * direction
-        return None if (_distances(point[None], avoid) < clearance).any() else point
+        return None if _too_close(point, avoid, clearance) else point
 
     for _ in range(PLACEMENT_DRAWS):
         x1 = draw(0.45 if d == 3 else 0.9)
         if x1 is None:
             continue
         # the torque of the system once f_rem is assigned to x1
-        tau = tau_t + cross(x1, f_rem)
+        x1_list = x1.tolist()
+        torque = [a + b for a, b in zip(tau_list, cross_floats(x1_list, f_list))]
+        tau = np.array(torque)
         if d == 2:
             x2 = draw(0.9)
             if x2 is None:
@@ -343,7 +367,7 @@ def _balancing_pair(rng, terminals, avoid, clearance, epsilon_hull, f_rem, tau_t
         else:
             tnorm = _norm(tau)
             if tnorm > 1e-12 * scale:
-                u = cross(tau, rng.standard_normal(3))
+                u = np.array(cross_floats(torque, rng.standard_normal(3).tolist()))
                 unorm = _norm(u)
                 if unorm < 1e-9 * tnorm:
                     continue
@@ -352,8 +376,9 @@ def _balancing_pair(rng, terminals, avoid, clearance, epsilon_hull, f_rem, tau_t
                 unorm = _norm(u)
                 if unorm == 0.0:
                     continue
-            x2 = x1 - epsilon_hull * rng.uniform(0.1, 0.5) * (u / unorm)
-            if (_distances(x2[None], avoid) < clearance).any():
+            step = epsilon_hull * rng.uniform(0.1, 0.5)
+            x2 = np.array([a - step * (b / unorm) for a, b in zip(x1_list, u.tolist())])
+            if _too_close(x2, avoid, clearance):
                 continue
         if _norm(x1 - x2) < max(clearance, 0.02 * epsilon_hull):
             continue
@@ -436,12 +461,12 @@ def _gadgets(terminals, terminal_nodes, forces, sigmas, rayleigh, rng, epsilon_h
         )
         gadgets = []
         try:
+            support = tuple(range(nt + 2))
             for k in range(passed):
                 mass = float(g[k] @ g[k]) / float(sigmas[k])
-                nodes = (*terminal_nodes, Node(tuple(pairs[k, 0]), mass, False),
-                         Node(tuple(pairs[k, 1]), mass, False))
-                element = IdealElasticElement(tuple(range(nt + 2)),
-                                              np.concatenate([forces[k], g[k]]))
+                x1, x2 = pairs[k].tolist()
+                nodes = (*terminal_nodes, Node(x1, mass, False), Node(x2, mass, False))
+                element = IdealElasticElement(support, np.concatenate([forces[k], g[k]]))
                 gadgets.append(NetworkComponent("rank_one_gadget", nodes, nt, (element,),
                                                 rayleigh, d, balanced=True))
             if error:
@@ -518,6 +543,24 @@ def _rank_one_factors(blocks, floors):
     return owner, vecs[owner, :, k] * np.sqrt(vals[owner, k])[:, None]
 
 
+def _check_static_factors(terminals, factors):
+    """Refuse the first of the static slice's factors that is not a balanced
+    force system (:class:`NotCharacterizable`). One stacked verdict judges
+    each factor as ``check_balanced(w, terminals, tol=1e-9)`` would alone,
+    at ``1e-9*(1 + max|w|)``."""
+    if not len(factors):
+        return
+    stack = np.asarray(factors)
+    passed, residual = balance_verdicts(
+        terminals, stack.reshape(-1, *terminals.shape), 1e-9 * (1.0 + np.abs(stack).max(axis=1))
+    )
+    if not passed.all():
+        raise NotCharacterizable(
+            f"static slice factor is not a balanced force system "
+            f"(residual {residual[np.argmin(passed)]:.3e})"
+        )
+
+
 def synthesize(
     cr,
     epsilon_hull=0.1,
@@ -571,13 +614,7 @@ def synthesize(
     # slice's columns are balanced, but eigenvectors of near-threshold
     # eigenvalues amplify the rounding
     static_factors = project_balanced(factors[owner == 0], terminals)
-    for w in static_factors:
-        ok, residual = check_balanced(w, terminals, tol=1e-9)
-        if not ok:
-            raise NotCharacterizable(
-                f"static slice factor is not a balanced force system "
-                f"(residual {residual:.3e})"
-            )
+    _check_static_factors(terminals, static_factors)
 
     on_terminals = partial(NetworkComponent, n_terminals=nt, rayleigh=cr.rayleigh, dimension=d)
     # the massless terminal nodes, built once and shared by the components
@@ -586,7 +623,10 @@ def synthesize(
         elements = tuple(
             IdealElasticElement(tuple(range(nt)), w) for w in static_factors
         )
-        components.append(on_terminals("ideal_elements", massless, elements=elements))
+        # balanced: each factor passed its check above, at 1e-9 < ELEMENT_TOL
+        components.append(
+            on_terminals("ideal_elements", massless, elements=elements, balanced=True)
+        )
 
     node_masses = cr.Mbb[::d]
     if node_masses.max(initial=0.0) > 0.0:

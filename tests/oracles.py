@@ -1,6 +1,8 @@
 """Reference constructions the tests compare the package against."""
 
+import itertools
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -20,7 +22,7 @@ from elastonet import (
     check_balanced,
 )
 from elastonet import model
-from elastonet.geometry import cross, project_balanced
+from elastonet.geometry import HULL_CACHE_SIZE, cross, project_balanced
 from elastonet.linalg import EIGH_GUARD, PINV_TOL
 from elastonet.model import (
     RayleighParams,
@@ -782,3 +784,50 @@ def construction_one_by_one(cr, epsilon_hull=0.1, forbidden=(), seed=0, min_clea
     finally:  # also after a failed placement: a gadget placed before it fails first
         _reduce_gadgets(gadgets)
     return static_factors, gadgets
+
+
+# The hull kernel as it was with its maps stored subset-major: rows of one
+# subset together, an (R, 2d + 1) view of the output reduced row by row.
+# ``geometry.hull_distance`` stores them coordinate-major and must give
+# the same bits.
+
+
+@lru_cache(maxsize=HULL_CACHE_SIZE)
+def _row_major_hull_systems(shape, data):
+    pts = np.frombuffer(data).reshape(shape)
+    n, d = shape
+    maps = [np.zeros((0, 2 * d + 1, d + 1))]
+    for size in range(2, min(n, d + 1) + 1):
+        p = pts[np.array(list(itertools.combinations(range(n), size)))]
+        kkt = np.ones((len(p), size + 1, size + 1))
+        kkt[:, :size, :size] = 2.0 * (p @ p.swapaxes(1, 2))
+        kkt[:, size, size] = 0.0
+        regular = np.linalg.slogdet(kkt)[0] != 0.0
+        p, kkt = p[regular], kkt[regular]
+        rhs = np.zeros((len(p), size + 1, d + 1))
+        rhs[:, :size, :d], rhs[:, size, d] = 2.0 * p, 1.0
+        t = np.linalg.solve(kkt, rhs)[:, :size]
+        # 2d + 1 rows a subset: t padded with zeros to d + 1, then p^T t - x
+        m = np.zeros((len(p), 2 * d + 1, d + 1))
+        m[:, :size], m[:, d + 1:] = t, p.swapaxes(1, 2) @ t - np.eye(d, d + 1)
+        maps.append(m)
+    maps = np.concatenate(maps).reshape(-1, d + 1)
+    maps.flags.writeable = False
+    return maps
+
+
+def row_major_hull_distance(x, points):
+    """``hull_distance`` on subset-major maps."""
+    x = np.asarray(x, dtype=float)
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    n, d = pts.shape
+    if x.shape != (d,):
+        raise DimensionMismatch(f"point has shape {x.shape}, hull points are {d}-dim")
+    best = np.sqrt(((pts - x) ** 2).sum(-1)).min()
+    if best == 0.0:
+        return 0.0
+    maps = _row_major_hull_systems(pts.shape, pts.tobytes())
+    out = (maps @ np.concatenate([x, [1.0]])).reshape(-1, 2 * d + 1)
+    feasible = out[:, :d + 1].min(axis=1) >= -1e-12
+    cand = np.sqrt(np.square(out[feasible, d + 1:]).sum(axis=1))  # np.linalg.norm's sum
+    return float(np.fmin.reduce(cand, initial=best))  # fmin skips NaN candidates

@@ -30,7 +30,10 @@ file whose spring list repeats springs and reverses their ends,
 nodes, and the benchmark-size networks ``random_network(s, 3, 6, 60, 0.5)``
 for s = 0..3 (the size of a benchmark roundtrip input, 90 or so gadgets a
 synthesis) and ``random_network(s, 3, 16, 6, 0.5)`` for s = 0, 1 (16
-terminals): about 1,130 runs, about 20 s on one core. The 158-node
+terminals). The benchmark-size networks are also synthesized at
+``--epsilon 0.02`` and ``--epsilon 2.0``, so that placement and the hull
+test decide away from the default neighborhood. That makes 1,122 runs,
+about 20 s on one core. The 158-node
 ``random_network(5, 3, 8, 150, 0.5)``, the size of a benchmark sweep input
 (474 degrees of freedom, half its interior nodes massless), gets four more
 runs: a ``respond`` sweep of 50 points, ``extract``, ``roundtrip``, and a
@@ -55,6 +58,10 @@ from elastonet.jsonio import write_json
 from conftest import shuffled_nodes
 
 NEAR_FLOPPY_SEEDS = (1093, 1196, 1922, 1965, 2301, 1269183695)
+
+# the benchmark-size networks, synthesized at these --epsilon values too
+BENCHMARK_SIZE = {f"random_network({s}, 3, 6, 60, 0.5)" for s in range(4)}
+EPSILONS = ("0.02", "2.0")
 
 
 def tiny_mass():
@@ -147,6 +154,11 @@ def digest(workdir):
                 runs["synthesize --forbidden"] = run(
                     ["synthesize", str(canonical), "--forbidden", str(forbidden)], network
                 )
+            if name in BENCHMARK_SIZE:
+                for epsilon in EPSILONS:
+                    runs[f"synthesize --epsilon {epsilon}"] = run(
+                        ["synthesize", str(canonical), "--epsilon", epsilon], network
+                    )
         runs["roundtrip"] = run(["roundtrip", net_file], workdir / "roundtrip.json")
         canonical.unlink(missing_ok=True)
         results[name] = runs

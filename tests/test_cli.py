@@ -1,6 +1,7 @@
 """Command-line interface: formats, exit codes, determinism."""
 
 import json
+import warnings
 from dataclasses import replace
 from importlib import import_module
 
@@ -584,6 +585,24 @@ class TestErrorMapping:
         monkeypatch.setattr(cli_mod, "extract_canonical", boom)
         assert main(["characterize", net_file, "-o", str(tmp_path / "r.json")]) == 4
 
+    def test_a_terminal_span_that_overflows_exits_6(self, tmp_path, capsys):
+        # terminals 1e300 apart: their span overflowed to an infinite
+        # clearance, with numpy warnings, and every draw then failed
+        cr = extract_canonical(assemble(random_network(1, 3, 3, 6, 0.5)))
+        obj = canonical_to_dict(cr)
+        obj["terminals"] = [[1e300 * x for x in row] for row in obj["terminals"]]
+        path, out = tmp_path / "big.json", tmp_path / "g.json"
+        write_json(path, obj)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["synthesize", str(path), "-o", str(out)]) == 6
+        assert not caught
+        err = capsys.readouterr().err
+        assert err.startswith("error: the width of the terminal hull overflows "
+                              "(terminal span inf,")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_placement_failure_exits_6(self, tmp_path, canonical_file, monkeypatch):
         import elastonet.cli as cli_mod
         from elastonet import PlacementFailed
@@ -637,6 +656,70 @@ class TestErrorMapping:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert sorted(tmp_path.rglob("*")) == before
+
+
+class TestParserReuse:
+    """The argument tree is built once per process and copied per call."""
+
+    def test_each_call_copies_one_built_tree(self):
+        a, b = cli_module.build_parser(), cli_module.build_parser()
+        assert a is not b
+        assert vars(a).keys() == vars(b).keys()
+        assert all(vars(a)[key] is value for key, value in vars(b).items())
+
+    def test_an_attribute_set_on_a_copy_stays_on_it(self, tmp_path, net_file):
+        # perfbench's tracer sets `parse_args` on the parser it is handed
+        parser = cli_module.build_parser()
+        parser.parse_args = lambda *args, **kwargs: pytest.fail("the copy's parse_args ran")
+        assert main(["extract", net_file, "-o", str(tmp_path / "c.json")]) == 0
+        assert "parse_args" not in vars(cli_module.build_parser())
+
+    def test_main_builds_one_parser_a_call(self, tmp_path, net_file, monkeypatch):
+        calls = []
+        real = cli_module.build_parser
+
+        def counting():
+            calls.append(None)
+            return real()
+
+        monkeypatch.setattr(cli_module, "build_parser", counting)
+        for k in range(3):
+            assert main(["extract", net_file, "-o", str(tmp_path / "c.json")]) == 0
+            assert len(calls) == k + 1
+
+    def test_reused_tree_writes_what_a_fresh_one_does(
+        self, tmp_path, net_file, canonical_file, capsys
+    ):
+        out = str(tmp_path / "out")
+        runs = [
+            ["respond", net_file, "--lam", "1,1", "--lam", "0,2"],
+            ["respond", net_file, "--omega", "0.1", "10", "5", "--scale", "log"],
+            ["respond", net_file, "--lam", "0.5,0.5"],
+            ["extract", net_file, "--seed", "4"],
+            ["characterize", net_file],
+            ["synthesize", canonical_file, "--samples", "7"],
+            ["roundtrip", net_file, "--epsilon", "0.05"],
+            ["loci", "--alpha", "0.3", "--beta", "0.2", "--points", "5"],
+            ["respond", net_file, "--scale", "cubic"],
+            ["extract", net_file],
+        ]
+
+        def outcome(argv):
+            (tmp_path / "out").unlink(missing_ok=True)
+            try:
+                code = main(argv + ["-o", out])
+            except SystemExit as exc:  # a usage error, from argparse
+                code = ("exit", exc.code)
+            data = (tmp_path / "out").read_bytes() if (tmp_path / "out").exists() else None
+            return code, data, capsys.readouterr()
+
+        fresh = []
+        for argv in runs:
+            cli_module._parser.cache_clear()
+            fresh.append(outcome(argv))
+        reused = [outcome(argv) for _ in range(2) for argv in runs]
+        assert reused == fresh + fresh
+        assert [code for code, _, _ in fresh] == [0] * 8 + [("exit", 2), 0]
 
 
 class TestRoundtrip:

@@ -21,7 +21,7 @@ from elastonet import (
 )
 from elastonet.errors import DimensionMismatch
 from elastonet import geometry
-from elastonet.geometry import balance_operator, cross, hull_distance
+from elastonet.geometry import balance_operator, cross, cross_floats, hull_distance
 
 synthesize_module = import_module("elastonet.synthesize")
 oracles = import_module("oracles")
@@ -229,6 +229,57 @@ class TestHullSystemsCache:
             assert geometry._hull_systems.cache_info().currsize <= geometry.HULL_CACHE_SIZE
 
 
+def hull_test_points(points, rng):
+    """Points at which to read a hull: its vertices, points on the segments
+    and triangles of its point pairs and triples, points inside (convex
+    combinations of all), near points and far points."""
+    n, d = points.shape
+    extent = 1.0 + np.abs(points).max()
+    subsets = [list(c) for size in (2, 3) for c in itertools.combinations(range(n), size)]
+    on_faces = [rng.dirichlet(np.ones(len(c))) @ points[c] for c in subsets[:12]]
+    inside = rng.dirichlet(np.ones(n), size=6) @ points
+    near = rng.uniform(-2.0, 2.0, (8, d)) * extent
+    far = 10.0 ** rng.uniform(3, 6, (6, 1)) * extent * rng.standard_normal((6, d))
+    return np.concatenate([points, np.reshape(on_faces, (-1, d)), inside, near, far])
+
+
+class TestCoordinateMajorKernel:
+    """``hull_distance`` gives the bits of the subset-major kernel
+    (``oracles.row_major_hull_distance``) it replaced."""
+
+    @staticmethod
+    def assert_same_bits(points, xs):
+        for x in xs:
+            got, want = hull_distance(x, points), oracles.row_major_hull_distance(x, points)
+            assert got == want, (x, got, want)
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_enumerator_cases(self, name):
+        x, points, _ = CASES[name]
+        points = np.array(points)
+        self.assert_same_bits(points, [np.array(x)] + list(
+            hull_test_points(points, np.random.default_rng(len(name)))))
+
+    @pytest.mark.parametrize("name", DEGENERATE)
+    def test_degenerate_sets(self, name):
+        points = np.array(DEGENERATE[name])
+        self.assert_same_bits(points, hull_test_points(points, np.random.default_rng(7)))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_random_sets_of_1_to_16_points(self, d):
+        rng = np.random.default_rng(d)
+        for n in range(1, 17):
+            points = rng.uniform(-1.0, 1.0, (n, d)) * 10.0 ** rng.integers(-3, 4)
+            self.assert_same_bits(points, hull_test_points(points, rng))
+
+    def test_set_changed_in_place(self):
+        points = TestHullSystemsCache.SETS[0].copy()
+        rng = np.random.default_rng(5)
+        self.assert_same_bits(points, hull_test_points(points, rng))
+        points[4] = [2.5, 2.5, 2.5]
+        self.assert_same_bits(points, hull_test_points(points, rng))
+
+
 def looped_balance_operator(positions):
     """Oracle: the balance operator filled entry by entry."""
     positions = np.atleast_2d(np.asarray(positions, dtype=float))
@@ -277,6 +328,16 @@ class TestCross:
         f = np.array([[0.25, -1.0], [2.0, 4.0]])
         assert cross(x, f).tolist() == [1.0 * -1.0 - 2.0 * 0.25, -3.0 * 4.0 - 0.5 * 2.0]
         assert cross(x[0], f[0]) == -1.5
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_on_python_floats_has_the_bits_of_the_stack(self, d):
+        rng = np.random.default_rng(d)
+        x = rng.standard_normal((200, d)) * 10.0 ** rng.uniform(-6, 6, (200, d))
+        f = rng.standard_normal((200, d)) * 10.0 ** rng.uniform(-6, 6, (200, d))
+        x[0], f[1] = -0.0, 0.0
+        want = cross(x, f).reshape(200, -1)
+        got = np.array([cross_floats(a, b) for a, b in zip(x.tolist(), f.tolist())])
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("shape_x,shape_f", [((3,), (2,)), ((4,), (4,))])
     def test_other_dimensions_rejected(self, shape_x, shape_f):

@@ -8,6 +8,8 @@ from importlib import import_module
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from elastonet import (
@@ -40,7 +42,7 @@ from elastonet import (
     verify_synthesis,
 )
 from elastonet.cli import main
-from elastonet.geometry import cross, hull_distance
+from elastonet.geometry import check_balanced, cross, hull_distance, project_balanced
 from elastonet.jsonio import dumps_canonical, write_json
 from elastonet.model import element_to_dict, node_to_dict
 from elastonet.response import ROUNDTRIP_TOL, modal_responses
@@ -93,6 +95,98 @@ def balancing_pair(terminals, f, seed, min_force):
     _, clearance = SYNTHESIZE._placement_constraints(terminals, (), None, 0.1)
     return SYNTHESIZE._balancing_pair(np.random.default_rng(seed), terminals, terminals,
                                       clearance, 0.1, f_rem, tau_t, scale, min_force)
+
+
+# floats with full mantissas too, whose squares round when they are added
+COORDINATES = (st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0])
+               | st.integers(-10**9, 10**9).map(lambda k: k / 7919.0))
+
+
+@st.composite
+def clearance_cases(draw):
+    """``(point, avoid, clearance)``: random clearances, and the distance to
+    one avoided point exactly and one ulp either side of it."""
+    d = draw(st.sampled_from([2, 3]))
+    row = st.lists(COORDINATES, min_size=d, max_size=d)
+    point = np.array(draw(row))
+    avoid = np.array(draw(st.lists(row, max_size=8)), dtype=float).reshape(-1, d)
+    at = draw(st.sampled_from(["random", "exact", "above", "below"]))
+    if at == "random" or not len(avoid):
+        return point, avoid, draw(st.floats(0.0, 4e3))
+    k = draw(st.integers(0, len(avoid) - 1))
+    clearance = float(SYNTHESIZE._distances(point[None], avoid[k:k + 1])[0, 0])
+    step = {"exact": 0.0, "above": np.inf, "below": -np.inf}[at]
+    return point, avoid, float(np.nextafter(clearance, clearance + step))
+
+
+class TestClearanceTest:
+    """The placement's one-pass clearance test gives the verdict of the
+    pairwise distances it replaced."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(clearance_cases())
+    def test_same_verdict_as_the_pairwise_distances(self, case):
+        point, avoid, clearance = case
+        want = (SYNTHESIZE._distances(point[None], avoid) < clearance).any()
+        assert SYNTHESIZE._too_close(point, avoid, clearance) == want
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_an_empty_avoid_set_is_never_too_close(self, d):
+        point = np.full(d, -0.0)
+        assert not SYNTHESIZE._too_close(point, np.zeros((0, d)), np.inf)
+        assert not (SYNTHESIZE._distances(point[None], np.zeros((0, d))) < np.inf).any()
+
+
+def static_factor_verdict(terminals, factors):
+    """Oracle: the message of the first factor that ``check_balanced`` at
+    1e-9 fails alone, or None."""
+    for w in factors:
+        ok, residual = check_balanced(w, terminals, tol=1e-9)
+        if not ok:
+            return f"static slice factor is not a balanced force system (residual {residual:.3e})"
+    return None
+
+
+class TestStaticFactorCheck:
+    """One stacked verdict for the static factors, each at its own threshold."""
+
+    @staticmethod
+    def assert_same_verdict(terminals, factors):
+        want = static_factor_verdict(terminals, factors)
+        if want is None:
+            SYNTHESIZE._check_static_factors(terminals, factors)
+        else:
+            with pytest.raises(NotCharacterizable) as info:
+                SYNTHESIZE._check_static_factors(terminals, factors)
+            assert str(info.value) == want
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_random_stacks(self, d):
+        rng = np.random.default_rng(d)
+        for n in range(1, 9):
+            terminals = rng.uniform(-1.0, 1.0, (n, d)) * 10.0 ** rng.integers(-2, 3)
+            for count in (1, 2, 5, 24):
+                scales = 10.0 ** rng.uniform(-4, 4, (count, 1))
+                factors = rng.standard_normal((count, n * d)) * scales
+                balanced = np.array(project_balanced(list(factors), terminals))
+                # balanced stacks, one with a nudged entry, and unbalanced ones
+                nudged = balanced.copy()
+                nudged[rng.integers(count), rng.integers(n * d)] += 1e-7
+                for stack in (balanced, nudged, factors):
+                    self.assert_same_verdict(terminals, list(stack))
+
+    def test_a_small_factor_is_judged_at_its_own_threshold(self):
+        # a threshold shared with the large factor would pass the small one
+        terminals = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        large = 1e6 * np.array(project_balanced([np.arange(6.0)], terminals)[0])
+        small = np.array(project_balanced([np.ones(6)], terminals)[0]) * 1e-3
+        small[0] += 1e-8
+        self.assert_same_verdict(terminals, [large, small])
+        with pytest.raises(NotCharacterizable):
+            SYNTHESIZE._check_static_factors(terminals, [large, small])
+
+    def test_no_factors_pass(self):
+        SYNTHESIZE._check_static_factors(np.zeros((2, 3)), [])
 
 
 class TestBalanceForces:
