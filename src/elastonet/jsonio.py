@@ -8,6 +8,7 @@ produces byte-identical files.
 
 import json
 import math
+from collections import namedtuple
 from functools import lru_cache
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
@@ -36,11 +37,16 @@ def dumps_canonical(obj):
     container that holds itself is not detected.
 
     The walk writes all text but the floats and collects those in document
-    order: each scalar, and each rectangular block (a float64 ndarray, or
-    nested lists or tuples whose items are all floats) whole, or by its upper
-    triangle when it is bitwise symmetric. ``float_texts`` then formats them
-    chunk by chunk, and each block fills the template cached for its shape
-    and indent level, so no Python code runs per number.
+    order. A list of two or more alike items (see ``_column``) is one
+    column: one template for the whole list, its text items written at
+    once, its floats one block, and a column of float blocks that are
+    bitwise symmetric in their two leading axes taken by upper triangles. A
+    list whose items differ is cut into runs of alike items, each written
+    the same way. A run of one item, and one with a NaN, an integer too
+    long to write or a value JSON cannot hold, is walked item by item, so
+    the errors stay those of ``json.dumps``. ``float_texts`` then formats
+    the floats chunk by chunk, and their texts fill the templates' places
+    by slices, so no Python code runs per number.
     """
     out, floats = [], _Floats()
     try:
@@ -61,7 +67,7 @@ class _Floats:
     def __init__(self):
         self.arrays = []  # float64 arrays, checked finite
         self.run = []  # floats after the last array, not yet checked
-        # a scalar's index in the text, or (index, count, template, mirror)
+        # a scalar's index in the text, or (start, count, spread) of a block
         self.slots = []
 
     def scalar(self, out, value):
@@ -70,16 +76,13 @@ class _Floats:
         self.slots.append(len(out))
         out.append(None)
 
-    def add(self, out, values, template, mirror=None):
-        """Give the block ``values`` the next slot of ``out``: a float64 array
-        the caller checked after ``check``, or a list or tuple of floats that
-        ``check`` checks."""
-        if isinstance(values, np.ndarray):
-            self.arrays.append(values)
-        else:
-            self.run += values
-        self.slots.append((len(out), len(values), template, mirror))
-        out.append(None)
+    def add(self, start, values, spread=None):
+        """Give the 1-D float64 array ``values``, checked finite, the odd
+        places of the text from ``start`` on: one each, or as ``spread``
+        writes them."""
+        self.check()
+        self.arrays.append(values)
+        self.slots.append((start, len(values), spread))
 
     def check(self):
         """Raise at the first NaN or infinity of the floats not yet checked."""
@@ -90,12 +93,11 @@ class _Floats:
             self.run = []
 
     def fill(self, out):
-        """Format the checked floats ``_CHUNK`` at a time and write the text
-        of each slot into ``out``."""
+        """Format the checked floats ``_CHUNK`` at a time and write their
+        texts into the slots of ``out``."""
         values = np.concatenate(self.arrays) if self.arrays else np.empty(0)
         texts, pos, done = [], 0, 0
-        for k, slot in enumerate(self.slots):
-            self.slots[k] = None  # a record list's template is its own: let it go
+        for slot in self.slots:
             scalar = type(slot) is int
             count = 1 if scalar else slot[1]
             if pos + count > len(texts):
@@ -106,11 +108,11 @@ class _Floats:
             if scalar:
                 out[slot] = texts[pos]
             else:
-                index, _, template, mirror = slot
-                strings = texts[pos:pos + count]
-                text = template.copy()
-                text[1::2] = strings if mirror is None else mirror(strings)
-                out[index] = "".join(text)
+                start, _, spread = slot
+                if spread is None:
+                    out[start + 1:start + 2 * count:2] = texts[pos:pos + count]
+                else:
+                    spread(out, start, texts, pos)
             pos += count
 
 
@@ -145,115 +147,52 @@ def _encode(obj, level, out, floats):
         _encode_dict(obj, level, out, floats)
     elif isinstance(obj, np.ndarray) and obj.dtype == float:
         block = np.asarray(obj)  # a subclass (np.matrix) as its np.ndarray.tolist()
-        _encode_block(block.ravel(), block.shape, level, out, floats, block)
+        column = _block_column(block[None], level)
+        floats.check()
+        _check_finite(column.values[0], column.values[0])
+        _emit(column, "", out, floats)
     else:
         raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
 
 
 def _encode_list(seq, level, out, floats):
-    shape = _float_shape(seq)
-    if shape is not None:
-        flat = seq
-        for _ in shape[1:]:
-            flat = list(chain.from_iterable(flat))
-        block = np.array(flat, dtype=float).reshape(shape) if len(shape) > 1 else None
-        _encode_block(flat, shape, level, out, floats, block)
-        return
     if not seq:
         out.append("[]")
         return
-    if _encode_records(seq, level, out, floats):
-        return
     sep = ",\n" + INDENT * (level + 1)
+    column, cuts = _column_or_cuts(seq, level + 1) if len(seq) > 1 else (None, ())
+    if isinstance(column, np.ndarray):  # the list is one float block
+        _emit(_block_column(column[None], level), "", out, floats)
+        return
     out.append("[" + sep[1:])
-    for k, value in enumerate(seq):
-        if k:
-            out.append(sep)
-        _encode(value, level + 1, out, floats)
+    if column is None:
+        _encode_runs(seq, cuts, level + 1, sep, out, floats)
+    else:
+        _emit(column, sep, out, floats)
     out.append("\n" + INDENT * level + "]")
 
 
-# the text of a column of one of these types, item by item
-_TEXTS = {
-    str: encode_basestring_ascii,
-    int: int.__repr__,
-    bool: {True: "true", False: "false"}.__getitem__,
-}
-
-
-def _encode_records(seq, level, out, floats):
-    """Write a list of two or more dicts that share one set of str keys
-    column by column, and return whether it did.
-
-    Each column must be all floats, all lists or tuples of one length of
-    floats, or all of one type of ``str``, ``int`` and ``bool``, whose
-    items are written as their text now. The list is one record template
-    repeated: its text columns fill it here, and its floats join the run
-    as one block, in document order. The template is built from texts of
-    one record's size, not one text of the whole list, so that no large
-    text is made and dropped per list. Any other list, and one whose text
-    ``json.dumps`` would refuse (an integer too long to write), is left to
-    the item-by-item walk, so the text and the errors stay those of
-    ``json.dumps``.
-    """
-    first = seq[0]
-    if len(seq) < 2 or {*map(type, seq)} != {dict} or not first:
-        return False
-    keys = sorted(first) if {*map(type, first)} == {str} else None
-    if keys is None or not all(map(first.keys().__eq__, map(dict.keys, seq))):
-        return False
-    # the record's text, with \0 for a float and \1 for a text column's
-    # item: encoded keys and texts hold neither
-    inner = INDENT * (level + 2)
-    pieces, texts, blocks = [], [], []
-    for key in keys:
-        column = [row[key] for row in seq]
-        kinds = {*map(type, column)}
-        if all(map(isinstance, column, repeat(float))):
-            value, block = "\0", zip(column)
-        elif kinds <= {list, tuple} and len({*map(len, column)}) == 1 and all(
-            map(isinstance, chain.from_iterable(column), repeat(float))
-        ):
-            value, block = _block_text((len(first[key]),), level + 2).replace("%s", "\0"), column
-        elif len(kinds) == 1 and kinds <= _TEXTS.keys():
-            try:
-                texts.append(list(map(_TEXTS[kinds.pop()], column)))
-            except ValueError:  # an integer past the digit limit of str()
-                return False
-            value, block = "\1", None
+def _encode_runs(seq, cuts, level, sep, out, floats):
+    """Write the items of ``seq`` at indent ``level``, joined by ``sep``: each
+    run of two or more items between ``cuts`` as one column, or cut again
+    where its items differ; any other run item by item."""
+    bounds = (0, *cuts, len(seq))
+    for k in range(len(bounds) - 1):
+        if k:
+            out.append(sep)
+        run = seq[bounds[k]:bounds[k + 1]]
+        column, inner = _column_or_cuts(run, level) if cuts and len(run) > 1 else (None, ())
+        if isinstance(column, np.ndarray):
+            column = _block_column(column, level)
+        if column is not None:
+            _emit(column, sep, out, floats)
+        elif inner:
+            _encode_runs(run, inner, level, sep, out, floats)
         else:
-            return False
-        pieces.append(inner + encode_basestring_ascii(key) + ": " + value)
-        if block is not None:
-            blocks.append(block)
-    record = "{\n" + ",\n".join(pieces) + "\n" + INDENT * (level + 1) + "}"
-    # the record's stretches between its floats, each as one text a record
-    texts = iter(texts)
-    stretches = []
-    for stretch in record.split("\0"):
-        parts = stretch.split("\1")
-        items = [[parts[0]] * len(seq)]
-        for part in parts[1:]:
-            items += [next(texts), repeat(part)]
-        stretches.append(list(map("".join, zip(*items))))
-    sep = ",\n" + INDENT * (level + 1)
-    head, tail = "[" + sep[1:], "\n" + INDENT * level + "]"
-    if len(stretches) == 1:  # no floats
-        out.append(head + sep.join(stretches[0]) + tail)
-        return True
-    # the list's text between its floats: a record's first stretch joins
-    # the last stretch of the record before it
-    opening, *middle, closing = stretches
-    step = len(stretches) - 1
-    text = [None] * (step * len(seq) + 1)
-    text[:-1:step] = map("".join, zip(chain([""], closing), chain([head], repeat(sep)), opening))
-    for g, stretch in enumerate(middle, 1):
-        text[g::step] = stretch
-    text[-1] = closing[-1] + tail
-    template = [None] * (2 * len(text) - 1)
-    template[::2] = text
-    floats.add(out, list(chain.from_iterable(chain.from_iterable(zip(*blocks)))), template)
-    return True
+            for j, item in enumerate(run):
+                if j:
+                    out.append(sep)
+                _encode(item, level, out, floats)
 
 
 def _encode_dict(obj, level, out, floats):
@@ -263,115 +202,282 @@ def _encode_dict(obj, level, out, floats):
     sep = ",\n" + INDENT * (level + 1)
     out.append("{" + sep[1:])
     for k, (key, value) in enumerate(sorted(obj.items())):
+        if k:
+            out.append(sep)
         if isinstance(key, str):
-            pass
-        elif isinstance(key, float):
-            floats.check()
-            values = np.array([key], dtype=float)
-            _check_finite(values, [key])
-            key = float_texts(values)[0]
+            out.append(encode_basestring_ascii(key) + ": ")
+        elif isinstance(key, float):  # formatted with the document's floats
+            out.append('"')
+            floats.scalar(out, key)
+            out.append('": ')
         elif key is True:
-            key = "true"
+            out.append('"true": ')
         elif key is False:
-            key = "false"
+            out.append('"false": ')
         elif key is None:
-            key = "null"
+            out.append('"null": ')
         elif isinstance(key, int):
-            key = int.__repr__(key)
+            out.append('"' + int.__repr__(key) + '": ')
         else:
             raise TypeError(
                 f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
             )
-        if k:
-            out.append(sep)
-        out.append(encode_basestring_ascii(key) + ": ")
         _encode(value, level + 1, out, floats)
     out.append("\n" + INDENT * level + "}")
 
 
-def _float_shape(seq):
-    """Shape of a non-empty rectangular nesting of lists or tuples of floats,
-    else None."""
-    if not seq:
-        return None
-    first = seq[0]
-    if isinstance(first, float):
-        return (len(seq),) if all(map(isinstance, seq, repeat(float))) else None
-    if not isinstance(first, (list, tuple)):
-        return None
-    inner = _float_shape(first)
-    if inner is None:
-        return None
-    for row in seq[1:]:
-        if not isinstance(row, (list, tuple)) or _float_shape(row) != inner:
-            return None
-    return (len(seq),) + inner
+# A column of entries: ``text`` is an entry's text with \0 for each float and
+# \1 for each text item (encoded keys and texts hold neither); ``texts``
+# holds, for each \1 in order, the entries' items; ``values`` is the float64
+# array of the entries' floats, one row an entry, checked finite. When some
+# block is mirrored, an entry's floats ``upper`` are formatted, and
+# ``source`` gives each float of an entry the formatted one it repeats.
+_Column = namedtuple("_Column", "text texts values upper source")
+
+# the text of an item of a column of one of these types
+_TEXTS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+}
 
 
-def _encode_block(flat, shape, level, out, floats, block=None):
-    """Collect the floats ``flat`` (row-major) of a nested array of ``shape``,
-    given also as the float64 ndarray ``block`` unless it is a row of floats.
-    A block is checked at once and collected whole, or by its upper triangle
-    when it is bitwise symmetric (equal bits, equal text); a row waits for
-    the next check."""
-    symmetric = _bitwise_symmetric(flat, shape, block)
-    template = _block_template(shape, level)
-    if block is None:
-        floats.add(out, flat, template)
-        return
-    values = block.ravel()
-    floats.check()
-    _check_finite(values, flat)
-    if symmetric:
-        upper, mirror = _triangle_gathers(shape)
-        floats.add(out, values[upper], template, mirror)
-    else:
-        floats.add(out, values, template)
+class _Uneven(Exception):
+    """Entries that are not one column; ``cuts`` are the entries where a run
+    of one kind starts, when their kinds differ."""
+
+    def __init__(self, cuts=()):
+        super().__init__(cuts)
+        self.cuts = cuts
 
 
-def _bitwise_symmetric(flat, shape, block=None):
-    """Whether a non-empty block is square (n >= 2) in its two leading axes
-    with equal bits across them; ``-0.0`` and ``0.0`` differ. The bits are
-    read from ``block``, the block's float64 ndarray, when there is one."""
+def _column_or_cuts(entries, level):
+    try:
+        return _column(entries, level), ()
+    except _Uneven as uneven:
+        return None, uneven.cuts
+    except RecursionError:  # left to the walk, which meets it in order
+        return None, ()
+
+
+def _column(entries, level):
+    """The ``entries``, each written at indent ``level``, as one column: a
+    float64 array of shape ``(len(entries), *shape)`` when they are float
+    blocks of one shape (floats, nested lists of floats, float64 ndarrays),
+    else a ``_Column``. Alike entries are all floats, all of one type of
+    ``str``, ``int`` and ``bool``, dicts with one set of str keys (a column
+    per key), or lists and tuples of one length (a column of all their
+    items, or failing that a column per index). Raise ``_Uneven`` where they
+    are not alike, and where one holds a NaN, an infinity or an integer too
+    long to write."""
+    kinds = {*map(type, entries)}
+    kind = next(iter(kinds)) if len(kinds) == 1 else None
+    if kind is dict:
+        return _dict_column(entries, level)
+    if kind in _TEXTS:
+        try:
+            texts = list(map(_TEXTS[kind], entries))
+        except ValueError:  # an integer past the digit limit of str()
+            raise _Uneven() from None
+        return _Column("\1", [texts], np.empty((len(entries), 0)), None, None)
+    if kind is np.ndarray:
+        if len({(a.dtype, a.shape) for a in entries}) > 1:
+            raise _Uneven(_cuts(entries))
+        if entries[0].dtype != float:
+            raise _Uneven()
+        return _finite(np.stack(entries))
+    if kinds <= {list, tuple}:
+        return _list_column(entries, level)
+    if all(issubclass(t, float) for t in kinds):
+        return _finite(np.array(entries, dtype=float))
+    raise _Uneven(_cuts(entries))
+
+
+def _finite(values):
+    """``values``, unless one is a NaN or an infinity: that is left to the
+    walk, which raises at it in document order."""
+    if not np.isfinite(values).all():
+        raise _Uneven()
+    return values
+
+
+def _dict_column(records, level):
+    first = records[0]
+    if not all(map(first.keys().__eq__, map(dict.keys, records))):
+        raise _Uneven(_cuts(records))
+    if any(type(key) is not str for key in first):
+        raise _Uneven()
+    parts = [(encode_basestring_ascii(key) + ": ",
+              _column(list(map(itemgetter(key), records)), level + 1)) for key in sorted(first)]
+    return _join(parts, "{}", level, len(records))
+
+
+def _list_column(lists, level):
+    lengths = {*map(len, lists)}
+    if len(lengths) > 1:
+        raise _Uneven(_cuts(lists))
+    length, count = lengths.pop(), len(lists)
+    if not length:
+        return np.empty((count, 0))
+    items = list(chain.from_iterable(lists))
+    try:
+        column = _column(items, level + 1)
+    except _Uneven:  # items that differ within a list
+        return _join([("", _column(items[i::length], level + 1)) for i in range(length)],
+                     "[]", level, count)
+    if isinstance(column, np.ndarray):
+        return column.reshape(count, length, *column.shape[1:])
+    text, texts, values, upper, source = column
+    parts = [("", _Column(text, [t[i::length] for t in texts], values[i::length], upper, source))
+             for i in range(length)]
+    return _join(parts, "[]", level, count)
+
+
+def _join(parts, brackets, level, count):
+    """The column of ``count`` entries, each written at indent ``level`` as
+    ``brackets`` around ``parts``: (prefix, column) pairs of its items."""
+    if not parts:
+        return _Column(brackets, [], np.empty((count, 0)), None, None)
+    columns = [_block_column(c, level + 1) if isinstance(c, np.ndarray) else c for _, c in parts]
+    sep = ",\n" + INDENT * (level + 1)
+    text = (brackets[0] + sep[1:] + sep.join([p + c.text for (p, _), c in zip(parts, columns)])
+            + "\n" + INDENT * level + brackets[1])
+    values = np.concatenate([c.values for c in columns], axis=1)
+    upper = source = None
+    if any(c.upper is not None for c in columns):
+        upper, source, full, kept = [], [], 0, 0
+        for c in columns:
+            every = np.arange(c.values.shape[1])
+            upper.append(full + (every if c.upper is None else c.upper))
+            source.append(kept + (every if c.source is None else c.source))
+            full, kept = full + len(every), kept + len(upper[-1])
+        upper, source = np.concatenate(upper), np.concatenate(source)
+    return _Column(text, [t for c in columns for t in c.texts], values, upper, source)
+
+
+def _cuts(entries):
+    """The entries where a run of one kind starts: one type (every float is
+    one kind), a list's length, a dict's keys, an ndarray's dtype and shape."""
+    kinds = list(map(_kind, entries))
+    return [k for k in range(1, len(kinds)) if kinds[k] != kinds[k - 1]]
+
+
+def _kind(value):
+    kind = type(value)
+    if kind is dict:
+        return kind, value.keys()  # keys compare as sets
+    if kind is list or kind is tuple:
+        return list, len(value)
+    if kind is np.ndarray:
+        return kind, value.dtype, value.shape
+    return float if issubclass(kind, float) else kind
+
+
+def _block_column(stack, level):
+    """The float blocks ``stack[k]``, each written at indent ``level``, as a
+    column; by their upper triangles when every one is bitwise symmetric."""
+    shape = stack.shape[1:]
+    upper, source = _triangle_gathers(shape) if _mirrored(stack) else (None, None)
+    return _Column(_block_text(shape, level), [], stack.reshape(len(stack), -1), upper, source)
+
+
+def _mirrored(stack):
+    """Whether the blocks ``stack[k]`` are square (n >= 2) in their two
+    leading axes with equal bits across them; ``-0.0`` and ``0.0`` differ."""
+    shape = stack.shape[1:]
     if len(shape) < 2 or not shape[0] == shape[1] > 1 or 0 in shape:
         return False
-    if block is None:
-        block = np.array(flat, dtype=float).reshape(shape)
-    bits = block.view(np.uint64)
-    return np.array_equal(bits, bits.swapaxes(0, 1))
+    bits = stack.view(np.uint64)
+    return np.array_equal(bits, bits.swapaxes(1, 2))
 
 
 @lru_cache(maxsize=1024)
 def _triangle_gathers(shape):
-    """Gathers for a symmetric block of ``shape``: ``upper`` indexes its
-    entries with row <= column, row-major; ``mirror`` spreads them over the
-    block."""
+    """For a symmetric block of ``shape``: ``upper`` indexes its entries with
+    row <= column, row-major; ``source`` gives each entry its index in
+    ``upper``."""
     n = shape[0]
     index = np.arange(math.prod(shape)).reshape(n, n, -1)
     upper = index[np.triu_indices(n)].ravel()  # ascending
     # entry (i, j) mirrors (min(i, j), max(i, j)), the smaller flat index
-    source = np.minimum(index, index.swapaxes(0, 1)).ravel()
-    return upper, itemgetter(*np.searchsorted(upper, source).tolist())
+    source = np.searchsorted(upper, np.minimum(index, index.swapaxes(0, 1)).ravel())
+    upper.flags.writeable = source.flags.writeable = False  # cached, shared
+    return upper, source
 
 
 @lru_cache(maxsize=1024)
-def _block_template(shape, level):
-    """The text of a block of ``shape`` at indent ``level`` as a list: its
-    fixed pieces at the even places, None at the odd places of its floats."""
-    pieces = _block_text(shape, level).split("%s")
-    template = [None] * (2 * len(pieces) - 1)
-    template[::2] = pieces
-    return template
-
-
 def _block_text(shape, level):
+    """The text of a block of ``shape`` at indent ``level``, \\0 for a float."""
     if not shape:
-        return "%s"
+        return "\0"
     if not shape[0]:
         return "[]"
     sep = ",\n" + INDENT * (level + 1)
     item = _block_text(shape[1:], level + 1)
     return "[" + sep[1:] + sep.join([item] * shape[0]) + "\n" + INDENT * level + "]"
+
+
+def _emit(column, sep, out, floats):
+    """Write the entries of ``column`` joined by ``sep``: one template, whose
+    floats join the document's floats as one block."""
+    count = len(column.values)
+    *row, end = _stretches(column.text, column.texts, count)
+    if not row:  # no floats
+        out.append(sep.join([end] * count if isinstance(end, str) else end))
+        return
+    start, step = len(out), 2 * len(row)
+    if column.upper is None:
+        floats.add(start, column.values.ravel())
+    else:
+        floats.add(start, column.values[:, column.upper].ravel(), _spread(column.source, count))
+    # an entry's text between its floats at the even places; a stretch that
+    # differs between entries is written entry by entry below
+    cell = [None] * step
+    cell[::2] = row
+    for _ in range(count):
+        out += cell
+    stop = len(out)
+    if column.texts:
+        for g in range(1, len(row)):
+            if not isinstance(row[g], str):
+                out[start + 2 * g:stop:step] = row[g]
+    # an entry's first stretch joins the last stretch of the entry before it
+    first, last = ([s] * count if isinstance(s, str) else s for s in (row[0], end))
+    out[start:stop:step] = map("".join, zip(chain([""], last), chain([""], repeat(sep)), first))
+    out.append(last[-1])
+
+
+def _stretches(text, texts, count):
+    """The text of ``count`` entries between their floats, stretch by
+    stretch: a str where the entries' texts are equal, else a list of them."""
+    if not texts:
+        return text.split("\0")
+    texts = iter(texts)
+    stretches = []
+    for stretch in text.split("\0"):
+        head, *parts = stretch.split("\1")
+        if parts:
+            items = [repeat(head, count)]
+            for part in parts:
+                items += [next(texts), repeat(part)]
+            stretch = list(map("".join, zip(*items)))
+        stretches.append(stretch)
+    return stretches
+
+
+def _spread(source, count):
+    """A function that writes the texts of the floats of ``count`` entries
+    into the odd places of their template, from ``out[start]`` on, given
+    the texts of their formatted floats from ``texts[pos]`` on; ``source``
+    maps each float of an entry to its formatted one."""
+    get, kept, step = itemgetter(*source.tolist()), int(source.max()) + 1, 2 * len(source)
+
+    def spread(out, start, texts, pos):
+        for k in range(start + 1, start + count * step, step):
+            out[k:k + step:2] = get(texts[pos:pos + kept])
+            pos += kept
+
+    return spread
 
 
 # Shortest round-trip digits by Schubfach (R. Giulietti, "The Schubfach way

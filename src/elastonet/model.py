@@ -263,17 +263,33 @@ def spring_directions(positions, i, j):
     """Unit vectors along ``x_i - x_j`` for index arrays ``i`` and ``j``.
 
     A pair at most ``1e-12 * max|x|`` apart is coincident, whatever the
-    length unit; the first such pair raises :class:`DegenerateSpring`.
+    length unit; the first such pair raises :class:`DegenerateSpring`, as
+    does first a pair whose separation ``x_i - x_j`` overflows. A length
+    whose square overflows is taken as ``s * |dx / s|``, ``s = max|dx|``;
+    every other length keeps its bits.
     """
-    dx = positions[i] - positions[j]
-    length = _row_norms(dx)
+    with np.errstate(over="ignore"):
+        dx = positions[i] - positions[j]
+        length = _row_norms(dx)
+        far = np.flatnonzero(np.isinf(length))
+        if far.size:
+            scale = np.abs(dx[far]).max(axis=1)
+            if np.isinf(scale).any():
+                k = far[np.isinf(scale).argmax()]
+                raise DegenerateSpring(f"spring ({i[k]}, {j[k]}) separation overflows")
+            scaled = dx[far] / scale[:, None]
+            norm = _row_norms(scaled)
+            length[far] = scale * norm
     bad = np.flatnonzero(length <= 1e-12 * np.abs(positions).max())
     if bad.size:
         k = bad[0]
         raise DegenerateSpring(
             f"spring ({i[k]}, {j[k]}) endpoints coincide (separation {length[k]:.3e})"
         )
-    return dx / length[:, None]
+    unit = dx / length[:, None]
+    if far.size:  # from the scaled rows: a length past the float range is inf
+        unit[far] = scaled / norm[:, None]
+    return unit
 
 
 def _stamp_springs(K, springs, positions, coords):

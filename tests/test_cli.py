@@ -603,6 +603,32 @@ class TestErrorMapping:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    def test_positions_past_the_squared_float_range(self, tmp_path, capsys):
+        # positions x1e300: each squared spring length overflows, and the
+        # lengths were inf, the springs dropped, with a numpy warning
+        obj = network_to_dict(random_network(1, 3, 3, 6, 0.5))
+        big = json.loads(json.dumps(obj))
+        for node in big["nodes"]:
+            node["position"] = [1e300 * x for x in node["position"]]
+        argv = ["respond", "--omega", "0.1", "10", "5", "--scale", "log"]
+        responses = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for name, network in [("net", obj), ("big", big)]:
+                path, out = tmp_path / f"{name}.json", tmp_path / f"{name}_w.json"
+                write_json(path, network)
+                assert main([argv[0], str(path), *argv[1:], "-o", str(out)]) == 0
+                responses.append(np.array([e["W"] for e in json.loads(out.read_text())]))
+            unscaled, scaled = responses
+            assert np.abs(scaled - unscaled).max() <= 1e-12 * np.abs(unscaled).max()
+            # the terminal hull's width still overflows for synthesis
+            out = tmp_path / "rt.json"
+            assert main(["roundtrip", str(tmp_path / "big.json"), "-o", str(out)]) == 6
+        err = capsys.readouterr().err
+        assert err.startswith("error: the width of the terminal hull overflows ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_placement_failure_exits_6(self, tmp_path, canonical_file, monkeypatch):
         import elastonet.cli as cli_mod
         from elastonet import PlacementFailed

@@ -3,6 +3,7 @@ and its float formatter against ``float.__repr__``."""
 
 import json
 import math
+import sys
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -74,31 +75,81 @@ TEXTS = st.text(max_size=4) | st.sampled_from(['"', "\\", "\n\t", "\x00\x01", "%
 SUBNORMALS = st.integers(1, 2**52 - 1).map(lambda m: float(np.uint64(m).view(float)))
 
 
-def record_column(n, floats):
+# an integer too long to write: str() refuses it, and so does json.dumps
+LONG_INT = 10**5000
+
+
+def record_column(n, floats, faults, arrays, depth):
     """Columns of ``n`` items: floats (subnormals among them), np.float64,
     float lists and tuples of one length, ragged float lists, ints, bools,
-    strs, None, and a mixed column."""
+    strs, None, a mixed column, float blocks of one shape (ndarrays among
+    them if ``arrays``), and while ``depth`` lasts, records and lists of
+    records. With ``faults``, an integer too long to write among the ints."""
     floats = floats | SUBNORMALS | SUBNORMALS.map(float.__neg__)
-    items = [floats, floats.map(np.float64), st.integers(), st.booleans(), TEXTS,
-             st.none(), floats | st.integers() | st.booleans() | TEXTS | st.none()]
+    ints = st.integers() | st.just(LONG_INT) if faults else st.integers()
+    items = [floats, floats.map(np.float64), ints, st.booleans(), TEXTS,
+             st.none(), floats | ints | st.booleans() | TEXTS | st.none()]
     lists = st.integers(0, 3).flatmap(
         lambda length: st.lists(st.lists(floats, min_size=length, max_size=length),
                                 min_size=n, max_size=n))
-    return (
+    columns = (
         st.one_of([st.lists(item, min_size=n, max_size=n) for item in items])
         | lists
         | lists.map(lambda column: [tuple(row) for row in column])
         | st.lists(st.lists(floats, max_size=3), min_size=n, max_size=n)
+        | block_columns(n, faults, arrays)
     )
+    if depth:
+        columns |= records(n, floats, faults, arrays, depth - 1) | st.integers(0, 3).flatmap(
+            lambda length: records(n * length, floats, faults, arrays, depth - 1).map(
+                lambda rows: [rows[k * length:(k + 1) * length] for k in range(n)]))
+    return columns
 
 
 @st.composite
-def record_lists(draw, floats=FINITE):
-    """Lists of two to four dicts that share one set of str keys."""
-    n = draw(st.integers(2, 4))
+def block_columns(draw, n, faults, arrays=True):
+    """``n`` float blocks of one shape (k, k), (k, k, 2) or (k, k, 3), each
+    an ndarray (if ``arrays``) or nested lists. Half are bitwise symmetric
+    stacks; one block may break its mirror by a ``-0.0`` or an ulp and,
+    with ``faults``, by a NaN or infinity in its lower triangle only."""
+    k = draw(st.integers(1, 3))
+    stack = draw(hnp.arrays(np.float64, (n, k, k) + draw(TAILS), elements=FINITE))
+    if draw(st.booleans()):
+        upper = np.triu(np.ones((k, k), dtype=bool)).reshape((1, k, k) + (1,) * (stack.ndim - 3))
+        stack = np.where(upper, stack, stack.swapaxes(1, 2))
+        if k > 1 and n and draw(st.booleans()):
+            block = stack[draw(st.integers(0, n - 1))]
+            i, j = sorted(draw(st.permutations(range(k)))[:2])
+            rest = tuple(draw(st.integers(0, side - 1)) for side in block.shape[2:])
+            faults = ["signed zero", "ulp"] + ["nan", "inf", "-inf"] * faults
+            fault = draw(st.sampled_from(faults))
+            if fault == "signed zero":
+                block[(i, j) + rest], block[(j, i) + rest] = draw(st.permutations([0.0, -0.0]))
+            elif fault == "ulp":
+                block[(j, i) + rest] = np.nextafter(block[(i, j) + rest], np.inf)
+            else:
+                block[(j, i) + rest] = float(fault)
+    forms = draw(st.sampled_from(["array", "lists", "mixed"] if arrays else ["lists"]))
+    return [np.array(block) if forms == "array" or forms == "mixed" and draw(st.booleans())
+            else block.tolist() for block in stack]
+
+
+@st.composite
+def records(draw, n, floats, faults, arrays, depth):
+    """``n`` dicts that share one set of str keys."""
     keys = draw(st.lists(TEXTS, min_size=1, max_size=3, unique=True))
-    columns = [draw(record_column(n, floats)) for _ in keys]
+    columns = [draw(record_column(n, floats, faults, arrays, depth)) for _ in keys]
     return [dict(zip(keys, row)) for row in zip(*columns)]
+
+
+@st.composite
+def record_lists(draw, floats=FINITE, faults=False, arrays=True):
+    """Lists of two to four dicts that share one set of str keys, or runs of
+    such lists, one after another, so that the list splits into runs."""
+    runs = draw(st.integers(1, 3))
+    return [row for _ in range(runs)
+            for row in draw(records(draw(st.integers(2 if runs == 1 else 1, 4)), floats,
+                                    faults, arrays, 1))]
 
 
 PAYLOADS = st.recursive(
@@ -137,6 +188,9 @@ def test_payloads_with_a_large_block_write_like_json_dumps(payload):
     np.zeros((2, 0, 3)),
     np.float64(2.5),
     np.array(-0.0),
+    # ndarrays of other shapes split a list into runs
+    [{"w": np.zeros(2)}, {"w": np.zeros(3)}, {"w": np.ones(3)}],
+    [np.eye(2), np.eye(2).tolist(), -np.eye(2)],
 ])
 def test_same_bytes_on_edge_cases(payload):
     assert dumps_canonical(payload) == reference(payload)
@@ -151,7 +205,7 @@ def test_matrix_pairs_writes_as_the_pair_lists():
 
 def symmetric(block):
     """Whether the writer takes the mirror path on ``block``."""
-    return jsonio._bitwise_symmetric(block.ravel().tolist(), block.shape)
+    return jsonio._mirrored(np.asarray(block)[None])
 
 
 def raised(fn, obj):
@@ -191,6 +245,13 @@ def raised(fn, obj):
     [{"a": 1, "b": float("nan")}, {"a": 10**5000, "b": 1.0}],
     [{"a": 1.0, "b": 1}, {"a": 2.0, "b": object()}, {"a": float("nan"), "b": 3}],
     [[{"a": float("nan")}, {"a": 1.0}], {"a": object()}],
+    # nested columns: the first error in document order across records
+    [{"a": {"b": [1.0, float("nan")]}, "c": 0}, {"a": {"b": [1.0, 2.0]}, "c": object()}],
+    [{"a": [{"b": 1}, {"b": 10**5000}]}, {"a": [{"b": 2}, {"b": float("nan")}]}],
+    [{"a": [{"b": 1}, {"b": float("inf")}]}, {"a": [{"b": 2}, {"b": 10**5000}]}],
+    [{"a": "x", "b": float("nan")}, {"a": "y", "b": np.int64(1)}],
+    [{"a": np.int64(1)}, {"a": np.int64(2)}],
+    [{"a": np.arange(2)}, {"a": np.arange(2)}],
 ])
 def test_same_error_as_json_dumps(payload):
     assert raised(dumps_canonical, payload) == raised(json_dumps, payload)
@@ -200,9 +261,31 @@ NON_FINITE = FINITE | st.sampled_from([float("nan"), float("inf"), -float("inf")
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)
-@given(st.lists(record_lists(NON_FINITE), min_size=1, max_size=3))
+@given(st.lists(record_lists(NON_FINITE, faults=True, arrays=False), min_size=1, max_size=3))
 def test_record_lists_write_or_fail_like_json_dumps(payload):
     assert outcome(dumps_canonical, payload) == outcome(json_dumps, payload)
+
+
+# a column of blocks is mirrored only when every block is bitwise symmetric
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: block_columns(n, faults=True)))
+def test_block_columns_write_or_fail_like_json_dumps(blocks):
+    payload = [{"b": block, "x": 0.5} for block in blocks]
+    assert outcome(dumps_canonical, payload) == outcome(reference, payload)
+    assert outcome(dumps_canonical, blocks) == outcome(reference, blocks)
+
+
+def spy_columns(monkeypatch):
+    """The (entries, text, mirrored) of each column the writer emits."""
+    seen = []
+
+    def spy(column, sep, out, floats):
+        seen.append((len(column.values), column.text, column.upper is not None))
+        return emit(column, sep, out, floats)
+
+    emit = jsonio._emit
+    monkeypatch.setattr(jsonio, "_emit", spy)
+    return seen
 
 
 @pytest.mark.parametrize("records, by_column", [
@@ -212,19 +295,36 @@ def test_record_lists_write_or_fail_like_json_dumps(payload):
     ([{"s": "a\n", "f": []}, {"s": "%s", "f": []}], True),
     ([{"a": 1.0}], False),  # one record
     ([{"a": 1.0}, {"b": 1.0}], False),  # other keys
-    ([{}, {}], False),
+    ([{}, {}], True),
     ([{1: 1.0}, {1: 2.0}], False),  # a key that is not a str
     ([{"a": [1.0, 2.0]}, {"a": [3.0]}], False),  # ragged float lists
     ([{"a": 1}, {"a": True}], False),  # ints and bools mixed
     ([{"a": 1}, {"a": 1.0}], False),
     ([{"a": None}, {"a": None}], False),
-    ([{"a": [1, 2]}, {"a": [3, 4]}], False),  # lists of ints
+    ([{"a": [1, 2]}, {"a": [3, 4]}], True),  # lists of ints, by index
     ([{"a": 10**5000}, {"a": 1}], False),  # an integer too long to write
 ])
-def test_record_lists_are_written_by_column(records, by_column):
-    out, floats = [], jsonio._Floats()
-    assert jsonio._encode_records(records, 0, out, floats) is by_column
-    assert len(out) == by_column
+def test_record_lists_are_written_by_column(records, by_column, monkeypatch):
+    seen = spy_columns(monkeypatch)
+    outcome(dumps_canonical, records)  # the long integer is walked to its error
+    assert any(count == len(records) and text[0] == "{" for count, text, _ in seen) is by_column
+
+
+@pytest.mark.parametrize("records, columns", [
+    # nested records, lists of records and blocks of one shape
+    ([{"n": [{"x": [0.5, 1.0], "t": True}] * 3, "r": {"a": 1.0, "s": "u"}}] * 4, [4]),
+    ([{"w": np.eye(3)}, {"w": np.ones((3, 3))}], [2]),
+    # a list that changes shape partway is written as runs; a run of one
+    # record is walked
+    ([{"n": [1.0]}, {"n": [2.0]}, {"n": [1.0, 2.0]}, {"n": [3.0, 4.0]}, {"m": 1}], [2, 2]),
+    ([{"a": "x"}, {"a": 1.0}, {"a": 2.0}], [2]),
+    ([{"n": [{"x": 1.0}]}, {"n": [{"x": 2.0}]}, {"n": [{"x": [2.0]}]}], [2]),
+    ([{"k": [1.0, "s"]}, {"k": [2.0, "t"]}], [2]),  # a column per index
+])
+def test_record_runs_are_written_by_column(records, columns, monkeypatch):
+    seen = spy_columns(monkeypatch)
+    assert dumps_canonical(records) == reference(records)
+    assert [count for count, text, _ in seen if text[0] == "{"] == columns
 
 
 @pytest.mark.parametrize("mirrored", [False, True])
@@ -254,6 +354,25 @@ def chunk_boundary_payload(offset):
 def test_chunk_boundaries_write_like_json_dumps(offset):
     payload = chunk_boundary_payload(offset)
     assert dumps_canonical(payload) == reference(payload)
+
+
+def nested(depth):
+    value = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+def test_deep_nesting_fails_like_json_dumps():
+    # past the recursion limit in a column, the walk meets the error in
+    # document order: a NaN before it comes first
+    deep = nested(sys.getrecursionlimit() + 100)
+    for payload in ([deep, deep], [{"a": 1.0, "b": deep}, {"a": 2.0, "b": deep}]):
+        for fn in (dumps_canonical, json_dumps):
+            with pytest.raises(RecursionError):
+                fn(payload)
+    payload = [{"a": float("nan"), "b": deep}, {"a": 1.0, "b": deep}]
+    assert raised(dumps_canonical, payload) == raised(json_dumps, payload)
 
 
 @pytest.mark.parametrize("array", [
@@ -389,40 +508,87 @@ def test_ndarray_is_tested_for_symmetry_on_its_own_bits(block, mirrored, monkeyp
     assert outcome(dumps_canonical, block.tolist()) == expected
     seen = []
 
-    def spy(flat, shape, block=None):
-        seen.append((block, bitwise_symmetric(flat, shape, block)))
+    def spy(stack):
+        seen.append((stack, mirrored_stack(stack)))
         return seen[-1][1]
 
-    bitwise_symmetric = jsonio._bitwise_symmetric
-    monkeypatch.setattr(jsonio, "_bitwise_symmetric", spy)
+    mirrored_stack = jsonio._mirrored
+    monkeypatch.setattr(jsonio, "_mirrored", spy)
     assert outcome(dumps_canonical, block) == expected
-    assert len(seen) == 1 and seen[0][0] is block
+    assert len(seen) == 1 and np.shares_memory(seen[0][0], block)
     assert seen[0][1] is mirrored
 
 
 def test_every_response_block_is_written_by_its_upper_triangle(tmp_path, monkeypatch):
     # respond's W is mirrored from its upper triangle (modal_sum); should
-    # it stop being bitwise symmetric, the writer's mirror path would go
-    # unused without failing anything else
+    # it stop being bitwise symmetric, or the entries stop being one
+    # column, the writer's mirror path would go unused without failing
+    # anything else
     seen = []
 
-    def spy(flat, shape, block=None):
-        result = bitwise_symmetric(flat, shape, block)
-        seen.append((shape, result))
+    def spy(stack):
+        result = mirrored_stack(stack)
+        seen.append((stack.shape, result))
         return result
 
-    bitwise_symmetric = jsonio._bitwise_symmetric
-    monkeypatch.setattr(jsonio, "_bitwise_symmetric", spy)
+    mirrored_stack = jsonio._mirrored
+    monkeypatch.setattr(jsonio, "_mirrored", spy)
     net = random_network(7, 3, 3, 6, 0.5)
     net_file, out = tmp_path / "net.json", tmp_path / "out.json"
     jsonio.write_json(net_file, network_to_dict(net))
     seen.clear()
     argv = ["respond", str(net_file), "--omega", "0.1", "100", "12", "--scale", "log"]
     assert main(argv + ["-o", str(out)]) == 0
-    blocks = [result for shape, result in seen if shape == (9, 9, 2)]
     entries = jsonio.load_json(out)
-    assert len(blocks) == sum("W" in entry for entry in entries) == 12
-    assert all(blocks)
+    assert sum("W" in entry for entry in entries) == 12
+    # one stack of the 12 W, all mirrored
+    assert [entry for entry in seen if entry[0][-3:] == (9, 9, 2)] == [((12, 9, 9, 2), True)]
+
+
+def captured_payload(monkeypatch, argv):
+    """The payload that ``main(argv)`` hands the writer."""
+    payloads = []
+
+    def spy(obj):
+        payloads.append(obj)
+        return dumps(obj)
+
+    dumps = jsonio.dumps_canonical
+    monkeypatch.setattr(jsonio, "dumps_canonical", spy)
+    main(argv)
+    monkeypatch.setattr(jsonio, "dumps_canonical", dumps)
+    return payloads[-1]
+
+
+@pytest.mark.parametrize("seed", [0, 4])
+def test_residues_and_gadgets_are_written_as_columns(seed, tmp_path, monkeypatch):
+    # a roundtrip output is mostly its residues and its gadgets: each list
+    # is one column, the residues by their upper triangles
+    net_file = tmp_path / "net.json"
+    jsonio.write_json(net_file, network_to_dict(random_network(seed, 3, 3, 6, 0.5)))
+    seen = spy_columns(monkeypatch)
+    payload = captured_payload(monkeypatch, ["roundtrip", str(net_file), "-o", str(tmp_path / "o")])
+    modes = len(payload["canonical"]["modes"])
+    kinds = [c["kind"] for c in payload["network"]["components"]]
+    gadgets = kinds.count("rank_one_gadget")
+    assert modes > 1 and gadgets > 1
+    assert kinds[-gadgets:] == ["rank_one_gadget"] * gadgets
+    residues = [entry for entry in seen if '"R": ' in entry[1] and '"sigma": ' in entry[1]]
+    assert residues == [(modes, residues[0][1], True)]
+    assert [count for count, text, _ in seen if '"kind": ' in text] == [gadgets]
+
+
+@pytest.mark.parametrize("argv, network", [
+    (["roundtrip"], (0, 3, 6, 60, 0.5)),
+    (["respond", "--omega", "0.1", "100", "50", "--scale", "log"], (5, 3, 8, 150, 0.5)),
+])
+def test_benchmark_size_outputs_write_like_json_dumps(argv, network, tmp_path, monkeypatch):
+    # the payloads of the benchmark's roundtrip (90 gadgets) and sweep
+    net_file = tmp_path / "net.json"
+    jsonio.write_json(net_file, network_to_dict(random_network(*network)))
+    payload = captured_payload(
+        monkeypatch, [argv[0], str(net_file), *argv[1:], "-o", str(tmp_path / "out.json")])
+    assert dumps_canonical(payload) == reference(payload)
 
 
 # the formatter against float.__repr__, its oracle

@@ -2,6 +2,7 @@
 
 import json
 import re
+import warnings
 from importlib import import_module
 
 import numpy as np
@@ -34,7 +35,7 @@ from elastonet import (
 )
 from elastonet.geometry import balance_verdicts
 from elastonet.cli import main
-from elastonet.model import STAMP_CHUNK, SpringColumns, assemble_elements
+from elastonet.model import STAMP_CHUNK, SpringColumns, assemble_elements, spring_directions
 
 from conftest import axial_block, node_positions, scaled_network, synthesized
 from oracles import (
@@ -325,6 +326,23 @@ class TestOnePassAssembly:
             elements.insert(at, IdealElasticElement(support, rng.standard_normal(9)))
         assert_assembles_like_the_loop(net.nodes, springs, 3)
         assert_assembles_like_the_loop(net.nodes, elements, 3)
+
+    def test_lengths_whose_squares_overflow_are_scaled(self):
+        # only the rows whose squared length overflows take the scaled
+        # norm; a separation that overflows itself is refused by name
+        positions = np.array([[0.0, 0.0], [3e160, 4e160], [1e150, 0.0]])
+        i, j = np.array([1, 0, 2]), np.array([0, 2, 1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            unit = spring_directions(positions, i, j)
+            assert np.array_equal(unit[1], [-1.0, 0.0])
+            dx = positions[i] - positions[j]
+            assert_allclose(unit, dx / np.hypot(*dx.T)[:, None], rtol=1e-15)
+            positions = np.array([[-1.5e308, 0.0], [1.5e308, 0.0], [0.0, 1e308]])
+            assert_allclose(spring_directions(positions, np.array([0]), np.array([2])),
+                            [[-0.8320502943378437, -0.5547001962252291]], rtol=1e-15)
+            with pytest.raises(DegenerateSpring, match=r"^spring \(0, 1\) separation overflows"):
+                spring_directions(positions, np.array([0, 0]), np.array([2, 1]))
 
     def test_first_degenerate_spring_is_named(self):
         nodes = tuple(
