@@ -50,7 +50,6 @@ from .resonances import (
 )
 from .response import (
     CanonicalResponse,
-    Mode,
     ReducedSystem,
     ResponseSample,
     canonical_from_dict,

@@ -88,18 +88,17 @@ def check_canonical(cr, tol=DEFAULT_TOL):
     """
     conditions = {}
 
-    residues = np.reshape([mode.R.a for mode in cr.modes], (-1, cr.order, cr.order))
+    sig = cr.sigmas.tolist()
     worst = 0.0
-    witness = "no modes" if not cr.modes else ""
+    witness = "no modes" if not sig else ""
     ok = True
-    for k, (low, psd) in enumerate(psd_checks(residues, tol=tol)):
+    for k, (low, psd) in enumerate(psd_checks(cr.residues, tol=tol)):
         ok = ok and psd
         if low < -worst:
             worst = -low
             witness = f"mode {k} residue min eigenvalue {low:.3e}"
     conditions["R_psd"] = ConditionResult(ok, worst, witness or "all residues PSD")
 
-    sig = [m.sigma for m in cr.modes]
     ok = all(s > 0.0 for s in sig)
     worst = max([0.0] + [-s for s in sig if s <= 0.0])
     conditions["sigma_positive"] = ConditionResult(
@@ -117,12 +116,12 @@ def check_canonical(cr, tol=DEFAULT_TOL):
     )
 
     worst_re = 0.0
-    witness = "no poles" if not cr.modes else ""
-    for mode in cr.modes:
-        re = max(float(r.real) for r in resonances_of(mode.sigma, cr.rayleigh))
+    witness = "no poles" if not sig else ""
+    for sigma in sig:
+        re = max(float(r.real) for r in resonances_of(sigma, cr.rayleigh))
         if re > worst_re:
             worst_re = re
-            witness = f"pole with Re = {re:.3e} from sigma = {mode.sigma:.6g}"
+            witness = f"pole with Re = {re:.3e} from sigma = {sigma:.6g}"
     conditions["poles_left_half"] = ConditionResult(
         worst_re <= tol, max(0.0, worst_re), witness or "all poles in Re <= 0"
     )

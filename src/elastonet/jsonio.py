@@ -32,7 +32,9 @@ def dumps_canonical(obj):
     The text is that of ``json.dumps(obj, sort_keys=True, indent=2,
     allow_nan=False) + "\n"``, and so are the errors: ``ValueError`` for NaN
     or infinity, ``TypeError`` for what JSON cannot hold, each raised at the
-    first offending value in document order. A float64 ndarray is written as
+    first offending value in document order. Keys must be str: a dict with
+    another key is a ``TypeError`` naming that key's type, raised before its
+    keys are sorted. A float64 ndarray is written as
     its ``tolist()``; any other ndarray is refused. Payloads are trees: a
     container that holds itself is not detected.
 
@@ -199,29 +201,15 @@ def _encode_dict(obj, level, out, floats):
     if not obj:
         out.append("{}")
         return
+    for key in obj:
+        if not isinstance(key, str):
+            raise TypeError(f"keys must be str, not {key.__class__.__name__}")
     sep = ",\n" + INDENT * (level + 1)
     out.append("{" + sep[1:])
     for k, (key, value) in enumerate(sorted(obj.items())):
         if k:
             out.append(sep)
-        if isinstance(key, str):
-            out.append(encode_basestring_ascii(key) + ": ")
-        elif isinstance(key, float):  # formatted with the document's floats
-            out.append('"')
-            floats.scalar(out, key)
-            out.append('": ')
-        elif key is True:
-            out.append('"true": ')
-        elif key is False:
-            out.append('"false": ')
-        elif key is None:
-            out.append('"null": ')
-        elif isinstance(key, int):
-            out.append('"' + int.__repr__(key) + '": ')
-        else:
-            raise TypeError(
-                f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
-            )
+        out.append(encode_basestring_ascii(key) + ": ")
         _encode(value, level + 1, out, floats)
     out.append("\n" + INDENT * level + "}")
 

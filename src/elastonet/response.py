@@ -23,6 +23,7 @@ import numpy as np
 
 from . import jsonio
 from .errors import (
+    AsymmetricMatrix,
     AtResonance,
     DimensionMismatch,
     ElastonetError,
@@ -38,7 +39,7 @@ from .linalg import (
     schur_complement_eigh,
     schur_complement_lu,
 )
-from .model import RayleighParams
+from .model import RayleighParams, rayleigh_from_dict
 from .resonances import resonances_of
 
 # Defaults shared with the CLI flags.
@@ -61,27 +62,24 @@ class ResponseSample:
 
 
 @dataclass(frozen=True)
-class Mode:
-    """One resonant term: modal stiffness ``sigma`` and PSD residue ``R``."""
-
-    sigma: float
-    R: SymMatrix
-
-
-@dataclass(frozen=True)
 class CanonicalResponse:
     """Pole-residue form of a proportionally damped terminal response.
 
-    Only structural well-formedness is enforced here (shapes, real symmetric
-    blocks); admissibility (PSD-ness, pole locations, balanced static slice)
-    is the characterizer's job, so hand-edited candidates can be represented
-    and then rejected with a detailed report.
+    The modes are the ``(k,)`` modal stiffnesses ``sigmas`` and the ``(k, n,
+    n)`` stack ``residues``, read-only C-ordered float64 (an array handed
+    over is kept when its type fits), validated as :class:`SymMatrix`
+    validates one matrix, a refused block named ``modes[k].R`` as in JSON.
+    Only such structure is enforced here; admissibility (PSD-ness, pole
+    locations, balanced static slice) is the characterizer's job, so
+    hand-edited candidates can be represented and then rejected with a
+    detailed report.
     """
 
     rayleigh: RayleighParams
     A: SymMatrix
     Mbb: np.ndarray
-    modes: tuple
+    sigmas: np.ndarray
+    residues: np.ndarray
     terminal_positions: np.ndarray
 
     def __post_init__(self):
@@ -89,7 +87,6 @@ class CanonicalResponse:
         object.__setattr__(
             self, "terminal_positions", np.asarray(self.terminal_positions, dtype=float)
         )
-        object.__setattr__(self, "modes", tuple(self.modes))
         n = self.A.order
         if self.A.field != "real":
             raise ValueError("static stiffness block A must be real")
@@ -102,9 +99,26 @@ class CanonicalResponse:
                 f"terminal positions {self.terminal_positions.shape} do not fill "
                 f"order {n}"
             )
-        for k, mode in enumerate(self.modes):
-            if mode.R.order != n or mode.R.field != "real":
-                raise ValueError(f"mode {k} residue must be real of order {n}")
+        if np.iscomplexobj(self.sigmas) or np.iscomplexobj(self.residues):
+            raise ValueError("sigmas and residues must be real")
+        sigmas = np.asarray(self.sigmas, dtype=np.float64)
+        residues = np.asarray(self.residues, dtype=np.float64, order="C")
+        if sigmas.ndim != 1 or residues.shape != (sigmas.size, n, n):
+            raise ValueError(f"sigmas {sigmas.shape}, residues {residues.shape}, order {n}")
+        finite = np.isfinite(sigmas) & np.isfinite(residues).all(axis=(1, 2))
+        if not finite.all():
+            raise DimensionMismatch(f"modes[{np.argmin(finite)}]: entries must be finite")
+        bits = residues.view(np.int64)  # integers tell -0.0 from 0.0, which == does not
+        uneven = np.nonzero((bits != bits.swapaxes(1, 2)).any(axis=(1, 2)))[0]
+        residues = residues.copy() if uneven.size else residues
+        for k in uneven:
+            try:
+                residues[k] = SymMatrix(residues[k]).a
+            except AsymmetricMatrix as exc:
+                raise AsymmetricMatrix(f"modes[{k}].R: {exc}") from exc
+        sigmas.flags.writeable = residues.flags.writeable = False
+        object.__setattr__(self, "sigmas", sigmas)
+        object.__setattr__(self, "residues", residues)
 
     @property
     def order(self):
@@ -118,18 +132,22 @@ class CanonicalResponse:
     def n_terminals(self):
         return self.terminal_positions.shape[0]
 
+    @property
+    def modes(self):
+        """The ``(sigma, R)`` pairs of the modes, read-only views."""
+        return tuple(zip(self.sigmas, self.residues))
+
     @cached_property
     def static_terms(self):
         """The read-only ``(k, n, n)`` stack of ``R_j / sigma_j``, divided
         once; :class:`AtResonance` at the first mode whose term is not finite."""
-        residues = np.reshape([mode.R.a for mode in self.modes], (-1, self.order, self.order))
         with np.errstate(all="ignore"):
-            terms = residues / np.reshape([mode.sigma for mode in self.modes], (-1, 1, 1))
+            terms = self.residues / self.sigmas[:, None, None]
         finite = np.isfinite(terms).all(axis=(1, 2))
         if not finite.all():
             k = int(np.argmin(finite))
             raise AtResonance(f"W(0) is undefined: mode {k} has sigma = "
-                              f"{self.modes[k].sigma:.6g}, a pole at lambda = 0")
+                              f"{self.sigmas[k]:.6g}, a pole at lambda = 0")
         terms.flags.writeable = False
         return terms
 
@@ -144,8 +162,7 @@ class CanonicalResponse:
         """The read-only, C-ordered ``(k, n(n+1)/2)`` upper triangles of the
         residues, gathered once for :func:`modal_sum`."""
         rows, cols = np.triu_indices(self.order)
-        residues = np.reshape([mode.R.a for mode in self.modes], (-1, self.order, self.order))
-        stack = np.ascontiguousarray(residues[:, rows, cols])
+        stack = np.ascontiguousarray(self.residues[:, rows, cols])
         stack.flags.writeable = False
         return stack
 
@@ -409,7 +426,6 @@ def extract_canonical(
     if a_arr.size and np.abs(a_arr).max() <= 1e-12 * np.abs(sys.K.a).max():
         a_arr = np.zeros_like(a_arr)
     a_block = SymMatrix(a_arr)
-    modes = []
     sigmas, v = red.modal
     # mechanisms reduce Ktilde to pure rounding of an O(|K|) input, so the
     # coupling threshold keeps a floor tied to the full stiffness
@@ -424,23 +440,22 @@ def extract_canonical(
                 f"(threshold {tol_floppy * knorm:.3e})"
             )
     live = np.nonzero(~floppy)[0]
-    # every live mode's v_i v_i^T in one product; += 0.0 writes +0.0 where
-    # a product is -0.0, as summing from zeros does. A singleton cluster's
-    # residue is its slice, kept without a copy.
+    # every live mode's v_i v_i^T in one product, the residue stack itself
+    # when no cluster merges modes; += 0.0 writes +0.0 where a product is
+    # -0.0, as summing from zeros does
     outer = v.T[live, :, None] * v.T[live, None, :]
     outer += 0.0
-    for group in _cluster_ascending(sigmas[live].tolist(), tol_cluster):
-        r = outer[group[0]]
-        for g in group[1:]:  # in member order
-            r = r + outer[g]
-        members = sigmas[live[group]]
-        sigma_j = members[0] if len(group) == 1 else np.mean(members)
-        modes.append(Mode(float(sigma_j), SymMatrix(r, copy=False)))
+    live_sigmas = sigmas[live]
+    groups = _cluster_ascending(live_sigmas.tolist(), tol_cluster)
+    if len(groups) < live.size:  # a cluster: mean stiffness, residues added in order
+        live_sigmas = np.array([np.mean(live_sigmas[g]) for g in groups])
+        outer = np.array([np.add.reduce(outer[g]) for g in groups])
     cr = CanonicalResponse(
         rayleigh=red.rayleigh,
         A=a_block,
         Mbb=red.Mbb.copy(),
-        modes=tuple(modes),
+        sigmas=live_sigmas,
+        residues=outer,
         terminal_positions=red.terminal_positions,
     )
     if check and nb:
@@ -534,10 +549,9 @@ def _poles(cr, lams):
     """:func:`canonical_poles`, ``q_j = sigma_j + (alpha*sigma_j + beta)*lambda
     + lambda^2`` with CPython's moduli, ``damp`` and ``inertia``."""
     lam, square, damp, inertia = _factors(cr.rayleigh, lams)
-    sigma = np.array([mode.sigma for mode in cr.modes])
     guard = np.array([1e-12 * (1.0 + abs(x) ** 2) for x in lams]).reshape(-1, 1)
     with np.errstate(all="ignore"):
-        q = sigma + (cr.rayleigh.alpha * sigma + cr.rayleigh.beta) * lam + square
+        q = cr.sigmas + (cr.rayleigh.alpha * cr.sigmas + cr.rayleigh.beta) * lam + square
         return np.hypot(q.real, q.imag) <= guard, q, damp, inertia
 
 
@@ -548,7 +562,7 @@ def canonical_responses(cr, lams):
     (:func:`canonical_poles`) or the first with an entry that is not finite
     are yielded; that point raises :class:`AtResonance`, naming its first
     resonant mode, or :class:`DimensionMismatch`."""
-    for points in _blocks(lams, cr.order, len(cr.modes)):
+    for points in _blocks(lams, cr.order, len(cr.sigmas)):
         resonant, q, damp, inertia = _poles(cr, points)
         w = modal_sum(cr.A.a, cr.Mbb, cr.residue_stack, damp, inertia, q)
         with np.errstate(all="ignore"):
@@ -558,7 +572,7 @@ def canonical_responses(cr, lams):
         if bad.size and resonant[bad[0]].any():
             p, j = bad[0], np.argmax(resonant[bad[0]])
             raise AtResonance(
-                f"lambda = {points[p]} is a pole: |q({cr.modes[j].sigma:.6g})| = "
+                f"lambda = {points[p]} is a pole: |q({cr.sigmas[j]:.6g})| = "
                 f"{np.hypot(q[p, j].real, q[p, j].imag):.3e}"
             )
         if bad.size:
@@ -583,7 +597,7 @@ def canonical_to_dict(cr):
         "beta": cr.rayleigh.beta,
         "A": cr.A.a.tolist(),
         "Mbb": cr.Mbb.tolist(),
-        "modes": [{"sigma": float(m.sigma), "R": m.R.a.tolist()} for m in cr.modes],
+        "modes": [{"sigma": s, "R": r} for s, r in zip(cr.sigmas.tolist(), cr.residues.tolist())],
         "terminals": cr.terminal_positions.tolist(),
     }
 
@@ -596,28 +610,22 @@ def canonical_from_dict(obj, path="canonical"):
     n = terminals.shape[0] * terminals.shape[1]
     try:
         a = SymMatrix(jsonio.as_matrix(obj["A"], f"{path}.A", (n, n)))
-        modes = []
-        for k, raw in enumerate(jsonio.as_list(obj["modes"], f"{path}.modes")):
-            p = f"{path}.modes[{k}]"
-            jsonio.check_fields(raw, p, ("sigma", "R"))
-            modes.append(
-                Mode(
-                    jsonio.as_number(raw["sigma"], f"{p}.sigma"),
-                    SymMatrix(jsonio.as_matrix(raw["R"], f"{p}.R", (n, n))),
-                )
-            )
-        ray = RayleighParams(
-            jsonio.as_number(obj["alpha"], f"{path}.alpha"),
-            jsonio.as_number(obj["beta"], f"{path}.beta"),
-        )
+    except AsymmetricMatrix as exc:
+        raise SchemaError(f"{path}.A: {exc}") from exc
+    sigmas, residues = [], []
+    for k, raw in enumerate(jsonio.as_list(obj["modes"], f"{path}.modes")):
+        p = f"{path}.modes[{k}]"
+        jsonio.check_fields(raw, p, ("sigma", "R"))
+        sigmas.append(jsonio.as_number(raw["sigma"], f"{p}.sigma"))
+        residues.append(jsonio.as_matrix(raw["R"], f"{p}.R", (n, n)))
+    try:
         return CanonicalResponse(
-            rayleigh=ray,
+            rayleigh=rayleigh_from_dict({"alpha": obj["alpha"], "beta": obj["beta"]}, path),
             A=a,
             Mbb=jsonio.as_vector(obj["Mbb"], f"{path}.Mbb", n),
-            modes=tuple(modes),
+            sigmas=sigmas,
+            residues=np.reshape(residues, (-1, n, n)),
             terminal_positions=terminals,
         )
-    except (ValueError, ElastonetError) as exc:
-        if isinstance(exc, SchemaError):
-            raise
-        raise SchemaError(f"{path}: {exc}") from exc
+    except AsymmetricMatrix as exc:  # the one refusal left, named modes[k].R
+        raise SchemaError(f"{path}.{exc}") from exc

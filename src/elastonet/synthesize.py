@@ -607,8 +607,7 @@ def synthesize(
     # content below their joint rounding is cancellation noise. With every
     # sigma > 0, max|R_j / sigma_j| has the bits of max|R_j| / sigma_j
     static_scale = np.abs(cr.A.a).max() + sum(np.abs(terms).max(axis=(1, 2)))
-    sigmas = np.array([m.sigma for m in cr.modes])
-    floors = np.r_[1e-12 * static_scale, np.zeros(len(sigmas))]
+    floors = np.r_[1e-12 * static_scale, np.zeros(len(cr.sigmas))]
     owner, factors = _rank_one_factors(np.concatenate([w0.a[None], terms]), floors)
     # the static factors are projected onto the balanced subspace: the
     # slice's columns are balanced, but eigenvectors of near-threshold
@@ -636,7 +635,7 @@ def synthesize(
 
     gadget = owner > 0
     components.extend(_gadgets(
-        terminals, massless, factors[gadget], sigmas[owner[gadget] - 1], cr.rayleigh,
+        terminals, massless, factors[gadget], cr.sigmas[owner[gadget] - 1], cr.rayleigh,
         rng, epsilon_hull, user_forbidden, clearance,
     ))
 
@@ -674,7 +673,7 @@ def verify_synthesis(gn, cr, n_samples=50, seed=0):
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     rng = np.random.default_rng(seed)
-    avoid = system_resonances(cr.rayleigh, [m.sigma for m in cr.modes])
+    avoid = system_resonances(cr.rayleigh, cr.sigmas)
     points = sample_nonresonant(rng, avoid, n_samples)
     references = canonical_responses(cr, points)
     worst = 0.0

@@ -79,7 +79,7 @@ def matrix_scales(cr):
     ``R_j/sigma_j`` of ``W(0)`` and ``omega Im W`` on the passivity grid of a
     ``CanonicalResponse``, by the matrix names of ``SCALED``; ``W(0) terms``
     is absent when a pole sits at 0."""
-    scales = {"A": _peak(cr.A.a), "R": max([_peak(m.R.a) for m in cr.modes], default=0.0)}
+    scales = {"A": _peak(cr.A.a), "R": max([_peak(r) for r in cr.residues], default=0.0)}
     try:
         scales["W(0) terms"] = max(scales["A"], _peak(cr.static_terms))
     except AtResonance:

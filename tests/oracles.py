@@ -398,12 +398,12 @@ def static_response_by_mode(cr):
     divided and checked in mode order: the reference for
     ``CanonicalResponse.static_response``."""
     w0 = cr.A.a.copy()
-    for k, mode in enumerate(cr.modes):
+    for k, (sigma, r) in enumerate(zip(cr.sigmas.tolist(), cr.residues)):
         with np.errstate(all="ignore"):
-            term = mode.R.a / mode.sigma
+            term = r / sigma
         if not np.isfinite(term).all():
             raise AtResonance(f"W(0) is undefined: mode {k} has sigma = "
-                              f"{mode.sigma:.6g}, a pole at lambda = 0")
+                              f"{sigma:.6g}, a pole at lambda = 0")
         w0 = w0 - term
     return SymMatrix(w0)
 
@@ -419,14 +419,14 @@ def canonical_block_twin(cr, lams):
     so this one must be given the same block of points."""
     n = cr.order
     rows, cols = np.triu_indices(n)
-    residues = np.array([m.R.a[rows, cols] for m in cr.modes]).reshape(-1, rows.size)
+    residues = np.array([r[rows, cols] for r in cr.residues]).reshape(-1, rows.size)
     lam = np.array([complex(x) for x in lams]).reshape(-1, 1)
     x, y = lam.real, lam.imag
     square = np.empty_like(lam)
     square.real, square.imag = x * x - y * y, x * y + y * x
     alpha, beta = cr.rayleigh.alpha, cr.rayleigh.beta
     damp, inertia = 1.0 + alpha * lam, beta * lam + square
-    sigma = np.array([m.sigma for m in cr.modes])
+    sigma = np.array(cr.sigmas.tolist())
     with np.errstate(all="ignore"):
         c = damp * damp / (sigma + (alpha * sigma + beta) * lam + square)
         upper = damp * cr.A.a[rows, cols] + inertia * np.diag(cr.Mbb)[rows, cols]
@@ -758,15 +758,14 @@ def construction_one_by_one(cr, epsilon_hull=0.1, forbidden=(), seed=0, min_clea
         terminals, forbidden, min_clearance, epsilon_hull
     )
     rng = np.random.default_rng(seed)
-    static_scale = np.abs(cr.A.a).max() + sum(
-        np.abs(m.R.a).max() / m.sigma for m in cr.modes
-    )
+    modes = list(zip(cr.sigmas.tolist(), cr.residues))
+    static_scale = np.abs(cr.A.a).max() + sum(np.abs(r).max() / sigma for sigma, r in modes)
     static_factors = _rank_one_factors(
         static_response_by_mode(cr).a, terminals, what="static slice",
         floor=1e-12 * static_scale,
     )
     massless = _terminal_nodes(terminals, np.zeros(nt))
-    factors = [(m.sigma, v) for m in cr.modes for v in _rank_one_factors(m.R.a / m.sigma)]
+    factors = [(sigma, v) for sigma, r in modes for v in _rank_one_factors(r / sigma)]
     # each gadget keeps clear of the user's points and of the nodes placed
     # before it, which fill this array in order
     placed = np.empty((len(user_forbidden) + 2 * len(factors), d))

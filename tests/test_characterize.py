@@ -2,6 +2,7 @@
 
 import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from numpy.testing import assert_allclose
 from elastonet import (
     CanonicalResponse,
     DimensionMismatch,
-    Mode,
     RayleighParams,
     SymMatrix,
     assemble,
@@ -32,13 +32,7 @@ def zero_sigma_response():
     """An extracted form whose first modal stiffness is set to exactly 0."""
     net = random_network(1, 2, 2, 2, 1.0, alpha=0.2, beta=0.1)
     cr = extract_canonical(assemble(net))
-    return CanonicalResponse(
-        rayleigh=cr.rayleigh,
-        A=cr.A,
-        Mbb=cr.Mbb,
-        modes=(Mode(0.0, cr.modes[0].R),) + cr.modes[1:],
-        terminal_positions=cr.terminal_positions,
-    )
+    return replace(cr, sigmas=np.r_[0.0, cr.sigmas[1:]])
 
 
 class TestCheckBalanced:
@@ -125,7 +119,8 @@ def pure_mass_response(mass=1.3, beta=0.7):
         rayleigh=RayleighParams(0.0, beta),
         A=SymMatrix(np.zeros((2, 2))),
         Mbb=np.full(2, mass),
-        modes=(),
+        sigmas=np.zeros(0),
+        residues=np.zeros((0, 2, 2)),
         terminal_positions=np.array([[0.0, 0.0]]),
     )
 
@@ -170,20 +165,14 @@ class TestCheckCanonical:
         report = check_canonical(cr)
         assert report.to_dict() == expected
         assert "skipped" not in report.conditions["passivity_sampled"].witness
-        assert sum(shape[0] for shape in calls) == len(cr.modes) + 2 + 2 * PASSIVITY_GRID_POINTS
+        assert sum(shape[0] for shape in calls) == len(cr.sigmas) + 2 + 2 * PASSIVITY_GRID_POINTS
         assert len(calls) == 4
 
     def test_negated_residue_fails_psd_and_passivity(self):
         net = random_network(1, 2, 2, 2, 1.0, alpha=0.2, beta=0.1)
         cr = extract_canonical(assemble(net))
-        assert cr.modes
-        flipped = CanonicalResponse(
-            rayleigh=cr.rayleigh,
-            A=cr.A,
-            Mbb=cr.Mbb,
-            modes=tuple(Mode(m.sigma, SymMatrix(-m.R.a)) for m in cr.modes),
-            terminal_positions=cr.terminal_positions,
-        )
+        assert cr.sigmas.size
+        flipped = replace(cr, residues=-cr.residues)
         report = check_canonical(flipped)
         assert not report.conditions["R_psd"].passed
         assert not report.conditions["passivity_sampled"].passed
@@ -195,13 +184,7 @@ class TestCheckCanonical:
     def test_negative_sigma_named(self):
         net = random_network(1, 2, 2, 2, 1.0)
         cr = extract_canonical(assemble(net))
-        bad = CanonicalResponse(
-            rayleigh=cr.rayleigh,
-            A=cr.A,
-            Mbb=cr.Mbb,
-            modes=(Mode(-1.0, cr.modes[0].R),) + cr.modes[1:],
-            terminal_positions=cr.terminal_positions,
-        )
+        bad = replace(cr, sigmas=np.r_[-1.0, cr.sigmas[1:]])
         report = check_canonical(bad)
         assert not report.conditions["sigma_positive"].passed
         assert not report.conditions["poles_left_half"].passed
@@ -234,38 +217,20 @@ class TestCheckCanonical:
     def test_oversized_residue_breaks_static_psd(self):
         net = random_network(1, 2, 2, 2, 1.0)
         cr = extract_canonical(assemble(net))
-        assert cr.modes
-        inflated = CanonicalResponse(
-            rayleigh=cr.rayleigh,
-            A=cr.A,
-            Mbb=cr.Mbb,
-            modes=tuple(Mode(m.sigma, SymMatrix(5.0 * m.R.a)) for m in cr.modes),
-            terminal_positions=cr.terminal_positions,
-        )
+        assert cr.sigmas.size
+        inflated = replace(cr, residues=5.0 * cr.residues)
         report = check_canonical(inflated)
         assert not report.conditions["static_psd"].passed
 
     def test_negative_terminal_mass_named(self):
         cr = pure_mass_response()
-        bad = CanonicalResponse(
-            rayleigh=cr.rayleigh,
-            A=cr.A,
-            Mbb=np.array([1.0, -1.0]),
-            modes=(),
-            terminal_positions=cr.terminal_positions,
-        )
+        bad = replace(cr, Mbb=np.array([1.0, -1.0]))
         report = check_canonical(bad)
         assert not report.conditions["M_diag_psd"].passed
 
     def test_non_block_constant_mass_warns_but_passes(self):
         cr = pure_mass_response()
-        odd = CanonicalResponse(
-            rayleigh=cr.rayleigh,
-            A=cr.A,
-            Mbb=np.array([1.0, 2.0]),
-            modes=(),
-            terminal_positions=cr.terminal_positions,
-        )
+        odd = replace(cr, Mbb=np.array([1.0, 2.0]))
         report = check_canonical(odd)
         assert report.passed
         assert report.warnings
@@ -288,6 +253,27 @@ class TestCheckCanonical:
             assert set(entry) == {"pass", "worst_violation", "witness"}
 
 
+    @pytest.mark.parametrize("beta, skipped", [(0.0, 2), (0.5, 0)])
+    def test_resonant_grid_points_are_skipped_and_counted(self, beta, skipped):
+        # undamped, the mode at sigma = 1 has its poles at omega = +-1, two
+        # points of the grid; damping moves them off the imaginary axis
+        cr = CanonicalResponse(
+            rayleigh=RayleighParams(0.0, beta),
+            A=SymMatrix(np.zeros((2, 2))),
+            Mbb=np.zeros(2),
+            sigmas=[1.0],
+            residues=[np.eye(2)],
+            terminal_positions=np.array([[0.0, 0.0]]),
+        )
+        assert 1.0 in np.logspace(-2.0, 2.0, PASSIVITY_GRID_POINTS)
+        condition = check_canonical(cr).conditions["passivity_sampled"]
+        assert condition.passed
+        assert condition.worst_violation == 0.0
+        witness = condition.witness
+        assert witness.endswith(f"({skipped} resonant grid points skipped)") == bool(skipped)
+        assert ("skipped" in witness) == bool(skipped)
+
+
 class TestPassivityMargin:
     def test_zero_frequency_margin_is_zero(self):
         net = random_network(2, 2, 2, 2, 1.0)
@@ -301,7 +287,8 @@ class TestPassivityMargin:
             rayleigh=RayleighParams(alpha, beta),
             A=SymMatrix(np.array([[1.0, 0.0], [0.0, 0.0]]) / 2.0),
             Mbb=np.zeros(2),
-            modes=(Mode(sigma, SymMatrix(np.array([[1.0, 0.0], [0.0, 0.0]]))),),
+            sigmas=[sigma],
+            residues=[[[1.0, 0.0], [0.0, 0.0]]],
             terminal_positions=np.array([[0.0, 0.0]]),
         )
         lam = 1j * omega
@@ -331,13 +318,7 @@ class TestPassivityMargin:
     def test_negated_residue_goes_negative(self):
         net = random_network(1, 2, 2, 2, 1.0, alpha=0.2, beta=0.1)
         cr = extract_canonical(assemble(net))
-        flipped = CanonicalResponse(
-            rayleigh=cr.rayleigh,
-            A=cr.A,
-            Mbb=cr.Mbb,
-            modes=tuple(Mode(m.sigma, SymMatrix(-m.R.a)) for m in cr.modes),
-            terminal_positions=cr.terminal_positions,
-        )
+        flipped = replace(cr, residues=-cr.residues)
         grid = np.logspace(-2, 2, 41)
         margins = [passivity_margin(flipped, w) for w in grid]
         assert min(margins) < 0.0

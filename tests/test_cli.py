@@ -362,6 +362,66 @@ class TestExtractAndCharacterize:
         assert rep["conditions"]["static_psd"]["pass"] is False
 
 
+def canonical_3d():
+    """The JSON form of ``random_network(1, 3, 3, 6, 0.5)``: three terminals
+    in 3-D (order 9) and five modes."""
+    return canonical_to_dict(extract_canonical(assemble(random_network(1, 3, 3, 6, 0.5))))
+
+
+def shifted(*path):
+    """An edit of a JSON form that adds 1e-3 to its entry at ``path``."""
+    def edit(obj):
+        *parents, last = path
+        for key in parents:
+            obj = obj[key]
+        obj[last] += 1e-3
+    return edit
+
+
+class TestCanonicalReaderRefusals:
+    """What the canonical reader refuses exits 2 with one ``error:`` line
+    naming the field."""
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            pytest.param(lambda obj: obj.update(terminals=[t[:1] for t in obj["terminals"]]),
+                         "canonical.terminals: expected rows of 2 or 3 coordinates",
+                         id="one-coordinate"),
+            pytest.param(lambda obj: obj.update(terminals=[t + [0.0] for t in obj["terminals"]]),
+                         "canonical.terminals: expected rows of 2 or 3 coordinates",
+                         id="four-coordinates"),
+            pytest.param(lambda obj: obj.update(A=obj["A"][:-1]),
+                         "canonical.A: expected 9 rows, got 8", id="A-row-short"),
+            pytest.param(shifted("A", 0, 1), "canonical.A: asymmetry 1.000e-03 exceeds",
+                         id="A-asymmetric"),
+            pytest.param(shifted("modes", 1, "R", 0, 1),
+                         "canonical.modes[1].R: asymmetry 1.000e-03 exceeds",
+                         id="R-asymmetric"),
+        ],
+    )
+    def test_exits_2_naming_the_field(self, tmp_path, capsys, edit, message):
+        obj = canonical_3d()
+        edit(obj)
+        bad, report = tmp_path / "bad.json", tmp_path / "report.json"
+        write_json(bad, obj)
+        assert main(["characterize", str(bad), "-o", str(report)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert not report.exists()
+
+    def test_a_rounding_level_asymmetry_is_repaired(self, tmp_path, capsys):
+        obj = canonical_3d()
+        row = obj["modes"][1]["R"][0]
+        row[1] *= 1.0 + 1e-15
+        assert row[1] != obj["modes"][1]["R"][1][0]
+        bad, report = tmp_path / "bad.json", tmp_path / "report.json"
+        write_json(bad, obj)
+        assert main(["characterize", str(bad), "-o", str(report)]) == 0
+        assert capsys.readouterr().err == ""
+        assert json.loads(report.read_text())["pass"] is True
+
+
 class TestSynthesize:
     def test_roundtrip_canonical(self, tmp_path, canonical_file):
         out = tmp_path / "gen.json"
@@ -377,7 +437,8 @@ class TestSynthesize:
             rayleigh=RayleighParams(0.3, 0.3),
             A=SymMatrix(np.zeros((4, 4))),
             Mbb=np.zeros(4),
-            modes=(),
+            sigmas=np.zeros(0),
+            residues=np.zeros((0, 4, 4)),
             terminal_positions=np.array([[0.0, 0.0], [1.0, 0.0]]),
         )
         path = tmp_path / "zero.json"

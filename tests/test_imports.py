@@ -4,8 +4,9 @@ formats floats only through its vectorized formatter;
 in synthesis only the direct oracle solves Schur complements,
 ``geometry.cross`` is the one cross product, only ``linalg`` repairs
 symmetry or takes an SVD, the one ``np.ix_`` gather is the massless split
-of ``eliminate_massless``, the network model takes no per-pair
-``np.linalg.norm``, no module keeps a block partition, only
+of ``eliminate_massless``, no module defines ``Mode`` or reads ``.modes``,
+the network model takes no per-pair ``np.linalg.norm``, no module keeps a
+block partition, only
 ``response`` builds a ``ReducedSystem``, one pencil helper and one
 modal eigensolve remain, and the package's defaulted parameters stay
 within their budget."""
@@ -287,6 +288,33 @@ IX_GATHERS = {"response.py": 1}
 def test_only_linalg_gathers_blocks(module):
     assert len(ix_uses((PACKAGE / module).read_text())) == IX_GATHERS.get(module, 0)
     assert ix_uses((PACKAGE / "linalg.py").read_text()) == []
+
+
+def mode_uses(source):
+    """Lines of ``source`` that define ``Mode``, as a class or a name bound
+    by assignment, or read an attribute ``modes``."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef) and node.name == "Mode"
+        or isinstance(node, ast.Name) and node.id == "Mode" and isinstance(node.ctx, ast.Store)
+        or isinstance(node, ast.Attribute) and node.attr == "modes"
+    )
+
+
+def test_guard_reports_a_mode_class_or_a_modes_read():
+    source = (
+        "class Mode:\n    pass\n\n\nMode = namedtuple('Mode', 'sigma R')\n"
+        "len(cr.modes)\nprint(Mode, cr.sigmas)\ncr.modes_of(x)\n"
+    )
+    assert mode_uses(source) == [1, 5, 6]
+
+
+# the pole-residue form is one sigma vector and one residue stack; its
+# (sigma, R) pairs stay as a view for readers outside the package only
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_modes_are_read_as_stacks(module):
+    assert mode_uses((PACKAGE / module).read_text()) == []
 
 
 def norm_uses(source):

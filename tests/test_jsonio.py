@@ -4,6 +4,7 @@ and its float formatter against ``float.__repr__``."""
 import json
 import math
 import sys
+from typing import NamedTuple
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -176,11 +177,23 @@ def test_payloads_with_a_large_block_write_like_json_dumps(payload):
     assert dumps_canonical(payload) == reference(payload)
 
 
+class KeyRefused(NamedTuple):
+    """A payload whose first error is a key that is not a str: ``json.dumps``
+    also writes int, float, bool and None keys, the writer refuses any key
+    but a str, naming its type, before it sorts the keys."""
+
+    payload: object
+    name: str
+
+    def error(self):
+        return TypeError, f"keys must be str, not {self.name}"
+
+
 @pytest.mark.parametrize("payload", [
-    {2: "a", 10: "b"},
-    {1.5: 0, -0.0: 1},
-    {True: 1, False: 2},
-    {None: []},
+    KeyRefused({2: "a", 10: "b"}, "int"),
+    KeyRefused({1.5: 0, -0.0: 1}, "float"),
+    KeyRefused({True: 1, False: 2}, "bool"),
+    KeyRefused({None: []}, "NoneType"),
     {"é": "ü☃", "a": {}},
     [[1.0, 2.0], [3.0]],
     [[1.0, 2], [3.0, 4.0]],
@@ -193,7 +206,10 @@ def test_payloads_with_a_large_block_write_like_json_dumps(payload):
     [np.eye(2), np.eye(2).tolist(), -np.eye(2)],
 ])
 def test_same_bytes_on_edge_cases(payload):
-    assert dumps_canonical(payload) == reference(payload)
+    if isinstance(payload, KeyRefused):
+        assert raised(dumps_canonical, payload.payload) == payload.error()
+    else:
+        assert dumps_canonical(payload) == reference(payload)
 
 
 def test_matrix_pairs_writes_as_the_pair_lists():
@@ -220,18 +236,18 @@ def raised(fn, obj):
     {"w": [[0.5, -float("inf")]]},
     [np.float64("nan")],
     {"a": [1, float("nan")]},
-    {float("nan"): 1},
+    KeyRefused({float("nan"): 1}, "float"),
     ["x", float("nan"), object()],
     [object(), float("nan")],
     np.int64(3),
     [np.int64(1)],
     {"a": np.bool_(True)},
-    {1: 0, "b": 1},
-    {(1, 2): 0},
-    # the first error in document order: NaN in a row or a block, then
-    # unsortable keys or an integer too long to write, and the reverse
+    KeyRefused({1: 0, "b": 1}, "int"),
+    KeyRefused({(1, 2): 0}, "tuple"),
+    # the first error in document order: NaN in a row or a block, then a
+    # key that is not a str or an integer too long to write, and the reverse
     [[0.5, float("nan")], {1: 0, "b": 1}],
-    [{1: 0, "b": 1}, [0.5, float("nan")]],
+    KeyRefused([{1: 0, "b": 1}, [0.5, float("nan")]], "int"),
     [[[0.5, 1.0], [1.0, -float("inf")]], 10**5000],
     [10**5000, float("nan")],
     {"a": float("nan"), "b": {1.5: 0, -float("inf"): 1}},
@@ -254,7 +270,10 @@ def raised(fn, obj):
     [{"a": np.arange(2)}, {"a": np.arange(2)}],
 ])
 def test_same_error_as_json_dumps(payload):
-    assert raised(dumps_canonical, payload) == raised(json_dumps, payload)
+    if isinstance(payload, KeyRefused):
+        assert raised(dumps_canonical, payload.payload) == payload.error()
+    else:
+        assert raised(dumps_canonical, payload) == raised(json_dumps, payload)
 
 
 NON_FINITE = FINITE | st.sampled_from([float("nan"), float("inf"), -float("inf")])
@@ -296,7 +315,7 @@ def spy_columns(monkeypatch):
     ([{"a": 1.0}], False),  # one record
     ([{"a": 1.0}, {"b": 1.0}], False),  # other keys
     ([{}, {}], True),
-    ([{1: 1.0}, {1: 2.0}], False),  # a key that is not a str
+    ([{1: 1.0}, {1: 2.0}], False),  # a key that is not a str, refused
     ([{"a": [1.0, 2.0]}, {"a": [3.0]}], False),  # ragged float lists
     ([{"a": 1}, {"a": True}], False),  # ints and bools mixed
     ([{"a": 1}, {"a": 1.0}], False),
@@ -306,7 +325,9 @@ def spy_columns(monkeypatch):
 ])
 def test_record_lists_are_written_by_column(records, by_column, monkeypatch):
     seen = spy_columns(monkeypatch)
-    outcome(dumps_canonical, records)  # the long integer is walked to its error
+    result = outcome(dumps_canonical, records)  # the long integer is walked to its error
+    if any(not isinstance(key, str) for record in records for key in record):
+        assert result == KeyRefused(records, "int").error()
     assert any(count == len(records) and text[0] == "{" for count, text, _ in seen) is by_column
 
 

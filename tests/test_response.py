@@ -10,13 +10,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from elastonet import (
+    AsymmetricMatrix,
     AtResonance,
     CanonicalResponse,
     DimensionMismatch,
     ElastodynamicNetwork,
     ElastonetError,
     FloppyModeInconsistent,
-    Mode,
     Node,
     RayleighParams,
     ReconstructionMismatch,
@@ -306,9 +306,9 @@ class TestExtractCanonical:
         n = np.array([-1.0, 0.0])  # unit vector from terminal to the mass
         block = np.outer(n, n)
         assert_allclose(cr.A.a, block, atol=1e-14)
-        assert len(cr.modes) == 1
-        assert_allclose(cr.modes[0].sigma, 1.0)
-        assert_allclose(cr.modes[0].R.a, block, atol=1e-14)
+        assert len(cr.sigmas) == 1
+        assert_allclose(cr.sigmas[0], 1.0)
+        assert_allclose(cr.residues[0], block, atol=1e-14)
         assert_allclose(cr.static_response().a, 0.0, atol=1e-14)
         assert_allclose(cr.Mbb, [0.0, 0.0])
 
@@ -317,13 +317,13 @@ class TestExtractCanonical:
         net = ElastodynamicNetwork(2, nodes, (Spring(0, 1, 2.0),))
         sys = assemble(net)
         cr = extract_canonical(sys)
-        assert not cr.modes
+        assert not cr.sigmas.size
         assert np.array_equal(cr.A.a, sys.K.a)
         assert_allclose(cr.Mbb, [1.5, 1.5, 2.5, 2.5])
 
     def test_chain_extraction_matches_elimination(self, assembled_chain):
         cr = extract_canonical(assembled_chain)
-        assert not cr.modes  # massless middle node leaves no resonant mode
+        assert not cr.sigmas.size  # massless middle node leaves no resonant mode
         assert_allclose(cr.A.a, axial_block(0.5), atol=1e-14)
 
     def test_floppy_mode_with_coupling_rejected(self):
@@ -358,9 +358,9 @@ class TestExtractCanonical:
         )
         net = ElastodynamicNetwork(2, nodes, (Spring(0, 2, 1.0), Spring(1, 2, 1.0)))
         cr = extract_canonical(assemble(net))
-        assert len(cr.modes) == 1
-        assert_allclose(cr.modes[0].sigma, 1.0)
-        assert np.linalg.matrix_rank(cr.modes[0].R.a, tol=1e-10) == 2
+        assert len(cr.sigmas) == 1
+        assert_allclose(cr.sigmas[0], 1.0)
+        assert np.linalg.matrix_rank(cr.residues[0], tol=1e-10) == 2
 
     @pytest.mark.parametrize("seed", range(3))
     def test_cluster_residue_sums_its_members_in_order(self, seed):
@@ -377,9 +377,9 @@ class TestExtractCanonical:
         r = np.zeros((9, 9))
         for i in range(3):
             r += np.outer(v[:, i], v[:, i])
-        (mode,) = extract_canonical(sys).modes
-        assert mode.sigma == float(np.mean(sigmas))
-        assert mode.R.a.tobytes() == r.tobytes()
+        cr = extract_canonical(sys)
+        assert cr.sigmas.tolist() == [float(np.mean(sigmas))]
+        assert cr.residues.tobytes() == r.tobytes()
 
     @pytest.mark.parametrize("seed", [1, 5, 9, 14])
     def test_roundtrip_against_direct_response(self, seed):
@@ -400,12 +400,12 @@ class TestExtractCanonical:
         net = random_network(seed, 3, 2, 3, 0.7)
         cr = extract_canonical(assemble(net))
         assert is_psd(cr.A, tol=1e-9)
-        sigmas = [m.sigma for m in cr.modes]
+        sigmas = cr.sigmas.tolist()
         assert all(s > 0 for s in sigmas)
         assert sigmas == sorted(sigmas)
         assert len(set(sigmas)) == len(sigmas)
-        for m in cr.modes:
-            assert is_psd(m.R, tol=1e-9)
+        for r in cr.residues:
+            assert is_psd(r, tol=1e-9)
         poles = system_resonances(cr.rayleigh, sigmas)
         assert all(r.real <= 1e-12 for r in poles)
         # static slice is PSD with balanced columns
@@ -510,11 +510,12 @@ class TestExtractionSelfCheck:
     def test_perturbed_residue_is_still_rejected(self, monkeypatch):
         # every residue of the extracted form 1e-6 relative too large: LU
         # and SVD both see it
-        def perturbed(sigma, R):
-            return Mode(sigma, SymMatrix(R.a * (1 + 1e-6)))
+        def perturbed(residues, **fields):
+            return form(residues=residues * (1 + 1e-6), **fields)
 
+        form = response.CanonicalResponse
         calls = count_fallbacks(monkeypatch)
-        monkeypatch.setattr(response, "Mode", perturbed)
+        monkeypatch.setattr(response, "CanonicalResponse", perturbed)
         sys = assemble(random_network(3, 3, 4, 10, 1.0))
         with pytest.raises(ReconstructionMismatch, match="deviates from the direct"):
             extract_canonical(sys)
@@ -721,16 +722,15 @@ def mutated_forms(cr):
     """``(row, form)`` pairs: sigma and R scaled by 1 + 1e-6 and the mode
     dropped, each at the lowest, the middle and the top mode, then A, Mbb,
     alpha and beta scaled."""
-    k = len(cr.modes)
+    k = len(cr.sigmas)
     for where, j in (("low", 0), ("mid", k // 2), ("top", k - 1)):
-        sigma, r = cr.modes[j].sigma, cr.modes[j].R
-
-        def with_mode(*mode):
-            return replace(cr, modes=cr.modes[:j] + mode + cr.modes[j + 1:])
-
-        yield f"sigma {where}", with_mode(Mode(scaled(sigma), r))
-        yield f"R {where}", with_mode(Mode(sigma, SymMatrix(scaled(r.a))))
-        yield f"drop {where}", with_mode()
+        sigmas, residues = cr.sigmas.copy(), cr.residues.copy()
+        sigmas[j], residues[j] = scaled(sigmas[j]), scaled(residues[j])
+        yield f"sigma {where}", replace(cr, sigmas=sigmas)
+        yield f"R {where}", replace(cr, residues=residues)
+        yield f"drop {where}", replace(
+            cr, sigmas=np.delete(cr.sigmas, j), residues=np.delete(cr.residues, j, axis=0)
+        )
     ray = cr.rayleigh
     yield "A", replace(cr, A=SymMatrix(scaled(cr.A.a)))
     yield "Mbb", replace(cr, Mbb=scaled(cr.Mbb))
@@ -798,7 +798,7 @@ class TestEvaluateCanonical:
     def test_static_value(self, terminal_plus_mass):
         cr = extract_canonical(assemble(terminal_plus_mass))
         w0 = evaluate_canonical(cr, 0.0).W.a
-        expected = cr.A.a - sum(m.R.a / m.sigma for m in cr.modes)
+        expected = cr.A.a - sum(r / sigma for sigma, r in zip(cr.sigmas, cr.residues))
         assert_allclose(w0, expected, atol=1e-15)
 
     def test_massless_form_scales_statically(self):
@@ -807,7 +807,8 @@ class TestEvaluateCanonical:
             rayleigh=RayleighParams(0.6, 0.0),
             A=a,
             Mbb=np.zeros(2),
-            modes=(),
+            sigmas=np.zeros(0),
+            residues=np.zeros((0, 2, 2)),
             terminal_positions=np.array([[0.0, 0.0]]),
         )
         for lam in (0.0, 1.0j, 2.0 - 0.5j):
@@ -827,18 +828,12 @@ def looped_canonical(cr, lam, check=True):
     damp = 1.0 + cr.rayleigh.alpha * lam
     w = damp * cr.A.a + (cr.rayleigh.beta * lam + lam * lam) * np.diag(cr.Mbb)
     guard = 1e-12 * (1.0 + abs(lam) ** 2)
-    for mode in cr.modes:
-        q = (
-            mode.sigma
-            + (cr.rayleigh.alpha * mode.sigma + cr.rayleigh.beta) * lam
-            + lam * lam
-        )
+    for sigma, r in zip(cr.sigmas.tolist(), cr.residues):
+        q = sigma + (cr.rayleigh.alpha * sigma + cr.rayleigh.beta) * lam + lam * lam
         if abs(q) <= guard:
-            raise AtResonance(
-                f"lambda = {lam} is a pole: |q({mode.sigma:.6g})| = {abs(q):.3e}"
-            )
+            raise AtResonance(f"lambda = {lam} is a pole: |q({sigma:.6g})| = {abs(q):.3e}")
         with np.errstate(all="ignore"):
-            w = w - (damp * damp / q) * mode.R.a
+            w = w - (damp * damp / q) * r
     return SymMatrix(w).a if check else w
 
 
@@ -849,15 +844,13 @@ def random_form(n_modes, sigmas=None, rayleigh=RayleighParams(0.3, 0.7), seed=0)
     if sigmas is None:
         sigmas = 10.0 ** rng.uniform(-3.0, 3.0, n_modes)
     a = rng.standard_normal((n, n))
-    modes = []
-    for sigma in sigmas:
-        v = rng.standard_normal((n, 2))
-        modes.append(Mode(float(sigma), SymMatrix(v @ v.T)))
+    residues = [v @ v.T for v in (rng.standard_normal((n, 2)) for _ in sigmas)]
     return CanonicalResponse(
         rayleigh=rayleigh,
         A=SymMatrix(a + a.T),
         Mbb=rng.uniform(0.0, 2.0, n),
-        modes=tuple(modes),
+        sigmas=sigmas,
+        residues=np.reshape(residues, (-1, n, n)),
         terminal_positions=rng.standard_normal((4, 3)),
     )
 
@@ -895,7 +888,7 @@ def sparse_form(n_modes, seed=0):
         cr,
         A=SymMatrix(cr.A.a * mask),
         Mbb=np.where(np.arange(12) % 2, cr.Mbb, 0.0),
-        modes=tuple(Mode(m.sigma, SymMatrix(m.R.a * mask)) for m in cr.modes),
+        residues=cr.residues * mask,
     )
 
 
@@ -918,10 +911,10 @@ def inner_product_bound(cr, lam):
     damp = 1.0 + cr.rayleigh.alpha * lam
     inertia = cr.rayleigh.beta * lam + lam * lam
     terms = abs(damp) * np.abs(cr.A.a) + abs(inertia) * np.diag(cr.Mbb)
-    for mode in cr.modes:
-        q = mode.sigma + (cr.rayleigh.alpha * mode.sigma + cr.rayleigh.beta) * lam + lam * lam
-        terms = terms + abs(damp * damp / q) * np.abs(mode.R.a)
-    m = 2 * len(cr.modes) + 14
+    for sigma, r in zip(cr.sigmas.tolist(), cr.residues):
+        q = sigma + (cr.rayleigh.alpha * sigma + cr.rayleigh.beta) * lam + lam * lam
+        terms = terms + abs(damp * damp / q) * np.abs(r)
+    m = 2 * len(cr.sigmas) + 14
     u = np.finfo(float).eps / 2
     return m * u / (1.0 - m * u) * terms
 
@@ -991,7 +984,7 @@ class TestStackedCanonicalSum:
         cr = random_form(20, seed=5)
         lams = list(np.random.default_rng(6).uniform(0.5, 2.0, 9) * 1j)
         k = {"first": 0, "middle": 4, "last": 8}[where]
-        lams[k] = resonances_of(cr.modes[7].sigma, cr.rayleigh)[0]
+        lams[k] = resonances_of(cr.sigmas[7], cr.rayleigh)[0]
         out, text = yielded_then_raised(cr, lams)
         assert text == raised(looped_canonical, cr, lams[k])
         assert "|q(" in text and len(out) == k
@@ -1021,10 +1014,10 @@ class TestStackedCanonicalSum:
     def test_an_entry_that_overflows_is_refused(self):
         # the residue is finite, its term next to its pole is not
         cr = random_form(3, seed=7)
-        r = cr.modes[1].R.a.copy()
-        r[0, 0] = 1e308
-        cr = replace(cr, modes=(cr.modes[0], Mode(cr.modes[1].sigma, SymMatrix(r)), cr.modes[2]))
-        near = resonances_of(cr.modes[1].sigma, cr.rayleigh)[0] + 1e-8
+        residues = cr.residues.copy()
+        residues[1, 0, 0] = 1e308
+        cr = replace(cr, residues=residues)
+        near = resonances_of(cr.sigmas[1], cr.rayleigh)[0] + 1e-8
         for evaluate in (evaluate_canonical, looped_canonical):
             with pytest.raises(DimensionMismatch, match="matrix entries must be finite"):
                 evaluate(cr, near)
@@ -1059,7 +1052,7 @@ class TestResidueStack:
         assert stack is cr.residue_stack
         assert not stack.flags.writeable and stack.flags.c_contiguous
         rows, cols = np.triu_indices(cr.order)
-        assert same_bits(stack, np.array([mode.R.a[rows, cols] for mode in cr.modes]))
+        assert same_bits(stack, np.array([r[rows, cols] for r in cr.residues]))
 
     def test_no_mode_gives_an_empty_stack(self):
         cr = random_form(0)
@@ -1080,7 +1073,7 @@ class TestStaticTerms:
         sigmas = 10.0 ** np.random.default_rng(8).uniform(-250.0, 250.0, 400)
         for cr in (random_form(400, sigmas=sigmas, seed=8), sparse_form(225, seed=9)):
             got = np.abs(cr.static_terms).max(axis=(1, 2))
-            want = np.array([np.abs(m.R.a).max() / m.sigma for m in cr.modes])
+            want = np.array([np.abs(r).max() / sigma for sigma, r in zip(cr.sigmas, cr.residues)])
             assert same_bits(got, want)
 
     def test_read_only_and_computed_once(self, monkeypatch):
@@ -1130,10 +1123,11 @@ class TestStaticTerms:
         cr = extract_canonical(assemble(random_network(1, 3, 6, 60, 0.5)))
         synthesize(cr)
         (blocks, floors), = seen
-        scale = np.abs(cr.A.a).max() + sum(np.abs(m.R.a).max() / m.sigma for m in cr.modes)
-        want = [static_response_by_mode(cr).a] + [m.R.a / m.sigma for m in cr.modes]
+        modes = list(zip(cr.sigmas.tolist(), cr.residues))
+        scale = np.abs(cr.A.a).max() + sum(np.abs(r).max() / sigma for sigma, r in modes)
+        want = [static_response_by_mode(cr).a] + [r / sigma for sigma, r in modes]
         assert same_bits(blocks, np.array(want))
-        assert same_bits(floors, np.r_[1e-12 * scale, np.zeros(len(cr.modes))])
+        assert same_bits(floors, np.r_[1e-12 * scale, np.zeros(len(modes))])
 
 
 class TestNonResonantSampling:
@@ -1208,6 +1202,63 @@ class TestSystemResonances:
             assert system_resonances(ray, [2.0]) == roots + floppy + damper
 
 
+class TestCanonicalStacks:
+    """The modes of a form are one sigma vector and one residue stack,
+    validated once by the constructor."""
+
+    def form(self):
+        return extract_canonical(assemble(random_network(1, 3, 3, 6, 0.5)))
+
+    def test_extracted_stacks_are_read_only_c_ordered_and_symmetric(self):
+        cr = self.form()
+        assert cr.sigmas.shape == (5,) and cr.residues.shape == (5, 9, 9)
+        for a in (cr.sigmas, cr.residues):
+            assert a.dtype == np.float64 and a.flags.c_contiguous and not a.flags.writeable
+        assert same_bits(cr.residues, cr.residues.swapaxes(1, 2))
+        assert [sigma for sigma, _ in cr.modes] == cr.sigmas.tolist()
+        assert all(r.base is not None and not r.flags.writeable for _, r in cr.modes)
+
+    def test_a_rounding_asymmetry_is_repaired_in_a_copy(self):
+        cr = self.form()
+        residues = cr.residues.copy()
+        residues[1, 0, 1] *= 1.0 + 1e-15
+        given = residues.copy()
+        repaired = replace(cr, residues=residues)
+        assert same_bits(residues, given) and repaired.residues is not residues
+        assert same_bits(repaired.residues[1], SymMatrix(given[1]).a)
+        assert same_bits(np.delete(repaired.residues, 1, 0), np.delete(cr.residues, 1, 0))
+
+    def test_a_symmetric_stack_is_kept_itself(self):
+        cr = self.form()
+        residues = 2.0 * cr.residues
+        assert replace(cr, residues=residues).residues is residues
+
+    def test_an_asymmetric_residue_is_named(self):
+        cr = self.form()
+        residues = cr.residues.copy()
+        residues[1, 0, 1] += 1e-3
+        with pytest.raises(AsymmetricMatrix, match=r"^modes\[1\]\.R: asymmetry 1\.000e-03"):
+            replace(cr, residues=residues)
+
+    @pytest.mark.parametrize("field", ["sigmas", "residues"])
+    def test_a_non_finite_entry_is_refused(self, field):
+        cr = self.form()
+        values = getattr(cr, field).copy()
+        values[2, ...] = np.inf
+        with pytest.raises(DimensionMismatch, match=r"^modes\[2\]: "):
+            replace(cr, **{field: values})
+
+    @pytest.mark.parametrize("sigmas, residues", [
+        (np.ones(4), np.zeros((5, 9, 9))),
+        (np.ones(5), np.zeros((5, 6, 6))),
+        (np.ones((5, 1)), np.zeros((5, 9, 9))),
+        (np.ones(5), np.zeros((5, 9, 9), dtype=complex)),
+    ])
+    def test_stacks_of_the_wrong_shape_or_field_are_refused(self, sigmas, residues):
+        with pytest.raises(ValueError):
+            replace(self.form(), sigmas=sigmas, residues=residues)
+
+
 class TestCanonicalJson:
     def test_round_trip(self):
         net = random_network(21, 2, 2, 3, 0.5)
@@ -1216,10 +1267,8 @@ class TestCanonicalJson:
         back = canonical_from_dict(obj)
         assert_allclose(back.A.a, cr.A.a)
         assert_allclose(back.Mbb, cr.Mbb)
-        assert len(back.modes) == len(cr.modes)
-        for m1, m2 in zip(back.modes, cr.modes):
-            assert m1.sigma == m2.sigma
-            assert_allclose(m1.R.a, m2.R.a)
+        assert back.sigmas.tolist() == cr.sigmas.tolist()
+        assert_allclose(back.residues, cr.residues)
         assert_allclose(back.terminal_positions, cr.terminal_positions)
         assert back.rayleigh == cr.rayleigh
 
@@ -1241,4 +1290,4 @@ class TestCanonicalJson:
         if obj["modes"]:
             obj["modes"][0]["sigma"] = -1.0
             cr = canonical_from_dict(obj)
-            assert cr.modes[0].sigma == -1.0
+            assert cr.sigmas[0] == -1.0

@@ -19,7 +19,6 @@ from elastonet import (
     ElastonetError,
     GeneralizedNetwork,
     IdealElasticElement,
-    Mode,
     NotCharacterizable,
     PlacementFailed,
     RayleighParams,
@@ -624,14 +623,8 @@ class TestSynthesize:
     def test_massless_static_case_single_component(self):
         cr = extracted(10, mf=0.0)
         if any(n > 0 for n in cr.Mbb):
-            cr = CanonicalResponse(
-                rayleigh=cr.rayleigh,
-                A=cr.A,
-                Mbb=np.zeros_like(cr.Mbb),
-                modes=cr.modes,
-                terminal_positions=cr.terminal_positions,
-            )
-        assert not cr.modes
+            cr = replace(cr, Mbb=np.zeros_like(cr.Mbb))
+        assert not cr.sigmas.size
         gn = synthesized(cr, seed=1)
         assert len(gn.components) == 1
         assert gn.components[0].kind == "ideal_elements"
@@ -645,7 +638,8 @@ class TestSynthesize:
             rayleigh=RayleighParams(0.5, 0.5),
             A=SymMatrix(np.zeros((4, 4))),
             Mbb=np.zeros(4),
-            modes=(),
+            sigmas=np.zeros(0),
+            residues=np.zeros((0, 4, 4)),
             terminal_positions=np.array([[0.0, 0.0], [1.0, 0.0]]),
         )
         gn = synthesized(cr, seed=0)
@@ -654,14 +648,8 @@ class TestSynthesize:
 
     def test_inadmissible_rejected(self):
         cr = extracted(3)
-        bad = CanonicalResponse(
-            rayleigh=cr.rayleigh,
-            A=cr.A,
-            Mbb=cr.Mbb,
-            modes=(Mode(-1.0, cr.modes[0].R),) if cr.modes else (),
-            terminal_positions=cr.terminal_positions,
-        )
-        if bad.modes:
+        bad = replace(cr, sigmas=-np.ones(min(cr.sigmas.size, 1)), residues=cr.residues[:1])
+        if bad.sigmas.size:
             with pytest.raises(NotCharacterizable):
                 synthesize(bad, seed=0)
 
@@ -670,7 +658,8 @@ class TestSynthesize:
             rayleigh=RayleighParams(0.0, 0.5),
             A=SymMatrix(np.zeros((2, 2))),
             Mbb=np.array([1.0, 2.0]),
-            modes=(),
+            sigmas=np.zeros(0),
+            residues=np.zeros((0, 2, 2)),
             terminal_positions=np.array([[0.0, 0.0]]),
         )
         with pytest.raises(NotCharacterizable):
@@ -702,7 +691,8 @@ class TestSynthesize:
             rayleigh=RayleighParams(0.0, 0.8),
             A=SymMatrix(np.zeros((4, 4))),
             Mbb=np.array([1.5, 1.5, 0.0, 0.0]),
-            modes=(),
+            sigmas=np.zeros(0),
+            residues=np.zeros((0, 4, 4)),
             terminal_positions=np.array([[0.0, 0.0], [1.0, 0.0]]),
         )
         gn = synthesized(cr, seed=0)
@@ -843,7 +833,7 @@ class TestStackedEvaluation:
         # singular interior block: the sum takes its pseudoinverse value
         cr = extracted(3, d=3, nt=3)
         gn = synthesized(cr, seed=3)
-        lam = resonances_of(cr.modes[-1].sigma, cr.rayleigh)[0]
+        lam = resonances_of(cr.sigmas[-1], cr.rayleigh)[0]
         with pytest.raises(AtResonance):
             per_component(gn, lam, "inverse")
         w = evaluate_generalized(gn, lam).W.a
@@ -1096,8 +1086,8 @@ class TestDictsHoldPythonNumbers:
             "beta": cr.rayleigh.beta,
             "A": [list(row) for row in cr.A.a],
             "Mbb": list(cr.Mbb),
-            "modes": [{"sigma": m.sigma, "R": [list(row) for row in m.R.a]}
-                      for m in cr.modes],
+            "modes": [{"sigma": sigma, "R": [list(row) for row in r]}
+                      for sigma, r in zip(cr.sigmas, cr.residues)],
             "terminals": [list(p) for p in cr.terminal_positions],
         }
         old_elements = [
