@@ -46,9 +46,9 @@ def dumps_canonical(obj):
     list whose items differ is cut into runs of alike items, each written
     the same way. A run of one item, and one with a NaN, an integer too
     long to write or a value JSON cannot hold, is walked item by item, so
-    the errors stay those of ``json.dumps``. ``float_texts`` then formats
-    the floats chunk by chunk, and their texts fill the templates' places
-    by slices, so no Python code runs per number.
+    the errors stay those of ``json.dumps``. One ``float_texts`` call then
+    formats all the floats, chunk by chunk within it, and their texts fill
+    the templates' places by slices, so no Python code runs per number.
     """
     out, floats = [], _Floats()
     try:
@@ -69,13 +69,14 @@ class _Floats:
     def __init__(self):
         self.arrays = []  # float64 arrays, checked finite
         self.run = []  # floats after the last array, not yet checked
-        # a scalar's index in the text, or (start, count, spread) of a block
+        # (start, count, spread) of each block, a scalar at index i of the
+        # text being the block (i - 1, 1, None)
         self.slots = []
 
     def scalar(self, out, value):
         """Give the float ``value`` the next slot of ``out``."""
         self.run.append(value)
-        self.slots.append(len(out))
+        self.slots.append((len(out) - 1, 1, None))
         out.append(None)
 
     def add(self, start, values, spread=None):
@@ -95,26 +96,18 @@ class _Floats:
             self.run = []
 
     def fill(self, out):
-        """Format the checked floats ``_CHUNK`` at a time and write their
-        texts into the slots of ``out``."""
-        values = np.concatenate(self.arrays) if self.arrays else np.empty(0)
-        texts, pos, done = [], 0, 0
-        for slot in self.slots:
-            scalar = type(slot) is int
-            count = 1 if scalar else slot[1]
-            if pos + count > len(texts):
-                texts, pos = texts[pos:], 0
-                while len(texts) < count:
-                    texts += float_texts(values[done:done + _CHUNK])
-                    done += _CHUNK
-            if scalar:
-                out[slot] = texts[pos]
+        """Format the checked floats in one ``float_texts`` call and write
+        their texts into the slots of ``out``."""
+        if not self.slots:
+            return
+        # the blocks let go, so one copy of the floats is held while formatting
+        values, self.arrays = np.concatenate(self.arrays), []
+        texts, pos = float_texts(values), 0
+        for start, count, spread in self.slots:
+            if spread is None:
+                out[start + 1:start + 2 * count:2] = texts[pos:pos + count]
             else:
-                start, _, spread = slot
-                if spread is None:
-                    out[start + 1:start + 2 * count:2] = texts[pos:pos + count]
-                else:
-                    spread(out, start, texts, pos)
+                spread(out, start, texts, pos)
             pos += count
 
 
@@ -730,9 +723,12 @@ def as_vector(value, path, length=None):
 
 def as_matrix(value, path, shape=None):
     rows = as_list(value, path)
-    if shape is not None and len(rows) != shape[0]:
+    if shape is None:
+        width = len(as_list(rows[0], f"{path}[0]")) if rows else 0
+    elif len(rows) != shape[0]:
         raise SchemaError(f"{path}: expected {shape[0]} rows, got {len(rows)}")
-    width = shape[1] if shape is not None else (len(rows[0]) if rows else 0)
+    else:
+        width = shape[1]
     data = [as_vector(row, f"{path}[{k}]", width) for k, row in enumerate(rows)]
     return np.array(data, dtype=float).reshape(len(rows), width)
 

@@ -597,15 +597,15 @@ def network_to_dict(net):
     }
 
 
-def network_from_dict(obj, path="network"):
-    jsonio.check_fields(obj, path, ("dimension", "nodes", "springs", "rayleigh"))
-    d = jsonio.as_int(obj["dimension"], f"{path}.dimension")
+def network_from_dict(obj):
+    jsonio.check_fields(obj, "network", ("dimension", "nodes", "springs", "rayleigh"))
+    d = jsonio.as_int(obj["dimension"], "network.dimension")
     if d not in (2, 3):
-        raise SchemaError(f"{path}.dimension: must be 2 or 3")
-    nodes = _nodes_from_list(obj["nodes"], f"{path}.nodes", d)
-    springs = _springs_from_list(obj["springs"], f"{path}.springs")
-    ray = rayleigh_from_dict(obj["rayleigh"], f"{path}.rayleigh")
+        raise SchemaError("network.dimension: must be 2 or 3")
+    nodes = _nodes_from_list(obj["nodes"], "network.nodes", d)
+    springs = _springs_from_list(obj["springs"], "network.springs")
+    ray = rayleigh_from_dict(obj["rayleigh"], "network.rayleigh")
     try:
         return ElastodynamicNetwork(d, tuple(nodes), springs, ray)
     except (ValueError, DimensionMismatch) as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
+        raise SchemaError(f"network: {exc}") from exc

@@ -154,30 +154,21 @@ def contains(rayleigh, lam, tol=1e-9):
     return False, None
 
 
-def _piece_label(rayleigh, lam):
-    case = classify(rayleigh)
-    if case == "undamped":
-        return "imaginary_axis"
-    on_axis = abs(lam.imag) <= 1e-12 * (1.0 + abs(lam))
-    if case == "node_damping_only":
-        return "segment" if on_axis else "line"
-    if case == "overdamped_mixed":
-        return "ray"
-    return "ray" if on_axis else "circle"
-
-
 def locus_table(rayleigh, n_points):
     """Rows (re, im, sigma, piece_label) for CSV emission: the resonances of
     sigma log-spaced over [1e-2, 1e2], ``n_points`` rows in all."""
     if n_points < 2:
         raise ValueError("n_points must be >= 2")
     sigmas = np.logspace(-2.0, 2.0, (n_points + 1) // 2)
+    # a root on the real axis lies on the first piece, any other on the last
+    pieces = locus(rayleigh).pieces
+    on_axis, off_axis = pieces[0].kind, pieces[-1].kind
     rows = [
         {
             "re": lam.real,
             "im": lam.imag,
             "sigma": float(sigma),
-            "piece_label": _piece_label(rayleigh, lam),
+            "piece_label": on_axis if abs(lam.imag) <= 1e-12 * (1.0 + abs(lam)) else off_axis,
         }
         for sigma in sigmas
         for lam in resonances_of(sigma, rayleigh)

@@ -602,30 +602,30 @@ def canonical_to_dict(cr):
     }
 
 
-def canonical_from_dict(obj, path="canonical"):
-    jsonio.check_fields(obj, path, ("alpha", "beta", "A", "Mbb", "modes", "terminals"))
-    terminals = jsonio.as_matrix(obj["terminals"], f"{path}.terminals")
+def canonical_from_dict(obj):
+    jsonio.check_fields(obj, "canonical", ("alpha", "beta", "A", "Mbb", "modes", "terminals"))
+    terminals = jsonio.as_matrix(obj["terminals"], "canonical.terminals")
     if terminals.ndim != 2 or terminals.shape[1] not in (2, 3):
-        raise SchemaError(f"{path}.terminals: expected rows of 2 or 3 coordinates")
+        raise SchemaError("canonical.terminals: expected rows of 2 or 3 coordinates")
     n = terminals.shape[0] * terminals.shape[1]
     try:
-        a = SymMatrix(jsonio.as_matrix(obj["A"], f"{path}.A", (n, n)))
+        a = SymMatrix(jsonio.as_matrix(obj["A"], "canonical.A", (n, n)))
     except AsymmetricMatrix as exc:
-        raise SchemaError(f"{path}.A: {exc}") from exc
+        raise SchemaError(f"canonical.A: {exc}") from exc
     sigmas, residues = [], []
-    for k, raw in enumerate(jsonio.as_list(obj["modes"], f"{path}.modes")):
-        p = f"{path}.modes[{k}]"
+    for k, raw in enumerate(jsonio.as_list(obj["modes"], "canonical.modes")):
+        p = f"canonical.modes[{k}]"
         jsonio.check_fields(raw, p, ("sigma", "R"))
         sigmas.append(jsonio.as_number(raw["sigma"], f"{p}.sigma"))
         residues.append(jsonio.as_matrix(raw["R"], f"{p}.R", (n, n)))
     try:
         return CanonicalResponse(
-            rayleigh=rayleigh_from_dict({"alpha": obj["alpha"], "beta": obj["beta"]}, path),
+            rayleigh=rayleigh_from_dict({"alpha": obj["alpha"], "beta": obj["beta"]}, "canonical"),
             A=a,
-            Mbb=jsonio.as_vector(obj["Mbb"], f"{path}.Mbb", n),
+            Mbb=jsonio.as_vector(obj["Mbb"], "canonical.Mbb", n),
             sigmas=sigmas,
             residues=np.reshape(residues, (-1, n, n)),
             terminal_positions=terminals,
         )
     except AsymmetricMatrix as exc:  # the one refusal left, named modes[k].R
-        raise SchemaError(f"{path}.{exc}") from exc
+        raise SchemaError(f"canonical.{exc}") from exc

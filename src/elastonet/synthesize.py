@@ -707,16 +707,16 @@ def generalized_to_dict(gn):
     }
 
 
-def generalized_from_dict(obj, path="generalized"):
-    jsonio.check_fields(obj, path, ("terminals", "components", "epsilon_hull"))
-    terminals = jsonio.as_matrix(obj["terminals"], f"{path}.terminals")
+def generalized_from_dict(obj):
+    jsonio.check_fields(obj, "generalized", ("terminals", "components", "epsilon_hull"))
+    terminals = jsonio.as_matrix(obj["terminals"], "generalized.terminals")
     d = terminals.shape[1]
     if d not in (2, 3):
-        raise SchemaError(f"{path}.terminals: expected 2 or 3 coordinates per row")
+        raise SchemaError("generalized.terminals: expected 2 or 3 coordinates per row")
     components = []
     try:
-        for ci, raw in enumerate(jsonio.as_list(obj["components"], f"{path}.components")):
-            p = f"{path}.components[{ci}]"
+        for ci, raw in enumerate(jsonio.as_list(obj["components"], "generalized.components")):
+            p = f"generalized.components[{ci}]"
             jsonio.check_fields(raw, p, ("kind", "nodes", "elements", "rayleigh"))
             kind = raw["kind"]
             if kind not in COMPONENT_KINDS:
@@ -742,7 +742,7 @@ def generalized_from_dict(obj, path="generalized"):
         return GeneralizedNetwork(
             terminals=terminals,
             components=tuple(components),
-            epsilon_hull=jsonio.as_number(obj["epsilon_hull"], f"{path}.epsilon_hull"),
+            epsilon_hull=jsonio.as_number(obj["epsilon_hull"], "generalized.epsilon_hull"),
         )
     except ValueError as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
+        raise SchemaError(f"generalized: {exc}") from exc

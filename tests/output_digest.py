@@ -8,12 +8,12 @@ Usage::
 
 The package is imported from ``PYTHONPATH``, so this one script digests any
 checkout. For each network it runs ``extract``, ``characterize``,
-``respond``, ``synthesize`` (on the extracted form), ``synthesize
---forbidden`` (the same form, forbidding the internal node positions of the
-plain synthesis and the centroid of the terminals, so that placement must
-redraw) and ``roundtrip`` in process through ``elastonet.cli.main``, and
-writes the exit code and the
-sha256 of the output file of each run. Two checkouts whose files are equal
+``respond``, ``characterize`` and ``synthesize`` on the extracted form,
+``synthesize --forbidden`` (the same form, forbidding the internal node
+positions of the plain synthesis and the centroid of the terminals, so that
+placement must redraw) and ``roundtrip`` in process through
+``elastonet.cli.main``, and writes the exit code and the sha256 of the
+output file of each run. Two checkouts whose files are equal
 write byte-identical outputs on every run. ``--compare OLD.json NEW.json``
 names every run whose exit code changed (or that only one digest holds),
 counts the runs whose output changed, and exits 1 when an exit code
@@ -32,14 +32,14 @@ for s = 0..3 (the size of a benchmark roundtrip input, 90 or so gadgets a
 synthesis) and ``random_network(s, 3, 16, 6, 0.5)`` for s = 0, 1 (16
 terminals). The benchmark-size networks are also synthesized at
 ``--epsilon 0.02`` and ``--epsilon 2.0``, so that placement and the hull
-test decide away from the default neighborhood. That makes 1,122 runs,
-about 20 s on one core. The 158-node
-``random_network(5, 3, 8, 150, 0.5)``, the size of a benchmark sweep input
-(474 degrees of freedom, half its interior nodes massless), gets four more
-runs: a ``respond`` sweep of 50 points, ``extract``, ``roundtrip``, and a
-``respond`` sweep over ``--omega 1e-6 1e9 400 --scale log``, whose entries
-of W fall on both sides of the float writer's switches of notation at 1e16
-and 1e-4. Last, ``loci --alpha 0.05 --beta 0.5 --points 20000`` writes
+test decide away from the default neighborhood. That makes 1,303 runs,
+about 15 s on one core. The 158-node ``random_network(5, 3, 8, 150, 0.5)``,
+the size of a benchmark sweep input (474 degrees of freedom, half its
+interior nodes massless), gets five more runs: a ``respond`` sweep of 50
+points, ``extract``, ``characterize`` on the extracted form, ``roundtrip``,
+and a ``respond`` sweep over ``--omega 1e-6 1e9 400 --scale log``, whose
+entries of W fall on both sides of the float writer's switches of notation
+at 1e16 and 1e-4. Last, ``loci --alpha 0.05 --beta 0.5 --points 20000`` writes
 60,000 floats of CSV through the same formatter. Pytest does not collect
 this file.
 """
@@ -146,6 +146,9 @@ def digest(workdir):
             workdir / "responses.json",
         )
         if canonical.exists():
+            runs["characterize canonical"] = run(
+                ["characterize", str(canonical)], workdir / "report.json"
+            )
             network = workdir / "network.json"
             runs["synthesize"] = run(["synthesize", str(canonical)], network)
             if network.exists():
@@ -168,6 +171,9 @@ def digest(workdir):
     results["random_network(5, 3, 8, 150, 0.5)"] = {
         "respond": run(argv, workdir / "responses.json"),
         "extract": run(["extract", str(net_file)], workdir / "canonical.json"),
+        "characterize canonical": run(
+            ["characterize", str(workdir / "canonical.json")], workdir / "report.json"
+        ),
         "roundtrip": run(["roundtrip", str(net_file)], workdir / "roundtrip.json"),
         "respond 1e-6..1e9": run(
             ["respond", str(net_file), "--omega", "1e-6", "1e9", "400", "--scale", "log"],

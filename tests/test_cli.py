@@ -410,6 +410,23 @@ class TestCanonicalReaderRefusals:
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
         assert not report.exists()
 
+    @pytest.mark.parametrize("command", ["characterize", "synthesize"])
+    @pytest.mark.parametrize("terminals", [
+        pytest.param(lambda rows: [1.0, 2.0, 3.0], id="flat"),
+        pytest.param(lambda rows: [None] + rows[1:], id="null-row"),
+        pytest.param(lambda rows: [True] + rows[1:], id="bool-row"),
+        pytest.param(lambda rows: [3.0] + rows[1:], id="number-row"),
+    ])
+    def test_a_first_row_that_is_no_array_exits_2(self, tmp_path, capsys, command, terminals):
+        obj = canonical_3d()
+        obj["terminals"] = terminals(obj["terminals"])
+        bad, out = tmp_path / "bad.json", tmp_path / "out.json"
+        write_json(bad, obj)
+        assert main([command, str(bad), "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: canonical.terminals[0]: expected an array\n"
+        assert not out.exists()
+
     def test_a_rounding_level_asymmetry_is_repaired(self, tmp_path, capsys):
         obj = canonical_3d()
         row = obj["modes"][1]["R"][0]
@@ -474,6 +491,15 @@ class TestSynthesize:
         code = main(["synthesize", canonical_file, "--forbidden", str(forb), "-o", str(out)])
         assert code == 2
         assert "forbidden: expected 2 coordinates per point" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_flat_forbidden_list_exits_2(self, tmp_path, canonical_file, capsys):
+        forb = tmp_path / "forbidden.json"
+        write_json(forb, [0.5, 0.5])
+        out = tmp_path / "gen.json"
+        code = main(["synthesize", canonical_file, "--forbidden", str(forb), "-o", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: forbidden[0]: expected an array\n"
         assert not out.exists()
 
     def test_an_empty_forbidden_list_is_no_points(self, tmp_path, canonical_file):

@@ -377,6 +377,38 @@ def test_chunk_boundaries_write_like_json_dumps(offset):
     assert dumps_canonical(payload) == reference(payload)
 
 
+def spy_float_texts(monkeypatch):
+    """The length of each array the writer hands ``float_texts``."""
+    calls = []
+
+    def spy(values):
+        calls.append(len(values))
+        return float_texts(values)
+
+    float_texts = jsonio.float_texts
+    monkeypatch.setattr(jsonio, "float_texts", spy)
+    return calls
+
+
+@pytest.mark.parametrize("offset", range(-24, 2))
+def test_a_document_formats_its_floats_in_one_pass(offset, monkeypatch):
+    calls = spy_float_texts(monkeypatch)
+    blocks = chunk_boundary_payload(offset)
+    payload = [0.5, blocks, np.float64(-0.0), blocks, 7.0]
+    assert dumps_canonical(payload) == reference(payload)
+    assert len(calls) == 1 and calls[0] > 2 * jsonio._CHUNK
+
+
+@pytest.mark.parametrize("payload", [
+    [], "x", {"a": [1, "s", None, True]}, [[1, 2], [3, 4]], [{"a": []}, {"a": []}],
+    np.empty((2, 0)),
+])
+def test_a_document_without_floats_formats_none(payload, monkeypatch):
+    calls = spy_float_texts(monkeypatch)
+    assert dumps_canonical(payload) == reference(payload)
+    assert calls == []
+
+
 def nested(depth):
     value = []
     for _ in range(depth):

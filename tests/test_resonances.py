@@ -226,3 +226,14 @@ class TestSampleLocus:
         rows = locus_table(RayleighParams(1.0, 2.0), 20)
         assert all(r["im"] == 0.0 for r in rows)
         assert all(r["piece_label"] == "ray" for r in rows)
+
+    @pytest.mark.parametrize("ray", [
+        RayleighParams(0.0, 0.0),
+        RayleighParams(0.0, 2.0),
+        RayleighParams(1.0, 0.0),
+        RayleighParams(0.5, 0.5),
+        RayleighParams(1.5, 1.5),
+    ])
+    def test_every_label_is_a_piece_of_the_locus(self, ray):
+        kinds = {piece.kind for piece in locus(ray).pieces}
+        assert {r["piece_label"] for r in locus_table(ray, 41)} <= kinds

@@ -1037,6 +1037,15 @@ class TestGeneralizedJson:
             generalized_from_dict(obj)
 
 
+    @pytest.mark.parametrize("terminals", [[1.0, 2.0, 3.0], [None, [0.0, 1.0]]])
+    def test_terminals_whose_first_row_is_no_array(self, terminals):
+        from elastonet import SchemaError
+
+        obj = generalized_to_dict(synthesized(extracted(12, ni=2, mf=1.0), seed=12))
+        obj["terminals"] = terminals
+        with pytest.raises(SchemaError, match=r"^generalized\.terminals\[0\]: expected an array$"):
+            generalized_from_dict(obj)
+
     @pytest.mark.parametrize(
         "element", [{"i": -1, "j": 0, "k": 1.0}, {"support": [], "f": []}]
     )
